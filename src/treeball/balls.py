@@ -20,7 +20,7 @@ import functools
 import itertools
 
 from .errors import CapacityError, HypothesisError
-from .permcore import Perm, PermGroup, small_generating_set_of
+from .permcore import Perm, PermGroup, _close, small_generating_set_of
 
 #: Largest group of ball automorphisms that full_aut will materialize.
 MATERIALIZE_CAP = 500_000
@@ -148,10 +148,6 @@ class BallAut:
         b._flat = None
         b._hash = None
         return b
-
-    @classmethod
-    def from_perm(cls, perm):
-        return cls(perm)
 
     @classmethod
     def identity(cls, degree, radius):
@@ -305,10 +301,8 @@ class BallAut:
 
     # -- conversions -----------------------------------------------------------
 
-    def to_perm(self, points=None):
+    def to_perm(self):
         """This automorphism as a permutation of the non-center vertices."""
-        if points is None:
-            points = ball_points(self.degree, self.radius)
         index = _point_index(self.degree, self.radius)
         return Perm(tuple(index[img] for img in self.flat()))
 
@@ -484,23 +478,11 @@ def ball_action(elements):
         raise ValueError("need at least one automorphism")
     first = elements[0]
     points = ball_points(first.degree, first.radius)
-    back = {}
-    perms = []
-    for a in elements:
-        p = a.to_perm(points)
-        perms.append(p)
-        back[p] = a
-    group = PermGroup(len(points), perms,
-                      small_generating_set_of(perms, len(points)))
+    back = {a.to_perm(): a for a in elements}
+    perms = sorted(back)  # sorted once: re-sorting below is then linear
+    ident = Perm.identity(len(points))
+    group = PermGroup(len(points), perms, small_generating_set_of(perms, ident))
     return group, points, back
-
-
-def level1_group(elements):
-    """The permutation group induced on the neighbour labels of the center."""
-    elements = list(elements)
-    degree = elements[0].degree
-    perms = {a.level1() for a in elements}
-    return PermGroup(degree, perms, small_generating_set_of(perms, degree))
 
 
 def ballaut_from_perm(perm, degree, radius):
@@ -532,23 +514,8 @@ class BallGroup:
         for g in gens:
             if (g.degree, g.radius) != (degree, radius):
                 raise ValueError("mixed ball shapes in generating set")
-        ident = BallAut.identity(degree, radius)
-        seen = {ident}
-        frontier = [ident]
-        gens_live = [g for g in gens if not g.is_identity()]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in gens_live:
-                    y = x * g
-                    if y not in seen:
-                        seen.add(y)
-                        if len(seen) > cap:
-                            raise CapacityError(
-                                "group exceeds cap of %d elements" % cap)
-                        nxt.append(y)
-            frontier = nxt
-        return cls(degree, radius, seen, gens)
+        elements = _close(gens, BallAut.identity(degree, radius), cap)
+        return cls(degree, radius, elements, gens)
 
     @classmethod
     def from_elements(cls, elements, verify=True):
@@ -556,19 +523,12 @@ class BallGroup:
         if not elements:
             raise ValueError("a group has at least the identity")
         degree, radius = elements[0].degree, elements[0].radius
-        pts = ball_points(degree, radius)
-        back = {}
-        perms = []
-        for a in elements:
-            p = a.to_perm(pts)
-            perms.append(p)
-            back[p] = a
-        gen_perms = small_generating_set_of(perms, len(pts))
+        shadow, points, back = ball_action(elements)
         if verify:
-            shadow = PermGroup.generated(gen_perms, len(pts))
-            if shadow._eset != frozenset(perms):
+            closed = PermGroup.generated(shadow.generators, len(points))
+            if closed._eset != shadow._eset:
                 raise ValueError("element set is not a group")
-        gens = tuple(back[p] for p in gen_perms if p in back)
+        gens = tuple(back[p] for p in shadow.generators if p in back)
         if not gens:
             gens = (BallAut.identity(degree, radius),)
         return cls(degree, radius, elements, gens)
@@ -621,7 +581,11 @@ class BallGroup:
         return BallGroup.from_elements(list(elems), verify=False)
 
     def level1(self):
-        return level1_group(self.elements)
+        """The permutation group induced on the center's neighbour labels."""
+        perms = {a.level1() for a in self.elements}
+        ident = Perm.identity(self.degree)
+        return PermGroup(self.degree, perms,
+                         small_generating_set_of(perms, ident))
 
     def projection_kernel(self):
         """Elements restricting to the identity on the next smaller ball."""
@@ -635,6 +599,3 @@ class BallGroup:
             group, points, back = ball_action(self.elements)
             self._cache["perm"] = (group, points, back)
         return self._cache["perm"]
-
-    def is_level1_transitive(self):
-        return self.level1().is_transitive()

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .balls import BallAut, BallGroup, full_aut
+from .balls import BallAut, BallGroup, ball_action, ball_points, full_aut
 from .compat import (
     canonical_cocycle,
     check_compatibility,
@@ -111,7 +111,7 @@ def census_compatible_classes(degree=3, radius=2, transitive_only=True,
     # whole-orbit canonical form but represented by their least gluable member
     classes = {}
     for sub in subgroups:
-        if transitive_only and not _level1_transitive(sub, degree):
+        if transitive_only and not sub.is_transitive_on(range(degree)):
             continue
         members = [back[p] for p in sub]
         group = BallGroup.from_elements(members, verify=False)
@@ -145,7 +145,7 @@ def _make_row(group, radius, description=None, gamma_image_of=None):
     has_icc = bool(find_involutive_cocycles(group)) if compatible else False
     if compatible and trivial and not has_icc:
         raise RuntimeError("rigid gluable group without a cocycle; bug")
-    projection = name_permutation_group(_level1_perm_group(group))
+    projection = name_permutation_group(group.level1())
     if description is None:
         description = "class of order %d" % group.order
     return CensusRow(description=description, radius=radius,
@@ -155,38 +155,11 @@ def _make_row(group, radius, description=None, gamma_image_of=None):
                      gamma_image_of=gamma_image_of)
 
 
-def _level1_perm_group(group):
-    perms = sorted({a.level1() for a in group.elements})
-    return PermGroup.from_elements(perms, group.degree, verify=False)
-
-
-def _level1_transitive(sub, degree):
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        x = frontier.pop()
-        for g in sub.generators:
-            y = g(x)
-            if y < degree and y not in seen:
-                seen.add(y)
-                frontier.append(y)
-    return len(seen) == degree
-
-
-def ball_action(group_or_elements):
-    """Permutation shadow of ball automorphisms, with the reverse lookup."""
-    if isinstance(group_or_elements, BallGroup):
-        return group_or_elements.perm_group()
-    from .balls import ball_action as _ba
-    return _ba(group_or_elements)
-
-
 def _flat_key(group):
     return tuple(sorted(a.flat() for a in group.elements))
 
 
 def _from_flat(degree, radius, flat):
-    from .balls import ball_points
     points = ball_points(degree, radius)
     return BallAut.from_wordmap(
         degree, radius, dict(zip(points, flat)))

@@ -3,7 +3,8 @@
 Each subcommand wraps one library operation, reads groups from document
 files, and prints either text or JSON. Everything is deterministic; there
 is no seed anywhere. Exit codes: 0 on success, 1 when --expect is given
-and the computed answer differs, 2 on unusable input.
+and the computed answer differs, 2 on unusable input. Unusable input is
+reported in one place, the command group, whatever layer detects it.
 """
 
 import json
@@ -20,8 +21,8 @@ from .constructions import (build_centered, build_diagonal, build_full_lift,
                             build_wreath_local)
 from .documents import (document_from_group, group_from_document,
                         load_document, serialize_document)
-from .errors import CapacityError, DocumentError, HypothesisError
-from .permcore import Perm, PermGroup, classify_action
+from .errors import CapacityError
+from .permcore import Perm, PermGroup, classify_action, factorize
 from .universal import (is_discrete_universal, local_action_group,
                         pk_local_action, restriction_count_factors,
                         count_restrictions)
@@ -35,13 +36,6 @@ _IN = click.option("--in", "path", required=True,
 _EXPECT = click.option("--expect", type=click.Choice(["yes", "no"]),
                        default=None,
                        help="Exit 1 if the answer differs from this.")
-
-
-def _load_group(path):
-    try:
-        return group_from_document(load_document(path))
-    except DocumentError as err:
-        raise click.UsageError(str(err)) from err
 
 
 def _named_group(spec):
@@ -89,14 +83,11 @@ _DEFAULT_BLOCKS = {
 
 
 def _fmt_count(n):
-    if n <= 2 ** 63:
+    """n itself while it fits in an int64, else its prime factorization."""
+    if n < 2 ** 63:
         return str(n)
-    import sympy
-
-    parts = []
-    for prime, exp in sorted(sympy.factorint(n).items()):
-        parts.append("%d^%d" % (prime, exp) if exp > 1 else str(prime))
-    return " * ".join(parts)
+    return " * ".join("%d^%d" % (prime, exp) if exp > 1 else str(prime)
+                      for prime, exp in factorize(n))
 
 
 def _yes(flag):
@@ -112,7 +103,21 @@ def _finish_bool(label, value, expect, fmt, json_key):
         sys.exit(1)
 
 
-@click.group()
+class _ErrorBoundary(click.Group):
+    """Reports unusable input as a one-line message with exit code 2.
+
+    Capacity limits and ValueError, which covers DocumentError and
+    HypothesisError, end here; any other exception is a bug and stays loud.
+    """
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (CapacityError, ValueError) as err:
+            raise click.UsageError(str(err)) from err
+
+
+@click.group(cls=_ErrorBoundary)
 def main():
     """Gluing data for groups acting on balls of a regular tree."""
 
@@ -122,7 +127,7 @@ def main():
 @_FMT
 def classify_cmd(path, fmt):
     """Describe the one-step action at the center of the input group."""
-    group = _load_group(path)
+    group = group_from_document(load_document(path))
     report = classify_action(local_action_group(group))
     body = {
         "degree": report.degree,
@@ -154,7 +159,7 @@ def classify_cmd(path, fmt):
 @_EXPECT
 def check_c_cmd(path, fmt, expect):
     """Does every pair of elements glue in every direction."""
-    group = _load_group(path)
+    group = group_from_document(load_document(path))
     _finish_bool("C", check_compatibility(group), expect, fmt, "C")
 
 
@@ -164,7 +169,7 @@ def check_c_cmd(path, fmt, expect):
 @_EXPECT
 def check_d_cmd(path, fmt, expect):
     """Are all seam groups of the input trivial."""
-    group = _load_group(path)
+    group = group_from_document(load_document(path))
     _finish_bool("D", check_trivial_seams(group), expect, fmt, "D")
 
 
@@ -174,7 +179,7 @@ def check_d_cmd(path, fmt, expect):
 @_EXPECT
 def discrete_cmd(path, fmt, expect):
     """Does the input prescribe a discrete universal completion."""
-    group = _load_group(path)
+    group = group_from_document(load_document(path))
     _finish_bool("discrete", is_discrete_universal(group), expect, fmt,
                  "discrete")
 
@@ -184,7 +189,7 @@ def discrete_cmd(path, fmt, expect):
 @_FMT
 def ccore_cmd(path, fmt):
     """Largest subgroup of the input whose elements all glue."""
-    group = _load_group(path)
+    group = group_from_document(load_document(path))
     core = compatibility_core(group)
     if fmt == "json":
         doc = document_from_group(
@@ -200,7 +205,7 @@ def ccore_cmd(path, fmt):
 @_EXPECT
 def cocycles_cmd(path, fmt, expect):
     """Count the involutive gluing cocycles of the input."""
-    group = _load_group(path)
+    group = group_from_document(load_document(path))
     found = find_involutive_cocycles(group)
     if fmt == "json":
         click.echo(json.dumps({"involutive_cocycles": len(found)}))
@@ -226,37 +231,33 @@ def cocycles_cmd(path, fmt, expect):
 def construct_cmd(kind, group_name, top_name, spheres, radius, out_path, fmt):
     """Build one of the named extension constructions."""
     F = _named_group(group_name)
-    try:
-        if kind == "diagonal":
-            built = build_diagonal(F)
-        elif kind == "centered":
-            built = build_centered(F)
-        elif kind == "full-lift":
-            built = build_full_lift(F, radius=radius)
-        elif kind == "parity":
-            sign = {p: (0 if p.sign() == 1 else 1) for p in F.elements}
-            levels = sorted(int(s) for s in spheres.split(","))
-            built = build_parity_lift(F, sign, 2, levels)
-        else:
-            if top_name is None:
-                raise click.UsageError("wreath needs --top")
-            built = build_wreath_local(F, _named_group(top_name)).group
-    except (HypothesisError, CapacityError, ValueError) as err:
-        raise click.UsageError(str(err)) from err
-    meta = {"construction": "%s(%s)" % (kind, group_name)}
-    doc = document_from_group(built, metadata=meta)
-    text = serialize_document(doc)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        click.echo("wrote %s" % out_path)
+    if kind == "diagonal":
+        built = build_diagonal(F)
+    elif kind == "centered":
+        built = build_centered(F)
+    elif kind == "full-lift":
+        built = build_full_lift(F, radius=radius)
+    elif kind == "parity":
+        sign = {p: (0 if p.sign() == 1 else 1) for p in F.elements}
+        levels = sorted(int(s) for s in spheres.split(","))
+        built = build_parity_lift(F, sign, 2, levels)
+    else:
+        if top_name is None:
+            raise click.UsageError("wreath needs --top")
+        built = build_wreath_local(F, _named_group(top_name)).group
+    if not out_path and fmt == "text":
+        click.echo("%s(%s): degree %d radius %d order %s"
+                   % (kind, group_name, built.degree, built.radius,
+                      _fmt_count(built.order)))
         return
-    if fmt == "json":
+    meta = {"construction": "%s(%s)" % (kind, group_name)}
+    text = serialize_document(document_from_group(built, metadata=meta))
+    if not out_path:
         click.echo(text, nl=False)
         return
-    click.echo("%s(%s): degree %d radius %d order %s"
-               % (kind, group_name, built.degree, built.radius,
-                  _fmt_count(built.order)))
+    with open(out_path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    click.echo("wrote %s" % out_path)
 
 
 @main.command("tower")
@@ -284,10 +285,7 @@ def tower_cmd(kind, steps, group_name, blocks_spec, fmt):
         blocks = _DEFAULT_BLOCKS.get(group_name.strip().lower())
         if blocks is None:
             raise click.UsageError("partition towers need --blocks")
-    try:
-        tower = build_tower(F, kind, steps, blocks=blocks)
-    except (HypothesisError, CapacityError) as err:
-        raise click.UsageError(str(err)) from err
+    tower = build_tower(F, kind, steps, blocks=blocks)
     if fmt == "json":
         body = [{"radius": lv.radius, "order": str(lv.order),
                  "materialized": lv.group is not None}
@@ -306,10 +304,7 @@ def tower_cmd(kind, steps, group_name, blocks_spec, fmt):
 @_FMT
 def census_cmd(degree, radius, fmt):
     """All gluable conjugacy classes of transitive ball groups."""
-    try:
-        rows = census_compatible_classes(degree, radius)
-    except CapacityError as err:
-        raise click.UsageError(str(err)) from err
+    rows = census_compatible_classes(degree, radius)
     if fmt == "json":
         click.echo(json.dumps([r.to_dict() for r in rows]))
         return
@@ -353,7 +348,7 @@ def s3_table_cmd(fmt):
 @_FMT
 def count_restrictions_cmd(path, ball, stabilizer, fmt):
     """How many larger-ball maps restrict into the input group."""
-    group = _load_group(path)
+    group = group_from_document(load_document(path))
     try:
         total = count_restrictions(group, ball, stabilizer_only=stabilizer)
     except CapacityError:
@@ -365,8 +360,6 @@ def count_restrictions_cmd(path, ball, stabilizer, fmt):
         else:
             click.echo("count: %s" % " * ".join(factors))
         return
-    except HypothesisError as err:
-        raise click.UsageError(str(err)) from err
     if fmt == "json":
         click.echo(json.dumps({"count": total}))
     else:
@@ -380,11 +373,8 @@ def count_restrictions_cmd(path, ball, stabilizer, fmt):
 @_FMT
 def pk_local_cmd(path, target, fmt):
     """Project or lift the input to its action on another ball size."""
-    group = _load_group(path)
-    try:
-        derived = pk_local_action(group, target)
-    except (HypothesisError, CapacityError) as err:
-        raise click.UsageError(str(err)) from err
+    group = group_from_document(load_document(path))
+    derived = pk_local_action(group, target)
     if fmt == "json":
         doc = document_from_group(
             derived, generators_only=True,

@@ -14,9 +14,11 @@ computation below quadratic in practice.
 
 from __future__ import annotations
 
+import itertools
+
 from .balls import BallAut, BallGroup, ball_compatible, ball_points
-from .errors import HypothesisError
-from .permcore import PermGroup
+from .errors import CapacityError, HypothesisError
+from .permcore import Perm, _close
 
 
 def _offer_key(beta, direction):
@@ -257,10 +259,10 @@ def find_involutive_cocycles(group, validate=True, generators=None):
         g_order = g.order()
         lifts = []
         fibers = [compat_set(group, g, w) for w in range(d)]
-        for combo in _product(fibers):
+        for combo in itertools.product(*fibers):
             lift = BallAut(g, combo)
             if lift.order() == g_order:
-                lifts.append((lift, lift.to_perm(pts)))
+                lifts.append((lift, lift.to_perm()))
         if not lifts:
             return []
         options.append(lifts)
@@ -289,8 +291,12 @@ def find_involutive_cocycles(group, validate=True, generators=None):
 
     out = []
     seen_tables = set()
+    ident = BallAut.identity(degree, radius + 1)
     for lifts in found.values():
-        elems = _ball_closure(lifts, target)
+        try:
+            elems = _close(lifts, ident, cap=target)
+        except CapacityError as err:
+            raise RuntimeError("closure passed its proven bound; bug") from err
         table = {}
         ok = True
         for h in elems:
@@ -314,11 +320,6 @@ def find_involutive_cocycles(group, validate=True, generators=None):
     return out
 
 
-def _product(pools):
-    import itertools
-    return itertools.product(*pools)
-
-
 def _table_involutive(table):
     return all(table[(b, w)] == a for (a, w), b in table.items())
 
@@ -330,7 +331,6 @@ def _closure_abort(perm_gens, degree, limit, n_inner):
     nontrivial element fixing the first `n_inner` points, which correspond
     to the inner ball and therefore witness a projection kernel.
     """
-    from .permcore import Perm
     ident = Perm.identity(degree)
     seen = {ident}
     frontier = [ident]
@@ -350,26 +350,6 @@ def _closure_abort(perm_gens, degree, limit, n_inner):
                     yim = y.images
                     if all(yim[i] == i for i in inner):
                         return None
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return seen
-
-
-def _ball_closure(gens, cap):
-    degree, radius = gens[0].degree, gens[0].radius
-    ident = BallAut.identity(degree, radius)
-    seen = {ident}
-    frontier = [ident]
-    live = [g for g in gens if not g.is_identity()]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in live:
-                y = x * g
-                if y not in seen:
-                    if len(seen) >= cap + 1:
-                        raise RuntimeError("closure passed its proven bound; bug")
                     seen.add(y)
                     nxt.append(y)
         frontier = nxt

@@ -13,6 +13,7 @@ import itertools
 from dataclasses import dataclass
 
 from .balls import (
+    MATERIALIZE_CAP,
     BallAut,
     BallGroup,
     ball_compatible,
@@ -24,10 +25,7 @@ from .compat import (
     joint_compat_set,
 )
 from .errors import CapacityError, HypothesisError
-from .permcore import Perm, PermGroup
-
-#: Largest group any builder will materialize element by element.
-MATERIALIZE_CAP = 500_000
+from .permcore import Perm, PermGroup, small_generating_set_of
 
 
 def _r1(perm):
@@ -359,45 +357,10 @@ def build_cocycle_extension(cocycle, kernel, cap=MATERIALIZE_CAP):
     if expected > cap:
         raise CapacityError("extension would have order %d, beyond cap %d"
                             % (expected, cap))
-    kernel_gens = ball_generating_set(kelems)
+    kernel_gens = small_generating_set_of(
+        kelems, BallAut.identity(d, F.radius + 1))
     group = BallGroup.generated(lifted_gens + list(kernel_gens), cap=expected)
     return _check_order(group, expected, "cocycle extension")
-
-
-def ball_generating_set(elements):
-    """Greedy generating set for a closed set of ball automorphisms."""
-    elems = sorted(elements)
-    if len(elems) == 1:
-        return (elems[0],)
-    target = len(elems)
-    gens = []
-    have = None
-    for x in elems:
-        if x.is_identity():
-            continue
-        if have is not None and x in have:
-            continue
-        gens.append(x)
-        have = _close_ballauts(gens)
-        if len(have) == target:
-            break
-    return tuple(gens)
-
-
-def _close_ballauts(gens):
-    ident = BallAut.identity(gens[0].degree, gens[0].radius)
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = x * g
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return seen
 
 
 # ---------------------------------------------------------------------------
@@ -749,7 +712,7 @@ def _tower_certificate(prev, blocks, pinned, central, order, id_fibers):
     for i, fib in enumerate(id_fibers):
         if i == pinned:
             continue
-        fib_gens = ball_generating_set(fib)
+        fib_gens = small_generating_set_of(fib, ident)
         for x in fib_gens:
             if x.is_identity():
                 continue

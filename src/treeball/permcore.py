@@ -141,11 +141,14 @@ class Perm:
         return "Perm%s" % "".join(str(c) for c in cyc)
 
 
-def _close(gens, degree, cap=CLOSURE_CAP):
-    """Set of all products of the generators (contains the identity)."""
-    ident = Perm.identity(degree)
-    seen = {ident}
-    frontier = [ident]
+def _close(gens, identity, cap=CLOSURE_CAP):
+    """Set of all products of the generators, the given identity included.
+
+    Works for any element type with products, hashing and is_identity():
+    permutations and ball automorphisms alike.
+    """
+    seen = {identity}
+    frontier = [identity]
     gens = [g for g in gens if not g.is_identity()]
     while frontier:
         nxt = []
@@ -185,7 +188,7 @@ class PermGroup:
         for g in gens:
             if g.degree != degree:
                 raise ValueError("mixed degrees in generating set")
-        elements = _close(gens, degree, cap)
+        elements = _close(gens, Perm.identity(degree), cap)
         return cls(degree, elements, gens or (Perm.identity(degree),))
 
     @classmethod
@@ -193,9 +196,10 @@ class PermGroup:
         elements = list(elements)
         if degree is None:
             degree = elements[0].degree
-        group = cls(degree, elements, small_generating_set_of(elements, degree))
+        ident = Perm.identity(degree)
+        group = cls(degree, elements, small_generating_set_of(elements, ident))
         if verify:
-            closed = _close(group.generators, degree)
+            closed = _close(group.generators, ident)
             if closed != group._eset:
                 raise ValueError("element set is not a group")
         return group
@@ -320,12 +324,14 @@ class PermGroup:
 
     def stabilizer(self, point):
         elems = [g for g in self.elements if g(point) == point]
-        return PermGroup(self.degree, elems, small_generating_set_of(elems, self.degree))
+        return PermGroup(self.degree, elems,
+                         small_generating_set_of(elems, self.identity()))
 
     def pointwise_stabilizer(self, points):
         pts = tuple(points)
         elems = [g for g in self.elements if all(g(p) == p for p in pts)]
-        return PermGroup(self.degree, elems, small_generating_set_of(elems, self.degree))
+        return PermGroup(self.degree, elems,
+                         small_generating_set_of(elems, self.identity()))
 
     def is_semiregular(self):
         return all(self.stabilizer(p).order == 1 for p in range(self.degree))
@@ -348,19 +354,22 @@ class PermGroup:
         return reps
 
 
-def small_generating_set_of(elements, degree):
-    """Greedy generating set for a known subgroup, scanning sorted elements."""
+def small_generating_set_of(elements, identity):
+    """Greedy generating set for a known group, scanning sorted elements.
+
+    Like _close, it serves permutations and ball automorphisms alike.
+    """
     elems = sorted(elements)
     target = len(elems)
     if target == 1:
-        return (Perm.identity(degree),)
+        return (identity,)
     gens = []
-    have = {Perm.identity(degree)}
+    have = {identity}
     for x in elems:
         if x in have:
             continue
         gens.append(x)
-        have = _close(gens, degree)
+        have = _close(gens, identity)
         if len(have) == target:
             break
     return tuple(gens)
@@ -464,10 +473,6 @@ def rank(G):
     return count
 
 
-def is_2transitive(G):
-    return G.degree >= 2 and G.is_transitive() and rank(G) == 2
-
-
 def classify_action(G):
     transitive = G.is_transitive()
     semiregular = G.is_semiregular()
@@ -545,8 +550,9 @@ def normal_closure(G, seeds):
     gens = [s for s in seeds if not s.is_identity()]
     if not gens:
         return PermGroup.trivial(G.degree)
+    ident = G.identity()
     ginv = [g.inverse() for g in G.generators]
-    have = _close(gens, G.degree)
+    have = _close(gens, ident)
     changed = True
     while changed:
         changed = False
@@ -555,9 +561,9 @@ def normal_closure(G, seeds):
                 y = g * x * gi
                 if y not in have:
                     gens.append(y)
-                    have = _close(gens, G.degree)
+                    have = _close(gens, ident)
                     changed = True
-    return PermGroup(G.degree, have, small_generating_set_of(have, G.degree))
+    return PermGroup(G.degree, have, small_generating_set_of(have, ident))
 
 
 def normal_subgroups(G):
@@ -661,7 +667,8 @@ def nilpotent_radical(G):
 
 def center(G):
     elems = [x for x in G.elements if all(x * g == g * x for g in G.generators)]
-    return PermGroup(G.degree, elems, small_generating_set_of(elems, G.degree))
+    return PermGroup(G.degree, elems,
+                     small_generating_set_of(elems, G.identity()))
 
 
 def subnormal_depth(G, H, bound=None):
@@ -678,50 +685,15 @@ def subnormal_depth(G, H, bound=None):
             return depth
         if bound is not None and depth >= bound:
             return None
-        nxt = _normal_closure_in(K, H.generators)
+        nxt = normal_closure(K, H.generators)
         if nxt._eset == K._eset:
             return None
         K = nxt
         depth += 1
 
 
-def _normal_closure_in(K, seeds):
-    gens = [s for s in seeds if not s.is_identity()]
-    if not gens:
-        return PermGroup.trivial(K.degree)
-    kinv = [g.inverse() for g in K.generators]
-    have = _close(gens, K.degree)
-    changed = True
-    while changed:
-        changed = False
-        for g, gi in zip(K.generators, kinv):
-            for x in list(gens):
-                y = g * x * gi
-                if y not in have:
-                    gens.append(y)
-                    have = _close(gens, K.degree)
-                    changed = True
-    return PermGroup(K.degree, have, small_generating_set_of(have, K.degree))
-
-
 def is_subnormal(G, H, bound=None):
     return subnormal_depth(G, H, bound=bound) is not None
-
-
-def subnormal_subgroups(G):
-    """Every subnormal subgroup, by recursing through normal subgroups."""
-    found = {}
-
-    def rec(K):
-        if K._eset in found:
-            return
-        found[K._eset] = K
-        for N in normal_subgroups(K):
-            if N.order < K.order:
-                rec(N)
-
-    rec(G)
-    return sorted(found.values(), key=lambda H: (H.order, H.elements))
 
 
 @dataclass(frozen=True)
@@ -812,7 +784,7 @@ def all_subgroups(G):
     for S in found:
         elems = [t.elements[i] for i in S]
         out.append(PermGroup(G.degree, elems,
-                             small_generating_set_of(elems, G.degree)))
+                             small_generating_set_of(elems, G.identity())))
     out.sort(key=lambda H: (H.order, H.elements))
     G._cache[key] = out
     return out
@@ -846,7 +818,7 @@ def _subgroup_sets_by_prime_extension(t, order):
     """
     n = len(t.elements)
     mul, inv, e = t.mul, t.inv, t.e
-    primes = sorted(_prime_factors(order))
+    primes = [p for p, _ in factorize(order)]
     power = {}
     for p in primes:
         col = []
@@ -888,17 +860,24 @@ def _subgroup_sets_by_prime_extension(t, order):
     return found
 
 
-def _prime_factors(n):
-    out = set()
+def factorize(n):
+    """Prime factorization of n >= 1 as sorted (prime, exponent) pairs.
+
+    Trial division: once p * p exceeds what is left, the rest is prime. Fast
+    for the group orders here, whose prime factors are all small.
+    """
+    out = []
     p = 2
     while p * p <= n:
         if n % p == 0:
-            out.add(p)
+            exp = 0
             while n % p == 0:
                 n //= p
+                exp += 1
+            out.append((p, exp))
         p += 1
     if n > 1:
-        out.add(n)
+        out.append((n, 1))
     return out
 
 
@@ -926,7 +905,7 @@ def subgroups_up_to_conjugacy(G, predicate=None):
         rep_set = min(cls, key=lambda s: tuple(sorted(p.images for p in s)))
         elems = sorted(rep_set)
         reps.append(PermGroup(G.degree, elems,
-                              small_generating_set_of(elems, G.degree)))
+                              small_generating_set_of(elems, G.identity())))
     reps.sort(key=lambda H: (H.order, H.elements))
     return reps
 
@@ -1167,10 +1146,6 @@ def sign_map(G):
     flip = Perm((1, 0))
     ident = Perm.identity(2)
     return {g: (ident if g.sign() == 1 else flip) for g in G.elements}
-
-
-def direct_power_diagonal(G, count):
-    return [tuple([g] * count) for g in G.elements]
 
 
 def wreath_imprimitive(F, P):

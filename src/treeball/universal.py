@@ -13,7 +13,9 @@ completion contains.
 from __future__ import annotations
 
 from .balls import (
+    MATERIALIZE_CAP,
     BallAut,
+    BallGroup,
     ball_points,
     follow,
     words_of_length,
@@ -24,6 +26,7 @@ from .compat import (
     compatibility_core,
     first_compat_failure,
 )
+from .constructions import build_full_lift
 from .errors import CapacityError, HypothesisError
 from .permcore import PermGroup
 
@@ -37,13 +40,14 @@ def count_restrictions(group, radius, stabilizer_only=True):
     tree because fibers are cosets of the identity's fiber: the root
     contributes the group order and every deeper chart contributes the fiber
     size of its last direction. Counting center-moving restrictions is not
-    supported. Counts past 2**63 raise, with the factorization in the
-    message, rather than pretending such a group could be handled further.
+    supported. Counts of 2**63 or more, past the int64 range, raise, with the
+    factorization in the message, rather than pretending such a group could
+    be handled further.
     """
     total, factors = _restriction_count(group, radius, stabilizer_only)
-    if total > 2 ** 63:
+    if total >= 2 ** 63:
         raise CapacityError(
-            "restriction count exceeds 2^63; factored: %s"
+            "restriction count reaches 2^63; factored: %s"
             % " * ".join(factors))
     return total
 
@@ -162,7 +166,6 @@ def pk_local_action(group, target_radius, cap=None):
     level below.
     """
     if isinstance(group, PermGroup):
-        from .balls import BallAut, BallGroup
         group = BallGroup(
             group.degree, 1, [BallAut(p) for p in group.elements],
             [BallAut(p) for p in group.generators])
@@ -178,7 +181,6 @@ def pk_local_action(group, target_radius, cap=None):
         while out.radius > target_radius:
             out = out.project()
         return out
-    from .constructions import MATERIALIZE_CAP, build_full_lift
     if cap is None:
         cap = MATERIALIZE_CAP
     return build_full_lift(group, radius=target_radius, cap=cap)

@@ -8,15 +8,16 @@ recursion: concatenate and cancel adjacent equal letters until stable.
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from sympy.combinatorics import Permutation, PermutationGroup
 
 from treeball.balls import (BallAut, BallGroup, ball_compatible, ball_points,
                             ball_size, ballaut_from_perm, follow, full_aut,
                             full_aut_order, random_ball_aut, word_path,
                             words_of_length)
 from treeball.errors import CapacityError
-from treeball.permcore import Perm, PermGroup
+from treeball.permcore import Perm, PermGroup, small_generating_set_of
 
 
 def cancel_concat(left, right):
@@ -108,7 +109,7 @@ def test_full_aut_materializes_small_balls():
 
 def test_from_perm_and_identity():
     p = Perm((2, 0, 1))
-    a = BallAut.from_perm(p)
+    a = BallAut(p)
     assert a.radius == 1
     assert a.level1() == p
     e = BallAut.identity(3, 3)
@@ -225,6 +226,38 @@ def test_ball_group_generated_vs_from_elements():
     kernel = G.projection_kernel()
     assert len(kernel) == 8
     assert all(e.project(1) == BallAut.identity(3, 1) for e in kernel)
+
+
+def random_generators(seed, radius, count):
+    rng = random.Random(seed)
+    return [random_ball_aut(3, radius, rng) for _ in range(count)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 32),
+       st.sampled_from([2, 3]), st.integers(min_value=1, max_value=3))
+def test_ball_closure_matches_the_permutation_closure(seed, radius, count):
+    gens = random_generators(seed, radius, count)
+    group = BallGroup.generated(gens)
+    perms = [g.to_perm() for g in gens]
+    shadow = PermGroup.generated(perms)
+    assert {a.to_perm() for a in group.elements} == set(shadow.elements)
+    # an oracle that shares no code with treeball
+    oracle = PermutationGroup([Permutation(list(p.images)) for p in perms])
+    assert group.order == oracle.order()
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 32),
+       st.sampled_from([2, 3]), st.integers(min_value=1, max_value=3))
+def test_generating_set_of_ball_automorphisms_regenerates(seed, radius,
+                                                          count):
+    group = BallGroup.generated(random_generators(seed, radius, count))
+    # the greedy scan re-closes per candidate: keep the groups small
+    assume(group.order <= 512)
+    gens = small_generating_set_of(group.elements, group.identity())
+    assert set(gens) <= set(group.elements)
+    assert set(BallGroup.generated(gens).elements) == set(group.elements)
 
 
 def test_ball_group_perm_group_is_isomorphic_image():

@@ -4,11 +4,15 @@ import json
 import pathlib
 
 import pytest
+import sympy
 from click.testing import CliRunner
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
-from treeball.cli import main
+from treeball.cli import _fmt_count, main
 from treeball.documents import (document_from_group, parse_document,
                                 save_document)
+from treeball.errors import CapacityError
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "s3_table.txt"
 
@@ -106,6 +110,65 @@ def test_malformed_documents_exit_two(runner, tmp_path):
     missing = tmp_path / "nope.json"
     assert runner.invoke(main, ["check-c", "--in",
                                 str(missing)]).exit_code == 2
+
+
+def test_non_group_element_list_exits_two_with_one_line(runner, tmp_path):
+    lone = tmp_path / "transposition.json"
+    lone.write_text(json.dumps({
+        "degree": 3, "radius": 1, "encoding": "flat-word-map",
+        "elements": [{"0": "1", "1": "0", "2": "2"}], "metadata": {}}))
+    res = runner.invoke(main, ["check-c", "--in", str(lone)])
+    assert res.exit_code == 2
+    assert res.stderr.splitlines() == ["Error: element set is not a group"]
+    assert "Traceback" not in res.output
+
+
+def test_capacity_error_while_loading_exits_two(runner, monkeypatch,
+                                                diagonal_doc):
+    def too_large(doc):
+        raise CapacityError("closure exceeded cap of 500000")
+
+    monkeypatch.setattr("treeball.cli.group_from_document", too_large)
+    res = runner.invoke(main, ["check-c", "--in", diagonal_doc])
+    assert res.exit_code == 2
+    assert res.stderr.splitlines() == [
+        "Error: closure exceeded cap of 500000"]
+
+
+def test_pk_local_refusal_names_the_order(runner, full_doc):
+    # the radius-4 full lift of full-lift(S_3) has 3072 * 16^3 elements
+    res = runner.invoke(main, ["pk-local", "--in", full_doc,
+                               "--target", "4"])
+    assert res.exit_code == 2
+    assert "12582912" in res.stderr
+    assert "Traceback" not in res.output
+
+
+def test_construct_summary_does_not_build_the_document(runner, monkeypatch):
+    def refuse(doc):
+        raise AssertionError("the text summary serialized a document")
+
+    monkeypatch.setattr("treeball.cli.serialize_document", refuse)
+    res = runner.invoke(main, ["construct", "full-lift", "S3"])
+    assert res.exit_code == 0, res.output
+    assert res.output == "full-lift(S3): degree 3 radius 2 order 48\n"
+
+
+def test_fmt_count_at_the_int64_edge():
+    assert _fmt_count(2 ** 63 - 1) == "9223372036854775807"
+    assert _fmt_count(2 ** 63) == "2^63"
+
+
+@given(st.lists(st.integers(min_value=0, max_value=120), min_size=4,
+                max_size=4))
+def test_fmt_count_matches_sympy(exponents):
+    n = 1
+    for prime, exp in zip((2, 3, 5, 7), exponents):
+        n *= prime ** exp
+    assume(n >= 2 ** 63)
+    expected = " * ".join("%d^%d" % (p, e) if e > 1 else str(p)
+                          for p, e in sorted(sympy.factorint(n).items()))
+    assert _fmt_count(n) == expected
 
 
 def test_classify_json(runner, parity_doc):

@@ -7,14 +7,13 @@ import pytest
 from treeball.balls import BallAut, BallGroup, ball_compatible, full_aut
 from treeball.compat import (check_compatibility, check_trivial_seams,
                              find_involutive_cocycles)
-from treeball.constructions import (ball_generating_set, build_centered,
-                                    build_cocycle_extension, build_diagonal,
-                                    build_full_lift, build_kernel_extension,
-                                    build_parity_lift, build_split_lift,
-                                    build_tower, build_wreath_local,
-                                    tower_member)
+from treeball.constructions import (build_centered, build_cocycle_extension,
+                                    build_diagonal, build_full_lift,
+                                    build_kernel_extension, build_parity_lift,
+                                    build_split_lift, build_tower,
+                                    build_wreath_local, tower_member)
 from treeball.errors import HypothesisError
-from treeball.permcore import Perm, PermGroup
+from treeball.permcore import Perm, PermGroup, small_generating_set_of
 
 IDENT = Perm((0, 1, 2))
 # the transposition fixing each point of the triangle
@@ -329,6 +328,6 @@ def test_tower_hypothesis_failures(s3, flips6):
 
 
 def test_ball_generating_set_regenerates(phi_s3):
-    gens = ball_generating_set(phi_s3.elements)
+    gens = small_generating_set_of(phi_s3.elements, phi_s3.identity())
     assert len(gens) < 10
     assert BallGroup.generated(list(gens)).order == 48

@@ -65,6 +65,19 @@ def test_count_failure_modes(phi_s3, gamma_s3):
         count_restrictions(phi_s3, 8)
 
 
+def test_count_limit_is_the_int64_range(monkeypatch, phi_s3):
+    def count_of(total):
+        return lambda group, radius, stabilizer_only: (total, [str(total)])
+
+    monkeypatch.setattr("treeball.universal._restriction_count",
+                        count_of(2 ** 63 - 1))
+    assert count_restrictions(phi_s3, 3) == 2 ** 63 - 1
+    monkeypatch.setattr("treeball.universal._restriction_count",
+                        count_of(2 ** 63))
+    with pytest.raises(CapacityError):
+        count_restrictions(phi_s3, 3)
+
+
 def test_factored_counts_multiply_out(phi_s3):
     factors = restriction_count_factors(phi_s3, 5)
     total = 1
