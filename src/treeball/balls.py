@@ -6,12 +6,20 @@ differ: each edge carries one label, the labels around every vertex are
 pairwise distinct, and a word spells the labels along the unique reduced path
 from the ball's center. The empty word is the center itself.
 
-An automorphism is stored recursively: its restriction to the ball one step
-smaller (``root``) together with, for each neighbour ``w`` of the center, the
-induced automorphism of the radius ``r - 1`` ball around that neighbour
-(``children[w]``), both read in local coordinates. The two layers overlap, so
-a pair (root, children) only describes a genuine automorphism when every
-child glues to the root; the constructor enforces that.
+An automorphism fixing the center is stored flat: one tuple holding, for
+every other vertex in ``ball_points`` order (by length, then by word), the
+index of its image. Products and inverses are tuple gathers, as for
+permutations. Within one length the points are in word order, so comparing
+index tuples orders automorphisms exactly as comparing their word tables.
+Restriction to a smaller concentric ball is a prefix of the tuple.
+
+The recursive view is derived from the tuple on demand, through index
+tables computed once per (degree, radius): ``root`` is the restriction one
+step smaller, and ``children[w]`` the induced automorphism of the radius
+``r - 1`` ball around the neighbour ``w``, read in that neighbour's local
+coordinates. The two overlap, so a pair (root, children) only describes a
+genuine automorphism when every child glues to the root; the constructor
+enforces that.
 """
 
 from __future__ import annotations
@@ -95,18 +103,80 @@ def is_reduced_word(degree, word):
 
 
 # ---------------------------------------------------------------------------
+# index tables
+# ---------------------------------------------------------------------------
+
+@functools.lru_cache(maxsize=None)
+def _point_index(degree, radius):
+    return {p: i for i, p in enumerate(ball_points(degree, radius))}
+
+
+@functools.lru_cache(maxsize=None)
+def _parents(degree, radius):
+    """Index of each point's parent; -1 stands for the center."""
+    index = _point_index(degree, radius)
+    return tuple(index[p[:-1]] if len(p) > 1 else -1
+                 for p in ball_points(degree, radius))
+
+
+@functools.lru_cache(maxsize=None)
+def _identity_images(n):
+    return tuple(range(n))
+
+
+@functools.lru_cache(maxsize=None)
+def _chart_tables(degree, radius):
+    """Index tables between the ball and its charts at the neighbours.
+
+    For each neighbour w: ``gather[w][j]`` is the point that the j-th word of
+    the radius ``r - 1`` ball reaches from w, ``local[w][i]`` is point i read
+    from w (-1 when out of reach), and ``tails[w]`` lists, in ball_points
+    order, the local words of the sphere points starting with w. The local
+    word (w,) leads back to the center; there ``gather`` holds w and
+    ``local[w][w]`` holds w, so the center still lands on the local index of
+    the image neighbour.
+    """
+    pts = ball_points(degree, radius)
+    inner = _point_index(degree, radius - 1)
+    index = _point_index(degree, radius)
+    gather, local, tails = [], [], []
+    for w in range(degree):
+        gather.append(tuple(index.get(follow((w,), u), w)
+                            for u in ball_points(degree, radius - 1)))
+        loc = [inner.get(word_path((w,), p), -1) for p in pts]
+        loc[w] = w
+        local.append(tuple(loc))
+        tails.append(tuple(inner[p[1:]] for p in pts
+                           if len(p) == radius and p[0] == w))
+    return tuple(gather), tuple(local), tuple(tails)
+
+
+def _glue_images(root, children):
+    """Image tuple of the map built from a root and one child per neighbour."""
+    gather, _, tails = _chart_tables(root.degree, root.radius + 1)
+    rim = root.images
+    images = list(rim)
+    for w, child in enumerate(children):
+        out = gather[rim[w]]
+        cim = child.images
+        images.extend([out[cim[j]] for j in tails[w]])
+    return tuple(images)
+
+
+# ---------------------------------------------------------------------------
 # the automorphism class
 # ---------------------------------------------------------------------------
 
 class BallAut:
     """An automorphism of the radius `radius` ball fixing the center.
 
-    Radius 1 wraps a permutation of the neighbour labels; larger radii hold
-    the restriction to the smaller ball plus one radius ``r - 1`` automorphism
-    per neighbour, each in the neighbour's own coordinates.
+    ``images[i]`` is the ball_points index of the image of point i.
+    ``BallAut(perm)`` builds a radius-1 automorphism; ``BallAut(root,
+    children)`` glues one radius ``r - 1`` automorphism per neighbour, each in
+    the neighbour's own coordinates, onto the restriction ``root``.
     """
 
-    __slots__ = ("degree", "radius", "root", "children", "_flat", "_hash")
+    __slots__ = ("degree", "radius", "images", "_hash")
 
     def __init__(self, root, children=None):
         if children is None:
@@ -116,8 +186,7 @@ class BallAut:
                 raise HypothesisError("tree degree must be at least 3")
             self.degree = root.degree
             self.radius = 1
-            self.root = root
-            self.children = None
+            self.images = root.images
         else:
             if not isinstance(root, BallAut):
                 raise TypeError("root must be a BallAut one radius down")
@@ -132,47 +201,83 @@ class BallAut:
                         "child at %d does not glue to the root" % w)
             self.degree = root.degree
             self.radius = root.radius + 1
-            self.root = root
-            self.children = children
-        self._flat = None
+            self.images = _glue_images(root, children)
         self._hash = None
 
     @classmethod
-    def _raw(cls, degree, radius, root, children):
-        # Internal fast path: caller guarantees the gluing conditions.
+    def _raw(cls, degree, radius, images):
+        # Internal fast path: caller guarantees `images` is an automorphism.
         b = cls.__new__(cls)
         b.degree = degree
         b.radius = radius
-        b.root = root
-        b.children = children
-        b._flat = None
+        b.images = images
         b._hash = None
         return b
 
     @classmethod
     def identity(cls, degree, radius):
-        a = cls(Perm.identity(degree))
-        for _ in range(radius - 1):
-            a = cls._raw(degree, a.radius + 1, a, (a,) * degree)
-        return a
+        n = len(ball_points(degree, radius))
+        return cls._raw(degree, radius, _identity_images(n))
+
+    @classmethod
+    def from_images(cls, degree, radius, images):
+        """The automorphism with the given ball_points image indices.
+
+        Raises ValueError unless the table is a bijection that maps the
+        center's neighbours among themselves and every other point's parent
+        to its image's parent. That is exactly an automorphism of the ball
+        fixing the center: lengths are kept by induction, so each sphere
+        maps onto itself and each edge onto an edge.
+        """
+        images = tuple(images)
+        n = len(ball_points(degree, radius))
+        parent = _parents(degree, radius)
+        if (degree < 3 or len(images) != n
+                or set(images) != set(_identity_images(n))
+                or max(images[:degree]) >= degree
+                or [parent[j] for j in images[degree:]]
+                != [images[p] for p in parent[degree:]]):
+            raise ValueError("table is not a ball automorphism")
+        return cls._raw(degree, radius, images)
 
     # -- structure ----------------------------------------------------------
 
+    @property
+    def root(self):
+        """Restriction one radius down; the level-1 Perm at radius 1."""
+        if self.radius == 1:
+            return Perm._raw(self.images)
+        return self.project(self.radius - 1)
+
+    @property
+    def children(self):
+        """The chart at each neighbour, one radius down; None at radius 1."""
+        if self.radius == 1:
+            return None
+        return tuple(self._chart(w, self.radius - 1)
+                     for w in range(self.degree))
+
+    def _chart(self, w, radius):
+        # the automorphism induced around neighbour w, up to `radius`
+        gather, local, _ = _chart_tables(self.degree, self.radius)
+        im = self.images
+        loc = local[im[w]]
+        n = len(ball_points(self.degree, radius))
+        return BallAut._raw(self.degree, radius,
+                            tuple([loc[im[g]] for g in gather[w][:n]]))
+
     def level1(self):
         """The induced permutation of the center's neighbour labels."""
-        a = self
-        while a.radius > 1:
-            a = a.root
-        return a.root
+        return Perm._raw(self.images[:self.degree])
 
     def project(self, radius):
         """Restriction to the concentric ball of the given radius."""
         if not 1 <= radius <= self.radius:
             raise ValueError("projection radius out of range")
-        a = self
-        while a.radius > radius:
-            a = a.root
-        return a
+        if radius == self.radius:
+            return self
+        n = len(ball_points(self.degree, radius))
+        return BallAut._raw(self.degree, radius, self.images[:n])
 
     def local_action(self, vertex, radius=None):
         """The automorphism induced around `vertex`, in local coordinates.
@@ -189,8 +294,8 @@ class BallAut:
         if radius < 1 or radius > available:
             raise ValueError("radius %r not available at %r" % (radius, vertex))
         a = self
-        for x in vertex:
-            a = a.children[x]
+        for i, x in enumerate(vertex):
+            a = a._chart(x, radius + len(vertex) - 1 - i)
         return a.project(radius)
 
     def apply(self, word):
@@ -200,22 +305,15 @@ class BallAut:
             raise ValueError("word is longer than the radius")
         if not is_reduced_word(self.degree, word):
             raise ValueError("not a vertex of the ball: %r" % (word,))
-        return self._apply(word)
-
-    def _apply(self, word):
         if not word:
             return ()
-        first = self.level1()(word[0])
-        if len(word) == 1:
-            return (first,)
-        return (first,) + self.children[word[0]]._apply(word[1:])
+        index = _point_index(self.degree, self.radius)
+        return ball_points(self.degree, self.radius)[self.images[index[word]]]
 
     def flat(self):
         """Images of all non-center vertices in ball_points order."""
-        if self._flat is None:
-            self._flat = tuple(self._apply(p)
-                               for p in ball_points(self.degree, self.radius))
-        return self._flat
+        pts = ball_points(self.degree, self.radius)
+        return tuple([pts[j] for j in self.images])
 
     # -- algebra -------------------------------------------------------------
 
@@ -223,28 +321,15 @@ class BallAut:
         # (a * b) first applies b, then a, like permutation composition here.
         if (self.degree, self.radius) != (other.degree, other.radius):
             raise ValueError("mismatched ball shapes")
-        return self._mul(other)
-
-    def _mul(self, other):
-        if self.radius == 1:
-            return BallAut._raw(self.degree, 1, self.root * other.root, None)
-        lv1 = other.level1()
-        children = tuple(
-            self.children[lv1(w)]._mul(other.children[w])
-            for w in range(self.degree)
-        )
+        a = self.images
         return BallAut._raw(self.degree, self.radius,
-                            self.root._mul(other.root), children)
+                            tuple([a[x] for x in other.images]))
 
     def inverse(self):
-        if self.radius == 1:
-            return BallAut._raw(self.degree, 1, self.root.inverse(), None)
-        lv1inv = self.level1().inverse()
-        children = tuple(
-            self.children[lv1inv(w)].inverse() for w in range(self.degree)
-        )
-        return BallAut._raw(self.degree, self.radius,
-                            self.root.inverse(), children)
+        inv = [0] * len(self.images)
+        for i, j in enumerate(self.images):
+            inv[j] = i
+        return BallAut._raw(self.degree, self.radius, tuple(inv))
 
     def __pow__(self, n):
         if n < 0:
@@ -259,10 +344,7 @@ class BallAut:
         return result
 
     def is_identity(self):
-        if self.radius == 1:
-            return self.root.is_identity()
-        return self.root.is_identity() and all(
-            c.is_identity() for c in self.children)
+        return self.images == _identity_images(len(self.images))
 
     def order(self):
         n, a = 1, self
@@ -277,34 +359,31 @@ class BallAut:
         if not isinstance(other, BallAut):
             return NotImplemented
         return (self.degree == other.degree and self.radius == other.radius
-                and self.flat() == other.flat())
+                and self.images == other.images)
 
     def __lt__(self, other):
-        return self.flat() < other.flat()
+        return self.images < other.images
 
     def __le__(self, other):
-        return self.flat() <= other.flat()
+        return self.images <= other.images
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.degree, self.radius, self.flat()))
+            self._hash = hash(self.images)
         return self._hash
 
     def __repr__(self):
         if self.radius == 1:
             return "BallAut(d=%d, r=1, %r)" % (self.degree, self.root)
-        moved = sum(1 for p, q in zip(
-            ball_points(self.degree, self.radius), self.flat()) if p != q)
+        moved = sum(1 for i, j in enumerate(self.images) if i != j)
         return "BallAut(d=%d, r=%d, moves %d of %d vertices)" % (
-            self.degree, self.radius, moved,
-            len(ball_points(self.degree, self.radius)))
+            self.degree, self.radius, moved, len(self.images))
 
     # -- conversions -----------------------------------------------------------
 
     def to_perm(self):
         """This automorphism as a permutation of the non-center vertices."""
-        index = _point_index(self.degree, self.radius)
-        return Perm(tuple(index[img] for img in self.flat()))
+        return Perm._raw(self.images)
 
     def to_wordmap(self):
         pts = ball_points(self.degree, self.radius)
@@ -315,9 +394,16 @@ class BallAut:
         """Rebuild an automorphism from an explicit vertex-image table.
 
         The table must cover every non-center vertex; images must be reduced
-        words of the same length. Gluing failures surface as ValueError from
-        the constructor.
+        words of the same length, and the table an automorphism. A table that
+        fails is rebuilt layer by layer to name the first failure, raised as
+        ValueError.
         """
+        index = _point_index(degree, radius)
+        try:
+            return cls.from_images(degree, radius, [
+                index[tuple(mapping[p])] for p in ball_points(degree, radius)])
+        except (KeyError, TypeError, ValueError):
+            pass
         pts = ball_points(degree, radius)
         for p in pts:
             if p not in mapping:
@@ -326,7 +412,7 @@ class BallAut:
             if len(img) != len(p) or not is_reduced_word(degree, img):
                 raise ValueError("bad image %r for vertex %r" % (img, p))
         try:
-            aut = cls._from_wordmap_checked(degree, radius, mapping)
+            aut = _rebuild(degree, radius, mapping)
         except (KeyError, IndexError) as err:
             raise ValueError(
                 "table is not a ball automorphism (%s)" % (err,)) from err
@@ -335,35 +421,47 @@ class BallAut:
                 raise ValueError(
                     "table is not a ball automorphism near vertex %r"
                     % (p,))
-        return aut
-
-    @classmethod
-    def _from_wordmap_checked(cls, degree, radius, mapping):
-        lv1 = Perm(tuple(mapping[(w,)][0] for w in range(degree)))
-        if radius == 1:
-            return cls(lv1)
-        inner = {p: tuple(mapping[p]) for p in ball_points(degree, radius - 1)}
-        root = cls._from_wordmap_checked(degree, radius - 1, inner)
-        children = []
-        for w in range(degree):
-            local = {}
-            img_anchor = (lv1(w),)
-            for u in ball_points(degree, radius - 1):
-                glob = follow((w,), u)
-                img = tuple(mapping[glob]) if glob else ()
-                local[u] = word_path(img_anchor, img)
-            children.append(cls._from_wordmap_checked(degree, radius - 1, local))
-        return cls(root, children)
+        raise RuntimeError("rebuilt automorphism fails the one-pass check; bug")
 
 
-@functools.lru_cache(maxsize=None)
-def _point_index(degree, radius):
-    return {p: i for i, p in enumerate(ball_points(degree, radius))}
+def _rebuild(degree, radius, mapping):
+    # The layer-by-layer reading of a word table: root, then one chart per
+    # neighbour, each glued by the constructor. Only used to name the first
+    # defect of a table that is not an automorphism.
+    lv1 = Perm(tuple(mapping[(w,)][0] for w in range(degree)))
+    if radius == 1:
+        return BallAut(lv1)
+    inner = {p: tuple(mapping[p]) for p in ball_points(degree, radius - 1)}
+    root = _rebuild(degree, radius - 1, inner)
+    children = []
+    for w in range(degree):
+        local = {}
+        img_anchor = (lv1(w),)
+        for u in ball_points(degree, radius - 1):
+            glob = follow((w,), u)
+            img = tuple(mapping[glob]) if glob else ()
+            local[u] = word_path(img_anchor, img)
+        children.append(_rebuild(degree, radius - 1, local))
+    return BallAut(root, children)
 
 
 # ---------------------------------------------------------------------------
 # compatibility of neighbours, enumeration, sampling
 # ---------------------------------------------------------------------------
+
+def _offer_key(beta, direction):
+    """How `beta` looks to a center when placed at the neighbour `direction`."""
+    if beta.radius == 1:
+        return beta.images[direction]
+    return (beta.root.images, beta._chart(direction, beta.radius - 1).images)
+
+
+def _need_key(alpha, direction):
+    """What `alpha` demands of a partner at the neighbour `direction`."""
+    if alpha.radius == 1:
+        return alpha.images[direction]
+    return (alpha._chart(direction, alpha.radius - 1).images, alpha.root.images)
+
 
 def ball_compatible(alpha, beta, direction):
     """Can `beta` act at the neighbour `direction` while `alpha` acts here?
@@ -375,10 +473,7 @@ def ball_compatible(alpha, beta, direction):
     """
     if (alpha.degree, alpha.radius) != (beta.degree, beta.radius):
         raise ValueError("mismatched ball shapes")
-    if alpha.radius == 1:
-        return alpha.root(direction) == beta.root(direction)
-    return (beta.root == alpha.children[direction]
-            and beta.children[direction] == alpha.root)
+    return _need_key(alpha, direction) == _offer_key(beta, direction)
 
 
 def full_aut_order(degree, radius):
@@ -405,28 +500,21 @@ def full_aut(degree, radius, cap=MATERIALIZE_CAP):
                for images in itertools.permutations(range(degree))]
     else:
         inner = full_aut(degree, radius - 1, cap)
-        fibers = {}
+        offers = [{} for _ in range(degree)]
+        for b in inner:
+            for w in range(degree):
+                offers[w].setdefault(_offer_key(b, w), []).append(b)
         out = []
         for root in inner:
-            per_direction = []
-            for w in range(degree):
-                key = _fiber_key(root, w)
-                if key not in fibers:
-                    fibers[key] = tuple(
-                        b for b in inner if ball_compatible(root, b, w))
-                per_direction.append(fibers[key])
-            for combo in itertools.product(*per_direction):
-                out.append(BallAut._raw(degree, radius, root, combo))
+            fibers = [offers[w].get(_need_key(root, w), ())
+                      for w in range(degree)]
+            for combo in itertools.product(*fibers):
+                out.append(BallAut._raw(degree, radius,
+                                        _glue_images(root, combo)))
     out.sort()
     if len(out) != expected:
         raise RuntimeError("ball enumeration does not match layer count; bug")
     return tuple(out)
-
-
-def _fiber_key(root, direction):
-    if root.radius == 1:
-        return (direction, root.root(direction))
-    return (direction, root.children[direction], root.root)
 
 
 def random_fiber_element(alpha, direction, rng):
@@ -447,7 +535,7 @@ def random_fiber_element(alpha, direction, rng):
     for w in range(d):
         if w != direction:
             children[w] = random_fiber_element(root, w, rng)
-    return BallAut._raw(d, alpha.radius, root, tuple(children))
+    return BallAut._raw(d, alpha.radius, _glue_images(root, children))
 
 
 def random_ball_aut(degree, radius, rng):
@@ -458,7 +546,7 @@ def random_ball_aut(degree, radius, rng):
     for _ in range(radius - 1):
         children = tuple(random_fiber_element(a, w, rng)
                          for w in range(degree))
-        a = BallAut._raw(degree, a.radius + 1, a, children)
+        a = BallAut._raw(degree, a.radius + 1, _glue_images(a, children))
     return a
 
 
@@ -487,9 +575,7 @@ def ball_action(elements):
 
 def ballaut_from_perm(perm, degree, radius):
     """Inverse of BallAut.to_perm for the standard point ordering."""
-    pts = ball_points(degree, radius)
-    mapping = {p: pts[perm(i)] for i, p in enumerate(pts)}
-    return BallAut.from_wordmap(degree, radius, mapping)
+    return BallAut.from_images(degree, radius, perm.images)
 
 
 class BallGroup:

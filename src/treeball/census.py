@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .balls import BallAut, BallGroup, ball_action, ball_points, full_aut
+from .balls import BallAut, BallGroup, ball_action, full_aut
 from .compat import (
     canonical_cocycle,
     check_compatibility,
@@ -125,7 +125,8 @@ def census_compatible_classes(degree=3, radius=2, transitive_only=True,
     keyed = []
     for orbit_key, rep_key in classes.items():
         rep = BallGroup.from_elements(
-            [_from_flat(degree, radius, flat) for flat in rep_key],
+            [BallAut.from_images(degree, radius, images)
+             for images in rep_key],
             verify=False)
         keyed.append((orbit_key, _make_row(rep, radius)))
     keyed.sort(key=lambda pair: (pair[1].order, pair[1].has_cocycle,
@@ -156,13 +157,7 @@ def _make_row(group, radius, description=None, gamma_image_of=None):
 
 
 def _flat_key(group):
-    return tuple(sorted(a.flat() for a in group.elements))
-
-
-def _from_flat(degree, radius, flat):
-    points = ball_points(degree, radius)
-    return BallAut.from_wordmap(
-        degree, radius, dict(zip(points, flat)))
+    return tuple(sorted(a.images for a in group.elements))
 
 
 def _conjugate_group(t, group):

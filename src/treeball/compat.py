@@ -16,23 +16,9 @@ from __future__ import annotations
 
 import itertools
 
-from .balls import BallAut, BallGroup, ball_compatible, ball_points
-from .errors import CapacityError, HypothesisError
-from .permcore import Perm, _close
-
-
-def _offer_key(beta, direction):
-    """How `beta` looks to a center when placed at the neighbour `direction`."""
-    if beta.radius == 1:
-        return beta.root(direction)
-    return (beta.root, beta.children[direction])
-
-
-def _need_key(alpha, direction):
-    """What `alpha` demands of a partner at the neighbour `direction`."""
-    if alpha.radius == 1:
-        return alpha.root(direction)
-    return (alpha.children[direction], alpha.root)
+from .balls import (BallAut, BallGroup, _need_key, _offer_key,
+                    ball_compatible, ball_points)
+from .errors import HypothesisError
 
 
 def _buckets(group, direction):
@@ -152,6 +138,12 @@ class CompatCocycle:
         return self.table[(alpha, direction)]
 
     def verify(self):
+        """Check fibers, involutivity and the product rule.
+
+        The product rule is checked for b among the generators only: if it
+        holds for b1 and b2 against every a, it holds for b1 * b2, so by
+        induction on word length it holds for every b.
+        """
         group = self.group
         d = group.degree
         for a in group.elements:
@@ -167,13 +159,13 @@ class CompatCocycle:
             for w in range(d):
                 if self.table[(self.table[(a, w)], w)] != a:
                     raise ValueError("choice map is not involutive")
-        lv1 = {a: a.level1() for a in group.elements}
-        for a in group.elements:
-            for b in group.elements:
+        for b in group.generators:
+            lv1 = b.level1()
+            for a in group.elements:
                 ab = a * b
                 for w in range(d):
                     if self.table[(ab, w)] != (
-                            self.table[(a, lv1[b](w))] * self.table[(b, w)]):
+                            self.table[(a, lv1(w))] * self.table[(b, w)]):
                         raise ValueError("choice map breaks the product rule")
 
     def section(self, alpha):
@@ -189,7 +181,8 @@ class CompatCocycle:
         return lifted
 
     def table_key(self):
-        items = sorted((a.flat(), w, b.flat()) for (a, w), b in self.table.items())
+        items = sorted((a.images, w, b.images)
+                       for (a, w), b in self.table.items())
         return tuple(items)
 
     def __eq__(self, other):
@@ -246,9 +239,7 @@ def find_involutive_cocycles(group, validate=True, generators=None):
         return [coc]
 
     d = group.degree
-    degree, radius = group.degree, group.radius
-    pts = ball_points(degree, radius + 1)
-    n_inner = len(ball_points(degree, radius))
+    ident = BallAut.identity(d, group.radius + 1)
     target = group.order
 
     if generators is None:
@@ -262,60 +253,42 @@ def find_involutive_cocycles(group, validate=True, generators=None):
         for combo in itertools.product(*fibers):
             lift = BallAut(g, combo)
             if lift.order() == g_order:
-                lifts.append((lift, lift.to_perm()))
+                lifts.append(lift)
         if not lifts:
             return []
         options.append(lifts)
     options.sort(key=len)
 
-    found = {}
+    found = set()
 
     def descend(level, chosen):
         if level == len(options):
-            closed = _closure_abort([p for _, p in chosen], len(pts),
-                                    target, n_inner)
+            closed = _closure_abort(chosen, ident, target)
             if closed is not None and len(closed) == target:
-                found.setdefault(frozenset(closed),
-                                 tuple(lift for lift, _ in chosen))
+                found.add(frozenset(closed))
             return
-        for lift, perm in options[level]:
-            prefix = chosen + [(lift, perm)]
+        for lift in options[level]:
+            prefix = chosen + [lift]
             if level + 1 < len(options):
-                closed = _closure_abort([p for _, p in prefix], len(pts),
-                                        target, n_inner)
-                if closed is None:
+                if _closure_abort(prefix, ident, target) is None:
                     continue
             descend(level + 1, prefix)
 
     descend(0, [])
 
+    # Each closure is the lifted group itself: its elements are the sections,
+    # so they list the whole table, and distinct closures give distinct tables.
     out = []
-    seen_tables = set()
-    ident = BallAut.identity(degree, radius + 1)
-    for lifts in found.values():
-        try:
-            elems = _close(lifts, ident, cap=target)
-        except CapacityError as err:
-            raise RuntimeError("closure passed its proven bound; bug") from err
+    for closed in found:
         table = {}
-        ok = True
-        for h in elems:
+        for h in closed:
             a = h.root
             if a not in group:
-                ok = False
                 break
-            for w in range(d):
-                table[(a, w)] = h.children[w]
-        if not ok or len(table) != target * d:
-            continue
-        if not _table_involutive(table):
-            continue
-        tkey = tuple(sorted((a.flat(), w, b.flat())
-                            for (a, w), b in table.items()))
-        if tkey in seen_tables:
-            continue
-        seen_tables.add(tkey)
-        out.append(CompatCocycle(group, table, validate=validate))
+            for w, child in enumerate(h.children):
+                table[(a, w)] = child
+        if len(table) == target * d and _table_involutive(table):
+            out.append(CompatCocycle(group, table, validate=validate))
     out.sort(key=lambda c: c.table_key())
     return out
 
@@ -324,20 +297,20 @@ def _table_involutive(table):
     return all(table[(b, w)] == a for (a, w), b in table.items())
 
 
-def _closure_abort(perm_gens, degree, limit, n_inner):
-    """Close a permutation generating set with two abort conditions.
+def _closure_abort(gens, identity, limit):
+    """Close a generating set with two abort conditions.
 
     Returns None once the closure passes `limit` elements or contains a
-    nontrivial element fixing the first `n_inner` points, which correspond
-    to the inner ball and therefore witness a projection kernel.
+    nontrivial element restricting to the identity on the inner ball, which
+    witnesses a projection kernel.
     """
-    ident = Perm.identity(degree)
-    seen = {ident}
-    frontier = [ident]
-    gens = [g for g in perm_gens if not g.is_identity()]
-    inner = range(n_inner)
+    inner = len(ball_points(identity.degree, identity.radius - 1))
+    kernel_key = identity.images[:inner]
+    seen = {identity}
+    frontier = [identity]
+    gens = [g for g in gens if not g.is_identity()]
     for g in gens:
-        if all(g.images[i] == i for i in inner):
+        if g.images[:inner] == kernel_key:
             return None
     while frontier:
         nxt = []
@@ -347,8 +320,7 @@ def _closure_abort(perm_gens, degree, limit, n_inner):
                 if y not in seen:
                     if len(seen) >= limit:
                         return None
-                    yim = y.images
-                    if all(yim[i] == i for i in inner):
+                    if y.images[:inner] == kernel_key:
                         return None
                     seen.add(y)
                     nxt.append(y)

@@ -7,6 +7,7 @@ bytes; parsing validates each table and reports the index of the first
 offending element.
 """
 
+import functools
 import json
 from dataclasses import dataclass, field
 
@@ -106,11 +107,26 @@ def _parse_word(text, degree, where):
     return tuple(out)
 
 
+@functools.lru_cache(maxsize=None)
+def _word_indices(degree, radius):
+    return {_word_str(p): i for i, p in enumerate(ball_points(degree, radius))}
+
+
 def _parse_aut(obj, degree, radius, index):
     where = "element %d" % index
     if not isinstance(obj, dict):
         raise DocumentError("%s: expected a word-to-word object, got %s"
                             % (where, type(obj).__name__))
+    if degree <= 10:
+        # one pass over a table in canonical digit strings
+        words = _word_indices(degree, radius)
+        try:
+            if len(obj) == len(words):
+                return BallAut.from_images(
+                    degree, radius, [words[obj[w]] for w in words])
+        except (KeyError, TypeError, ValueError):
+            pass
+    # the word-by-word reading names the first defect
     mapping = {}
     for key, value in obj.items():
         v = _parse_word(key, degree, where)

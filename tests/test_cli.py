@@ -1,20 +1,27 @@
 """Command line round trips, exit codes, and output formats."""
 
+import copy
+import hashlib
 import json
 import pathlib
+import random
 
 import pytest
 import sympy
 from click.testing import CliRunner
-from hypothesis import assume, given
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from recursive_balls import RecursiveBallAut
+from treeball.balls import ball_points, random_ball_aut
 from treeball.cli import _fmt_count, main
-from treeball.documents import (document_from_group, parse_document,
-                                save_document)
-from treeball.errors import CapacityError
+from treeball.documents import (GroupDocument, document_from_group,
+                                parse_document, save_document,
+                                serialize_document)
+from treeball.errors import CapacityError, DocumentError
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "s3_table.txt"
+DIGESTS = pathlib.Path(__file__).parent / "golden" / "stdout_sha256.txt"
 
 
 @pytest.fixture()
@@ -277,3 +284,123 @@ def test_cd_lifts_reports_two_new_classes(runner):
     orders = sorted(r["order"] for r in payload["rows"]
                     if r["gamma_image_of"] is None)
     assert orders == [24, 48]
+
+
+def test_stdout_digests_match_golden(runner, tmp_path):
+    # element order and generator choice in these outputs come from sorting
+    # and hashing ball automorphisms; a change there shows up as new bytes
+    doc = "full-lift-s3-r3.json"
+    with runner.isolated_filesystem(temp_dir=tmp_path):
+        for line in DIGESTS.read_text().splitlines():
+            digest, command = line.split("  ", 1)
+            res = runner.invoke(main, command.split())
+            assert res.exit_code == 0, res.output
+            assert hashlib.sha256(res.stdout_bytes).hexdigest() == digest, \
+                command
+            if command.startswith("construct full-lift S3 --radius 3"):
+                pathlib.Path(doc).write_bytes(res.stdout_bytes)
+
+
+def _mutated(body, data):
+    """The document body with one defect drawn into one table."""
+    body = copy.deepcopy(body)
+    tables = body["elements" if "elements" in body else "generators"]
+    table = tables[data.draw(st.integers(0, len(tables) - 1))]
+    word = data.draw(st.sampled_from(sorted(table)))
+    value = table[word]
+    kind = data.draw(st.sampled_from(
+        ["drop", "stray", "digit", "swap", "length", "nonstring"]))
+    if kind == "drop":
+        del table[word]
+    elif kind == "stray":
+        table[data.draw(st.sampled_from(["00", "0120", "3", "", "x"]))] = value
+    elif kind == "digit":
+        at = data.draw(st.integers(0, len(value) - 1))
+        digit = data.draw(st.sampled_from("01239"))
+        table[word] = value[:at] + digit + value[at + 1:]
+    elif kind == "swap":
+        other = data.draw(st.sampled_from(sorted(table)))
+        table[word], table[other] = table[other], value
+    elif kind == "length":
+        table[word] = data.draw(st.sampled_from(
+            [value[:-1], value + value[-1], value + "0", value + "1"]))
+    else:
+        table[word] = data.draw(st.sampled_from([1, None, [value], {}]))
+    return body
+
+
+@pytest.fixture(scope="module")
+def fuzz_bodies(gamma_s3, pi_one):
+    return [json.loads(serialize_document(doc)) for doc in (
+        document_from_group(gamma_s3),
+        document_from_group(pi_one),
+        document_from_group(pi_one, generators_only=True))]
+
+
+@pytest.fixture(scope="module")
+def deep_bodies(fuzz_bodies):
+    rng = random.Random(7)
+    deep = [GroupDocument(3, radius, generators=tuple(
+        random_ball_aut(3, radius, rng) for _ in range(3)))
+        for radius in (1, 3, 4)]
+    return fuzz_bodies + [json.loads(serialize_document(doc))
+                          for doc in deep]
+
+
+def _reference_reading(body):
+    """Where the recursive reference stops reading the tables, if anywhere.
+
+    Returns None when every table is an automorphism, else the index of the
+    first bad table and the reference's message; the message is None for
+    defects in the words themselves, which the document parser reports
+    before any table is read.
+    """
+    degree, radius = body["degree"], body["radius"]
+    tables = body["elements" if "elements" in body else "generators"]
+    letters = "0123456789"[:degree]
+    for i, table in enumerate(tables):
+        words = list(table) + list(table.values())
+        if not all(isinstance(w, str) and w and set(w) <= set(letters)
+                   for w in words):
+            return i, None
+        mapping = {tuple(map(int, k)): tuple(map(int, v))
+                   for k, v in table.items()}
+        if set(mapping) != set(ball_points(degree, radius)):
+            return i, None
+        try:
+            RecursiveBallAut.from_wordmap(degree, radius, mapping)
+        except ValueError as err:
+            return i, str(err)
+    return None
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_mutated_documents_never_crash_check_c(fuzz_bodies, tmp_path, data):
+    body = _mutated(data.draw(st.sampled_from(fuzz_bodies)), data)
+    path = tmp_path / "mutated.json"
+    path.write_text(json.dumps(body))
+    res = CliRunner().invoke(main, ["check-c", "--in", str(path)])
+    assert res.exit_code in (0, 2), res.output
+    assert "Traceback" not in res.output
+    if res.exit_code == 2:
+        assert len(res.stderr.splitlines()) == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_one_pass_reading_agrees_with_the_recursive_reference(deep_bodies,
+                                                              data):
+    body = _mutated(data.draw(st.sampled_from(deep_bodies)), data)
+    expected = _reference_reading(body)
+    try:
+        parse_document(json.dumps(body))
+    except DocumentError as err:
+        assert expected is not None, str(err)
+        index, message = expected
+        assert str(err).startswith("element %d: " % index)
+        if message is not None:
+            assert str(err) == "element %d: %s" % (index, message)
+    else:
+        assert expected is None

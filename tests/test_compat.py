@@ -3,6 +3,8 @@
 import itertools
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from treeball.balls import BallAut, BallGroup, ball_compatible
 from treeball.compat import (CompatCocycle, canonical_cocycle,
@@ -190,3 +192,58 @@ def test_cocycle_rejects_broken_tables(gamma_s3):
     del short[(ident, 1)]
     with pytest.raises(ValueError):
         CompatCocycle(gamma_s3, short)
+
+
+def satisfies_every_product_rule(cocycle):
+    # the definition: z(a*b, w) = z(a, b(w)) * z(b, w) for every pair
+    group, z = cocycle.group, cocycle.table
+    return all(z[(a * b, w)] == z[(a, b.level1()(w))] * z[(b, w)]
+               for a in group.elements for b in group.elements
+               for w in range(group.degree))
+
+
+@pytest.fixture(scope="module")
+def valid_cocycles(gamma_s3, delta_s3, pi_one):
+    return ([canonical_cocycle(gamma_s3), canonical_cocycle(delta_s3)]
+            + find_involutive_cocycles(pi_one))
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_one_corrupted_entry_is_rejected(valid_cocycles, data):
+    coc = data.draw(st.sampled_from(valid_cocycles))
+    key = data.draw(st.sampled_from(sorted(coc.table)))
+    table = dict(coc.table)
+    table[key] = data.draw(st.sampled_from(
+        [b for b in coc.group.elements if b != coc.table[key]]))
+    with pytest.raises(ValueError):
+        CompatCocycle(coc.group, table)
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_product_rule_on_generators_decides_the_whole_rule(valid_cocycles,
+                                                          data):
+    # Re-pair partners in one direction: a with c, and their old partners
+    # with each other. The table stays an involutive choice of partners, so
+    # only the product rule can reject it, and checking that rule on the
+    # generators must agree with checking it on every pair.
+    coc = data.draw(st.sampled_from(valid_cocycles))
+    group, z = coc.group, coc.table
+    a = data.draw(st.sampled_from(group.elements))
+    w = data.draw(st.integers(0, group.degree - 1))
+    c = data.draw(st.sampled_from(compat_set(group, a, w)))
+    table = dict(z)
+    table[(a, w)], table[(c, w)] = c, a
+    table[(z[(a, w)], w)], table[(z[(c, w)], w)] = z[(c, w)], z[(a, w)]
+    assume(all(table[(table[k], k[1])] == k[0] for k in table))
+    assume(all(ball_compatible(x, y, v) for (x, v), y in table.items()))
+    candidate = CompatCocycle(group, table, validate=False)
+    try:
+        candidate.verify()
+    except ValueError:
+        assert not satisfies_every_product_rule(candidate)
+    else:
+        assert satisfies_every_product_rule(candidate)
