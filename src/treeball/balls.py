@@ -28,7 +28,8 @@ import functools
 import itertools
 
 from .errors import CapacityError, HypothesisError
-from .permcore import Perm, PermGroup, _close, small_generating_set_of
+from .permcore import (Perm, PermGroup, _close, _element_table,
+                       small_generating_set_of)
 
 #: Largest group of ball automorphisms that full_aut will materialize.
 MATERIALIZE_CAP = 500_000
@@ -558,8 +559,8 @@ def ball_action(elements):
     """Realize ball automorphisms as a permutation group on the vertices.
 
     Returns (group, points, back) where `back` sends each permutation to the
-    automorphism it came from. The element list must be closed under products
-    for the group to make sense; that is not re-checked here.
+    automorphism it came from. The element list must be a group; the
+    generating-set scan raises ValueError when it is not.
     """
     elements = list(elements)
     if not elements:
@@ -586,9 +587,8 @@ class BallGroup:
     def __init__(self, degree, radius, elements, generators):
         self.degree = degree
         self.radius = radius
-        self.elements = tuple(sorted(elements))
+        self.elements, self._eset = _element_table(elements)
         self.generators = tuple(generators)
-        self._eset = frozenset(self.elements)
         self._cache = {}
 
     @classmethod
@@ -604,25 +604,20 @@ class BallGroup:
         return cls(degree, radius, elements, gens)
 
     @classmethod
-    def from_elements(cls, elements, verify=True):
-        elements = list(elements)
+    def from_elements(cls, elements):
+        """The group of an element list; ValueError if it is not a group."""
+        elements = sorted(elements)  # once: later sorts are then linear
         if not elements:
             raise ValueError("a group has at least the identity")
         degree, radius = elements[0].degree, elements[0].radius
-        shadow, points, back = ball_action(elements)
-        if verify:
-            closed = PermGroup.generated(shadow.generators, len(points))
-            if closed._eset != shadow._eset:
-                raise ValueError("element set is not a group")
-        gens = tuple(back[p] for p in shadow.generators if p in back)
-        if not gens:
-            gens = (BallAut.identity(degree, radius),)
+        gens = small_generating_set_of(elements,
+                                       BallAut.identity(degree, radius))
         return cls(degree, radius, elements, gens)
 
     @classmethod
     def full(cls, degree, radius):
         elems = full_aut(degree, radius)
-        return cls.from_elements(list(elems), verify=False)
+        return cls.from_elements(elems)
 
     @property
     def order(self):
@@ -664,7 +659,7 @@ class BallGroup:
         if radius == 0:
             raise ValueError("projection radius must be at least 1")
         elems = {a.project(radius) for a in self.elements}
-        return BallGroup.from_elements(list(elems), verify=False)
+        return BallGroup.from_elements(elems)
 
     def level1(self):
         """The permutation group induced on the center's neighbour labels."""

@@ -113,8 +113,7 @@ def census_compatible_classes(degree=3, radius=2, transitive_only=True,
     for sub in subgroups:
         if transitive_only and not sub.is_transitive_on(range(degree)):
             continue
-        members = [back[p] for p in sub]
-        group = BallGroup.from_elements(members, verify=False)
+        group = _ball_subgroup(sub, back)
         if not check_compatibility(group):
             continue
         key = _orbit_canonical_key(ambient, group)
@@ -126,8 +125,7 @@ def census_compatible_classes(degree=3, radius=2, transitive_only=True,
     for orbit_key, rep_key in classes.items():
         rep = BallGroup.from_elements(
             [BallAut.from_images(degree, radius, images)
-             for images in rep_key],
-            verify=False)
+             for images in rep_key])
         keyed.append((orbit_key, _make_row(rep, radius)))
     keyed.sort(key=lambda pair: (pair[1].order, pair[1].has_cocycle,
                                  _flat_key(pair[1].group)))
@@ -156,20 +154,24 @@ def _make_row(group, radius, description=None, gamma_image_of=None):
                      gamma_image_of=gamma_image_of)
 
 
+def _ball_subgroup(sub, back):
+    """The ball group behind a subgroup of a permutation shadow, with the
+    generators the greedy scan picks: the same for automorphisms as for
+    their image tuples."""
+    first = back[sub.elements[0]]
+    return BallGroup(first.degree, first.radius, [back[p] for p in sub],
+                     [back[g] for g in sub.generators])
+
+
 def _flat_key(group):
     return tuple(sorted(a.images for a in group.elements))
-
-
-def _conjugate_group(t, group):
-    ti = t.inverse()
-    return BallGroup.from_elements(
-        [t * g * ti for g in group.elements], verify=False)
 
 
 def _orbit_canonical_key(ambient, group):
     best = None
     for t in getattr(ambient, "elements", ambient):
-        key = _flat_key(_conjugate_group(t, group))
+        ti = t.inverse()
+        key = tuple(sorted((t * g * ti).images for g in group.elements))
         if best is None or key < best:
             best = key
     return best
@@ -254,7 +256,7 @@ def census_discrete_lifts(base_rows, ambient_cap=5000):
 
 
 def _lifts_by_cocycle(base, kernel):
-    kernel_group = BallGroup.from_elements(kernel, verify=False)
+    kernel_group = BallGroup.from_elements(kernel)
     kperms, _, kback = kernel_group.perm_group()
     candidates = []
     for z in find_involutive_cocycles(base):
@@ -273,8 +275,7 @@ def _lifts_by_subgroups(base, full):
     perms, points, back = full.perm_group()
     candidates = []
     for sub in all_subgroups(perms):
-        members = [back[p] for p in sub]
-        group = BallGroup.from_elements(members, verify=False)
+        group = _ball_subgroup(sub, back)
         if _is_discrete_lift(group, base):
             candidates.append(group)
     return candidates

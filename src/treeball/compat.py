@@ -19,6 +19,7 @@ import itertools
 from .balls import (BallAut, BallGroup, _need_key, _offer_key,
                     ball_compatible, ball_points)
 from .errors import HypothesisError
+from .permcore import _grow
 
 
 def _buckets(group, direction):
@@ -109,7 +110,7 @@ def compatibility_core(group):
             break
         live = keep
     try:
-        return BallGroup.from_elements(sorted(live), verify=True)
+        return BallGroup.from_elements(sorted(live))
     except ValueError as exc:
         raise RuntimeError("pruning fixpoint is not a subgroup; bug") from exc
 
@@ -225,10 +226,12 @@ def find_involutive_cocycles(group, validate=True, generators=None):
     Any coherent choice map is determined by its values on a generating set:
     the section it induces generates a subgroup one radius up that projects
     bijectively back. The search therefore branches over fiber choices for
-    the generators, closing each prefix of choices as it goes; a prefix dies
-    as soon as its closure grows past the group order or picks up an element
-    acting trivially on the inner ball, since a faithful projection allows
-    neither. Groups with rigid fibers short-circuit to their unique map.
+    the generators. Each prefix of choices hands its closure down, and the
+    next choice grows a copy of it by that one lift (permcore._grow), so no
+    prefix is closed from scratch. A prefix dies as soon as its closure grows
+    past the group order or picks up an element acting trivially on the
+    inner ball, since a faithful projection allows neither. Groups with rigid
+    fibers short-circuit to their unique map.
     """
     if first_compat_failure(group, generators_only=True) is not None:
         return []
@@ -259,22 +262,25 @@ def find_involutive_cocycles(group, validate=True, generators=None):
         options.append(lifts)
     options.sort(key=len)
 
+    inner = len(ball_points(d, group.radius))
+    kernel_key = ident.images[:inner]
+
+    def in_kernel(h):
+        return h.images[:inner] == kernel_key
+
     found = set()
 
-    def descend(level, chosen):
+    def descend(level, members, seen, chosen):
         if level == len(options):
-            closed = _closure_abort(chosen, ident, target)
-            if closed is not None and len(closed) == target:
-                found.add(frozenset(closed))
+            if len(members) == target:
+                found.add(frozenset(seen))
             return
         for lift in options[level]:
-            prefix = chosen + [lift]
-            if level + 1 < len(options):
-                if _closure_abort(prefix, ident, target) is None:
-                    continue
-            descend(level + 1, prefix)
+            grown = (list(members), set(seen), list(chosen))
+            if _grow(*grown, lift, target, in_kernel):
+                descend(level + 1, *grown)
 
-    descend(0, [])
+    descend(0, [ident], {ident}, [])
 
     # Each closure is the lifted group itself: its elements are the sections,
     # so they list the whole table, and distinct closures give distinct tables.
@@ -295,34 +301,3 @@ def find_involutive_cocycles(group, validate=True, generators=None):
 
 def _table_involutive(table):
     return all(table[(b, w)] == a for (a, w), b in table.items())
-
-
-def _closure_abort(gens, identity, limit):
-    """Close a generating set with two abort conditions.
-
-    Returns None once the closure passes `limit` elements or contains a
-    nontrivial element restricting to the identity on the inner ball, which
-    witnesses a projection kernel.
-    """
-    inner = len(ball_points(identity.degree, identity.radius - 1))
-    kernel_key = identity.images[:inner]
-    seen = {identity}
-    frontier = [identity]
-    gens = [g for g in gens if not g.is_identity()]
-    for g in gens:
-        if g.images[:inner] == kernel_key:
-            return None
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = x * g
-                if y not in seen:
-                    if len(seen) >= limit:
-                        return None
-                    if y.images[:inner] == kernel_key:
-                        return None
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return seen

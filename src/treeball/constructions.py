@@ -96,7 +96,7 @@ def build_centered(F, center=None, base=0, transversal=None):
                 children = [a * transversal[w] * c * transversal[w].inverse()
                             for w in range(d)]
                 elems.append(_as_radius2(a, children))
-        group = BallGroup.from_elements(elems, verify=True)
+        group = BallGroup.from_elements(elems)
         return _check_order(group, F.order * len(celems), "centered extension")
 
     elems = []
@@ -105,7 +105,7 @@ def build_centered(F, center=None, base=0, transversal=None):
             children = [transversal[a(w)] * c * transversal[w].inverse()
                         for w in range(d)]
             elems.append(_as_radius2(a, children))
-    group = BallGroup.from_elements(elems, verify=True)
+    group = BallGroup.from_elements(elems)
     return _check_order(group, F.order * stab.order, "centered extension")
 
 
@@ -141,7 +141,7 @@ def build_kernel_extension(F, normal, base=0, transversal=None):
         for tw in itertools.product(nelems, repeat=d):
             children = [a * conj[w][0] * tw[w] * conj[w][1] for w in range(d)]
             elems.append(_as_radius2(a, children))
-    group = BallGroup.from_elements(elems, verify=True)
+    group = BallGroup.from_elements(elems)
     return _check_order(group, F.order * len(nelems) ** d, "kernel extension")
 
 
@@ -195,7 +195,7 @@ def _one_step_full_lift(group, cap):
         fibers = [compat_set(group, a, w) for w in range(d)]
         for combo in itertools.product(*fibers):
             elems.append(BallAut(a, combo))
-    lifted = BallGroup.from_elements(elems, verify=False)
+    lifted = BallGroup.from_elements(elems)
     return _check_order(lifted, expected, "full lift")
 
 
@@ -221,7 +221,7 @@ def _block_lift(F, blocks):
         for tw in itertools.product(*(s.elements for s in stabs)):
             children = [a * tw[block_of[w]] for w in range(F.degree)]
             elems.append(_as_radius2(a, children))
-    group = BallGroup.from_elements(elems, verify=True)
+    group = BallGroup.from_elements(elems)
     return _check_order(group, expected, "block-constant lift")
 
 
@@ -259,7 +259,7 @@ def build_parity_lift(F, weight, modulus, spheres, radius=None,
                     total += weight[alpha.local_action(v, 1).root]
         if total % modulus == 0:
             elems.append(alpha)
-    return BallGroup.from_elements(elems, verify=True)
+    return BallGroup.from_elements(elems)
 
 
 def build_split_lift(F, kernel):
@@ -301,7 +301,7 @@ def build_split_lift(F, kernel):
     for a in F.elements:
         for tw in tuples:
             elems.append(_as_radius2(a, [a * tw[w] for w in range(d)]))
-    group = BallGroup.from_elements(elems, verify=True)
+    group = BallGroup.from_elements(elems)
     return _check_order(group, F.order * len(tuples), "split lift")
 
 
@@ -680,7 +680,7 @@ def _tower_step(prev, blocks, pinned, central, cap):
         for combo in itertools.product(*options):
             children = tuple(combo[block_of[w]] for w in range(d))
             elems.append(BallAut(a, children))
-    group = BallGroup.from_elements(elems, verify=True)
+    group = BallGroup.from_elements(elems)
     level = _check_order(group, expected, "tower step")
     return TowerLevel(radius=prev.radius + 1, order=expected,
                       group=level, certificate=None)

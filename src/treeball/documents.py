@@ -61,7 +61,7 @@ def document_from_group(group, generators_only=False, metadata=None):
 
 def group_from_document(doc):
     if doc.elements is not None:
-        return BallGroup.from_elements(doc.elements, verify=True)
+        return BallGroup.from_elements(doc.elements)
     return BallGroup.generated(doc.generators)
 
 

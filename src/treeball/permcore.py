@@ -63,7 +63,7 @@ class Perm:
     def __mul__(self, other):
         # (a * b)(x) = a(b(x))
         a, b = self.images, other.images
-        return Perm._raw(tuple(a[x] for x in b))
+        return Perm._raw(tuple([a[x] for x in b]))
 
     def inverse(self):
         inv = [0] * len(self.images)
@@ -141,27 +141,52 @@ class Perm:
         return "Perm%s" % "".join(str(c) for c in cyc)
 
 
-def _close(gens, identity, cap=CLOSURE_CAP):
-    """Set of all products of the generators, the given identity included.
+def _grow(members, seen, gens, x, limit=CLOSURE_CAP, reject=None):
+    """Grow the closure of `gens` in place to the closure of gens + [x].
 
-    Works for any element type with products, hashing and is_identity():
-    permutations and ball automorphisms alike.
+    The closure is held as the list `members` and the set `seen`; `gens`
+    gains x unless x is already in it. Every new element is h * x, for some
+    h in the old closure, times a word in the generators, so a breadth-first
+    search from those products that visits new elements only finds them
+    all, and each element meets each generator once (Dimino's extension by
+    one generator). Returns False, leaving the closure partial, once it
+    would pass `limit` elements or meets an element that `reject` is true
+    of; True otherwise.
     """
-    seen = {identity}
-    frontier = [identity]
-    gens = [g for g in gens if not g.is_identity()]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = x * g
-                if y not in seen:
-                    seen.add(y)
-                    if len(seen) > cap:
-                        raise CapacityError("closure exceeded cap of %d" % cap)
-                    nxt.append(y)
-        frontier = nxt
+    if x in seen:
+        return True
+    gens.append(x)
+    old = len(members)
+    at = 0
+    while at < len(members):
+        y = members[at]
+        for g in (x,) if at < old else gens:
+            z = y * g
+            if z not in seen:
+                if len(seen) >= limit or (reject is not None and reject(z)):
+                    return False
+                seen.add(z)
+                members.append(z)
+        at += 1
+    return True
+
+
+def _close(gens, identity, cap=CLOSURE_CAP):
+    """Set of all products of the generators, the given identity included."""
+    members, seen, grown = [identity], {identity}, []
+    for g in gens:
+        if not _grow(members, seen, grown, g, cap):
+            raise CapacityError("closure exceeded cap of %d" % cap)
     return seen
+
+
+def _element_table(elements):
+    """The distinct elements, as a sorted tuple and as a frozenset."""
+    elements = sorted(elements)
+    eset = frozenset(elements)
+    if len(eset) < len(elements):
+        elements = sorted(eset)
+    return tuple(elements), eset
 
 
 class PermGroup:
@@ -171,9 +196,8 @@ class PermGroup:
 
     def __init__(self, degree, elements, generators):
         self.degree = degree
-        self.elements = tuple(sorted(elements))
+        self.elements, self._eset = _element_table(elements)
         self.generators = tuple(generators)
-        self._eset = frozenset(self.elements)
         self._cache = {}
 
     # -- constructors ------------------------------------------------------
@@ -192,17 +216,13 @@ class PermGroup:
         return cls(degree, elements, gens or (Perm.identity(degree),))
 
     @classmethod
-    def from_elements(cls, elements, degree=None, verify=True):
-        elements = list(elements)
+    def from_elements(cls, elements, degree=None):
+        """The group of an element list; ValueError if it is not a group."""
+        elements = sorted(elements)
         if degree is None:
             degree = elements[0].degree
-        ident = Perm.identity(degree)
-        group = cls(degree, elements, small_generating_set_of(elements, ident))
-        if verify:
-            closed = _close(group.generators, ident)
-            if closed != group._eset:
-                raise ValueError("element set is not a group")
-        return group
+        return cls(degree, elements,
+                   small_generating_set_of(elements, Perm.identity(degree)))
 
     @classmethod
     def trivial(cls, degree):
@@ -274,9 +294,6 @@ class PermGroup:
         gi = g.inverse()
         return PermGroup(self.degree, [g * x * gi for x in self.elements],
                          tuple(g * x * gi for x in self.generators))
-
-    def subgroup(self, elements, verify=True):
-        return PermGroup.from_elements(list(elements), self.degree, verify=verify)
 
     # -- orbits and stabilizers ---------------------------------------------
 
@@ -355,21 +372,27 @@ class PermGroup:
 
 
 def small_generating_set_of(elements, identity):
-    """Greedy generating set for a known group, scanning sorted elements.
+    """Greedy generating set of an element list, which must be a group.
 
-    Like _close, it serves permutations and ball automorphisms alike.
+    Scans the sorted elements and keeps each one not yet in the closure of
+    those kept before it, growing that closure by the new generator alone.
+    The closure doubles as the group check: it raises ValueError("element
+    set is not a group") as soon as a product leaves the list. Like _close,
+    it serves permutations and ball automorphisms alike.
     """
     elems = sorted(elements)
-    target = len(elems)
+    eset = set(elems)
+    if identity not in eset:
+        raise ValueError("element set is not a group")
+    target = len(eset)
     if target == 1:
         return (identity,)
     gens = []
-    have = {identity}
+    members, have = [identity], {identity}
     for x in elems:
-        if x in have:
-            continue
-        gens.append(x)
-        have = _close(gens, identity)
+        if not _grow(members, have, gens, x,
+                     reject=lambda y: y not in eset):
+            raise ValueError("element set is not a group")
         if len(have) == target:
             break
     return tuple(gens)
@@ -552,7 +575,10 @@ def normal_closure(G, seeds):
         return PermGroup.trivial(G.degree)
     ident = G.identity()
     ginv = [g.inverse() for g in G.generators]
-    have = _close(gens, ident)
+    # the closure stays inside G, so _grow never reaches its cap here
+    members, have, grown = [ident], {ident}, []
+    for x in gens:
+        _grow(members, have, grown, x)
     changed = True
     while changed:
         changed = False
@@ -561,9 +587,10 @@ def normal_closure(G, seeds):
                 y = g * x * gi
                 if y not in have:
                     gens.append(y)
-                    have = _close(gens, ident)
+                    _grow(members, have, grown, y)
                     changed = True
-    return PermGroup(G.degree, have, small_generating_set_of(have, ident))
+    return PermGroup(G.degree, members,
+                     small_generating_set_of(members, ident))
 
 
 def normal_subgroups(G):

@@ -13,12 +13,13 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from recursive_balls import RecursiveBallAut
-from treeball.balls import ball_points, random_ball_aut
+from treeball.balls import BallAut, ball_points, random_ball_aut
 from treeball.cli import _fmt_count, main
 from treeball.documents import (GroupDocument, document_from_group,
                                 parse_document, save_document,
                                 serialize_document)
 from treeball.errors import CapacityError, DocumentError
+from treeball.permcore import Perm
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "s3_table.txt"
 DIGESTS = pathlib.Path(__file__).parent / "golden" / "stdout_sha256.txt"
@@ -128,6 +129,31 @@ def test_non_group_element_list_exits_two_with_one_line(runner, tmp_path):
     assert res.exit_code == 2
     assert res.stderr.splitlines() == ["Error: element set is not a group"]
     assert "Traceback" not in res.output
+
+
+def _counted(mul, products):
+    def counted(a, b):
+        products.append(1)
+        return mul(a, b)
+    return counted
+
+
+def test_non_group_radius_four_document_fails_fast(runner, tmp_path,
+                                                   monkeypatch):
+    rng = random.Random(7)
+    auts = [random_ball_aut(3, 4, rng) for _ in range(2)]
+    path = tmp_path / "two-random.json"
+    path.write_text(serialize_document(GroupDocument(
+        3, 4, elements=tuple([auts[0].identity(3, 4)] + auts))))
+    products = []
+    for kind in (BallAut, Perm):
+        monkeypatch.setattr(kind, "__mul__", _counted(kind.__mul__, products))
+    res = runner.invoke(main, ["check-c", "--in", str(path)])
+    assert res.exit_code == 2
+    assert res.stderr.splitlines() == ["Error: element set is not a group"]
+    # the two generate a group of order 24576; rejecting the list must not
+    # build it first, as automorphisms or as permutations
+    assert len(products) < 300
 
 
 def test_capacity_error_while_loading_exits_two(runner, monkeypatch,

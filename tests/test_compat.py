@@ -123,8 +123,7 @@ def test_core_is_idempotent_and_maximal():
     pg, points, back = pi_zero.perm_group()
     best = None
     for sub in all_subgroups(pg):
-        ball_sub = BallGroup.from_elements([back[p] for p in sub.elements],
-                                           verify=False)
+        ball_sub = BallGroup.from_elements([back[p] for p in sub.elements])
         if check_compatibility(ball_sub):
             assert ball_sub.is_subgroup_of(core)
             if best is None or ball_sub.order > best.order:

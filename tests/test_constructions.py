@@ -175,7 +175,7 @@ def test_block_lifts_interpolate_between_diagonal_and_full(s3, gamma_s3,
 
 def test_cocycle_extension_by_trivial_kernel_is_the_lift(gamma_s3):
     coc = find_involutive_cocycles(gamma_s3)[0]
-    triv = BallGroup.from_elements([BallAut.identity(3, 3)], verify=False)
+    triv = BallGroup.from_elements([BallAut.identity(3, 3)])
     ext = build_cocycle_extension(coc, triv)
     assert set(ext.elements) == set(coc.lifted_group().elements)
 
@@ -189,7 +189,7 @@ def _order_two_kernel():
         return BallAut(BallAut(IDENT), tuple(kids))
 
     x = BallAut(id2, (hidden(0), hidden(1), hidden(2)))
-    return BallGroup.from_elements([BallAut.identity(3, 3), x], verify=True)
+    return BallGroup.from_elements([BallAut.identity(3, 3), x])
 
 
 def test_every_odd_sphere_cocycle_extends_by_the_hidden_swap(pi_one):
@@ -210,8 +210,7 @@ def test_cocycle_extension_admissibility_failures(gamma_s3, pi_one):
     coc_pi = find_involutive_cocycles(pi_one)[0]
     not_inner = BallGroup.from_elements(
         [BallAut.identity(3, 3), coc_pi.section(next(
-            a for a in pi_one.elements if not a.is_identity()))],
-        verify=False)
+            a for a in pi_one.elements if not a.is_identity()))])
     with pytest.raises(HypothesisError):
         build_cocycle_extension(coc_pi, not_inner)
 

@@ -35,6 +35,18 @@ def test_serialization_is_deterministic(phi_s3):
         document_from_group(phi_s3))
 
 
+def test_repeated_identity_in_an_element_document_counts_once():
+    identity = {"0": "0", "1": "1", "2": "2"}
+    body = {"degree": 3, "radius": 1, "encoding": "flat-word-map",
+            "elements": [identity, identity, {"0": "1", "1": "2", "2": "0"},
+                         {"0": "2", "1": "0", "2": "1"}],
+            "metadata": {}}
+    group = group_from_document(parse_document(json.dumps(body)))
+    assert group.order == 3
+    assert len(group.elements) == 3
+    assert [g.level1().cycles() for g in group.generators] == [((0, 1, 2),)]
+
+
 def test_document_needs_exactly_one_payload(gamma_s3):
     doc = document_from_group(gamma_s3)
     with pytest.raises(DocumentError):
