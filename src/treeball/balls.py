@@ -28,7 +28,7 @@ import functools
 import itertools
 
 from .errors import CapacityError, HypothesisError
-from .permcore import (Perm, PermGroup, _close, _element_table,
+from .permcore import (FiniteGroup, Perm, PermGroup, _close,
                        small_generating_set_of)
 
 #: Largest group of ball automorphisms that full_aut will materialize.
@@ -382,10 +382,6 @@ class BallAut:
 
     # -- conversions -----------------------------------------------------------
 
-    def to_perm(self):
-        """This automorphism as a permutation of the non-center vertices."""
-        return Perm._raw(self.images)
-
     def to_wordmap(self):
         pts = ball_points(self.degree, self.radius)
         return dict(zip(pts, self.flat()))
@@ -552,44 +548,21 @@ def random_ball_aut(degree, radius, rng):
 
 
 # ---------------------------------------------------------------------------
-# permutation shadows
+# groups of ball automorphisms
 # ---------------------------------------------------------------------------
 
-def ball_action(elements):
-    """Realize ball automorphisms as a permutation group on the vertices.
-
-    Returns (group, points, back) where `back` sends each permutation to the
-    automorphism it came from. The element list must be a group; the
-    generating-set scan raises ValueError when it is not.
-    """
-    elements = list(elements)
-    if not elements:
-        raise ValueError("need at least one automorphism")
-    first = elements[0]
-    points = ball_points(first.degree, first.radius)
-    back = {a.to_perm(): a for a in elements}
-    perms = sorted(back)  # sorted once: re-sorting below is then linear
-    ident = Perm.identity(len(points))
-    group = PermGroup(len(points), perms, small_generating_set_of(perms, ident))
-    return group, points, back
-
-
-def ballaut_from_perm(perm, degree, radius):
-    """Inverse of BallAut.to_perm for the standard point ordering."""
-    return BallAut.from_images(degree, radius, perm.images)
-
-
-class BallGroup:
+class BallGroup(FiniteGroup):
     """A group of automorphisms of one ball, stored as explicit elements."""
 
-    __slots__ = ("degree", "radius", "elements", "generators", "_eset", "_cache")
+    __slots__ = ("degree", "radius")
 
     def __init__(self, degree, radius, elements, generators):
         self.degree = degree
         self.radius = radius
-        self.elements, self._eset = _element_table(elements)
-        self.generators = tuple(generators)
-        self._cache = {}
+        super().__init__(elements, generators)
+
+    def _shape(self):
+        return (self.degree, self.radius)
 
     @classmethod
     def generated(cls, gens, cap=MATERIALIZE_CAP):
@@ -619,36 +592,12 @@ class BallGroup:
         elems = full_aut(degree, radius)
         return cls.from_elements(elems)
 
-    @property
-    def order(self):
-        return len(self.elements)
-
     def identity(self):
         return BallAut.identity(self.degree, self.radius)
-
-    def __contains__(self, a):
-        return a in self._eset
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __len__(self):
-        return len(self.elements)
-
-    def __eq__(self, other):
-        return (isinstance(other, BallGroup)
-                and (self.degree, self.radius) == (other.degree, other.radius)
-                and self._eset == other._eset)
-
-    def __hash__(self):
-        return hash((self.degree, self.radius, self._eset))
 
     def __repr__(self):
         return ("BallGroup(degree=%d, radius=%d, order=%d)"
                 % (self.degree, self.radius, self.order))
-
-    def is_subgroup_of(self, other):
-        return self._eset <= other._eset
 
     def project(self, radius=None):
         """Image under restriction to a smaller concentric ball."""
@@ -663,20 +612,11 @@ class BallGroup:
 
     def level1(self):
         """The permutation group induced on the center's neighbour labels."""
-        perms = {a.level1() for a in self.elements}
-        ident = Perm.identity(self.degree)
-        return PermGroup(self.degree, perms,
-                         small_generating_set_of(perms, ident))
+        return PermGroup.from_elements({a.level1() for a in self.elements},
+                                       self.degree)
 
     def projection_kernel(self):
         """Elements restricting to the identity on the next smaller ball."""
         if self.radius == 1:
             raise ValueError("radius-1 groups have no inner ball")
         return tuple(a for a in self.elements if a.root.is_identity())
-
-    def perm_group(self):
-        """Permutation shadow on the ball vertices, with the back map."""
-        if "perm" not in self._cache:
-            group, points, back = ball_action(self.elements)
-            self._cache["perm"] = (group, points, back)
-        return self._cache["perm"]

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .balls import BallAut, BallGroup, ball_action, full_aut
+from .balls import BallAut, BallGroup, full_aut
 from .compat import (
     canonical_cocycle,
     check_compatibility,
@@ -28,7 +28,8 @@ from .constructions import (
     build_parity_lift,
 )
 from .errors import CapacityError, HypothesisError
-from .permcore import PermGroup, all_subgroups
+from .permcore import (PermGroup, all_subgroups, are_conjugate_in,
+                       conjugacy_class_key)
 
 
 @dataclass(frozen=True)
@@ -104,19 +105,16 @@ def census_compatible_classes(degree=3, radius=2, transitive_only=True,
             "the full ball group at degree %d radius %d is beyond exhaustive "
             "census range; use the lift-based route over a smaller radius"
             % (degree, radius))
-    perms, points, back = ball_action(ambient)
-    subgroups = all_subgroups(perms)
 
     # gluing is not preserved by conjugation, so classes are keyed by their
     # whole-orbit canonical form but represented by their least gluable member
     classes = {}
-    for sub in subgroups:
-        if transitive_only and not sub.is_transitive_on(range(degree)):
+    for group in all_subgroups(BallGroup.from_elements(ambient)):
+        if transitive_only and not group.is_transitive_on(range(degree)):
             continue
-        group = _ball_subgroup(sub, back)
         if not check_compatibility(group):
             continue
-        key = _orbit_canonical_key(ambient, group)
+        key = conjugacy_class_key(ambient, group)
         mine = _flat_key(group)
         if key not in classes or mine < classes[key]:
             classes[key] = mine
@@ -129,7 +127,7 @@ def census_compatible_classes(degree=3, radius=2, transitive_only=True,
         keyed.append((orbit_key, _make_row(rep, radius)))
     keyed.sort(key=lambda pair: (pair[1].order, pair[1].has_cocycle,
                                  _flat_key(pair[1].group)))
-    named = _named_constructions(degree, radius)
+    named = _named_constructions(ambient, degree, radius)
     out = []
     for orbit_key, row in keyed:
         if orbit_key in named:
@@ -154,42 +152,11 @@ def _make_row(group, radius, description=None, gamma_image_of=None):
                      gamma_image_of=gamma_image_of)
 
 
-def _ball_subgroup(sub, back):
-    """The ball group behind a subgroup of a permutation shadow, with the
-    generators the greedy scan picks: the same for automorphisms as for
-    their image tuples."""
-    first = back[sub.elements[0]]
-    return BallGroup(first.degree, first.radius, [back[p] for p in sub],
-                     [back[g] for g in sub.generators])
-
-
 def _flat_key(group):
     return tuple(sorted(a.images for a in group.elements))
 
 
-def _orbit_canonical_key(ambient, group):
-    best = None
-    for t in getattr(ambient, "elements", ambient):
-        ti = t.inverse()
-        key = tuple(sorted((t * g * ti).images for g in group.elements))
-        if best is None or key < best:
-            best = key
-    return best
-
-
-def are_conjugate_in(ambient, one, other):
-    """Whether two ball groups are conjugate inside the ambient group."""
-    if one.order != other.order:
-        return False
-    target = other._eset
-    for t in getattr(ambient, "elements", ambient):
-        ti = t.inverse()
-        if all(t * g * ti in target for g in one.generators):
-            return True
-    return False
-
-
-def _named_constructions(degree, radius):
+def _named_constructions(ambient, degree, radius):
     if (degree, radius) != (3, 2):
         return {}
     S3 = PermGroup.symmetric(3)
@@ -203,8 +170,7 @@ def _named_constructions(degree, radius):
         ("parity(S_3,{1})", build_parity_lift(S3, sgn, 2, [1])),
         ("full-lift(S_3)", build_full_lift(S3)),
     ]
-    ambient = full_aut(3, 2)
-    return {_orbit_canonical_key(ambient, g): name for name, g in builders}
+    return {conjugacy_class_key(ambient, g): name for name, g in builders}
 
 
 def census_discrete_lifts(base_rows, ambient_cap=5000):
@@ -257,13 +223,11 @@ def census_discrete_lifts(base_rows, ambient_cap=5000):
 
 def _lifts_by_cocycle(base, kernel):
     kernel_group = BallGroup.from_elements(kernel)
-    kperms, _, kback = kernel_group.perm_group()
     candidates = []
     for z in find_involutive_cocycles(base):
-        for sub in all_subgroups(kperms):
-            ktuple = [kback[p] for p in sub]
+        for sub in all_subgroups(kernel_group):
             try:
-                sigma = build_cocycle_extension(z, ktuple)
+                sigma = build_cocycle_extension(z, sub)
             except (HypothesisError, CapacityError):
                 continue
             if _is_discrete_lift(sigma, base):
@@ -272,17 +236,13 @@ def _lifts_by_cocycle(base, kernel):
 
 
 def _lifts_by_subgroups(base, full):
-    perms, points, back = full.perm_group()
-    candidates = []
-    for sub in all_subgroups(perms):
-        group = _ball_subgroup(sub, back)
-        if _is_discrete_lift(group, base):
-            candidates.append(group)
-    return candidates
+    return [group for group in all_subgroups(full)
+            if _is_discrete_lift(group, base)]
 
 
 def _is_discrete_lift(group, base):
-    if group.project() != base:
+    inner = group.radius - 1
+    if {a.project(inner) for a in group.elements} != base._eset:
         return False
     return check_compatibility(group) and check_trivial_seams(group)
 

@@ -174,13 +174,6 @@ class CompatCocycle:
         children = tuple(self.table[(alpha, w)] for w in range(self.group.degree))
         return BallAut(alpha, children)
 
-    def lifted_group(self):
-        """The isomorphic copy of the group one radius up."""
-        elems = [self.section(a) for a in self.group.elements]
-        gens = [self.section(g) for g in self.group.generators]
-        lifted = BallGroup(self.group.degree, self.group.radius + 1, elems, gens)
-        return lifted
-
     def table_key(self):
         items = sorted((a.images, w, b.images)
                        for (a, w), b in self.table.items())

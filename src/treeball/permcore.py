@@ -1,9 +1,12 @@
-"""Finite permutation groups on small point sets.
+"""Finite groups of permutations and of ball automorphisms.
 
 Groups are stored as sorted tuples of explicit elements and every algorithm is
-a transparent brute-force search with a hard cap. The point sets involved are
-tiny (degree at most a few thousand elements per group), and the answers feed
-frozen regression values, so clarity and determinism beat asymptotics here.
+a transparent brute-force search with a hard cap. `FiniteGroup` holds what
+needs only products, inverses and image tuples: containers, the subgroup
+lattice, normal structure and conjugacy; `PermGroup` adds the point actions,
+and `balls.BallGroup` the ball views. The groups involved are tiny (a few
+thousand elements at most), and the answers feed frozen regression values, so
+clarity and determinism beat asymptotics here.
 """
 
 from __future__ import annotations
@@ -117,9 +120,6 @@ class Perm:
                 s = -s
         return s
 
-    def moved_points(self):
-        return tuple(i for i, j in enumerate(self.images) if i != j)
-
     def __eq__(self, other):
         return isinstance(other, Perm) and self.images == other.images
 
@@ -189,16 +189,92 @@ def _element_table(elements):
     return tuple(elements), eset
 
 
-class PermGroup:
-    """A concrete permutation group: sorted element tuple plus generators."""
+class FiniteGroup:
+    """A finite group stored as its sorted distinct elements plus generators.
 
-    __slots__ = ("degree", "elements", "generators", "_eset", "_cache")
+    Elements need only ``*``, ``inverse()``, ``is_identity()`` and an
+    ``images`` tuple that orders, hashes and composes them like a
+    permutation's, so permutations and ball automorphisms share everything
+    here: containers, the subgroup lattice, normal structure and conjugacy.
+    A subclass supplies ``identity()`` and ``_shape()``, the leading
+    arguments of its constructor.
+    """
 
-    def __init__(self, degree, elements, generators):
-        self.degree = degree
+    __slots__ = ("elements", "generators", "_eset", "_cache")
+
+    def __init__(self, elements, generators):
         self.elements, self._eset = _element_table(elements)
         self.generators = tuple(generators)
         self._cache = {}
+
+    def _like(self, elements, generators=None):
+        """A group of this kind and shape on `elements`, which must form a
+        group; the generating-set greedy picks the generators unless given."""
+        if generators is None:
+            generators = small_generating_set_of(elements, self.identity())
+        return type(self)(*self._shape(), elements, generators)
+
+    def _generated(self, gens):
+        """The subgroup generated by `gens`; the trivial one when empty."""
+        gens = tuple(gens) or (self.identity(),)
+        return self._like(_close(gens, self.identity()), gens)
+
+    @property
+    def order(self):
+        return len(self.elements)
+
+    def __contains__(self, element):
+        return element in self._eset
+
+    def __iter__(self):
+        return iter(self.elements)
+
+    def __len__(self):
+        return len(self.elements)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._eset == other._eset
+
+    def __hash__(self):
+        return hash(self._eset)
+
+    def is_subgroup_of(self, other):
+        return self._eset <= other._eset
+
+    def is_abelian(self):
+        gens = self.generators
+        return all(a * b == b * a for a in gens for b in gens)
+
+    def is_transitive_on(self, points):
+        """Transitivity on a set of points that the images index: for ball
+        automorphisms the first `degree` entries are the level-1 action."""
+        points = set(points)
+        if not points:
+            return True
+        start = min(points)
+        reach = {start}
+        queue = [start]
+        while queue:
+            x = queue.pop()
+            for g in self.generators:
+                y = g.images[x]
+                if y in points and y not in reach:
+                    reach.add(y)
+                    queue.append(y)
+        return reach == points
+
+
+class PermGroup(FiniteGroup):
+    """A concrete permutation group: sorted element tuple plus generators."""
+
+    __slots__ = ("degree",)
+
+    def __init__(self, degree, elements, generators):
+        self.degree = degree
+        super().__init__(elements, generators)
+
+    def _shape(self):
+        return (self.degree,)
 
     # -- constructors ------------------------------------------------------
 
@@ -225,14 +301,7 @@ class PermGroup:
                    small_generating_set_of(elements, Perm.identity(degree)))
 
     @classmethod
-    def trivial(cls, degree):
-        e = Perm.identity(degree)
-        return cls(degree, (e,), (e,))
-
-    @classmethod
     def symmetric(cls, degree):
-        if degree == 1:
-            return cls.trivial(1)
         gens = [Perm.from_cycles(degree, [tuple(range(degree))])]
         if degree > 2:
             gens.append(Perm.from_cycles(degree, [(0, 1)]))
@@ -241,7 +310,7 @@ class PermGroup:
     @classmethod
     def alternating(cls, degree):
         if degree <= 2:
-            return cls.trivial(degree)
+            return cls.generated((), degree)
         gens = [Perm.from_cycles(degree, [(i, i + 1, i + 2)]) for i in range(degree - 2)]
         return cls.generated(gens, degree)
 
@@ -256,44 +325,11 @@ class PermGroup:
         ref = Perm._raw(tuple((-i) % degree for i in range(degree)))
         return cls.generated([rot, ref], degree)
 
-    # -- basics ------------------------------------------------------------
-
-    @property
-    def order(self):
-        return len(self.elements)
-
     def identity(self):
         return Perm.identity(self.degree)
 
-    def __contains__(self, perm):
-        return perm in self._eset
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __len__(self):
-        return len(self.elements)
-
-    def __eq__(self, other):
-        return isinstance(other, PermGroup) and self._eset == other._eset
-
-    def __hash__(self):
-        return hash(self._eset)
-
     def __repr__(self):
         return "PermGroup(degree=%d, order=%d)" % (self.degree, self.order)
-
-    def is_subgroup_of(self, other):
-        return self._eset <= other._eset
-
-    def is_abelian(self):
-        gens = self.generators
-        return all(a * b == b * a for a in gens for b in gens)
-
-    def conjugated_by(self, g):
-        gi = g.inverse()
-        return PermGroup(self.degree, [g * x * gi for x in self.elements],
-                         tuple(g * x * gi for x in self.generators))
 
     # -- orbits and stabilizers ---------------------------------------------
 
@@ -323,38 +359,16 @@ class PermGroup:
     def is_transitive(self):
         return len(self.orbit(0)) == self.degree
 
-    def is_transitive_on(self, points):
-        points = set(points)
-        if not points:
-            return True
-        start = min(points)
-        reach = {start}
-        queue = [start]
-        while queue:
-            x = queue.pop()
-            for g in self.generators:
-                y = g(x)
-                if y in points and y not in reach:
-                    reach.add(y)
-                    queue.append(y)
-        return reach == points
-
     def stabilizer(self, point):
-        elems = [g for g in self.elements if g(point) == point]
-        return PermGroup(self.degree, elems,
-                         small_generating_set_of(elems, self.identity()))
+        return self._like([g for g in self.elements if g(point) == point])
 
     def pointwise_stabilizer(self, points):
         pts = tuple(points)
-        elems = [g for g in self.elements if all(g(p) == p for p in pts)]
-        return PermGroup(self.degree, elems,
-                         small_generating_set_of(elems, self.identity()))
+        return self._like([g for g in self.elements
+                           if all(g(p) == p for p in pts)])
 
     def is_semiregular(self):
         return all(self.stabilizer(p).order == 1 for p in range(self.degree))
-
-    def is_regular(self):
-        return self.is_transitive() and self.order == self.degree
 
     def transversal(self, base):
         """Map each point w to the least group element sending `base` to w.
@@ -572,7 +586,7 @@ def normal_closure(G, seeds):
     """Smallest normal subgroup of G containing the seed elements."""
     gens = [s for s in seeds if not s.is_identity()]
     if not gens:
-        return PermGroup.trivial(G.degree)
+        return G._generated(())
     ident = G.identity()
     ginv = [g.inverse() for g in G.generators]
     # the closure stays inside G, so _grow never reaches its cap here
@@ -589,8 +603,7 @@ def normal_closure(G, seeds):
                     gens.append(y)
                     _grow(members, have, grown, y)
                     changed = True
-    return PermGroup(G.degree, members,
-                     small_generating_set_of(members, ident))
+    return G._like(members)
 
 
 def normal_subgroups(G):
@@ -604,7 +617,7 @@ def normal_subgroups(G):
     if key in G._cache:
         return G._cache[key]
     reps = [min(c) for c in conjugacy_classes(G)]
-    triv = PermGroup.trivial(G.degree)
+    triv = G._generated(())
     found = {triv._eset: triv}
     frontier = [triv]
     while frontier:
@@ -633,9 +646,7 @@ def socle(G):
     gens = []
     for N in minimal_normal_subgroups(G):
         gens.extend(N.generators)
-    if not gens:
-        return PermGroup.trivial(G.degree)
-    return PermGroup.generated(gens, G.degree)
+    return G._generated(gens)
 
 
 def derived_subgroup(G):
@@ -669,7 +680,7 @@ def is_nilpotent(G):
 
 def solvable_radical(G):
     """Largest solvable normal subgroup."""
-    best = PermGroup.trivial(G.degree)
+    best = G._generated(())
     for N in normal_subgroups(G):
         if N.order > best.order and is_solvable(N):
             best = N
@@ -686,16 +697,15 @@ def nilpotent_radical(G):
     gens = []
     for N in candidates:
         gens.extend(N.generators)
-    fit = PermGroup.generated(gens, G.degree) if gens else PermGroup.trivial(G.degree)
+    fit = G._generated(gens)
     if not is_nilpotent(fit):
         raise RuntimeError("product of nilpotent normals not nilpotent; bug")
     return fit
 
 
 def center(G):
-    elems = [x for x in G.elements if all(x * g == g * x for g in G.generators)]
-    return PermGroup(G.degree, elems,
-                     small_generating_set_of(elems, G.identity()))
+    return G._like([x for x in G.elements
+                    if all(x * g == g * x for g in G.generators)])
 
 
 def subnormal_depth(G, H, bound=None):
@@ -757,19 +767,21 @@ def structure_subgroups(G):
 # ---------------------------------------------------------------------------
 
 class _Table:
-    """Cayley table over element indices, for fast subgroup closures."""
+    """Cayley table over element indices, for fast subgroup closures.
+
+    Products are composed on the image tuples directly, so the table serves
+    any element type. The identity is index 0: range(n) is the least
+    permutation tuple.
+    """
 
     def __init__(self, elements):
         self.elements = tuple(sorted(elements))
-        self.index = {e: i for i, e in enumerate(self.elements)}
-        n = len(self.elements)
-        self.mul = [[0] * n for _ in range(n)]
-        for i, a in enumerate(self.elements):
-            row = self.mul[i]
-            for j, b in enumerate(self.elements):
-                row[j] = self.index[a * b]
-        self.inv = [self.index[e.inverse()] for e in self.elements]
-        self.e = self.index[Perm.identity(self.elements[0].degree)]
+        images = [e.images for e in self.elements]
+        index = {im: i for i, im in enumerate(images)}
+        self.mul = [[index[tuple([a[x] for x in b])] for b in images]
+                    for a in images]
+        self.inv = [index[e.inverse().images] for e in self.elements]
+        self.e = 0
 
     def close(self, seed):
         seen = set(seed)
@@ -798,7 +810,7 @@ def _lattice_table(G):
 
 
 def all_subgroups(G):
-    """Every subgroup of G, as PermGroups sorted by (order, elements)."""
+    """Every subgroup of G, as groups of G's kind sorted by (order, elements)."""
     key = "all_subgroups"
     if key in G._cache:
         return G._cache[key]
@@ -807,11 +819,7 @@ def all_subgroups(G):
         found = _subgroup_sets_by_prime_extension(t, G.order)
     else:
         found = _subgroup_sets_brute(t)
-    out = []
-    for S in found:
-        elems = [t.elements[i] for i in S]
-        out.append(PermGroup(G.degree, elems,
-                             small_generating_set_of(elems, G.identity())))
+    out = [G._like([t.elements[i] for i in S]) for S in found]
     out.sort(key=lambda H: (H.order, H.elements))
     G._cache[key] = out
     return out
@@ -908,68 +916,36 @@ def factorize(n):
     return out
 
 
-def subgroups_up_to_conjugacy(G, predicate=None):
-    """Conjugacy class representatives of subgroups satisfying `predicate`.
+# ---------------------------------------------------------------------------
+# conjugacy of subgroups
+# ---------------------------------------------------------------------------
 
-    The representative of each class is the subgroup whose sorted element
-    tuple is lexicographically least, which makes output stable across runs.
+def conjugacy_class_key(ambient, H):
+    """The least sorted image-tuple list over the conjugates of H.
+
+    `ambient` is the element list of a group containing H; two subgroups
+    share the key exactly when they are conjugate in it.
     """
-    subs = all_subgroups(G)
-    if predicate is not None:
-        subs = [H for H in subs if predicate(H)]
-    remaining = {H._eset: H for H in subs}
-    reps = []
-    while remaining:
-        seed_key = min(remaining, key=lambda s: tuple(sorted(p.images for p in s)))
-        H = remaining.pop(seed_key)
-        cls = {H._eset}
-        for g in G.elements:
-            gi = g.inverse()
-            conj = frozenset(g * x * gi for x in H.elements)
-            if conj in remaining:
-                remaining.pop(conj)
-            cls.add(conj)
-        rep_set = min(cls, key=lambda s: tuple(sorted(p.images for p in s)))
-        elems = sorted(rep_set)
-        reps.append(PermGroup(G.degree, elems,
-                              small_generating_set_of(elems, G.identity())))
-    reps.sort(key=lambda H: (H.order, H.elements))
-    return reps
+    best = None
+    for t in ambient:
+        ti = t.inverse()
+        key = tuple(sorted((t * h * ti).images for h in H.elements))
+        if best is None or key < best:
+            best = key
+    return best
 
 
-def are_conjugate_subgroups(G, H, K):
+def are_conjugate_in(ambient, H, K):
+    """Whether some element of `ambient`, an element list, conjugates H onto
+    K. Testing only H's generators suffices once the orders agree."""
     if H.order != K.order:
         return False
-    kset = K._eset
-    hgens = H.generators
-    for g in G.elements:
-        gi = g.inverse()
-        if all(g * x * gi in kset for x in hgens):
-            if frozenset(g * x * gi for x in H.elements) == kset:
-                return True
+    target = K._eset
+    for t in ambient:
+        ti = t.inverse()
+        if all(t * g * ti in target for g in H.generators):
+            return True
     return False
-
-
-def coset_action(G, H):
-    """Action of G on the left cosets of H, as a new PermGroup."""
-    if not H.is_subgroup_of(G):
-        raise HypothesisError("coset_action requires H <= G")
-    cosets = []
-    seen = set()
-    for g in G.elements:
-        c = frozenset(g * h for h in H.elements)
-        if c not in seen:
-            seen.add(c)
-            cosets.append(c)
-    index = {c: i for i, c in enumerate(cosets)}
-    rep = [min(c) for c in cosets]
-    gens = []
-    for g in G.generators:
-        images = []
-        for r in rep:
-            images.append(index[frozenset(g * r * h for h in H.elements)])
-        gens.append(Perm(images))
-    return PermGroup.generated(gens, len(cosets))
 
 
 # ---------------------------------------------------------------------------
@@ -1162,36 +1138,3 @@ def _power_subgroups_generic(F, slots, count, act, cap=200_000):
     out = [PowerSubgroup(tuple(sorted(K))) for K in found]
     out.sort(key=lambda P: (P.order, P.elements))
     return out
-
-
-# ---------------------------------------------------------------------------
-# misc helpers used across modules
-# ---------------------------------------------------------------------------
-
-def sign_map(G):
-    """The parity homomorphism of G as a dict into Sym(2)."""
-    flip = Perm((1, 0))
-    ident = Perm.identity(2)
-    return {g: (ident if g.sign() == 1 else flip) for g in G.elements}
-
-
-def wreath_imprimitive(F, P):
-    """F wr P acting on pairs (w, l) indexed as w + |Omega| * l.
-
-    Base copies act within their block, the top group permutes blocks.
-    """
-    d, m = F.degree, P.degree
-    gens = []
-    for a in F.generators:
-        for lam in range(m):
-            images = list(range(d * m))
-            for w in range(d):
-                images[w + d * lam] = a(w) + d * lam
-            gens.append(Perm(images))
-    for rho in P.generators:
-        images = list(range(d * m))
-        for lam in range(m):
-            for w in range(d):
-                images[w + d * lam] = w + d * rho(lam)
-        gens.append(Perm(images))
-    return PermGroup.generated(gens, d * m)

@@ -4,11 +4,13 @@ The greedy generating-set scan and the involutive-cocycle search in treeball
 grow one closure by one generator at a time. The versions here re-close the
 whole generating set after each step instead, which is slower but leaves no
 room for bookkeeping errors; tests require both to give the same answers.
+`lifted_group` builds a cocycle's lift section by section, as the reference
+for the cocycle extensions.
 """
 
 import itertools
 
-from treeball.balls import BallAut, ball_points
+from treeball.balls import BallAut, BallGroup, ball_points
 from treeball.compat import (CompatCocycle, _table_involutive,
                              canonical_cocycle, check_trivial_seams,
                              compat_set, first_compat_failure)
@@ -124,3 +126,11 @@ def involutive_cocycles(group):
             out.append(CompatCocycle(group, table))
     out.sort(key=lambda c: c.table_key())
     return out
+
+
+def lifted_group(cocycle):
+    """The isomorphic copy of a cocycle's group one radius up."""
+    group = cocycle.group
+    return BallGroup(group.degree, group.radius + 1,
+                     [cocycle.section(a) for a in group.elements],
+                     [cocycle.section(g) for g in group.generators])

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+import perm_shadow
+import reclosing
 from treeball.balls import BallAut, BallGroup, ball_compatible
 from treeball.compat import (CompatCocycle, canonical_cocycle,
                              check_compatibility, check_trivial_seams,
@@ -120,7 +122,7 @@ def test_core_is_idempotent_and_maximal():
     assert compatibility_core(core) == core
     # independent route: enumerate all subgroups of the ball group, keep the
     # ones whose fibers never empty out, and take the largest
-    pg, points, back = pi_zero.perm_group()
+    pg, points, back = perm_shadow.ball_action(pi_zero.elements)
     best = None
     for sub in all_subgroups(pg):
         ball_sub = BallGroup.from_elements([back[p] for p in sub.elements])
@@ -155,7 +157,7 @@ def test_cocycles_verify_and_lift_faithfully(pi_one):
     for coc in maps:
         coc.verify()
         keys.add(coc.table_key())
-        lifted = coc.lifted_group()
+        lifted = reclosing.lifted_group(coc)
         assert lifted.order == pi_one.order
         assert lifted.radius == pi_one.radius + 1
         assert lifted.project() == pi_one

@@ -12,13 +12,13 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+import perm_shadow
 import reclosing
 from treeball.balls import BallAut, BallGroup, full_aut, random_ball_aut
-from treeball.census import _ball_subgroup
 from treeball.compat import find_involutive_cocycles
 from treeball.errors import CapacityError
 from treeball.permcore import (Perm, PermGroup, _close, _grow,
-                               all_subgroups, small_generating_set_of)
+                               small_generating_set_of)
 
 FULL_B32 = full_aut(3, 2)
 
@@ -76,9 +76,7 @@ def test_cocycles_match_reclosing_on_random_radius_two_groups(gens):
 
 
 def test_lattice_subgroups_keep_the_greedy_generators():
-    shadow, _, back = BallGroup.full(3, 2).perm_group()
-    for sub in all_subgroups(shadow):
-        group = _ball_subgroup(sub, back)
+    for group in perm_shadow.subgroups(BallGroup.full(3, 2)):
         rebuilt = BallGroup.from_elements(group.elements)
         assert group.generators == rebuilt.generators
         assert group == rebuilt

@@ -1,7 +1,5 @@
 """Permutation-group layer: closures, structure, lattices, actions."""
 
-import random
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,15 +8,13 @@ from treeball.errors import HypothesisError
 from treeball.permcore import (Perm, PermGroup, _lattice_table,
                                _subgroup_sets_brute,
                                _subgroup_sets_by_prime_extension,
-                               all_subgroups, are_conjugate_subgroups,
-                               center, classify_action, conjugacy_classes,
-                               coset_action, invariant_subgroups_of_power,
+                               all_subgroups, are_conjugate_in, center,
+                               classify_action, conjugacy_class_key,
+                               conjugacy_classes, invariant_subgroups_of_power,
                                is_solvable, is_subnormal, nilpotent_radical,
-                               normal_subgroups, sign_map,
-                               small_generating_set_of, socle,
-                               solvable_radical, structure_subgroups,
-                               subgroups_up_to_conjugacy, subnormal_depth,
-                               wreath_imprimitive)
+                               normal_subgroups, small_generating_set_of,
+                               socle, solvable_radical, structure_subgroups,
+                               subnormal_depth)
 
 # Subgroup and class counts below are the standard ones for these groups;
 # they double as regression pins for the two enumeration routes.
@@ -148,9 +144,11 @@ def test_subgroup_enumeration_routes_agree():
 
 
 def test_subgroups_up_to_conjugacy_counts():
-    assert len(subgroups_up_to_conjugacy(PermGroup.symmetric(4))) == 11
-    assert len(subgroups_up_to_conjugacy(PermGroup.alternating(4))) == 5
-    assert len(subgroups_up_to_conjugacy(PermGroup.alternating(5))) == 9
+    for G, classes in ((PermGroup.symmetric(4), 11),
+                       (PermGroup.alternating(4), 5),
+                       (PermGroup.alternating(5), 9)):
+        keys = {conjugacy_class_key(G.elements, H) for H in all_subgroups(G)}
+        assert len(keys) == classes
 
 
 def test_conjugacy_classes_partition():
@@ -181,8 +179,11 @@ def test_three_radical_conditions_are_equivalent():
     seen = []
     named = _named()
     named["C6"] = PermGroup.cyclic(6)
-    named["C2wrC3"] = wreath_imprimitive(PermGroup.cyclic(2),
-                                         PermGroup.cyclic(3))
+    # C2 wr C3 on three blocks of two: one block swap and the block rotation
+    named["C2wrC3"] = PermGroup.generated([
+        Perm.from_cycles(6, [(0, 1)]),
+        Perm.from_cycles(6, [(0, 2, 4), (1, 3, 5)])])
+    assert named["C2wrC3"].order == 2 ** 3 * 3
     named["S5"] = PermGroup.symmetric(5)
     for name, G in named.items():
         if G.order > 200:
@@ -209,15 +210,6 @@ def test_subnormality_chains():
     point_swap = PermGroup.from_elements(
         [Perm((0, 1, 2, 3)), Perm((1, 0, 2, 3))], degree=4)
     assert not is_subnormal(S4, point_swap)
-
-
-def test_coset_action_degree_and_transitivity():
-    S4 = PermGroup.symmetric(4)
-    S3_in = PermGroup.generated([Perm((0, 2, 1, 3)), Perm((1, 0, 2, 3))])
-    act = coset_action(S4, S3_in)
-    assert act.degree == 4
-    rep = classify_action(act)
-    assert rep.transitive and rep.primitive and rep.rank == 2
 
 
 def test_invariant_power_subgroup_counts_small_primes():
@@ -300,23 +292,6 @@ def test_invariant_power_subgroups_hypothesis_errors():
         invariant_subgroups_of_power(D3, moving, 3)
 
 
-def test_sign_map_is_a_homomorphism():
-    G = PermGroup.symmetric(4)
-    sgn = sign_map(G)
-    rng = random.Random(7)
-    for _ in range(50):
-        a, b = rng.choices(G.elements, k=2)
-        assert sgn[a * b] == sgn[a] * sgn[b]
-
-
-def test_wreath_imprimitive_order_and_blocks():
-    W = wreath_imprimitive(PermGroup.cyclic(2), PermGroup.cyclic(3))
-    assert W.degree == 6
-    assert W.order == 2 ** 3 * 3
-    rep = classify_action(W)
-    assert rep.transitive and not rep.primitive
-
-
 def test_small_generating_set_regenerates():
     G = PermGroup.symmetric(4)
     gens = small_generating_set_of(G.elements, G.identity())
@@ -329,5 +304,5 @@ def test_are_conjugate_subgroups():
     a = PermGroup.generated([Perm((1, 0, 2, 3))])
     b = PermGroup.generated([Perm((0, 1, 3, 2))])
     c = PermGroup.generated([Perm((1, 0, 3, 2))])
-    assert are_conjugate_subgroups(S4, a, b)
-    assert not are_conjugate_subgroups(S4, a, c)
+    assert are_conjugate_in(S4.elements, a, b)
+    assert not are_conjugate_in(S4.elements, a, c)
