@@ -28,8 +28,8 @@ import functools
 import itertools
 
 from .errors import CapacityError, HypothesisError
-from .permcore import (FiniteGroup, Perm, PermGroup, _close,
-                       small_generating_set_of)
+from .permcore import (Element, FiniteGroup, Perm, PermGroup, _close,
+                       _getter, _identity_images, small_generating_set_of)
 
 #: Largest group of ball automorphisms that full_aut will materialize.
 MATERIALIZE_CAP = 500_000
@@ -121,21 +121,16 @@ def _parents(degree, radius):
 
 
 @functools.lru_cache(maxsize=None)
-def _identity_images(n):
-    return tuple(range(n))
-
-
-@functools.lru_cache(maxsize=None)
 def _chart_tables(degree, radius):
     """Index tables between the ball and its charts at the neighbours.
 
     For each neighbour w: ``gather[w][j]`` is the point that the j-th word of
     the radius ``r - 1`` ball reaches from w, ``local[w][i]`` is point i read
     from w (-1 when out of reach), and ``tails[w]`` lists, in ball_points
-    order, the local words of the sphere points starting with w. The local
-    word (w,) leads back to the center; there ``gather`` holds w and
-    ``local[w][w]`` holds w, so the center still lands on the local index of
-    the image neighbour.
+    order, the local words of the sphere points starting with w; ``getters[w]``
+    gathers ``gather[w]`` from an image tuple. The local word (w,) leads back
+    to the center; there ``gather`` holds w and ``local[w][w]`` holds w, so the
+    center still lands on the local index of the image neighbour.
     """
     pts = ball_points(degree, radius)
     inner = _point_index(degree, radius - 1)
@@ -149,12 +144,12 @@ def _chart_tables(degree, radius):
         local.append(tuple(loc))
         tails.append(tuple(inner[p[1:]] for p in pts
                            if len(p) == radius and p[0] == w))
-    return tuple(gather), tuple(local), tuple(tails)
+    return tuple(gather), tuple(local), tuple(tails), tuple(map(_getter, gather))
 
 
 def _glue_images(root, children):
     """Image tuple of the map built from a root and one child per neighbour."""
-    gather, _, tails = _chart_tables(root.degree, root.radius + 1)
+    gather, _, tails, _ = _chart_tables(root.degree, root.radius + 1)
     rim = root.images
     images = list(rim)
     for w, child in enumerate(children):
@@ -168,16 +163,17 @@ def _glue_images(root, children):
 # the automorphism class
 # ---------------------------------------------------------------------------
 
-class BallAut:
+class BallAut(Element):
     """An automorphism of the radius `radius` ball fixing the center.
 
-    ``images[i]`` is the ball_points index of the image of point i.
-    ``BallAut(perm)`` builds a radius-1 automorphism; ``BallAut(root,
-    children)`` glues one radius ``r - 1`` automorphism per neighbour, each in
-    the neighbour's own coordinates, onto the restriction ``root``.
+    ``images[i]`` is the ball_points index of the image of point i, and the
+    algebra on it is `Element`'s. ``BallAut(perm)`` builds a radius-1
+    automorphism; ``BallAut(root, children)`` glues one radius ``r - 1``
+    automorphism per neighbour, each in the neighbour's own coordinates, onto
+    the restriction ``root``.
     """
 
-    __slots__ = ("degree", "radius", "images", "_hash")
+    __slots__ = ("degree", "radius")
 
     def __init__(self, root, children=None):
         if children is None:
@@ -214,6 +210,9 @@ class BallAut:
         b.images = images
         b._hash = None
         return b
+
+    def _from(self, images):
+        return BallAut._raw(self.degree, self.radius, images)
 
     @classmethod
     def identity(cls, degree, radius):
@@ -260,7 +259,7 @@ class BallAut:
 
     def _chart(self, w, radius):
         # the automorphism induced around neighbour w, up to `radius`
-        gather, local, _ = _chart_tables(self.degree, self.radius)
+        gather, local, _, _ = _chart_tables(self.degree, self.radius)
         im = self.images
         loc = local[im[w]]
         n = len(ball_points(self.degree, radius))
@@ -322,56 +321,7 @@ class BallAut:
         # (a * b) first applies b, then a, like permutation composition here.
         if (self.degree, self.radius) != (other.degree, other.radius):
             raise ValueError("mismatched ball shapes")
-        a = self.images
-        return BallAut._raw(self.degree, self.radius,
-                            tuple([a[x] for x in other.images]))
-
-    def inverse(self):
-        inv = [0] * len(self.images)
-        for i, j in enumerate(self.images):
-            inv[j] = i
-        return BallAut._raw(self.degree, self.radius, tuple(inv))
-
-    def __pow__(self, n):
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = BallAut.identity(self.degree, self.radius)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def is_identity(self):
-        return self.images == _identity_images(len(self.images))
-
-    def order(self):
-        n, a = 1, self
-        while not a.is_identity():
-            a = a * self
-            n += 1
-        return n
-
-    # -- comparisons ----------------------------------------------------------
-
-    def __eq__(self, other):
-        if not isinstance(other, BallAut):
-            return NotImplemented
-        return (self.degree == other.degree and self.radius == other.radius
-                and self.images == other.images)
-
-    def __lt__(self, other):
-        return self.images < other.images
-
-    def __le__(self, other):
-        return self.images <= other.images
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(self.images)
-        return self._hash
+        return Element.__mul__(self, other)
 
     def __repr__(self):
         if self.radius == 1:
@@ -446,18 +396,27 @@ def _rebuild(degree, radius, mapping):
 # compatibility of neighbours, enumeration, sampling
 # ---------------------------------------------------------------------------
 
+def _root_and_chart(aut, w):
+    # image tuples of aut.root and of aut._chart(w, radius - 1), as gathers
+    _, local, _, getters = _chart_tables(aut.degree, aut.radius)
+    im = aut.images
+    chart = getters[w](im)
+    return im[:len(chart)], _getter(chart)(local[im[w]])
+
+
 def _offer_key(beta, direction):
     """How `beta` looks to a center when placed at the neighbour `direction`."""
     if beta.radius == 1:
         return beta.images[direction]
-    return (beta.root.images, beta._chart(direction, beta.radius - 1).images)
+    return _root_and_chart(beta, direction)
 
 
 def _need_key(alpha, direction):
     """What `alpha` demands of a partner at the neighbour `direction`."""
     if alpha.radius == 1:
         return alpha.images[direction]
-    return (alpha._chart(direction, alpha.radius - 1).images, alpha.root.images)
+    root, chart = _root_and_chart(alpha, direction)
+    return chart, root
 
 
 def ball_compatible(alpha, beta, direction):
@@ -583,6 +542,8 @@ class BallGroup(FiniteGroup):
         if not elements:
             raise ValueError("a group has at least the identity")
         degree, radius = elements[0].degree, elements[0].radius
+        if any((a.degree, a.radius) != (degree, radius) for a in elements):
+            raise ValueError("mixed ball shapes in element list")
         gens = small_generating_set_of(elements,
                                        BallAut.identity(degree, radius))
         return cls(degree, radius, elements, gens)

@@ -219,12 +219,12 @@ def find_involutive_cocycles(group, validate=True, generators=None):
     Any coherent choice map is determined by its values on a generating set:
     the section it induces generates a subgroup one radius up that projects
     bijectively back. The search therefore branches over fiber choices for
-    the generators. Each prefix of choices hands its closure down, and the
-    next choice grows a copy of it by that one lift (permcore._grow), so no
-    prefix is closed from scratch. A prefix dies as soon as its closure grows
-    past the group order or picks up an element acting trivially on the
-    inner ball, since a faithful projection allows neither. Groups with rigid
-    fibers short-circuit to their unique map.
+    the generators. Each prefix of choices hands its closure, held as image
+    tuples, down, and the next choice grows a copy of it by that one lift
+    (permcore._grow), so no prefix is closed from scratch. A prefix dies as
+    soon as its closure grows past the group order or picks up an element
+    acting trivially on the inner ball, since a faithful projection allows
+    neither. Groups with rigid fibers short-circuit to their unique map.
     """
     if first_compat_failure(group, generators_only=True) is not None:
         return []
@@ -252,14 +252,14 @@ def find_involutive_cocycles(group, validate=True, generators=None):
                 lifts.append(lift)
         if not lifts:
             return []
-        options.append(lifts)
+        options.append([lift.images for lift in lifts])
     options.sort(key=len)
 
     inner = len(ball_points(d, group.radius))
     kernel_key = ident.images[:inner]
 
     def in_kernel(h):
-        return h.images[:inner] == kernel_key
+        return h[:inner] == kernel_key
 
     found = set()
 
@@ -273,14 +273,15 @@ def find_involutive_cocycles(group, validate=True, generators=None):
             if _grow(*grown, lift, target, in_kernel):
                 descend(level + 1, *grown)
 
-    descend(0, [ident], {ident}, [])
+    descend(0, [ident.images], {ident.images}, [])
 
-    # Each closure is the lifted group itself: its elements are the sections,
-    # so they list the whole table, and distinct closures give distinct tables.
+    # Each closure is the lifted group itself: its elements, wrapped only
+    # here, are the sections, so they list the whole table, and distinct
+    # closures give distinct tables.
     out = []
     for closed in found:
         table = {}
-        for h in closed:
+        for h in map(ident._from, closed):
             a = h.root
             if a not in group:
                 break

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 from .balls import BallAut, BallGroup, ball_points
 from .errors import DocumentError
+from .permcore import _getter
 
 ENCODING = "flat-word-map"
 
@@ -34,16 +35,8 @@ class GroupDocument:
     def encoding(self):
         return ENCODING
 
-    def __eq__(self, other):
-        if not isinstance(other, GroupDocument):
-            return NotImplemented
-        return (self.degree == other.degree
-                and self.radius == other.radius
-                and self.elements == other.elements
-                and self.generators == other.generators
-                and self.metadata == other.metadata)
-
     def __hash__(self):
+        # the generated __eq__ compares every field; metadata is a dict
         return hash((self.degree, self.radius, self.elements,
                      self.generators))
 
@@ -69,11 +62,15 @@ def _word_str(word):
     return "".join(str(d) for d in word)
 
 
+@functools.lru_cache(maxsize=None)
+def _word_strs(degree, radius):
+    return tuple(_word_str(p) for p in ball_points(degree, radius))
+
+
 def _aut_to_json(aut):
-    pairs = {}
-    for vertex, image in sorted(aut.to_wordmap().items()):
-        pairs[_word_str(vertex)] = _word_str(image)
-    return pairs
+    # one gather of word strings; json.dumps(sort_keys=True) orders the keys
+    words = _word_strs(aut.degree, aut.radius)
+    return dict(zip(words, _getter(aut.images)(words)))
 
 
 def serialize_document(doc):
@@ -109,7 +106,7 @@ def _parse_word(text, degree, where):
 
 @functools.lru_cache(maxsize=None)
 def _word_indices(degree, radius):
-    return {_word_str(p): i for i, p in enumerate(ball_points(degree, radius))}
+    return {w: i for i, w in enumerate(_word_strs(degree, radius))}
 
 
 def _parse_aut(obj, degree, radius, index):

@@ -1,18 +1,22 @@
 """Finite groups of permutations and of ball automorphisms.
 
 Groups are stored as sorted tuples of explicit elements and every algorithm is
-a transparent brute-force search with a hard cap. `FiniteGroup` holds what
-needs only products, inverses and image tuples: containers, the subgroup
-lattice, normal structure and conjugacy; `PermGroup` adds the point actions,
-and `balls.BallGroup` the ball views. The groups involved are tiny (a few
-thousand elements at most), and the answers feed frozen regression values, so
-clarity and determinism beat asymptotics here.
+a transparent brute-force search with a hard cap. Every element is one image
+tuple (`Element`), and closures are held as bare image tuples: a product is
+one C-level gather, and elements are wrapped once the group is built.
+`FiniteGroup` holds what needs only products, inverses and image tuples:
+containers, the subgroup lattice, normal structure and conjugacy; `PermGroup`
+adds the point actions, and `balls.BallGroup` the ball views. The groups
+involved are tiny (a few thousand elements at most), and the answers feed
+frozen regression values, so clarity and determinism beat asymptotics here.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import CapacityError, HypothesisError
 
@@ -23,10 +27,82 @@ CLOSURE_CAP = 10_000_000
 SUBGROUP_LATTICE_CAP = 3000
 
 
-class Perm:
-    """A permutation of {0, ..., n-1} stored as its image tuple."""
+def _getter(images):
+    """The gather t -> tuple(t[i] for i in images), run in C: every product
+    y * g of image tuples is ``_getter(g)(y)``. itemgetter of one index
+    returns a bare entry, so short tuples take a comprehension instead."""
+    if len(images) > 1:
+        return itemgetter(*images)
+    return lambda t: tuple([t[i] for i in images])
+
+
+@functools.lru_cache(maxsize=None)
+def _identity_images(n):
+    return tuple(range(n))
+
+
+class Element:
+    """Algebra shared by elements stored as one image tuple.
+
+    ``images[i]`` is the image of point i, and (a * b)(x) = a(b(x)). Hashing,
+    ordering and every product work on the tuple. A subclass supplies
+    ``degree`` and ``_from(images)``, an element of its own kind and shape.
+    """
 
     __slots__ = ("images", "_hash")
+
+    def __mul__(self, other):
+        return self._from(_getter(other.images)(self.images))
+
+    def inverse(self):
+        inv = [0] * len(self.images)
+        for i, j in enumerate(self.images):
+            inv[j] = i
+        return self._from(tuple(inv))
+
+    def __pow__(self, n):
+        if n < 0:
+            return self.inverse() ** (-n)
+        result, base = _identity_images(len(self.images)), self.images
+        while n:
+            if n & 1:
+                result = _getter(base)(result)
+            base = _getter(base)(base)
+            n >>= 1
+        return self._from(result)
+
+    def order(self):
+        ident, step = _identity_images(len(self.images)), _getter(self.images)
+        n, p = 1, self.images
+        while p != ident:
+            p = step(p)
+            n += 1
+        return n
+
+    def is_identity(self):
+        return self.images == _identity_images(len(self.images))
+
+    def __eq__(self, other):
+        # at one degree, ball automorphisms with as many images share a radius
+        return (type(other) is type(self) and self.images == other.images
+                and self.degree == other.degree)
+
+    def __lt__(self, other):
+        return self.images < other.images
+
+    def __le__(self, other):
+        return self.images <= other.images
+
+    def __hash__(self):
+        if self._hash is None:
+            self._hash = hash(self.images)
+        return self._hash
+
+
+class Perm(Element):
+    """A permutation of {0, ..., n-1} stored as its image tuple."""
+
+    __slots__ = ()
 
     def __init__(self, images):
         images = tuple(images)
@@ -43,9 +119,12 @@ class Perm:
         p._hash = None
         return p
 
+    def _from(self, images):
+        return Perm._raw(images)
+
     @classmethod
     def identity(cls, degree):
-        return cls._raw(tuple(range(degree)))
+        return cls._raw(_identity_images(degree))
 
     @classmethod
     def from_cycles(cls, degree, cycles):
@@ -62,39 +141,6 @@ class Perm:
 
     def __call__(self, point):
         return self.images[point]
-
-    def __mul__(self, other):
-        # (a * b)(x) = a(b(x))
-        a, b = self.images, other.images
-        return Perm._raw(tuple([a[x] for x in b]))
-
-    def inverse(self):
-        inv = [0] * len(self.images)
-        for i, j in enumerate(self.images):
-            inv[j] = i
-        return Perm._raw(tuple(inv))
-
-    def __pow__(self, n):
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = Perm.identity(self.degree)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def order(self):
-        n, p = 1, self
-        while not p.is_identity():
-            p = p * self
-            n += 1
-        return n
-
-    def is_identity(self):
-        return all(i == j for i, j in enumerate(self.images))
 
     def cycles(self, include_fixed=False):
         seen = [False] * self.degree
@@ -120,20 +166,6 @@ class Perm:
                 s = -s
         return s
 
-    def __eq__(self, other):
-        return isinstance(other, Perm) and self.images == other.images
-
-    def __lt__(self, other):
-        return self.images < other.images
-
-    def __le__(self, other):
-        return self.images <= other.images
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(self.images)
-        return self._hash
-
     def __repr__(self):
         cyc = self.cycles()
         if not cyc:
@@ -144,24 +176,26 @@ class Perm:
 def _grow(members, seen, gens, x, limit=CLOSURE_CAP, reject=None):
     """Grow the closure of `gens` in place to the closure of gens + [x].
 
-    The closure is held as the list `members` and the set `seen`; `gens`
-    gains x unless x is already in it. Every new element is h * x, for some
-    h in the old closure, times a word in the generators, so a breadth-first
-    search from those products that visits new elements only finds them
-    all, and each element meets each generator once (Dimino's extension by
-    one generator). Returns False, leaving the closure partial, once it
-    would pass `limit` elements or meets an element that `reject` is true
-    of; True otherwise.
+    Elements are image tuples: the closure is the list `members` plus the
+    set `seen`, and `gens` gains x unless x is already in it. Every new
+    element is h * x, for some h in the old closure, times a word in the
+    generators, so a breadth-first search from those products that visits
+    new elements only finds them all, and each element meets each generator
+    once (Dimino's extension by one generator); a product is one gather.
+    Returns False, leaving the closure partial, once it would pass `limit`
+    elements or meets a tuple that `reject` is true of; True otherwise.
     """
     if x in seen:
         return True
     gens.append(x)
+    getters = [_getter(g) for g in gens]
+    step = getters[-1:]
     old = len(members)
     at = 0
     while at < len(members):
         y = members[at]
-        for g in (x,) if at < old else gens:
-            z = y * g
+        for get in step if at < old else getters:
+            z = get(y)
             if z not in seen:
                 if len(seen) >= limit or (reject is not None and reject(z)):
                     return False
@@ -172,12 +206,13 @@ def _grow(members, seen, gens, x, limit=CLOSURE_CAP, reject=None):
 
 
 def _close(gens, identity, cap=CLOSURE_CAP):
-    """Set of all products of the generators, the given identity included."""
-    members, seen, grown = [identity], {identity}, []
+    """All products of the generators, the given identity included, sorted;
+    the closure runs on image tuples and wraps each element once."""
+    members, seen, grown = [identity.images], {identity.images}, []
     for g in gens:
-        if not _grow(members, seen, grown, g, cap):
+        if not _grow(members, seen, grown, g.images, cap):
             raise CapacityError("closure exceeded cap of %d" % cap)
-    return seen
+    return [identity._from(t) for t in sorted(members)]
 
 
 def _element_table(elements):
@@ -192,10 +227,10 @@ def _element_table(elements):
 class FiniteGroup:
     """A finite group stored as its sorted distinct elements plus generators.
 
-    Elements need only ``*``, ``inverse()``, ``is_identity()`` and an
-    ``images`` tuple that orders, hashes and composes them like a
-    permutation's, so permutations and ball automorphisms share everything
-    here: containers, the subgroup lattice, normal structure and conjugacy.
+    Elements are `Element`s, whose ``images`` tuple orders, hashes and
+    composes them like a permutation's, so permutations and ball
+    automorphisms share everything here: containers, the subgroup lattice,
+    normal structure and conjugacy.
     A subclass supplies ``identity()`` and ``_shape()``, the leading
     arguments of its constructor.
     """
@@ -392,24 +427,24 @@ def small_generating_set_of(elements, identity):
     those kept before it, growing that closure by the new generator alone.
     The closure doubles as the group check: it raises ValueError("element
     set is not a group") as soon as a product leaves the list. Like _close,
-    it serves permutations and ball automorphisms alike.
+    it serves permutations and ball automorphisms alike, on image tuples.
     """
-    elems = sorted(elements)
-    eset = set(elems)
-    if identity not in eset:
+    elems = sorted(e.images for e in elements)
+    iset = set(elems)
+    if identity.images not in iset:
         raise ValueError("element set is not a group")
-    target = len(eset)
+    target = len(iset)
     if target == 1:
         return (identity,)
     gens = []
-    members, have = [identity], {identity}
+    members, have = [identity.images], {identity.images}
     for x in elems:
         if not _grow(members, have, gens, x,
-                     reject=lambda y: y not in eset):
+                     reject=lambda y: y not in iset):
             raise ValueError("element set is not a group")
         if len(have) == target:
             break
-    return tuple(gens)
+    return tuple([identity._from(g) for g in gens])
 
 
 # ---------------------------------------------------------------------------
@@ -590,20 +625,20 @@ def normal_closure(G, seeds):
     ident = G.identity()
     ginv = [g.inverse() for g in G.generators]
     # the closure stays inside G, so _grow never reaches its cap here
-    members, have, grown = [ident], {ident}, []
+    members, have, grown = [ident.images], {ident.images}, []
     for x in gens:
-        _grow(members, have, grown, x)
+        _grow(members, have, grown, x.images)
     changed = True
     while changed:
         changed = False
         for g, gi in zip(G.generators, ginv):
             for x in list(gens):
                 y = g * x * gi
-                if y not in have:
+                if y.images not in have:
                     gens.append(y)
-                    _grow(members, have, grown, y)
+                    _grow(members, have, grown, y.images)
                     changed = True
-    return G._like(members)
+    return G._like([ident._from(t) for t in members])
 
 
 def normal_subgroups(G):
@@ -778,8 +813,8 @@ class _Table:
         self.elements = tuple(sorted(elements))
         images = [e.images for e in self.elements]
         index = {im: i for i, im in enumerate(images)}
-        self.mul = [[index[tuple([a[x] for x in b])] for b in images]
-                    for a in images]
+        getters = [_getter(b) for b in images]
+        self.mul = [[index[get(a)] for get in getters] for a in images]
         self.inv = [index[e.inverse().images] for e in self.elements]
         self.e = 0
 

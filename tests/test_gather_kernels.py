@@ -1,0 +1,54 @@
+"""Gluing keys and the document serializer, built by tuple gathers, against
+the object route: charts read off the recursive reference in
+recursive_balls.py, and the word table of `BallAut.to_wordmap`."""
+
+import json
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from recursive_balls import RecursiveBallAut
+from treeball.balls import BallAut, _need_key, _offer_key, random_ball_aut
+from treeball.documents import _aut_to_json, _word_str
+
+DRAWS = (st.integers(min_value=0, max_value=2 ** 32),
+         st.sampled_from([3, 4]), st.integers(min_value=2, max_value=4))
+
+
+def object_keys(aut, w):
+    """The (offer, need) keys of `aut` at neighbour w, from the recursive
+    reference's root and child at w, each rebuilt from its word table."""
+    rec = RecursiveBallAut.from_wordmap(aut.degree, aut.radius,
+                                        aut.to_wordmap())
+    r = aut.radius - 1
+    root = BallAut.from_wordmap(aut.degree, r, rec.root.to_wordmap())
+    chart = BallAut.from_wordmap(aut.degree, r, rec.children[w].to_wordmap())
+    return (root.images, chart.images), (chart.images, root.images)
+
+
+def wordmap_json(aut):
+    """The word table as digit strings, in sorted vertex order."""
+    return {_word_str(v): _word_str(img)
+            for v, img in sorted(aut.to_wordmap().items())}
+
+
+@settings(max_examples=40, deadline=None)
+@given(*DRAWS)
+def test_gluing_keys_match_the_object_route(seed, degree, radius):
+    aut = random_ball_aut(degree, radius, random.Random(seed))
+    for w in range(degree):
+        offer, need = object_keys(aut, w)
+        assert _offer_key(aut, w) == offer
+        assert _need_key(aut, w) == need
+        assert aut.children[w].images == offer[1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(*DRAWS)
+def test_serializer_matches_the_word_table(seed, degree, radius):
+    aut = random_ball_aut(degree, radius, random.Random(seed))
+    got, want = _aut_to_json(aut), wordmap_json(aut)
+    assert got == want
+    assert (json.dumps(got, sort_keys=True)
+            == json.dumps(want, sort_keys=True))

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import perm_shadow
 import reclosing
+from treeball import permcore
 from treeball.balls import BallAut, BallGroup, full_aut, random_ball_aut
 from treeball.compat import find_involutive_cocycles
 from treeball.errors import CapacityError
@@ -82,26 +83,47 @@ def test_lattice_subgroups_keep_the_greedy_generators():
         assert group == rebuilt
 
 
-def test_grow_visits_each_element_and_generator_once():
-    products = []
+def test_grow_visits_each_element_and_generator_once(monkeypatch):
+    # _grow multiplies image tuples by gathers from permcore._getter; count
+    # the gathers made, not Perm products, of which the kernel makes none
+    gens = [g.images for g in PermGroup.symmetric(5).generators]
+    gathers = []
+    make = permcore._getter
 
-    class Counted(Perm):
-        __slots__ = ()
+    def counting(images):
+        get = make(images)
 
-        def __mul__(self, other):
-            products.append(1)
-            return Counted._raw(tuple([self.images[x] for x in other.images]))
+        def counted(t):
+            gathers.append(1)
+            return get(t)
+        return counted
 
-    gens = [Counted(g.images) for g in PermGroup.symmetric(5).generators]
-    ident = Counted(range(5))
+    monkeypatch.setattr(permcore, "_getter", counting)
+    ident = tuple(range(5))
     members, seen, grown = [ident], {ident}, []
     for g in gens:
         assert _grow(members, seen, grown, g)
     assert len(members) == len(seen) == 120
     # the identity and its 4 new powers times the 5-cycle, then the 5 old
     # members times the transposition and the 115 new ones times both
-    assert len(products) == 1 + 4 + 5 + 2 * 115
+    assert len(gathers) == 1 + 4 + 5 + 2 * 115
     assert not _grow([ident], {ident}, [], gens[0], limit=3)
+
+
+def test_gathers_on_one_and_two_points():
+    # itemgetter of one index returns a bare entry; the getter must not
+    assert permcore._getter((0,))((7,)) == (7,)
+    assert permcore._getter(())((7,)) == ()
+    e1 = Perm.identity(1)
+    assert (e1 * e1).images == (0,)
+    assert e1 * e1 == e1 == e1.inverse() == e1 ** 3
+    assert e1.order() == 1
+    assert PermGroup.symmetric(1).elements == (e1,)
+    t = Perm((1, 0))
+    s2 = PermGroup.symmetric(2)
+    assert s2.elements == (Perm.identity(2), t)
+    assert t * t == Perm.identity(2) and t.order() == 2 and t ** -1 == t
+    assert PermGroup.from_elements(s2.elements).generators == (t,)
 
 
 def test_close_raises_past_its_cap():
