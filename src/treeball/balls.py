@@ -125,38 +125,64 @@ def _chart_tables(degree, radius):
     """Index tables between the ball and its charts at the neighbours.
 
     For each neighbour w: ``gather[w][j]`` is the point that the j-th word of
-    the radius ``r - 1`` ball reaches from w, ``local[w][i]`` is point i read
-    from w (-1 when out of reach), and ``tails[w]`` lists, in ball_points
-    order, the local words of the sphere points starting with w; ``getters[w]``
-    gathers ``gather[w]`` from an image tuple. The local word (w,) leads back
-    to the center; there ``gather`` holds w and ``local[w][w]`` holds w, so the
-    center still lands on the local index of the image neighbour.
+    the radius ``r - 1`` ball reaches from w, and ``local[w][i]`` is point i
+    read from w (-1 when out of reach); ``getters[w]`` gathers ``gather[w]``
+    from an image tuple. The local word (w,) leads back to the center; there
+    ``gather`` holds w and ``local[w][w]`` holds w, so the center still lands
+    on the local index of the image neighbour.
     """
     pts = ball_points(degree, radius)
     inner = _point_index(degree, radius - 1)
     index = _point_index(degree, radius)
-    gather, local, tails = [], [], []
+    gather, local = [], []
     for w in range(degree):
         gather.append(tuple(index.get(follow((w,), u), w)
                             for u in ball_points(degree, radius - 1)))
         loc = [inner.get(word_path((w,), p), -1) for p in pts]
         loc[w] = w
         local.append(tuple(loc))
-        tails.append(tuple(inner[p[1:]] for p in pts
-                           if len(p) == radius and p[0] == w))
-    return tuple(gather), tuple(local), tuple(tails), tuple(map(_getter, gather))
+    return tuple(gather), tuple(local), tuple(map(_getter, gather))
+
+
+@functools.lru_cache(maxsize=None)
+def _assembly_table(degree, radius, k):
+    """Index tables that glue radius-k charts into one map of the ball.
+
+    Sites are the words of length at most radius - k, center first. The
+    center's chart gives the points up to length k, and each later site v,
+    in order, the points k steps past v. ``sites`` holds (index, last letter)
+    of each later site, ``tails[x]`` the chart's sphere points not starting
+    with x, and ``reach[i][j]`` the point chart point j reaches out from
+    point i (-1 for none).
+    """
+    index = _point_index(degree, radius)
+    chart = ball_points(degree, k)
+    pts = ball_points(degree, radius - k)
+    sites = tuple((index[v], v[-1]) for v in pts)
+    tails = tuple(tuple(j for j, u in enumerate(chart)
+                        if len(u) == k and u[0] != x) for x in range(degree))
+    reach = tuple(tuple(index.get(v + u, -1) for u in chart) for v in pts)
+    return sites, tails, reach
+
+
+def _assemble(radius, center, charts):
+    """Image tuple of the ball map glued from charts, by gathers.
+
+    `center` is the center's chart, and `charts` lists the later sites' charts
+    of the same shape in site order, each gluing to its parent site's chart.
+    A site's points are its chart's images moved out from the site's image.
+    """
+    sites, tails, reach = _assembly_table(center.degree, radius, center.radius)
+    images = list(center.images)
+    for (site, back), chart in zip(sites, charts):
+        out, cim = reach[images[site]], chart.images
+        images.extend([out[cim[j]] for j in tails[back]])
+    return tuple(images)
 
 
 def _glue_images(root, children):
     """Image tuple of the map built from a root and one child per neighbour."""
-    gather, _, tails, _ = _chart_tables(root.degree, root.radius + 1)
-    rim = root.images
-    images = list(rim)
-    for w, child in enumerate(children):
-        out = gather[rim[w]]
-        cim = child.images
-        images.extend([out[cim[j]] for j in tails[w]])
-    return tuple(images)
+    return _assemble(root.radius + 1, root, children)
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +285,7 @@ class BallAut(Element):
 
     def _chart(self, w, radius):
         # the automorphism induced around neighbour w, up to `radius`
-        gather, local, _, _ = _chart_tables(self.degree, self.radius)
+        gather, local, _ = _chart_tables(self.degree, self.radius)
         im = self.images
         loc = local[im[w]]
         n = len(ball_points(self.degree, radius))
@@ -298,6 +324,21 @@ class BallAut(Element):
             a = a._chart(x, radius + len(vertex) - 1 - i)
         return a.project(radius)
 
+    def step_action(self, vertex):
+        """``local_action(vertex, 1).root`` for an inner vertex, read off the
+        assembly table: the last letters of the images of its neighbours."""
+        vertex = tuple(vertex)
+        if not vertex:
+            return self.level1()
+        i = _point_index(self.degree, self.radius - 1).get(vertex)
+        if i is None:
+            raise ValueError("not an inner vertex of the ball: %r" % (vertex,))
+        # the letter back to the parent reaches no point; the vertex's own
+        # image ends in where that label goes
+        row = _assembly_table(self.degree, self.radius, 1)[2][i]
+        pts, im = ball_points(self.degree, self.radius), self.images
+        return Perm._raw(tuple([pts[im[i if j < 0 else j]][-1] for j in row]))
+
     def apply(self, word):
         """Image of the vertex addressed by `word`."""
         word = tuple(word)
@@ -322,6 +363,13 @@ class BallAut(Element):
         if (self.degree, self.radius) != (other.degree, other.radius):
             raise ValueError("mismatched ball shapes")
         return Element.__mul__(self, other)
+
+    def __eq__(self, other):
+        # at one degree, automorphisms with as many images share a radius
+        return (type(other) is type(self) and self.images == other.images
+                and self.degree == other.degree)
+
+    __hash__ = Element.__hash__
 
     def __repr__(self):
         if self.radius == 1:
@@ -398,7 +446,7 @@ def _rebuild(degree, radius, mapping):
 
 def _root_and_chart(aut, w):
     # image tuples of aut.root and of aut._chart(w, radius - 1), as gathers
-    _, local, _, getters = _chart_tables(aut.degree, aut.radius)
+    _, local, getters = _chart_tables(aut.degree, aut.radius)
     im = aut.images
     chart = getters[w](im)
     return im[:len(chart)], _getter(chart)(local[im[w]])

@@ -252,11 +252,8 @@ def build_parity_lift(F, weight, modulus, spheres, radius=None,
     for alpha in ambient.elements:
         total = 0
         for r in spheres:
-            if r == 0:
-                total += weight[alpha.level1()]
-            else:
-                for v in words_of_length(F.degree, r):
-                    total += weight[alpha.local_action(v, 1).root]
+            for v in words_of_length(F.degree, r):
+                total += weight[alpha.step_action(v)]
         if total % modulus == 0:
             elems.append(alpha)
     return BallGroup.from_elements(elems)

@@ -45,8 +45,9 @@ class Element:
     """Algebra shared by elements stored as one image tuple.
 
     ``images[i]`` is the image of point i, and (a * b)(x) = a(b(x)). Hashing,
-    ordering and every product work on the tuple. A subclass supplies
-    ``degree`` and ``_from(images)``, an element of its own kind and shape.
+    equality, ordering and every product work on the tuple. A subclass
+    supplies ``degree`` and ``_from(images)``, an element of its own kind and
+    shape, and extends equality if the tuple does not fix that shape.
     """
 
     __slots__ = ("images", "_hash")
@@ -83,9 +84,7 @@ class Element:
         return self.images == _identity_images(len(self.images))
 
     def __eq__(self, other):
-        # at one degree, ball automorphisms with as many images share a radius
-        return (type(other) is type(self) and self.images == other.images
-                and self.degree == other.degree)
+        return type(other) is type(self) and self.images == other.images
 
     def __lt__(self, other):
         return self.images < other.images

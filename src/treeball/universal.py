@@ -8,6 +8,12 @@ groups its kernel leaves on the boundary, and whether the completion is
 discrete. The label-respecting isometries of the labelled tree round out the
 geometric side; they are the translations and inversions every such
 completion contains.
+
+A restriction to radius R is assembled from one radius-k chart per site (a
+word of length at most R - k) by gathers through ``balls._assembly_table``,
+cached per (degree, R, k): the center's chart gives the image tuple up to
+length k, and each later site v the points k steps past v, its chart's
+images moved out from v's image. Gluing a root to its children is R = k + 1.
 """
 
 from __future__ import annotations
@@ -16,6 +22,9 @@ from .balls import (
     MATERIALIZE_CAP,
     BallAut,
     BallGroup,
+    _assemble,
+    _parents,
+    ball_compatible,
     ball_points,
     follow,
     words_of_length,
@@ -61,14 +70,8 @@ def _restriction_count(group, radius, stabilizer_only):
     if not stabilizer_only:
         raise HypothesisError(
             "only restrictions fixing the center are countable here")
+    _require_gluing(group, radius, "restriction counting does not factor")
     k = group.radius
-    if radius < k:
-        raise HypothesisError("radius must be at least the group's own")
-    failure = first_compat_failure(group, generators_only=True)
-    if failure is not None:
-        raise HypothesisError(
-            "gluing fails at direction %d, so restriction counting does not "
-            "factor" % failure[1])
     ident = group.identity()
     fiber = [len(compat_set(group, ident, w)) for w in range(group.degree)]
     total = group.order
@@ -82,6 +85,15 @@ def _restriction_count(group, radius, stabilizer_only):
     return total, factors
 
 
+def _require_gluing(group, radius, consequence):
+    if radius < group.radius:
+        raise HypothesisError("radius must be at least the group's own")
+    failure = first_compat_failure(group, generators_only=True)
+    if failure is not None:
+        raise HypothesisError("gluing fails at direction %d, so %s"
+                              % (failure[1], consequence))
+
+
 def iter_extensions(group, radius):
     """Yield every ball map of `radius` whose local actions lie in `group`.
 
@@ -90,17 +102,10 @@ def iter_extensions(group, radius):
     full map assembled only at the leaves. Order of the stream is the sorted
     order of the assignment choices, not of the resulting maps.
     """
-    k = group.radius
-    if radius < k:
-        raise HypothesisError("radius must be at least the group's own")
-    if radius == k:
+    if radius == group.radius:
         yield from group.elements
         return
-    failure = first_compat_failure(group, generators_only=True)
-    if failure is not None:
-        raise HypothesisError(
-            "gluing fails at direction %d, so extensions may not exist"
-            % failure[1])
+    _require_gluing(group, radius, "extensions may not exist")
     for root in group.elements:
         yield from _extensions_of_seed(group, root, radius)
 
@@ -113,49 +118,41 @@ def extend_to_ball(group, seed, radius, chooser="deterministic"):
     distinct extensions of the seed. Either way the result restricts to the
     seed on the inner ball.
     """
-    k = group.radius
-    if radius < k:
-        raise HypothesisError("radius must be at least the group's own")
+    _require_gluing(group, radius, "extensions may not exist")
     if seed not in group:
         raise HypothesisError("the seed must belong to the group")
-    failure = first_compat_failure(group, generators_only=True)
-    if failure is not None:
-        raise HypothesisError(
-            "gluing fails at direction %d, so extensions may not exist"
-            % failure[1])
     if chooser == "deterministic":
-        if radius == k:
-            return seed
-        assignments = {(): seed}
-        for v in ball_points(group.degree, radius - k):
-            if not v:
-                continue
-            fiber = compat_set(group, assignments[v[:-1]], v[-1])
-            assignments[v] = fiber[0]
-        return assemble_extension(group.degree, radius, assignments)
+        # every fiber is nonempty, so the first extension takes the least
+        # compatible chart at every site
+        return next(_extensions_of_seed(group, seed, radius))
     if chooser == "exhaustive":
         return _extensions_of_seed(group, seed, radius)
     raise ValueError("chooser must be 'deterministic' or 'exhaustive'")
 
 
 def _extensions_of_seed(group, seed, radius):
+    # sites are the words of length at most radius - k, center first, so a
+    # site's number is its ball_points index plus one
     k = group.radius
     if radius == k:
         yield seed
         return
-    sites = [v for v in ball_points(group.degree, radius - k) if v]
+    d, depth = group.degree, radius - k
+    sites = [(v[-1], p + 1)
+             for v, p in zip(ball_points(d, depth), _parents(d, depth))]
+    charts = [seed] * (len(sites) + 1)
 
-    def descend(assignments, i):
+    def descend(i):
         if i == len(sites):
-            yield assemble_extension(group.degree, radius, assignments)
+            yield BallAut.from_images(d, radius,
+                                      _assemble(radius, seed, charts[1:]))
             return
-        v = sites[i]
-        for choice in compat_set(group, assignments[v[:-1]], v[-1]):
-            assignments[v] = choice
-            yield from descend(assignments, i + 1)
-        del assignments[v]
+        direction, parent = sites[i]
+        for choice in compat_set(group, charts[parent], direction):
+            charts[i + 1] = choice
+            yield from descend(i + 1)
 
-    yield from descend({(): seed}, 0)
+    yield from descend(0)
 
 
 def pk_local_action(group, target_radius, cap=None):
@@ -190,34 +187,37 @@ def assemble_extension(degree, radius, assignments):
     """Glue charts into one ball map.
 
     `assignments` maps each word of length at most radius-k (k the charts'
-    radius) to the chart at that vertex. Adjacent charts must glue, which the
-    resulting map's validity witnesses; the assembled map acts on a prefix by
-    following one letter at a time through the chart owning that step.
+    radius) to the chart at that vertex. Every chart must glue to its
+    parent's chart along the edge between them; the first site and direction
+    where one does not, or a missing site, raises ValueError. The map is then
+    assembled by one gather per site.
     """
-    charts = dict(assignments)
-    k = next(iter(charts.values())).radius
+    if () not in assignments:
+        raise ValueError("no chart at the center")
+    center = assignments[()]
+    k = center.radius
+    if center.degree != degree or radius < k:
+        raise ValueError("charts must have the ball's degree and at most "
+                         "its radius")
+    charts = []
+    for v in ball_points(degree, radius - k):
+        if v not in assignments:
+            raise ValueError("no chart at site %r" % (v,))
+        if not ball_compatible(assignments[v[:-1]], assignments[v], v[-1]):
+            raise ValueError("charts do not glue at site %r in direction %d"
+                             % (v[:-1], v[-1]))
+        charts.append(assignments[v])
+    return BallAut.from_images(degree, radius,
+                               _assemble(radius, center, charts))
 
-    def one_step_action(v):
-        head, tail = v[:radius - k], v[radius - k:]
-        return charts[head].local_action(tail, 1).root
 
-    mapping = {}
-    for w in ball_points(degree, radius):
-        img = ()
-        for j, letter in enumerate(w):
-            img = follow(img, (one_step_action(w[:j])(letter),))
-        mapping[w] = img
-    return BallAut.from_wordmap(degree, radius, mapping)
-
-
-def seam_groups(group, level1=None):
+def seam_groups(group):
     """The one-step actions at depth k-1 of maps restricting to the identity.
 
     Returns a mapping from each word of length k-1 to the permutation group
     formed there by the kernel of restriction-to-the-inner-ball. Each seam
     group sits subnormally, with depth at most k-1, inside the stabilizer of
-    the word's last letter in the one-step local group; `level1` overrides
-    the default local group (the closure of all one-step actions).
+    the word's last letter in the one-step local group (`local_action_group`).
     """
     k = group.radius
     if k < 2:
@@ -225,7 +225,7 @@ def seam_groups(group, level1=None):
     kernel = group.projection_kernel()
     out = {}
     for w in words_of_length(group.degree, k - 1):
-        perms = {g.local_action(w, 1).root for g in kernel}
+        perms = {g.step_action(w) for g in kernel}
         out[w] = PermGroup.from_elements(sorted(perms), group.degree)
     return out
 
@@ -234,10 +234,8 @@ def local_action_group(group):
     """The closure of every one-step local action of the group's elements."""
     perms = set()
     for g in group.generators:
-        perms.add(g.level1())
-        for v in ball_points(group.degree, group.radius - 1):
-            if v:
-                perms.add(g.local_action(v, 1).root)
+        for v in ((),) + ball_points(group.degree, group.radius - 1):
+            perms.add(g.step_action(v))
     return PermGroup.generated(sorted(perms), group.degree)
 
 

@@ -1,0 +1,140 @@
+"""Extension assembly by the cached index table, against the word-walking
+reference in walk_assembly.py; charts that do not glue; one-step actions
+read off the step table; and equality of the two element kinds."""
+
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import walk_assembly
+from treeball.balls import (BallAut, BallGroup, ball_compatible, ball_points,
+                            random_ball_aut)
+from treeball.compat import check_compatibility
+from treeball.errors import HypothesisError
+from treeball.permcore import Perm, PermGroup
+from treeball.universal import (assemble_extension, count_restrictions,
+                                extend_to_ball, iter_extensions)
+
+
+def assert_streams_match(group, radius):
+    """iter_extensions and both extend_to_ball choosers equal the reference,
+    element for element and in order."""
+    want = list(walk_assembly.iter_extensions(group, radius))
+    assert list(iter_extensions(group, radius)) == want
+    exhaustive = []
+    for seed in group.elements:
+        exhaustive.extend(extend_to_ball(group, seed, radius, "exhaustive"))
+        assert (extend_to_ball(group, seed, radius)
+                == walk_assembly.extend_least(group, seed, radius))
+    assert exhaustive == want
+    return want
+
+
+def test_census_classes_stream_as_the_reference(census_rows):
+    for row in census_rows:
+        k = row.group.radius
+        stream = assert_streams_match(row.group, k + 1)
+        assert len(stream) == count_restrictions(row.group, k + 1)
+
+
+def test_rigid_lifts_stream_as_the_reference_two_steps_out(gamma_s3,
+                                                           delta_s3, phi_a3):
+    for group in (gamma_s3, delta_s3, phi_a3):
+        stream = assert_streams_match(group, group.radius + 2)
+        assert len(stream) == group.order
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 32),
+       st.sampled_from([(3, 1, 2), (3, 1, 3), (3, 2, 3), (4, 1, 2)]),
+       st.integers(min_value=1, max_value=2))
+def test_random_groups_stream_as_the_reference(seed, shape, ngens):
+    degree, k, radius = shape
+    rng = random.Random(seed)
+    group = BallGroup.generated(
+        [random_ball_aut(degree, k, rng) for _ in range(ngens)])
+    if not check_compatibility(group, generators_only=True):
+        with pytest.raises(HypothesisError):
+            next(iter_extensions(group, radius))
+        return
+    if count_restrictions(group, radius) > 1000:
+        return
+    assert_streams_match(group, radius)
+
+
+def random_chart_sets(rng, count):
+    """Independent random charts at the center and its neighbours."""
+    for _ in range(count):
+        charts = {(): random_ball_aut(3, 2, rng)}
+        for w in range(3):
+            charts[(w,)] = random_ball_aut(3, 2, rng)
+        yield charts
+
+
+def test_charts_that_do_not_glue_raise():
+    refused = 0
+    for charts in random_chart_sets(random.Random(1), 300):
+        bad = [w for w in range(3)
+               if not ball_compatible(charts[()], charts[(w,)], w)]
+        if not bad:
+            continue
+        with pytest.raises(ValueError,
+                           match=r"site \(\) in direction %d$" % bad[0]):
+            assemble_extension(3, 3, charts)
+        refused += 1
+    assert refused == 300
+
+
+def test_missing_charts_raise_value_errors():
+    g = random_ball_aut(3, 3, random.Random(2))
+    charts = {(): g.project(2), (0,): g.local_action((0,), 2),
+              (2,): g.local_action((2,), 2)}
+    with pytest.raises(ValueError, match=r"no chart at site \(1,\)"):
+        assemble_extension(3, 3, charts)
+    with pytest.raises(ValueError, match="no chart at the center"):
+        assemble_extension(3, 3, {(0,): g.project(2)})
+    with pytest.raises(ValueError):
+        assemble_extension(4, 3, charts)
+
+
+def test_streaming_builds_no_chart_objects(monkeypatch, phi_s3):
+    def refuse(*args, **kwargs):
+        raise AssertionError("assembly went through chart objects")
+
+    monkeypatch.setattr(BallAut, "local_action", refuse)
+    monkeypatch.setattr(BallAut, "from_wordmap", refuse)
+    stream = list(iter_extensions(phi_s3, 3))
+    assert len(stream) == len(set(stream)) == 3072
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 32),
+       st.sampled_from([3, 4]), st.integers(min_value=1, max_value=4))
+def test_step_actions_are_one_step_local_actions(seed, degree, radius):
+    g = random_ball_aut(degree, radius, random.Random(seed))
+    for v in ((),) + ball_points(degree, radius - 1):
+        # image tuples: a broken table need not give a permutation to print
+        assert g.step_action(v).images == g.local_action(v, 1).root.images
+    for outside in [ball_points(degree, radius)[-1], (0, 0)]:
+        with pytest.raises(ValueError):
+            g.step_action(outside)
+
+
+def test_permutations_compare_by_images():
+    p = Perm((1, 0, 2))
+    assert p == Perm((1, 0, 2)) and hash(p) == hash(Perm((1, 0, 2)))
+    assert p != Perm((0, 1, 2))
+    assert p != BallAut(p) and BallAut(p) != p
+    assert len({p, Perm((1, 0, 2)), PermGroup.symmetric(3).identity()}) == 2
+
+
+def test_ball_automorphisms_compare_by_degree_and_images():
+    a, b = BallAut.identity(3, 2), BallAut.identity(9, 1)
+    assert a.images == b.images
+    assert a != b and not a == b
+    assert a == BallAut.identity(3, 2)
+    assert hash(a) == hash(BallAut.identity(3, 2))
+    assert len({a, b, BallAut.identity(3, 2)}) == 2
+    assert {a: 1}[BallAut.identity(3, 2)] == 1

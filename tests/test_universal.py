@@ -209,12 +209,13 @@ def test_extend_to_ball_deterministic_and_exhaustive(phi_s3, gamma_s3):
 
 def test_assemble_extension_round_trip():
     rng = random.Random(13)
-    for _ in range(10):
-        g = random_ball_aut(3, 3, rng)
-        charts = {(): g.project(2)}
-        for w in range(3):
-            charts[(w,)] = g.local_action((w,), 2)
-        assert assemble_extension(3, 3, charts) == g
+    for radius in (3, 4):
+        for _ in range(10):
+            g = random_ball_aut(3, radius, rng)
+            charts = {(): g.project(2)}
+            for v in ball_points(3, radius - 2):
+                charts[v] = g.local_action(v, 2)
+            assert assemble_extension(3, radius, charts) == g
 
 
 def test_pk_local_action_levels(s3, gamma_s3, pi_one, phi_s3):
