@@ -10,16 +10,21 @@ are trivial extends in at most one way.
 Everything here works with explicit element lists; fibers are resolved
 through hash buckets rather than pairwise scans, which keeps the fixpoint
 computation below quadratic in practice.
+
+Compatibility cocycles are the homomorphic sections of the lifted group one
+radius up. At degree 3 its kernel over F is elementary abelian, and the
+sections are solved for as one affine system over GF(2) whose unknowns are
+kernel bitmasks, one per generator; at higher degree they are searched.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .balls import (BallAut, BallGroup, _need_key, _offer_key,
+from .balls import (BallAut, BallGroup, _glue_images, _need_key, _offer_key,
                     ball_compatible, ball_points)
 from .errors import HypothesisError
-from .permcore import _grow
+from .permcore import _getter, _grow
 
 
 def _buckets(group, direction):
@@ -214,33 +219,36 @@ def canonical_cocycle(group):
 
 
 def find_involutive_cocycles(group, validate=True, generators=None):
-    """All involutive choice maps on the group, deduplicated.
+    """All involutive choice maps on the group, sorted by table.
 
-    Any coherent choice map is determined by its values on a generating set:
-    the section it induces generates a subgroup one radius up that projects
-    bijectively back. The search therefore branches over fiber choices for
-    the generators. Each prefix of choices hands its closure, held as image
-    tuples, down, and the next choice grows a copy of it by that one lift
-    (permcore._grow), so no prefix is closed from scratch. A prefix dies as
-    soon as its closure grows past the group order or picks up an element
-    acting trivially on the inner ball, since a faithful projection allows
-    neither. Groups with rigid fibers short-circuit to their unique map.
+    A coherent choice map is a homomorphic section of the lifted group one
+    radius up, fixed by its values on the generators; a rigid group has one,
+    `canonical_cocycle`. At degree 3 the sections solve one affine GF(2)
+    system (`_cocycle_system`): an inconsistent system means none, and each
+    solution must be involutive on the generators before its table is built
+    and checked in full. At higher degree the kernel is not abelian, and a
+    search grows one closure of lifts a generator at a time (permcore._grow),
+    dropping a prefix whose closure passes the group order or meets the
+    kernel, since a faithful projection allows neither.
     """
     if first_compat_failure(group, generators_only=True) is not None:
         return []
     if check_trivial_seams(group):
         coc = canonical_cocycle(group)
-        if not _table_involutive(coc.table):
-            return []
-        return [coc]
+        return [coc] if _table_involutive(coc.table) else []
+    gens = [g for g in generators or group.generators if not g.is_identity()]
+    solve = _solved_tables if group.degree == 3 else _searched_tables
+    tables = solve(group, gens)
+    out = [CompatCocycle(group, table, validate=validate)
+           for table in tables if _table_involutive(table)]
+    out.sort(key=lambda c: c.table_key())
+    return out
 
+
+def _searched_tables(group, gens):
     d = group.degree
     ident = BallAut.identity(d, group.radius + 1)
     target = group.order
-
-    if generators is None:
-        generators = group.generators
-    gens = [g for g in generators if not g.is_identity()]
     options = []
     for g in gens:
         g_order = g.order()
@@ -278,7 +286,7 @@ def find_involutive_cocycles(group, validate=True, generators=None):
     # Each closure is the lifted group itself: its elements, wrapped only
     # here, are the sections, so they list the whole table, and distinct
     # closures give distinct tables.
-    out = []
+    tables = []
     for closed in found:
         table = {}
         for h in map(ident._from, closed):
@@ -287,10 +295,100 @@ def find_involutive_cocycles(group, validate=True, generators=None):
                 break
             for w, child in enumerate(h.children):
                 table[(a, w)] = child
-        if len(table) == target * d and _table_involutive(table):
-            out.append(CompatCocycle(group, table, validate=validate))
-    out.sort(key=lambda c: c.table_key())
-    return out
+        if len(table) == target * d:
+            tables.append(table)
+    return tables
+
+
+def _cocycle_system(group, gens):
+    """The degree-3 sections of the lifted group as one GF(2) system.
+
+    Bit j of a kernel element one radius up swaps the two children of the
+    j-th sphere vertex, the points kids[j] and kids[j] + 1. With one lift
+    t(g) per generator, the unknowns are the k_g in K_F with s(g) = t(g) k_g;
+    bit m * dim + i is the i-th basis coordinate of the m-th one. A
+    breadth-first Schreier tree writes s(x) = T(x) kappa(x) with T(xg) =
+    T(x) t(g) and kappa(xg) = kappa(x)^t(g) + k_g, conjugation permuting the
+    bits; every other edge asks kappa(y) + kappa(x)^t(g) + k_g to be the
+    bits of T(y)^-1 T(x) t(g).
+
+    Returns (dim K_F, rank, particular, null basis, lifts), rank and
+    particular None when the system is inconsistent; lifts maps the image
+    tuple of each x to (T(x), kappa(x)), one unknown mask per bit.
+    """
+    d, r = group.degree, group.radius
+    ident, up = group.identity(), BallAut.identity(d, r + 1).images
+    lo, kids = len(ball_points(d, r - 1)), range(len(ident.images), len(up), 2)
+    basis = []
+    for w in range(d):
+        for b in compat_set(group, ident, w):
+            h = _glue_images(ident, [b if v == w else ident for v in range(d)])
+            v = sum(1 << j for j, c in enumerate(kids) if h[c] != up[c])
+            for e in basis:
+                v = min(v, v ^ e)
+            if v:
+                basis = sorted(basis + [v], reverse=True)
+    dim = len(basis)
+    steps = []
+    for m, g in enumerate(gens):
+        t = _glue_images(g, [compat_set(group, g, w)[0] for w in range(d)])
+        form = [sum(1 << (m * dim + i) for i, e in enumerate(basis)
+                    if e >> j & 1) for j in range(len(kids))]
+        perm = [g.images[lo + j] - lo for j in range(len(kids))]
+        steps.append((_getter(g.images), _getter(t), perm, form))
+    lifts = {ident.images: (up, (0,) * len(kids))}
+    queue, rows = [ident.images], set()
+    for x in queue:
+        tx, kx = lifts[x]
+        for g, t, perm, form in steps:
+            y, ty = g(x), t(tx)
+            ky = tuple([kx[p] ^ f for p, f in zip(perm, form)])
+            if y not in lifts:
+                lifts[y] = (ty, ky)
+                queue.append(y)
+                continue
+            ty0, ky0 = lifts[y]
+            for a, b, c in zip(ky0, ky, kids):
+                rows.add((a ^ b) << 1 | (ty[c] != ty0[c]))
+    # the solutions stay particular + span(null); a row cutting the span
+    # spends one null vector, a row the span misses must already hold
+    particular, null = 0, [1 << i for i in range(dim * len(gens))]
+    for row in rows:
+        hit = [v for v in null if (row >> 1 & v).bit_count() & 1]
+        if hit:
+            if ((row >> 1 & particular).bit_count() ^ row) & 1:
+                particular ^= hit[0]
+            null = [v ^ hit[0] if v in hit else v
+                    for v in null if v != hit[0]]
+        elif ((row >> 1 & particular).bit_count() ^ row) & 1:
+            return dim, None, None, [], lifts
+    return dim, dim * len(gens) - len(null), particular, null, lifts
+
+
+def _solved_tables(group, gens):
+    _, _, particular, null, lifts = _cocycle_system(group, gens)
+    if particular is None:
+        return []
+    d, r = group.degree, group.radius
+    kids = range(len(ball_points(d, r)), len(ball_points(d, r + 1)), 2)
+
+    def section(x, u):
+        tx, kx = lifts[x]
+        out = list(tx)
+        for k, c in zip(kx, kids):
+            if (k & u).bit_count() & 1:
+                out[c], out[c + 1] = tx[c + 1], tx[c]
+        return BallAut._raw(d, r + 1, tuple(out))
+
+    # a Gray-code walk over particular + span(null), one flip per step
+    tables, u = [], particular
+    for i in range(1 << len(null)):
+        u ^= null[(i & -i).bit_length() - 1] if i else 0
+        if all(section(section(g.images, u)._chart(w, r).images, u)
+               ._chart(w, r) == g for g in gens for w in range(d)):
+            tables.append({(a, w): b for a in group.elements
+                           for w, b in enumerate(section(a.images, u).children)})
+    return tables
 
 
 def _table_involutive(table):

@@ -16,6 +16,7 @@ from .balls import (
     MATERIALIZE_CAP,
     BallAut,
     BallGroup,
+    _glue_images,
     ball_compatible,
     words_of_length,
 )
@@ -194,7 +195,8 @@ def _one_step_full_lift(group, cap):
     for a in group.elements:
         fibers = [compat_set(group, a, w) for w in range(d)]
         for combo in itertools.product(*fibers):
-            elems.append(BallAut(a, combo))
+            elems.append(BallAut._raw(d, a.radius + 1,
+                                      _glue_images(a, combo)))
     lifted = BallGroup.from_elements(elems)
     return _check_order(lifted, expected, "full lift")
 

@@ -150,7 +150,7 @@ class Perm(Element):
             cyc = [start]
             seen[start] = True
             x = self.images[start]
-            while x != start:
+            while not seen[x]:  # also ends on a raw tuple that is no bijection
                 cyc.append(x)
                 seen[x] = True
                 x = self.images[x]

@@ -312,6 +312,17 @@ def test_cd_lifts_reports_two_new_classes(runner):
     assert orders == [24, 48]
 
 
+@pytest.mark.slow
+def test_cocycles_of_the_radius_three_full_lift(runner, tmp_path):
+    doc = str(tmp_path / "full-lift-s3-r3.json")
+    res = runner.invoke(main, ["construct", "full-lift", "S3", "--radius", "3",
+                               "--out", doc])
+    assert res.exit_code == 0, res.output
+    res = runner.invoke(main, ["cocycles", "--in", doc, "--expect", "no"])
+    assert res.exit_code == 0, res.output
+    assert res.output == "involutive cocycles: 0\n"
+
+
 def test_stdout_digests_match_golden(runner, tmp_path):
     # element order and generator choice in these outputs come from sorting
     # and hashing ball automorphisms; a change there shows up as new bytes

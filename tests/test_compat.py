@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 import perm_shadow
 import reclosing
 from treeball.balls import BallAut, BallGroup, ball_compatible
-from treeball.compat import (CompatCocycle, canonical_cocycle,
+from treeball.compat import (CompatCocycle, _cocycle_system, canonical_cocycle,
                              check_compatibility, check_trivial_seams,
                              compat_set, compatibility_core,
                              find_involutive_cocycles, first_compat_failure,
                              joint_compat_set, seam_witness)
-from treeball.constructions import build_parity_lift
+from treeball.constructions import build_full_lift, build_parity_lift
 from treeball.errors import HypothesisError
 from treeball.permcore import Perm, PermGroup, all_subgroups
 
@@ -149,6 +149,55 @@ def test_cocycle_counts_across_the_degree_three_landscape(
     assert len(find_involutive_cocycles(pi_one)) == 8
     assert len(find_involutive_cocycles(pi_both)) == 0
     assert len(find_involutive_cocycles(phi_s3)) == 0
+
+
+# (dim K_F, rank, solution dimension) of the degree-3 cocycle system over the
+# census classes; an inconsistent system has neither rank nor solutions
+CENSUS_SYSTEMS = {
+    "full-lift(A_3)": (0, 0, 0),
+    "diagonal(S_3)": (0, 0, 0),
+    "centered(S_3)": (0, 0, 0),
+    "parity(S_3,{0,1})": (3, None, None),
+    "parity(S_3,{1})": (3, 8, 4),
+    "full-lift(S_3)": (6, 23, 7),
+}
+
+
+def _system(group):
+    gens = [g for g in group.generators if not g.is_identity()]
+    return _cocycle_system(group, gens)
+
+
+def _facts(group):
+    dim, rank, particular, null, _ = _system(group)
+    return dim, rank, None if particular is None else len(null)
+
+
+def test_cocycle_system_facts_on_the_census_classes(census_rows):
+    assert ({row.description: _facts(row.group) for row in census_rows}
+            == CENSUS_SYSTEMS)
+
+
+def test_cocycle_system_on_the_radius_three_full_lift(phi_s3):
+    # 11 generators, each with a 12-bit unknown: rank 117 of 132, and none
+    # of the 2^15 sections is involutive
+    group = build_full_lift(phi_s3)
+    assert len(group.generators) == 11
+    assert _facts(group) == (12, 117, 15)
+    assert find_involutive_cocycles(group) == []
+
+
+@pytest.mark.parametrize("spheres", [[1], [0, 1]])
+def test_cocycle_system_counts_the_complements(s3, spheres):
+    # the sections are the subgroups of the full lift that project
+    # bijectively onto the group, found here from the subgroup lattice
+    weight = {p: (0 if p.sign() == 1 else 1) for p in s3.elements}
+    group = build_parity_lift(s3, weight, 2, spheres)
+    complements = [sub for sub in all_subgroups(build_full_lift(group))
+                   if sub.order == group.order
+                   and {a.root for a in sub.elements} == set(group.elements)]
+    _, _, particular, null, _ = _system(group)
+    assert len(complements) == (0 if particular is None else 2 ** len(null))
 
 
 def test_cocycles_verify_and_lift_faithfully(pi_one):

@@ -7,7 +7,7 @@ import pytest
 import reclosing
 from treeball.balls import BallAut, BallGroup, ball_compatible, full_aut
 from treeball.compat import (check_compatibility, check_trivial_seams,
-                             find_involutive_cocycles)
+                             compat_set, find_involutive_cocycles)
 from treeball.constructions import (build_centered, build_cocycle_extension,
                                     build_diagonal, build_full_lift,
                                     build_kernel_extension, build_parity_lift,
@@ -331,3 +331,21 @@ def test_ball_generating_set_regenerates(phi_s3):
     gens = small_generating_set_of(phi_s3.elements, phi_s3.identity())
     assert len(gens) < 10
     assert BallGroup.generated(list(gens)).order == 48
+
+
+def _constructor_full_lift(group):
+    # every lift, glued by the constructor that re-checks each child
+    return tuple(sorted(
+        BallAut(a, combo) for a in group.elements
+        for combo in itertools.product(*(compat_set(group, a, w)
+                                         for w in range(group.degree)))))
+
+
+def test_full_lifts_match_the_constructor_route(census_rows, phi_s3):
+    s4 = PermGroup.symmetric(4)
+    bases = [row.group for row in census_rows if row.has_cocycle]
+    assert len(bases) == 4
+    bases += [phi_s3, BallGroup.generated([BallAut(p) for p in s4.generators])]
+    for base in bases:
+        assert build_full_lift(base).elements == _constructor_full_lift(base)
+    assert build_full_lift(s4).elements == _constructor_full_lift(bases[-1])

@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 
 import perm_shadow
 import reclosing
-from treeball import permcore
+from treeball import compat, permcore
 from treeball.balls import BallAut, BallGroup, full_aut, random_ball_aut
-from treeball.compat import find_involutive_cocycles
+from treeball.compat import check_trivial_seams, find_involutive_cocycles
 from treeball.errors import CapacityError
 from treeball.permcore import (Perm, PermGroup, _close, _grow,
                                small_generating_set_of)
@@ -74,6 +74,23 @@ def test_cocycles_match_reclosing_on_random_radius_two_groups(gens):
     group = BallGroup.generated(gens)
     assert (_keys(find_involutive_cocycles(group))
             == _keys(reclosing.involutive_cocycles(group)))
+
+
+@pytest.mark.parametrize("gens, count", [
+    ([(1, 0, 2, 3), (0, 1, 3, 2)], 4),
+    ([(1, 2, 3, 0), (0, 3, 2, 1)], 8),
+])
+def test_cocycles_match_reclosing_at_degree_four(monkeypatch, gens, count):
+    # above degree 3 the lift kernel is not abelian: the search must answer
+    def no_system(group, gens):
+        raise AssertionError("degree 4 reached the GF(2) system")
+
+    monkeypatch.setattr(compat, "_solved_tables", no_system)
+    group = BallGroup.generated([BallAut(Perm(g)) for g in gens])
+    assert not check_trivial_seams(group)
+    found = find_involutive_cocycles(group)
+    assert len(found) == count
+    assert _keys(found) == _keys(reclosing.involutive_cocycles(group))
 
 
 def test_lattice_subgroups_keep_the_greedy_generators():

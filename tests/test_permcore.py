@@ -1,9 +1,15 @@
 """Permutation-group layer: closures, structure, lattices, actions."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import treeball
 from treeball.errors import HypothesisError
 from treeball.permcore import (Perm, PermGroup, _lattice_table,
                                _subgroup_sets_brute,
@@ -306,3 +312,17 @@ def test_are_conjugate_subgroups():
     c = PermGroup.generated([Perm((1, 0, 3, 2))])
     assert are_conjugate_in(S4.elements, a, b)
     assert not are_conjugate_in(S4.elements, a, c)
+
+
+def test_repr_of_a_raw_tuple_that_is_no_permutation_returns():
+    # a cycle walk that never meets its start again used to spin forever;
+    # run it in a child process so that a regression fails, not hangs
+    src = str(pathlib.Path(treeball.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("from treeball.permcore import Perm\n"
+            "print(repr(Perm._raw((1, 2, 2, 3))))")
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=30)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("Perm")
