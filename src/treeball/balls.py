@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from operator import itemgetter
 
 from .errors import CapacityError, HypothesisError
 from .permcore import (Element, FiniteGroup, Perm, PermGroup, _close,
@@ -118,6 +119,15 @@ def _parents(degree, radius):
     index = _point_index(degree, radius)
     return tuple(index[p[:-1]] if len(p) > 1 else -1
                  for p in ball_points(degree, radius))
+
+
+@functools.lru_cache(maxsize=None)
+def _image_checks(degree, radius):
+    """What BallAut.from_images checks a table against: the point indices,
+    the parents, and the gather of the parents' images past sphere 1 (a
+    radius-1 table has no points there)."""
+    parent = _parents(degree, radius)
+    return frozenset(range(len(parent))), parent, _getter(parent[degree:])
 
 
 @functools.lru_cache(maxsize=None)
@@ -256,13 +266,12 @@ class BallAut(Element):
         maps onto itself and each edge onto an edge.
         """
         images = tuple(images)
-        n = len(ball_points(degree, radius))
-        parent = _parents(degree, radius)
-        if (degree < 3 or len(images) != n
-                or set(images) != set(_identity_images(n))
+        points, parent, parents_of_images = _image_checks(degree, radius)
+        if (degree < 3 or len(images) != len(parent)
+                or points.difference(images)
                 or max(images[:degree]) >= degree
-                or [parent[j] for j in images[degree:]]
-                != [images[p] for p in parent[degree:]]):
+                or radius > 1 and (itemgetter(*images[degree:])(parent)
+                                   != parents_of_images(images))):
             raise ValueError("table is not a ball automorphism")
         return cls._raw(degree, radius, images)
 

@@ -112,7 +112,7 @@ def census_compatible_classes(degree=3, radius=2, transitive_only=True,
     for group in all_subgroups(BallGroup.from_elements(ambient)):
         if transitive_only and not group.is_transitive_on(range(degree)):
             continue
-        if not check_compatibility(group):
+        if not check_compatibility(group, generators_only=True):
             continue
         key = conjugacy_class_key(ambient, group)
         mine = _flat_key(group)
@@ -137,7 +137,7 @@ def census_compatible_classes(degree=3, radius=2, transitive_only=True,
 
 
 def _make_row(group, radius, description=None, gamma_image_of=None):
-    compatible = check_compatibility(group)
+    compatible = check_compatibility(group, generators_only=True)
     trivial = check_trivial_seams(group) if compatible else None
     has_icc = bool(find_involutive_cocycles(group)) if compatible else False
     if compatible and trivial and not has_icc:
@@ -242,9 +242,12 @@ def _lifts_by_subgroups(base, full):
 
 def _is_discrete_lift(group, base):
     inner = group.radius - 1
-    if {a.project(inner) for a in group.elements} != base._eset:
+    # projection is a homomorphism: a lift's order is a multiple of the base's
+    if (group.order % base.order
+            or {a.project(inner) for a in group.elements} != base._eset):
         return False
-    return check_compatibility(group) and check_trivial_seams(group)
+    return (check_compatibility(group, generators_only=True)
+            and check_trivial_seams(group))
 
 
 def _merge_into_classes(ambient, candidates):

@@ -99,6 +99,7 @@ def compatibility_core(group):
     inverses (partners of a product can be assembled from partners of the
     factors), so the result really is a subgroup. That closure is re-verified
     here and a failure raises, since it would mean a bug rather than bad input.
+    When nothing is pruned the result is `group` itself.
     """
     live = set(group.elements)
     d = group.degree
@@ -114,6 +115,8 @@ def compatibility_core(group):
         if keep == live:
             break
         live = keep
+    if len(live) == group.order:
+        return group
     try:
         return BallGroup.from_elements(sorted(live))
     except ValueError as exc:

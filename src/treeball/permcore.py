@@ -172,7 +172,7 @@ class Perm(Element):
         return "Perm%s" % "".join(str(c) for c in cyc)
 
 
-def _grow(members, seen, gens, x, limit=CLOSURE_CAP, reject=None):
+def _grow(members, seen, gens, x, limit=CLOSURE_CAP, reject=None, by=None):
     """Grow the closure of `gens` in place to the closure of gens + [x].
 
     Elements are image tuples: the closure is the list `members` plus the
@@ -181,13 +181,15 @@ def _grow(members, seen, gens, x, limit=CLOSURE_CAP, reject=None):
     generators, so a breadth-first search from those products that visits
     new elements only finds them all, and each element meets each generator
     once (Dimino's extension by one generator); a product is one gather.
-    Returns False, leaving the closure partial, once it would pass `limit`
-    elements or meets a tuple that `reject` is true of; True otherwise.
+    `by(g)` may replace the gather by another map y -> product of y and g,
+    such as a Cayley-table row: multiplying on either side gives the same
+    closure. Returns False, leaving the closure partial, once it would pass
+    `limit` elements or meets a tuple that `reject` is true of; True otherwise.
     """
     if x in seen:
         return True
     gens.append(x)
-    getters = [_getter(g) for g in gens]
+    getters = [(by or _getter)(g) for g in gens]
     step = getters[-1:]
     old = len(members)
     at = 0
@@ -804,8 +806,9 @@ class _Table:
     """Cayley table over element indices, for fast subgroup closures.
 
     Products are composed on the image tuples directly, so the table serves
-    any element type. The identity is index 0: range(n) is the least
-    permutation tuple.
+    any element type: ``mul[a][b]`` is the index of a * b. The identity is
+    index 0: range(n) is the least permutation tuple, and ascending indices
+    are the sorted element order.
     """
 
     def __init__(self, elements):
@@ -816,21 +819,28 @@ class _Table:
         self.mul = [[index[get(a)] for get in getters] for a in images]
         self.inv = [index[e.inverse().images] for e in self.elements]
         self.e = 0
+        self._rows = [row.__getitem__ for row in self.mul]
+
+    def _grow(self, members, seen, gens, x):
+        # Dimino's step on indices: row g of the table is y -> g * y
+        return _grow(members, seen, gens, x, by=self._rows.__getitem__)
 
     def close(self, seed):
-        seen = set(seed)
-        seen.add(self.e)
-        queue = list(seen)
-        mul = self.mul
-        while queue:
-            x = queue.pop()
-            rowx = mul[x]
-            for g in list(seen):
-                for y in (rowx[g], mul[g][x]):
-                    if y not in seen:
-                        seen.add(y)
-                        queue.append(y)
+        members, seen, gens = [self.e], {self.e}, []
+        for x in seed:
+            self._grow(members, seen, gens, x)
         return frozenset(seen)
+
+    def generators(self, members):
+        """The greedy of small_generating_set_of on a subgroup's ascending
+        indices: each one outside the closure of those kept before."""
+        gens, grown, seen = [], [self.e], {self.e}
+        for x in members:
+            if x not in seen:
+                self._grow(grown, seen, gens, x)
+                if len(seen) == len(members):
+                    break
+        return gens or [self.e]
 
 
 def _lattice_table(G):
@@ -853,8 +863,10 @@ def all_subgroups(G):
         found = _subgroup_sets_by_prime_extension(t, G.order)
     else:
         found = _subgroup_sets_brute(t)
-    out = [G._like([t.elements[i] for i in S]) for S in found]
-    out.sort(key=lambda H: (H.order, H.elements))
+    # ascending indices are the sorted element order, so sort index lists
+    pick = t.elements.__getitem__
+    out = [G._like(list(map(pick, S)), list(map(pick, t.generators(S))))
+           for S in sorted(map(sorted, found), key=lambda S: (len(S), S))]
     G._cache[key] = out
     return out
 
@@ -877,13 +889,17 @@ def _subgroup_sets_brute(t):
 
 
 def _subgroup_sets_by_prime_extension(t, order):
-    """Subgroup index sets of a solvable group.
+    """Subgroup index sets of a solvable group (the cyclic extension method).
 
     Every subgroup sits atop a composition series with prime cyclic
     quotients, so repeatedly adjoining a normalizer element whose p-th
-    power falls back inside reaches all of them. One representative per
-    coset of the current subgroup suffices: the condition and the result
-    only depend on the image in the quotient.
+    power falls back inside reaches all of them. Each subgroup S carries
+    the generators that built it, and g normalizes S when it conjugates
+    those into S, so N(S) is the intersection, over those generators s, of
+    the conjugators of s into S. Its cosets Sg = gS are walked in ascending
+    order. One representative per coset suffices, since the condition and
+    the result only depend on the image in the quotient; once S<g> = T is
+    found, every element of T - S generates T over S, so all of T is done.
     """
     n = len(t.elements)
     mul, inv, e = t.mul, t.inv, t.e
@@ -897,35 +913,42 @@ def _subgroup_sets_by_prime_extension(t, order):
                 x = mul[x][g]
             col.append(x)
         power[p] = col
-    conj = [[mul[mul[g][s]][inv[g]] for s in range(n)] for g in range(n)]
+    # conjugators[s][x] lists the g with g * s * g^-1 = x: a coset of C(s)
+    conjugators = []
+    for s in range(n):
+        by_image = {}
+        for g in range(n):
+            by_image.setdefault(mul[mul[g][s]][inv[g]], []).append(g)
+        conjugators.append(by_image)
     triv = frozenset({e})
     found = {triv}
-    frontier = [triv]
+    frontier = [(triv, ())]
     while frontier:
-        S = frontier.pop()
-        covered = set(S)
-        for g in range(n):
-            if g in covered:
+        S, gens = frontier.pop()
+        todo = set(range(n))
+        for s in gens:
+            todo.intersection_update(itertools.chain.from_iterable(
+                [gs for x, gs in conjugators[s].items() if x in S]))
+        todo -= S
+        for g in sorted(todo):
+            if g not in todo:
                 continue
-            row = conj[g]
-            if any(row[s] not in S for s in S):
-                continue
-            for s in S:
-                covered.add(mul[s][g])
             for p in primes:
-                if power[p][g] not in S:
-                    continue
-                new = set(S)
-                cur = g
-                for _ in range(p - 1):
-                    for s in S:
-                        new.add(mul[s][cur])
-                    cur = mul[cur][g]
-                T = frozenset(new)
-                if T not in found:
-                    found.add(T)
-                    frontier.append(T)
-                break
+                if power[p][g] in S:
+                    break
+            else:  # gS has no prime order in N(S)/S: only its coset is done
+                todo.difference_update(map(mul[g].__getitem__, S))
+                continue
+            new = set(S)
+            cur = g
+            for _ in range(p - 1):
+                new.update(map(mul[cur].__getitem__, S))
+                cur = mul[cur][g]
+            todo -= new
+            T = frozenset(new)
+            if T not in found:
+                found.add(T)
+                frontier.append((T, gens + (g,)))
     return found
 
 

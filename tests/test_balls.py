@@ -151,6 +151,72 @@ def test_wordmap_rejects_corrupt_tables():
         BallAut.from_wordmap(3, 2, collide)
 
 
+def comprehension_accepts(degree, radius, images):
+    """The table check of BallAut.from_images written as comprehensions,
+    with parents read off the words: the reference for its gathers."""
+    pts = ball_points(degree, radius)
+    index = {p: i for i, p in enumerate(pts)}
+    parent = [index[p[:-1]] if len(p) > 1 else -1 for p in pts]
+    images = tuple(images)
+    n = len(pts)
+    return not (len(images) != n
+                or set(images) != set(range(n))
+                or max(images[:degree]) >= degree
+                or [parent[j] for j in images[degree:]]
+                != [images[p] for p in parent[degree:]])
+
+
+def from_images_accepts(degree, radius, images):
+    try:
+        aut = BallAut.from_images(degree, radius, images)
+    except ValueError:
+        return False
+    assert aut.images == tuple(images)
+    return True
+
+
+def test_from_images_rejects_what_the_comprehension_rejects():
+    rng = random.Random(11)
+    verdicts = set()
+    for d, k in [(3, 1), (3, 2), (3, 3), (4, 2)]:
+        n = len(ball_points(d, k))
+        for _ in range(40):
+            im = list(random_ball_aut(d, k, rng).images)
+            i, j = rng.randrange(n), rng.randrange(n)
+            swapped, repeated, outside = list(im), list(im), list(im)
+            swapped[i], swapped[j] = im[j], im[i]
+            repeated[i] = im[j]
+            outside[i] = n
+            for table in (im, swapped, repeated, outside, im[:-1], im + [n],
+                          [x - 1 for x in im], im[d:] + im[:d]):
+                verdict = from_images_accepts(d, k, table)
+                assert verdict == comprehension_accepts(d, k, table)
+                verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(full_aut(3, 3)),
+       st.lists(st.tuples(st.integers(0, 20), st.integers(0, 20)),
+                max_size=3),
+       st.booleans())
+def test_from_images_agrees_with_the_comprehension_on_drawn_tables(
+        aut, swaps, overwrite):
+    table = list(aut.images)
+    for i, j in swaps:
+        table[i], table[j] = table[j], table[i]
+    if overwrite and swaps:
+        table[swaps[0][0]] = swaps[0][1]
+    assert (from_images_accepts(3, 3, table)
+            == comprehension_accepts(3, 3, table))
+
+
+@given(st.permutations(range(9)))
+def test_from_images_agrees_with_the_comprehension_on_permutations(table):
+    assert (from_images_accepts(3, 2, table)
+            == comprehension_accepts(3, 2, table))
+
+
 def test_apply_is_an_action_on_words():
     rng = random.Random(23)
     for d, k in [(3, 2), (3, 3), (4, 2)]:

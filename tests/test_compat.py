@@ -133,6 +133,20 @@ def test_core_is_idempotent_and_maximal():
     assert best == core
 
 
+def test_core_is_the_group_itself_unless_something_is_pruned(census_rows):
+    for row in census_rows:
+        assert check_compatibility(row.group)
+        assert compatibility_core(row.group) is row.group
+    sgn = {p: 0 if p.sign() == 1 else 1 for p in PermGroup.symmetric(3).elements}
+    pi_zero = build_parity_lift(PermGroup.symmetric(3), sgn, 2, [0], radius=2)
+    core = compatibility_core(pi_zero)
+    assert core.order < pi_zero.order
+    # the pruned core is rebuilt from its sorted elements, greedy included
+    rebuilt = BallGroup.from_elements(core.elements)
+    assert core == rebuilt and core.generators == rebuilt.generators
+    assert compatibility_core(core) is core
+
+
 def test_canonical_cocycle_requires_rigidity(gamma_s3, phi_s3):
     coc = canonical_cocycle(gamma_s3)
     assert coc.z(gamma_s3.identity(), 0).is_identity()

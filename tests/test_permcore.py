@@ -9,7 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import scanning_lattice
 import treeball
+from treeball.balls import BallGroup
+from treeball.constructions import build_full_lift
 from treeball.errors import HypothesisError
 from treeball.permcore import (Perm, PermGroup, _lattice_table,
                                _subgroup_sets_brute,
@@ -147,6 +150,50 @@ def test_subgroup_enumeration_routes_agree():
         t = _lattice_table(G)
         assert (_subgroup_sets_by_prime_extension(t, G.order)
                 == _subgroup_sets_brute(t)), name
+
+
+@pytest.fixture(scope="module")
+def lattice_groups(pi_one):
+    # the full lift of parity(S3,{1}) is the largest lattice the census
+    # enumerates; its kernel over the base is the lift kernel
+    full = build_full_lift(pi_one)
+    groups = dict(_named())
+    groups["full-lift(parity(S3,{1}))"] = full
+    groups["Aut(B(3,2))"] = BallGroup.full(3, 2)
+    groups["lift kernel"] = BallGroup.from_elements(full.projection_kernel())
+    return groups
+
+
+def test_prime_extension_matches_the_scanning_reference(lattice_groups):
+    orders = {name: G.order for name, G in lattice_groups.items()}
+    assert orders["full-lift(parity(S3,{1}))"] == 192
+    assert orders["Aut(B(3,2))"] == 48 and orders["lift kernel"] == 8
+    counts = {}
+    for name, G in lattice_groups.items():
+        t = _lattice_table(G)
+        found = _subgroup_sets_by_prime_extension(t, G.order)
+        assert found == scanning_lattice.subgroup_sets(t, G.order), name
+        counts[name] = len(found)
+    assert counts["full-lift(parity(S3,{1}))"] == 1120
+
+
+def test_lattice_members_carry_the_greedy_generators(lattice_groups):
+    for name, G in lattice_groups.items():
+        for H in all_subgroups(G):
+            assert H.generators == small_generating_set_of(
+                H.elements, G.identity()), name
+
+
+def test_table_closure_is_the_generated_subgroup():
+    G = PermGroup.symmetric(4)
+    t = _lattice_table(G)
+    index = {g: i for i, g in enumerate(t.elements)}
+    for H in all_subgroups(G):
+        seed = [index[g] for g in H.generators]
+        assert t.close(seed) == frozenset(index[h] for h in H.elements)
+        members = sorted(index[h] for h in H.elements)
+        assert [t.elements[i] for i in t.generators(members)] == list(
+            H.generators)
 
 
 def test_subgroups_up_to_conjugacy_counts():
