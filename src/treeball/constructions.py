@@ -670,15 +670,22 @@ def _tower_step(prev, blocks, pinned, central, cap):
         options = []
         for i, b in enumerate(blocks):
             if i == pinned:
+                # no fiber vouches for the pinned partner, a itself
+                for w in b:
+                    if not ball_compatible(a, a, w):
+                        raise ValueError(
+                            "child at %d does not glue to the root" % w)
                 options.append((a,))
                 continue
             fib = joint_compat_set(prev, a, b)
             if len(fib) != len(id_fibers[i]):
                 raise RuntimeError("tower fibers are not uniform; bug")
             options.append(fib)
+        # every other partner glues along its whole block by choice of fiber
         for combo in itertools.product(*options):
             children = tuple(combo[block_of[w]] for w in range(d))
-            elems.append(BallAut(a, children))
+            elems.append(BallAut._raw(d, a.radius + 1,
+                                      _glue_images(a, children)))
     group = BallGroup.from_elements(elems)
     level = _check_order(group, expected, "tower step")
     return TowerLevel(radius=prev.radius + 1, order=expected,

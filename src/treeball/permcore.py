@@ -173,36 +173,39 @@ class Perm(Element):
 
 
 def _grow(members, seen, gens, x, limit=CLOSURE_CAP, reject=None, by=None):
-    """Grow the closure of `gens` in place to the closure of gens + [x].
+    """Grow the closure H of `gens` in place to the closure of gens + [x].
 
-    Elements are image tuples: the closure is the list `members` plus the
-    set `seen`, and `gens` gains x unless x is already in it. Every new
-    element is h * x, for some h in the old closure, times a word in the
-    generators, so a breadth-first search from those products that visits
-    new elements only finds them all, and each element meets each generator
-    once (Dimino's extension by one generator); a product is one gather.
-    `by(g)` may replace the gather by another map y -> product of y and g,
-    such as a Cayley-table row: multiplying on either side gives the same
-    closure. Returns False, leaving the closure partial, once it would pass
-    `limit` elements or meets a tuple that `reject` is true of; True otherwise.
+    Elements are image tuples. On entry the list `members` and the set
+    `seen` both hold exactly H, closed; `gens` gains x unless x is in H.
+    The new group is a union of cosets H * r, and H * r * g = H * (r * g),
+    so Dimino's step fills the coset of x, then multiplies each new coset
+    representative r by every generator: a product r * g outside `seen`
+    starts a new coset, filled by one gather per member of H. Cosets are
+    disjoint, so every element is made once and only representatives are
+    looked up. `by(g)` may replace the gather by another map y -> product of
+    y and g, such as a Cayley-table row g * y: then fills and steps both run
+    on left cosets, and the closure is the same. Returns False, leaving the
+    closure partial, once it would pass `limit` elements or meets a tuple
+    that `reject` is true of; True otherwise.
     """
     if x in seen:
         return True
+    mult = by or _getter
     gens.append(x)
-    getters = [(by or _getter)(g) for g in gens]
-    step = getters[-1:]
-    old = len(members)
-    at = 0
-    while at < len(members):
-        y = members[at]
-        for get in step if at < old else getters:
-            z = get(y)
-            if z not in seen:
-                if len(seen) >= limit or (reject is not None and reject(z)):
-                    return False
-                seen.add(z)
-                members.append(z)
-        at += 1
+    steps = [mult(g) for g in gens]
+    old, reps = members[:], []
+    # reps grows inside the loop, and the generator reads it as it grows
+    for z in itertools.chain([x], (step(r) for r in reps for step in steps)):
+        if z in seen:
+            continue
+        if len(seen) + len(old) > limit:
+            return False
+        coset = list(map(mult(z), old))
+        if reject is not None and any(map(reject, coset)):
+            return False
+        seen.update(coset)
+        members.extend(coset)
+        reps.append(z)
     return True
 
 
@@ -822,7 +825,7 @@ class _Table:
         self._rows = [row.__getitem__ for row in self.mul]
 
     def _grow(self, members, seen, gens, x):
-        # Dimino's step on indices: row g of the table is y -> g * y
+        # Dimino's step on indices and left cosets: row g is y -> g * y
         return _grow(members, seen, gens, x, by=self._rows.__getitem__)
 
     def close(self, seed):

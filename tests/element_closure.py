@@ -1,0 +1,35 @@
+"""Reference closure step that multiplies every new element by every generator.
+
+`permcore._grow` fills whole cosets of the old closure and multiplies only
+coset representatives by the generators. The version here is the plain
+breadth-first extension by one generator: each new element meets each
+generator once and every product is looked up, which makes about |G| times
+as many products as generators but has no cosets to get wrong; tests require
+both to give the same closures, generators and verdicts.
+"""
+
+from treeball.permcore import CLOSURE_CAP, _getter
+
+
+def grow(members, seen, gens, x, limit=CLOSURE_CAP, reject=None, by=None):
+    """Grow the closure of `gens` in place to the closure of gens + [x], with
+    the signature and verdicts of `permcore._grow`: False once the closure
+    would pass `limit` elements or meets a tuple that `reject` is true of."""
+    if x in seen:
+        return True
+    gens.append(x)
+    getters = [(by or _getter)(g) for g in gens]
+    step = getters[-1:]
+    old = len(members)
+    at = 0
+    while at < len(members):
+        y = members[at]
+        for get in step if at < old else getters:
+            z = get(y)
+            if z not in seen:
+                if len(seen) >= limit or (reject is not None and reject(z)):
+                    return False
+                seen.add(z)
+                members.append(z)
+        at += 1
+    return True

@@ -277,6 +277,14 @@ def test_tower_text_output(runner):
     assert all(lv["materialized"] for lv in levels)
 
 
+@pytest.mark.slow
+def test_tower_pinned_orbit_four_steps(runner):
+    res = runner.invoke(main, ["tower", "pinned-orbit", "--steps", "4"])
+    assert res.exit_code == 0, res.output
+    assert res.output == ("level 1: order 8\nlevel 2: order 128\n"
+                          "level 3: order 2048\nlevel 4: order 32768\n")
+
+
 def test_tower_rejects_bad_blocks(runner):
     res = runner.invoke(main, ["tower", "partition", "--steps", "2",
                                "--group", "D4", "--blocks", "0,1;2,3"])

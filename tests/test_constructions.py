@@ -5,6 +5,7 @@ import itertools
 import pytest
 
 import reclosing
+from treeball import constructions
 from treeball.balls import BallAut, BallGroup, ball_compatible, full_aut
 from treeball.compat import (check_compatibility, check_trivial_seams,
                              compat_set, find_involutive_cocycles)
@@ -293,6 +294,52 @@ def test_partition_tower_certificate_on_the_matrix_group(sl23):
     assert cert.central is not None
     for g in cert.generators[:4]:
         assert cert.central * g == g * cert.central
+
+
+def _checked_tower_step(prev, blocks, pinned):
+    """A tower level glued through the checking constructor, each partner
+    found by scanning the level below for elements gluing along its block."""
+    elems = []
+    for a in prev.elements:
+        options = [(a,) if i == pinned else
+                   [c for c in prev.elements
+                    if all(ball_compatible(a, c, w) for w in b)]
+                   for i, b in enumerate(blocks)]
+        for combo in itertools.product(*options):
+            children = [None] * prev.degree
+            for b, c in zip(blocks, combo):
+                for w in b:
+                    children[w] = c
+            elems.append(BallAut(a, children))
+    return BallGroup.from_elements(elems)
+
+
+@pytest.mark.parametrize("kind", ["pinned-orbit", "pinned-center",
+                                  "partition"])
+def test_tower_levels_match_the_checking_constructor(kind, flips6, sl23):
+    if kind == "partition":
+        tower = build_tower(sl23, kind, 3,
+                            blocks=[(0, 1), (2, 5), (3, 7), (4, 6)])
+    else:
+        tower = build_tower(flips6, kind, 3)
+    built = [lv for lv in tower.levels[1:] if lv.group is not None]
+    assert len(built) == (1 if kind == "partition" else 2)
+    for below, level in zip(tower.levels, built):
+        checked = _checked_tower_step(below.group, tower.blocks,
+                                      tower.pinned_block)
+        assert set(level.group.elements) == set(checked.elements)
+        assert level.group.generators == checked.generators
+
+
+def test_tower_step_refuses_a_pinned_partner_that_does_not_glue():
+    # every element of Aut(B(3, 2)) is its own partner on the pinned block
+    # {2}, and the second one does not glue to itself along direction 2
+    full = BallGroup.full(3, 2)
+    a = full.elements[1]
+    assert not ball_compatible(a, a, 2)
+    with pytest.raises(ValueError, match="child at 2 does not glue"):
+        constructions._tower_step(full, [(0,), (1,), (2,)], 2, None,
+                                  10 ** 6)
 
 
 def test_tower_membership_rejects_non_members(flips6):

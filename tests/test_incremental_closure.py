@@ -121,9 +121,11 @@ def test_grow_visits_each_element_and_generator_once(monkeypatch):
     for g in gens:
         assert _grow(members, seen, grown, g)
     assert len(members) == len(seen) == 120
-    # the identity and its 4 new powers times the 5-cycle, then the 5 old
-    # members times the transposition and the 115 new ones times both
-    assert len(gathers) == 1 + 4 + 5 + 2 * 115
+    # one gather makes each element outside the old closure, and each coset
+    # representative meets each generator once: the 5-cycle fills 4 cosets
+    # of the trivial group and steps from each, then the transposition fills
+    # the 23 cosets of C5 besides C5 itself and steps from each by both
+    assert len(gathers) == 4 + 4 + 23 * 5 + 23 * 2
     assert not _grow([ident], {ident}, [], gens[0], limit=3)
 
 
