@@ -26,7 +26,8 @@ from __future__ import annotations
 
 import functools
 import itertools
-from operator import itemgetter
+import math
+from operator import add, itemgetter
 
 from .errors import CapacityError, HypothesisError
 from .permcore import (Element, FiniteGroup, Perm, PermGroup, _close,
@@ -160,10 +161,11 @@ def _assembly_table(degree, radius, k):
 
     Sites are the words of length at most radius - k, center first. The
     center's chart gives the points up to length k, and each later site v,
-    in order, the points k steps past v. ``sites`` holds (index, last letter)
-    of each later site, ``tails[x]`` the chart's sphere points not starting
-    with x, and ``reach[i][j]`` the point chart point j reaches out from
-    point i (-1 for none).
+    in order, its segment: the points k steps past v (`_site_points`).
+    ``sites`` holds (index, last letter) of each later site, ``tails[x]`` the
+    chart's sphere points not starting with x, and ``reach[i][j]`` the point
+    chart point j reaches out from point i (-1 for none). `_assemble`,
+    `_glue_fibers` and the extension stream all join segments.
     """
     index = _point_index(degree, radius)
     chart = ball_points(degree, k)
@@ -173,6 +175,12 @@ def _assembly_table(degree, radius, k):
                         if len(u) == k and u[0] != x) for x in range(degree))
     reach = tuple(tuple(index.get(v + u, -1) for u in chart) for v in pts)
     return sites, tails, reach
+
+
+def _site_points(reach, tail, at, chart):
+    """A chart's images of the `tail` points, moved out from point `at`."""
+    out, cim = reach[at], chart.images
+    return [out[cim[j]] for j in tail]
 
 
 def _assemble(radius, center, charts):
@@ -185,9 +193,33 @@ def _assemble(radius, center, charts):
     sites, tails, reach = _assembly_table(center.degree, radius, center.radius)
     images = list(center.images)
     for (site, back), chart in zip(sites, charts):
-        out, cim = reach[images[site]], chart.images
-        images.extend([out[cim[j]] for j in tails[back]])
+        images.extend(_site_points(reach, tails[back], images[site], chart))
     return tuple(images)
+
+
+def _glue_fibers(root, fibers, block_of=None):
+    """Image tuples of every map glued from `root` and a chart per neighbour
+    w out of fibers[block_of[w]] (block_of defaults to the identity), one
+    choice per block, in itertools.product order over the blocks as they
+    first occur. Each (w, chart) segment is gathered once, and the tuples
+    grow as a prefix tree, site by site, by ``prefix + segment``.
+    """
+    _, tails, reach = _assembly_table(root.degree, root.radius + 1,
+                                      root.radius)
+    level, branched = [root.images], []
+    for w, at in enumerate(root.images[:root.degree]):
+        b = w if block_of is None else block_of[w]
+        segs = [tuple(_site_points(reach, tails[w], at, c)) for c in fibers[b]]
+        if b not in branched:
+            level = [p + s for p in level for s in segs]
+            branched.append(b)
+        else:
+            # the block's choice changes every `stride` tuples of the level
+            stride = math.prod(len(fibers[c])
+                               for c in branched[branched.index(b) + 1:])
+            run = [s for s in segs for _ in range(stride)]
+            level = list(map(add, level, itertools.cycle(run)))
+    return level
 
 
 def _glue_images(root, children):
@@ -491,7 +523,6 @@ def ball_compatible(alpha, beta, direction):
 
 def full_aut_order(degree, radius):
     """Order of the full automorphism group of the ball, by layer counting."""
-    import math
     total = math.factorial(degree)
     fiber = math.factorial(degree - 1)
     for _ in range(radius - 1):
@@ -517,13 +548,10 @@ def full_aut(degree, radius, cap=MATERIALIZE_CAP):
         for b in inner:
             for w in range(degree):
                 offers[w].setdefault(_offer_key(b, w), []).append(b)
-        out = []
-        for root in inner:
-            fibers = [offers[w].get(_need_key(root, w), ())
-                      for w in range(degree)]
-            for combo in itertools.product(*fibers):
-                out.append(BallAut._raw(degree, radius,
-                                        _glue_images(root, combo)))
+        # in the full group every need is offered
+        out = [BallAut._raw(degree, radius, t) for root in inner
+               for t in _glue_fibers(root, [offers[w][_need_key(root, w)]
+                                            for w in range(degree)])]
     out.sort()
     if len(out) != expected:
         raise RuntimeError("ball enumeration does not match layer count; bug")

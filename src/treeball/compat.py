@@ -19,10 +19,8 @@ kernel bitmasks, one per generator; at higher degree they are searched.
 
 from __future__ import annotations
 
-import itertools
-
-from .balls import (BallAut, BallGroup, _glue_images, _need_key, _offer_key,
-                    ball_compatible, ball_points)
+from .balls import (BallAut, BallGroup, _glue_fibers, _glue_images,
+                    _need_key, _offer_key, ball_compatible, ball_points)
 from .errors import HypothesisError
 from .permcore import _getter, _grow
 
@@ -255,22 +253,19 @@ def _searched_tables(group, gens):
     options = []
     for g in gens:
         g_order = g.order()
-        lifts = []
         fibers = [compat_set(group, g, w) for w in range(d)]
-        for combo in itertools.product(*fibers):
-            lift = BallAut(g, combo)
-            if lift.order() == g_order:
-                lifts.append(lift)
+        lifts = [t for t in _glue_fibers(g, fibers)
+                 if ident._from(t).order() == g_order]
         if not lifts:
             return []
-        options.append([lift.images for lift in lifts])
+        options.append(lifts)
     options.sort(key=len)
 
     inner = len(ball_points(d, group.radius))
     kernel_key = ident.images[:inner]
 
-    def in_kernel(h):
-        return h[:inner] == kernel_key
+    def outside_kernel(h):
+        return None if h[:inner] == kernel_key else h
 
     found = set()
 
@@ -281,7 +276,7 @@ def _searched_tables(group, gens):
             return
         for lift in options[level]:
             grown = (list(members), set(seen), list(chosen))
-            if _grow(*grown, lift, target, in_kernel):
+            if _grow(*grown, lift, target, outside_kernel):
                 descend(level + 1, *grown)
 
     descend(0, [ident.images], {ident.images}, [])

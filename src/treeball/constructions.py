@@ -16,7 +16,7 @@ from .balls import (
     MATERIALIZE_CAP,
     BallAut,
     BallGroup,
-    _glue_images,
+    _glue_fibers,
     ball_compatible,
     words_of_length,
 )
@@ -191,12 +191,9 @@ def _one_step_full_lift(group, cap):
         raise CapacityError(
             "full lift would have order %d, beyond the cap of %d"
             % (expected, cap))
-    elems = []
-    for a in group.elements:
-        fibers = [compat_set(group, a, w) for w in range(d)]
-        for combo in itertools.product(*fibers):
-            elems.append(BallAut._raw(d, a.radius + 1,
-                                      _glue_images(a, combo)))
+    elems = [BallAut._raw(d, a.radius + 1, t) for a in group.elements
+             for t in _glue_fibers(a, [compat_set(group, a, w)
+                                       for w in range(d)])]
     lifted = BallGroup.from_elements(elems)
     return _check_order(lifted, expected, "full lift")
 
@@ -682,10 +679,8 @@ def _tower_step(prev, blocks, pinned, central, cap):
                 raise RuntimeError("tower fibers are not uniform; bug")
             options.append(fib)
         # every other partner glues along its whole block by choice of fiber
-        for combo in itertools.product(*options):
-            children = tuple(combo[block_of[w]] for w in range(d))
-            elems.append(BallAut._raw(d, a.radius + 1,
-                                      _glue_images(a, children)))
+        elems.extend([BallAut._raw(d, a.radius + 1, t)
+                      for t in _glue_fibers(a, options, block_of)])
     group = BallGroup.from_elements(elems)
     level = _check_order(group, expected, "tower step")
     return TowerLevel(radius=prev.radius + 1, order=expected,

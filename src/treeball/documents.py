@@ -67,28 +67,39 @@ def _word_strs(degree, radius):
     return tuple(_word_str(p) for p in ball_points(degree, radius))
 
 
-def _aut_to_json(aut):
-    # one gather of word strings; json.dumps(sort_keys=True) orders the keys
-    words = _word_strs(aut.degree, aut.radius)
-    return dict(zip(words, _getter(aut.images)(words)))
+@functools.lru_cache(maxsize=None)
+def _table_format(degree, radius):
+    """A table as json.dumps(..., sort_keys=True, indent=2) writes it in a
+    document's list: a %-format over the words, the gather of the images in
+    its key order, and the words."""
+    words = _word_strs(degree, radius)
+    order = sorted(range(len(words)), key=words.__getitem__)
+    rows = ",\n".join('      "%s": "%%s"' % words[i] for i in order)
+    return "    {\n%s\n    }" % rows, _getter(order), words
+
+
+def _table_json(aut):
+    fmt, order, words = _table_format(aut.degree, aut.radius)
+    return fmt % _getter(order(aut.images))(words)
 
 
 def serialize_document(doc):
+    """json.dumps(..., sort_keys=True, indent=2) of the document, and a
+    newline. The tables are spliced into the dump of the rest, in which only
+    the top-level keys start a line two spaces in."""
     if doc.degree > 10:
         raise DocumentError(
             "digit-string words only cover degrees up to 10, got %d"
             % doc.degree)
-    body = {
-        "degree": doc.degree,
-        "radius": doc.radius,
-        "encoding": ENCODING,
-        "metadata": doc.metadata,
-    }
-    if doc.elements is not None:
-        body["elements"] = [_aut_to_json(a) for a in doc.elements]
-    else:
-        body["generators"] = [_aut_to_json(a) for a in doc.generators]
-    return json.dumps(body, sort_keys=True, indent=2) + "\n"
+    key = "elements" if doc.elements is not None else "generators"
+    text = json.dumps({"degree": doc.degree, "radius": doc.radius,
+                       "encoding": ENCODING, "metadata": doc.metadata,
+                       key: []}, sort_keys=True, indent=2)
+    tables = ",\n".join([_table_json(a) for a in getattr(doc, key)])
+    if tables:
+        text = text.replace('\n  "%s": []' % key,
+                            '\n  "%s": [\n%s\n  ]' % (key, tables), 1)
+    return text + "\n"
 
 
 def _parse_word(text, degree, where):

@@ -172,7 +172,7 @@ class Perm(Element):
         return "Perm%s" % "".join(str(c) for c in cyc)
 
 
-def _grow(members, seen, gens, x, limit=CLOSURE_CAP, reject=None, by=None):
+def _grow(members, seen, gens, x, limit=CLOSURE_CAP, within=None, by=None):
     """Grow the closure H of `gens` in place to the closure of gens + [x].
 
     Elements are image tuples. On entry the list `members` and the set
@@ -184,9 +184,11 @@ def _grow(members, seen, gens, x, limit=CLOSURE_CAP, reject=None, by=None):
     disjoint, so every element is made once and only representatives are
     looked up. `by(g)` may replace the gather by another map y -> product of
     y and g, such as a Cayley-table row g * y: then fills and steps both run
-    on left cosets, and the closure is the same. Returns False, leaving the
-    closure partial, once it would pass `limit` elements or meets a tuple
-    that `reject` is true of; True otherwise.
+    on left cosets, and the closure is the same. `within(y)` gives the tuple
+    to keep for an element y made, or None if y is not allowed, such as the
+    ``get`` of a dict from each allowed tuple to itself. Returns False,
+    leaving the closure partial, once it would pass `limit` elements or
+    makes one that is not allowed; True otherwise.
     """
     if x in seen:
         return True
@@ -201,8 +203,10 @@ def _grow(members, seen, gens, x, limit=CLOSURE_CAP, reject=None, by=None):
         if len(seen) + len(old) > limit:
             return False
         coset = list(map(mult(z), old))
-        if reject is not None and any(map(reject, coset)):
-            return False
+        if within is not None:
+            coset = list(map(within, coset))
+            if None in coset:
+                return False
         seen.update(coset)
         members.extend(coset)
         reps.append(z)
@@ -430,21 +434,23 @@ def small_generating_set_of(elements, identity):
     Scans the sorted elements and keeps each one not yet in the closure of
     those kept before it, growing that closure by the new generator alone.
     The closure doubles as the group check: it raises ValueError("element
-    set is not a group") as soon as a product leaves the list. Like _close,
-    it serves permutations and ball automorphisms alike, on image tuples.
+    set is not a group") as soon as a product leaves the list, and it keeps
+    the list's own tuples, not copies. Like _close, it serves permutations
+    and ball automorphisms alike, on image tuples.
     """
     elems = sorted(e.images for e in elements)
-    iset = set(elems)
-    if identity.images not in iset:
+    within = {t: t for t in elems}
+    if identity.images not in within:
         raise ValueError("element set is not a group")
-    target = len(iset)
+    target = len(within)
     if target == 1:
         return (identity,)
     gens = []
     members, have = [identity.images], {identity.images}
     for x in elems:
-        if not _grow(members, have, gens, x,
-                     reject=lambda y: y not in iset):
+        if x in have:
+            continue
+        if not _grow(members, have, gens, x, within=within.get):
             raise ValueError("element set is not a group")
         if len(have) == target:
             break

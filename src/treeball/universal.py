@@ -23,7 +23,9 @@ from .balls import (
     BallAut,
     BallGroup,
     _assemble,
+    _assembly_table,
     _parents,
+    _site_points,
     ball_compatible,
     ball_points,
     follow,
@@ -132,25 +134,28 @@ def extend_to_ball(group, seed, radius, chooser="deterministic"):
 
 def _extensions_of_seed(group, seed, radius):
     # sites are the words of length at most radius - k, center first, so a
-    # site's number is its ball_points index plus one
-    k = group.radius
+    # site's number is its ball_points index plus one; the image list grows
+    # by one site's points on the way down and is cut back on the way up
+    d, k = group.degree, group.radius
     if radius == k:
         yield seed
         return
-    d, depth = group.degree, radius - k
-    sites = [(v[-1], p + 1)
-             for v, p in zip(ball_points(d, depth), _parents(d, depth))]
+    sites, tails, reach = _assembly_table(d, radius, k)
+    parents = [p + 1 for p in _parents(d, radius - k)]
     charts = [seed] * (len(sites) + 1)
+    images = list(seed.images)
 
     def descend(i):
-        if i == len(sites):
-            yield BallAut.from_images(d, radius,
-                                      _assemble(radius, seed, charts[1:]))
-            return
-        direction, parent = sites[i]
-        for choice in compat_set(group, charts[parent], direction):
+        (site, back), cut = sites[i], len(images)
+        for choice in compat_set(group, charts[parents[i]], back):
             charts[i + 1] = choice
-            yield from descend(i + 1)
+            images.extend(_site_points(reach, tails[back], images[site],
+                                       choice))
+            if i + 1 == len(sites):
+                yield BallAut.from_images(d, radius, images)
+            else:
+                yield from descend(i + 1)
+            del images[cut:]
 
     yield from descend(0)
 

@@ -11,10 +11,11 @@ both to give the same closures, generators and verdicts.
 from treeball.permcore import CLOSURE_CAP, _getter
 
 
-def grow(members, seen, gens, x, limit=CLOSURE_CAP, reject=None, by=None):
+def grow(members, seen, gens, x, limit=CLOSURE_CAP, within=None, by=None):
     """Grow the closure of `gens` in place to the closure of gens + [x], with
     the signature and verdicts of `permcore._grow`: False once the closure
-    would pass `limit` elements or meets a tuple that `reject` is true of."""
+    would pass `limit` elements or makes one that `within` maps to None;
+    otherwise the tuple `within` gives is kept."""
     if x in seen:
         return True
     gens.append(x)
@@ -27,8 +28,12 @@ def grow(members, seen, gens, x, limit=CLOSURE_CAP, reject=None, by=None):
         for get in step if at < old else getters:
             z = get(y)
             if z not in seen:
-                if len(seen) >= limit or (reject is not None and reject(z)):
+                if len(seen) >= limit:
                     return False
+                if within is not None:
+                    z = within(z)
+                    if z is None:
+                        return False
                 seen.add(z)
                 members.append(z)
         at += 1

@@ -3,8 +3,11 @@
 import copy
 import hashlib
 import json
+import os
 import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 import sympy
@@ -12,6 +15,7 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+import treeball
 from recursive_balls import RecursiveBallAut
 from treeball.balls import BallAut, ball_points, random_ball_aut
 from treeball.cli import _fmt_count, main
@@ -278,11 +282,25 @@ def test_tower_text_output(runner):
 
 
 @pytest.mark.slow
-def test_tower_pinned_orbit_four_steps(runner):
-    res = runner.invoke(main, ["tower", "pinned-orbit", "--steps", "4"])
-    assert res.exit_code == 0, res.output
-    assert res.output == ("level 1: order 8\nlevel 2: order 128\n"
-                          "level 3: order 2048\nlevel 4: order 32768\n")
+def test_tower_pinned_orbit_four_steps():
+    # in a child process, whose peak RSS wait4 reports alone: level 4 holds
+    # 32,768 tables of 937 points, and the generating-set greedy must keep
+    # the builder's tuples rather than a second copy of each (about 500 MB)
+    src = str(pathlib.Path(treeball.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    child = subprocess.Popen(
+        [sys.executable, "-m", "treeball.cli", "tower", "pinned-orbit",
+         "--steps", "4"], env=env, text=True,
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT)
+    out = child.stdout.read()
+    child.stdout.close()
+    _, status, usage = os.wait4(child.pid, 0)
+    child.returncode = os.waitstatus_to_exitcode(status)
+    assert child.returncode == 0, out
+    assert out == ("level 1: order 8\nlevel 2: order 128\n"
+                   "level 3: order 2048\nlevel 4: order 32768\n")
+    assert usage.ru_maxrss < 450 * 1024  # kilobytes
 
 
 def test_tower_rejects_bad_blocks(runner):

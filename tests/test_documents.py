@@ -3,11 +3,69 @@
 import json
 
 import pytest
+from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from treeball.documents import (GroupDocument, document_from_group,
+from treeball import cli
+from treeball.documents import (GroupDocument, _word_str, document_from_group,
                                 group_from_document, parse_document,
                                 serialize_document)
 from treeball.errors import DocumentError
+
+#: `construct` arguments of the nine named constructions
+CONSTRUCTED = [
+    ["diagonal", "S3"], ["centered", "S3"], ["full-lift", "S3"],
+    ["full-lift", "A3"], ["parity", "S3"],
+    ["parity", "S3", "--spheres", "0,1"], ["wreath", "S3", "--top", "C2"],
+    ["full-lift", "S4"], ["full-lift", "S3", "--radius", "3"],
+]
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text(),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(), inner, max_size=3)),
+    max_leaves=8)
+
+
+def dumped(doc):
+    """The document as json.dumps writes it from one word-string dict per
+    table, the way documents were first written."""
+    key = "elements" if doc.elements is not None else "generators"
+    body = {"degree": doc.degree, "radius": doc.radius,
+            "encoding": doc.encoding, "metadata": doc.metadata,
+            key: [{_word_str(v): _word_str(img)
+                   for v, img in a.to_wordmap().items()}
+                  for a in getattr(doc, key)]}
+    return json.dumps(body, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("args", CONSTRUCTED, ids=" ".join)
+def test_construct_documents_are_what_json_dumps_writes(args, monkeypatch):
+    docs = []
+    real = cli.serialize_document
+    monkeypatch.setattr(cli, "serialize_document",
+                        lambda doc: docs.append(doc) or real(doc))
+    res = CliRunner().invoke(cli.main,
+                             ["construct", *args, "--format", "json"])
+    assert res.exit_code == 0, res.output
+    assert res.output == dumped(docs[0])
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.dictionaries(st.text(), JSON_VALUES, max_size=4),
+       st.sampled_from(["elements", "generators", "none"]))
+def test_drawn_metadata_is_written_as_json_dumps_writes_it(gamma_s3, meta,
+                                                           payload):
+    # the tables are spliced in after the line that reads "elements": [],
+    # so metadata that reads the same must stay where it is
+    meta.update({"splice": '\n  "elements": []', "elements": [],
+                 "text": "Kreisgr\u00f6\u00dfe \u2713 \U0001d54b"})
+    if payload == "none":
+        doc = GroupDocument(3, 2, elements=(), metadata=meta)
+    else:
+        doc = document_from_group(gamma_s3, payload == "generators", meta)
+    assert serialize_document(doc) == dumped(doc)
 
 
 def test_element_document_round_trip(gamma_s3):

@@ -4,13 +4,14 @@ recursive_balls.py, and the word table of `BallAut.to_wordmap`."""
 
 import json
 import random
+import textwrap
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from recursive_balls import RecursiveBallAut
 from treeball.balls import BallAut, _need_key, _offer_key, random_ball_aut
-from treeball.documents import _aut_to_json, _word_str
+from treeball.documents import _table_json, _word_str
 
 DRAWS = (st.integers(min_value=0, max_value=2 ** 32),
          st.sampled_from([3, 4]), st.integers(min_value=2, max_value=4))
@@ -47,8 +48,9 @@ def test_gluing_keys_match_the_object_route(seed, degree, radius):
 @settings(max_examples=40, deadline=None)
 @given(*DRAWS)
 def test_serializer_matches_the_word_table(seed, degree, radius):
+    # a table is written four spaces in, as a document's list entry
     aut = random_ball_aut(degree, radius, random.Random(seed))
-    got, want = _aut_to_json(aut), wordmap_json(aut)
-    assert got == want
-    assert (json.dumps(got, sort_keys=True)
-            == json.dumps(want, sort_keys=True))
+    want = wordmap_json(aut)
+    assert _table_json(aut) == textwrap.indent(
+        json.dumps(want, sort_keys=True, indent=2), "    ")
+    assert json.loads(_table_json(aut)) == want

@@ -129,6 +129,20 @@ def test_grow_visits_each_element_and_generator_once(monkeypatch):
     assert not _grow([ident], {ident}, [], gens[0], limit=3)
 
 
+def test_grow_keeps_the_tuples_within_gives():
+    # a gather makes a new tuple per element; the closure must store the
+    # caller's equal tuple instead, so that the greedy holds one copy
+    elements = [a.images for a in FULL_B32]
+    within = {t: t for t in elements}
+    ident = within[FULL_B32[0].images]
+    members, seen, grown = [ident], {ident}, []
+    for g in elements:
+        assert _grow(members, seen, grown, g, within=within.get)
+    assert len(members) == 48
+    assert all(within[t] is t for t in members)
+    assert {id(t) for t in seen} == {id(t) for t in members}
+
+
 def test_gathers_on_one_and_two_points():
     # itemgetter of one index returns a bare entry; the getter must not
     assert permcore._getter((0,))((7,)) == (7,)

@@ -1,0 +1,96 @@
+"""The prefix-tree gluing kernel against the product loop it replaced.
+
+`balls._glue_fibers` gathers each (neighbour, partner) segment once per root
+and grows the image tuples site by site; the frozen `product_gluing` loops
+glue every combination from scratch. One-step full lifts of the six census
+classes (full-lift(S3) among them, lifted from radius 2 to 3) and of S4,
+the full groups Aut(B(3, r)) for r <= 3 and Aut(B(4, r)) for r <= 2, drawn
+groups and drawn block ties must all give identical lists, order included.
+"""
+
+import random
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import product_gluing
+from treeball.balls import (MATERIALIZE_CAP, BallAut, BallGroup, _glue_fibers,
+                            full_aut, random_ball_aut)
+from treeball.compat import compat_set
+from treeball.constructions import _one_step_full_lift
+from treeball.permcore import PermGroup
+
+CHECKED = settings(derandomize=True, deadline=None, max_examples=25,
+                   suppress_health_check=[HealthCheck.too_slow])
+CENSUS = ["phi_s3", "gamma_s3", "delta_s3", "phi_a3", "pi_one", "pi_both"]
+
+
+def _s4():
+    S4 = PermGroup.symmetric(4)
+    return BallGroup(4, 1, [BallAut(p) for p in S4.elements],
+                     [BallAut(p) for p in S4.generators])
+
+
+def _handed_over(monkeypatch, build):
+    """The image tuples `build()` last hands to BallGroup.from_elements, in
+    the order it hands them over, and what it returns."""
+    lists = []
+    real = BallGroup.from_elements.__func__
+
+    def keep(cls, elements):
+        lists.append([a.images for a in elements])
+        return real(cls, elements)
+
+    monkeypatch.setattr(BallGroup, "from_elements", classmethod(keep))
+    result = build()
+    return lists[-1], result
+
+
+@pytest.mark.parametrize("name", CENSUS + ["S4"])
+def test_one_step_full_lifts_keep_the_product_order(name, request,
+                                                    monkeypatch):
+    group = _s4() if name == "S4" else request.getfixturevalue(name)
+    got, lifted = _handed_over(
+        monkeypatch, lambda: _one_step_full_lift(group, MATERIALIZE_CAP))
+    assert got == product_gluing.one_step_full_lift(group)
+    assert lifted.order == len(got)
+
+
+@pytest.mark.parametrize("degree, radius",
+                         [(3, 1), (3, 2), (3, 3), (4, 1), (4, 2)])
+def test_full_aut_matches_the_product_loop(degree, radius):
+    # the uncached body, over the cached group one radius down
+    got = [a.images for a in full_aut.__wrapped__(degree, radius)]
+    assert got == product_gluing.full_aut_images(degree, radius)
+
+
+@CHECKED
+@given(st.integers(min_value=0, max_value=2 ** 32),
+       st.sampled_from([(3, 1), (3, 2), (4, 1)]),
+       st.integers(min_value=1, max_value=2))
+def test_drawn_groups_glue_in_product_order(seed, shape, count):
+    rng = random.Random(seed)
+    group = BallGroup.generated(
+        [random_ball_aut(*shape, rng) for _ in range(count)])
+    for a in group.elements:
+        fibers = [compat_set(group, a, w) for w in range(group.degree)]
+        assert _glue_fibers(a, fibers) == product_gluing.glue_fibers(a, fibers)
+
+
+@CHECKED
+@given(st.integers(min_value=0, max_value=2 ** 32),
+       st.sampled_from([(3, 1), (3, 2), (4, 1), (4, 2), (5, 1)]))
+def test_tied_neighbours_glue_in_product_order_over_blocks(seed, shape):
+    # both sides are gathers, so the drawn charts need not glue
+    rng = random.Random(seed)
+    degree = shape[0]
+    root = random_ball_aut(*shape, rng)
+    label = [rng.randrange(degree) for _ in range(degree)]
+    blocks = sorted({tuple(w for w in range(degree) if label[w] == x)
+                     for x in label})
+    options = [[random_ball_aut(*shape, rng)
+                for _ in range(rng.randint(1, 3))] for _ in blocks]
+    block_of = {w: i for i, b in enumerate(blocks) for w in b}
+    assert (_glue_fibers(root, options, block_of)
+            == product_gluing.glue_blocks(root, options, blocks))
