@@ -27,6 +27,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from bisect import bisect_left, bisect_right
 from operator import add, itemgetter
 
 from .errors import CapacityError, HypothesisError
@@ -494,16 +495,17 @@ def _root_and_chart(aut, w):
 
 
 def _offer_key(beta, direction):
-    """How `beta` looks to a center when placed at the neighbour `direction`."""
+    """How `beta` looks to a center from the neighbour `direction`: its root
+    (() at radius 1) and what it shows back along the edge."""
     if beta.radius == 1:
-        return beta.images[direction]
+        return (), beta.images[direction]
     return _root_and_chart(beta, direction)
 
 
 def _need_key(alpha, direction):
     """What `alpha` demands of a partner at the neighbour `direction`."""
     if alpha.radius == 1:
-        return alpha.images[direction]
+        return (), alpha.images[direction]
     root, chart = _root_and_chart(alpha, direction)
     return chart, root
 
@@ -600,10 +602,10 @@ class BallGroup(FiniteGroup):
 
     __slots__ = ("degree", "radius")
 
-    def __init__(self, degree, radius, elements, generators):
+    def __init__(self, degree, radius, elements, generators, _sorted=False):
         self.degree = degree
         self.radius = radius
-        super().__init__(elements, generators)
+        super().__init__(elements, generators, _sorted)
 
     def _shape(self):
         return (self.degree, self.radius)
@@ -618,7 +620,7 @@ class BallGroup(FiniteGroup):
             if (g.degree, g.radius) != (degree, radius):
                 raise ValueError("mixed ball shapes in generating set")
         elements = _close(gens, BallAut.identity(degree, radius), cap)
-        return cls(degree, radius, elements, gens)
+        return cls(degree, radius, elements, gens, _sorted=True)
 
     @classmethod
     def from_elements(cls, elements):
@@ -631,7 +633,7 @@ class BallGroup(FiniteGroup):
             raise ValueError("mixed ball shapes in element list")
         gens = small_generating_set_of(elements,
                                        BallAut.identity(degree, radius))
-        return cls(degree, radius, elements, gens)
+        return cls(degree, radius, elements, gens, _sorted=True)
 
     @classmethod
     def full(cls, degree, radius):
@@ -665,4 +667,12 @@ class BallGroup(FiniteGroup):
         """Elements restricting to the identity on the next smaller ball."""
         if self.radius == 1:
             raise ValueError("radius-1 groups have no inner ball")
-        return tuple(a for a in self.elements if a.root.is_identity())
+        inner = len(ball_points(self.degree, self.radius - 1))
+        return self._run(_identity_images(inner))
+
+    def _run(self, prefix):
+        """The elements whose image tuples start with `prefix`: one run of
+        the sorted element list, found by bisection."""
+        elems, head = self.elements, lambda a: a.images[:len(prefix)]
+        lo = bisect_left(elems, prefix, key=head)
+        return elems[lo:bisect_right(elems, prefix, lo, key=head)]

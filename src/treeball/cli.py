@@ -158,9 +158,10 @@ def classify_cmd(path, fmt):
 @_FMT
 @_EXPECT
 def check_c_cmd(path, fmt, expect):
-    """Does every pair of elements glue in every direction."""
+    """Does every element have a gluing partner in every direction."""
     group = group_from_document(load_document(path))
-    _finish_bool("C", check_compatibility(group), expect, fmt, "C")
+    _finish_bool("C", check_compatibility(group, generators_only=True),
+                 expect, fmt, "C")
 
 
 @main.command("check-d")

@@ -7,9 +7,9 @@ whether local data extends outward: a group where every fiber is nonempty
 extends one step in every direction, and a group where the identity's fibers
 are trivial extends in at most one way.
 
-Everything here works with explicit element lists; fibers are resolved
-through hash buckets rather than pairwise scans, which keeps the fixpoint
-computation below quadratic in practice.
+Everything here works with explicit element lists. A partner restricts to
+the center's chart toward it, so a fiber lies in one run of the sorted
+elements, found by bisection; only runs that queries reach are keyed.
 
 Compatibility cocycles are the homomorphic sections of the lifted group one
 radius up. At degree 3 its kernel over F is elementary abelian, and the
@@ -25,33 +25,43 @@ from .errors import HypothesisError
 from .permcore import _getter, _grow
 
 
-def _buckets(group, direction):
-    cache = group._cache.setdefault("compat_buckets", {})
-    if direction not in cache:
-        buckets = {}
-        for b in group.elements:
-            buckets.setdefault(_offer_key(b, direction), []).append(b)
-        cache[direction] = {k: tuple(v) for k, v in buckets.items()}
-    return cache[direction]
+def _class_fibers(group, directions, root):
+    """The fibers in `directions` of the run of elements restricting to
+    `root`, in element order, keyed by their charts there; cached."""
+    cache = group._cache.setdefault("class_fibers", {})
+    fibers = cache.get((directions, root))
+    if fibers is None:
+        fibers = {}
+        for b in group._run(root):
+            key = tuple([_offer_key(b, w)[1] for w in directions])
+            fibers.setdefault(key, []).append(b)
+        fibers = {k: tuple(v) for k, v in fibers.items()}
+        cache[directions, root] = fibers
+    return fibers
 
 
 def compat_set(group, alpha, direction):
-    """All elements of the group that glue to `alpha` in the given direction."""
-    if isinstance(group, BallGroup):
-        return _buckets(group, direction).get(_need_key(alpha, direction), ())
-    return tuple(b for b in group if ball_compatible(alpha, b, direction))
+    """All elements of the group that glue to `alpha` in the given direction,
+    in element order: one lookup in the run restricting to alpha's chart."""
+    if not isinstance(group, BallGroup):
+        return tuple(b for b in group if ball_compatible(alpha, b, direction))
+    root, chart = _need_key(alpha, direction)
+    return _class_fibers(group, (direction,), root).get((chart,), ())
 
 
 def joint_compat_set(group, alpha, directions):
     """Elements gluing to `alpha` in every one of the given directions."""
     directions = tuple(directions)
+    if not isinstance(group, BallGroup):
+        return tuple(b for b in group
+                     if all(ball_compatible(alpha, b, w) for w in directions))
     if not directions:
-        return tuple(group.elements if isinstance(group, BallGroup) else group)
-    out = compat_set(group, alpha, directions[0])
-    for w in directions[1:]:
-        need = _need_key(alpha, w)
-        out = tuple(b for b in out if _offer_key(b, w) == need)
-    return out
+        return group.elements
+    roots, charts = zip(*[_need_key(alpha, w) for w in directions])
+    # a partner has one root, so alpha's charts toward the block must agree
+    if len(set(roots)) > 1:
+        return ()
+    return _class_fibers(group, directions, roots[0]).get(charts, ())
 
 
 def first_compat_failure(group, generators_only=False):
@@ -97,8 +107,10 @@ def compatibility_core(group):
     inverses (partners of a product can be assembled from partners of the
     factors), so the result really is a subgroup. That closure is re-verified
     here and a failure raises, since it would mean a bug rather than bad input.
-    When nothing is pruned the result is `group` itself.
+    When nothing is pruned, as the generators show, the result is `group`.
     """
+    if check_compatibility(group, generators_only=True):
+        return group
     live = set(group.elements)
     d = group.degree
     while True:

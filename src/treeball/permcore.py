@@ -223,9 +223,9 @@ def _close(gens, identity, cap=CLOSURE_CAP):
     return [identity._from(t) for t in sorted(members)]
 
 
-def _element_table(elements):
+def _element_table(elements, presorted=False):
     """The distinct elements, as a sorted tuple and as a frozenset."""
-    elements = sorted(elements)
+    elements = elements if presorted else sorted(elements)
     eset = frozenset(elements)
     if len(eset) < len(elements):
         elements = sorted(eset)
@@ -245,17 +245,18 @@ class FiniteGroup:
 
     __slots__ = ("elements", "generators", "_eset", "_cache")
 
-    def __init__(self, elements, generators):
-        self.elements, self._eset = _element_table(elements)
+    def __init__(self, elements, generators, _sorted=False):
+        self.elements, self._eset = _element_table(elements, _sorted)
         self.generators = tuple(generators)
         self._cache = {}
 
     def _like(self, elements, generators=None):
-        """A group of this kind and shape on `elements`, which must form a
-        group; the generating-set greedy picks the generators unless given."""
+        """A group of this kind and shape on `elements`, which must be a
+        sorted group; the generating-set greedy picks the generators unless
+        given."""
         if generators is None:
             generators = small_generating_set_of(elements, self.identity())
-        return type(self)(*self._shape(), elements, generators)
+        return type(self)(*self._shape(), elements, generators, _sorted=True)
 
     def _generated(self, gens):
         """The subgroup generated by `gens`; the trivial one when empty."""
@@ -312,9 +313,9 @@ class PermGroup(FiniteGroup):
 
     __slots__ = ("degree",)
 
-    def __init__(self, degree, elements, generators):
+    def __init__(self, degree, elements, generators, _sorted=False):
         self.degree = degree
-        super().__init__(elements, generators)
+        super().__init__(elements, generators, _sorted)
 
     def _shape(self):
         return (self.degree,)
@@ -340,8 +341,8 @@ class PermGroup(FiniteGroup):
         elements = sorted(elements)
         if degree is None:
             degree = elements[0].degree
-        return cls(degree, elements,
-                   small_generating_set_of(elements, Perm.identity(degree)))
+        gens = small_generating_set_of(elements, Perm.identity(degree))
+        return cls(degree, elements, gens, _sorted=True)
 
     @classmethod
     def symmetric(cls, degree):
@@ -648,7 +649,7 @@ def normal_closure(G, seeds):
                     gens.append(y)
                     _grow(members, have, grown, y.images)
                     changed = True
-    return G._like([ident._from(t) for t in members])
+    return G._like([ident._from(t) for t in sorted(members)])
 
 
 def normal_subgroups(G):

@@ -1,0 +1,190 @@
+"""Gluing fibers from one run of the sorted element list, against scanning.
+
+`compat._class_fibers` keys only the elements that restrict to the asked
+chart, a run of the sorted element list, and (C) is decided on the
+generators. `scanning_fibers` tests every element instead. Fibers must be
+the same tuples in the same order, cores the same groups (the input itself
+where nothing is pruned), `check-c` the same stdout and exit code, and a
+query must key no more than the runs it reaches.
+"""
+
+import itertools
+import os
+import random
+import tempfile
+from unittest import mock
+
+from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import scanning_fibers
+from test_compat import tiny_seam_group
+from treeball import cli
+from treeball.balls import (BallAut, BallGroup, _need_key, ball_points,
+                            random_ball_aut)
+from treeball.compat import (check_compatibility, compat_set,
+                             compatibility_core, joint_compat_set)
+from treeball.constructions import build_full_lift, build_parity_lift
+from treeball.documents import document_from_group, serialize_document
+from treeball.errors import CapacityError
+from treeball.permcore import PermGroup
+
+CHECKED = settings(derandomize=True, deadline=None, max_examples=50,
+                   suppress_health_check=[HealthCheck.too_slow])
+SHAPES = [(3, 1), (3, 2), (3, 3), (4, 2)]
+#: drawn groups stay small enough to scan; Aut(B(3, 3)) has order 3072
+CAP = 3072
+
+
+def twist(degree, radius, rng):
+    """A random element acting only on the last level: it permutes the
+    leaves below each vertex one level up."""
+    pts = ball_points(degree, radius)
+    index = {p: i for i, p in enumerate(pts)}
+    images = list(range(len(pts)))
+    for v in pts:
+        if len(v) == radius - 1:
+            kids = [x for x in range(degree) if x != v[-1]]
+            moved = kids[:]
+            rng.shuffle(moved)
+            for x, y in zip(kids, moved):
+                images[index[v + (x,)]] = index[v + (y,)]
+    return BallAut.from_images(degree, radius, images)
+
+
+def drawn_group(seed, shape, kind):
+    """The full group, or the group of a random automorphism and either a
+    second one or a last-level twist (as the benchmark's random sets are
+    built); the first generator alone past the cap."""
+    degree, radius = shape
+    rng = random.Random(seed)
+    if kind == "full" and shape != (4, 2):
+        return BallGroup.full(degree, radius)
+    gens = [random_ball_aut(degree, radius, rng)]
+    if kind == "twisted" and radius > 1:
+        gens.append(twist(degree, radius, rng))
+    else:
+        gens.append(random_ball_aut(degree, radius, rng))
+    try:
+        return BallGroup.generated(gens, cap=CAP)
+    except CapacityError:
+        return BallGroup.generated(gens[:1])
+
+
+GROUPS = (st.integers(min_value=0, max_value=2 ** 32), st.sampled_from(SHAPES),
+          st.sampled_from(["full", "random", "twisted"]))
+
+
+@CHECKED
+@given(*GROUPS, st.integers(min_value=0, max_value=2 ** 32))
+def test_fibers_are_the_scanned_tuples_in_order(seed, shape, kind, qseed):
+    group = drawn_group(seed, shape, kind)
+    degree, radius = shape
+    rng = random.Random(qseed)
+    alphas = [group.identity(), rng.choice(group.elements),
+              rng.choice(group.generators),
+              random_ball_aut(degree, radius, rng)]
+    elements = list(group.elements)
+    for alpha in alphas:
+        for w in range(degree):
+            want = scanning_fibers.fiber(group, alpha, (w,))
+            assert compat_set(group, alpha, w) == want
+            assert compat_set(elements, alpha, w) == want
+        block = rng.sample(range(degree), rng.randint(1, degree))
+        want = scanning_fibers.fiber(group, alpha, block)
+        assert joint_compat_set(group, alpha, block) == want
+        assert joint_compat_set(elements, alpha, block) == want
+    assert joint_compat_set(group, alphas[1], ()) == group.elements
+    if radius > 1:
+        kernel = group.projection_kernel()
+        assert kernel == scanning_fibers.projection_kernel(group)
+        assert type(kernel) is tuple
+
+
+def test_blocks_whose_charts_disagree_have_no_partner():
+    for shape, step in [((3, 2), 1), ((3, 3), 500)]:
+        group = BallGroup.full(*shape)
+        degree = shape[0]
+        seen = {"disagree": 0, "agree": 0}
+        for alpha in group.elements[::step]:
+            for size in (2, 3):
+                for block in itertools.permutations(range(degree), size):
+                    charts = {_need_key(alpha, w)[0] for w in block}
+                    joint = joint_compat_set(group, alpha, block)
+                    assert joint == scanning_fibers.fiber(group, alpha, block)
+                    if len(charts) > 1:
+                        seen["disagree"] += 1
+                        assert joint == ()
+                    else:
+                        seen["agree"] += 1
+                        assert joint
+        assert seen["disagree"] and seen["agree"]
+
+
+def _same_core(group):
+    core = compatibility_core(group)
+    want = scanning_fibers.compatibility_core(group)
+    if want is group:
+        assert core is group
+    else:
+        assert core.elements == want.elements
+        assert core.generators == want.generators
+    return core is group
+
+
+def pi_zero():
+    s3 = PermGroup.symmetric(3)
+    sgn = {p: 0 if p.sign() == 1 else 1 for p in s3.elements}
+    return build_parity_lift(s3, sgn, 2, [0], radius=2)
+
+
+def test_cores_match_the_frozen_fixpoint(census_rows):
+    kept = [_same_core(row.group) for row in census_rows]
+    assert all(kept)
+    assert not _same_core(pi_zero())
+    assert not _same_core(tiny_seam_group())
+
+
+@CHECKED
+@given(st.integers(min_value=0, max_value=2 ** 32),
+       st.sampled_from([(3, 2), (3, 3), (4, 2)]))
+def test_cores_of_drawn_groups_match_the_frozen_fixpoint(seed, shape):
+    _same_core(drawn_group(seed, shape, "twisted"))
+
+
+def _check_c(path, args):
+    res = CliRunner().invoke(cli.main, ["check-c", "--in", path] + args)
+    return res.exit_code, res.output
+
+
+@settings(derandomize=True, deadline=None, max_examples=25,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(*GROUPS, st.sampled_from([[], ["--format", "json"],
+                                 ["--expect", "yes"], ["--expect", "no"]]))
+def test_check_c_answers_as_the_all_element_check(seed, shape, kind, args):
+    group = drawn_group(seed, shape, kind)
+    text = serialize_document(document_from_group(group))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "group.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        got = _check_c(path, args)
+        with mock.patch.object(cli, "check_compatibility",
+                               lambda g, generators_only=False:
+                               scanning_fibers.check_c(g)):
+            want = _check_c(path, args)
+    assert got == want
+
+
+def test_queries_key_only_the_runs_they_reach():
+    group = build_full_lift(PermGroup.symmetric(3), radius=3)
+    assert group.order == 3072
+    compat_set(group, group.generators[0], 1)
+    assert len(group._cache["class_fibers"]) == 1
+    group._cache.clear()
+    assert check_compatibility(group, generators_only=True)
+    runs = group._cache["class_fibers"]
+    assert len(runs) <= len(group.generators) * group.degree
+    sizes = [sum(map(len, fibers.values())) for fibers in runs.values()]
+    assert max(sizes) <= 64

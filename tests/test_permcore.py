@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import scanning_lattice
 import treeball
-from treeball.balls import BallGroup
+from treeball.balls import BallAut, BallGroup, full_aut
 from treeball.constructions import build_full_lift
 from treeball.errors import HypothesisError
 from treeball.permcore import (Perm, PermGroup, _lattice_table,
@@ -373,3 +373,31 @@ def test_repr_of_a_raw_tuple_that_is_no_permutation_returns():
                           capture_output=True, text=True, timeout=30)
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("Perm")
+
+
+def test_sorted_element_lists_are_sorted_once(monkeypatch):
+    # from_elements sorts its input and the group keeps that order: on a
+    # sorted list that is one pass of len - 1 comparisons, not two
+    elems = list(full_aut(3, 3))
+    compared = []
+    less = BallAut.__lt__
+    monkeypatch.setattr(BallAut, "__lt__",
+                        lambda a, b: compared.append(1) or less(a, b))
+    G = BallGroup.from_elements(elems)
+    assert len(compared) == len(elems) - 1
+    # a closure is sorted as image tuples, and not again as elements
+    compared.clear()
+    assert BallGroup.generated(G.generators) == G
+    assert not compared
+    monkeypatch.undo()
+    assert G.elements == tuple(elems)
+    shuffled = elems[::-1] + elems[:5]
+    assert BallGroup.from_elements(shuffled).elements == tuple(elems)
+
+
+def test_groups_passed_through_unsorted_are_still_sorted():
+    G = build_full_lift(BallGroup.full(3, 1))
+    made = [G, center(G), *normal_subgroups(G), *all_subgroups(G)]
+    made += [H.stabilizer(0) for H in _named().values()]
+    for H in made:
+        assert list(H.elements) == sorted(set(H.elements))
