@@ -5,11 +5,16 @@ needs (raising HypothesisError with the failing clause in the message), and
 returns an explicit BallGroup. Orders are computed from the defining
 parameters first and the materialized group is checked against them, so a
 silent modelling mistake cannot slip through as a wrong-sized group.
+
+Tower levels are glued from matched fibers and keep the generators their
+step builds (lifts of the level below's generators and one-block twists of
+the identity), whether the level is materialized or only certified.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .balls import (
@@ -17,6 +22,7 @@ from .balls import (
     BallAut,
     BallGroup,
     _glue_fibers,
+    _glue_images,
     ball_compatible,
     words_of_length,
 )
@@ -26,7 +32,8 @@ from .compat import (
     joint_compat_set,
 )
 from .errors import CapacityError, HypothesisError
-from .permcore import Perm, PermGroup, small_generating_set_of
+from .permcore import (Perm, PermGroup, center, classify_action,
+                       small_generating_set_of)
 
 
 def _r1(perm):
@@ -479,6 +486,9 @@ class TowerCertificate:
 
 @dataclass(frozen=True)
 class TowerLevel:
+    """One tower level; a materialized `group` and a `certificate` both
+    carry the generators of `_tower_generators`, not a greedy's."""
+
     radius: int
     order: int
     group: object        # BallGroup, or None when only certified
@@ -522,18 +532,20 @@ def build_tower(F, kind, levels, blocks=None, pinned_point=0,
     Levels beyond `cap` elements are certified rather than materialized, and
     certification stops after the first such level.
     """
-    blocks, pinned = _tower_hypotheses(F, kind, blocks, pinned_point)
+    blocks, pinned, zen = _tower_hypotheses(F, kind, blocks, pinned_point)
     base = BallGroup(
         F.degree, 1, [_r1(p) for p in F.elements],
         [_r1(p) for p in F.generators])
     out = [TowerLevel(radius=1, order=F.order, group=base, certificate=None)]
-    central = _central_block_preserving(F, blocks, pinned_point, kind)
+
+    def central():
+        return _central_block_preserving(F, zen, blocks, pinned_point, kind)
+
     for _ in range(levels - 1):
         prev = out[-1]
         if prev.group is None:
             break
-        step = _tower_step(prev.group, blocks, pinned, central, cap)
-        out.append(step)
+        out.append(_tower_step(prev.group, blocks, pinned, central, cap))
     return Tower(kind=kind, blocks=tuple(blocks), pinned_block=pinned,
                  levels=tuple(out))
 
@@ -554,7 +566,7 @@ def _tower_hypotheses(F, kind, blocks, pinned_point):
         pinned = _block_index(blocks, pinned_point)
         if len(blocks[pinned]) < 2:
             raise HypothesisError("the pinned orbit needs at least two points")
-        return blocks, pinned
+        return blocks, pinned, None
 
     if kind == "partition":
         if blocks is None:
@@ -565,7 +577,7 @@ def _tower_hypotheses(F, kind, blocks, pinned_point):
             raise HypothesisError("blocks must partition the points")
         if not F.is_transitive():
             raise HypothesisError("partition towers need a transitive group")
-        if not _preserves_blocks(F, blocks):
+        if not _preserves_blocks(F.generators, blocks):
             raise HypothesisError("the group must map blocks to blocks")
         for b in blocks:
             if F.pointwise_stabilizer(b).order == 1:
@@ -575,19 +587,17 @@ def _tower_hypotheses(F, kind, blocks, pinned_point):
         for p in range(F.degree):
             plus_gens.extend(F.stabilizer(p).generators)
         plus = PermGroup.generated(plus_gens, F.degree)
-        abelian_route = plus.is_abelian() and _preserves_blocks(plus, blocks)
-        central_route = False
+        abelian_route = (plus.is_abelian()
+                         and _preserves_blocks(plus.generators, blocks))
+        zen = None
         if not abelian_route:
-            from .permcore import center, classify_action
             zen = center(F)
-            report = classify_action(F)
-            central_route = (report.semiprimitive and zen.order > 1
-                             and _preserves_blocks(zen, blocks))
-        if not (abelian_route or central_route):
-            raise HypothesisError(
-                "need either an abelian stabilizer closure or a semiprimitive "
-                "action with nontrivial center")
-        return blocks, None
+            if not (classify_action(F).semiprimitive and zen.order > 1
+                    and _preserves_blocks(zen.generators, blocks)):
+                raise HypothesisError(
+                    "need either an abelian stabilizer closure or a "
+                    "semiprimitive action with nontrivial center")
+        return blocks, None, zen
 
     if kind == "pinned-center":
         orbits = list(F.orbits())
@@ -597,7 +607,6 @@ def _tower_hypotheses(F, kind, blocks, pinned_point):
         blocks = orbits
         if len(blocks) < 3:
             raise HypothesisError("need at least three orbits")
-        from .permcore import center
         zen = center(F)
         if not any(z(pinned_point) != pinned_point for z in zen.elements):
             raise HypothesisError(
@@ -607,7 +616,7 @@ def _tower_hypotheses(F, kind, blocks, pinned_point):
             if i != pinned and F.pointwise_stabilizer(b).order == 1:
                 raise HypothesisError("every other orbit needs a nontrivial "
                                       "pointwise stabilizer")
-        return blocks, pinned
+        return blocks, pinned, zen
 
     raise ValueError("unknown tower kind %r" % (kind,))
 
@@ -619,153 +628,141 @@ def _block_index(blocks, point):
     raise HypothesisError("pinned point is outside the blocks")
 
 
-def _preserves_blocks(G, blocks):
-    block_of = {}
-    for i, b in enumerate(blocks):
-        for p in b:
-            block_of[p] = i
-    for g in G.generators:
-        for b in blocks:
-            if len({block_of[g(p)] for p in b}) != 1:
-                return False
-    return True
+def _preserves_blocks(gens, blocks):
+    """Do the permutations `gens`, and so the group they generate, map
+    blocks to blocks?"""
+    return all(len({_block_index(blocks, g(p)) for p in b}) == 1
+               for g in gens for b in blocks)
 
 
-def _central_block_preserving(F, blocks, pinned_point, kind):
-    from .permcore import center
-    zen = center(F)
-    for z in zen.elements:
+def _central_block_preserving(F, zen, blocks, pinned_point, kind):
+    """A nontrivial element of the center `zen` of F (computed when None)
+    that maps blocks to blocks, and for pinned-center towers moves the
+    pinned point; None if there is none."""
+    for z in (center(F) if zen is None else zen).elements:
         if z.is_identity():
             continue
         if kind == "pinned-center" and z(pinned_point) == pinned_point:
             continue
-        if _preserves_blocks(PermGroup.generated([z], F.degree), blocks):
+        if _preserves_blocks([z], blocks):
             return z
     return None
 
 
-def _tower_step(prev, blocks, pinned, central, cap):
-    d = prev.degree
+def _first_partner(prev, a, block):
+    fib = joint_compat_set(prev, a, block)
+    if not fib:
+        raise RuntimeError("tower fiber empty; bug")
+    return fib[0]
+
+
+def _check_self_gluing(a, block):
+    # no fiber vouches for a pinned partner, `a` itself
+    for w in block:
+        if not ball_compatible(a, a, w):
+            raise ValueError("child at %d does not glue to the root" % w)
+
+
+def _tower_generators(prev, blocks, pinned, id_fibers, block_of):
+    """Generators of the tower level above `prev`.
+
+    The level maps onto `prev` by restriction, with kernel the product of
+    the unpinned blocks' identity fibers, so it is generated by one lift of
+    each generator of `prev` (its first joint partner on every unpinned
+    block, itself on the pinned one) and, per unpinned block, a twist of the
+    identity on that block alone by each greedy generator of its fiber.
+    """
     ident = prev.identity()
-    id_fibers = [joint_compat_set(prev, ident, b) for b in blocks]
-    expected = prev.order
+    gens = []
+    for a in prev.generators:
+        picks = [a if i == pinned else _first_partner(prev, a, b)
+                 for i, b in enumerate(blocks)]
+        gens.append(_glue_images(a, [picks[i] for i in block_of]))
     for i, fib in enumerate(id_fibers):
         if i == pinned:
             continue
-        expected *= len(fib)
+        for x in small_generating_set_of(fib, ident):
+            if not x.is_identity():
+                gens.append(_glue_images(
+                    ident, [x if j == i else ident for j in block_of]))
+    return [BallAut._raw(prev.degree, prev.radius + 1, t) for t in gens]
+
+
+def _tower_step(prev, blocks, pinned, central, cap):
+    """The tower level above `prev`: materialized with the generators of
+    `_tower_generators` when its order is at most `cap`, else certified.
+    `central`, when given, is called for the central element to lift into
+    a certificate."""
+    d, radius = prev.degree, prev.radius + 1
+    block_of = [_block_index(blocks, w) for w in range(d)]
+    id_fibers = [joint_compat_set(prev, prev.identity(), b) for b in blocks]
+    sizes = [1 if i == pinned else len(f) for i, f in enumerate(id_fibers)]
+    expected = prev.order * math.prod(sizes)
     if expected > cap:
         cert = _tower_certificate(prev, blocks, pinned, central, expected,
-                                  id_fibers)
-        return TowerLevel(radius=prev.radius + 1, order=expected,
+                                  id_fibers, block_of)
+        return TowerLevel(radius=radius, order=expected,
                           group=None, certificate=cert)
-    block_of = {}
-    for i, b in enumerate(blocks):
-        for w in b:
-            block_of[w] = i
-    elems = []
+    images = []
     for a in prev.elements:
-        options = []
-        for i, b in enumerate(blocks):
-            if i == pinned:
-                # no fiber vouches for the pinned partner, a itself
-                for w in b:
-                    if not ball_compatible(a, a, w):
-                        raise ValueError(
-                            "child at %d does not glue to the root" % w)
-                options.append((a,))
-                continue
-            fib = joint_compat_set(prev, a, b)
-            if len(fib) != len(id_fibers[i]):
-                raise RuntimeError("tower fibers are not uniform; bug")
-            options.append(fib)
+        if pinned is not None:
+            _check_self_gluing(a, blocks[pinned])
+        options = [(a,) if i == pinned else joint_compat_set(prev, a, b)
+                   for i, b in enumerate(blocks)]
+        if list(map(len, options)) != sizes:
+            raise RuntimeError("tower fibers are not uniform; bug")
         # every other partner glues along its whole block by choice of fiber
-        elems.extend([BallAut._raw(d, a.radius + 1, t)
-                      for t in _glue_fibers(a, options, block_of)])
-    group = BallGroup.from_elements(elems)
-    level = _check_order(group, expected, "tower step")
-    return TowerLevel(radius=prev.radius + 1, order=expected,
-                      group=level, certificate=None)
+        images.extend(_glue_fibers(a, options, block_of))
+    images.sort()  # linear: roots and fibers already come in image order
+    gens = _tower_generators(prev, blocks, pinned, id_fibers, block_of)
+    level = BallGroup(d, radius, [BallAut._raw(d, radius, t) for t in images],
+                      gens, _sorted=True)
+    if not all(g in level for g in level.generators):
+        raise RuntimeError("tower generator outside its level; bug")
+    return TowerLevel(radius=radius, order=expected,
+                      group=_check_order(level, expected, "tower step"),
+                      certificate=None)
 
 
-def _tower_certificate(prev, blocks, pinned, central, order, id_fibers):
-    d = prev.degree
-    block_of = {}
-    for i, b in enumerate(blocks):
-        for w in b:
-            block_of[w] = i
-
-    def lift(a):
-        children = [None] * d
-        for i, b in enumerate(blocks):
-            if i == pinned:
-                c = a
-            else:
-                fib = joint_compat_set(prev, a, b)
-                if not fib:
-                    raise RuntimeError("tower fiber empty; bug")
-                c = fib[0]
-            for w in b:
-                children[w] = c
-        return BallAut(a, tuple(children))
-
-    ident = prev.identity()
-    gens = [lift(g) for g in prev.generators]
-    for i, fib in enumerate(id_fibers):
-        if i == pinned:
-            continue
-        fib_gens = small_generating_set_of(fib, ident)
-        for x in fib_gens:
-            if x.is_identity():
-                continue
-            children = [None] * d
-            for j, b in enumerate(blocks):
-                c = x if j == i else ident
-                for w in b:
-                    children[w] = c
-            gens.append(BallAut(ident, tuple(children)))
+def _tower_certificate(prev, blocks, pinned, central, order, id_fibers,
+                       block_of):
+    d, radius = prev.degree, prev.radius + 1
+    gens = _tower_generators(prev, blocks, pinned, id_fibers, block_of)
 
     witnesses = {}
     for gi, g in enumerate(gens):
-        for w in range(d):
-            partner_root = g.children[w]
-            children = [None] * d
-            for j, b in enumerate(blocks):
-                if j == block_of[w]:
-                    c = g.root
-                else:
-                    fib = joint_compat_set(prev, partner_root, b)
-                    if not fib:
-                        raise RuntimeError("tower fiber empty; bug")
-                    c = fib[0]
-                for u in b:
-                    children[u] = c
-            if pinned is not None and block_of[w] != pinned:
-                # the pinned block of the witness must carry its own root
-                for u in blocks[pinned]:
-                    children[u] = partner_root
-            witness = BallAut(partner_root, tuple(children))
-            if not ball_compatible(g, witness, w):
-                raise RuntimeError("constructed witness does not glue; bug")
-            witnesses[(gi, w)] = witness
+        root, children = g.root, g.children
+        for i, b in enumerate(blocks):
+            # g's partner on block b carries g's root on b, its own first
+            # partners on the other unpinned blocks and itself on the pinned
+            partner_root = children[b[0]]
+            if pinned is not None:
+                _check_self_gluing(partner_root, blocks[pinned])
+            picks = [root if j == i else partner_root if j == pinned
+                     else _first_partner(prev, partner_root, c)
+                     for j, c in enumerate(blocks)]
+            witness = BallAut._raw(d, radius, _glue_images(
+                partner_root, [picks[j] for j in block_of]))
+            for w in b:
+                if not ball_compatible(g, witness, w):
+                    raise RuntimeError(
+                        "constructed witness does not glue; bug")
+                witnesses[(gi, w)] = witness
 
+    ident = prev.identity()
     seam = None
     for i, fib in enumerate(id_fibers):
-        if i == pinned:
-            continue
-        nontrivial = [x for x in fib if not x.is_identity()]
-        if nontrivial:
-            children = [None] * d
-            for j, b in enumerate(blocks):
-                c = nontrivial[0] if j == i else ident
-                for w in b:
-                    children[w] = c
-            seam = BallAut(ident, tuple(children))
+        x = next((x for x in fib if not x.is_identity()), None)
+        if i != pinned and x is not None:
+            seam = BallAut._raw(d, radius, _glue_images(
+                ident, [x if j == i else ident for j in block_of]))
             break
 
     central_lift = None
-    if central is not None:
+    z = central() if central is not None else None
+    if z is not None:
         # climb the central element to the previous radius as a full diagonal
-        c = _r1(central)
+        c = _r1(z)
         while c.radius < prev.radius:
             c = BallAut(c, (c,) * d)
         if c in prev:
@@ -775,7 +772,7 @@ def _tower_certificate(prev, blocks, pinned, central, order, id_fibers):
                     raise RuntimeError("diagonal central element does not "
                                        "commute; bug")
 
-    return TowerCertificate(radius=prev.radius + 1, order=order,
+    return TowerCertificate(radius=radius, order=order,
                             generators=tuple(gens),
                             compat_witnesses=witnesses,
                             seam=seam, central=central_lift)
@@ -788,17 +785,18 @@ def tower_member(level_below, blocks, pinned, candidate):
     the partners must be constant on blocks and glue jointly, and the pinned
     block must carry the root itself.
     """
-    if candidate.root not in level_below:
+    root, children = candidate.root, candidate.children
+    if root not in level_below:
         return False
     for i, b in enumerate(blocks):
-        c = candidate.children[b[0]]
-        if any(candidate.children[w] != c for w in b[1:]):
+        c = children[b[0]]
+        if any(children[w] != c for w in b[1:]):
             return False
         if pinned is not None and i == pinned:
-            if c != candidate.root:
+            if c != root:
                 return False
             continue
-        if any(not ball_compatible(candidate.root, c, w) for w in b):
+        if any(not ball_compatible(root, c, w) for w in b):
             return False
         if c not in level_below:
             return False

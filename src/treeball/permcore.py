@@ -219,7 +219,8 @@ def _close(gens, identity, cap=CLOSURE_CAP):
     members, seen, grown = [identity.images], {identity.images}, []
     for g in gens:
         if not _grow(members, seen, grown, g.images, cap):
-            raise CapacityError("closure exceeded cap of %d" % cap)
+            raise CapacityError("closure exceeded cap of %d after reaching "
+                                "%d elements" % (cap, len(members)))
     return [identity._from(t) for t in sorted(members)]
 
 

@@ -284,8 +284,8 @@ def test_tower_text_output(runner):
 @pytest.mark.slow
 def test_tower_pinned_orbit_four_steps():
     # in a child process, whose peak RSS wait4 reports alone: level 4 holds
-    # 32,768 tables of 937 points, and the generating-set greedy must keep
-    # the builder's tuples rather than a second copy of each (about 500 MB)
+    # 32,768 tables of 937 points, glued once and kept as the level's
+    # elements, next to the few generators the tower step glues itself
     src = str(pathlib.Path(treeball.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -300,7 +300,7 @@ def test_tower_pinned_orbit_four_steps():
     assert child.returncode == 0, out
     assert out == ("level 1: order 8\nlevel 2: order 128\n"
                    "level 3: order 2048\nlevel 4: order 32768\n")
-    assert usage.ru_maxrss < 450 * 1024  # kilobytes
+    assert usage.ru_maxrss < 300 * 1024  # kilobytes
 
 
 def test_tower_rejects_bad_blocks(runner):

@@ -15,7 +15,8 @@ from treeball.constructions import (build_centered, build_cocycle_extension,
                                     build_split_lift, build_tower,
                                     build_wreath_local, tower_member)
 from treeball.errors import HypothesisError
-from treeball.permcore import Perm, PermGroup, small_generating_set_of
+from treeball.permcore import (Perm, PermGroup, _close,
+                               small_generating_set_of)
 
 IDENT = Perm((0, 1, 2))
 # the transposition fixing each point of the triangle
@@ -314,21 +315,45 @@ def _checked_tower_step(prev, blocks, pinned):
     return BallGroup.from_elements(elems)
 
 
+def _tower(kind, flips6, sl23, steps=3, **kw):
+    if kind == "partition":
+        return build_tower(sl23, kind, steps,
+                           blocks=[(0, 1), (2, 5), (3, 7), (4, 6)], **kw)
+    return build_tower(flips6, kind, steps, **kw)
+
+
 @pytest.mark.parametrize("kind", ["pinned-orbit", "pinned-center",
                                   "partition"])
 def test_tower_levels_match_the_checking_constructor(kind, flips6, sl23):
-    if kind == "partition":
-        tower = build_tower(sl23, kind, 3,
-                            blocks=[(0, 1), (2, 5), (3, 7), (4, 6)])
-    else:
-        tower = build_tower(flips6, kind, 3)
+    tower = _tower(kind, flips6, sl23)
     built = [lv for lv in tower.levels[1:] if lv.group is not None]
     assert len(built) == (1 if kind == "partition" else 2)
     for below, level in zip(tower.levels, built):
         checked = _checked_tower_step(below.group, tower.blocks,
                                       tower.pinned_block)
         assert set(level.group.elements) == set(checked.elements)
-        assert level.group.generators == checked.generators
+        # the construction's own generators close to exactly the level
+        assert tuple(_close(level.group.generators,
+                            level.group.identity())) == level.group.elements
+
+
+@pytest.mark.parametrize("kind", ["pinned-orbit", "pinned-center",
+                                  "partition"])
+def test_certified_levels_carry_the_built_levels_generators(kind, flips6,
+                                                           sl23):
+    built = [lv for lv in _tower(kind, flips6, sl23).levels
+             if lv.group is not None][-1]
+    tower = _tower(kind, flips6, sl23, steps=built.radius,
+                   cap=built.order - 1)
+    cert = tower.levels[-1].certificate
+    assert cert is not None and cert.order == built.order
+    assert cert.generators == built.group.generators
+    assert cert.seam in built.group
+    assert len(cert.compat_witnesses) == (len(cert.generators)
+                                          * built.group.degree)
+    for (gi, w), partner in cert.compat_witnesses.items():
+        assert partner in built.group
+        assert ball_compatible(cert.generators[gi], partner, w)
 
 
 def test_tower_step_refuses_a_pinned_partner_that_does_not_glue():

@@ -160,10 +160,18 @@ def test_gathers_on_one_and_two_points():
 
 
 def test_close_raises_past_its_cap():
-    with pytest.raises(CapacityError):
+    # the error names the cap and the size reached: S4 from a 4-cycle and a
+    # transposition grows <(0 1 2 3)> by cosets to 20, and the next passes 23
+    with pytest.raises(CapacityError, match=r"^closure exceeded cap of 23 "
+                       r"after reaching 20 elements$"):
         _close(PermGroup.symmetric(4).generators, Perm.identity(4), cap=23)
     assert len(_close(PermGroup.symmetric(4).generators,
                       Perm.identity(4), cap=24)) == 24
+    # Aut(B(3, 2)) has order 48 and grows by a coset of 16 past 32
+    gens = BallGroup.full(3, 2).generators
+    with pytest.raises(CapacityError, match="cap of 47 after reaching 32 "):
+        BallGroup.generated(gens, cap=47)
+    assert BallGroup.generated(gens, cap=48).order == 48
 
 
 @pytest.mark.parametrize("elements", [
