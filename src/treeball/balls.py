@@ -432,8 +432,10 @@ class BallAut(Element):
 
         The table must cover every non-center vertex; images must be reduced
         words of the same length, and the table an automorphism. A table that
-        fails is rebuilt layer by layer to name the first failure, raised as
-        ValueError.
+        fails is rejected with a ValueError naming its first defect: a missing
+        vertex, a bad image, or else the local step of the first inner vertex,
+        in point order, whose neighbours' images do not leave its own image by
+        distinct letters.
         """
         index = _point_index(degree, radius)
         try:
@@ -441,45 +443,27 @@ class BallAut(Element):
                 index[tuple(mapping[p])] for p in ball_points(degree, radius)])
         except (KeyError, TypeError, ValueError):
             pass
-        pts = ball_points(degree, radius)
-        for p in pts:
+        image = {(): ()}
+        for p in ball_points(degree, radius):
             if p not in mapping:
                 raise ValueError("mapping misses vertex %r" % (p,))
-            img = tuple(mapping[p])
+            img = image[p] = tuple(mapping[p])
             if len(img) != len(p) or not is_reduced_word(degree, img):
                 raise ValueError("bad image %r for vertex %r" % (img, p))
-        try:
-            aut = _rebuild(degree, radius, mapping)
-        except (KeyError, IndexError) as err:
-            raise ValueError(
-                "table is not a ball automorphism (%s)" % (err,)) from err
-        for p, img in zip(pts, aut.flat()):
-            if img != tuple(mapping[p]):
-                raise ValueError(
-                    "table is not a ball automorphism near vertex %r"
-                    % (p,))
-        raise RuntimeError("rebuilt automorphism fails the one-pass check; bug")
-
-
-def _rebuild(degree, radius, mapping):
-    # The layer-by-layer reading of a word table: root, then one chart per
-    # neighbour, each glued by the constructor. Only used to name the first
-    # defect of a table that is not an automorphism.
-    lv1 = Perm(tuple(mapping[(w,)][0] for w in range(degree)))
-    if radius == 1:
-        return BallAut(lv1)
-    inner = {p: tuple(mapping[p]) for p in ball_points(degree, radius - 1)}
-    root = _rebuild(degree, radius - 1, inner)
-    children = []
-    for w in range(degree):
-        local = {}
-        img_anchor = (lv1(w),)
-        for u in ball_points(degree, radius - 1):
-            glob = follow((w,), u)
-            img = tuple(mapping[glob]) if glob else ()
-            local[u] = word_path(img_anchor, img)
-        children.append(_rebuild(degree, radius - 1, local))
-    return BallAut(root, children)
+        # With lengths kept, the step at v (the first letters of the paths
+        # to its neighbours' images) is a permutation exactly when v's
+        # outward neighbours extend its image by distinct letters. A reading
+        # root first, then one chart per neighbour, as in the recursive
+        # reference, meets the inner vertices in point order too, so Perm
+        # refuses the same vertex with the same message.
+        for v in ((),) + ball_points(degree, radius - 1):
+            at = image[v]
+            Perm(tuple([word_path(at, image[follow(v, (x,))])[0]
+                        for x in range(degree)]))
+            if degree < 3:  # refused once the center's step is read
+                raise HypothesisError("tree degree must be at least 3")
+        raise RuntimeError("table passes every local step but not the "
+                           "one-pass check; bug")
 
 
 # ---------------------------------------------------------------------------

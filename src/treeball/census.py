@@ -15,7 +15,6 @@ from dataclasses import dataclass, replace
 
 from .balls import BallAut, BallGroup, full_aut
 from .compat import (
-    canonical_cocycle,
     check_compatibility,
     check_trivial_seams,
     find_involutive_cocycles,

@@ -20,7 +20,7 @@ from .constructions import (build_centered, build_diagonal, build_full_lift,
                             build_parity_lift, build_tower,
                             build_wreath_local)
 from .documents import (document_from_group, group_from_document,
-                        load_document, serialize_document)
+                        load_document, save_document, serialize_document)
 from .errors import CapacityError
 from .permcore import Perm, PermGroup, classify_action, factorize
 from .universal import (is_discrete_universal, local_action_group,
@@ -252,12 +252,11 @@ def construct_cmd(kind, group_name, top_name, spheres, radius, out_path, fmt):
                       _fmt_count(built.order)))
         return
     meta = {"construction": "%s(%s)" % (kind, group_name)}
-    text = serialize_document(document_from_group(built, metadata=meta))
+    doc = document_from_group(built, metadata=meta)
     if not out_path:
-        click.echo(text, nl=False)
+        click.echo(serialize_document(doc), nl=False)
         return
-    with open(out_path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    save_document(doc, out_path)
     click.echo("wrote %s" % out_path)
 
 
@@ -292,11 +291,14 @@ def tower_cmd(kind, steps, group_name, blocks_spec, fmt):
                  "materialized": lv.group is not None}
                 for lv in tower.levels]
         click.echo(json.dumps(body))
-        return
-    for lv in tower.levels:
-        tag = "" if lv.group is not None else " (certified only)"
-        click.echo("level %d: order %s%s"
-                   % (lv.radius, _fmt_count(lv.order), tag))
+    else:
+        for lv in tower.levels:
+            tag = "" if lv.group is not None else " (certified only)"
+            click.echo("level %d: order %s%s"
+                       % (lv.radius, _fmt_count(lv.order), tag))
+    if len(tower.levels) < steps:
+        click.echo("tower stopped at certified level %d of the %d asked for"
+                   % (tower.levels[-1].radius, steps), err=True)
 
 
 @main.command("census")

@@ -231,7 +231,7 @@ def canonical_cocycle(group):
     return CompatCocycle(group, table, validate=True)
 
 
-def find_involutive_cocycles(group, validate=True, generators=None):
+def find_involutive_cocycles(group, generators=None):
     """All involutive choice maps on the group, sorted by table.
 
     A coherent choice map is a homomorphic section of the lifted group one
@@ -252,8 +252,8 @@ def find_involutive_cocycles(group, validate=True, generators=None):
     gens = [g for g in generators or group.generators if not g.is_identity()]
     solve = _solved_tables if group.degree == 3 else _searched_tables
     tables = solve(group, gens)
-    out = [CompatCocycle(group, table, validate=validate)
-           for table in tables if _table_involutive(table)]
+    out = [CompatCocycle(group, table) for table in tables
+           if _table_involutive(table)]
     out.sort(key=lambda c: c.table_key())
     return out
 

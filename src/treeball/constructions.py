@@ -40,6 +40,12 @@ def _r1(perm):
     return BallAut(perm)
 
 
+def radius_one(F):
+    """The permutation group F as a group of radius-1 ball automorphisms."""
+    return BallGroup(F.degree, 1, [_r1(p) for p in F.elements],
+                     [_r1(p) for p in F.generators])
+
+
 def _as_radius2(root_perm, child_perms):
     return BallAut(_r1(root_perm), tuple(_r1(c) for c in child_perms))
 
@@ -159,19 +165,24 @@ def build_full_lift(F, blocks=None, radius=None, cap=MATERIALIZE_CAP):
     For a permutation group this is every pairing of a root with arbitrary
     group elements around the neighbours that agree with it there; `blocks`
     restricts the choice to be constant on each block of a preserved
-    partition. For a BallGroup the same construction runs one radius up: every
-    element together with every choice of gluing partners inside the group.
-    A `radius` beyond the next one iterates the construction.
+    partition, which is one tower step with no pinned block. For a BallGroup
+    the same construction runs one radius up: every element together with
+    every choice of gluing partners inside the group. A `radius` beyond the
+    next one iterates the construction.
     """
     if isinstance(F, PermGroup):
-        base = BallGroup(
-            F.degree, 1, [_r1(p) for p in F.elements],
-            [_r1(p) for p in F.generators])
+        base = radius_one(F)
         if blocks is not None:
             if radius not in (None, 2):
                 raise HypothesisError(
                     "block-constant lifts only reach one radius out")
-            return _block_lift(F, blocks)
+            level = _tower_step(base, _checked_blocks(F, blocks), None, None,
+                                cap)
+            if level.group is None:
+                raise CapacityError(
+                    "block-constant lift would have order %d, beyond the "
+                    "cap of %d" % (level.order, cap))
+            return level.group
         if radius is None:
             radius = 2
     else:
@@ -203,32 +214,6 @@ def _one_step_full_lift(group, cap):
                                        for w in range(d)])]
     lifted = BallGroup.from_elements(elems)
     return _check_order(lifted, expected, "full lift")
-
-
-def _block_lift(F, blocks):
-    blocks = [tuple(sorted(b)) for b in blocks]
-    flat = sorted(p for b in blocks for p in b)
-    if flat != list(range(F.degree)):
-        raise HypothesisError("blocks must partition the points")
-    block_of = {}
-    for i, b in enumerate(blocks):
-        for p in b:
-            block_of[p] = i
-    for g in F.generators:
-        for b in blocks:
-            if len({block_of[g(p)] for p in b}) != 1:
-                raise HypothesisError("the group must map blocks to blocks")
-    stabs = [F.pointwise_stabilizer(b) for b in blocks]
-    expected = F.order
-    for s in stabs:
-        expected *= s.order
-    elems = []
-    for a in F.elements:
-        for tw in itertools.product(*(s.elements for s in stabs)):
-            children = [a * tw[block_of[w]] for w in range(F.degree)]
-            elems.append(_as_radius2(a, children))
-    group = BallGroup.from_elements(elems)
-    return _check_order(group, expected, "block-constant lift")
 
 
 def build_parity_lift(F, weight, modulus, spheres, radius=None,
@@ -530,13 +515,12 @@ def build_tower(F, kind, levels, blocks=None, pinned_point=0,
       pointwise stabilizers.
 
     Levels beyond `cap` elements are certified rather than materialized, and
-    certification stops after the first such level.
+    the tower stops after the first such level, so it can hold fewer levels
+    than asked for; the `tower` command then says so on stderr.
     """
     blocks, pinned, zen = _tower_hypotheses(F, kind, blocks, pinned_point)
-    base = BallGroup(
-        F.degree, 1, [_r1(p) for p in F.elements],
-        [_r1(p) for p in F.generators])
-    out = [TowerLevel(radius=1, order=F.order, group=base, certificate=None)]
+    out = [TowerLevel(radius=1, order=F.order, group=radius_one(F),
+                      certificate=None)]
 
     def central():
         return _central_block_preserving(F, zen, blocks, pinned_point, kind)
@@ -571,14 +555,7 @@ def _tower_hypotheses(F, kind, blocks, pinned_point):
     if kind == "partition":
         if blocks is None:
             raise HypothesisError("partition towers need explicit blocks")
-        blocks = [tuple(sorted(b)) for b in blocks]
-        flat = sorted(p for b in blocks for p in b)
-        if flat != list(range(F.degree)):
-            raise HypothesisError("blocks must partition the points")
-        if not F.is_transitive():
-            raise HypothesisError("partition towers need a transitive group")
-        if not _preserves_blocks(F.generators, blocks):
-            raise HypothesisError("the group must map blocks to blocks")
+        blocks = _checked_blocks(F, blocks, transitive=True)
         for b in blocks:
             if F.pointwise_stabilizer(b).order == 1:
                 raise HypothesisError(
@@ -619,6 +596,19 @@ def _tower_hypotheses(F, kind, blocks, pinned_point):
         return blocks, pinned, zen
 
     raise ValueError("unknown tower kind %r" % (kind,))
+
+
+def _checked_blocks(F, blocks, transitive=False):
+    """`blocks` as sorted tuples, once they partition F's points and F maps
+    blocks to blocks; with `transitive`, F must also be transitive."""
+    blocks = [tuple(sorted(b)) for b in blocks]
+    if sorted(p for b in blocks for p in b) != list(range(F.degree)):
+        raise HypothesisError("blocks must partition the points")
+    if transitive and not F.is_transitive():
+        raise HypothesisError("partition towers need a transitive group")
+    if not _preserves_blocks(F.generators, blocks):
+        raise HypothesisError("the group must map blocks to blocks")
+    return blocks
 
 
 def _block_index(blocks, point):

@@ -21,7 +21,6 @@ from __future__ import annotations
 from .balls import (
     MATERIALIZE_CAP,
     BallAut,
-    BallGroup,
     _assemble,
     _assembly_table,
     _parents,
@@ -37,7 +36,7 @@ from .compat import (
     compatibility_core,
     first_compat_failure,
 )
-from .constructions import build_full_lift
+from .constructions import build_full_lift, radius_one
 from .errors import CapacityError, HypothesisError
 from .permcore import PermGroup
 
@@ -168,9 +167,7 @@ def pk_local_action(group, target_radius, cap=None):
     level below.
     """
     if isinstance(group, PermGroup):
-        group = BallGroup(
-            group.degree, 1, [BallAut(p) for p in group.elements],
-            [BallAut(p) for p in group.generators])
+        group = radius_one(group)
     failure = first_compat_failure(group, generators_only=True)
     if failure is not None:
         raise HypothesisError(

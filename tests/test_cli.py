@@ -281,6 +281,17 @@ def test_tower_text_output(runner):
     assert all(lv["materialized"] for lv in levels)
 
 
+def test_tower_says_on_stderr_when_it_stops_short(runner):
+    short = runner.invoke(main, ["tower", "partition", "--steps", "5"])
+    full = runner.invoke(main, ["tower", "partition", "--steps", "3"])
+    assert short.exit_code == full.exit_code == 0
+    assert short.stdout == full.stdout
+    assert len(short.stdout.splitlines()) == 3
+    assert short.stderr == (
+        "tower stopped at certified level 3 of the 5 asked for\n")
+    assert full.stderr == ""
+
+
 @pytest.mark.slow
 def test_tower_pinned_orbit_four_steps():
     # in a child process, whose peak RSS wait4 reports alone: level 4 holds

@@ -14,7 +14,7 @@ from treeball.constructions import (build_centered, build_cocycle_extension,
                                     build_kernel_extension, build_parity_lift,
                                     build_split_lift, build_tower,
                                     build_wreath_local, tower_member)
-from treeball.errors import HypothesisError
+from treeball.errors import CapacityError, HypothesisError
 from treeball.permcore import (Perm, PermGroup, _close,
                                small_generating_set_of)
 
@@ -174,6 +174,24 @@ def test_block_lifts_interpolate_between_diagonal_and_full(s3, gamma_s3,
     lifted = build_full_lift(sl23, blocks=[(0, 1), (2, 5), (3, 7), (4, 6)])
     assert lifted.order == 1944
     assert check_compatibility(lifted)
+
+
+def test_block_lifts_are_one_tower_step(s3, sl23):
+    blocks = [(0, 1), (2, 5), (3, 7), (4, 6)]
+    lifted = build_full_lift(sl23, blocks=blocks)
+    level = build_tower(sl23, "partition", 2, blocks=blocks).level(2).group
+    assert lifted.elements == level.elements
+    assert lifted.generators == level.generators
+    assert tuple(_close(lifted.generators, lifted.identity())) == lifted.elements
+    with pytest.raises(CapacityError,
+                       match="order 1944, beyond the cap of 1000"):
+        build_full_lift(sl23, blocks=blocks, cap=1000)
+    with pytest.raises(HypothesisError,
+                       match="blocks must partition the points"):
+        build_full_lift(s3, blocks=[[0, 1]])
+    with pytest.raises(HypothesisError,
+                       match="the group must map blocks to blocks"):
+        build_full_lift(s3, blocks=[[0, 1], [2]])
 
 
 def test_cocycle_extension_by_trivial_kernel_is_the_lift(gamma_s3):

@@ -1,6 +1,7 @@
 """The flat image-tuple BallAut against the recursive reference in
 recursive_balls.py: the same automorphisms, products, views, order and
-verdicts on word tables, at degree 3 and radii 1 to 4."""
+verdicts on word tables, at degree 3 and radii 1 to 4 (word tables also
+at degrees 2 and 4)."""
 
 import random
 import re
@@ -115,16 +116,17 @@ def test_constructor_glues_like_the_reference(seed, radius):
 
 
 def perturb(table, degree, radius, rng):
-    """A word table with one random defect, or an untouched copy."""
+    """A word table with one more random defect, or an untouched copy."""
     out = dict(table)
-    keys = list(ball_points(degree, radius))
+    keys = [k for k in ball_points(degree, radius) if k in table]
     kind = rng.randrange(6)
     if kind == 0:
         # swap two images of the same length
         n = rng.randrange(1, radius + 1)
         same_len = [k for k in keys if len(k) == n]
-        x, y = rng.sample(same_len, 2)
-        out[x], out[y] = out[y], out[x]
+        if len(same_len) > 1:
+            x, y = rng.sample(same_len, 2)
+            out[x], out[y] = out[y], out[x]
     elif kind == 1:
         # replace one image by another word of its length
         k = rng.choice(keys)
@@ -144,21 +146,52 @@ def perturb(table, degree, radius, rng):
     return out
 
 
-@settings(max_examples=200, deadline=None)
-@given(SEEDS, RADII)
-def test_word_tables_are_accepted_exactly_when_the_reference_accepts(seed,
-                                                                     radius):
-    rng = random.Random(seed)
-    table = perturb(random_ball_aut(3, radius, rng).to_wordmap(), 3, radius,
-                    rng)
+def assert_same_verdict(degree, radius, table):
+    """BallAut.from_wordmap accepts `table` exactly when the reference does,
+    with the same automorphism or the same message."""
     try:
-        ref = RecursiveBallAut.from_wordmap(3, radius, table)
+        ref = RecursiveBallAut.from_wordmap(degree, radius, table)
     except ValueError as err:
         with pytest.raises(ValueError) as mine:
-            BallAut.from_wordmap(3, radius, table)
+            BallAut.from_wordmap(degree, radius, table)
         assert str(mine.value) == str(err)
     else:
-        assert same(BallAut.from_wordmap(3, radius, table), ref)
+        assert same(BallAut.from_wordmap(degree, radius, table), ref)
+
+
+@settings(max_examples=200, deadline=None)
+@given(SEEDS, st.sampled_from([(3, 1), (3, 2), (3, 3), (3, 4),
+                               (4, 1), (4, 2), (4, 3)]),
+       st.integers(min_value=1, max_value=3))
+def test_word_tables_are_accepted_exactly_when_the_reference_accepts(
+        seed, shape, defects):
+    degree, radius = shape
+    rng = random.Random(seed)
+    table = random_ball_aut(degree, radius, rng).to_wordmap()
+    for _ in range(defects):
+        table = perturb(table, degree, radius, rng)
+    assert_same_verdict(degree, radius, table)
+
+
+@pytest.mark.parametrize("table, message", [
+    ({(0,): (0,), (1,): (0,)}, "not a permutation of 0..n-1: (0, 0)"),
+    ({(0,): (1,), (1,): (0,)}, "tree degree must be at least 3"),
+])
+def test_degree_two_tables_fail_with_the_reference_message(table, message):
+    # the center's step is read before the degree is refused
+    with pytest.raises(ValueError, match=re.escape(message)):
+        BallAut.from_wordmap(2, 1, table)
+    assert_same_verdict(2, 1, table)
+
+
+@settings(max_examples=60, deadline=None)
+@given(SEEDS, st.integers(min_value=1, max_value=3))
+def test_degree_two_word_tables_fail_as_the_reference_fails(seed, radius):
+    # random_ball_aut needs degree 3, so draw any words of the right lengths
+    rng = random.Random(seed)
+    table = {p: rng.choice(list(words_of_length(2, len(p))))
+             for p in ball_points(2, radius)}
+    assert_same_verdict(2, radius, table)
 
 
 def test_some_perturbed_tables_still_parse_and_some_do_not():
