@@ -509,6 +509,10 @@ def ball_compatible(alpha, beta, direction):
 
 def full_aut_order(degree, radius):
     """Order of the full automorphism group of the ball, by layer counting."""
+    if degree < 3:
+        raise HypothesisError("tree degree must be at least 3")
+    if radius < 1:
+        raise ValueError("ball radius must be at least 1")
     total = math.factorial(degree)
     fiber = math.factorial(degree - 1)
     for _ in range(radius - 1):

@@ -7,7 +7,7 @@ whether local data extends outward: a group where every fiber is nonempty
 extends one step in every direction, and a group where the identity's fibers
 are trivial extends in at most one way.
 
-Everything here works with explicit element lists. A partner restricts to
+Everything here works on materialised groups. A partner restricts to
 the center's chart toward it, so a fiber lies in one run of the sorted
 elements, found by bisection; only runs that queries reach are keyed.
 
@@ -43,8 +43,6 @@ def _class_fibers(group, directions, root):
 def compat_set(group, alpha, direction):
     """All elements of the group that glue to `alpha` in the given direction,
     in element order: one lookup in the run restricting to alpha's chart."""
-    if not isinstance(group, BallGroup):
-        return tuple(b for b in group if ball_compatible(alpha, b, direction))
     root, chart = _need_key(alpha, direction)
     return _class_fibers(group, (direction,), root).get((chart,), ())
 
@@ -52,9 +50,6 @@ def compat_set(group, alpha, direction):
 def joint_compat_set(group, alpha, directions):
     """Elements gluing to `alpha` in every one of the given directions."""
     directions = tuple(directions)
-    if not isinstance(group, BallGroup):
-        return tuple(b for b in group
-                     if all(ball_compatible(alpha, b, w) for w in directions))
     if not directions:
         return group.elements
     roots, charts = zip(*[_need_key(alpha, w) for w in directions])
@@ -231,7 +226,7 @@ def canonical_cocycle(group):
     return CompatCocycle(group, table, validate=True)
 
 
-def find_involutive_cocycles(group, generators=None):
+def find_involutive_cocycles(group):
     """All involutive choice maps on the group, sorted by table.
 
     A coherent choice map is a homomorphic section of the lifted group one
@@ -249,7 +244,7 @@ def find_involutive_cocycles(group, generators=None):
     if check_trivial_seams(group):
         coc = canonical_cocycle(group)
         return [coc] if _table_involutive(coc.table) else []
-    gens = [g for g in generators or group.generators if not g.is_identity()]
+    gens = [g for g in group.generators if not g.is_identity()]
     solve = _solved_tables if group.degree == 3 else _searched_tables
     tables = solve(group, gens)
     out = [CompatCocycle(group, table) for table in tables

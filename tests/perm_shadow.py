@@ -52,14 +52,14 @@ def subgroups(group):
     return [to_balls(sub, back) for sub in all_subgroups(perms)]
 
 
-def census_classes(ambient, transitive_only=True):
+def census_classes(ambient):
     """The census classes over the ambient element list, keyed by their
     whole-orbit form, each with its least gluable representative."""
     perms, _, back = ball_action(ambient)
     degree = ambient[0].degree
     classes = {}
     for sub in all_subgroups(perms):
-        if transitive_only and not sub.is_transitive_on(range(degree)):
+        if not sub.is_transitive_on(range(degree)):
             continue
         group = to_balls(sub, back)
         if not check_compatibility(group):

@@ -329,6 +329,20 @@ def test_census_command(runner):
     assert [r["order"] for r in rows] == [3, 6, 12, 24, 24, 48]
 
 
+@pytest.mark.parametrize("degree, radius, message", [
+    ("3", "0", "ball radius must be at least 1"),
+    ("3", "-1", "ball radius must be at least 1"),
+    ("0", "1", "tree degree must be at least 3"),
+])
+def test_census_rejects_impossible_balls_with_one_line(runner, degree,
+                                                       radius, message):
+    res = runner.invoke(main, ["census", "--degree", degree,
+                               "--radius", radius])
+    assert res.exit_code == 2
+    assert res.stderr.splitlines() == ["Error: " + message]
+    assert "Traceback" not in res.output
+
+
 @pytest.mark.slow
 def test_s3_table_matches_golden(runner):
     res = runner.invoke(main, ["s3-table"])

@@ -3,18 +3,22 @@
 Subgroups, normal structure and the census classes are computed on the
 automorphisms directly; perm_shadow.py computes them on permutation copies
 and maps the answers back. Both must give the same groups, with the same
-generators, in the same order.
+generators, in the same order. The rigid lifts that the census finds from
+cocycles must be, up to conjugacy, the ones a sweep over every subgroup of
+the full lift finds.
 """
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import perm_shadow
 from treeball.balls import BallGroup, full_aut
-from treeball.census import _lifts_by_subgroups
+from treeball.census import census_compatible_classes, census_discrete_lifts
 from treeball.constructions import build_full_lift
-from treeball.permcore import (all_subgroups, center, conjugacy_class_key,
-                               derived_subgroup, normal_subgroups)
+from treeball.permcore import (all_subgroups, are_conjugate_in, center,
+                               conjugacy_class_key, derived_subgroup,
+                               normal_subgroups)
 
 FULL_B32 = full_aut(3, 2)
 
@@ -58,13 +62,20 @@ def test_census_classes_match_the_shadow(census_rows):
     assert classes == perm_shadow.census_classes(FULL_B32)
 
 
-def test_lift_candidates_match_the_shadow(census_rows):
-    for row in census_rows:
-        if not row.has_cocycle:
-            continue
-        full = build_full_lift(row.group)
-        got = _lifts_by_subgroups(row.group, full)
-        expect = perm_shadow.lifts_by_subgroups(row.group, full)
-        assert [(g.elements, g.generators) for g in got] == \
-            [(g.elements, g.generators) for g in expect]
-        assert got
+@pytest.mark.parametrize("radius", [1, 2])
+def test_discrete_lifts_match_the_shadow_sweep(radius, census_rows):
+    rows = census_rows if radius == 2 else census_compatible_classes(3, 1)
+    ambient = full_aut(3, radius + 1)
+    bearing = [row for row in rows if row.has_cocycle]
+    assert bearing
+    for row in bearing:
+        reps = [lift.group for lift in census_discrete_lifts([row])]
+        sweep = perm_shadow.lifts_by_subgroups(row.group,
+                                               build_full_lift(row.group))
+        # each class representative is one of the swept subgroups, and every
+        # swept subgroup is conjugate to exactly one representative
+        swept = {group.elements for group in sweep}
+        assert reps and all(rep.elements in swept for rep in reps)
+        for group in sweep:
+            assert sum(are_conjugate_in(ambient, group, rep)
+                       for rep in reps) == 1
