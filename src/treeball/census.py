@@ -117,7 +117,7 @@ def census_compatible_classes(degree=3, radius=2):
     for group in all_subgroups(BallGroup.from_elements(ambient)):
         if not group.is_transitive_on(range(degree)):
             continue
-        if not check_compatibility(group, generators_only=True):
+        if not check_compatibility(group):
             continue
         key = conjugacy_class_key(ambient, group)
         mine = _flat_key(group)
@@ -142,7 +142,7 @@ def census_compatible_classes(degree=3, radius=2):
 
 
 def _make_row(group, radius, description=None, gamma_image_of=None):
-    compatible = check_compatibility(group, generators_only=True)
+    compatible = check_compatibility(group)
     trivial = check_trivial_seams(group) if compatible else None
     has_icc = bool(find_involutive_cocycles(group)) if compatible else False
     if compatible and trivial and not has_icc:
@@ -239,8 +239,7 @@ def _is_discrete_lift(group, base):
     if (group.order % base.order
             or {a.project(inner) for a in group.elements} != base._eset):
         return False
-    return (check_compatibility(group, generators_only=True)
-            and check_trivial_seams(group))
+    return check_compatibility(group) and check_trivial_seams(group)
 
 
 def _merge_into_classes(ambient, candidates):

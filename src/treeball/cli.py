@@ -160,7 +160,7 @@ def classify_cmd(path, fmt):
 def check_c_cmd(path, fmt, expect):
     """Does every element have a gluing partner in every direction."""
     group = group_from_document(load_document(path))
-    _finish_bool("C", check_compatibility(group, generators_only=True),
+    _finish_bool("C", check_compatibility(group),
                  expect, fmt, "C")
 
 

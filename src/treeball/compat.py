@@ -7,17 +7,21 @@ whether local data extends outward: a group where every fiber is nonempty
 extends one step in every direction, and a group where the identity's fibers
 are trivial extends in at most one way.
 
-Everything here works on materialised groups. A partner restricts to
-the center's chart toward it, so a fiber lies in one run of the sorted
-elements, found by bisection; only runs that queries reach are keyed.
+Everything here works on materialised groups and answers every gluing
+question from one fiber index: a partner restricts to the center's chart
+toward it, so a fiber lies in one run of the sorted elements, found by
+bisection; only runs that queries reach are keyed.
 
 Compatibility cocycles are the homomorphic sections of the lifted group one
 radius up. At degree 3 its kernel over F is elementary abelian, and the
 sections are solved for as one affine system over GF(2) whose unknowns are
 kernel bitmasks, one per generator; at higher degree they are searched.
+Either way, one step keeps the sections involutive on the generators.
 """
 
 from __future__ import annotations
+
+import functools
 
 from .balls import (BallAut, BallGroup, _glue_fibers, _glue_images,
                     _need_key, _offer_key, ball_compatible, ball_points)
@@ -59,24 +63,23 @@ def joint_compat_set(group, alpha, directions):
     return _class_fibers(group, directions, roots[0]).get(charts, ())
 
 
-def first_compat_failure(group, generators_only=False):
-    """An (element, direction) pair with an empty fiber, or None."""
-    todo = group.generators if generators_only else group.elements
-    for a in todo:
+def first_compat_failure(group):
+    """A (generator, direction) pair with an empty fiber, or None."""
+    for a in group.generators:
         for w in range(group.degree):
             if not compat_set(group, a, w):
                 return (a, w)
     return None
 
 
-def check_compatibility(group, generators_only=False):
+def check_compatibility(group):
     """Does every element have a gluing partner in every direction?
 
     Fibers of a product contain products of fibers, and fibers of an inverse
     are images of fibers, so checking the generators alone already settles
     the question for the whole group.
     """
-    return first_compat_failure(group, generators_only) is None
+    return first_compat_failure(group) is None
 
 
 def seam_witness(group):
@@ -97,26 +100,21 @@ def check_trivial_seams(group):
 def compatibility_core(group):
     """The largest subgroup in which every fiber stays nonempty.
 
-    Repeatedly discard elements with an empty fiber relative to the surviving
-    set; the greatest fixpoint of this pruning is closed under products and
-    inverses (partners of a product can be assembled from partners of the
-    factors), so the result really is a subgroup. That closure is re-verified
-    here and a failure raises, since it would mean a bug rather than bad input.
-    When nothing is pruned, as the generators show, the result is `group`.
+    Repeatedly discard elements whose fiber in some direction misses the
+    surviving set; the greatest fixpoint of this pruning is closed under
+    products and inverses (partners of a product can be assembled from
+    partners of the factors), so the result really is a subgroup. That
+    closure is re-verified here and a failure raises, since it would mean a
+    bug rather than bad input. When nothing is pruned, as the generators
+    show, the result is `group`.
     """
-    if check_compatibility(group, generators_only=True):
+    if check_compatibility(group):
         return group
     live = set(group.elements)
-    d = group.degree
     while True:
-        buckets = []
-        for w in range(d):
-            bw = {}
-            for b in live:
-                bw.setdefault(_offer_key(b, w), []).append(b)
-            buckets.append(bw)
         keep = {a for a in live
-                if all(_need_key(a, w) in buckets[w] for w in range(d))}
+                if all(not live.isdisjoint(compat_set(group, a, w))
+                       for w in range(group.degree))}
         if keep == live:
             break
         live = keep
@@ -142,11 +140,10 @@ class CompatCocycle:
     one ball radius outward in a group-compatible way.
     """
 
-    def __init__(self, group, table, validate=True):
+    def __init__(self, group, table):
         self.group = group
         self.table = dict(table)
-        if validate:
-            self.verify()
+        self.verify()
 
     def z(self, alpha, direction):
         return self.table[(alpha, direction)]
@@ -183,9 +180,11 @@ class CompatCocycle:
                         raise ValueError("choice map breaks the product rule")
 
     def section(self, alpha):
-        """The one-step-larger automorphism this choice map assigns to alpha."""
-        children = tuple(self.table[(alpha, w)] for w in range(self.group.degree))
-        return BallAut(alpha, children)
+        """The one-step-larger automorphism this choice map assigns to alpha:
+        its partners passed `verify`, so they glue without a second check."""
+        children = [self.table[(alpha, w)] for w in range(alpha.degree)]
+        return BallAut._raw(alpha.degree, alpha.radius + 1,
+                            _glue_images(alpha, children))
 
     def table_key(self):
         items = sorted((a.images, w, b.images)
@@ -216,44 +215,45 @@ def canonical_cocycle(group):
         raise HypothesisError("fibers must be nonempty in every direction")
     if not check_trivial_seams(group):
         raise HypothesisError("the identity's fibers must be trivial")
-    table = {}
-    for a in group.elements:
-        for w in range(group.degree):
-            fiber = compat_set(group, a, w)
-            if len(fiber) != 1:
-                raise RuntimeError("fiber not a singleton despite rigidity; bug")
-            table[(a, w)] = fiber[0]
-    return CompatCocycle(group, table, validate=True)
+    return CompatCocycle(group, {(a, w): compat_set(group, a, w)[0]
+                                 for a in group.elements
+                                 for w in range(group.degree)})
 
 
 def find_involutive_cocycles(group):
     """All involutive choice maps on the group, sorted by table.
 
     A coherent choice map is a homomorphic section of the lifted group one
-    radius up, fixed by its values on the generators; a rigid group has one,
-    `canonical_cocycle`. At degree 3 the sections solve one affine GF(2)
-    system (`_cocycle_system`): an inconsistent system means none, and each
-    solution must be involutive on the generators before its table is built
-    and checked in full. At higher degree the kernel is not abelian, and a
-    search grows one closure of lifts a generator at a time (permcore._grow),
-    dropping a prefix whose closure passes the group order or meets the
-    kernel, since a faithful projection allows neither.
+    radius up. At degree 3 the sections solve one affine GF(2) system
+    (`_cocycle_system`); an inconsistent one means none. At higher degree
+    the kernel is not abelian, and a search grows one closure of lifts a
+    generator at a time (permcore._grow), dropping a prefix whose closure
+    passes the group order or meets the kernel, since a faithful projection
+    allows neither. A rigid group is the one-solution case of both.
+
+    A section s, with z(a, w) the w-th child of s(a), is kept when
+    z(z(g, w), w) = g for every generator g and direction w. A partner moves
+    its direction as its element does, so the product rule gives
+    z(z(ab, w), w) = z(z(a, b(w)), b(w)) * z(z(b, w), w), and the generators
+    settle every element. `CompatCocycle` still checks the whole table.
     """
-    if first_compat_failure(group, generators_only=True) is not None:
+    if first_compat_failure(group) is not None:
         return []
-    if check_trivial_seams(group):
-        coc = canonical_cocycle(group)
-        return [coc] if _table_involutive(coc.table) else []
+    d, r = group.degree, group.radius
     gens = [g for g in group.generators if not g.is_identity()]
-    solve = _solved_tables if group.degree == 3 else _searched_tables
-    tables = solve(group, gens)
-    out = [CompatCocycle(group, table) for table in tables
-           if _table_involutive(table)]
+    solve = _solved_sections if d == 3 else _searched_sections
+    out = []
+    for lift in solve(group, gens):
+        if all(lift(lift(g)._chart(w, r))._chart(w, r) == g
+               for g in gens for w in range(d)):
+            out.append(CompatCocycle(group, {
+                (a, w): b for a in group.elements
+                for w, b in enumerate(lift(a).children)}))
     out.sort(key=lambda c: c.table_key())
     return out
 
 
-def _searched_tables(group, gens):
+def _searched_sections(group, gens):
     d = group.degree
     ident = BallAut.identity(d, group.radius + 1)
     target = group.order
@@ -287,22 +287,10 @@ def _searched_tables(group, gens):
                 descend(level + 1, *grown)
 
     descend(0, [ident.images], {ident.images}, [])
-
-    # Each closure is the lifted group itself: its elements, wrapped only
-    # here, are the sections, so they list the whole table, and distinct
-    # closures give distinct tables.
-    tables = []
-    for closed in found:
-        table = {}
-        for h in map(ident._from, closed):
-            a = h.root
-            if a not in group:
-                break
-            for w, child in enumerate(h.children):
-                table[(a, w)] = child
-        if len(table) == target * d:
-            tables.append(table)
-    return tables
+    # Each closure is the lifted group itself, meeting the kernel only in
+    # the identity: it holds one lift of every element, wrapped only here.
+    return [{h.root: h for h in map(ident._from, closed)}.__getitem__
+            for closed in found]
 
 
 def _cocycle_system(group, gens):
@@ -370,15 +358,15 @@ def _cocycle_system(group, gens):
     return dim, dim * len(gens) - len(null), particular, null, lifts
 
 
-def _solved_tables(group, gens):
+def _solved_sections(group, gens):
     _, _, particular, null, lifts = _cocycle_system(group, gens)
     if particular is None:
-        return []
+        return
     d, r = group.degree, group.radius
     kids = range(len(ball_points(d, r)), len(ball_points(d, r + 1)), 2)
 
-    def section(x, u):
-        tx, kx = lifts[x]
+    def section(u, a):
+        tx, kx = lifts[a.images]
         out = list(tx)
         for k, c in zip(kx, kids):
             if (k & u).bit_count() & 1:
@@ -386,15 +374,7 @@ def _solved_tables(group, gens):
         return BallAut._raw(d, r + 1, tuple(out))
 
     # a Gray-code walk over particular + span(null), one flip per step
-    tables, u = [], particular
+    u = particular
     for i in range(1 << len(null)):
         u ^= null[(i & -i).bit_length() - 1] if i else 0
-        if all(section(section(g.images, u)._chart(w, r).images, u)
-               ._chart(w, r) == g for g in gens for w in range(d)):
-            tables.append({(a, w): b for a in group.elements
-                           for w, b in enumerate(section(a.images, u).children)})
-    return tables
-
-
-def _table_involutive(table):
-    return all(table[(b, w)] == a for (a, w), b in table.items())
+        yield functools.partial(section, u)

@@ -168,7 +168,7 @@ def build_full_lift(F, blocks=None, radius=None, cap=MATERIALIZE_CAP):
     partition, which is one tower step with no pinned block. For a BallGroup
     the same construction runs one radius up: every element together with
     every choice of gluing partners inside the group. A `radius` beyond the
-    next one iterates the construction.
+    next one iterates the construction; one below the base's is refused.
     """
     if isinstance(F, PermGroup):
         base = radius_one(F)
@@ -192,6 +192,9 @@ def build_full_lift(F, blocks=None, radius=None, cap=MATERIALIZE_CAP):
                                   "a permutation group")
         if radius is None:
             radius = F.radius + 1
+    if radius < base.radius:
+        raise HypothesisError("lift radius %d is below the base radius %d"
+                              % (radius, base.radius))
     group = base
     while group.radius < radius:
         group = _one_step_full_lift(group, cap)
@@ -516,7 +519,8 @@ def build_tower(F, kind, levels, blocks=None, pinned_point=0,
 
     Levels beyond `cap` elements are certified rather than materialized, and
     the tower stops after the first such level, so it can hold fewer levels
-    than asked for; the `tower` command then says so on stderr.
+    than asked for; the `tower` command then says so on stderr. `cap` bounds
+    a level's element count, not its memory.
     """
     blocks, pinned, zen = _tower_hypotheses(F, kind, blocks, pinned_point)
     out = [TowerLevel(radius=1, order=F.order, group=radius_one(F),

@@ -3,7 +3,7 @@
 A group document carries either a full element list or a generating set,
 each automorphism written as a flat vertex-image table over digit-string
 words. Serialization sorts every key so equal documents produce identical
-bytes; parsing validates each table and reports the index of the first
+bytes; parsing checks each table and reports the index of the first
 offending element.
 """
 

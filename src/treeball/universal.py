@@ -89,7 +89,7 @@ def _restriction_count(group, radius, stabilizer_only):
 def _require_gluing(group, radius, consequence):
     if radius < group.radius:
         raise HypothesisError("radius must be at least the group's own")
-    failure = first_compat_failure(group, generators_only=True)
+    failure = first_compat_failure(group)
     if failure is not None:
         raise HypothesisError("gluing fails at direction %d, so %s"
                               % (failure[1], consequence))
@@ -168,7 +168,7 @@ def pk_local_action(group, target_radius, cap=None):
     """
     if isinstance(group, PermGroup):
         group = radius_one(group)
-    failure = first_compat_failure(group, generators_only=True)
+    failure = first_compat_failure(group)
     if failure is not None:
         raise HypothesisError(
             "gluing fails at direction %d; the completion has no well-defined "

@@ -11,9 +11,9 @@ for the cocycle extensions.
 import itertools
 
 from treeball.balls import BallAut, BallGroup, ball_points
-from treeball.compat import (CompatCocycle, _table_involutive,
-                             canonical_cocycle, check_trivial_seams,
-                             compat_set, first_compat_failure)
+from treeball.compat import (CompatCocycle, canonical_cocycle,
+                             check_trivial_seams, compat_set,
+                             first_compat_failure)
 
 
 def close(gens, identity):
@@ -77,9 +77,13 @@ def closure_abort(gens, identity, limit):
     return seen
 
 
+def _table_involutive(table):
+    return all(table[(b, w)] == a for (a, w), b in table.items())
+
+
 def involutive_cocycles(group):
     """find_involutive_cocycles, closing every prefix of lifts from scratch."""
-    if first_compat_failure(group, generators_only=True) is not None:
+    if first_compat_failure(group) is not None:
         return []
     if check_trivial_seams(group):
         coc = canonical_cocycle(group)

@@ -1,12 +1,13 @@
 """Reference gluing fibers, (C) check and compatibility core by scanning.
 
 treeball looks a fiber up in the one run of the sorted element list whose
-members restrict to the asked chart, keys only that run, and decides (C)
-on the generators. The versions here test every element of the group
-against `ball_compatible`, check (C) on every element, and run the pruning
-fixpoint as it stood before runs were used, with hash buckets rebuilt over
-the surviving set each round. Slower, but with nothing to get wrong; tests
-require the same tuples, in the same order, and the same cores.
+members restrict to the asked chart, keys only that run, decides (C) on the
+generators, and prunes the compatibility core by asking those fibers to
+meet the surviving set. The versions here test every element of the group
+against `ball_compatible`, check (C) on every element, and prune with hash
+buckets of offered keys rebuilt over the surviving set each round. Slower,
+but with nothing to get wrong; tests require the same tuples, in the same
+order, and the same cores.
 """
 
 from treeball.balls import BallGroup, _need_key, _offer_key, ball_compatible

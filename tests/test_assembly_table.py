@@ -55,7 +55,7 @@ def test_random_groups_stream_as_the_reference(seed, shape, ngens):
     rng = random.Random(seed)
     group = BallGroup.generated(
         [random_ball_aut(degree, k, rng) for _ in range(ngens)])
-    if not check_compatibility(group, generators_only=True):
+    if not check_compatibility(group):
         with pytest.raises(HypothesisError):
             next(iter_extensions(group, radius))
         return

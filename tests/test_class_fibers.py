@@ -168,8 +168,7 @@ def test_check_c_answers_as_the_all_element_check(seed, shape, kind, args):
             fh.write(text)
         got = _check_c(path, args)
         with mock.patch.object(cli, "check_compatibility",
-                               lambda g, generators_only=False:
-                               scanning_fibers.check_c(g)):
+                               scanning_fibers.check_c):
             want = _check_c(path, args)
     assert got == want
 
@@ -180,7 +179,7 @@ def test_queries_key_only_the_runs_they_reach():
     compat_set(group, group.generators[0], 1)
     assert len(group._cache["class_fibers"]) == 1
     group._cache.clear()
-    assert check_compatibility(group, generators_only=True)
+    assert check_compatibility(group)
     runs = group._cache["class_fibers"]
     assert len(runs) <= len(group.generators) * group.degree
     sizes = [sum(map(len, fibers.values())) for fibers in runs.values()]

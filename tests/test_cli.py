@@ -343,6 +343,17 @@ def test_census_rejects_impossible_balls_with_one_line(runner, degree,
     assert "Traceback" not in res.output
 
 
+@pytest.mark.parametrize("radius", ["0", "-2"])
+def test_full_lift_rejects_a_radius_below_its_base_with_one_line(runner,
+                                                                 radius):
+    res = runner.invoke(main, ["construct", "full-lift", "S3",
+                               "--radius", radius])
+    assert res.exit_code == 2
+    assert res.stderr.splitlines() == [
+        "Error: lift radius %s is below the base radius 1" % radius]
+    assert "Traceback" not in res.output
+
+
 @pytest.mark.slow
 def test_s3_table_matches_golden(runner):
     res = runner.invoke(main, ["s3-table"])

@@ -13,7 +13,8 @@ from treeball.constructions import (build_centered, build_cocycle_extension,
                                     build_diagonal, build_full_lift,
                                     build_kernel_extension, build_parity_lift,
                                     build_split_lift, build_tower,
-                                    build_wreath_local, tower_member)
+                                    build_wreath_local, radius_one,
+                                    tower_member)
 from treeball.errors import CapacityError, HypothesisError
 from treeball.permcore import (Perm, PermGroup, _close,
                                small_generating_set_of)
@@ -192,6 +193,14 @@ def test_block_lifts_are_one_tower_step(s3, sl23):
     with pytest.raises(HypothesisError,
                        match="the group must map blocks to blocks"):
         build_full_lift(s3, blocks=[[0, 1], [2]])
+
+
+def test_full_lift_refuses_a_radius_below_its_base(s3, gamma_s3):
+    assert build_full_lift(s3, radius=1).elements == radius_one(s3).elements
+    assert build_full_lift(gamma_s3, radius=2) is gamma_s3
+    for F, radius in ((s3, 0), (gamma_s3, 1)):
+        with pytest.raises(HypothesisError, match="below the base radius"):
+            build_full_lift(F, radius=radius)
 
 
 def test_cocycle_extension_by_trivial_kernel_is_the_lift(gamma_s3):

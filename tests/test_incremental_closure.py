@@ -17,6 +17,7 @@ import reclosing
 from treeball import compat, permcore
 from treeball.balls import BallAut, BallGroup, full_aut, random_ball_aut
 from treeball.compat import check_trivial_seams, find_involutive_cocycles
+from treeball.constructions import build_diagonal, radius_one
 from treeball.errors import CapacityError
 from treeball.permcore import (Perm, PermGroup, _close, _grow,
                                small_generating_set_of)
@@ -85,11 +86,28 @@ def test_cocycles_match_reclosing_at_degree_four(monkeypatch, gens, count):
     def no_system(group, gens):
         raise AssertionError("degree 4 reached the GF(2) system")
 
-    monkeypatch.setattr(compat, "_solved_tables", no_system)
+    monkeypatch.setattr(compat, "_solved_sections", no_system)
     group = BallGroup.generated([BallAut(Perm(g)) for g in gens])
     assert not check_trivial_seams(group)
     found = find_involutive_cocycles(group)
     assert len(found) == count
+    assert _keys(found) == _keys(reclosing.involutive_cocycles(group))
+
+
+@pytest.mark.parametrize("R", [
+    PermGroup.cyclic(4),
+    PermGroup.generated([Perm((1, 0, 3, 2)), Perm((2, 3, 0, 1))], 4),
+    PermGroup.cyclic(5),
+], ids=["C4", "V4", "C5"])
+@pytest.mark.parametrize("build", [radius_one, build_diagonal],
+                         ids=["radius_one", "diagonal"])
+def test_rigid_groups_above_degree_three_reach_one_searched_cocycle(R, build):
+    # a rigid group's one cocycle comes from the search, and the reference
+    # still takes it from the singleton fibers (canonical_cocycle)
+    group = build(R)
+    assert check_trivial_seams(group)
+    found = find_involutive_cocycles(group)
+    assert len(found) == 1
     assert _keys(found) == _keys(reclosing.involutive_cocycles(group))
 
 

@@ -1,5 +1,6 @@
 """Permutation-group layer: closures, structure, lattices, actions."""
 
+import itertools
 import os
 import pathlib
 import subprocess
@@ -286,6 +287,43 @@ def _reflection_fixing_zero(p):
     return Perm(tuple((p - i) % p for i in range(p)))
 
 
+def _brute_power_subgroups(F, slot_groups):
+    """Every subset of the slot product closed under products and under F's
+    permute-and-conjugate action, by filtering all subsets."""
+    count = len(slot_groups)
+    tuples = list(itertools.product(*slot_groups))
+    ident = tuple(Perm.identity(slot_groups[0][0].degree)
+                  for _ in range(count))
+
+    def invariant(subset):
+        sset = set(subset)
+        for a in F.elements:
+            ai = a.inverse()
+            for k in subset:
+                moved = tuple(a * k[ai(w)] * ai for w in range(count))
+                if moved not in sset:
+                    return False
+        return True
+
+    def closed(subset):
+        sset = set(subset)
+        if ident not in sset:
+            return False
+        for x in subset:
+            for y in subset:
+                prod = tuple(a * b for a, b in zip(x, y))
+                if prod not in sset:
+                    return False
+        return True
+
+    brute = []
+    for r in range(1, len(tuples) + 1):
+        for combo in itertools.combinations(tuples, r):
+            if closed(combo) and invariant(combo):
+                brute.append(frozenset(combo))
+    return brute
+
+
 def test_invariant_power_subgroups_brute_force_cross_check():
     # independent route for p=3: filter all subgroups of the cube of H
     p = 3
@@ -299,38 +337,22 @@ def test_invariant_power_subgroups_brute_force_cross_check():
         f = trans[w]
         fi = f.inverse()
         slot_groups.append([f * h * fi for h in H.elements])
-    tuples = [(x, y, z) for x in slot_groups[0] for y in slot_groups[1]
-              for z in slot_groups[2]]
-
-    def invariant(subset):
-        sset = set(subset)
-        for a in D.elements:
-            ai = a.inverse()
-            for k in subset:
-                moved = tuple(a * k[ai(w)] * ai for w in range(p))
-                if moved not in sset:
-                    return False
-        return True
-
-    def closed(subset):
-        sset = set(subset)
-        ident = tuple(Perm.identity(p) for _ in range(p))
-        if ident not in sset:
-            return False
-        for x in subset:
-            for y in subset:
-                prod = tuple(a * b for a, b in zip(x, y))
-                if prod not in sset:
-                    return False
-        return True
-
-    import itertools
-    brute = []
-    for r in range(1, len(tuples) + 1):
-        for combo in itertools.combinations(tuples, r):
-            if closed(combo) and invariant(combo):
-                brute.append(frozenset(combo))
+    brute = _brute_power_subgroups(D, slot_groups)
     assert len(brute) == len(found)
+    assert {frozenset(k.elements) for k in found} == set(brute)
+
+
+@pytest.mark.parametrize("H, count, total", [
+    (PermGroup.symmetric(3).stabilizer(0), 3, 16),
+    (PermGroup.cyclic(3), 2, 6),
+], ids=["S3-stabilizer-cubed", "C3-squared"])
+def test_trivial_action_power_subgroups_brute_force_cross_check(H, count,
+                                                                total):
+    # a trivial F takes every subgroup of H^count, by the generic route
+    trivial = PermGroup.from_elements([Perm.identity(3)], degree=3)
+    found = invariant_subgroups_of_power(trivial, H, count)
+    brute = _brute_power_subgroups(trivial, [H.elements] * count)
+    assert len(found) == len(brute) == total
     assert {frozenset(k.elements) for k in found} == set(brute)
 
 
