@@ -1,14 +1,15 @@
 """Finite groups of permutations and of ball automorphisms.
 
-Groups are stored as sorted tuples of explicit elements and every algorithm is
-a transparent brute-force search with a hard cap. Every element is one image
-tuple (`Element`), and closures are held as bare image tuples: a product is
-one C-level gather, and elements are wrapped once the group is built.
-`FiniteGroup` holds what needs only products, inverses and image tuples:
-containers, the subgroup lattice, normal structure and conjugacy; `PermGroup`
-adds the point actions, and `balls.BallGroup` the ball views. The groups
-involved are tiny (a few thousand elements at most), and the answers feed
-frozen regression values, so clarity and determinism beat asymptotics here.
+Groups are stored as sorted tuples of explicit elements, and each algorithm
+walks those lists under a hard cap: Dimino's coset closure, the lattice by
+cyclic extension, subgroup conjugacy by one conjugation per coset. Every
+element is one image tuple (`Element`), and closures are held as bare image
+tuples: a product is one C-level gather, and elements are wrapped once the
+group is built. `FiniteGroup` holds what needs only products, inverses and
+image tuples: containers, the subgroup lattice, normal structure and
+conjugacy; `PermGroup` adds the point actions, and `balls.BallGroup` the
+ball views. The groups involved are tiny (a few thousand elements at most),
+and the answers feed frozen regression values, so determinism comes first.
 """
 
 from __future__ import annotations
@@ -991,13 +992,19 @@ def factorize(n):
 def conjugacy_class_key(ambient, H):
     """The least sorted image-tuple list over the conjugates of H.
 
-    `ambient` is the element list of a group containing H; two subgroups
-    share the key exactly when they are conjugate in it.
+    `ambient` is the element list of a group containing the subgroup H; two
+    subgroups share the key exactly when they are conjugate in it. Every t
+    in a left coset tH conjugates H alike, so one representative per coset
+    is used: the gathers that make tH give t H t^-1 by one more gather each.
     """
-    best = None
+    steps = [_getter(h.images) for h in H.elements]
+    covered, best = set(), None
     for t in ambient:
-        ti = t.inverse()
-        key = tuple(sorted((t * h * ti).images for h in H.elements))
+        if t.images in covered:
+            continue
+        coset = [step(t.images) for step in steps]
+        covered.update(coset)
+        key = tuple(sorted(map(_getter(t.inverse().images), coset)))
         if best is None or key < best:
             best = key
     return best
@@ -1008,10 +1015,11 @@ def are_conjugate_in(ambient, H, K):
     K. Testing only H's generators suffices once the orders agree."""
     if H.order != K.order:
         return False
-    target = K._eset
+    target = {k.images for k in K.elements}
+    steps = [_getter(g.images) for g in H.generators]
     for t in ambient:
-        ti = t.inverse()
-        if all(t * g * ti in target for g in H.generators):
+        back = _getter(t.inverse().images)
+        if all(back(step(t.images)) in target for step in steps):
             return True
     return False
 
@@ -1160,49 +1168,51 @@ def _power_subgroups_gf2(F, slots, count):
 
 
 def _power_subgroups_generic(F, slots, count, act, cap=200_000):
+    """The subgroups of the slot product, only the F-invariant ones if `act`.
+
+    A slot tuple k is one image tuple, (w, i) -> (w, k_w(i)) on the points
+    w * n + i, and a in F acts by conjugating with (w, i) -> (a(w), a(i)).
+    Subgroups are queued with generators; adjoining x closes the F-orbit of
+    those and x by `_grow`, an invariant group as F acts by automorphisms.
+    """
     total = 1
     for s in slots:
         total *= len(s)
         if total > cap:
             raise CapacityError("slot product order %d exceeds cap" % total)
-    degree = F.degree if act else slots[0][0].degree
-    ident = tuple(Perm.identity(degree) for _ in range(count))
-    finv = {a: a.inverse() for a in F.generators}
+    n, points = slots[0][0].degree, range(count)
+    ident = _identity_images(count * n)
 
-    def apply(a, k):
-        ai = finv[a]
-        return tuple(a * k[ai(w)] * ai for w in range(count))
+    def lifted(a):
+        return tuple(a(w) * n + a(i) for w in points for i in range(n))
 
-    def invariant_closure(seed):
-        seen = set(seed)
-        seen.add(ident)
-        queue = list(seen)
-        while queue:
-            x = queue.pop()
-            new = [tuple(p * q for p, q in zip(x, y)) for y in list(seen)]
-            new.append(tuple(p.inverse() for p in x))
-            if act:
-                new.extend(apply(a, x) for a in F.generators)
-            for y in new:
-                if y not in seen:
-                    seen.add(y)
-                    queue.append(y)
+    movers = [(lifted(a), _getter(lifted(a.inverse())))
+              for a in (F.elements if act else ())]
+
+    def invariant_closure(gens):
+        members, seen, grown = [ident], {ident}, []
+        for g in set(gens).union(back(_getter(x)(sigma)) for x in gens
+                                 for sigma, back in movers):
+            _grow(members, seen, grown, g)
         return frozenset(seen)
 
-    ambient = [tuple(t) for t in itertools.product(*slots)]
+    ambient = [tuple(w * n + i for w in points for i in k[w].images)
+               for k in itertools.product(*slots)]
     found = {frozenset({ident})}
-    queue = [frozenset({ident})]
+    queue = [(frozenset({ident}), ())]
     while queue:
-        K = queue.pop()
+        K, gens = queue.pop()
         for x in ambient:
             if x in K:
                 continue
-            K2 = invariant_closure(set(K) | {x})
+            K2 = invariant_closure(gens + (x,))
             if K2 not in found:
                 found.add(K2)
-                queue.append(K2)
+                queue.append((K2, gens + (x,)))
         if len(found) > 10_000:
             raise CapacityError("too many invariant subgroups")
-    out = [PowerSubgroup(tuple(sorted(K))) for K in found]
+    out = [PowerSubgroup(tuple(
+        tuple(Perm._raw(tuple(j - w * n for j in x[w * n:w * n + n]))
+              for w in points) for x in sorted(K))) for K in found]
     out.sort(key=lambda P: (P.order, P.elements))
     return out

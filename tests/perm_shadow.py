@@ -7,10 +7,11 @@ routes here copy each group to permutations first, compute there, and map
 the answers back. Tests require both to agree.
 """
 
+import brute_conjugacy
 from treeball.balls import BallAut, BallGroup, ball_points
 from treeball.compat import check_compatibility, check_trivial_seams
 from treeball.permcore import (Perm, PermGroup, all_subgroups,
-                               conjugacy_class_key, small_generating_set_of)
+                               small_generating_set_of)
 
 
 def to_perm(aut):
@@ -54,7 +55,8 @@ def subgroups(group):
 
 def census_classes(ambient):
     """The census classes over the ambient element list, keyed by their
-    whole-orbit form, each with its least gluable representative."""
+    whole-orbit form, each with its least gluable representative. The key
+    is the element-by-element one of brute_conjugacy."""
     perms, _, back = ball_action(ambient)
     degree = ambient[0].degree
     classes = {}
@@ -64,7 +66,7 @@ def census_classes(ambient):
         group = to_balls(sub, back)
         if not check_compatibility(group):
             continue
-        key = conjugacy_class_key(ambient, group)
+        key = brute_conjugacy.conjugacy_class_key(ambient, group)
         mine = tuple(sorted(a.images for a in group.elements))
         if key not in classes or mine < classes[key]:
             classes[key] = mine

@@ -10,13 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import brute_conjugacy
+import pairwise_power
 import scanning_lattice
 import treeball
 from treeball.balls import BallAut, BallGroup, full_aut
 from treeball.constructions import build_full_lift
 from treeball.errors import HypothesisError
 from treeball.permcore import (Perm, PermGroup, _lattice_table,
-                               _subgroup_sets_brute,
+                               _power_subgroups_generic, _subgroup_sets_brute,
                                _subgroup_sets_by_prime_extension,
                                all_subgroups, are_conjugate_in, center,
                                classify_action, conjugacy_class_key,
@@ -205,6 +207,30 @@ def test_subgroups_up_to_conjugacy_counts():
         assert len(keys) == classes
 
 
+@pytest.mark.parametrize("G", [
+    PermGroup.symmetric(4), PermGroup.alternating(5),
+    BallGroup.from_elements(full_aut(3, 2)),
+], ids=["S4", "A5", "Aut-B32"])
+def test_class_keys_match_the_element_by_element_keys(G):
+    subgroups = all_subgroups(G)
+    if isinstance(G, BallGroup):
+        assert len(subgroups) == 98
+    for H in subgroups:
+        assert (conjugacy_class_key(G.elements, H)
+                == brute_conjugacy.conjugacy_class_key(G.elements, H))
+
+
+def test_conjugacy_verdicts_match_the_element_by_element_test():
+    S4 = PermGroup.symmetric(4)
+    subgroups = all_subgroups(S4)
+    verdicts = [are_conjugate_in(S4.elements, H, K)
+                for H in subgroups for K in subgroups]
+    assert verdicts == [brute_conjugacy.are_conjugate_in(S4.elements, H, K)
+                        for H in subgroups for K in subgroups]
+    # 11 classes, of sizes 1, 1, 1, 1, 3, 3, 3, 3, 4, 4 and 6
+    assert sum(verdicts) == 4 * 1 + 4 * 9 + 2 * 16 + 36
+
+
 def test_conjugacy_classes_partition():
     for name, G in _named().items():
         classes = conjugacy_classes(G)
@@ -354,6 +380,38 @@ def test_trivial_action_power_subgroups_brute_force_cross_check(H, count,
     brute = _brute_power_subgroups(trivial, [H.elements] * count)
     assert len(found) == len(brute) == total
     assert {frozenset(k.elements) for k in found} == set(brute)
+
+
+def _power_case(F, H, count):
+    """The arguments invariant_subgroups_of_power passes for F acting."""
+    trans = F.transversal(0)
+    slots = [tuple(sorted(trans[w] * h * trans[w].inverse()
+                          for h in H.elements)) for w in range(count)]
+    return F, slots, count, True
+
+
+def _trivial_case(H, count):
+    trivial = PermGroup.from_elements([Perm.identity(3)], degree=3)
+    return trivial, [tuple(H.elements)] * count, count, False
+
+
+@pytest.mark.parametrize("case", [
+    _trivial_case(PermGroup.symmetric(3).stabilizer(0), 3),
+    _trivial_case(PermGroup.cyclic(3), 2),
+    _trivial_case(PermGroup.cyclic(3), 3),
+    _power_case(PermGroup.dihedral(3), PermGroup.from_elements(
+        [Perm.identity(3), _reflection_fixing_zero(3)], degree=3), 3),
+    pytest.param(_power_case(PermGroup.alternating(4),
+                             PermGroup.alternating(4).stabilizer(0), 4),
+                 marks=pytest.mark.slow),
+], ids=["S3-stabilizer-cubed", "C3-squared", "C3-cubed", "D3-reflections",
+        "A4-on-C3-to-the-4th"])
+def test_power_subgroups_match_the_pairwise_closure(case):
+    # the generic route, also where invariant_subgroups_of_power would take
+    # the GF(2) one, against re-closing every subgroup element by element
+    found = _power_subgroups_generic(*case)
+    assert found == pairwise_power.power_subgroups(*case)
+    assert found[0].order == 1 and len(found) > 1
 
 
 def test_invariant_power_subgroups_hypothesis_errors():

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import brute_conjugacy
 import perm_shadow
 from treeball.balls import BallGroup, full_aut
 from treeball.census import census_compatible_classes, census_discrete_lifts
@@ -52,6 +53,15 @@ def test_structure_of_the_full_group_matches_the_shadow():
 def test_structure_of_random_radius_two_groups_matches_the_shadow(gens):
     group = BallGroup.from_elements(BallGroup.generated(gens).elements)
     assert_structure_matches_the_shadow(group)
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(st.sampled_from(FULL_B32), min_size=1, max_size=3))
+def test_class_keys_of_random_radius_two_groups_match_the_brute_keys(gens):
+    group = BallGroup.generated(gens)
+    assert (conjugacy_class_key(FULL_B32, group)
+            == brute_conjugacy.conjugacy_class_key(FULL_B32, group))
 
 
 def test_census_classes_match_the_shadow(census_rows):
