@@ -24,6 +24,7 @@ from .balls import (
     _glue_fibers,
     _glue_images,
     ball_compatible,
+    ball_points,
     words_of_length,
 )
 from .compat import (
@@ -34,6 +35,10 @@ from .compat import (
 from .errors import CapacityError, HypothesisError
 from .permcore import (Perm, PermGroup, center, classify_action,
                        small_generating_set_of)
+
+#: tower levels of more table cells (elements times ball points) than this
+#: are certified, not glued: 2**25 cells are 256 MiB of tuple slots
+TOWER_CELLS = 2 ** 25
 
 
 def _r1(perm):
@@ -517,10 +522,10 @@ def build_tower(F, kind, levels, blocks=None, pinned_point=0,
       element moves the pinned point; the other blocks have nontrivial
       pointwise stabilizers.
 
-    Levels beyond `cap` elements are certified rather than materialized, and
-    the tower stops after the first such level, so it can hold fewer levels
-    than asked for; the `tower` command then says so on stderr. `cap` bounds
-    a level's element count, not its memory.
+    Levels beyond `cap` elements, or beyond TOWER_CELLS table cells, which
+    bounds their memory, are certified rather than materialized, and the
+    tower stops after the first such level, so it can hold fewer levels
+    than asked for; the `tower` command then says so on stderr.
     """
     blocks, pinned, zen = _tower_hypotheses(F, kind, blocks, pinned_point)
     out = [TowerLevel(radius=1, order=F.order, group=radius_one(F),
@@ -684,15 +689,15 @@ def _tower_generators(prev, blocks, pinned, id_fibers, block_of):
 
 def _tower_step(prev, blocks, pinned, central, cap):
     """The tower level above `prev`: materialized with the generators of
-    `_tower_generators` when its order is at most `cap`, else certified.
-    `central`, when given, is called for the central element to lift into
-    a certificate."""
+    `_tower_generators` when its order is at most `cap` and its tables at
+    most TOWER_CELLS cells, else certified. `central`, when given, is
+    called for the central element to lift into a certificate."""
     d, radius = prev.degree, prev.radius + 1
     block_of = [_block_index(blocks, w) for w in range(d)]
     id_fibers = [joint_compat_set(prev, prev.identity(), b) for b in blocks]
     sizes = [1 if i == pinned else len(f) for i, f in enumerate(id_fibers)]
     expected = prev.order * math.prod(sizes)
-    if expected > cap:
+    if expected > cap or expected * len(ball_points(d, radius)) > TOWER_CELLS:
         cert = _tower_certificate(prev, blocks, pinned, central, expected,
                                   id_fibers, block_of)
         return TowerLevel(radius=radius, order=expected,

@@ -3,13 +3,16 @@
 A group document carries either a full element list or a generating set,
 each automorphism written as a flat vertex-image table over digit-string
 words. Serialization sorts every key so equal documents produce identical
-bytes; parsing checks each table and reports the index of the first
-offending element.
+bytes. Parsing reads an element list (degree at most 10) as index tuples,
+closes it once and checks only the generators that closure picks; when
+anything there fails, and for generator lists, every table is checked on
+its own and the first offending element is reported by index.
 """
 
 import functools
 import json
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .balls import BallAut, BallGroup, ball_points
 from .errors import DocumentError
@@ -25,6 +28,7 @@ class GroupDocument:
     elements: tuple = None
     generators: tuple = None
     metadata: dict = field(default_factory=dict)
+    group: BallGroup = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if (self.elements is None) == (self.generators is None):
@@ -53,6 +57,8 @@ def document_from_group(group, generators_only=False, metadata=None):
 
 
 def group_from_document(doc):
+    if doc.group is not None:
+        return doc.group
     if doc.elements is not None:
         return BallGroup.from_elements(doc.elements)
     return BallGroup.generated(doc.generators)
@@ -157,7 +163,30 @@ def _parse_aut(obj, degree, radius, index):
         raise DocumentError("%s: %s" % (where, err)) from err
 
 
+def _read_element_list(raw, degree, radius):
+    """The tables as unchecked automorphisms, and their group; None on any
+    defect. The closure makes every distinct tuple from the generators it
+    picks, so once they pass from_images every table is an automorphism."""
+    words = _word_indices(degree, radius)
+    keys = itemgetter(*words)
+    try:
+        if any(len(obj) != len(words) for obj in raw):
+            return None
+        auts = tuple([BallAut._raw(degree, radius,
+                                   itemgetter(*keys(obj))(words))
+                      for obj in raw])
+        group = BallGroup.from_elements(auts)
+        for g in group.generators:
+            BallAut.from_images(degree, radius, g.images)
+    except (KeyError, TypeError, ValueError):
+        return None
+    return auts, group
+
+
 def parse_document(text):
+    """The document in `text`. An element list (degree at most 10) keeps the
+    group it was checked through; any defect there, and a generator list,
+    sends each table through _parse_aut, which names the first bad one."""
     try:
         body = json.loads(text)
     except json.JSONDecodeError as err:
@@ -184,14 +213,16 @@ def parse_document(text):
         raise DocumentError("%r must be a list" % key)
     if not raw:
         raise DocumentError("%r is empty: no group to work with" % key)
-    auts = tuple(_parse_aut(obj, degree, radius, i)
-                 for i, obj in enumerate(raw))
+    read = has_elements and degree <= 10 and _read_element_list(
+        raw, degree, radius)
+    auts, group = read or (tuple(_parse_aut(obj, degree, radius, i)
+                                 for i, obj in enumerate(raw)), None)
     metadata = body.get("metadata", {})
     if not isinstance(metadata, dict):
         raise DocumentError("metadata must be an object")
     if has_elements:
         return GroupDocument(degree, radius, elements=auts,
-                             metadata=metadata)
+                             metadata=metadata, group=group)
     return GroupDocument(degree, radius, generators=auts,
                          metadata=metadata)
 

@@ -1102,11 +1102,7 @@ def _power_subgroups_gf2(F, slots, count):
                 return None
 
     def act(a, mask):
-        out = 0
-        for w in range(count):
-            if mask >> w & 1:
-                out |= 1 << a(w)
-        return out
+        return sum(1 << a(w) for w in range(count) if mask >> w & 1)
 
     def span(vectors):
         # Canonical reduced echelon basis over GF(2), biggest leading bit first.
@@ -1132,37 +1128,27 @@ def _power_subgroups_gf2(F, slots, count):
             vecs += [v ^ b for v in vecs]
         return vecs
 
-    all_masks = range(1 << count)
-    gens = list(F.generators)
+    # With span(B) invariant, v and a(v) + b (a in F, b in span(B)) extend
+    # B to the same subspace: one orbit and one span serve that whole class.
     found = {(): None}
     queue = [()]
     while queue:
         basis = queue.pop()
-        members = set(expand(basis))
-        for v in all_masks:
-            if v in members or v == 0:
+        members = expand(basis)
+        seen = set(members)
+        for v in range(1 << count):
+            if v in seen:
                 continue
-            orbit = {v}
-            stack = [v]
-            while stack:
-                x = stack.pop()
-                for a in gens:
-                    y = act(a, x)
-                    if y not in orbit:
-                        orbit.add(y)
-                        stack.append(y)
+            orbit = {act(a, v) for a in F.elements}
+            seen.update(x ^ b for x in orbit for b in members)
             new_basis = span(list(basis) + sorted(orbit))
             if new_basis not in found:
                 found[new_basis] = None
                 queue.append(new_basis)
-    out = []
-    ids = [Perm.identity(F.degree)] * count
-    for basis in found:
-        tuples = []
-        for mask in expand(list(basis)):
-            tup = tuple(invol[w] if mask >> w & 1 else ids[w] for w in range(count))
-            tuples.append(tup)
-        out.append(PowerSubgroup(tuple(sorted(tuples))))
+    ident = Perm.identity(F.degree)
+    out = [PowerSubgroup(tuple(sorted(
+        tuple(invol[w] if mask >> w & 1 else ident for w in range(count))
+        for mask in expand(basis)))) for basis in found]
     out.sort(key=lambda P: (P.order, P.elements))
     return out
 

@@ -292,26 +292,46 @@ def test_tower_says_on_stderr_when_it_stops_short(runner):
     assert full.stderr == ""
 
 
-@pytest.mark.slow
-def test_tower_pinned_orbit_four_steps():
-    # in a child process, whose peak RSS wait4 reports alone: level 4 holds
-    # 32,768 tables of 937 points, glued once and kept as the level's
-    # elements, next to the few generators the tower step glues itself
+def _run_child(*args):
+    """stdout, stderr, exit code and peak RSS (kilobytes) of `treeball
+    args` in a child process, whose peak RSS wait4 reports alone."""
     src = str(pathlib.Path(treeball.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     child = subprocess.Popen(
-        [sys.executable, "-m", "treeball.cli", "tower", "pinned-orbit",
-         "--steps", "4"], env=env, text=True,
-        stdout=subprocess.PIPE, stderr=subprocess.STDOUT)
-    out = child.stdout.read()
+        [sys.executable, "-m", "treeball.cli", *args], env=env, text=True,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    out, err = child.stdout.read(), child.stderr.read()  # err: a line or two
     child.stdout.close()
+    child.stderr.close()
     _, status, usage = os.wait4(child.pid, 0)
-    child.returncode = os.waitstatus_to_exitcode(status)
-    assert child.returncode == 0, out
-    assert out == ("level 1: order 8\nlevel 2: order 128\n"
-                   "level 3: order 2048\nlevel 4: order 32768\n")
-    assert usage.ru_maxrss < 300 * 1024  # kilobytes
+    return out, err, os.waitstatus_to_exitcode(status), usage.ru_maxrss
+
+
+@pytest.mark.slow
+def test_tower_pinned_orbit_four_steps():
+    # level 4 holds 32,768 tables of 937 points, glued once and kept as the
+    # level's elements, next to the few generators the tower step glues
+    out, err, code, peak = _run_child("tower", "pinned-orbit", "--steps", "4")
+    assert code == 0, err
+    assert (out, err) == ("level 1: order 8\nlevel 2: order 128\n"
+                          "level 3: order 2048\nlevel 4: order 32768\n", "")
+    assert peak < 300 * 1024
+
+
+@pytest.mark.slow
+def test_tower_certifies_a_level_too_large_in_cells():
+    # D4's partition tower reaches 32,768 elements at level 7, inside the
+    # element cap, but their tables would hold 143M cells: the level is
+    # certified, and the tower stops there with exit 0
+    out, err, code, peak = _run_child(
+        "tower", "partition", "--group", "D4", "--blocks", "0,2;1,3",
+        "--steps", "9")
+    assert code == 0, err
+    assert len(out.splitlines()) == 7
+    assert out.splitlines()[-1] == "level 7: order 32768 (certified only)"
+    assert err == "tower stopped at certified level 7 of the 9 asked for\n"
+    assert peak < 300 * 1024
 
 
 def test_tower_rejects_bad_blocks(runner):

@@ -1,17 +1,22 @@
 """JSON group documents: serialization, parsing, and failure reporting."""
 
 import json
+import random
 
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treeball import cli
+from recursive_balls import RecursiveBallAut
+from test_flat_balls import perturb
+from treeball import balls, cli
+from treeball.balls import BallAut, BallGroup, ball_points, random_ball_aut
 from treeball.documents import (GroupDocument, _word_str, document_from_group,
-                                group_from_document, parse_document,
-                                serialize_document)
+                                group_from_document, load_document,
+                                parse_document, serialize_document)
 from treeball.errors import DocumentError
+from treeball.permcore import small_generating_set_of as greedy
 
 #: `construct` arguments of the nine named constructions
 CONSTRUCTED = [
@@ -197,3 +202,133 @@ def test_table_swaps_that_remain_automorphisms_parse(gamma_s3):
     doc = parse_document(json.dumps(body))
     with pytest.raises(ValueError):
         group_from_document(doc)
+
+
+def reference_read(body):
+    """An element document read table by table, with the recursive
+    reference deciding each table and a product table deciding the group:
+    the first bad table's message, "element set is not a group", or the
+    flat tables in document order."""
+    degree, radius = body["degree"], body["radius"]
+    auts = []
+    for i, table in enumerate(body["elements"]):
+        where = "element %d" % i
+        if not isinstance(table, dict):
+            return "%s: expected a word-to-word object, got %s" % (
+                where, type(table).__name__)
+        mapping = {}
+        for key, value in table.items():
+            for word in (key, value):
+                if not isinstance(word, str) or word == "":
+                    return ("%s: word must be a nonempty digit string, got"
+                            " %r" % (where, word))
+                if any(not c.isdigit() or int(c) >= degree for c in word):
+                    return ("%s: word %r uses a letter outside 0..%d"
+                            % (where, word, degree - 1))
+            mapping[tuple(map(int, key))] = tuple(map(int, value))
+        points = set(ball_points(degree, radius))
+        detail = (["missing %s" % _word_str(w)
+                   for w in sorted(points - set(mapping))[:1]]
+                  + ["stray %s" % _word_str(w)
+                     for w in sorted(set(mapping) - points)[:1]])
+        if detail:
+            return "%s: vertex table does not cover the ball (%s)" % (
+                where, ", ".join(detail))
+        try:
+            auts.append(RecursiveBallAut.from_wordmap(degree, radius,
+                                                      mapping))
+        except ValueError as err:
+            return "%s: %s" % (where, err)
+    distinct = {a.flat(): a for a in auts}.values()
+    flats = {a.flat() for a in distinct}
+    if ball_points(degree, radius) not in flats or any(
+            (a * b).flat() not in flats for a in distinct for b in distinct):
+        return "element set is not a group"
+    return [a.flat() for a in auts]
+
+
+def library_read(body):
+    """The same three outcomes from parse_document and group_from_document."""
+    try:
+        doc = parse_document(json.dumps(body))
+        group = group_from_document(doc)
+    except ValueError as err:
+        return str(err)
+    assert {a.flat() for a in doc.elements} == {a.flat() for a in group}
+    return [a.flat() for a in doc.elements]
+
+
+def word_table(aut, rng, defects):
+    """`aut`'s table in digit strings with `defects` stacked perturb defects,
+    its keys in shuffled order."""
+    table = aut.to_wordmap()
+    for _ in range(defects):
+        table = perturb(table, aut.degree, aut.radius, rng)
+    items = [(_word_str(k), _word_str(v)) for k, v in table.items()]
+    rng.shuffle(items)
+    return dict(items)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 32), st.sampled_from([(3, 1), (3, 2), (3, 3),
+                                                 (4, 1), (4, 2)]),
+       st.integers(0, 3))
+def test_element_documents_read_as_the_per_table_reading_does(seed, shape,
+                                                              defects):
+    # the generator check behind the one closure accepts and refuses the
+    # same documents as checking every table, with the same messages
+    degree, radius = shape
+    rng = random.Random(seed)
+    count = 2 if degree == 3 and radius < 3 or radius == 1 else 1
+    group = BallGroup.generated([random_ball_aut(degree, radius, rng)
+                                 for _ in range(count)])
+    auts = list(group.elements)
+    auts += rng.sample(auts, rng.randrange(min(3, len(auts)) + 1))
+    rng.shuffle(auts)
+    hit = [rng.randrange(len(auts)) for _ in range(defects)]
+    body = {"degree": degree, "radius": radius,
+            "encoding": "flat-word-map", "metadata": {},
+            "elements": [word_table(a, rng, hit.count(i))
+                         for i, a in enumerate(auts)]}
+    assert library_read(body) == reference_read(body)
+
+
+#: identity plus an idempotent that is not a bijection: closed under
+#: composition, so the closure passes and only its generator is refused
+IDEMPOTENT = [{"0": "0", "1": "1", "2": "2"}, {"0": "0", "1": "0", "2": "2"}]
+#: the lone transposition of test_cli's non-group document
+TRANSPOSITION = [{"0": "1", "1": "0", "2": "2"}]
+
+
+@pytest.mark.parametrize("tables, outcome", [
+    (IDEMPOTENT, "element 1: not a permutation of 0..n-1: (0, 0, 2)"),
+    (TRANSPOSITION, "element set is not a group"),
+], ids=["idempotent", "transposition"])
+def test_lists_the_closure_cannot_vouch_for_read_as_before(tables, outcome):
+    body = {"degree": 3, "radius": 1, "encoding": "flat-word-map",
+            "metadata": {}, "elements": tables}
+    assert library_read(body) == reference_read(body) == outcome
+
+
+@pytest.mark.parametrize("args", CONSTRUCTED, ids=" ".join)
+def test_one_read_closes_once(args, tmp_path, monkeypatch):
+    path = tmp_path / "doc.json"
+    res = CliRunner().invoke(cli.main, ["construct", *args,
+                                        "--out", str(path)])
+    assert res.exit_code == 0, res.output
+    calls, checked = [], []
+    monkeypatch.setattr(balls, "small_generating_set_of",
+                        lambda *a: calls.append(a) or greedy(*a))
+    check = BallAut.from_images
+    monkeypatch.setattr(BallAut, "from_images", classmethod(
+        lambda cls, *a: checked.append(a) or check(*a)))
+    group = group_from_document(load_document(path))
+    # one closure, and a table check for each generator it picks only
+    assert len(calls) == 1
+    assert len(checked) == len(group.generators)
+    monkeypatch.undo()
+    text = path.read_text()
+    doc = parse_document(text)
+    assert group.generators == BallGroup.from_elements(
+        doc.elements).generators
+    assert serialize_document(doc) == text

@@ -18,7 +18,8 @@ from treeball.balls import BallAut, BallGroup, full_aut
 from treeball.constructions import build_full_lift
 from treeball.errors import HypothesisError
 from treeball.permcore import (Perm, PermGroup, _lattice_table,
-                               _power_subgroups_generic, _subgroup_sets_brute,
+                               _power_subgroups_generic, _power_subgroups_gf2,
+                               _subgroup_sets_brute,
                                _subgroup_sets_by_prime_extension,
                                all_subgroups, are_conjugate_in, center,
                                classify_action, conjugacy_class_key,
@@ -404,14 +405,28 @@ def _trivial_case(H, count):
     pytest.param(_power_case(PermGroup.alternating(4),
                              PermGroup.alternating(4).stabilizer(0), 4),
                  marks=pytest.mark.slow),
+    _power_case(PermGroup.dihedral(5), PermGroup.from_elements(
+        [Perm.identity(5), _reflection_fixing_zero(5)], degree=5), 5),
 ], ids=["S3-stabilizer-cubed", "C3-squared", "C3-cubed", "D3-reflections",
-        "A4-on-C3-to-the-4th"])
+        "A4-on-C3-to-the-4th", "D5-reflections"])
 def test_power_subgroups_match_the_pairwise_closure(case):
-    # the generic route, also where invariant_subgroups_of_power would take
-    # the GF(2) one, against re-closing every subgroup element by element
+    # the generic route, and the GF(2) one where invariant_subgroups_of_power
+    # would take it, against re-closing every subgroup element by element
     found = _power_subgroups_generic(*case)
     assert found == pairwise_power.power_subgroups(*case)
     assert found[0].order == 1 and len(found) > 1
+    if case[3] and all(len(s) == 2 for s in case[1]):
+        assert _power_subgroups_gf2(*case[:3]) == found
+
+
+def test_gf2_power_subgroups_at_seven_match_the_generic_route():
+    # the pairwise closure takes about a minute at p = 7, so the GF(2)
+    # search is held to the generic route, itself checked against it above
+    case = _power_case(PermGroup.dihedral(7), PermGroup.from_elements(
+        [Perm.identity(7), _reflection_fixing_zero(7)], degree=7), 7)
+    found = _power_subgroups_gf2(*case[:3])
+    assert found == _power_subgroups_generic(*case)
+    assert [P.order for P in found] == [1, 2, 64, 128]
 
 
 def test_invariant_power_subgroups_hypothesis_errors():
