@@ -37,6 +37,10 @@ from .permcore import (Element, FiniteGroup, Perm, PermGroup, _close,
 #: Largest group of ball automorphisms that full_aut will materialize.
 MATERIALIZE_CAP = 500_000
 
+#: The most table cells (tables times ball points) that tower levels and the
+#: cocycle search list: 2**25 cells are 256 MiB of tuple slots
+TOWER_CELLS = 2 ** 25
+
 
 # ---------------------------------------------------------------------------
 # words

@@ -17,6 +17,7 @@ from dataclasses import dataclass, replace
 
 from .balls import BallAut, BallGroup, full_aut
 from .compat import (
+    _involutive_sections,
     check_compatibility,
     check_trivial_seams,
     find_involutive_cocycles,
@@ -144,7 +145,7 @@ def census_compatible_classes(degree=3, radius=2):
 def _make_row(group, radius, description=None, gamma_image_of=None):
     compatible = check_compatibility(group)
     trivial = check_trivial_seams(group) if compatible else None
-    has_icc = bool(find_involutive_cocycles(group)) if compatible else False
+    has_icc = compatible and any(_involutive_sections(group))
     if compatible and trivial and not has_icc:
         raise RuntimeError("rigid gluable group without a cocycle; bug")
     projection = name_permutation_group(group.level1())

@@ -16,16 +16,19 @@ Compatibility cocycles are the homomorphic sections of the lifted group one
 radius up. At degree 3 its kernel over F is elementary abelian, and the
 sections are solved for as one affine system over GF(2) whose unknowns are
 kernel bitmasks, one per generator; at higher degree they are searched.
-Either way, one step keeps the sections involutive on the generators.
+Either way they stream lazily, kept involutive on the generators; existence
+stops at the first, and the search refuses lifts past the TOWER_CELLS budget.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 
-from .balls import (BallAut, BallGroup, _glue_fibers, _glue_images,
-                    _need_key, _offer_key, ball_compatible, ball_points)
-from .errors import HypothesisError
+from .balls import (TOWER_CELLS, BallAut, BallGroup, _glue_fibers,
+                    _glue_images, _need_key, _offer_key, ball_compatible,
+                    ball_points)
+from .errors import CapacityError, HypothesisError
 from .permcore import _getter, _grow
 
 
@@ -231,40 +234,50 @@ def find_involutive_cocycles(group):
     passes the group order or meets the kernel, since a faithful projection
     allows neither. A rigid group is the one-solution case of both.
 
-    A section s, with z(a, w) the w-th child of s(a), is kept when
-    z(z(g, w), w) = g for every generator g and direction w. A partner moves
-    its direction as its element does, so the product rule gives
-    z(z(ab, w), w) = z(z(a, b(w)), b(w)) * z(z(b, w), w), and the generators
-    settle every element. `CompatCocycle` still checks the whole table.
+    Both stream lazily from `_involutive_sections`, which a count or an
+    existence check reads with no table; the search refuses past TOWER_CELLS.
     """
+    out = [CompatCocycle(group, {(a, w): b for a in group.elements
+                                 for w, b in enumerate(lift(a).children)})
+           for lift in _involutive_sections(group)]
+    out.sort(key=lambda c: c.table_key())
+    return out
+
+
+def _involutive_sections(group):
+    """Lazily, as maps from element to lift, each section s whose z(a, w),
+    the w-th child of s(a), has z(z(g, w), w) = g for every generator g and
+    direction w. A partner moves its direction as its element does, so the
+    product rule gives z(z(ab, w), w) = z(z(a, b(w)), b(w)) * z(z(b, w), w),
+    and the generators settle every element."""
     if first_compat_failure(group) is not None:
-        return []
+        return
     d, r = group.degree, group.radius
     gens = [g for g in group.generators if not g.is_identity()]
     solve = _solved_sections if d == 3 else _searched_sections
-    out = []
     for lift in solve(group, gens):
         if all(lift(lift(g)._chart(w, r))._chart(w, r) == g
                for g in gens for w in range(d)):
-            out.append(CompatCocycle(group, {
-                (a, w): b for a in group.elements
-                for w, b in enumerate(lift(a).children)}))
-    out.sort(key=lambda c: c.table_key())
-    return out
+            yield lift
 
 
 def _searched_sections(group, gens):
     d = group.degree
     ident = BallAut.identity(d, group.radius + 1)
-    target = group.order
+    cells = len(ball_points(d, group.radius + 1))
     options = []
     for g in gens:
         g_order = g.order()
         fibers = [compat_set(group, g, w) for w in range(d)]
+        count = math.prod(map(len, fibers))
+        if count * cells > TOWER_CELLS:
+            raise CapacityError("cocycle search: %d lifts of a generator hold"
+                                " %d table cells, beyond the budget of %d"
+                                % (count, count * cells, TOWER_CELLS))
         lifts = [t for t in _glue_fibers(g, fibers)
                  if ident._from(t).order() == g_order]
         if not lifts:
-            return []
+            return
         options.append(lifts)
     options.sort(key=len)
 
@@ -274,23 +287,18 @@ def _searched_sections(group, gens):
     def outside_kernel(h):
         return None if h[:inner] == kernel_key else h
 
-    found = set()
-
     def descend(level, members, seen, chosen):
-        if level == len(options):
-            if len(members) == target:
-                found.add(frozenset(seen))
-            return
-        for lift in options[level]:
-            grown = (list(members), set(seen), list(chosen))
-            if _grow(*grown, lift, target, outside_kernel):
-                descend(level + 1, *grown)
+        if level < len(options):
+            for lift in options[level]:
+                grown = (list(members), set(seen), list(chosen))
+                if _grow(*grown, lift, group.order, outside_kernel):
+                    yield from descend(level + 1, *grown)
+        elif len(members) == group.order:
+            # a closure holds one lift of each generator, so distinct choice
+            # paths give distinct sections and nothing needs deduplicating
+            yield {h.root: h for h in map(ident._from, members)}.__getitem__
 
-    descend(0, [ident.images], {ident.images}, [])
-    # Each closure is the lifted group itself, meeting the kernel only in
-    # the identity: it holds one lift of every element, wrapped only here.
-    return [{h.root: h for h in map(ident._from, closed)}.__getitem__
-            for closed in found]
+    yield from descend(0, [ident.images], {ident.images}, [])
 
 
 def _cocycle_system(group, gens):

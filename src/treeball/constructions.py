@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 from .balls import (
     MATERIALIZE_CAP,
+    TOWER_CELLS,
     BallAut,
     BallGroup,
     _glue_fibers,
@@ -35,10 +36,6 @@ from .compat import (
 from .errors import CapacityError, HypothesisError
 from .permcore import (Perm, PermGroup, center, classify_action,
                        small_generating_set_of)
-
-#: tower levels of more table cells (elements times ball points) than this
-#: are certified, not glued: 2**25 cells are 256 MiB of tuple slots
-TOWER_CELLS = 2 ** 25
 
 
 def _r1(perm):

@@ -6,6 +6,7 @@ intentional output change with REGOLD=1 pytest tests/test_census.py.
 
 import os
 import pathlib
+import time
 
 import pytest
 
@@ -13,6 +14,7 @@ from treeball.balls import full_aut
 from treeball.census import (are_conjugate_in, census_compatible_classes,
                              census_discrete_lifts, degree3_table,
                              format_table, name_permutation_group)
+from treeball.compat import find_involutive_cocycles
 from treeball.constructions import (build_centered, build_diagonal,
                                     build_full_lift, build_parity_lift)
 from treeball.permcore import Perm, PermGroup, classify_action
@@ -118,6 +120,16 @@ def test_group_naming():
     assert name_permutation_group(PermGroup.symmetric(3)) == "S_3"
     assert name_permutation_group(PermGroup.alternating(3)) == "A_3"
     assert name_permutation_group(PermGroup.symmetric(4)) == "S_4"
+
+
+@pytest.mark.slow
+def test_degree_four_census_asks_only_whether_a_cocycle_exists():
+    # a row reads the first involutive section, not every cocycle table
+    start = time.perf_counter()
+    rows = census_compatible_classes(4, 1)
+    assert time.perf_counter() - start < 3
+    for row in rows:
+        assert row.has_cocycle == bool(find_involutive_cocycles(row.group))
 
 
 @pytest.mark.slow

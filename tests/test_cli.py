@@ -8,6 +8,7 @@ import pathlib
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 import sympy
@@ -403,6 +404,24 @@ def test_cocycles_of_the_radius_three_full_lift(runner, tmp_path):
     res = runner.invoke(main, ["cocycles", "--in", doc, "--expect", "no"])
     assert res.exit_code == 0, res.output
     assert res.output == "involutive cocycles: 0\n"
+
+
+@pytest.mark.slow
+def test_cocycles_refuses_the_radius_two_full_lift_of_s4(runner, tmp_path):
+    # each generator has 216**4 lifts one radius up: the search counts them
+    # from the fibers and refuses before listing one
+    doc = str(tmp_path / "full-lift-s4-r2.json")
+    res = runner.invoke(main, ["construct", "full-lift", "S4", "--radius", "2",
+                               "--out", doc])
+    assert res.exit_code == 0, res.output
+    start = time.perf_counter()
+    out, err, code, peak = _run_child("cocycles", "--in", doc)
+    assert time.perf_counter() - start < 5
+    assert (code, out) == (2, "")
+    assert sum(line.startswith("Error:") for line in err.splitlines()) == 1
+    assert "cocycle search: 2176782336 lifts" in err
+    assert "Traceback" not in err
+    assert peak < 500 * 1024
 
 
 def test_stdout_digests_match_golden(runner, tmp_path):

@@ -3,7 +3,8 @@
 The generating-set greedy, the group check of `from_elements` and the
 involutive-cocycle search all extend one closure a generator at a time.
 The re-closing versions in `reclosing.py` must give the same generators and
-the same cocycle tables.
+the same cocycle tables, and the lazy section stream the same cocycle count
+and existence.
 """
 
 import random
@@ -27,6 +28,19 @@ FULL_B32 = full_aut(3, 2)
 
 def _keys(cocycles):
     return [c.table_key() for c in cocycles]
+
+
+def _check_cocycles(monkeypatch, group):
+    """The involutive cocycles of the group, once their tables match the
+    re-closing reference and the lazy stream's existence and count do."""
+    found = find_involutive_cocycles(group)
+    assert _keys(found) == _keys(reclosing.involutive_cocycles(group))
+    # existence and count read the section stream and build no table
+    with monkeypatch.context() as m:
+        m.setattr(compat, "CompatCocycle", None)
+        assert any(compat._involutive_sections(group)) == bool(found)
+        assert sum(1 for _ in compat._involutive_sections(group)) == len(found)
+    return found
 
 
 @st.composite
@@ -61,20 +75,21 @@ def test_greedy_matches_reclosing_on_ball_automorphisms(seed, radius, count):
     assert BallGroup.from_elements(group.elements).generators == expect
 
 
-def test_cocycles_match_reclosing_on_the_census_classes(census_rows):
+def test_cocycles_match_reclosing_on_the_census_classes(monkeypatch,
+                                                        census_rows):
     assert len(census_rows) == 6
     for row in census_rows:
-        assert (_keys(find_involutive_cocycles(row.group))
-                == _keys(reclosing.involutive_cocycles(row.group)))
+        found = _check_cocycles(monkeypatch, row.group)
+        assert bool(found) == row.has_cocycle
 
 
 @settings(max_examples=40, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.function_scoped_fixture])
 @given(st.lists(st.sampled_from(FULL_B32), min_size=1, max_size=3))
-def test_cocycles_match_reclosing_on_random_radius_two_groups(gens):
-    group = BallGroup.generated(gens)
-    assert (_keys(find_involutive_cocycles(group))
-            == _keys(reclosing.involutive_cocycles(group)))
+def test_cocycles_match_reclosing_on_random_radius_two_groups(monkeypatch,
+                                                              gens):
+    _check_cocycles(monkeypatch, BallGroup.generated(gens))
 
 
 @pytest.mark.parametrize("gens, count", [
@@ -89,9 +104,7 @@ def test_cocycles_match_reclosing_at_degree_four(monkeypatch, gens, count):
     monkeypatch.setattr(compat, "_solved_sections", no_system)
     group = BallGroup.generated([BallAut(Perm(g)) for g in gens])
     assert not check_trivial_seams(group)
-    found = find_involutive_cocycles(group)
-    assert len(found) == count
-    assert _keys(found) == _keys(reclosing.involutive_cocycles(group))
+    assert len(_check_cocycles(monkeypatch, group)) == count
 
 
 @pytest.mark.parametrize("R", [
@@ -101,14 +114,26 @@ def test_cocycles_match_reclosing_at_degree_four(monkeypatch, gens, count):
 ], ids=["C4", "V4", "C5"])
 @pytest.mark.parametrize("build", [radius_one, build_diagonal],
                          ids=["radius_one", "diagonal"])
-def test_rigid_groups_above_degree_three_reach_one_searched_cocycle(R, build):
+def test_rigid_groups_above_degree_three_reach_one_searched_cocycle(
+        monkeypatch, R, build):
     # a rigid group's one cocycle comes from the search, and the reference
     # still takes it from the singleton fibers (canonical_cocycle)
     group = build(R)
     assert check_trivial_seams(group)
-    found = find_involutive_cocycles(group)
-    assert len(found) == 1
-    assert _keys(found) == _keys(reclosing.involutive_cocycles(group))
+    assert len(_check_cocycles(monkeypatch, group)) == 1
+
+
+def test_cocycle_search_refuses_lifts_past_the_cell_budget(monkeypatch):
+    # the lifts of a generator are counted from its fibers before any is
+    # glued; past the budget the search raises instead of listing them
+    group = BallGroup.generated([BallAut(Perm((1, 2, 3, 0)))])
+    assert len(find_involutive_cocycles(group)) > 0
+    monkeypatch.setattr(compat, "TOWER_CELLS", 1)
+    monkeypatch.setattr(compat, "_glue_fibers", None)
+    with pytest.raises(CapacityError, match=r"^cocycle search: \d+ lifts of "
+                       r"a generator hold \d+ table cells, beyond the "
+                       r"budget of 1$"):
+        any(compat._involutive_sections(group))
 
 
 def test_lattice_subgroups_keep_the_greedy_generators():
