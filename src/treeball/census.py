@@ -190,6 +190,12 @@ def census_discrete_lifts(base_rows):
     tests sweeps every subgroup of the full lift instead and must find the
     same classes. Rows that are just the unique-lift image of an
     already-rigid base are flagged via `gamma_image_of`.
+
+    Each cocycle is verified, and its generators lifted, once; each kernel
+    subgroup's own facts are found once; and each distinct extension is
+    closed and checked for (C) and (D) once, the first pair that builds it
+    standing for it. The clauses are the ones every pair meets, run on image
+    tuples: a projection is a prefix of each element's tuple.
     """
     out = []
     for row in base_rows:
@@ -221,39 +227,41 @@ def census_discrete_lifts(base_rows):
 
 
 def _lifts_by_cocycle(base, kernel):
+    """The discrete extensions of the base's cocycles by kernel subgroups,
+    each element set once and represented by the first pair that built it:
+    (C), (D) and the projection depend on the element set alone."""
     kernel_group = BallGroup.from_elements(kernel)
-    candidates = []
+    candidates, seen = [], set()
     for z in find_involutive_cocycles(base):
         for sub in all_subgroups(kernel_group):
             try:
                 sigma = build_cocycle_extension(z, sub)
             except HypothesisError:
                 continue
-            if _is_discrete_lift(sigma, base):
-                candidates.append(sigma)
+            if sigma._eset not in seen:
+                seen.add(sigma._eset)
+                if _is_discrete_lift(sigma, base):
+                    candidates.append(sigma)
     return candidates
 
 
 def _is_discrete_lift(group, base):
-    inner = group.radius - 1
+    inner = len(base.identity().images)
     # projection is a homomorphism: a lift's order is a multiple of the base's
     if (group.order % base.order
-            or {a.project(inner) for a in group.elements} != base._eset):
+            or {a.images[:inner] for a in group.elements}
+            != {b.images for b in base.elements}):
         return False
     return check_compatibility(group) and check_trivial_seams(group)
 
 
 def _merge_into_classes(ambient, candidates):
+    """One representative per ambient conjugacy class of distinct groups,
+    the least by element list."""
     reps = []
-    seen_sets = set()
     for group in sorted(candidates, key=_flat_key):
-        key = _flat_key(group)
-        if key in seen_sets:
-            continue
-        seen_sets.add(key)
-        if any(are_conjugate_in(ambient, group, rep) for rep in reps):
-            continue
-        reps.append(group)
+        if not any(are_conjugate_in(ambient, group, rep) for rep in reps):
+            reps.append(group)
     return reps
 
 

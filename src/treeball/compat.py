@@ -26,8 +26,7 @@ import functools
 import math
 
 from .balls import (TOWER_CELLS, BallAut, BallGroup, _glue_fibers,
-                    _glue_images, _need_key, _offer_key, ball_compatible,
-                    ball_points)
+                    _glue_images, _need_key, _offer_key, ball_points)
 from .errors import CapacityError, HypothesisError
 from .permcore import _getter, _grow
 
@@ -154,33 +153,46 @@ class CompatCocycle:
     def verify(self):
         """Check fibers, involutivity and the product rule.
 
-        The product rule is checked for b among the generators only: if it
-        holds for b1 and b2 against every a, it holds for b1 * b2, so by
-        induction on word length it holds for every b.
+        The checks run in this order, each with its own message, on image
+        tuples: every (a, w) has a choice, in the group, in a's fiber (the
+        fiber index decides ball_compatible for members of the group), whose
+        own choice is a; and z(a * b, w) = z(a, b(w)) * z(b, w), each product
+        one gather. They read one map from each element's tuple to its row of
+        choices, which the cocycle keeps for its extensions. The product rule
+        is checked for b among the generators only: if it holds for b1 and b2
+        against every a, it holds for b1 * b2, so by induction on word length
+        it holds for every b.
         """
         group = self.group
         d = group.degree
+        z = {}
         for a in group.elements:
+            row = z[a.images] = []
             for w in range(d):
                 b = self.table.get((a, w))
                 if b is None:
                     raise ValueError("choice map misses (%r, %d)" % (a, w))
                 if b not in group:
                     raise ValueError("choice at (%r, %d) leaves the group" % (a, w))
-                if not ball_compatible(a, b, w):
+                if b not in compat_set(group, a, w):
                     raise ValueError("choice at (%r, %d) is not a partner" % (a, w))
-        for a in group.elements:
-            for w in range(d):
-                if self.table[(self.table[(a, w)], w)] != a:
-                    raise ValueError("choice map is not involutive")
+                row.append(b.images)
+        if any(z[b][w] != a for a, row in z.items() for w, b in enumerate(row)):
+            raise ValueError("choice map is not involutive")
         for b in group.generators:
-            lv1 = b.level1()
-            for a in group.elements:
-                ab = a * b
-                for w in range(d):
-                    if self.table[(ab, w)] != (
-                            self.table[(a, lv1(w))] * self.table[(b, w)]):
-                        raise ValueError("choice map breaks the product rule")
+            step, moved = _getter(b.images), b.images[:d]
+            right = list(zip(map(_getter, z[b.images]), moved))
+            if any(z[step(a)] != [f(row[x]) for f, x in right]
+                   for a, row in z.items()):
+                raise ValueError("choice map breaks the product rule")
+        self._images = z
+
+    @functools.cached_property
+    def _lifted_generators(self):
+        """The sections of the group's generators, built once: a verified
+        table stays fixed (it is hashed), and every extension of the cocycle
+        by a kernel starts from them."""
+        return [self.section(g) for g in self.group.generators]
 
     def section(self, alpha):
         """The one-step-larger automorphism this choice map assigns to alpha:

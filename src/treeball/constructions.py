@@ -24,6 +24,7 @@ from .balls import (
     BallGroup,
     _glue_fibers,
     _glue_images,
+    _root_and_chart,
     ball_compatible,
     ball_points,
     words_of_length,
@@ -34,8 +35,8 @@ from .compat import (
     joint_compat_set,
 )
 from .errors import CapacityError, HypothesisError
-from .permcore import (Perm, PermGroup, center, classify_action,
-                       small_generating_set_of)
+from .permcore import (Perm, PermGroup, _getter, _inverse, center,
+                       classify_action, small_generating_set_of)
 
 
 def _r1(perm):
@@ -310,50 +311,87 @@ def build_cocycle_extension(cocycle, kernel, cap=MATERIALIZE_CAP):
     (a) the lifted group normalizes the kernel and (b) for every kernel
     element and direction, some kernel element's view in that direction is
     the inverse of the cocycle's choice at the original element's view. Both
-    clauses are checked.
+    clauses are checked on image tuples, in that order, after the kernel's
+    shape and that it is a subgroup.
+
+    Each piece of work is done once. A kernel group's cache keeps what the
+    kernel alone decides (whether it is a subgroup, its generators, its
+    views) and the elements of each extension it took part in, keyed by the
+    cosets K * lg of the lifted generators lg, which fix the group they
+    generate with K; the cocycle keeps its lifted generators. Once K is a
+    subgroup, lg normalizes it exactly when lg * k lies in K * lg for each of
+    its generators k, and (b) passes or fails alike wherever a view recurs,
+    so it runs over the distinct views in the order they first occur.
     """
     if not isinstance(cocycle, CompatCocycle):
         raise TypeError("expected a CompatCocycle")
     F = cocycle.group
     d = F.degree
     kelems = list(kernel.elements if hasattr(kernel, "elements") else kernel)
-    kset = set(kelems)
+    inner = BallAut.identity(d, F.radius).images
     for k in kelems:
         if (k.degree, k.radius) != (F.degree, F.radius + 1):
             raise HypothesisError("kernel elements must live one radius up")
-        if not k.root.is_identity():
+        if k.images[:len(inner)] != inner:
             raise HypothesisError(
                 "kernel elements must restrict to the identity inside")
-    for x in kelems:
-        for y in kelems:
-            if x * y not in kset:
-                raise HypothesisError("the kernel must be a subgroup")
-    lifted_gens = [cocycle.section(g) for g in F.generators]
+    kset, kernel_gens, views, made = _kernel_facts(
+        kernel, kelems, BallAut.identity(d, F.radius + 1))
+    if kernel_gens is None:
+        raise HypothesisError("the kernel must be a subgroup")
+    lifted_gens = cocycle._lifted_generators
+    cosets = []
     for lg in lifted_gens:
-        lgi = lg.inverse()
-        for k in kelems:
-            if lg * k * lgi not in kset:
-                raise HypothesisError(
-                    "the lifted group must normalize the kernel")
-    for k in kelems:
-        for w in range(d):
-            view = k.children[w]
-            if view not in F:
-                raise HypothesisError(
-                    "kernel views must lie in the base group")
-            want = cocycle.z(view, w).inverse()
-            if not any(kk.children[w] == want for kk in kelems):
-                raise HypothesisError(
-                    "no kernel element inverts the choice map in direction %d"
-                    % w)
+        coset = set(map(_getter(lg.images), kset))  # K * lg
+        if any(_getter(k.images)(lg.images) not in coset
+               for k in kernel_gens):
+            raise HypothesisError(
+                "the lifted group must normalize the kernel")
+        cosets.append(min(coset))
+    z = cocycle._images
+    for view, w in views:
+        if view not in z:
+            raise HypothesisError(
+                "kernel views must lie in the base group")
+        if (_inverse(z[view][w]), w) not in views:
+            raise HypothesisError(
+                "no kernel element inverts the choice map in direction %d"
+                % w)
     expected = F.order * len(kelems)
     if expected > cap:
         raise CapacityError("extension would have order %d, beyond cap %d"
                             % (expected, cap))
-    kernel_gens = small_generating_set_of(
-        kelems, BallAut.identity(d, F.radius + 1))
-    group = BallGroup.generated(lifted_gens + list(kernel_gens), cap=expected)
-    return _check_order(group, expected, "cocycle extension")
+    # the group is <lifted generators, kernel>, which the cosets K * lg fix
+    cosets = frozenset(cosets)
+    gens = lifted_gens + list(kernel_gens)
+    if cosets in made:
+        group = BallGroup(d, F.radius + 1, made[cosets], gens, _sorted=True)
+    else:
+        group = BallGroup.generated(gens, cap=expected)
+    made[cosets] = _check_order(group, expected, "cocycle extension").elements
+    return group
+
+
+def _kernel_facts(kernel, kelems, identity):
+    """The kernel's image set, its greedy generators (None when it is not a
+    subgroup), its (view, direction) pairs in first-seen order and a dict
+    for the elements of its extensions by their cosets, kept in the cache of
+    a kernel group. A nonempty finite set closed under products is a group,
+    which is what the greedy's closure checks."""
+    facts = getattr(kernel, "_cache", {}).get("extension_kernel")
+    if facts is None:
+        try:
+            gens = small_generating_set_of(kelems, identity)
+        except ValueError:
+            if not kelems:  # vacuously closed: the greedy's refusal stands
+                raise
+            gens = None
+        views = dict.fromkeys((_root_and_chart(k, w)[1], w) for k in kelems
+                              for w in range(identity.degree))
+        facts = ({k.images for k in kelems}, gens, views, {})
+        if hasattr(kernel, "_cache"):
+            kernel._cache["extension_kernel"] = facts
+    return facts
 
 
 # ---------------------------------------------------------------------------

@@ -163,22 +163,28 @@ def _parse_aut(obj, degree, radius, index):
         raise DocumentError("%s: %s" % (where, err)) from err
 
 
-def _read_element_list(raw, degree, radius):
-    """The tables as unchecked automorphisms, and their group; None on any
-    defect. The closure makes every distinct tuple from the generators it
-    picks, so once they pass from_images every table is an automorphism."""
+def _element_tuples(raw, degree, radius):
+    """The tables as unchecked image tuples; None on any defect."""
     words = _word_indices(degree, radius)
     keys = itemgetter(*words)
     try:
         if any(len(obj) != len(words) for obj in raw):
             return None
-        auts = tuple([BallAut._raw(degree, radius,
-                                   itemgetter(*keys(obj))(words))
-                      for obj in raw])
+        return [itemgetter(*keys(obj))(words) for obj in raw]
+    except (KeyError, TypeError, ValueError):
+        return None
+
+
+def _read_element_list(tuples, degree, radius):
+    """The tables as automorphisms, and their group; None on any defect.
+    The closure makes every distinct tuple from the generators it picks, so
+    once they pass from_images every table is an automorphism."""
+    auts = tuple([BallAut._raw(degree, radius, t) for t in tuples])
+    try:
         group = BallGroup.from_elements(auts)
         for g in group.generators:
             BallAut.from_images(degree, radius, g.images)
-    except (KeyError, TypeError, ValueError):
+    except ValueError:
         return None
     return auts, group
 
@@ -186,7 +192,9 @@ def _read_element_list(raw, degree, radius):
 def parse_document(text):
     """The document in `text`. An element list (degree at most 10) keeps the
     group it was checked through; any defect there, and a generator list,
-    sends each table through _parse_aut, which names the first bad one."""
+    sends each table through _parse_aut, which names the first bad one. The
+    element list is read into index tuples and the parsed body dropped
+    before the closure runs; the per-table reading parses `text` again."""
     try:
         body = json.loads(text)
     except json.JSONDecodeError as err:
@@ -213,11 +221,17 @@ def parse_document(text):
         raise DocumentError("%r must be a list" % key)
     if not raw:
         raise DocumentError("%r is empty: no group to work with" % key)
-    read = has_elements and degree <= 10 and _read_element_list(
+    metadata = body.get("metadata", {})
+    tuples = has_elements and degree <= 10 and _element_tuples(
         raw, degree, radius)
+    read = None
+    if tuples:
+        del body, raw  # the closure runs without the parsed tables
+        read = _read_element_list(tuples, degree, radius)
+        if read is None:
+            raw = json.loads(text)[key]
     auts, group = read or (tuple(_parse_aut(obj, degree, radius, i)
                                  for i, obj in enumerate(raw)), None)
-    metadata = body.get("metadata", {})
     if not isinstance(metadata, dict):
         raise DocumentError("metadata must be an object")
     if has_elements:

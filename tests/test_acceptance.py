@@ -10,6 +10,7 @@ import random
 import time
 
 import scanning_fibers
+from normal_structure import is_subnormal, structure_subgroups, subnormal_depth
 from treeball.balls import (BallAut, BallGroup, ball_points, full_aut,
                             full_aut_order, random_ball_aut)
 from treeball.census import (are_conjugate_in, census_compatible_classes,
@@ -21,9 +22,7 @@ from treeball.constructions import (build_centered, build_diagonal,
                                     build_full_lift, build_parity_lift,
                                     build_tower, build_wreath_local)
 from treeball.permcore import (Perm, PermGroup, classify_action,
-                               invariant_subgroups_of_power, is_subnormal,
-                               normal_subgroups, structure_subgroups,
-                               subnormal_depth)
+                               invariant_subgroups_of_power, normal_subgroups)
 from treeball.universal import (count_restrictions, is_discrete_universal,
                                 iter_extensions, local_action_group,
                                 seam_groups)

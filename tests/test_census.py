@@ -10,11 +10,12 @@ import time
 
 import pytest
 
-from treeball.balls import full_aut
+from treeball import census, constructions
+from treeball.balls import BallGroup, full_aut
 from treeball.census import (are_conjugate_in, census_compatible_classes,
                              census_discrete_lifts, degree3_table,
                              format_table, name_permutation_group)
-from treeball.compat import find_involutive_cocycles
+from treeball.compat import CompatCocycle, find_involutive_cocycles
 from treeball.constructions import (build_centered, build_diagonal,
                                     build_full_lift, build_parity_lift)
 from treeball.permcore import Perm, PermGroup, classify_action
@@ -100,6 +101,43 @@ def test_rigid_bases_lift_to_exactly_themselves(census_rows):
     assert lifted[0].order == 6
     assert lifted[0].gamma_image_of == "diagonal(S_3)"
     assert lifted[0].group.project() == diagonal_row.group
+
+
+def test_the_rigid_lift_search_does_each_piece_of_work_once(census_rows,
+                                                           lift_rows,
+                                                           monkeypatch):
+    row = next(r for r in census_rows if r.description == "parity(S_3,{1})")
+    lifted, greedy, closed, checked = [], [], [], []
+    section = CompatCocycle.section
+    monkeypatch.setattr(CompatCocycle, "section", lambda self, a: (
+        lifted.append((id(self), a)) or section(self, a)))
+    small = constructions.small_generating_set_of
+    monkeypatch.setattr(constructions, "small_generating_set_of", lambda *a: (
+        greedy.append(frozenset(a[0])) or small(*a)))
+    generated = BallGroup.generated.__func__
+    monkeypatch.setattr(BallGroup, "generated", classmethod(
+        lambda cls, *a, **k: closed.append(generated(cls, *a, **k)) or
+        closed[-1]))
+    discrete = census._is_discrete_lift
+    monkeypatch.setattr(census, "_is_discrete_lift", lambda group, base: (
+        checked.append(group._eset) or discrete(group, base)))
+    rows = census_discrete_lifts([row])
+    # each cocycle lifts each generator once
+    cocycles = find_involutive_cocycles(row.group)
+    assert sorted(lifted) == sorted(set(lifted))
+    assert len(lifted) == len(cocycles) * len(row.group.generators)
+    # each kernel subgroup's generators (and with them its other facts) once
+    assert len(greedy) == len(set(greedy)) == 16
+    # each extension closed once, and checked for (C) and (D) once
+    assert len(closed) == len({g._eset for g in closed}) == len(checked)
+    assert len(checked) == len(set(checked))
+
+    def facts(rows):
+        return [(r.to_dict(), r.group.elements, r.group.generators)
+                for r in rows]
+
+    assert facts(rows) == facts(
+        [r for r in lift_rows if r.group.project() == row.group])
 
 
 def test_regular_projections_admit_only_the_unique_lift():

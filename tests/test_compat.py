@@ -6,10 +6,11 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+import brute_extension
 import perm_shadow
 import reclosing
 import scanning_fibers
-from treeball.balls import BallAut, BallGroup, ball_compatible
+from treeball.balls import BallAut, BallGroup, ball_compatible, full_aut
 from treeball.compat import (CompatCocycle, _cocycle_system, canonical_cocycle,
                              check_compatibility, check_trivial_seams,
                              compat_set, compatibility_core,
@@ -274,8 +275,54 @@ def test_one_corrupted_entry_is_rejected(valid_cocycles, data):
     table = dict(coc.table)
     table[key] = data.draw(st.sampled_from(
         [b for b in coc.group.elements if b != coc.table[key]]))
-    with pytest.raises(ValueError):
-        CompatCocycle(coc.group, table)
+    assert _refusal(coc.group, table) == _reference_refusal(coc.group, table)
+
+
+def _refusal(group, table):
+    with pytest.raises(ValueError) as err:
+        CompatCocycle(group, table)
+    return str(err.value)
+
+
+def _reference_refusal(group, table):
+    with pytest.raises(ValueError) as err:
+        brute_extension.verify(group, table)
+    return str(err.value)
+
+
+def _planted_tables(coc):
+    """One table per defect that verify names, each planted in `coc`."""
+    group, z = coc.group, coc.table
+    a, others = group.elements[5], group.elements[1:]
+    out = {"choice map misses": {k: v for k, v in z.items() if k != (a, 1)}}
+    stranger = next(b for b in full_aut(group.degree, group.radius)
+                    if b not in group)
+    out["leaves the group"] = {**z, (a, 2): stranger}
+    apart = next(b for b in others if b not in compat_set(group, a, 0))
+    out["is not a partner"] = {**z, (a, 0): apart}
+    # another partner for a alone: its own choice is still someone else
+    w, c = next((w, c) for w in range(group.degree)
+                for c in compat_set(group, a, w) if c != z[(a, w)])
+    out["not involutive"] = {**z, (a, w): c}
+    # re-pair a with c and their old partners with each other: involutive
+    # partners still, so only the product rule can fail
+    for b, w in itertools.product(others, range(group.degree)):
+        for c in compat_set(group, b, w):
+            t = dict(z)
+            t[(b, w)], t[(c, w)] = c, b
+            t[(z[(b, w)], w)], t[(z[(c, w)], w)] = z[(c, w)], z[(b, w)]
+            if c != z[(b, w)] and all(t[(t[k], k[1])] == k[0] for k in t):
+                out["breaks the product rule"] = t
+                return out
+    raise AssertionError("no re-pairing keeps the table involutive")
+
+
+def test_verify_names_planted_defects_like_the_reference(pi_one):
+    for coc in find_involutive_cocycles(pi_one)[:2]:
+        for defect, table in _planted_tables(coc).items():
+            text = _refusal(pi_one, table)
+            assert defect in text
+            assert text == _reference_refusal(pi_one, table)
 
 
 @settings(max_examples=80, deadline=None,

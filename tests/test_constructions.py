@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+import brute_extension
 import reclosing
 from treeball import constructions
 from treeball.balls import BallAut, BallGroup, ball_compatible, full_aut
@@ -16,7 +17,7 @@ from treeball.constructions import (build_centered, build_cocycle_extension,
                                     build_wreath_local, radius_one,
                                     tower_member)
 from treeball.errors import CapacityError, HypothesisError
-from treeball.permcore import (Perm, PermGroup, _close,
+from treeball.permcore import (Perm, PermGroup, _close, all_subgroups,
                                small_generating_set_of)
 
 IDENT = Perm((0, 1, 2))
@@ -243,6 +244,68 @@ def test_cocycle_extension_admissibility_failures(gamma_s3, pi_one):
             a for a in pi_one.elements if not a.is_identity()))])
     with pytest.raises(HypothesisError):
         build_cocycle_extension(coc_pi, not_inner)
+
+
+def _extension_outcome(build, cocycle, kernel):
+    """The error a build raises, by type and text, or its group."""
+    try:
+        group = build(cocycle, kernel)
+    except (HypothesisError, ValueError) as err:
+        return type(err).__name__, str(err)
+    return ([a.images for a in group.elements],
+            [g.images for g in group.generators])
+
+
+def _odd_kernels(pi_one):
+    """Kernels that each fail one clause before the views are read."""
+    ident = BallAut.identity(3, 3)
+    lifted = find_involutive_cocycles(pi_one)[0].section(pi_one.elements[1])
+    hidden = _order_two_kernel().elements[1]
+    other = next(k for k in build_full_lift(pi_one).projection_kernel()
+                 if k not in (ident, hidden))
+    return {
+        "wrong radius": [BallAut.identity(3, 2)],
+        "not inner": [ident, lifted],
+        "not a subgroup": [ident, hidden, other],
+        "empty": [],
+    }
+
+
+def test_cocycle_extensions_match_the_element_by_element_reference(
+        census_rows, gamma_s3, pi_one):
+    # every (cocycle, kernel subgroup) pair the rigid-lift search meets,
+    # the hidden swap against both groups it is tried on, and kernels
+    # planted to fail a clause; each once more as a plain list, which keeps
+    # nothing, so that every verdict a kernel group keeps is made afresh.
+    # No kernel found so far reaches the inversion clause of (b).
+    pairs = []
+    for row in census_rows:
+        if row.has_cocycle:
+            kernel = BallGroup.from_elements(
+                build_full_lift(row.group).projection_kernel())
+            for coc in find_involutive_cocycles(row.group):
+                pairs.extend((coc, sub) for sub in all_subgroups(kernel))
+    odd = [_order_two_kernel(), *_odd_kernels(pi_one).values()]
+    for coc in find_involutive_cocycles(pi_one) + find_involutive_cocycles(
+            gamma_s3):
+        pairs.extend((coc, k) for k in odd)
+    pairs += [(coc, list(k.elements) if hasattr(k, "elements") else k)
+              for coc, k in pairs]
+    texts = set()
+    for coc, kernel in pairs:
+        got = _extension_outcome(build_cocycle_extension, coc, kernel)
+        assert got == _extension_outcome(
+            brute_extension.build_cocycle_extension, coc, kernel)
+        texts.add(got[1] if isinstance(got[1], str) else "built")
+    assert texts == {
+        "built",
+        "kernel elements must live one radius up",
+        "kernel elements must restrict to the identity inside",
+        "the kernel must be a subgroup",
+        "the lifted group must normalize the kernel",
+        "kernel views must lie in the base group",
+        "element set is not a group",
+    }
 
 
 def test_wreath_extension_shape():

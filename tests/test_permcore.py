@@ -14,6 +14,9 @@ import brute_conjugacy
 import pairwise_power
 import scanning_lattice
 import treeball
+from normal_structure import (is_subnormal, nilpotent_radical, socle,
+                              solvable_radical, structure_subgroups,
+                              subnormal_depth)
 from treeball.balls import BallAut, BallGroup, full_aut
 from treeball.constructions import build_full_lift
 from treeball.errors import HypothesisError
@@ -24,10 +27,8 @@ from treeball.permcore import (Perm, PermGroup, _lattice_table,
                                all_subgroups, are_conjugate_in, center,
                                classify_action, conjugacy_class_key,
                                conjugacy_classes, invariant_subgroups_of_power,
-                               is_solvable, is_subnormal, nilpotent_radical,
-                               normal_subgroups, small_generating_set_of,
-                               socle, solvable_radical, structure_subgroups,
-                               subnormal_depth)
+                               is_solvable, normal_subgroups,
+                               small_generating_set_of)
 
 # Subgroup and class counts below are the standard ones for these groups;
 # they double as regression pins for the two enumeration routes.

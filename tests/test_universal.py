@@ -4,11 +4,11 @@ import random
 
 import pytest
 
+from normal_structure import is_subnormal, subnormal_depth
 from treeball.balls import (BallAut, BallGroup, ball_points, full_aut,
                             full_aut_order, random_ball_aut)
 from treeball.errors import CapacityError, HypothesisError
-from treeball.permcore import (Perm, PermGroup, is_subnormal,
-                               normal_subgroups, subnormal_depth)
+from treeball.permcore import Perm, PermGroup, normal_subgroups
 from treeball.universal import (assemble_extension, count_restrictions,
                                 edge_inversion, extend_to_ball,
                                 is_discrete_universal, iter_extensions,
