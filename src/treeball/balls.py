@@ -30,16 +30,9 @@ import math
 from bisect import bisect_left, bisect_right
 from operator import add, itemgetter
 
-from .errors import CapacityError, HypothesisError
+from .errors import HypothesisError, check_cells
 from .permcore import (Element, FiniteGroup, Perm, PermGroup, _close,
                        _getter, _identity_images, small_generating_set_of)
-
-#: Largest group of ball automorphisms that full_aut will materialize.
-MATERIALIZE_CAP = 500_000
-
-#: The most table cells (tables times ball points) that tower levels and the
-#: cocycle search list: 2**25 cells are 256 MiB of tuple slots
-TOWER_CELLS = 2 ** 25
 
 
 # ---------------------------------------------------------------------------
@@ -526,18 +519,15 @@ def full_aut_order(degree, radius):
 
 
 @functools.lru_cache(maxsize=None)
-def full_aut(degree, radius, cap=MATERIALIZE_CAP):
+def full_aut(degree, radius):
     """Every automorphism of the ball, sorted by vertex-image table."""
     expected = full_aut_order(degree, radius)
-    if expected > cap:
-        raise CapacityError(
-            "the full group has order %d, beyond the cap of %d"
-            % (expected, cap))
+    check_cells("full ball group", expected, len(ball_points(degree, radius)))
     if radius == 1:
         out = [BallAut(Perm(images))
                for images in itertools.permutations(range(degree))]
     else:
-        inner = full_aut(degree, radius - 1, cap)
+        inner = full_aut(degree, radius - 1)
         offers = [{} for _ in range(degree)]
         for b in inner:
             for w in range(degree):
@@ -603,7 +593,7 @@ class BallGroup(FiniteGroup):
         return (self.degree, self.radius)
 
     @classmethod
-    def generated(cls, gens, cap=MATERIALIZE_CAP):
+    def generated(cls, gens):
         gens = tuple(gens)
         if not gens:
             raise ValueError("need at least one generator")
@@ -611,7 +601,7 @@ class BallGroup(FiniteGroup):
         for g in gens:
             if (g.degree, g.radius) != (degree, radius):
                 raise ValueError("mixed ball shapes in generating set")
-        elements = _close(gens, BallAut.identity(degree, radius), cap)
+        elements = _close(gens, BallAut.identity(degree, radius))
         return cls(degree, radius, elements, gens, _sorted=True)
 
     @classmethod

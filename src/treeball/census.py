@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .balls import BallAut, BallGroup, full_aut
+from .balls import BallAut, BallGroup, full_aut, full_aut_order
 from .compat import (
     _involutive_sections,
     check_compatibility,
@@ -104,13 +104,12 @@ def census_compatible_classes(degree=3, radius=2):
     carry deterministic representatives: the least element list over each
     class orbit.
     """
-    try:
-        ambient = full_aut(degree, radius, cap=CENSUS_AMBIENT_CAP)
-    except CapacityError:
+    if full_aut_order(degree, radius) > CENSUS_AMBIENT_CAP:
         raise CapacityError(
             "the full ball group at degree %d radius %d is beyond exhaustive "
             "census range; use the lift-based route over a smaller radius"
             % (degree, radius))
+    ambient = full_aut(degree, radius)
 
     # gluing is not preserved by conjugation, so classes are keyed by their
     # whole-orbit canonical form but represented by their least gluable member
@@ -203,7 +202,11 @@ def census_discrete_lifts(base_rows):
             continue
         base = row.group
         degree, radius = base.degree, base.radius
-        ambient = full_aut(degree, radius + 1, cap=LIFT_AMBIENT_CAP)
+        order = full_aut_order(degree, radius + 1)
+        if order > LIFT_AMBIENT_CAP:
+            raise CapacityError("the full group has order %d, beyond the cap "
+                                "of %d" % (order, LIFT_AMBIENT_CAP))
+        ambient = full_aut(degree, radius + 1)
         kernel = build_full_lift(base).projection_kernel()
         classes = _merge_into_classes(ambient, _lifts_by_cocycle(base, kernel))
 

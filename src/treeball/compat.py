@@ -17,7 +17,8 @@ radius up. At degree 3 its kernel over F is elementary abelian, and the
 sections are solved for as one affine system over GF(2) whose unknowns are
 kernel bitmasks, one per generator; at higher degree they are searched.
 Either way they stream lazily, kept involutive on the generators; existence
-stops at the first, and the search refuses lifts past the TOWER_CELLS budget.
+stops at the first, and the search asks `errors.check_cells` before it lists
+a generator's lifts, as every build of known size does.
 """
 
 from __future__ import annotations
@@ -25,9 +26,9 @@ from __future__ import annotations
 import functools
 import math
 
-from .balls import (TOWER_CELLS, BallAut, BallGroup, _glue_fibers,
-                    _glue_images, _need_key, _offer_key, ball_points)
-from .errors import CapacityError, HypothesisError
+from .balls import (BallAut, BallGroup, _glue_fibers, _glue_images,
+                    _need_key, _offer_key, ball_points)
+from .errors import HypothesisError, check_cells
 from .permcore import _getter, _grow
 
 
@@ -247,7 +248,8 @@ def find_involutive_cocycles(group):
     allows neither. A rigid group is the one-solution case of both.
 
     Both stream lazily from `_involutive_sections`, which a count or an
-    existence check reads with no table; the search refuses past TOWER_CELLS.
+    existence check reads with no table; the search refuses a generator's
+    lifts past the table-cell budget before listing them.
     """
     out = [CompatCocycle(group, {(a, w): b for a in group.elements
                                  for w, b in enumerate(lift(a).children)})
@@ -282,10 +284,7 @@ def _searched_sections(group, gens):
         g_order = g.order()
         fibers = [compat_set(group, g, w) for w in range(d)]
         count = math.prod(map(len, fibers))
-        if count * cells > TOWER_CELLS:
-            raise CapacityError("cocycle search: %d lifts of a generator hold"
-                                " %d table cells, beyond the budget of %d"
-                                % (count, count * cells, TOWER_CELLS))
+        check_cells("cocycle search", count, cells, "lifts of a generator")
         lifts = [t for t in _glue_fibers(g, fibers)
                  if ident._from(t).order() == g_order]
         if not lifts:

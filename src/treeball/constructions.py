@@ -3,8 +3,10 @@
 Each builder takes finite permutation data, checks the hypotheses it actually
 needs (raising HypothesisError with the failing clause in the message), and
 returns an explicit BallGroup. Orders are computed from the defining
-parameters first and the materialized group is checked against them, so a
-silent modelling mistake cannot slip through as a wrong-sized group.
+parameters first, so every builder asks `errors.check_cells` for its tables
+once before it makes an element, and the materialized group is checked
+against that order, so a silent modelling mistake cannot slip through as a
+wrong-sized group.
 
 Tower levels are glued from matched fibers and keep the generators their
 step builds (lifts of the level below's generators and one-block twists of
@@ -18,8 +20,6 @@ import math
 from dataclasses import dataclass
 
 from .balls import (
-    MATERIALIZE_CAP,
-    TOWER_CELLS,
     BallAut,
     BallGroup,
     _glue_fibers,
@@ -34,7 +34,7 @@ from .compat import (
     compat_set,
     joint_compat_set,
 )
-from .errors import CapacityError, HypothesisError
+from .errors import CapacityError, HypothesisError, check_cells
 from .permcore import (Perm, PermGroup, _getter, _inverse, center,
                        classify_action, small_generating_set_of)
 
@@ -60,12 +60,23 @@ def _check_order(group, expected, what):
     return group
 
 
+def _radius2_group(what, F, twists, elements):
+    """The group of the lazy radius-2 `elements`, one per element of F and
+    twist, made once `check_cells` admits their tables; checked to have
+    that order."""
+    order = F.order * twists
+    check_cells(what, order, len(ball_points(F.degree, 2)))
+    return _check_order(BallGroup.from_elements(elements), order, what)
+
+
 # ---------------------------------------------------------------------------
 # radius-2 builders over a permutation group
 # ---------------------------------------------------------------------------
 
 def build_diagonal(F):
     """Each permutation extends by acting the same way around every neighbour."""
+    check_cells("diagonal extension", F.order,
+                len(ball_points(F.degree, 2)))
     elems = [_as_radius2(a, [a] * F.degree) for a in F.elements]
     gens = [_as_radius2(a, [a] * F.degree) for a in F.generators]
     return _check_order(
@@ -107,23 +118,15 @@ def build_centered(F, center=None, base=0, transversal=None):
         if not celems or any(
                 a * b not in celems for a in celems for b in celems):
             raise HypothesisError("center must be a subgroup of the stabilizer")
-        elems = []
-        for a in F.elements:
-            for c in celems:
-                children = [a * transversal[w] * c * transversal[w].inverse()
-                            for w in range(d)]
-                elems.append(_as_radius2(a, children))
-        group = BallGroup.from_elements(elems)
-        return _check_order(group, F.order * len(celems), "centered extension")
+        return _radius2_group("centered extension", F, len(celems), (
+            _as_radius2(a, [a * transversal[w] * c * transversal[w].inverse()
+                            for w in range(d)])
+            for a in F.elements for c in celems))
 
-    elems = []
-    for a in F.elements:
-        for c in stab.elements:
-            children = [transversal[a(w)] * c * transversal[w].inverse()
-                        for w in range(d)]
-            elems.append(_as_radius2(a, children))
-    group = BallGroup.from_elements(elems)
-    return _check_order(group, F.order * stab.order, "centered extension")
+    return _radius2_group("centered extension", F, stab.order, (
+        _as_radius2(a, [transversal[a(w)] * c * transversal[w].inverse()
+                        for w in range(d)])
+        for a in F.elements for c in stab.elements))
 
 
 def build_kernel_extension(F, normal, base=0, transversal=None):
@@ -153,16 +156,13 @@ def build_kernel_extension(F, normal, base=0, transversal=None):
         transversal = F.transversal(base)
     d = F.degree
     conj = {w: (transversal[w], transversal[w].inverse()) for w in range(d)}
-    elems = []
-    for a in F.elements:
-        for tw in itertools.product(nelems, repeat=d):
-            children = [a * conj[w][0] * tw[w] * conj[w][1] for w in range(d)]
-            elems.append(_as_radius2(a, children))
-    group = BallGroup.from_elements(elems)
-    return _check_order(group, F.order * len(nelems) ** d, "kernel extension")
+    return _radius2_group("kernel extension", F, len(nelems) ** d, (
+        _as_radius2(a, [a * conj[w][0] * tw[w] * conj[w][1]
+                        for w in range(d)])
+        for a in F.elements for tw in itertools.product(nelems, repeat=d)))
 
 
-def build_full_lift(F, blocks=None, radius=None, cap=MATERIALIZE_CAP):
+def build_full_lift(F, blocks=None, radius=None):
     """The largest extension whose one-step local actions stay in F.
 
     For a permutation group this is every pairing of a root with arbitrary
@@ -179,13 +179,8 @@ def build_full_lift(F, blocks=None, radius=None, cap=MATERIALIZE_CAP):
             if radius not in (None, 2):
                 raise HypothesisError(
                     "block-constant lifts only reach one radius out")
-            level = _tower_step(base, _checked_blocks(F, blocks), None, None,
-                                cap)
-            if level.group is None:
-                raise CapacityError(
-                    "block-constant lift would have order %d, beyond the "
-                    "cap of %d" % (level.order, cap))
-            return level.group
+            return _tower_step(base, _checked_blocks(F, blocks), None,
+                               None).group
         if radius is None:
             radius = 2
     else:
@@ -200,21 +195,16 @@ def build_full_lift(F, blocks=None, radius=None, cap=MATERIALIZE_CAP):
                               % (radius, base.radius))
     group = base
     while group.radius < radius:
-        group = _one_step_full_lift(group, cap)
+        group = _one_step_full_lift(group)
     return group
 
 
-def _one_step_full_lift(group, cap):
+def _one_step_full_lift(group):
     d = group.degree
     ident = group.identity()
-    fiber_sizes = [len(compat_set(group, ident, w)) for w in range(d)]
-    expected = group.order
-    for s in fiber_sizes:
-        expected *= s
-    if expected > cap:
-        raise CapacityError(
-            "full lift would have order %d, beyond the cap of %d"
-            % (expected, cap))
+    expected = group.order * math.prod(len(compat_set(group, ident, w))
+                                       for w in range(d))
+    check_cells("full lift", expected, len(ball_points(d, group.radius + 1)))
     elems = [BallAut._raw(d, a.radius + 1, t) for a in group.elements
              for t in _glue_fibers(a, [compat_set(group, a, w)
                                        for w in range(d)])]
@@ -222,8 +212,7 @@ def _one_step_full_lift(group, cap):
     return _check_order(lifted, expected, "full lift")
 
 
-def build_parity_lift(F, weight, modulus, spheres, radius=None,
-                      cap=MATERIALIZE_CAP):
+def build_parity_lift(F, weight, modulus, spheres, radius=None):
     """Full lift filtered by a weight balance over chosen spheres.
 
     `weight` maps every element of F to an integer, additively modulo
@@ -244,7 +233,7 @@ def build_parity_lift(F, weight, modulus, spheres, radius=None,
         for b in F.elements:
             if (weight[a * b] - weight[a] - weight[b]) % modulus:
                 raise HypothesisError("weight must be a homomorphism")
-    ambient = build_full_lift(F, radius=radius, cap=cap)
+    ambient = build_full_lift(F, radius=radius)
     elems = []
     for alpha in ambient.elements:
         total = 0
@@ -291,19 +280,16 @@ def build_split_lift(F, kernel):
             if moved not in tset:
                 raise HypothesisError(
                     "the twist group must be invariant under the group action")
-    elems = []
-    for a in F.elements:
-        for tw in tuples:
-            elems.append(_as_radius2(a, [a * tw[w] for w in range(d)]))
-    group = BallGroup.from_elements(elems)
-    return _check_order(group, F.order * len(tuples), "split lift")
+    return _radius2_group("split lift", F, len(tuples), (
+        _as_radius2(a, [a * tw[w] for w in range(d)])
+        for a in F.elements for tw in tuples))
 
 
 # ---------------------------------------------------------------------------
 # cocycle extensions
 # ---------------------------------------------------------------------------
 
-def build_cocycle_extension(cocycle, kernel, cap=MATERIALIZE_CAP):
+def build_cocycle_extension(cocycle, kernel):
     """The group generated by a cocycle's lift together with kernel elements.
 
     `kernel` is a group of automorphisms one radius above the cocycle's group
@@ -358,16 +344,15 @@ def build_cocycle_extension(cocycle, kernel, cap=MATERIALIZE_CAP):
                 "no kernel element inverts the choice map in direction %d"
                 % w)
     expected = F.order * len(kelems)
-    if expected > cap:
-        raise CapacityError("extension would have order %d, beyond cap %d"
-                            % (expected, cap))
+    check_cells("cocycle extension", expected,
+                len(ball_points(d, F.radius + 1)))
     # the group is <lifted generators, kernel>, which the cosets K * lg fix
     cosets = frozenset(cosets)
     gens = lifted_gens + list(kernel_gens)
     if cosets in made:
         group = BallGroup(d, F.radius + 1, made[cosets], gens, _sorted=True)
     else:
-        group = BallGroup.generated(gens, cap=expected)
+        group = BallGroup.generated(gens)
     made[cosets] = _check_order(group, expected, "cocycle extension").elements
     return group
 
@@ -424,7 +409,7 @@ class WreathLocal:
         return (x % self.point_degree, x // self.point_degree)
 
 
-def build_wreath_local(F, P, cap=MATERIALIZE_CAP):
+def build_wreath_local(F, P):
     """Wreath-shaped extension of F slots arranged by P, one radius out.
 
     Acts on pairs (point of F, slot of P). The result is generated by slot
@@ -437,9 +422,7 @@ def build_wreath_local(F, P, cap=MATERIALIZE_CAP):
     if D < 3:
         raise HypothesisError("need at least three points overall")
     expected = F.order ** (2 * m) * P.order
-    if expected > cap:
-        raise CapacityError("wreath extension would have order %d, beyond %d"
-                            % (expected, cap))
+    check_cells("wreath extension", expected, len(ball_points(D, 2)))
 
     def iota(a, lam):
         images = list(range(D))
@@ -482,7 +465,7 @@ def build_wreath_local(F, P, cap=MATERIALIZE_CAP):
             gens.append(outer[lam][a])
     for rho in P.generators:
         gens.append(top[rho])
-    group = BallGroup.generated(gens, cap=expected)
+    group = BallGroup.generated(gens)
     _check_order(group, expected, "wreath extension")
     return WreathLocal(group=group, inner=inner, outer=outer, top=top,
                        point_degree=n, slot_count=m)
@@ -537,8 +520,7 @@ class Tower:
         raise KeyError("no level of radius %d" % radius)
 
 
-def build_tower(F, kind, levels, blocks=None, pinned_point=0,
-                cap=MATERIALIZE_CAP):
+def build_tower(F, kind, levels, blocks=None, pinned_point=0):
     """Iterated block-constant self-extensions of a permutation group.
 
     Each step extends every element by gluing partners chosen from the level
@@ -557,10 +539,11 @@ def build_tower(F, kind, levels, blocks=None, pinned_point=0,
       element moves the pinned point; the other blocks have nontrivial
       pointwise stabilizers.
 
-    Levels beyond `cap` elements, or beyond TOWER_CELLS table cells, which
-    bounds their memory, are certified rather than materialized, and the
-    tower stops after the first such level, so it can hold fewer levels
-    than asked for; the `tower` command then says so on stderr.
+    A level whose tables would pass the table-cell budget of
+    `errors.check_cells`, which bounds their memory, is certified rather than
+    materialized, and the tower stops after the first such level, so it can
+    hold fewer levels than asked for; the `tower` command then says so on
+    stderr.
     """
     blocks, pinned, zen = _tower_hypotheses(F, kind, blocks, pinned_point)
     out = [TowerLevel(radius=1, order=F.order, group=radius_one(F),
@@ -573,7 +556,7 @@ def build_tower(F, kind, levels, blocks=None, pinned_point=0,
         prev = out[-1]
         if prev.group is None:
             break
-        out.append(_tower_step(prev.group, blocks, pinned, central, cap))
+        out.append(_tower_step(prev.group, blocks, pinned, central))
     return Tower(kind=kind, blocks=tuple(blocks), pinned_block=pinned,
                  levels=tuple(out))
 
@@ -722,17 +705,22 @@ def _tower_generators(prev, blocks, pinned, id_fibers, block_of):
     return [BallAut._raw(prev.degree, prev.radius + 1, t) for t in gens]
 
 
-def _tower_step(prev, blocks, pinned, central, cap):
-    """The tower level above `prev`: materialized with the generators of
-    `_tower_generators` when its order is at most `cap` and its tables at
-    most TOWER_CELLS cells, else certified. `central`, when given, is
-    called for the central element to lift into a certificate."""
+def _tower_step(prev, blocks, pinned, central):
+    """The tower level above `prev`, materialized with the generators of
+    `_tower_generators` when `check_cells` admits its tables. Past the
+    budget it is certified, calling `central` for the central element to
+    lift into the certificate; with `central` None, as for a block-constant
+    lift, the refusal stands."""
     d, radius = prev.degree, prev.radius + 1
     block_of = [_block_index(blocks, w) for w in range(d)]
     id_fibers = [joint_compat_set(prev, prev.identity(), b) for b in blocks]
     sizes = [1 if i == pinned else len(f) for i, f in enumerate(id_fibers)]
     expected = prev.order * math.prod(sizes)
-    if expected > cap or expected * len(ball_points(d, radius)) > TOWER_CELLS:
+    try:
+        check_cells("tower step", expected, len(ball_points(d, radius)))
+    except CapacityError:
+        if central is None:
+            raise
         cert = _tower_certificate(prev, blocks, pinned, central, expected,
                                   id_fibers, block_of)
         return TowerLevel(radius=radius, order=expected,
@@ -793,7 +781,7 @@ def _tower_certificate(prev, blocks, pinned, central, order, id_fibers,
             break
 
     central_lift = None
-    z = central() if central is not None else None
+    z = central()
     if z is not None:
         # climb the central element to the previous radius as a full diagonal
         c = _r1(z)

@@ -1,8 +1,15 @@
-"""Shared exception types."""
+"""Shared exception types and the two capacity limits, read at call time."""
+
+#: The most table cells (elements times ball points) that a build of known
+#: order may hold: 2**25 cells are 256 MiB of tuple slots
+TABLE_CELLS = 2 ** 25
+
+#: The most elements that a closure of unknown order may reach
+CLOSURE_CAP = 500_000
 
 
 class CapacityError(RuntimeError):
-    """Raised when a computation would exceed an explicit size cap."""
+    """Raised when a computation would exceed a capacity limit."""
 
 
 class HypothesisError(ValueError):
@@ -14,3 +21,12 @@ class HypothesisError(ValueError):
 
 class DocumentError(ValueError):
     """A group document is malformed or inconsistent."""
+
+
+def check_cells(phase, count, points, unit="elements"):
+    """Refuse `count` tables of `points` cells each past TABLE_CELLS. Every
+    build of known order asks once, before it makes its first element."""
+    if count * points > TABLE_CELLS:
+        raise CapacityError("%s: %d %s hold %d table cells, beyond the "
+                            "budget of %d" % (phase, count, unit,
+                                              count * points, TABLE_CELLS))

@@ -1,11 +1,13 @@
 """Finite groups of permutations and of ball automorphisms.
 
 Groups are stored as sorted tuples of explicit elements, and each algorithm
-walks those lists under a hard cap: Dimino's coset closure, the lattice by
-cyclic extension, subgroup conjugacy by one conjugation per coset. Every
-element is one image tuple (`Element`), and closures are held as bare image
-tuples: a product is one C-level gather, and elements are wrapped once the
-group is built. `FiniteGroup` holds what needs only products, inverses and
+walks those lists: Dimino's coset closure, the lattice by cyclic extension,
+subgroup conjugacy by one conjugation per coset. A closure of unknown order
+stops at `errors.CLOSURE_CAP` elements, and the lattice is refused past
+SUBGROUP_LATTICE_CAP, decided from the group's order. Every element is one
+image tuple (`Element`), and closures are held as bare image tuples: a
+product is one C-level gather, and elements are wrapped once the group is
+built. `FiniteGroup` holds what needs only products, inverses and
 image tuples: containers, the subgroup lattice, normal structure and
 conjugacy; `PermGroup` adds the point actions, and `balls.BallGroup` the
 ball views. The groups involved are tiny (a few thousand elements at most),
@@ -16,13 +18,12 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from operator import itemgetter
 
+from . import errors
 from .errors import CapacityError, HypothesisError
-
-#: Hard ceiling for any closure BFS.
-CLOSURE_CAP = 10_000_000
 
 #: Largest group order for which the full subgroup lattice may be enumerated.
 SUBGROUP_LATTICE_CAP = 3000
@@ -178,7 +179,7 @@ class Perm(Element):
         return "Perm%s" % "".join(str(c) for c in cyc)
 
 
-def _grow(members, seen, gens, x, limit=CLOSURE_CAP, within=None, by=None):
+def _grow(members, seen, gens, x, limit=math.inf, within=None, by=None):
     """Grow the closure H of `gens` in place to the closure of gens + [x].
 
     Elements are image tuples. On entry the list `members` and the set
@@ -219,9 +220,11 @@ def _grow(members, seen, gens, x, limit=CLOSURE_CAP, within=None, by=None):
     return True
 
 
-def _close(gens, identity, cap=CLOSURE_CAP):
+def _close(gens, identity):
     """All products of the generators, the given identity included, sorted;
-    the closure runs on image tuples and wraps each element once."""
+    the closure runs on image tuples and wraps each element once. Its order
+    is unknown, so it stops at `errors.CLOSURE_CAP` elements."""
+    cap = errors.CLOSURE_CAP
     members, seen, grown = [identity.images], {identity.images}, []
     for g in gens:
         if not _grow(members, seen, grown, g.images, cap):
@@ -330,7 +333,7 @@ class PermGroup(FiniteGroup):
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def generated(cls, gens, degree=None, cap=CLOSURE_CAP):
+    def generated(cls, gens, degree=None):
         gens = tuple(gens)
         if degree is None:
             if not gens:
@@ -339,7 +342,7 @@ class PermGroup(FiniteGroup):
         for g in gens:
             if g.degree != degree:
                 raise ValueError("mixed degrees in generating set")
-        elements = _close(gens, Perm.identity(degree), cap)
+        elements = _close(gens, Perm.identity(degree))
         return cls(degree, elements, gens or (Perm.identity(degree),))
 
     @classmethod
@@ -642,7 +645,6 @@ def normal_closure(G, seeds):
         return G._generated(())
     ident = G.identity()
     ginv = [g.inverse() for g in G.generators]
-    # the closure stays inside G, so _grow never reaches its cap here
     members, have, grown = [ident.images], {ident.images}, []
     for x in gens:
         _grow(members, have, grown, x.images)
@@ -1051,7 +1053,7 @@ def _power_subgroups_gf2(F, slots, count):
     return out
 
 
-def _power_subgroups_generic(F, slots, count, act, cap=200_000):
+def _power_subgroups_generic(F, slots, count, act):
     """The subgroups of the slot product, only the F-invariant ones if `act`.
 
     A slot tuple k is one image tuple, (w, i) -> (w, k_w(i)) on the points
@@ -1062,8 +1064,9 @@ def _power_subgroups_generic(F, slots, count, act, cap=200_000):
     total = 1
     for s in slots:
         total *= len(s)
-        if total > cap:
-            raise CapacityError("slot product order %d exceeds cap" % total)
+        if total > 200_000:
+            raise CapacityError("slot product order %d exceeds the cap of "
+                                "200000" % total)
     n, points = slots[0][0].degree, range(count)
     ident = _identity_images(count * n)
 

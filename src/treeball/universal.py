@@ -19,7 +19,6 @@ images moved out from v's image. Gluing a root to its children is R = k + 1.
 from __future__ import annotations
 
 from .balls import (
-    MATERIALIZE_CAP,
     BallAut,
     _assemble,
     _assembly_table,
@@ -159,7 +158,7 @@ def _extensions_of_seed(group, seed, radius):
     yield from descend(0)
 
 
-def pk_local_action(group, target_radius, cap=None):
+def pk_local_action(group, target_radius):
     """The local action at `target_radius` of the group's universal completion.
 
     Below the group's own radius this is the plain restriction; above it,
@@ -180,9 +179,7 @@ def pk_local_action(group, target_radius, cap=None):
         while out.radius > target_radius:
             out = out.project()
         return out
-    if cap is None:
-        cap = MATERIALIZE_CAP
-    return build_full_lift(group, radius=target_radius, cap=cap)
+    return build_full_lift(group, radius=target_radius)
 
 
 def assemble_extension(degree, radius, assignments):

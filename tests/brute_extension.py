@@ -8,9 +8,9 @@ with the same clauses in the same order and the same messages; tests
 require both to give the same verdicts and the same groups.
 """
 
-from treeball.balls import MATERIALIZE_CAP, BallAut, BallGroup, ball_compatible
+from treeball.balls import BallAut, BallGroup, ball_compatible
 from treeball.compat import CompatCocycle
-from treeball.errors import CapacityError, HypothesisError
+from treeball.errors import CLOSURE_CAP, CapacityError, HypothesisError
 from treeball.permcore import small_generating_set_of
 
 
@@ -40,7 +40,7 @@ def verify(group, table):
                     raise ValueError("choice map breaks the product rule")
 
 
-def build_cocycle_extension(cocycle, kernel, cap=MATERIALIZE_CAP):
+def build_cocycle_extension(cocycle, kernel, cap=CLOSURE_CAP):
     """`constructions.build_cocycle_extension`, checking every kernel
     element, every pair of them, and every element's views in turn."""
     if not isinstance(cocycle, CompatCocycle):
@@ -83,7 +83,7 @@ def build_cocycle_extension(cocycle, kernel, cap=MATERIALIZE_CAP):
                             % (expected, cap))
     kernel_gens = small_generating_set_of(
         kelems, BallAut.identity(d, F.radius + 1))
-    group = BallGroup.generated(lifted_gens + list(kernel_gens), cap=expected)
+    group = BallGroup.generated(lifted_gens + list(kernel_gens))
     if group.order != expected:
         raise RuntimeError("cocycle extension has order %d, expected %d; bug"
                            % (group.order, expected))

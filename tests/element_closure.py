@@ -8,10 +8,12 @@ as many products as generators but has no cosets to get wrong; tests require
 both to give the same closures, generators and verdicts.
 """
 
-from treeball.permcore import CLOSURE_CAP, _getter
+import math
+
+from treeball.permcore import _getter
 
 
-def grow(members, seen, gens, x, limit=CLOSURE_CAP, within=None, by=None):
+def grow(members, seen, gens, x, limit=math.inf, within=None, by=None):
     """Grow the closure of `gens` in place to the closure of gens + [x], with
     the signature and verdicts of `permcore._grow`: False once the closure
     would pass `limit` elements or makes one that `within` maps to None;

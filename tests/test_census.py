@@ -189,6 +189,14 @@ def test_table_with_images_has_all_lift_rows():
     assert sorted(r.order for r in flagged) == [3, 6, 12]
 
 
+def test_full_aut_is_built_once_per_shape():
+    # the table reads Aut(B(3, 2)) and Aut(B(3, 3)), and building them reads
+    # Aut(B(3, 1)): one cache entry for each of the three shapes
+    full_aut.cache_clear()
+    degree3_table()
+    assert full_aut.cache_info().currsize == 3
+
+
 def test_row_serialization(census_rows):
     row = census_rows[0]
     d = row.to_dict()

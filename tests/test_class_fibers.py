@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 import scanning_fibers
 from test_compat import tiny_seam_group
-from treeball import cli
+from treeball import cli, errors
 from treeball.balls import (BallAut, BallGroup, _need_key, ball_points,
                             random_ball_aut)
 from treeball.compat import (check_compatibility, compat_set,
@@ -67,7 +67,8 @@ def drawn_group(seed, shape, kind):
     else:
         gens.append(random_ball_aut(degree, radius, rng))
     try:
-        return BallGroup.generated(gens, cap=CAP)
+        with mock.patch.object(errors, "CLOSURE_CAP", CAP):
+            return BallGroup.generated(gens)
     except CapacityError:
         return BallGroup.generated(gens[:1])
 

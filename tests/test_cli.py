@@ -424,6 +424,23 @@ def test_cocycles_refuses_the_radius_two_full_lift_of_s4(runner, tmp_path):
     assert peak < 500 * 1024
 
 
+@pytest.mark.slow
+@pytest.mark.parametrize("kind, group", [("diagonal", "S10"),
+                                         ("centered", "S9"),
+                                         ("centered", "S12")])
+def test_oversized_radius_two_builds_exit_two_quickly(kind, group):
+    # S9 (362,880 elements) is closed, and its centered extension of order
+    # 362880 * 40320 is refused from that order before any table is made;
+    # S10 and S12 are refused by their own closure past its element cap
+    start = time.perf_counter()
+    out, err, code, peak = _run_child("construct", kind, group)
+    assert time.perf_counter() - start < 10
+    assert (code, out) == (2, "")
+    assert sum(line.startswith("Error:") for line in err.splitlines()) == 1
+    assert "Traceback" not in err
+    assert peak < 500 * 1024
+
+
 def test_stdout_digests_match_golden(runner, tmp_path):
     # element order and generator choice in these outputs come from sorting
     # and hashing ball automorphisms; a change there shows up as new bytes

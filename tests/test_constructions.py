@@ -1,13 +1,16 @@
 """The standard ways of building ball groups with prescribed local action."""
 
+import functools
 import itertools
+import re
 
 import pytest
 
 import brute_extension
 import reclosing
-from treeball import constructions
-from treeball.balls import BallAut, BallGroup, ball_compatible, full_aut
+from treeball import balls, constructions, errors
+from treeball.balls import (BallAut, BallGroup, ball_compatible, ball_points,
+                            full_aut)
 from treeball.compat import (check_compatibility, check_trivial_seams,
                              compat_set, find_involutive_cocycles)
 from treeball.constructions import (build_centered, build_cocycle_extension,
@@ -19,6 +22,7 @@ from treeball.constructions import (build_centered, build_cocycle_extension,
 from treeball.errors import CapacityError, HypothesisError
 from treeball.permcore import (Perm, PermGroup, _close, all_subgroups,
                                small_generating_set_of)
+from treeball.universal import pk_local_action
 
 IDENT = Perm((0, 1, 2))
 # the transposition fixing each point of the triangle
@@ -178,16 +182,19 @@ def test_block_lifts_interpolate_between_diagonal_and_full(s3, gamma_s3,
     assert check_compatibility(lifted)
 
 
-def test_block_lifts_are_one_tower_step(s3, sl23):
+def test_block_lifts_are_one_tower_step(s3, sl23, monkeypatch):
     blocks = [(0, 1), (2, 5), (3, 7), (4, 6)]
     lifted = build_full_lift(sl23, blocks=blocks)
     level = build_tower(sl23, "partition", 2, blocks=blocks).level(2).group
     assert lifted.elements == level.elements
     assert lifted.generators == level.generators
     assert tuple(_close(lifted.generators, lifted.identity())) == lifted.elements
-    with pytest.raises(CapacityError,
-                       match="order 1944, beyond the cap of 1000"):
-        build_full_lift(sl23, blocks=blocks, cap=1000)
+    # 1944 elements of 8 + 8 * 7 points: one cell past the budget refuses
+    monkeypatch.setattr(errors, "TABLE_CELLS", 1944 * 64 - 1)
+    with pytest.raises(CapacityError, match=r"^tower step: 1944 elements "
+                       r"hold 124416 table cells, beyond the budget of "
+                       r"124415$"):
+        build_full_lift(sl23, blocks=blocks)
     with pytest.raises(HypothesisError,
                        match="blocks must partition the points"):
         build_full_lift(s3, blocks=[[0, 1]])
@@ -430,11 +437,12 @@ def test_tower_levels_match_the_checking_constructor(kind, flips6, sl23):
 @pytest.mark.parametrize("kind", ["pinned-orbit", "pinned-center",
                                   "partition"])
 def test_certified_levels_carry_the_built_levels_generators(kind, flips6,
-                                                           sl23):
+                                                           sl23, monkeypatch):
     built = [lv for lv in _tower(kind, flips6, sl23).levels
              if lv.group is not None][-1]
-    tower = _tower(kind, flips6, sl23, steps=built.radius,
-                   cap=built.order - 1)
+    cells = built.order * len(ball_points(built.group.degree, built.radius))
+    monkeypatch.setattr(errors, "TABLE_CELLS", cells - 1)
+    tower = _tower(kind, flips6, sl23, steps=built.radius)
     cert = tower.levels[-1].certificate
     assert cert is not None and cert.order == built.order
     assert cert.generators == built.group.generators
@@ -453,8 +461,85 @@ def test_tower_step_refuses_a_pinned_partner_that_does_not_glue():
     a = full.elements[1]
     assert not ball_compatible(a, a, 2)
     with pytest.raises(ValueError, match="child at 2 does not glue"):
-        constructions._tower_step(full, [(0,), (1,), (2,)], 2, None,
-                                  10 ** 6)
+        constructions._tower_step(full, [(0,), (1,), (2,)], 2, None)
+
+
+def _sign(F):
+    return {p: 0 if p.sign() == 1 else 1 for p in F.elements}
+
+
+SL23_BLOCKS = [(0, 1), (2, 5), (3, 7), (4, 6)]
+
+#: every build whose order is known before it makes an element: the phase
+#: its refusal names, that order, the ball (degree, radius) of its tables,
+#: the name in the module that would make the first element, and its inputs
+#: from the fixtures, bound to the builder
+KNOWN_ORDER_BUILDS = {
+    "full_aut": ("full ball group", 3072, (3, 3), (balls, "_glue_fibers"),
+                 lambda get: functools.partial(full_aut.__wrapped__, 3, 3)),
+    "full lift": ("full lift", 3072, (3, 3),
+                  (constructions, "_glue_fibers"),
+                  lambda get: functools.partial(build_full_lift,
+                                                get("phi_s3"))),
+    "block-constant lift": (
+        "tower step", 1944, (8, 2), (constructions, "_glue_fibers"),
+        lambda get: functools.partial(build_full_lift, get("sl23"),
+                                      blocks=SL23_BLOCKS)),
+    "parity lift": (
+        "full lift", 48, (3, 2), (constructions, "_glue_fibers"),
+        lambda get: functools.partial(build_parity_lift, get("s3"),
+                                      _sign(get("s3")), 2, [1])),
+    "pk-local": ("full lift", 3072, (3, 3), (constructions, "_glue_fibers"),
+                 lambda get: functools.partial(pk_local_action,
+                                               get("phi_s3"), 3)),
+    "cocycle extension": (
+        "cocycle extension", 48, (3, 3), (balls, "_close"),
+        lambda get: functools.partial(
+            build_cocycle_extension, find_involutive_cocycles(
+                get("pi_one"))[0], list(_order_two_kernel().elements))),
+    "wreath": ("wreath extension", 32, (4, 2), (balls, "_close"),
+               lambda get: functools.partial(
+                   build_wreath_local, PermGroup.cyclic(2),
+                   PermGroup.cyclic(2))),
+    "diagonal": ("diagonal extension", 6, (3, 2),
+                 (constructions, "_as_radius2"),
+                 lambda get: functools.partial(build_diagonal, get("s3"))),
+    "centered": ("centered extension", 12, (3, 2),
+                 (constructions, "_as_radius2"),
+                 lambda get: functools.partial(build_centered, get("s3"))),
+    "centered by a center": (
+        "centered extension", 12, (3, 2), (constructions, "_as_radius2"),
+        lambda get: functools.partial(build_centered, get("s3"),
+                                      center=get("s3").stabilizer(0))),
+    "kernel extension": (
+        "kernel extension", 48, (3, 2), (constructions, "_as_radius2"),
+        lambda get: functools.partial(build_kernel_extension, get("s3"),
+                                      get("s3").stabilizer(0))),
+    "split lift": (
+        "split lift", 12, (3, 2), (constructions, "_as_radius2"),
+        lambda get: functools.partial(build_split_lift, get("s3"),
+                                      [id_tuple(), (FIX[0], FIX[1], FIX[2])])),
+}
+
+
+@pytest.mark.parametrize("name", list(KNOWN_ORDER_BUILDS))
+def test_known_order_builds_refuse_past_the_cell_budget(name, request,
+                                                        monkeypatch):
+    phase, order, (degree, radius), (module, maker), bind = \
+        KNOWN_ORDER_BUILDS[name]
+    cells = order * len(ball_points(degree, radius))
+    build = bind(request.getfixturevalue)
+    # a budget of exactly its cells admits the build
+    monkeypatch.setattr(errors, "TABLE_CELLS", cells)
+    build()
+    # one cell less refuses it, naming the phase, the order, the cells and
+    # the budget, before the first element is glued, closed or made
+    monkeypatch.setattr(errors, "TABLE_CELLS", cells - 1)
+    monkeypatch.setattr(module, maker, None)
+    with pytest.raises(CapacityError, match="^%s: %d elements hold %d table "
+                       "cells, beyond the budget of %d$"
+                       % (re.escape(phase), order, cells, cells - 1)):
+        build()
 
 
 def test_tower_membership_rejects_non_members(flips6):

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import perm_shadow
 import reclosing
-from treeball import compat, permcore
+from treeball import compat, errors, permcore
 from treeball.balls import BallAut, BallGroup, full_aut, random_ball_aut
 from treeball.compat import check_trivial_seams, find_involutive_cocycles
 from treeball.constructions import build_diagonal, radius_one
@@ -128,7 +128,7 @@ def test_cocycle_search_refuses_lifts_past_the_cell_budget(monkeypatch):
     # glued; past the budget the search raises instead of listing them
     group = BallGroup.generated([BallAut(Perm((1, 2, 3, 0)))])
     assert len(find_involutive_cocycles(group)) > 0
-    monkeypatch.setattr(compat, "TOWER_CELLS", 1)
+    monkeypatch.setattr(errors, "TABLE_CELLS", 1)
     monkeypatch.setattr(compat, "_glue_fibers", None)
     with pytest.raises(CapacityError, match=r"^cocycle search: \d+ lifts of "
                        r"a generator hold \d+ table cells, beyond the "
@@ -202,19 +202,23 @@ def test_gathers_on_one_and_two_points():
     assert PermGroup.from_elements(s2.elements).generators == (t,)
 
 
-def test_close_raises_past_its_cap():
+def test_close_raises_past_its_cap(monkeypatch):
     # the error names the cap and the size reached: S4 from a 4-cycle and a
     # transposition grows <(0 1 2 3)> by cosets to 20, and the next passes 23
+    s4_gens = PermGroup.symmetric(4).generators
+    monkeypatch.setattr(errors, "CLOSURE_CAP", 23)
     with pytest.raises(CapacityError, match=r"^closure exceeded cap of 23 "
                        r"after reaching 20 elements$"):
-        _close(PermGroup.symmetric(4).generators, Perm.identity(4), cap=23)
-    assert len(_close(PermGroup.symmetric(4).generators,
-                      Perm.identity(4), cap=24)) == 24
+        _close(s4_gens, Perm.identity(4))
+    monkeypatch.setattr(errors, "CLOSURE_CAP", 24)
+    assert len(_close(s4_gens, Perm.identity(4))) == 24
     # Aut(B(3, 2)) has order 48 and grows by a coset of 16 past 32
     gens = BallGroup.full(3, 2).generators
+    monkeypatch.setattr(errors, "CLOSURE_CAP", 47)
     with pytest.raises(CapacityError, match="cap of 47 after reaching 32 "):
-        BallGroup.generated(gens, cap=47)
-    assert BallGroup.generated(gens, cap=48).order == 48
+        BallGroup.generated(gens)
+    monkeypatch.setattr(errors, "CLOSURE_CAP", 48)
+    assert BallGroup.generated(gens).order == 48
 
 
 @pytest.mark.parametrize("elements", [

@@ -19,7 +19,7 @@ from normal_structure import (is_subnormal, nilpotent_radical, socle,
                               subnormal_depth)
 from treeball.balls import BallAut, BallGroup, full_aut
 from treeball.constructions import build_full_lift
-from treeball.errors import HypothesisError
+from treeball.errors import CapacityError, HypothesisError
 from treeball.permcore import (Perm, PermGroup, _lattice_table,
                                _power_subgroups_generic, _power_subgroups_gf2,
                                _subgroup_sets_brute,
@@ -418,6 +418,14 @@ def test_power_subgroups_match_the_pairwise_closure(case):
     assert found[0].order == 1 and len(found) > 1
     if case[3] and all(len(s) == 2 for s in case[1]):
         assert _power_subgroups_gf2(*case[:3]) == found
+
+
+def test_power_subgroups_refuse_a_slot_product_past_its_cap():
+    # the product of the slot sizes is known before any tuple is made
+    slots = [[Perm.identity(3)] * 100] * 3
+    with pytest.raises(CapacityError, match=r"^slot product order 1000000 "
+                       r"exceeds the cap of 200000$"):
+        _power_subgroups_generic(PermGroup.symmetric(3), slots, 3, act=True)
 
 
 def test_gf2_power_subgroups_at_seven_match_the_generic_route():

@@ -15,8 +15,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import product_gluing
-from treeball.balls import (MATERIALIZE_CAP, BallAut, BallGroup, _glue_fibers,
-                            full_aut, random_ball_aut)
+from treeball.balls import (BallAut, BallGroup, _glue_fibers, full_aut,
+                            random_ball_aut)
 from treeball.compat import compat_set
 from treeball.constructions import _one_step_full_lift
 from treeball.permcore import PermGroup
@@ -52,7 +52,7 @@ def test_one_step_full_lifts_keep_the_product_order(name, request,
                                                     monkeypatch):
     group = _s4() if name == "S4" else request.getfixturevalue(name)
     got, lifted = _handed_over(
-        monkeypatch, lambda: _one_step_full_lift(group, MATERIALIZE_CAP))
+        monkeypatch, lambda: _one_step_full_lift(group))
     assert got == product_gluing.one_step_full_lift(group)
     assert lifted.order == len(got)
 
