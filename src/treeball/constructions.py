@@ -6,7 +6,8 @@ returns an explicit BallGroup. Orders are computed from the defining
 parameters first, so every builder asks `errors.check_cells` for its tables
 once before it makes an element, and the materialized group is checked
 against that order, so a silent modelling mistake cannot slip through as a
-wrong-sized group.
+wrong-sized group. Cocycle and wreath extensions are made by closing their
+generators, so they are also bound by `errors.CLOSURE_CAP`.
 
 Tower levels are glued from matched fibers and keep the generators their
 step builds (lifts of the level below's generators and one-block twists of

@@ -542,6 +542,15 @@ def test_known_order_builds_refuse_past_the_cell_budget(name, request,
         build()
 
 
+def test_a_lift_under_500000_elements_is_refused_by_its_cells(monkeypatch):
+    # D13's full lift has 212,992 elements, but on its 169 ball points that
+    # is 35,995,648 cells: more than 67 points per element passes the budget
+    monkeypatch.setattr(constructions, "_glue_fibers", None)
+    with pytest.raises(CapacityError, match="^full lift: 212992 elements hold "
+                       "35995648 table cells, beyond the budget of 33554432$"):
+        build_full_lift(PermGroup.dihedral(13))
+
+
 def test_tower_membership_rejects_non_members(flips6):
     tower = build_tower(flips6, "pinned-orbit", 2)
     below = tower.levels[0].group
