@@ -13,7 +13,7 @@ copies, is kept in tests/perm_shadow.py as the oracle for that route.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .balls import BallAut, BallGroup, full_aut, full_aut_order
 from .compat import (
@@ -39,8 +39,7 @@ CENSUS_AMBIENT_CAP = 200
 LIFT_AMBIENT_CAP = 5000
 
 
-@dataclass(frozen=True)
-class CensusRow:
+class CensusRow(NamedTuple):
     """One conjugacy class in the census.
 
     `projection` names the level-1 image; the three flags record whether
@@ -124,21 +123,16 @@ def census_compatible_classes(degree=3, radius=2):
         if key not in classes or mine < classes[key]:
             classes[key] = mine
 
-    keyed = []
+    named = _named_constructions(ambient, degree, radius)
+    rows = []
     for orbit_key, rep_key in classes.items():
         rep = BallGroup.from_elements(
             [BallAut.from_images(degree, radius, images)
              for images in rep_key])
-        keyed.append((orbit_key, _make_row(rep, radius)))
-    keyed.sort(key=lambda pair: (pair[1].order, pair[1].has_cocycle,
-                                 _flat_key(pair[1].group)))
-    named = _named_constructions(ambient, degree, radius)
-    out = []
-    for orbit_key, row in keyed:
-        if orbit_key in named:
-            row = replace(row, description=named[orbit_key])
-        out.append(row)
-    return out
+        rows.append(_make_row(rep, radius, named.get(orbit_key)))
+    rows.sort(key=lambda row: (row.order, row.has_cocycle,
+                               _flat_key(row.group)))
+    return rows
 
 
 def _make_row(group, radius, description=None, gamma_image_of=None):
@@ -210,21 +204,14 @@ def census_discrete_lifts(base_rows):
         kernel = build_full_lift(base).projection_kernel()
         classes = _merge_into_classes(ambient, _lifts_by_cocycle(base, kernel))
 
-        gamma_name = None
-        if row.trivial_seams:
-            gamma_name = row.description
+        gamma_name = row.description if row.trivial_seams else None
         for rep in classes:
-            lifted_row = _make_row(rep, radius + 1)
             description = "cocycle-lift(%s)" % row.description
-            flag = None
-            if gamma_name is not None and rep.order == base.order:
-                flag = gamma_name
+            flag = gamma_name if rep.order == base.order else None
             if rep.order > base.order:
                 description = "cocycle-ext(%s, kernel %d)" % (
                     row.description, rep.order // base.order)
-            lifted_row = replace(lifted_row, description=description,
-                                 gamma_image_of=flag)
-            out.append(lifted_row)
+            out.append(_make_row(rep, radius + 1, description, flag))
     out.sort(key=lambda r: (r.order, _flat_key(r.group)))
     return out
 

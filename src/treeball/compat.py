@@ -155,27 +155,32 @@ class CompatCocycle:
         """Check fibers, involutivity and the product rule.
 
         The checks run in this order, each with its own message, on image
-        tuples: every (a, w) has a choice, in the group, in a's fiber (the
-        fiber index decides ball_compatible for members of the group), whose
-        own choice is a; and z(a * b, w) = z(a, b(w)) * z(b, w), each product
-        one gather. They read one map from each element's tuple to its row of
-        choices, which the cocycle keeps for its extensions. The product rule
-        is checked for b among the generators only: if it holds for b1 and b2
-        against every a, it holds for b1 * b2, so by induction on word length
-        it holds for every b.
+        tuples: every (a, w) has a choice, in the group, in a's fiber (read
+        from the fiber index, which decides ball_compatible for members of
+        the group, once per group), whose own choice is a; and z(a * b, w) =
+        z(a, b(w)) * z(b, w), each product one gather. They read one map from
+        each element's tuple to its row of choices, which the cocycle keeps
+        for its extensions. The product rule is checked for b among the
+        generators only: if it holds for b1 and b2 against every a, it holds
+        for b1 * b2, so by induction on word length it holds for every b.
         """
         group = self.group
         d = group.degree
+        fibers = group._cache.get("fiber_images")
+        if fibers is None:
+            fibers = group._cache["fiber_images"] = {
+                a.images: [{b.images for b in compat_set(group, a, w)}
+                           for w in range(d)] for a in group.elements}
         z = {}
         for a in group.elements:
             row = z[a.images] = []
-            for w in range(d):
+            for w, partners in enumerate(fibers[a.images]):
                 b = self.table.get((a, w))
                 if b is None:
                     raise ValueError("choice map misses (%r, %d)" % (a, w))
                 if b not in group:
                     raise ValueError("choice at (%r, %d) leaves the group" % (a, w))
-                if b not in compat_set(group, a, w):
+                if b.images not in partners:
                     raise ValueError("choice at (%r, %d) is not a partner" % (a, w))
                 row.append(b.images)
         if any(z[b][w] != a for a, row in z.items() for w, b in enumerate(row)):

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .balls import (
     BallAut,
@@ -96,6 +96,9 @@ def build_centered(F, center=None, base=0, transversal=None):
     """
     if not F.is_transitive():
         raise HypothesisError("centered extension requires a transitive group")
+    if center is None:  # the stabilizer's order is F.order / F.degree
+        check_cells("centered extension", F.order * (F.order // F.degree),
+                    len(ball_points(F.degree, 2)))
     stab = F.stabilizer(base)
     if transversal is None:
         transversal = F.transversal(base)
@@ -384,8 +387,7 @@ def _kernel_facts(kernel, kelems, identity):
 # local wreath groups
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class WreathLocal:
+class WreathLocal(NamedTuple):
     """A local wreath extension on pairs (point, slot).
 
     The point (w, l) is encoded as w + |Omega| * l. `group` is the extension;
@@ -416,13 +418,13 @@ def build_wreath_local(F, P):
     Acts on pairs (point of F, slot of P). The result is generated by slot
     copies of F at the center paired with either matching or complementary
     behaviour around the neighbours, plus diagonal slot permutations; it is
-    isomorphic to (F^slots x F^slots) semidirect P.
+    isomorphic to (F^slots x F^slots) semidirect P, or to F with one slot.
     """
     n, m = F.degree, P.degree
     D = n * m
     if D < 3:
         raise HypothesisError("need at least three points overall")
-    expected = F.order ** (2 * m) * P.order
+    expected = F.order ** (2 * m if m > 1 else 1) * P.order
     check_cells("wreath extension", expected, len(ball_points(D, 2)))
 
     def iota(a, lam):
@@ -476,8 +478,7 @@ def build_wreath_local(F, P):
 # towers
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TowerCertificate:
+class TowerCertificate(NamedTuple):
     """Evidence about a tower level too large to materialize.
 
     `order` comes from the layer formula. `generators` generate the level (the
@@ -496,8 +497,7 @@ class TowerCertificate:
     central: object
 
 
-@dataclass(frozen=True)
-class TowerLevel:
+class TowerLevel(NamedTuple):
     """One tower level; a materialized `group` and a `certificate` both
     carry the generators of `_tower_generators`, not a greedy's."""
 
@@ -507,8 +507,7 @@ class TowerLevel:
     certificate: object  # TowerCertificate, or None when materialized
 
 
-@dataclass(frozen=True)
-class Tower:
+class Tower(NamedTuple):
     kind: str
     blocks: tuple
     pinned_block: object

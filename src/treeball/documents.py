@@ -11,7 +11,7 @@ its own and the first offending element is reported by index.
 
 import functools
 import json
-from dataclasses import dataclass, field
+from collections import namedtuple
 from operator import itemgetter
 
 from .balls import BallAut, BallGroup, ball_points
@@ -21,28 +21,32 @@ from .permcore import _getter
 ENCODING = "flat-word-map"
 
 
-@dataclass(frozen=True)
-class GroupDocument:
-    degree: int
-    radius: int
-    elements: tuple = None
-    generators: tuple = None
-    metadata: dict = field(default_factory=dict)
-    group: BallGroup = field(default=None, compare=False, repr=False)
+class GroupDocument(namedtuple("GroupDocument", "degree radius elements "
+                                "generators metadata group")):
+    """Equality leaves out `group`, and the hash the metadata dict."""
 
-    def __post_init__(self):
-        if (self.elements is None) == (self.generators is None):
+    __slots__ = ()
+
+    def __new__(cls, degree, radius, elements=None, generators=None,
+                metadata=None, group=None):
+        if (elements is None) == (generators is None):
             raise DocumentError(
                 "a document carries either elements or generators")
+        return super().__new__(cls, degree, radius, elements, generators,
+                               {} if metadata is None else metadata, group)
 
     @property
     def encoding(self):
         return ENCODING
 
+    def __eq__(self, other):
+        return type(other) is type(self) and self[:5] == other[:5]
+
+    def __ne__(self, other):
+        return not self == other
+
     def __hash__(self):
-        # the generated __eq__ compares every field; metadata is a dict
-        return hash((self.degree, self.radius, self.elements,
-                     self.generators))
+        return hash(self[:4])
 
 
 def document_from_group(group, generators_only=False, metadata=None):

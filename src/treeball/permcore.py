@@ -19,8 +19,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from operator import itemgetter
+from typing import NamedTuple
 
 from . import errors
 from .errors import CapacityError, HypothesisError
@@ -223,13 +223,19 @@ def _grow(members, seen, gens, x, limit=math.inf, within=None, by=None):
 def _close(gens, identity):
     """All products of the generators, the given identity included, sorted;
     the closure runs on image tuples and wraps each element once. Its order
-    is unknown, so it stops at `errors.CLOSURE_CAP` elements."""
+    is unknown, so it stops at `errors.CLOSURE_CAP` elements, and the error
+    names what was being closed."""
     cap = errors.CLOSURE_CAP
     members, seen, grown = [identity.images], {identity.images}, []
     for g in gens:
         if not _grow(members, seen, grown, g.images, cap):
+            what = ("permutations of degree %d" % identity.degree
+                    if isinstance(identity, Perm) else
+                    "automorphisms of the radius-%d ball of degree %d"
+                    % (identity.radius, identity.degree))
             raise CapacityError("closure exceeded cap of %d after reaching "
-                                "%d elements" % (cap, len(members)))
+                                "%d elements, closing %d generators, %s"
+                                % (cap, len(members), len(gens), what))
     return [identity._from(t) for t in sorted(members)]
 
 
@@ -472,8 +478,7 @@ def small_generating_set_of(elements, identity):
 # action classification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ActionReport:
+class ActionReport(NamedTuple):
     degree: int
     transitive: bool
     semiregular: bool
@@ -928,8 +933,7 @@ def are_conjugate_in(ambient, H, K):
 # invariant subgroups of a power
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PowerSubgroup:
+class PowerSubgroup(NamedTuple):
     """A subgroup of a product of point-stabilizer slots, stored literally.
 
     Each element is a tuple whose w-th entry is a permutation living in the

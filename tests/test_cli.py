@@ -6,6 +6,7 @@ import json
 import os
 import pathlib
 import random
+import re
 import subprocess
 import sys
 import time
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 
 import treeball
 from recursive_balls import RecursiveBallAut
+from treeball import errors
 from treeball.balls import BallAut, ball_points, random_ball_aut
 from treeball.cli import _fmt_count, main
 from treeball.documents import (GroupDocument, document_from_group,
@@ -171,6 +173,22 @@ def test_capacity_error_while_loading_exits_two(runner, monkeypatch,
     assert res.exit_code == 2
     assert res.stderr.splitlines() == [
         "Error: closure exceeded cap of 500000"]
+
+
+@pytest.mark.parametrize("args, closing", [
+    (["construct", "diagonal", "S5"],
+     "closing 2 generators, permutations of degree 5"),
+    (["construct", "wreath", "S3", "--top", "C2"],
+     "closing 9 generators, automorphisms of the radius-2 ball of degree 6"),
+])
+def test_closure_refusal_names_what_was_closed(runner, monkeypatch, args,
+                                               closing):
+    monkeypatch.setattr(errors, "CLOSURE_CAP", 100)
+    res = runner.invoke(main, args)
+    assert (res.exit_code, res.stdout) == (2, "")
+    assert len(res.stderr.splitlines()) == 1
+    assert re.fullmatch(r"Error: closure exceeded cap of 100 after reaching "
+                        r"\d+ elements, %s\n" % closing, res.stderr)
 
 
 def test_pk_local_refusal_names_the_order(runner, full_doc):

@@ -10,6 +10,7 @@ import brute_extension
 import perm_shadow
 import reclosing
 import scanning_fibers
+from treeball import compat
 from treeball.balls import BallAut, BallGroup, ball_compatible, full_aut
 from treeball.compat import (CompatCocycle, _cocycle_system, canonical_cocycle,
                              check_compatibility, check_trivial_seams,
@@ -220,6 +221,22 @@ def test_cocycles_verify_and_lift_faithfully(pi_one):
         assert lifted.radius == pi_one.radius + 1
         assert lifted.project() == pi_one
     assert len(keys) == len(maps)
+
+
+def test_cocycles_of_one_group_share_their_fiber_lookups(monkeypatch):
+    s3 = PermGroup.symmetric(3)
+    sign = {p: int(p.sign() == -1) for p in s3.elements}
+    group = build_parity_lift(s3, sign, 2, [1])
+    maps = find_involutive_cocycles(group)
+    calls = []
+    monkeypatch.setattr(compat, "compat_set",
+                        lambda *args: calls.append(args) or compat_set(*args))
+    group._cache.clear()
+    for coc in maps:
+        coc.verify()
+    # one lookup per (a, w) for the group, not one per cocycle
+    assert len(maps) == 8
+    assert len(calls) == len(set(calls)) == group.order * group.degree
 
 
 def test_cocycle_search_ignores_generator_choice(pi_one):

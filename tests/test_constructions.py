@@ -347,6 +347,31 @@ def test_wreath_is_two_power_copies_against_the_top(s3):
         build_wreath_local(PermGroup.cyclic(2), PermGroup.cyclic(1))
 
 
+def test_one_slot_wreath_is_the_diagonal(s3, gamma_s3):
+    # one slot leaves no other slot for an outer copy to act around
+    w = build_wreath_local(s3, PermGroup.generated((), 1))
+    assert w.group.order == 6
+    assert w.group == gamma_s3
+    assert all(g.is_identity() for g in w.outer[0].values())
+
+
+@pytest.mark.parametrize("F, P", [
+    (PermGroup.generated((), 1), PermGroup.symmetric(3)),
+    (PermGroup.cyclic(2), PermGroup.generated((), 2)),
+    (PermGroup.cyclic(3), PermGroup.generated((), 1)),
+    (PermGroup.cyclic(2), PermGroup.generated((), 1)),
+    (PermGroup.generated((), 3), PermGroup.generated((), 1)),
+])
+def test_small_wreaths_build_or_refuse_without_a_bug(F, P):
+    try:
+        w = build_wreath_local(F, P)
+    except HypothesisError:
+        assert F.degree * P.degree < 3
+    else:
+        copies = 2 * P.degree if P.degree > 1 else 1
+        assert w.group.order == F.order ** copies * P.order
+
+
 def test_pinned_towers_agree_on_the_flip_group(flips6):
     by_orbit = build_tower(flips6, "pinned-orbit", 3)
     by_center = build_tower(flips6, "pinned-center", 3)
@@ -540,6 +565,18 @@ def test_known_order_builds_refuse_past_the_cell_budget(name, request,
                        "cells, beyond the budget of %d$"
                        % (re.escape(phase), order, cells, cells - 1)):
         build()
+
+
+def test_centered_build_is_refused_before_the_stabilizer_scan(monkeypatch):
+    # without a center the twists are the whole stabilizer, of order
+    # |S5| / 5 = 24, so the order 120 * 24 is known before any scan
+    monkeypatch.setattr(errors, "TABLE_CELLS", 100)
+    monkeypatch.setattr(PermGroup, "stabilizer", None)
+    monkeypatch.setattr(PermGroup, "transversal", None)
+    with pytest.raises(CapacityError, match="^centered extension: 2880 "
+                       "elements hold 72000 table cells, beyond the budget "
+                       "of 100$"):
+        build_centered(PermGroup.symmetric(5))
 
 
 def test_a_lift_under_500000_elements_is_refused_by_its_cells(monkeypatch):

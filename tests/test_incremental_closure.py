@@ -203,19 +203,23 @@ def test_gathers_on_one_and_two_points():
 
 
 def test_close_raises_past_its_cap(monkeypatch):
-    # the error names the cap and the size reached: S4 from a 4-cycle and a
-    # transposition grows <(0 1 2 3)> by cosets to 20, and the next passes 23
+    # the error names the cap, the size reached and what was being closed:
+    # S4 from a 4-cycle and a transposition grows <(0 1 2 3)> by cosets to
+    # 20, and the next passes 23
     s4_gens = PermGroup.symmetric(4).generators
     monkeypatch.setattr(errors, "CLOSURE_CAP", 23)
     with pytest.raises(CapacityError, match=r"^closure exceeded cap of 23 "
-                       r"after reaching 20 elements$"):
+                       r"after reaching 20 elements, closing 2 generators, "
+                       r"permutations of degree 4$"):
         _close(s4_gens, Perm.identity(4))
     monkeypatch.setattr(errors, "CLOSURE_CAP", 24)
     assert len(_close(s4_gens, Perm.identity(4))) == 24
     # Aut(B(3, 2)) has order 48 and grows by a coset of 16 past 32
     gens = BallGroup.full(3, 2).generators
     monkeypatch.setattr(errors, "CLOSURE_CAP", 47)
-    with pytest.raises(CapacityError, match="cap of 47 after reaching 32 "):
+    with pytest.raises(CapacityError, match="cap of 47 after reaching 32 "
+                       "elements, closing 5 generators, automorphisms of the "
+                       "radius-2 ball of degree 3$"):
         BallGroup.generated(gens)
     monkeypatch.setattr(errors, "CLOSURE_CAP", 48)
     assert BallGroup.generated(gens).order == 48
