@@ -255,21 +255,16 @@ def _merge_into_classes(ambient, candidates):
     return reps
 
 
-def degree3_table(include_gamma_images=False):
+def degree3_table():
     """The censused classes at degree 3: radius 2 plus the new rigid lifts.
 
-    Returns rows in table order. By default the lifted rows that merely
-    repeat a rigid base one level down are omitted, matching the eight-row
-    reference table; `include_gamma_images` keeps them, flagged.
+    Returns rows in table order. The lifted rows that merely repeat a rigid
+    base one level down are left out, matching the eight-row reference
+    table; `census_discrete_lifts` keeps them, flagged.
     """
     base = census_compatible_classes(3, 2)
-    lifts = census_discrete_lifts(base)
-    rows = list(base)
-    for row in lifts:
-        if row.gamma_image_of is not None and not include_gamma_images:
-            continue
-        rows.append(row)
-    return rows
+    return base + [row for row in census_discrete_lifts(base)
+                   if row.gamma_image_of is None]
 
 
 def format_table(rows):

@@ -21,11 +21,10 @@ from .constructions import (build_centered, build_diagonal, build_full_lift,
                             build_wreath_local)
 from .documents import (document_from_group, group_from_document,
                         load_document, save_document, serialize_document)
-from .errors import CapacityError
+from .errors import CapacityError, HypothesisError
 from .permcore import Perm, PermGroup, classify_action, factorize
-from .universal import (is_discrete_universal, local_action_group,
-                        pk_local_action, restriction_count_factors,
-                        count_restrictions)
+from .universal import (_restriction_count, is_discrete_universal,
+                        local_action_group, pk_local_action)
 
 _FMT = click.option("--format", "fmt", type=click.Choice(["text", "json"]),
                     default="text", show_default=True,
@@ -240,7 +239,11 @@ def construct_cmd(kind, group_name, top_name, spheres, radius, out_path, fmt):
         built = build_full_lift(F, radius=radius)
     elif kind == "parity":
         sign = {p: (0 if p.sign() == 1 else 1) for p in F.elements}
-        levels = sorted(int(s) for s in spheres.split(","))
+        try:
+            levels = sorted(int(s) for s in spheres.split(","))
+        except ValueError:
+            raise ValueError("--spheres takes comma-separated integers such "
+                             "as '0,1', got %r" % spheres) from None
         built = build_parity_lift(F, sign, 2, levels)
     else:
         if top_name is None:
@@ -279,8 +282,13 @@ def tower_cmd(kind, steps, group_name, blocks_spec, fmt):
     F = _named_group(group_name)
     blocks = None
     if blocks_spec:
-        blocks = tuple(tuple(int(x) for x in part.split(","))
-                       for part in blocks_spec.split(";"))
+        try:
+            blocks = tuple(tuple(int(x) for x in part.split(","))
+                           for part in blocks_spec.split(";"))
+        except ValueError:
+            raise ValueError("--blocks takes ';'-separated blocks of comma-"
+                             "separated integers such as '0,1;2,5', got %r"
+                             % blocks_spec) from None
     elif kind == "partition":
         blocks = _DEFAULT_BLOCKS.get(group_name.strip().lower())
         if blocks is None:
@@ -350,23 +358,21 @@ def s3_table_cmd(fmt):
               help="Count only maps fixing the center (required).")
 @_FMT
 def count_restrictions_cmd(path, ball, stabilizer, fmt):
-    """How many larger-ball maps restrict into the input group."""
+    """How many larger-ball maps restrict into the input group.
+
+    Only maps fixing the center are counted, so --stabilizer is required;
+    a count past the int64 range is printed as its factors."""
     group = group_from_document(load_document(path))
-    try:
-        total = count_restrictions(group, ball, stabilizer_only=stabilizer)
-    except CapacityError:
-        factors = restriction_count_factors(group, ball,
-                                            stabilizer_only=stabilizer)
-        if fmt == "json":
-            click.echo(json.dumps({"count": None,
-                                   "factored": " * ".join(factors)}))
-        else:
-            click.echo("count: %s" % " * ".join(factors))
-        return
-    if fmt == "json":
-        click.echo(json.dumps({"count": total}))
+    if not stabilizer:
+        raise HypothesisError(
+            "only restrictions fixing the center are countable here")
+    total, factors = _restriction_count(group, ball)
+    if total < 2 ** 63:
+        text, body = str(total), {"count": total}
     else:
-        click.echo("count: %d" % total)
+        text = " * ".join(factors)
+        body = {"count": None, "factored": text}
+    click.echo(json.dumps(body) if fmt == "json" else "count: " + text)
 
 
 @main.command("pk-local")

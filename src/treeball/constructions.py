@@ -84,28 +84,28 @@ def build_diagonal(F):
         BallGroup(F.degree, 2, elems, gens), F.order, "diagonal extension")
 
 
-def build_centered(F, center=None, base=0, transversal=None):
-    """Extensions twisting the diagonal by a stabilizer element at `base`.
+def build_centered(F, center=None, transversal=None):
+    """Extensions twisting the diagonal by a stabilizer element of point 0.
 
-    With `center` given (a subset of the center of the stabilizer of `base`),
-    the element for (a, c) acts around the neighbour w as a followed by the
+    With `center` given (a subset of the center of the stabilizer of 0), the
+    element for (a, c) acts around the neighbour w as a followed by the
     conjugate of c moved to w; the result is a group isomorphic to F x center
     and does not depend on the transversal. With `center` omitted, the whole
     stabilizer is used with the alternative twist f[a(w)] c f[w]^{-1}, which
-    may genuinely depend on the chosen transversal.
+    may genuinely depend on the chosen `transversal` (F's own by default).
     """
     if not F.is_transitive():
         raise HypothesisError("centered extension requires a transitive group")
     if center is None:  # the stabilizer's order is F.order / F.degree
         check_cells("centered extension", F.order * (F.order // F.degree),
                     len(ball_points(F.degree, 2)))
-    stab = F.stabilizer(base)
+    stab = F.stabilizer(0)
     if transversal is None:
-        transversal = F.transversal(base)
+        transversal = F.transversal(0)
     else:
         transversal = dict(transversal)
         for w, f in transversal.items():
-            if f(base) != w or f not in F:
+            if f(0) != w or f not in F:
                 raise HypothesisError("transversal must map the base point "
                                       "to each point within the group")
     d = F.degree
@@ -133,18 +133,18 @@ def build_centered(F, center=None, base=0, transversal=None):
         for a in F.elements for c in stab.elements))
 
 
-def build_kernel_extension(F, normal, base=0, transversal=None):
+def build_kernel_extension(F, normal):
     """Extensions with an independent normal twist around every neighbour.
 
-    `normal` must be a normal subgroup of the stabilizer of `base`; each
+    `normal` must be a normal subgroup of the stabilizer of point 0; each
     element is a pair (a, one twist per neighbour) acting around w as a
-    followed by the w-conjugate of the local twist. The resulting group is a
-    semidirect product of F with a direct power of `normal`, and as a set it
-    does not depend on the transversal.
+    followed by the w-conjugate of the local twist, through F's transversal
+    of 0. The resulting group is a semidirect product of F with a direct
+    power of `normal`, and as a set it does not depend on the transversal.
     """
     if not F.is_transitive():
         raise HypothesisError("kernel extension requires a transitive group")
-    stab = F.stabilizer(base)
+    stab = F.stabilizer(0)
     nelems = tuple(normal.elements if isinstance(normal, PermGroup) else normal)
     nset = set(nelems)
     if not nset <= stab._eset:
@@ -156,10 +156,8 @@ def build_kernel_extension(F, normal, base=0, transversal=None):
         if any(s * n * si not in nset for n in nset):
             raise HypothesisError(
                 "the twist group must be normal in the stabilizer")
-    if transversal is None:
-        transversal = F.transversal(base)
     d = F.degree
-    conj = {w: (transversal[w], transversal[w].inverse()) for w in range(d)}
+    conj = {w: (f, f.inverse()) for w, f in F.transversal(0).items()}
     return _radius2_group("kernel extension", F, len(nelems) ** d, (
         _as_radius2(a, [a * conj[w][0] * tw[w] * conj[w][1]
                         for w in range(d)])
@@ -562,23 +560,6 @@ def build_tower(F, kind, levels, blocks=None, pinned_point=0):
 
 
 def _tower_hypotheses(F, kind, blocks, pinned_point):
-    if kind == "pinned-orbit":
-        orbits = list(F.orbits())
-        if blocks is not None and [tuple(sorted(b)) for b in blocks] != [
-                tuple(o) for o in orbits]:
-            raise HypothesisError("pinned-orbit towers use the orbits as blocks")
-        blocks = orbits
-        if len(blocks) < 3:
-            raise HypothesisError("need at least three orbits")
-        for b in blocks:
-            if F.pointwise_stabilizer(b).order == 1:
-                raise HypothesisError(
-                    "every orbit needs a nontrivial pointwise stabilizer")
-        pinned = _block_index(blocks, pinned_point)
-        if len(blocks[pinned]) < 2:
-            raise HypothesisError("the pinned orbit needs at least two points")
-        return blocks, pinned, None
-
     if kind == "partition":
         if blocks is None:
             raise HypothesisError("partition towers need explicit blocks")
@@ -603,26 +584,36 @@ def _tower_hypotheses(F, kind, blocks, pinned_point):
                     "semiprimitive action with nontrivial center")
         return blocks, None, zen
 
-    if kind == "pinned-center":
-        orbits = list(F.orbits())
-        if blocks is not None and [tuple(sorted(b)) for b in blocks] != [
-                tuple(o) for o in orbits]:
-            raise HypothesisError("pinned-center towers use the orbits as blocks")
-        blocks = orbits
-        if len(blocks) < 3:
-            raise HypothesisError("need at least three orbits")
-        zen = center(F)
-        if not any(z(pinned_point) != pinned_point for z in zen.elements):
-            raise HypothesisError(
-                "need a central element moving the pinned point")
-        pinned = _block_index(blocks, pinned_point)
-        for i, b in enumerate(blocks):
-            if i != pinned and F.pointwise_stabilizer(b).order == 1:
-                raise HypothesisError("every other orbit needs a nontrivial "
-                                      "pointwise stabilizer")
-        return blocks, pinned, zen
+    if kind not in ("pinned-orbit", "pinned-center"):
+        raise ValueError("unknown tower kind %r" % (kind,))
+    orbits = list(F.orbits())
+    if blocks is not None and [tuple(sorted(b)) for b in blocks] != [
+            tuple(o) for o in orbits]:
+        raise HypothesisError("%s towers use the orbits as blocks" % kind)
+    blocks = orbits
+    if len(blocks) < 3:
+        raise HypothesisError("need at least three orbits")
 
-    raise ValueError("unknown tower kind %r" % (kind,))
+    if kind == "pinned-orbit":
+        for b in blocks:
+            if F.pointwise_stabilizer(b).order == 1:
+                raise HypothesisError(
+                    "every orbit needs a nontrivial pointwise stabilizer")
+        pinned = _block_index(blocks, pinned_point)
+        if len(blocks[pinned]) < 2:
+            raise HypothesisError("the pinned orbit needs at least two points")
+        return blocks, pinned, None
+
+    zen = center(F)
+    if not any(z(pinned_point) != pinned_point for z in zen.elements):
+        raise HypothesisError(
+            "need a central element moving the pinned point")
+    pinned = _block_index(blocks, pinned_point)
+    for i, b in enumerate(blocks):
+        if i != pinned and F.pointwise_stabilizer(b).order == 1:
+            raise HypothesisError("every other orbit needs a nontrivial "
+                                  "pointwise stabilizer")
+    return blocks, pinned, zen
 
 
 def _checked_blocks(F, blocks, transitive=False):

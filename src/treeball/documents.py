@@ -2,11 +2,11 @@
 
 A group document carries either a full element list or a generating set,
 each automorphism written as a flat vertex-image table over digit-string
-words. Serialization sorts every key so equal documents produce identical
-bytes. Parsing reads an element list (degree at most 10) as index tuples,
-closes it once and checks only the generators that closure picks; when
-anything there fails, and for generator lists, every table is checked on
-its own and the first offending element is reported by index.
+words, so of degree at most 10. Serialization sorts every key so equal
+documents produce identical bytes. Parsing reads an element list as index
+tuples, closes it once and checks only the generators that closure picks;
+when anything there fails, and for generator lists, every table is checked
+on its own and the first offending element is reported by index.
 """
 
 import functools
@@ -93,14 +93,17 @@ def _table_json(aut):
     return fmt % _getter(order(aut.images))(words)
 
 
+def _check_degree(degree):
+    if degree > 10:
+        raise DocumentError(
+            "digit-string words only cover degrees up to 10, got %d" % degree)
+
+
 def serialize_document(doc):
     """json.dumps(..., sort_keys=True, indent=2) of the document, and a
     newline. The tables are spliced into the dump of the rest, in which only
     the top-level keys start a line two spaces in."""
-    if doc.degree > 10:
-        raise DocumentError(
-            "digit-string words only cover degrees up to 10, got %d"
-            % doc.degree)
+    _check_degree(doc.degree)
     key = "elements" if doc.elements is not None else "generators"
     text = json.dumps({"degree": doc.degree, "radius": doc.radius,
                        "encoding": ENCODING, "metadata": doc.metadata,
@@ -135,15 +138,14 @@ def _parse_aut(obj, degree, radius, index):
     if not isinstance(obj, dict):
         raise DocumentError("%s: expected a word-to-word object, got %s"
                             % (where, type(obj).__name__))
-    if degree <= 10:
-        # one pass over a table in canonical digit strings
-        words = _word_indices(degree, radius)
-        try:
-            if len(obj) == len(words):
-                return BallAut.from_images(
-                    degree, radius, [words[obj[w]] for w in words])
-        except (KeyError, TypeError, ValueError):
-            pass
+    # one pass over a table in canonical digit strings
+    words = _word_indices(degree, radius)
+    try:
+        if len(obj) == len(words):
+            return BallAut.from_images(
+                degree, radius, [words[obj[w]] for w in words])
+    except (KeyError, TypeError, ValueError):
+        pass
     # the word-by-word reading names the first defect
     mapping = {}
     for key, value in obj.items():
@@ -194,11 +196,11 @@ def _read_element_list(tuples, degree, radius):
 
 
 def parse_document(text):
-    """The document in `text`. An element list (degree at most 10) keeps the
-    group it was checked through; any defect there, and a generator list,
-    sends each table through _parse_aut, which names the first bad one. The
-    element list is read into index tuples and the parsed body dropped
-    before the closure runs; the per-table reading parses `text` again."""
+    """The document in `text`. An element list keeps the group it was
+    checked through; any defect there, and a generator list, sends each
+    table through _parse_aut, which names the first bad one. The element
+    list is read into index tuples and the parsed body dropped before the
+    closure runs; the per-table reading parses `text` again."""
     try:
         body = json.loads(text)
     except json.JSONDecodeError as err:
@@ -211,6 +213,7 @@ def parse_document(text):
     degree, radius = body["degree"], body["radius"]
     if degree < 2:
         raise DocumentError("degree must be at least 2")
+    _check_degree(degree)
     if body.get("encoding") != ENCODING:
         raise DocumentError("encoding must be %r, got %r"
                             % (ENCODING, body.get("encoding")))
@@ -226,8 +229,7 @@ def parse_document(text):
     if not raw:
         raise DocumentError("%r is empty: no group to work with" % key)
     metadata = body.get("metadata", {})
-    tuples = has_elements and degree <= 10 and _element_tuples(
-        raw, degree, radius)
+    tuples = has_elements and _element_tuples(raw, degree, radius)
     read = None
     if tuples:
         del body, raw  # the closure runs without the parsed tables

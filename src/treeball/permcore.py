@@ -148,7 +148,8 @@ class Perm(Element):
     def __call__(self, point):
         return self.images[point]
 
-    def cycles(self, include_fixed=False):
+    def cycles(self):
+        """The cycles of length at least two, each from its least point."""
         seen = [False] * self.degree
         out = []
         for start in range(self.degree):
@@ -161,7 +162,7 @@ class Perm(Element):
                 cyc.append(x)
                 seen[x] = True
                 x = self.images[x]
-            if len(cyc) > 1 or include_fixed:
+            if len(cyc) > 1:
                 out.append(tuple(cyc))
         return tuple(out)
 

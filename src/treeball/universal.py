@@ -40,20 +40,20 @@ from .errors import CapacityError, HypothesisError
 from .permcore import PermGroup
 
 
-def count_restrictions(group, radius, stabilizer_only=True):
-    """How many ball maps of `radius` have all their local actions in `group`.
+def count_restrictions(group, radius):
+    """How many ball maps of `radius` fix the center and have all their
+    local actions in `group`.
 
     When the group can always be glued to itself (generator fibers nonempty),
     these are exactly the restrictions to the ball of the center-stabilizing
     part of its universal completion. The count factors over the assignment
     tree because fibers are cosets of the identity's fiber: the root
     contributes the group order and every deeper chart contributes the fiber
-    size of its last direction. Counting center-moving restrictions is not
-    supported. Counts of 2**63 or more, past the int64 range, raise, with the
-    factorization in the message, rather than pretending such a group could
-    be handled further.
+    size of its last direction. Counts of 2**63 or more, past the int64
+    range, raise, with the factorization in the message, rather than
+    pretending such a group could be handled further.
     """
-    total, factors = _restriction_count(group, radius, stabilizer_only)
+    total, factors = _restriction_count(group, radius)
     if total >= 2 ** 63:
         raise CapacityError(
             "restriction count reaches 2^63; factored: %s"
@@ -61,15 +61,8 @@ def count_restrictions(group, radius, stabilizer_only=True):
     return total
 
 
-def restriction_count_factors(group, radius, stabilizer_only=True):
-    """The restriction count as a list of factor strings, any size."""
-    return _restriction_count(group, radius, stabilizer_only)[1]
-
-
-def _restriction_count(group, radius, stabilizer_only):
-    if not stabilizer_only:
-        raise HypothesisError(
-            "only restrictions fixing the center are countable here")
+def _restriction_count(group, radius):
+    """The restriction count, and its factors as strings, of any size."""
     _require_gluing(group, radius, "restriction counting does not factor")
     k = group.radius
     ident = group.identity()
@@ -110,24 +103,18 @@ def iter_extensions(group, radius):
         yield from _extensions_of_seed(group, root, radius)
 
 
-def extend_to_ball(group, seed, radius, chooser="deterministic"):
-    """Extend one group element to a larger ball, charts staying in the group.
+def extend_to_ball(group, seed, radius):
+    """Every distinct extension of one group element to a larger ball whose
+    charts stay in the group, as an iterator.
 
-    With the deterministic chooser, picks the least compatible chart at every
-    site and returns a single map; "exhaustive" returns an iterator over all
-    distinct extensions of the seed. Either way the result restricts to the
-    seed on the inner ball.
+    Each restricts to the seed on the inner ball. The hypotheses are checked
+    on the call, before the first item; the first item takes the least
+    compatible chart at every site.
     """
     _require_gluing(group, radius, "extensions may not exist")
     if seed not in group:
         raise HypothesisError("the seed must belong to the group")
-    if chooser == "deterministic":
-        # every fiber is nonempty, so the first extension takes the least
-        # compatible chart at every site
-        return next(_extensions_of_seed(group, seed, radius))
-    if chooser == "exhaustive":
-        return _extensions_of_seed(group, seed, radius)
-    raise ValueError("chooser must be 'deterministic' or 'exhaustive'")
+    return _extensions_of_seed(group, seed, radius)
 
 
 def _extensions_of_seed(group, seed, radius):
@@ -175,10 +162,7 @@ def pk_local_action(group, target_radius):
     if target_radius < 1:
         raise HypothesisError("radius must be positive")
     if target_radius <= group.radius:
-        out = group
-        while out.radius > target_radius:
-            out = out.project()
-        return out
+        return group.project(target_radius)
     return build_full_lift(group, radius=target_radius)
 
 

@@ -19,15 +19,16 @@ from treeball.universal import (assemble_extension, count_restrictions,
 
 
 def assert_streams_match(group, radius):
-    """iter_extensions and both extend_to_ball choosers equal the reference,
-    element for element and in order."""
+    """iter_extensions and the extend_to_ball streams equal the reference,
+    element for element and in order; each stream starts with the least
+    extension."""
     want = list(walk_assembly.iter_extensions(group, radius))
     assert list(iter_extensions(group, radius)) == want
     exhaustive = []
     for seed in group.elements:
-        exhaustive.extend(extend_to_ball(group, seed, radius, "exhaustive"))
-        assert (extend_to_ball(group, seed, radius)
-                == walk_assembly.extend_least(group, seed, radius))
+        exts = list(extend_to_ball(group, seed, radius))
+        assert exts[0] == walk_assembly.extend_least(group, seed, radius)
+        exhaustive.extend(exts)
     assert exhaustive == want
     return want
 

@@ -183,7 +183,8 @@ def test_table_runs_and_matches_golden():
 
 @pytest.mark.slow
 def test_table_with_images_has_all_lift_rows():
-    rows = degree3_table(include_gamma_images=True)
+    base = census_compatible_classes(3, 2)
+    rows = base + census_discrete_lifts(base)
     assert len(rows) == 11
     flagged = [r for r in rows if r.gamma_image_of is not None]
     assert sorted(r.order for r in flagged) == [3, 6, 12]

@@ -274,6 +274,38 @@ def test_count_restrictions_exact_and_factored(runner, full_doc):
     assert res.exit_code == 2
 
 
+def test_count_restrictions_counts_once(runner, full_doc, monkeypatch):
+    # past 2**63 the factors come from the same count, not a second one
+    calls = []
+    count = treeball.universal._restriction_count
+
+    def counted(group, radius):
+        calls.append(radius)
+        return count(group, radius)
+
+    monkeypatch.setattr("treeball.cli._restriction_count", counted)
+    factored = " * ".join(["48"] + ["4^%d" % 2 ** i for i in range(5)
+                                    for _ in range(3)])
+    args = ["count-restrictions", "--in", full_doc, "--ball", "7",
+            "--stabilizer"]
+    res = runner.invoke(main, args)
+    assert (res.exit_code, res.output) == (0, "count: %s\n" % factored)
+    assert calls == [7]
+    res = runner.invoke(main, args + ["--format", "json"])
+    assert res.output == json.dumps({"count": None,
+                                     "factored": factored}) + "\n"
+    assert calls == [7, 7]
+
+
+def test_count_restrictions_reports_a_bad_document_first(runner, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{")
+    res = runner.invoke(main, ["count-restrictions", "--in", str(bad),
+                               "--ball", "3"])
+    assert res.exit_code == 2
+    assert res.stderr.startswith("Error: not valid JSON")
+
+
 def test_pk_local_round_trip(runner, diagonal_doc, gamma_s3):
     res = runner.invoke(main, ["pk-local", "--in", diagonal_doc,
                                "--target", "3", "--format", "json"])
@@ -357,6 +389,32 @@ def test_tower_rejects_bad_blocks(runner):
     res = runner.invoke(main, ["tower", "partition", "--steps", "2",
                                "--group", "D4", "--blocks", "0,1;2,3"])
     assert res.exit_code == 2
+
+
+@pytest.mark.parametrize("args", [
+    ["construct", "parity", "S3", "--spheres", ""],
+    ["construct", "parity", "S3", "--spheres", "0;1"],
+    ["tower", "partition", "--steps", "2", "--blocks", "0,x"],
+    ["tower", "partition", "--steps", "2", "--blocks", "0,1;;2,3"],
+])
+def test_malformed_lists_name_their_option(runner, args):
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2
+    [line] = res.stderr.splitlines()
+    assert line.startswith("Error: %s takes " % args[-2])
+    assert line.endswith("got %r" % args[-1])
+
+
+def test_documents_past_degree_ten_exit_two_with_one_line(runner, tmp_path,
+                                                          gamma_s3):
+    body = json.loads(serialize_document(document_from_group(gamma_s3)))
+    body["degree"] = 11
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(body))
+    res = runner.invoke(main, ["check-c", "--in", str(path)])
+    assert res.exit_code == 2
+    assert res.stderr.splitlines() == [
+        "Error: digit-string words only cover degrees up to 10, got 11"]
 
 
 def test_census_command(runner):

@@ -620,6 +620,20 @@ def test_tower_hypothesis_failures(s3, flips6):
         build_tower(flips6, "sideways", 2)
 
 
+@pytest.mark.parametrize("kind, group, blocks, message", [
+    ("pinned-orbit", "flips6", [[0, 1, 2], [3, 4, 5]],
+     "pinned-orbit towers use the orbits as blocks"),
+    ("pinned-center", "flips6", [[0, 1, 2], [3, 4, 5]],
+     "pinned-center towers use the orbits as blocks"),
+    ("pinned-orbit", "s3", None, "need at least three orbits"),
+    ("pinned-center", "s3", None, "need at least three orbits"),
+])
+def test_pinned_towers_check_their_blocks_first(kind, group, blocks, message,
+                                                request):
+    with pytest.raises(HypothesisError, match="^%s$" % message):
+        build_tower(request.getfixturevalue(group), kind, 2, blocks=blocks)
+
+
 def test_ball_generating_set_regenerates(phi_s3):
     gens = small_generating_set_of(phi_s3.elements, phi_s3.identity())
     assert len(gens) < 10

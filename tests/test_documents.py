@@ -119,10 +119,16 @@ def test_document_needs_exactly_one_payload(gamma_s3):
         GroupDocument(degree=3, radius=2)
 
 
-def test_wide_trees_are_not_serializable():
-    with pytest.raises(DocumentError):
+def test_wide_trees_are_not_serializable(gamma_s3):
+    # nor readable: both directions refuse them with the same text
+    text = "digit-string words only cover degrees up to 10, got 11"
+    with pytest.raises(DocumentError, match="^%s$" % text):
         serialize_document(GroupDocument(degree=11, radius=1,
                                          elements=((("0", "0"),),)))
+    body = sample_body(gamma_s3)
+    body["degree"] = 11
+    with pytest.raises(DocumentError, match="^%s$" % text):
+        parse_document(json.dumps(body))
 
 
 def sample_body(gamma_s3):

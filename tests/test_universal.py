@@ -9,11 +9,11 @@ from treeball.balls import (BallAut, BallGroup, ball_points, full_aut,
                             full_aut_order, random_ball_aut)
 from treeball.errors import CapacityError, HypothesisError
 from treeball.permcore import Perm, PermGroup, normal_subgroups
-from treeball.universal import (assemble_extension, count_restrictions,
-                                edge_inversion, extend_to_ball,
-                                is_discrete_universal, iter_extensions,
-                                label_respecting_map, local_action_group,
-                                pk_local_action, restriction_count_factors,
+from treeball.universal import (_restriction_count, assemble_extension,
+                                count_restrictions, edge_inversion,
+                                extend_to_ball, is_discrete_universal,
+                                iter_extensions, label_respecting_map,
+                                local_action_group, pk_local_action,
                                 seam_groups)
 
 
@@ -56,8 +56,6 @@ def test_streaming_agrees_with_the_formula(gamma_s3, phi_s3, phi_a3,
 
 def test_count_failure_modes(phi_s3, gamma_s3):
     with pytest.raises(HypothesisError):
-        count_restrictions(phi_s3, 3, stabilizer_only=False)
-    with pytest.raises(HypothesisError):
         count_restrictions(phi_s3, 1)
     with pytest.raises(HypothesisError):
         count_restrictions(hidden_swap_group(), 3)
@@ -67,7 +65,7 @@ def test_count_failure_modes(phi_s3, gamma_s3):
 
 def test_count_limit_is_the_int64_range(monkeypatch, phi_s3):
     def count_of(total):
-        return lambda group, radius, stabilizer_only: (total, [str(total)])
+        return lambda group, radius: (total, [str(total)])
 
     monkeypatch.setattr("treeball.universal._restriction_count",
                         count_of(2 ** 63 - 1))
@@ -79,7 +77,7 @@ def test_count_limit_is_the_int64_range(monkeypatch, phi_s3):
 
 
 def test_factored_counts_multiply_out(phi_s3):
-    factors = restriction_count_factors(phi_s3, 5)
+    count, factors = _restriction_count(phi_s3, 5)
     total = 1
     for f in factors:
         if "^" in f:
@@ -90,7 +88,7 @@ def test_factored_counts_multiply_out(phi_s3):
     direct = 48
     for depth in range(1, 4):
         direct *= (4 ** (2 ** (depth - 1))) ** 3
-    assert total == direct
+    assert total == count == direct
 
 
 def test_local_action_cocycle_identity():
@@ -187,21 +185,17 @@ def test_discreteness_matches_constant_counts(census_rows):
 
 def test_extend_to_ball_deterministic_and_exhaustive(phi_s3, gamma_s3):
     seed = phi_s3.identity()
-    one = extend_to_ball(phi_s3, seed, 3)
-    assert one.radius == 3
-    assert one.project(2) == seed
-    everything = set(extend_to_ball(phi_s3, seed, 3, chooser="exhaustive"))
-    assert len(everything) == 64
-    assert one in everything
-    assert all(e.project(2) == seed for e in everything)
+    stream = list(extend_to_ball(phi_s3, seed, 3))
+    assert stream[0].radius == 3
+    assert len(set(stream)) == len(stream) == 64
+    assert all(e.project(2) == seed for e in stream)
     for g in gamma_s3.elements:
-        exts = list(extend_to_ball(gamma_s3, g, 4, chooser="exhaustive"))
+        exts = list(extend_to_ball(gamma_s3, g, 4))
         assert len(exts) == 1
-        assert extend_to_ball(gamma_s3, g, 4) == exts[0]
+        assert exts[0].project(2) == g
+    # the hypotheses are checked on the call, not on the first item
     with pytest.raises(HypothesisError):
         extend_to_ball(phi_s3, BallAut.identity(3, 2), 1)
-    with pytest.raises(ValueError):
-        extend_to_ball(phi_s3, seed, 3, chooser="greedy")
     outsider = next(a for a in full_aut(3, 2) if a not in gamma_s3)
     with pytest.raises(HypothesisError):
         extend_to_ball(gamma_s3, outsider, 3)
@@ -234,6 +228,25 @@ def test_pk_local_action_levels(s3, gamma_s3, pi_one, phi_s3):
         pk_local_action(hidden_swap_group(), 3)
     with pytest.raises(CapacityError):
         pk_local_action(s3, 4)
+
+
+def test_pk_local_action_projects_in_one_closure(monkeypatch, phi_s3):
+    # radius 3 down to 1: one greedy closure, with the generators the
+    # step-by-step projection would pick
+    lifted = pk_local_action(phi_s3, 3)
+    stepwise = lifted.project().project()
+    closures = []
+    from_elements = BallGroup.from_elements
+
+    def counted(elements):
+        closures.append(1)
+        return from_elements(elements)
+
+    monkeypatch.setattr(BallGroup, "from_elements", counted)
+    down = pk_local_action(lifted, 1)
+    assert len(closures) == 1
+    assert down.elements == stepwise.elements
+    assert down.generators == stepwise.generators
 
 
 def test_local_action_group_collects_all_charts(phi_s3, gamma_s3, pi_one):
