@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
+from . import errors
 from .balls import BallAut, BallGroup, full_aut, full_aut_order
 from .compat import (
     _involutive_sections,
@@ -32,11 +33,6 @@ from .constructions import (
 from .errors import CapacityError, HypothesisError
 from .permcore import (PermGroup, all_subgroups, are_conjugate_in,
                        conjugacy_class_key)
-
-# the census enumerates every subgroup of the radius-k full group, and the
-# lift search conjugates inside the radius-(k+1) one: both must stay small
-CENSUS_AMBIENT_CAP = 200
-LIFT_AMBIENT_CAP = 5000
 
 
 class CensusRow(NamedTuple):
@@ -103,11 +99,13 @@ def census_compatible_classes(degree=3, radius=2):
     carry deterministic representatives: the least element list over each
     class orbit.
     """
-    if full_aut_order(degree, radius) > CENSUS_AMBIENT_CAP:
+    order = full_aut_order(degree, radius)
+    if order > errors.CENSUS_AMBIENT_CAP:
         raise CapacityError(
-            "the full ball group at degree %d radius %d is beyond exhaustive "
-            "census range; use the lift-based route over a smaller radius"
-            % (degree, radius))
+            "the full ball group at degree %d radius %d has order %d, beyond "
+            "the exhaustive census cap of %d; use the lift-based route over a "
+            "smaller radius"
+            % (degree, radius, order, errors.CENSUS_AMBIENT_CAP))
     ambient = full_aut(degree, radius)
 
     # gluing is not preserved by conjugation, so classes are keyed by their
@@ -197,9 +195,9 @@ def census_discrete_lifts(base_rows):
         base = row.group
         degree, radius = base.degree, base.radius
         order = full_aut_order(degree, radius + 1)
-        if order > LIFT_AMBIENT_CAP:
+        if order > errors.LIFT_AMBIENT_CAP:
             raise CapacityError("the full group has order %d, beyond the cap "
-                                "of %d" % (order, LIFT_AMBIENT_CAP))
+                                "of %d" % (order, errors.LIFT_AMBIENT_CAP))
         ambient = full_aut(degree, radius + 1)
         kernel = build_full_lift(base).projection_kernel()
         classes = _merge_into_classes(ambient, _lifts_by_cocycle(base, kernel))

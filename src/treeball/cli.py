@@ -12,7 +12,7 @@ import sys
 
 import click
 
-from .census import (census_compatible_classes, census_discrete_lifts,
+from .census import (_yn, census_compatible_classes, census_discrete_lifts,
                      degree3_table, format_table)
 from .compat import (_involutive_sections, check_compatibility,
                      check_trivial_seams, compatibility_core)
@@ -89,17 +89,18 @@ def _fmt_count(n):
                       for prime, exp in factorize(n))
 
 
-def _yes(flag):
-    return "yes" if flag else "no"
+def _exit_on_mismatch(expect, value):
+    """Exit 1 when --expect was given and the answer's truth differs."""
+    if expect is not None and (expect == "yes") != bool(value):
+        sys.exit(1)
 
 
 def _finish_bool(label, value, expect, fmt, json_key):
     if fmt == "json":
         click.echo(json.dumps({json_key: bool(value)}))
     else:
-        click.echo("%s: %s" % (label, _yes(value)))
-    if expect is not None and (expect == "yes") != bool(value):
-        sys.exit(1)
+        click.echo("%s: %s" % (label, _yn(value)))
+    _exit_on_mismatch(expect, value)
 
 
 class _ErrorBoundary(click.Group):
@@ -147,7 +148,7 @@ def classify_cmd(path, fmt):
     for key in ("degree", "transitive", "semiregular", "regular",
                 "primitive", "quasiprimitive", "semiprimitive", "rank"):
         value = body[key]
-        click.echo("%s: %s" % (key, _yes(value)
+        click.echo("%s: %s" % (key, _yn(value)
                                if isinstance(value, bool) else value))
     click.echo("orbits: %s" % (body["orbits"],))
 
@@ -211,8 +212,7 @@ def cocycles_cmd(path, fmt, expect):
         click.echo(json.dumps({"involutive_cocycles": count}))
     else:
         click.echo("involutive cocycles: %d" % count)
-    if expect is not None and (expect == "yes") != bool(count):
-        sys.exit(1)
+    _exit_on_mismatch(expect, count)
 
 
 @main.command("construct")

@@ -75,6 +75,15 @@ def first_compat_failure(group):
     return None
 
 
+def require_gluing(group, consequence):
+    """Refuse a group failing (C), naming its first failing direction and
+    the `consequence` drawn from it."""
+    failure = first_compat_failure(group)
+    if failure is not None:
+        raise HypothesisError("gluing fails at direction %d, so %s"
+                              % (failure[1], consequence))
+
+
 def check_compatibility(group):
     """Does every element have a gluing partner in every direction?
 

@@ -9,9 +9,10 @@ against that order, so a silent modelling mistake cannot slip through as a
 wrong-sized group. Cocycle and wreath extensions are made by closing their
 generators, so they are also bound by `errors.CLOSURE_CAP`.
 
-Tower levels are glued from matched fibers and keep the generators their
-step builds (lifts of the level below's generators and one-block twists of
-the identity), whether the level is materialized or only certified.
+Full lifts, block-constant lifts and tower levels are one step, glued from
+matched fibers, and keep the generators the step builds (lifts of the level
+below's generators and one-block twists of the identity), whether the level
+is materialized or only certified.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ from .balls import (
 )
 from .compat import (
     CompatCocycle,
-    compat_set,
     joint_compat_set,
+    require_gluing,
 )
 from .errors import CapacityError, HypothesisError, check_cells
 from .permcore import (Perm, PermGroup, _getter, _inverse, center,
@@ -167,51 +168,36 @@ def build_kernel_extension(F, normal):
 def build_full_lift(F, blocks=None, radius=None):
     """The largest extension whose one-step local actions stay in F.
 
-    For a permutation group this is every pairing of a root with arbitrary
-    group elements around the neighbours that agree with it there; `blocks`
-    restricts the choice to be constant on each block of a preserved
-    partition, which is one tower step with no pinned block. For a BallGroup
-    the same construction runs one radius up: every element together with
-    every choice of gluing partners inside the group. A `radius` beyond the
-    next one iterates the construction; one below the base's is refused.
+    Each step is one `_tower_step` whose blocks are the single directions,
+    none pinned, so the lift keeps the generators its steps glue. Over a
+    permutation group, `blocks` ties the partners on each block of a
+    preserved partition instead, one radius out. A BallGroup lifts one
+    radius up, and one failing (C) is refused. A `radius` beyond the next
+    iterates the step; one below the base's is refused.
     """
     if isinstance(F, PermGroup):
         base = radius_one(F)
-        if blocks is not None:
-            if radius not in (None, 2):
-                raise HypothesisError(
-                    "block-constant lifts only reach one radius out")
-            return _tower_step(base, _checked_blocks(F, blocks), None,
-                               None).group
-        if radius is None:
-            radius = 2
     else:
         base = F
         if blocks is not None:
             raise HypothesisError("block-constant lifts are only defined over "
                                   "a permutation group")
-        if radius is None:
-            radius = F.radius + 1
+        require_gluing(F, "the full lift does not map onto the group")
+    if blocks is None:
+        blocks, phase = [(w,) for w in range(base.degree)], "full lift"
+    elif radius not in (None, 2):
+        raise HypothesisError("block-constant lifts only reach one radius out")
+    else:
+        blocks, phase = _checked_blocks(F, blocks), "tower step"
+    if radius is None:
+        radius = base.radius + 1
     if radius < base.radius:
         raise HypothesisError("lift radius %d is below the base radius %d"
                               % (radius, base.radius))
     group = base
     while group.radius < radius:
-        group = _one_step_full_lift(group)
+        group = _tower_step(group, blocks, None, None, phase).group
     return group
-
-
-def _one_step_full_lift(group):
-    d = group.degree
-    ident = group.identity()
-    expected = group.order * math.prod(len(compat_set(group, ident, w))
-                                       for w in range(d))
-    check_cells("full lift", expected, len(ball_points(d, group.radius + 1)))
-    elems = [BallAut._raw(d, a.radius + 1, t) for a in group.elements
-             for t in _glue_fibers(a, [compat_set(group, a, w)
-                                       for w in range(d)])]
-    lifted = BallGroup.from_elements(elems)
-    return _check_order(lifted, expected, "full lift")
 
 
 def build_parity_lift(F, weight, modulus, spheres, radius=None):
@@ -696,19 +682,21 @@ def _tower_generators(prev, blocks, pinned, id_fibers, block_of):
     return [BallAut._raw(prev.degree, prev.radius + 1, t) for t in gens]
 
 
-def _tower_step(prev, blocks, pinned, central):
-    """The tower level above `prev`, materialized with the generators of
-    `_tower_generators` when `check_cells` admits its tables. Past the
-    budget it is certified, calling `central` for the central element to
-    lift into the certificate; with `central` None, as for a block-constant
-    lift, the refusal stands."""
+def _tower_step(prev, blocks, pinned, central, phase="tower step"):
+    """The level above `prev`, glued from one partner per block out of each
+    element's joint fibers (itself on a `pinned` block), with the generators
+    of `_tower_generators`: every full lift, block-constant lift and tower
+    level. It checks that the order is the fiber product's and every
+    generator lies in the level. `check_cells` refuses first, naming
+    `phase`; a tower then certifies the level, calling `central` for the
+    central element to lift, and with `central` None the refusal stands."""
     d, radius = prev.degree, prev.radius + 1
     block_of = [_block_index(blocks, w) for w in range(d)]
     id_fibers = [joint_compat_set(prev, prev.identity(), b) for b in blocks]
     sizes = [1 if i == pinned else len(f) for i, f in enumerate(id_fibers)]
     expected = prev.order * math.prod(sizes)
     try:
-        check_cells("tower step", expected, len(ball_points(d, radius)))
+        check_cells(phase, expected, len(ball_points(d, radius)))
     except CapacityError:
         if central is None:
             raise
@@ -733,7 +721,7 @@ def _tower_step(prev, blocks, pinned, central):
     if not all(g in level for g in level.generators):
         raise RuntimeError("tower generator outside its level; bug")
     return TowerLevel(radius=radius, order=expected,
-                      group=_check_order(level, expected, "tower step"),
+                      group=_check_order(level, expected, phase),
                       certificate=None)
 
 

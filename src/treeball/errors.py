@@ -1,4 +1,4 @@
-"""Shared exception types and the two capacity limits, read at call time."""
+"""Shared exception types and every capacity limit, read at call time."""
 
 #: The most table cells (elements times ball points) that a build of known
 #: order may hold: 2**25 cells are 256 MiB of tuple slots
@@ -6,6 +6,12 @@ TABLE_CELLS = 2 ** 25
 
 #: The most elements that a closure of unknown order may reach
 CLOSURE_CAP = 500_000
+
+#: The largest orders of a group whose subgroup lattice is enumerated, of
+#: the census's full ball group and of the rigid-lift search's, a radius up
+SUBGROUP_LATTICE_CAP = 3000
+CENSUS_AMBIENT_CAP = 200
+LIFT_AMBIENT_CAP = 5000
 
 
 class CapacityError(RuntimeError):

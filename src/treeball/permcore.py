@@ -4,8 +4,8 @@ Groups are stored as sorted tuples of explicit elements, and each algorithm
 walks those lists: Dimino's coset closure, the lattice by cyclic extension,
 subgroup conjugacy by one conjugation per coset. A closure of unknown order
 stops at `errors.CLOSURE_CAP` elements, and the lattice is refused past
-SUBGROUP_LATTICE_CAP, decided from the group's order. Every element is one
-image tuple (`Element`), and closures are held as bare image tuples: a
+`errors.SUBGROUP_LATTICE_CAP`, decided from the group's order. Every element
+is one image tuple (`Element`), and closures are held as bare image tuples: a
 product is one C-level gather, and elements are wrapped once the group is
 built. `FiniteGroup` holds what needs only products, inverses and
 image tuples: containers, the subgroup lattice, normal structure and
@@ -24,9 +24,6 @@ from typing import NamedTuple
 
 from . import errors
 from .errors import CapacityError, HypothesisError
-
-#: Largest group order for which the full subgroup lattice may be enumerated.
-SUBGROUP_LATTICE_CAP = 3000
 
 
 def _getter(images):
@@ -350,7 +347,8 @@ class PermGroup(FiniteGroup):
             if g.degree != degree:
                 raise ValueError("mixed degrees in generating set")
         elements = _close(gens, Perm.identity(degree))
-        return cls(degree, elements, gens or (Perm.identity(degree),))
+        return cls(degree, elements, gens or (Perm.identity(degree),),
+                   _sorted=True)
 
     @classmethod
     def from_elements(cls, elements, degree=None):
@@ -763,10 +761,10 @@ class _Table:
 
 def _lattice_table(G):
     if "table" not in G._cache:
-        if G.order > SUBGROUP_LATTICE_CAP:
+        if G.order > errors.SUBGROUP_LATTICE_CAP:
             raise CapacityError(
                 "subgroup lattice capped at order %d, got %d"
-                % (SUBGROUP_LATTICE_CAP, G.order))
+                % (errors.SUBGROUP_LATTICE_CAP, G.order))
         G._cache["table"] = _Table(G.elements)
     return G._cache["table"]
 

@@ -33,7 +33,7 @@ from .compat import (
     check_trivial_seams,
     compat_set,
     compatibility_core,
-    first_compat_failure,
+    require_gluing,
 )
 from .constructions import build_full_lift, radius_one
 from .errors import CapacityError, HypothesisError
@@ -62,7 +62,8 @@ def count_restrictions(group, radius):
 
 
 def _restriction_count(group, radius):
-    """The restriction count, and its factors as strings, of any size."""
+    """The restriction count, saturated at 2**63 before any larger power is
+    made, and its factors as strings, of any size."""
     _require_gluing(group, radius, "restriction counting does not factor")
     k = group.radius
     ident = group.identity()
@@ -72,19 +73,17 @@ def _restriction_count(group, radius):
     for depth in range(1, radius - k + 1):
         per_letter = (group.degree - 1) ** (depth - 1)
         for w in range(group.degree):
-            total *= fiber[w] ** per_letter
             if fiber[w] != 1:
                 factors.append("%d^%d" % (fiber[w], per_letter))
+                # a fiber of 2 or more to the 63rd passes 2**63 alone
+                total = min(total * fiber[w] ** min(per_letter, 63), 2 ** 63)
     return total, factors
 
 
 def _require_gluing(group, radius, consequence):
     if radius < group.radius:
         raise HypothesisError("radius must be at least the group's own")
-    failure = first_compat_failure(group)
-    if failure is not None:
-        raise HypothesisError("gluing fails at direction %d, so %s"
-                              % (failure[1], consequence))
+    require_gluing(group, consequence)
 
 
 def iter_extensions(group, radius):
@@ -154,11 +153,7 @@ def pk_local_action(group, target_radius):
     """
     if isinstance(group, PermGroup):
         group = radius_one(group)
-    failure = first_compat_failure(group)
-    if failure is not None:
-        raise HypothesisError(
-            "gluing fails at direction %d; the completion has no well-defined "
-            "local action" % failure[1])
+    require_gluing(group, "the completion has no well-defined local action")
     if target_radius < 1:
         raise HypothesisError("radius must be positive")
     if target_radius <= group.radius:

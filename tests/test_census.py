@@ -113,7 +113,7 @@ def test_the_rigid_lift_search_does_each_piece_of_work_once(census_rows,
         lifted.append((id(self), a)) or section(self, a)))
     small = constructions.small_generating_set_of
     monkeypatch.setattr(constructions, "small_generating_set_of", lambda *a: (
-        greedy.append(frozenset(a[0])) or small(*a)))
+        greedy.append((a[1].radius, frozenset(a[0]))) or small(*a)))
     generated = BallGroup.generated.__func__
     monkeypatch.setattr(BallGroup, "generated", classmethod(
         lambda cls, *a, **k: closed.append(generated(cls, *a, **k)) or
@@ -126,8 +126,10 @@ def test_the_rigid_lift_search_does_each_piece_of_work_once(census_rows,
     cocycles = find_involutive_cocycles(row.group)
     assert sorted(lifted) == sorted(set(lifted))
     assert len(lifted) == len(cocycles) * len(row.group.generators)
-    # each kernel subgroup's generators (and with them its other facts) once
-    assert len(greedy) == len(set(greedy)) == 16
+    # each kernel subgroup's generators (and with them its other facts)
+    # once; the full lift's step takes those of its 3 identity fibers below
+    assert len(greedy) == len(set(greedy)) == 16 + 3
+    assert [radius for radius, _ in greedy].count(2) == 3
     # each extension closed once, and checked for (C) and (D) once
     assert len(closed) == len({g._eset for g in closed}) == len(checked)
     assert len(checked) == len(set(checked))

@@ -7,6 +7,7 @@ import os
 import pathlib
 import random
 import re
+import resource
 import subprocess
 import sys
 import time
@@ -22,9 +23,10 @@ from recursive_balls import RecursiveBallAut
 from treeball import errors
 from treeball.balls import BallAut, ball_points, random_ball_aut
 from treeball.cli import _fmt_count, main
+from treeball.constructions import build_full_lift, radius_one
 from treeball.documents import (GroupDocument, document_from_group,
-                                parse_document, save_document,
-                                serialize_document)
+                                group_from_document, parse_document,
+                                save_document, serialize_document)
 from treeball.errors import CapacityError, DocumentError
 from treeball.permcore import Perm
 
@@ -76,7 +78,6 @@ def test_construct_parity_matches_library_builder(runner, tmp_path, pi_one):
     res = runner.invoke(main, ["construct", "parity", "S3",
                                "--spheres", "1", "--out", str(out)])
     assert res.exit_code == 0, res.output
-    from treeball.documents import group_from_document
     group = group_from_document(parse_document(out.read_text()))
     assert set(group.elements) == set(pi_one.elements)
 
@@ -86,7 +87,6 @@ def test_construct_wreath(runner, tmp_path):
     res = runner.invoke(main, ["construct", "wreath", "C2", "--top", "C2",
                                "--out", str(out), "--format", "json"])
     assert res.exit_code == 0, res.output
-    from treeball.documents import group_from_document
     group = group_from_document(parse_document(out.read_text()))
     assert group.order == 32
     assert group.degree == 4
@@ -297,6 +297,17 @@ def test_count_restrictions_counts_once(runner, full_doc, monkeypatch):
     assert calls == [7, 7]
 
 
+def test_count_restrictions_factors_without_the_huge_product(full_doc):
+    # 4^(2^37) alone has 2^38 bits; the count stops multiplying at 2**63,
+    # so the factors print within a 1 GiB address space
+    factored = " * ".join(["48"] + ["4^%d" % 2 ** i for i in range(38)
+                                    for _ in range(3)])
+    out, err, code, _ = _run_child(
+        "count-restrictions", "--in", full_doc, "--ball", "40",
+        "--stabilizer", address_space=2 ** 30)
+    assert (code, out, err) == (0, "count: %s\n" % factored, "")
+
+
 def test_count_restrictions_reports_a_bad_document_first(runner, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{")
@@ -312,10 +323,34 @@ def test_pk_local_round_trip(runner, diagonal_doc, gamma_s3):
     assert res.exit_code == 0, res.output
     doc = parse_document(res.output)
     assert doc.radius == 3
-    from treeball.documents import group_from_document
     lifted = group_from_document(doc)
     assert lifted.order == 6
     assert lifted.project(2) == gamma_s3
+
+
+def test_pk_local_lift_prints_the_generators_its_steps_glue(runner, tmp_path,
+                                                           s3):
+    path = tmp_path / "s3.json"
+    save_document(document_from_group(radius_one(s3)), path)
+    # the lift of the group the command reads, with the same generators
+    lifted = build_full_lift(group_from_document(parse_document(
+        path.read_text())), radius=3)
+    args = ["pk-local", "--in", str(path), "--target", "3"]
+    res = runner.invoke(main, args + ["--format", "json"])
+    assert res.exit_code == 0, res.output
+    doc = parse_document(res.output)
+    assert doc.generators == tuple(sorted(lifted.generators))
+    assert group_from_document(doc).elements == lifted.elements
+    res = runner.invoke(main, args)
+    assert res.output == ("radius 3 action: order 3072, %d generators\n"
+                          % len(lifted.generators))
+
+
+def test_census_refusal_names_the_order_and_the_cap(runner):
+    res = runner.invoke(main, ["census", "--degree", "6", "--radius", "1"])
+    assert (res.exit_code, res.stdout) == (2, "")
+    assert ("has order 720, beyond the exhaustive census cap of 200"
+            in res.stderr)
 
 
 def test_tower_text_output(runner):
@@ -343,15 +378,19 @@ def test_tower_says_on_stderr_when_it_stops_short(runner):
     assert full.stderr == ""
 
 
-def _run_child(*args):
+def _run_child(*args, address_space=None):
     """stdout, stderr, exit code and peak RSS (kilobytes) of `treeball
-    args` in a child process, whose peak RSS wait4 reports alone."""
+    args` in a child process, whose peak RSS wait4 reports alone;
+    `address_space` caps the child's virtual memory, in bytes."""
     src = str(pathlib.Path(treeball.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
+    limit = None if address_space is None else (
+        lambda: resource.setrlimit(resource.RLIMIT_AS,
+                                   (address_space, address_space)))
     child = subprocess.Popen(
         [sys.executable, "-m", "treeball.cli", *args], env=env, text=True,
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, preexec_fn=limit)
     out, err = child.stdout.read(), child.stderr.read()  # err: a line or two
     child.stdout.close()
     child.stderr.close()

@@ -176,7 +176,8 @@ def test_block_lifts_interpolate_between_diagonal_and_full(s3, gamma_s3,
     whole = build_full_lift(s3, blocks=[[0, 1, 2]])
     assert set(whole.elements) == set(gamma_s3.elements)
     single = build_full_lift(s3, blocks=[[0], [1], [2]])
-    assert set(single.elements) == set(phi_s3.elements)
+    assert single.elements == phi_s3.elements
+    assert single.generators == phi_s3.generators
     lifted = build_full_lift(sl23, blocks=[(0, 1), (2, 5), (3, 7), (4, 6)])
     assert lifted.order == 1944
     assert check_compatibility(lifted)
@@ -201,6 +202,37 @@ def test_block_lifts_are_one_tower_step(s3, sl23, monkeypatch):
     with pytest.raises(HypothesisError,
                        match="the group must map blocks to blocks"):
         build_full_lift(s3, blocks=[[0, 1], [2]])
+
+
+def test_full_lifts_are_glued_by_the_tower_step_alone(s3, phi_s3,
+                                                      monkeypatch):
+    # every step is one `_tower_step`, with its phase; no step closes the
+    # lift's elements again, and the greedy runs only on the identity's
+    # fibers below, one per direction: 2 elements at radius 1, 4 at 2
+    def refuse(cls, elements):
+        raise AssertionError("a full lift closed its elements again")
+
+    steps, greedy = [], []
+    real_step = constructions._tower_step
+    real_greedy = constructions.small_generating_set_of
+
+    def step(prev, blocks, pinned, central, phase="tower step"):
+        steps.append((prev.radius, len(blocks), phase))
+        return real_step(prev, blocks, pinned, central, phase)
+
+    def spy(elements, identity):
+        greedy.append((identity.radius, len(elements)))
+        return real_greedy(elements, identity)
+
+    monkeypatch.setattr(BallGroup, "from_elements", classmethod(refuse))
+    monkeypatch.setattr(constructions, "_tower_step", step)
+    monkeypatch.setattr(constructions, "small_generating_set_of", spy)
+    assert build_full_lift(s3, radius=3).order == 3072
+    assert steps == [(1, 3, "full lift"), (2, 3, "full lift")]
+    assert greedy == [(1, 2)] * 3 + [(2, 4)] * 3
+    assert pk_local_action(phi_s3, 3).order == 3072
+    assert build_full_lift(s3, blocks=[[0], [1], [2]]).order == 48
+    assert steps[2:] == [(2, 3, "full lift"), (1, 3, "tower step")]
 
 
 def test_full_lift_refuses_a_radius_below_its_base(s3, gamma_s3):

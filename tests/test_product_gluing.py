@@ -6,6 +6,8 @@ glue every combination from scratch. One-step full lifts of the six census
 classes (full-lift(S3) among them, lifted from radius 2 to 3) and of S4,
 the full groups Aut(B(3, r)) for r <= 3 and Aut(B(4, r)) for r <= 2, drawn
 groups and drawn block ties must all give identical lists, order included.
+A full lift keeps the elements it glues, sorted, and the generators its
+step glues, which close to exactly those elements.
 """
 
 import random
@@ -15,11 +17,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import product_gluing
+from treeball import constructions
 from treeball.balls import (BallAut, BallGroup, _glue_fibers, full_aut,
                             random_ball_aut)
 from treeball.compat import compat_set
-from treeball.constructions import _one_step_full_lift
-from treeball.permcore import PermGroup
+from treeball.constructions import build_full_lift
+from treeball.permcore import PermGroup, _close
 
 CHECKED = settings(derandomize=True, deadline=None, max_examples=25,
                    suppress_health_check=[HealthCheck.too_slow])
@@ -32,29 +35,32 @@ def _s4():
                      [BallAut(p) for p in S4.generators])
 
 
-def _handed_over(monkeypatch, build):
-    """The image tuples `build()` last hands to BallGroup.from_elements, in
-    the order it hands them over, and what it returns."""
-    lists = []
-    real = BallGroup.from_elements.__func__
+def _glued_in_build_order(monkeypatch, build):
+    """The image tuples `_glue_fibers` returns while `build()` runs, in the
+    order the lift glues them, and what `build()` returns."""
+    glued = []
+    real = constructions._glue_fibers
 
-    def keep(cls, elements):
-        lists.append([a.images for a in elements])
-        return real(cls, elements)
+    def keep(root, fibers, block_of=None):
+        out = real(root, fibers, block_of)
+        glued.extend(out)
+        return out
 
-    monkeypatch.setattr(BallGroup, "from_elements", classmethod(keep))
-    result = build()
-    return lists[-1], result
+    monkeypatch.setattr(constructions, "_glue_fibers", keep)
+    return glued, build()
 
 
 @pytest.mark.parametrize("name", CENSUS + ["S4"])
 def test_one_step_full_lifts_keep_the_product_order(name, request,
                                                     monkeypatch):
     group = _s4() if name == "S4" else request.getfixturevalue(name)
-    got, lifted = _handed_over(
-        monkeypatch, lambda: _one_step_full_lift(group))
-    assert got == product_gluing.one_step_full_lift(group)
-    assert lifted.order == len(got)
+    want = product_gluing.one_step_full_lift(group)
+    got, lifted = _glued_in_build_order(
+        monkeypatch, lambda: build_full_lift(group))
+    assert got == want
+    assert [a.images for a in lifted.elements] == sorted(want)
+    closed = _close(lifted.generators, lifted.identity())
+    assert tuple(closed) == lifted.elements
 
 
 @pytest.mark.parametrize("degree, radius",

@@ -7,6 +7,7 @@ import pytest
 from normal_structure import is_subnormal, subnormal_depth
 from treeball.balls import (BallAut, BallGroup, ball_points, full_aut,
                             full_aut_order, random_ball_aut)
+from treeball.constructions import build_full_lift
 from treeball.errors import CapacityError, HypothesisError
 from treeball.permcore import Perm, PermGroup, normal_subgroups
 from treeball.universal import (_restriction_count, assemble_extension,
@@ -228,6 +229,20 @@ def test_pk_local_action_levels(s3, gamma_s3, pi_one, phi_s3):
         pk_local_action(hidden_swap_group(), 3)
     with pytest.raises(CapacityError):
         pk_local_action(s3, 4)
+
+
+def test_full_lift_refuses_a_group_that_fails_c():
+    with pytest.raises(HypothesisError, match="^gluing fails at direction 0, "
+                       "so the full lift does not map onto the group$"):
+        build_full_lift(hidden_swap_group())
+
+
+def test_saturated_count_keeps_every_factor(phi_s3):
+    # past 2**63 the product stops, and the factors still list every site
+    count, factors = _restriction_count(phi_s3, 70)
+    assert count == 2 ** 63
+    assert factors == ["48"] + ["4^%d" % 2 ** i for i in range(68)
+                                for _ in range(3)]
 
 
 def test_pk_local_action_projects_in_one_closure(monkeypatch, phi_s3):
