@@ -20,6 +20,9 @@ step smaller, and ``children[w]`` the induced automorphism of the radius
 coordinates. The two overlap, so a pair (root, children) only describes a
 genuine automorphism when every child glues to the root; the constructor
 enforces that.
+
+The full automorphism group is glued the same way, from every element one
+radius down. Tests draw random automorphisms from tests/random_balls.py.
 """
 
 from __future__ import annotations
@@ -62,16 +65,6 @@ def ball_points(degree, radius):
     for n in range(1, radius + 1):
         out.extend(words_of_length(degree, n))
     return tuple(out)
-
-
-def ball_size(degree, radius):
-    """Number of vertices in the ball, center included."""
-    n = 1
-    sphere = 1
-    for i in range(radius):
-        sphere *= degree if i == 0 else degree - 1
-        n += sphere
-    return n
 
 
 def follow(base, rel):
@@ -464,7 +457,7 @@ class BallAut(Element):
 
 
 # ---------------------------------------------------------------------------
-# compatibility of neighbours, enumeration, sampling
+# compatibility of neighbours and enumeration
 # ---------------------------------------------------------------------------
 
 def _root_and_chart(aut, w):
@@ -542,39 +535,6 @@ def full_aut(degree, radius):
     return tuple(out)
 
 
-def random_fiber_element(alpha, direction, rng):
-    """Uniformly random automorphism gluing to `alpha` at the neighbour."""
-    d = alpha.degree
-    if alpha.radius == 1:
-        rest = [w for w in range(d) if w != direction]
-        images = [0] * d
-        images[direction] = alpha.root(direction)
-        targets = [w for w in range(d) if w != images[direction]]
-        rng.shuffle(targets)
-        for w, img in zip(rest, targets):
-            images[w] = img
-        return BallAut(Perm(tuple(images)))
-    root = alpha.children[direction]
-    children = [None] * d
-    children[direction] = alpha.root
-    for w in range(d):
-        if w != direction:
-            children[w] = random_fiber_element(root, w, rng)
-    return BallAut._raw(d, alpha.radius, _glue_images(root, children))
-
-
-def random_ball_aut(degree, radius, rng):
-    """Uniformly random automorphism of the ball."""
-    images = list(range(degree))
-    rng.shuffle(images)
-    a = BallAut(Perm(tuple(images)))
-    for _ in range(radius - 1):
-        children = tuple(random_fiber_element(a, w, rng)
-                         for w in range(degree))
-        a = BallAut._raw(degree, a.radius + 1, _glue_images(a, children))
-    return a
-
-
 # ---------------------------------------------------------------------------
 # groups of ball automorphisms
 # ---------------------------------------------------------------------------
@@ -616,11 +576,6 @@ class BallGroup(FiniteGroup):
         gens = small_generating_set_of(elements,
                                        BallAut.identity(degree, radius))
         return cls(degree, radius, elements, gens, _sorted=True)
-
-    @classmethod
-    def full(cls, degree, radius):
-        elems = full_aut(degree, radius)
-        return cls.from_elements(elems)
 
     def identity(self):
         return BallAut.identity(self.degree, self.radius)

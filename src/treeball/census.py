@@ -16,7 +16,7 @@ import math
 from typing import NamedTuple
 
 from . import errors
-from .balls import BallAut, BallGroup, full_aut, full_aut_order
+from .balls import BallGroup, full_aut, full_aut_order
 from .compat import (
     _involutive_sections,
     check_compatibility,
@@ -109,7 +109,8 @@ def census_compatible_classes(degree=3, radius=2):
     ambient = full_aut(degree, radius)
 
     # gluing is not preserved by conjugation, so classes are keyed by their
-    # whole-orbit canonical form but represented by their least gluable member
+    # whole-orbit canonical form but represented by their least gluable
+    # member, the lattice's own group
     classes = {}
     for group in all_subgroups(BallGroup.from_elements(ambient)):
         if not group.is_transitive_on(range(degree)):
@@ -118,16 +119,12 @@ def census_compatible_classes(degree=3, radius=2):
             continue
         key = conjugacy_class_key(ambient, group)
         mine = _flat_key(group)
-        if key not in classes or mine < classes[key]:
-            classes[key] = mine
+        if key not in classes or mine < classes[key][0]:
+            classes[key] = mine, group
 
     named = _named_constructions(ambient, degree, radius)
-    rows = []
-    for orbit_key, rep_key in classes.items():
-        rep = BallGroup.from_elements(
-            [BallAut.from_images(degree, radius, images)
-             for images in rep_key])
-        rows.append(_make_row(rep, radius, named.get(orbit_key)))
+    rows = [_make_row(rep, radius, named.get(orbit_key))
+            for orbit_key, (_, rep) in classes.items()]
     rows.sort(key=lambda row: (row.order, row.has_cocycle,
                                _flat_key(row.group)))
     return rows

@@ -9,10 +9,12 @@ against that order, so a silent modelling mistake cannot slip through as a
 wrong-sized group. Cocycle and wreath extensions are made by closing their
 generators, so they are also bound by `errors.CLOSURE_CAP`.
 
-Full lifts, block-constant lifts and tower levels are one step, glued from
-matched fibers, and keep the generators the step builds (lifts of the level
-below's generators and one-block twists of the identity), whether the level
-is materialized or only certified.
+Full lifts and tower levels are one step, glued from matched fibers, and
+keep the generators the step builds (lifts of the level below's generators
+and one-block twists of the identity). A step glues its level or refuses it
+through `check_cells`; only `build_tower` turns a refused level into a
+certificate, which carries the same generators. Block-constant lifts are
+the levels of a partition tower.
 """
 
 from __future__ import annotations
@@ -85,15 +87,16 @@ def build_diagonal(F):
         BallGroup(F.degree, 2, elems, gens), F.order, "diagonal extension")
 
 
-def build_centered(F, center=None, transversal=None):
+def build_centered(F, center=None):
     """Extensions twisting the diagonal by a stabilizer element of point 0.
 
+    Twists are moved to each neighbour w through f[w], F's transversal of 0.
     With `center` given (a subset of the center of the stabilizer of 0), the
     element for (a, c) acts around the neighbour w as a followed by the
     conjugate of c moved to w; the result is a group isomorphic to F x center
     and does not depend on the transversal. With `center` omitted, the whole
     stabilizer is used with the alternative twist f[a(w)] c f[w]^{-1}, which
-    may genuinely depend on the chosen `transversal` (F's own by default).
+    may genuinely depend on that choice of transversal.
     """
     if not F.is_transitive():
         raise HypothesisError("centered extension requires a transitive group")
@@ -101,14 +104,7 @@ def build_centered(F, center=None, transversal=None):
         check_cells("centered extension", F.order * (F.order // F.degree),
                     len(ball_points(F.degree, 2)))
     stab = F.stabilizer(0)
-    if transversal is None:
-        transversal = F.transversal(0)
-    else:
-        transversal = dict(transversal)
-        for w, f in transversal.items():
-            if f(0) != w or f not in F:
-                raise HypothesisError("transversal must map the base point "
-                                      "to each point within the group")
+    transversal = F.transversal(0)
     d = F.degree
 
     if center is not None:
@@ -165,38 +161,30 @@ def build_kernel_extension(F, normal):
         for a in F.elements for tw in itertools.product(nelems, repeat=d)))
 
 
-def build_full_lift(F, blocks=None, radius=None):
+def build_full_lift(F, radius=None):
     """The largest extension whose one-step local actions stay in F.
 
     Each step is one `_tower_step` whose blocks are the single directions,
-    none pinned, so the lift keeps the generators its steps glue. Over a
-    permutation group, `blocks` ties the partners on each block of a
-    preserved partition instead, one radius out. A BallGroup lifts one
-    radius up, and one failing (C) is refused. A `radius` beyond the next
-    iterates the step; one below the base's is refused.
+    none pinned, so the lift keeps the generators its steps glue. A
+    BallGroup lifts one radius up, and one failing (C) is refused. A
+    `radius` beyond the next iterates the step; one below the base's is
+    refused. Lifts constant on blocks of directions are the levels of
+    `build_tower`.
     """
     if isinstance(F, PermGroup):
         base = radius_one(F)
     else:
         base = F
-        if blocks is not None:
-            raise HypothesisError("block-constant lifts are only defined over "
-                                  "a permutation group")
         require_gluing(F, "the full lift does not map onto the group")
-    if blocks is None:
-        blocks, phase = [(w,) for w in range(base.degree)], "full lift"
-    elif radius not in (None, 2):
-        raise HypothesisError("block-constant lifts only reach one radius out")
-    else:
-        blocks, phase = _checked_blocks(F, blocks), "tower step"
     if radius is None:
         radius = base.radius + 1
     if radius < base.radius:
         raise HypothesisError("lift radius %d is below the base radius %d"
                               % (radius, base.radius))
+    blocks = [(w,) for w in range(base.degree)]
     group = base
     while group.radius < radius:
-        group = _tower_step(group, blocks, None, None, phase).group
+        group = _tower_step(group, blocks, None, "full lift")
     return group
 
 
@@ -524,23 +512,26 @@ def build_tower(F, kind, levels, blocks=None, pinned_point=0):
       pointwise stabilizers.
 
     A level whose tables would pass the table-cell budget of
-    `errors.check_cells`, which bounds their memory, is certified rather than
-    materialized, and the tower stops after the first such level, so it can
-    hold fewer levels than asked for; the `tower` command then says so on
-    stderr.
+    `errors.check_cells`, which bounds their memory, is refused by its step
+    and certified here instead, and the tower stops after the first such
+    level, so it can hold fewer levels than asked for; the `tower` command
+    then says so on stderr.
     """
     blocks, pinned, zen = _tower_hypotheses(F, kind, blocks, pinned_point)
-    out = [TowerLevel(radius=1, order=F.order, group=radius_one(F),
-                      certificate=None)]
-
-    def central():
-        return _central_block_preserving(F, zen, blocks, pinned_point, kind)
-
+    group = radius_one(F)
+    out = [TowerLevel(radius=1, order=F.order, group=group, certificate=None)]
     for _ in range(levels - 1):
-        prev = out[-1]
-        if prev.group is None:
+        try:
+            group = _tower_step(group, blocks, pinned)
+        except CapacityError:  # the step's one refusal: its cell budget
+            cert = _tower_certificate(group, blocks, pinned,
+                                      _central_block_preserving(
+                                          F, zen, blocks, pinned_point, kind))
+            out.append(TowerLevel(radius=cert.radius, order=cert.order,
+                                  group=None, certificate=cert))
             break
-        out.append(_tower_step(prev.group, blocks, pinned, central))
+        out.append(TowerLevel(radius=group.radius, order=group.order,
+                              group=group, certificate=None))
     return Tower(kind=kind, blocks=tuple(blocks), pinned_block=pinned,
                  levels=tuple(out))
 
@@ -549,7 +540,13 @@ def _tower_hypotheses(F, kind, blocks, pinned_point):
     if kind == "partition":
         if blocks is None:
             raise HypothesisError("partition towers need explicit blocks")
-        blocks = _checked_blocks(F, blocks, transitive=True)
+        blocks = [tuple(sorted(b)) for b in blocks]
+        if sorted(p for b in blocks for p in b) != list(range(F.degree)):
+            raise HypothesisError("blocks must partition the points")
+        if not F.is_transitive():
+            raise HypothesisError("partition towers need a transitive group")
+        if not _preserves_blocks(F.generators, blocks):
+            raise HypothesisError("the group must map blocks to blocks")
         for b in blocks:
             if F.pointwise_stabilizer(b).order == 1:
                 raise HypothesisError(
@@ -600,19 +597,6 @@ def _tower_hypotheses(F, kind, blocks, pinned_point):
             raise HypothesisError("every other orbit needs a nontrivial "
                                   "pointwise stabilizer")
     return blocks, pinned, zen
-
-
-def _checked_blocks(F, blocks, transitive=False):
-    """`blocks` as sorted tuples, once they partition F's points and F maps
-    blocks to blocks; with `transitive`, F must also be transitive."""
-    blocks = [tuple(sorted(b)) for b in blocks]
-    if sorted(p for b in blocks for p in b) != list(range(F.degree)):
-        raise HypothesisError("blocks must partition the points")
-    if transitive and not F.is_transitive():
-        raise HypothesisError("partition towers need a transitive group")
-    if not _preserves_blocks(F.generators, blocks):
-        raise HypothesisError("the group must map blocks to blocks")
-    return blocks
 
 
 def _block_index(blocks, point):
@@ -682,28 +666,26 @@ def _tower_generators(prev, blocks, pinned, id_fibers, block_of):
     return [BallAut._raw(prev.degree, prev.radius + 1, t) for t in gens]
 
 
-def _tower_step(prev, blocks, pinned, central, phase="tower step"):
-    """The level above `prev`, glued from one partner per block out of each
-    element's joint fibers (itself on a `pinned` block), with the generators
-    of `_tower_generators`: every full lift, block-constant lift and tower
-    level. It checks that the order is the fiber product's and every
-    generator lies in the level. `check_cells` refuses first, naming
-    `phase`; a tower then certifies the level, calling `central` for the
-    central element to lift, and with `central` None the refusal stands."""
-    d, radius = prev.degree, prev.radius + 1
-    block_of = [_block_index(blocks, w) for w in range(d)]
+def _step_fibers(prev, blocks, pinned):
+    """Each direction's block, and each block's identity fiber (cached in
+    `prev`) and fiber size one radius up, 1 on the `pinned` block."""
+    block_of = [_block_index(blocks, w) for w in range(prev.degree)]
     id_fibers = [joint_compat_set(prev, prev.identity(), b) for b in blocks]
     sizes = [1 if i == pinned else len(f) for i, f in enumerate(id_fibers)]
+    return block_of, id_fibers, sizes
+
+
+def _tower_step(prev, blocks, pinned, phase="tower step"):
+    """The level above `prev`, glued from one partner per block out of each
+    element's joint fibers (itself on a `pinned` block), with the generators
+    of `_tower_generators`: every full lift and tower level. It checks that
+    the order is the fiber product's and every generator lies in the level.
+    Its one `CapacityError` is `check_cells` refusing first, naming
+    `phase`."""
+    d, radius = prev.degree, prev.radius + 1
+    block_of, id_fibers, sizes = _step_fibers(prev, blocks, pinned)
     expected = prev.order * math.prod(sizes)
-    try:
-        check_cells(phase, expected, len(ball_points(d, radius)))
-    except CapacityError:
-        if central is None:
-            raise
-        cert = _tower_certificate(prev, blocks, pinned, central, expected,
-                                  id_fibers, block_of)
-        return TowerLevel(radius=radius, order=expected,
-                          group=None, certificate=cert)
+    check_cells(phase, expected, len(ball_points(d, radius)))
     images = []
     for a in prev.elements:
         if pinned is not None:
@@ -720,14 +702,14 @@ def _tower_step(prev, blocks, pinned, central, phase="tower step"):
                       gens, _sorted=True)
     if not all(g in level for g in level.generators):
         raise RuntimeError("tower generator outside its level; bug")
-    return TowerLevel(radius=radius, order=expected,
-                      group=_check_order(level, expected, phase),
-                      certificate=None)
+    return _check_order(level, expected, phase)
 
 
-def _tower_certificate(prev, blocks, pinned, central, order, id_fibers,
-                       block_of):
+def _tower_certificate(prev, blocks, pinned, z):
+    """The certificate of the level above `prev` that its step refused,
+    lifting the central element `z` (None when there is none)."""
     d, radius = prev.degree, prev.radius + 1
+    block_of, id_fibers, sizes = _step_fibers(prev, blocks, pinned)
     gens = _tower_generators(prev, blocks, pinned, id_fibers, block_of)
 
     witnesses = {}
@@ -760,7 +742,6 @@ def _tower_certificate(prev, blocks, pinned, central, order, id_fibers,
             break
 
     central_lift = None
-    z = central()
     if z is not None:
         # climb the central element to the previous radius as a full diagonal
         c = _r1(z)
@@ -773,7 +754,8 @@ def _tower_certificate(prev, blocks, pinned, central, order, id_fibers,
                     raise RuntimeError("diagonal central element does not "
                                        "commute; bug")
 
-    return TowerCertificate(radius=radius, order=order,
+    return TowerCertificate(radius=radius,
+                            order=prev.order * math.prod(sizes),
                             generators=tuple(gens),
                             compat_witnesses=witnesses,
                             seam=seam, central=central_lift)

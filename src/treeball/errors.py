@@ -13,6 +13,11 @@ SUBGROUP_LATTICE_CAP = 3000
 CENSUS_AMBIENT_CAP = 200
 LIFT_AMBIENT_CAP = 5000
 
+#: The largest slot product whose subgroups are enumerated without a
+#: faster route, and the most subgroups that enumeration may find
+SLOT_PRODUCT_CAP = 200_000
+POWER_SUBGROUP_CAP = 10_000
+
 
 class CapacityError(RuntimeError):
     """Raised when a computation would exceed a capacity limit."""

@@ -1067,9 +1067,9 @@ def _power_subgroups_generic(F, slots, count, act):
     total = 1
     for s in slots:
         total *= len(s)
-        if total > 200_000:
+        if total > errors.SLOT_PRODUCT_CAP:
             raise CapacityError("slot product order %d exceeds the cap of "
-                                "200000" % total)
+                                "%d" % (total, errors.SLOT_PRODUCT_CAP))
     n, points = slots[0][0].degree, range(count)
     ident = _identity_images(count * n)
 
@@ -1099,7 +1099,7 @@ def _power_subgroups_generic(F, slots, count, act):
             if K2 not in found:
                 found.add(K2)
                 queue.append((K2, gens + (x,)))
-        if len(found) > 10_000:
+        if len(found) > errors.POWER_SUBGROUP_CAP:
             raise CapacityError("too many invariant subgroups")
     out = [PowerSubgroup(tuple(
         tuple(Perm._raw(tuple(j - w * n for j in x[w * n:w * n + n]))

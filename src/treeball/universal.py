@@ -18,13 +18,13 @@ images moved out from v's image. Gluing a root to its children is R = k + 1.
 
 from __future__ import annotations
 
+import sys
+
 from .balls import (
     BallAut,
-    _assemble,
     _assembly_table,
     _parents,
     _site_points,
-    ball_compatible,
     ball_points,
     follow,
     words_of_length,
@@ -63,15 +63,26 @@ def count_restrictions(group, radius):
 
 def _restriction_count(group, radius):
     """The restriction count, saturated at 2**63 before any larger power is
-    made, and its factors as strings, of any size."""
+    made, and its factors as strings, refused before any is formatted when
+    an exponent has more digits than the interpreter prints."""
     _require_gluing(group, radius, "restriction counting does not factor")
     k = group.radius
     ident = group.identity()
     fiber = [len(compat_set(group, ident, w)) for w in range(group.degree)]
+    # the largest exponent is base^top, of more than `limit` digits once
+    # top passes 4 * limit (2^4 > 10), so no huge power is made to see it
+    base, top = group.degree - 1, radius - k - 1
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: none
+    if limit and top > 0 and any(f != 1 for f in fiber) and (
+            top > 4 * limit or base ** top >= 10 ** limit):
+        raise CapacityError(
+            "restriction count at radius %d: its factor exponent %d^%d has "
+            "more than %d digits, the limit for printing an integer"
+            % (radius, base, top, limit))
     total = group.order
     factors = [str(group.order)]
     for depth in range(1, radius - k + 1):
-        per_letter = (group.degree - 1) ** (depth - 1)
+        per_letter = base ** (depth - 1)
         for w in range(group.degree):
             if fiber[w] != 1:
                 factors.append("%d^%d" % (fiber[w], per_letter))
@@ -159,34 +170,6 @@ def pk_local_action(group, target_radius):
     if target_radius <= group.radius:
         return group.project(target_radius)
     return build_full_lift(group, radius=target_radius)
-
-
-def assemble_extension(degree, radius, assignments):
-    """Glue charts into one ball map.
-
-    `assignments` maps each word of length at most radius-k (k the charts'
-    radius) to the chart at that vertex. Every chart must glue to its
-    parent's chart along the edge between them; the first site and direction
-    where one does not, or a missing site, raises ValueError. The map is then
-    assembled by one gather per site.
-    """
-    if () not in assignments:
-        raise ValueError("no chart at the center")
-    center = assignments[()]
-    k = center.radius
-    if center.degree != degree or radius < k:
-        raise ValueError("charts must have the ball's degree and at most "
-                         "its radius")
-    charts = []
-    for v in ball_points(degree, radius - k):
-        if v not in assignments:
-            raise ValueError("no chart at site %r" % (v,))
-        if not ball_compatible(assignments[v[:-1]], assignments[v], v[-1]):
-            raise ValueError("charts do not glue at site %r in direction %d"
-                             % (v[:-1], v[-1]))
-        charts.append(assignments[v])
-    return BallAut.from_images(degree, radius,
-                               _assemble(radius, center, charts))
 
 
 def seam_groups(group):

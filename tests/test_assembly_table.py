@@ -9,13 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import walk_assembly
-from treeball.balls import (BallAut, BallGroup, ball_compatible, ball_points,
-                            random_ball_aut)
+from random_balls import random_ball_aut
+from treeball.balls import BallAut, BallGroup, ball_compatible, ball_points
 from treeball.compat import check_compatibility
 from treeball.errors import HypothesisError
 from treeball.permcore import Perm, PermGroup
-from treeball.universal import (assemble_extension, count_restrictions,
-                                extend_to_ball, iter_extensions)
+from treeball.universal import (count_restrictions, extend_to_ball,
+                                iter_extensions)
+from walk_assembly import assemble_extension
 
 
 def assert_streams_match(group, radius):

@@ -13,9 +13,10 @@ from hypothesis import strategies as st
 from sympy.combinatorics import Permutation, PermutationGroup
 
 import perm_shadow
+from random_balls import random_ball_aut
 from treeball.balls import (BallAut, BallGroup, ball_compatible, ball_points,
-                            ball_size, follow, full_aut, full_aut_order,
-                            random_ball_aut, word_path, words_of_length)
+                            follow, full_aut, full_aut_order, word_path,
+                            words_of_length)
 from treeball.errors import CapacityError
 from treeball.permcore import Perm, PermGroup, small_generating_set_of
 
@@ -47,10 +48,10 @@ def full_order_recurrence(d, k):
 
 
 def test_ball_sizes_and_point_counts():
-    assert ball_size(3, 1) == 4
-    assert ball_size(3, 2) == 10
-    assert ball_size(3, 3) == 22
-    assert ball_size(4, 2) == 17
+    # a ball's vertices are its points and the center
+    for (d, r), size in {(3, 1): 4, (3, 2): 10, (3, 3): 22,
+                         (4, 2): 17}.items():
+        assert len(ball_points(d, r)) + 1 == size
     assert len(ball_points(3, 2)) == 9
     assert len(ball_points(3, 3)) == 21
     assert len(list(words_of_length(3, 2))) == 6

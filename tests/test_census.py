@@ -11,7 +11,7 @@ import time
 import pytest
 
 from treeball import census, constructions
-from treeball.balls import BallGroup, full_aut
+from treeball.balls import BallAut, BallGroup, full_aut
 from treeball.census import (are_conjugate_in, census_compatible_classes,
                              census_discrete_lifts, degree3_table,
                              format_table, name_permutation_group)
@@ -198,6 +198,21 @@ def test_full_aut_is_built_once_per_shape():
     full_aut.cache_clear()
     degree3_table()
     assert full_aut.cache_info().currsize == 3
+
+
+def test_census_classes_keep_the_lattice_groups(census_rows, monkeypatch):
+    # each class is the lattice's own least member group, not a group
+    # rebuilt from its element tables
+    def refuse(cls, degree, radius, images):
+        raise AssertionError("a census class was rebuilt from its tables")
+
+    monkeypatch.setattr(BallAut, "from_images", classmethod(refuse))
+    rows = census_compatible_classes(3, 2)
+    assert [row.to_dict() for row in rows] == [
+        row.to_dict() for row in census_rows]
+    for row, seen in zip(rows, census_rows):
+        assert row.group.elements == seen.group.elements
+        assert row.group.generators == seen.group.generators
 
 
 def test_row_serialization(census_rows):

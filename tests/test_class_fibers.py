@@ -19,10 +19,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import scanning_fibers
+from random_balls import random_ball_aut
 from test_compat import tiny_seam_group
 from treeball import cli, errors
 from treeball.balls import (BallAut, BallGroup, _need_key, ball_points,
-                            random_ball_aut)
+                            full_aut)
 from treeball.compat import (check_compatibility, compat_set,
                              compatibility_core, joint_compat_set)
 from treeball.constructions import build_full_lift, build_parity_lift
@@ -60,7 +61,7 @@ def drawn_group(seed, shape, kind):
     degree, radius = shape
     rng = random.Random(seed)
     if kind == "full" and shape != (4, 2):
-        return BallGroup.full(degree, radius)
+        return BallGroup.from_elements(full_aut(degree, radius))
     gens = [random_ball_aut(degree, radius, rng)]
     if kind == "twisted" and radius > 1:
         gens.append(twist(degree, radius, rng))
@@ -102,7 +103,7 @@ def test_fibers_are_the_scanned_tuples_in_order(seed, shape, kind, qseed):
 
 def test_blocks_whose_charts_disagree_have_no_partner():
     for shape, step in [((3, 2), 1), ((3, 3), 500)]:
-        group = BallGroup.full(*shape)
+        group = BallGroup.from_elements(full_aut(*shape))
         degree = shape[0]
         seen = {"disagree": 0, "agree": 0}
         for alpha in group.elements[::step]:

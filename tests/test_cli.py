@@ -19,9 +19,10 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import treeball
+from random_balls import random_ball_aut
 from recursive_balls import RecursiveBallAut
 from treeball import errors
-from treeball.balls import BallAut, ball_points, random_ball_aut
+from treeball.balls import BallAut, ball_points
 from treeball.cli import _fmt_count, main
 from treeball.constructions import build_full_lift, radius_one
 from treeball.documents import (GroupDocument, document_from_group,
@@ -306,6 +307,23 @@ def test_count_restrictions_factors_without_the_huge_product(full_doc):
         "count-restrictions", "--in", full_doc, "--ball", "40",
         "--stabilizer", address_space=2 ** 30)
     assert (code, out, err) == (0, "count: %s\n" % factored, "")
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="the interpreter prints integers of any size")
+def test_count_restrictions_refuses_an_unprintable_exponent(full_doc):
+    # the radius-20000 count has the factor exponent 2^19997, of 6,020
+    # digits: one line naming the radius and the limit, decided up front
+    start = time.perf_counter()
+    out, err, code, _ = _run_child(
+        "count-restrictions", "--in", full_doc, "--ball", "20000",
+        "--stabilizer")
+    took = time.perf_counter() - start
+    assert (code, out) == (2, "")
+    [line] = err.splitlines()
+    assert line.startswith("Error: restriction count at radius 20000: ")
+    assert "more than %d digits" % sys.get_int_max_str_digits() in line
+    assert took < 3
 
 
 def test_count_restrictions_reports_a_bad_document_first(runner, tmp_path):

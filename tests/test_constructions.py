@@ -71,32 +71,13 @@ def test_centered_variants_differ_but_share_the_order(s3, delta_s3):
     assert check_trivial_seams(twisted)
 
 
-def test_centered_transversal_dependence(s3):
-    swaps = {0: IDENT, 1: Perm((1, 0, 2)), 2: Perm((2, 1, 0))}
-    cycles = {0: IDENT, 1: Perm((1, 2, 0)), 2: Perm((2, 0, 1))}
-    with_center = build_centered(s3, center=s3.stabilizer(0))
-    assert set(build_centered(s3, center=s3.stabilizer(0),
-                              transversal=swaps).elements) == \
-        set(with_center.elements)
-    assert set(build_centered(s3, center=s3.stabilizer(0),
-                              transversal=cycles).elements) == \
-        set(with_center.elements)
-    plain_a = build_centered(s3, transversal=swaps)
-    plain_b = build_centered(s3, transversal=cycles)
-    assert plain_a.order == plain_b.order == 12
-    assert set(plain_a.elements) != set(plain_b.elements)
-
-
-def test_centered_hypothesis_failures(s3):
+def test_centered_hypothesis_failures():
     intransitive = PermGroup.generated([Perm((1, 0, 2))], 3)
     with pytest.raises(HypothesisError):
         build_centered(intransitive)
     s4 = PermGroup.symmetric(4)
     with pytest.raises(HypothesisError):
         build_centered(s4, center=s4.stabilizer(0))
-    bad_transversal = {0: IDENT, 1: IDENT, 2: Perm((2, 1, 0))}
-    with pytest.raises(HypothesisError):
-        build_centered(s3, transversal=bad_transversal)
 
 
 def test_kernel_extension_with_full_stabilizer_is_the_full_lift(s3, phi_s3):
@@ -171,22 +152,27 @@ def test_split_lift_hypothesis_failures(s3):
         build_split_lift(s3, [(FIX[0], FIX[1], FIX[2])])
 
 
+def _block_lift(F, blocks):
+    # the lift of F constant on each block, none pinned, one radius out
+    return constructions._tower_step(radius_one(F), blocks, None)
+
+
 def test_block_lifts_interpolate_between_diagonal_and_full(s3, gamma_s3,
                                                            phi_s3, sl23):
-    whole = build_full_lift(s3, blocks=[[0, 1, 2]])
+    whole = _block_lift(s3, [(0, 1, 2)])
     assert set(whole.elements) == set(gamma_s3.elements)
-    single = build_full_lift(s3, blocks=[[0], [1], [2]])
+    single = _block_lift(s3, [(0,), (1,), (2,)])
     assert single.elements == phi_s3.elements
     assert single.generators == phi_s3.generators
-    lifted = build_full_lift(sl23, blocks=[(0, 1), (2, 5), (3, 7), (4, 6)])
+    lifted = _block_lift(sl23, SL23_BLOCKS)
     assert lifted.order == 1944
     assert check_compatibility(lifted)
 
 
 def test_block_lifts_are_one_tower_step(s3, sl23, monkeypatch):
-    blocks = [(0, 1), (2, 5), (3, 7), (4, 6)]
-    lifted = build_full_lift(sl23, blocks=blocks)
-    level = build_tower(sl23, "partition", 2, blocks=blocks).level(2).group
+    lifted = _block_lift(sl23, SL23_BLOCKS)
+    level = build_tower(sl23, "partition", 2,
+                        blocks=SL23_BLOCKS).level(2).group
     assert lifted.elements == level.elements
     assert lifted.generators == level.generators
     assert tuple(_close(lifted.generators, lifted.identity())) == lifted.elements
@@ -195,16 +181,17 @@ def test_block_lifts_are_one_tower_step(s3, sl23, monkeypatch):
     with pytest.raises(CapacityError, match=r"^tower step: 1944 elements "
                        r"hold 124416 table cells, beyond the budget of "
                        r"124415$"):
-        build_full_lift(sl23, blocks=blocks)
+        _block_lift(sl23, SL23_BLOCKS)
+    # blocks are checked where towers take them
     with pytest.raises(HypothesisError,
                        match="blocks must partition the points"):
-        build_full_lift(s3, blocks=[[0, 1]])
+        build_tower(s3, "partition", 2, blocks=[[0, 1]])
     with pytest.raises(HypothesisError,
                        match="the group must map blocks to blocks"):
-        build_full_lift(s3, blocks=[[0, 1], [2]])
+        build_tower(s3, "partition", 2, blocks=[[0, 1], [2]])
 
 
-def test_full_lifts_are_glued_by_the_tower_step_alone(s3, phi_s3,
+def test_full_lifts_are_glued_by_the_tower_step_alone(s3, phi_s3, flips6,
                                                       monkeypatch):
     # every step is one `_tower_step`, with its phase; no step closes the
     # lift's elements again, and the greedy runs only on the identity's
@@ -216,9 +203,9 @@ def test_full_lifts_are_glued_by_the_tower_step_alone(s3, phi_s3,
     real_step = constructions._tower_step
     real_greedy = constructions.small_generating_set_of
 
-    def step(prev, blocks, pinned, central, phase="tower step"):
+    def step(prev, blocks, pinned, phase="tower step"):
         steps.append((prev.radius, len(blocks), phase))
-        return real_step(prev, blocks, pinned, central, phase)
+        return real_step(prev, blocks, pinned, phase)
 
     def spy(elements, identity):
         greedy.append((identity.radius, len(elements)))
@@ -231,7 +218,7 @@ def test_full_lifts_are_glued_by_the_tower_step_alone(s3, phi_s3,
     assert steps == [(1, 3, "full lift"), (2, 3, "full lift")]
     assert greedy == [(1, 2)] * 3 + [(2, 4)] * 3
     assert pk_local_action(phi_s3, 3).order == 3072
-    assert build_full_lift(s3, blocks=[[0], [1], [2]]).order == 48
+    assert build_tower(flips6, "pinned-orbit", 2).levels[1].order == 128
     assert steps[2:] == [(2, 3, "full lift"), (1, 3, "tower step")]
 
 
@@ -514,11 +501,11 @@ def test_certified_levels_carry_the_built_levels_generators(kind, flips6,
 def test_tower_step_refuses_a_pinned_partner_that_does_not_glue():
     # every element of Aut(B(3, 2)) is its own partner on the pinned block
     # {2}, and the second one does not glue to itself along direction 2
-    full = BallGroup.full(3, 2)
+    full = BallGroup.from_elements(full_aut(3, 2))
     a = full.elements[1]
     assert not ball_compatible(a, a, 2)
     with pytest.raises(ValueError, match="child at 2 does not glue"):
-        constructions._tower_step(full, [(0,), (1,), (2,)], 2, None)
+        constructions._tower_step(full, [(0,), (1,), (2,)], 2)
 
 
 def _sign(F):
@@ -540,8 +527,8 @@ KNOWN_ORDER_BUILDS = {
                                                 get("phi_s3"))),
     "block-constant lift": (
         "tower step", 1944, (8, 2), (constructions, "_glue_fibers"),
-        lambda get: functools.partial(build_full_lift, get("sl23"),
-                                      blocks=SL23_BLOCKS)),
+        lambda get: functools.partial(_block_lift, get("sl23"),
+                                      SL23_BLOCKS)),
     "parity lift": (
         "full lift", 48, (3, 2), (constructions, "_glue_fibers"),
         lambda get: functools.partial(build_parity_lift, get("s3"),

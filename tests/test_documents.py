@@ -8,10 +8,11 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from random_balls import random_ball_aut
 from recursive_balls import RecursiveBallAut
 from test_flat_balls import perturb
 from treeball import balls, cli
-from treeball.balls import BallAut, BallGroup, ball_points, random_ball_aut
+from treeball.balls import BallAut, BallGroup, ball_points
 from treeball.documents import (GroupDocument, _word_str, document_from_group,
                                 group_from_document, load_document,
                                 parse_document, serialize_document)

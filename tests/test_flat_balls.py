@@ -10,9 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from random_balls import random_ball_aut, random_fiber_element
 from recursive_balls import RecursiveBallAut, recursive_compatible
 from treeball.balls import (BallAut, ball_compatible, ball_points,
-                            random_ball_aut, random_fiber_element,
                             words_of_length)
 from treeball.permcore import Perm
 

@@ -9,8 +9,9 @@ import textwrap
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from random_balls import random_ball_aut
 from recursive_balls import RecursiveBallAut
-from treeball.balls import BallAut, _need_key, _offer_key, random_ball_aut
+from treeball.balls import BallAut, _need_key, _offer_key
 from treeball.documents import _table_json, _word_str
 
 DRAWS = (st.integers(min_value=0, max_value=2 ** 32),

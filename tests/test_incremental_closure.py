@@ -15,8 +15,9 @@ from hypothesis import strategies as st
 
 import perm_shadow
 import reclosing
+from random_balls import random_ball_aut
 from treeball import compat, errors, permcore
-from treeball.balls import BallAut, BallGroup, full_aut, random_ball_aut
+from treeball.balls import BallAut, BallGroup, full_aut
 from treeball.compat import check_trivial_seams, find_involutive_cocycles
 from treeball.constructions import build_diagonal, radius_one
 from treeball.errors import CapacityError
@@ -137,7 +138,8 @@ def test_cocycle_search_refuses_lifts_past_the_cell_budget(monkeypatch):
 
 
 def test_lattice_subgroups_keep_the_greedy_generators():
-    for group in perm_shadow.subgroups(BallGroup.full(3, 2)):
+    full = BallGroup.from_elements(full_aut(3, 2))
+    for group in perm_shadow.subgroups(full):
         rebuilt = BallGroup.from_elements(group.elements)
         assert group.generators == rebuilt.generators
         assert group == rebuilt
@@ -215,7 +217,7 @@ def test_close_raises_past_its_cap(monkeypatch):
     monkeypatch.setattr(errors, "CLOSURE_CAP", 24)
     assert len(_close(s4_gens, Perm.identity(4))) == 24
     # Aut(B(3, 2)) has order 48 and grows by a coset of 16 past 32
-    gens = BallGroup.full(3, 2).generators
+    gens = BallGroup.from_elements(full_aut(3, 2)).generators
     monkeypatch.setattr(errors, "CLOSURE_CAP", 47)
     with pytest.raises(CapacityError, match="cap of 47 after reaching 32 "
                        "elements, closing 5 generators, automorphisms of the "

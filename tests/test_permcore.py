@@ -17,6 +17,7 @@ import treeball
 from normal_structure import (is_subnormal, nilpotent_radical, socle,
                               solvable_radical, structure_subgroups,
                               subnormal_depth)
+from treeball import errors
 from treeball.balls import BallAut, BallGroup, full_aut
 from treeball.constructions import build_full_lift
 from treeball.errors import CapacityError, HypothesisError
@@ -164,7 +165,7 @@ def lattice_groups(pi_one):
     full = build_full_lift(pi_one)
     groups = dict(_named())
     groups["full-lift(parity(S3,{1}))"] = full
-    groups["Aut(B(3,2))"] = BallGroup.full(3, 2)
+    groups["Aut(B(3,2))"] = BallGroup.from_elements(full_aut(3, 2))
     groups["lift kernel"] = BallGroup.from_elements(full.projection_kernel())
     return groups
 
@@ -428,6 +429,16 @@ def test_power_subgroups_refuse_a_slot_product_past_its_cap():
         _power_subgroups_generic(PermGroup.symmetric(3), slots, 3, act=True)
 
 
+def test_power_subgroups_refuse_past_their_count_cap(monkeypatch):
+    # C2 x C2 has five subgroups, all invariant under the trivial group
+    trivial = PermGroup.generated([Perm.identity(2)], 2)
+    c2 = PermGroup.cyclic(2)
+    assert len(invariant_subgroups_of_power(trivial, c2, 2)) == 5
+    monkeypatch.setattr(errors, "POWER_SUBGROUP_CAP", 4)
+    with pytest.raises(CapacityError, match="^too many invariant subgroups$"):
+        invariant_subgroups_of_power(trivial, c2, 2)
+
+
 def test_gf2_power_subgroups_at_seven_match_the_generic_route():
     # the pairwise closure takes about a minute at p = 7, so the GF(2)
     # search is held to the generic route, itself checked against it above
@@ -500,7 +511,7 @@ def test_sorted_element_lists_are_sorted_once(monkeypatch):
 
 
 def test_groups_passed_through_unsorted_are_still_sorted():
-    G = build_full_lift(BallGroup.full(3, 1))
+    G = build_full_lift(BallGroup.from_elements(full_aut(3, 1)))
     made = [G, center(G), *normal_subgroups(G), *all_subgroups(G)]
     made += [H.stabilizer(0) for H in _named().values()]
     for H in made:

@@ -17,9 +17,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import product_gluing
+from random_balls import random_ball_aut
 from treeball import constructions
-from treeball.balls import (BallAut, BallGroup, _glue_fibers, full_aut,
-                            random_ball_aut)
+from treeball.balls import BallAut, BallGroup, _glue_fibers, full_aut
 from treeball.compat import compat_set
 from treeball.constructions import build_full_lift
 from treeball.permcore import PermGroup, _close

@@ -44,7 +44,8 @@ def assert_structure_matches_the_shadow(group):
 
 
 def test_structure_of_the_full_group_matches_the_shadow():
-    assert_structure_matches_the_shadow(BallGroup.full(3, 2))
+    assert_structure_matches_the_shadow(
+        BallGroup.from_elements(full_aut(3, 2)))
 
 
 @settings(max_examples=30, deadline=None,

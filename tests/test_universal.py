@@ -1,21 +1,23 @@
 """Restriction counting, extensions, seams, and discreteness."""
 
 import random
+import sys
 
 import pytest
 
 from normal_structure import is_subnormal, subnormal_depth
+from random_balls import random_ball_aut
 from treeball.balls import (BallAut, BallGroup, ball_points, full_aut,
-                            full_aut_order, random_ball_aut)
+                            full_aut_order)
 from treeball.constructions import build_full_lift
 from treeball.errors import CapacityError, HypothesisError
 from treeball.permcore import Perm, PermGroup, normal_subgroups
-from treeball.universal import (_restriction_count, assemble_extension,
-                                count_restrictions, edge_inversion,
-                                extend_to_ball, is_discrete_universal,
-                                iter_extensions, label_respecting_map,
-                                local_action_group, pk_local_action,
-                                seam_groups)
+from treeball.universal import (_restriction_count, count_restrictions,
+                                edge_inversion, extend_to_ball,
+                                is_discrete_universal, iter_extensions,
+                                label_respecting_map, local_action_group,
+                                pk_local_action, seam_groups)
+from walk_assembly import assemble_extension
 
 
 def hidden_swap_group():
@@ -243,6 +245,28 @@ def test_saturated_count_keeps_every_factor(phi_s3):
     assert count == 2 ** 63
     assert factors == ["48"] + ["4^%d" % 2 ** i for i in range(68)
                                 for _ in range(3)]
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="the interpreter prints integers of any size")
+def test_count_refuses_an_exponent_the_interpreter_cannot_print(phi_s3,
+                                                                gamma_s3):
+    # at a limit of 640 digits, 2^2126 (640 digits) is the largest exponent
+    # that prints: radius 2129 lists it, and radius 2130 is refused before
+    # any factor is formatted; fibers of size 1 format nothing
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        _, factors = _restriction_count(phi_s3, 2129)
+        assert factors[-1] == "4^%d" % 2 ** 2126
+        with pytest.raises(CapacityError, match=(
+                r"^restriction count at radius 2130: its factor exponent "
+                r"2\^2127 has more than 640 digits, the limit for printing "
+                r"an integer$")):
+            _restriction_count(phi_s3, 2130)
+        assert count_restrictions(gamma_s3, 2130) == 6
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_pk_local_action_projects_in_one_closure(monkeypatch, phi_s3):

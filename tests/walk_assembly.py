@@ -6,10 +6,41 @@ ball one letter at a time, reading each step's label from the chart that
 owns it as a one-step local action, and rebuilds the map from its word
 table. It is slower but has no table to get wrong; tests require the
 streams built on both to agree element for element, in order.
+`assemble_extension` is the table route on explicit charts, checked
+against the walk.
 """
 
-from treeball.balls import BallAut, ball_points, follow
+from treeball.balls import (BallAut, _assemble, ball_compatible, ball_points,
+                            follow)
 from treeball.compat import compat_set
+
+
+def assemble_extension(degree, radius, assignments):
+    """Glue charts into one ball map by the cached assembly table.
+
+    `assignments` maps each word of length at most radius-k (k the charts'
+    radius) to the chart at that vertex. Every chart must glue to its
+    parent's chart along the edge between them; the first site and direction
+    where one does not, or a missing site, raises ValueError. The map is then
+    assembled by one gather per site.
+    """
+    if () not in assignments:
+        raise ValueError("no chart at the center")
+    center = assignments[()]
+    k = center.radius
+    if center.degree != degree or radius < k:
+        raise ValueError("charts must have the ball's degree and at most "
+                         "its radius")
+    charts = []
+    for v in ball_points(degree, radius - k):
+        if v not in assignments:
+            raise ValueError("no chart at site %r" % (v,))
+        if not ball_compatible(assignments[v[:-1]], assignments[v], v[-1]):
+            raise ValueError("charts do not glue at site %r in direction %d"
+                             % (v[:-1], v[-1]))
+        charts.append(assignments[v])
+    return BallAut.from_images(degree, radius,
+                               _assemble(radius, center, charts))
 
 
 def assemble(degree, radius, assignments):
