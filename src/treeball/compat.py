@@ -130,8 +130,6 @@ def compatibility_core(group):
         if keep == live:
             break
         live = keep
-    if len(live) == group.order:
-        return group
     try:
         return BallGroup.from_elements(sorted(live))
     except ValueError as exc:

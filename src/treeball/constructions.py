@@ -764,9 +764,10 @@ def _tower_certificate(prev, blocks, pinned, z):
 def tower_member(level_below, blocks, pinned, candidate):
     """Does `candidate` belong to the tower level above `level_below`?
 
-    Decidable without materializing the level: the root must belong below,
-    the partners must be constant on blocks and glue jointly, and the pinned
-    block must carry the root itself.
+    Decidable without materializing the level: the root and every partner
+    must belong below, the partners must be constant on blocks, and the
+    pinned block must carry the root itself. A ball automorphism glues to
+    its root in every direction already, so gluing is not tested again.
     """
     root, children = candidate.root, candidate.children
     if root not in level_below:
@@ -779,8 +780,6 @@ def tower_member(level_below, blocks, pinned, candidate):
             if c != root:
                 return False
             continue
-        if any(not ball_compatible(root, c, w) for w in b):
-            return False
         if c not in level_below:
             return False
     return True

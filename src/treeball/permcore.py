@@ -8,10 +8,11 @@ stops at `errors.CLOSURE_CAP` elements, and the lattice is refused past
 is one image tuple (`Element`), and closures are held as bare image tuples: a
 product is one C-level gather, and elements are wrapped once the group is
 built. `FiniteGroup` holds what needs only products, inverses and
-image tuples: containers, the subgroup lattice, normal structure and
-conjugacy; `PermGroup` adds the point actions, and `balls.BallGroup` the
-ball views. The groups involved are tiny (a few thousand elements at most),
-and the answers feed frozen regression values, so determinism comes first.
+image tuples: containers, the subgroup lattice, conjugacy classes and
+subgroup conjugacy; `PermGroup` adds the point actions, and
+`balls.BallGroup` the ball views. The groups involved are tiny (a few
+thousand elements at most), and the answers feed frozen regression values,
+so determinism comes first.
 """
 
 from __future__ import annotations
@@ -252,7 +253,7 @@ class FiniteGroup:
     Elements are `Element`s, whose ``images`` tuple orders, hashes and
     composes them like a permutation's, so permutations and ball
     automorphisms share everything here: containers, the subgroup lattice,
-    normal structure and conjugacy.
+    conjugacy classes and subgroup conjugacy.
     A subclass supplies ``identity()`` and ``_shape()``, the leading
     arguments of its constructor.
     """
@@ -393,16 +394,7 @@ class PermGroup(FiniteGroup):
     # -- orbits and stabilizers ---------------------------------------------
 
     def orbit(self, point):
-        seen = {point}
-        queue = [point]
-        while queue:
-            x = queue.pop()
-            for g in self.generators:
-                y = g(x)
-                if y not in seen:
-                    seen.add(y)
-                    queue.append(y)
-        return tuple(sorted(seen))
+        return _orbit(self.generators, point)
 
     def orbits(self):
         seen = set()
@@ -427,7 +419,8 @@ class PermGroup(FiniteGroup):
                            if all(g(p) == p for p in pts)])
 
     def is_semiregular(self):
-        return all(self.stabilizer(p).order == 1 for p in range(self.degree))
+        # elements[0] is the identity, the least image tuple
+        return not any(map(_fixes_a_point, self.elements[1:]))
 
     def transversal(self, base):
         """Map each point w to the least group element sending `base` to w.
@@ -442,6 +435,25 @@ class PermGroup(FiniteGroup):
         if len(reps) != self.degree:
             raise HypothesisError("transversal requires a transitive group")
         return reps
+
+
+def _orbit(gens, point):
+    """The sorted orbit of `point` under the group the permutations `gens`
+    generate: a finite group's orbits are those of any generating set."""
+    seen = {point}
+    queue = [point]
+    while queue:
+        x = queue.pop()
+        for g in gens:
+            y = g(x)
+            if y not in seen:
+                seen.add(y)
+                queue.append(y)
+    return tuple(sorted(seen))
+
+
+def _fixes_a_point(g):
+    return any(x == i for i, x in enumerate(g.images))
 
 
 def small_generating_set_of(elements, identity):
@@ -585,18 +597,17 @@ def classify_action(G):
             if not any(t != s and _refines(t, s) for t in systems)
         )
 
-    quasi = False
-    semi = False
+    # Every nontrivial normal subgroup contains the normal closure of each
+    # of its members, and the closure of x is the group its class generates,
+    # with the class's orbits. So G is quasiprimitive when each nontrivial
+    # class is transitive, and semiprimitive when each class whose members
+    # fix a point is: a normal subgroup that is not semiregular holds one.
+    quasi = semi = transitive
     if transitive:
-        quasi = True
-        semi = True
-        for N in normal_subgroups(G):
-            if N.order == 1:
-                continue
-            n_trans = N.is_transitive()
-            if not n_trans:
+        for cls in conjugacy_classes(G)[1:]:  # class 0 is the identity
+            if len(_orbit(cls, 0)) < G.degree:
                 quasi = False
-                if not N.is_semiregular():
+                if _fixes_a_point(next(iter(cls))):
                     semi = False
     return ActionReport(
         degree=G.degree,
@@ -613,14 +624,11 @@ def classify_action(G):
 
 
 # ---------------------------------------------------------------------------
-# normal structure
+# conjugacy classes and the center
 # ---------------------------------------------------------------------------
 
 def conjugacy_classes(G):
     """Conjugacy classes as frozensets, ordered by their least member."""
-    key = "conj_classes"
-    if key in G._cache:
-        return G._cache[key]
     ginv = [g.inverse() for g in G.generators]
     seen = set()
     classes = []
@@ -638,75 +646,7 @@ def conjugacy_classes(G):
                     queue.append(z)
         seen |= orb
         classes.append(frozenset(orb))
-    G._cache[key] = classes
     return classes
-
-
-def normal_closure(G, seeds):
-    """Smallest normal subgroup of G containing the seed elements."""
-    gens = [s for s in seeds if not s.is_identity()]
-    if not gens:
-        return G._generated(())
-    ident = G.identity()
-    ginv = [g.inverse() for g in G.generators]
-    members, have, grown = [ident.images], {ident.images}, []
-    for x in gens:
-        _grow(members, have, grown, x.images)
-    changed = True
-    while changed:
-        changed = False
-        for g, gi in zip(G.generators, ginv):
-            for x in list(gens):
-                y = g * x * gi
-                if y.images not in have:
-                    gens.append(y)
-                    _grow(members, have, grown, y.images)
-                    changed = True
-    return G._like([ident._from(t) for t in sorted(members)])
-
-
-def normal_subgroups(G):
-    """All normal subgroups, via closure over unions of conjugacy classes.
-
-    Deliberately not all-subgroups-then-filter: the stabilizers we feed in can
-    have order in the thousands, where the full lattice is hopeless but the
-    normal lattice stays small.
-    """
-    key = "normals"
-    if key in G._cache:
-        return G._cache[key]
-    reps = [min(c) for c in conjugacy_classes(G)]
-    triv = G._generated(())
-    found = {triv._eset: triv}
-    frontier = [triv]
-    while frontier:
-        N = frontier.pop()
-        for r in reps:
-            if r in N._eset:
-                continue
-            M = normal_closure(G, list(N.generators) + [r])
-            if M._eset not in found:
-                found[M._eset] = M
-                frontier.append(M)
-    out = sorted(found.values(), key=lambda H: (H.order, H.elements))
-    G._cache[key] = out
-    return out
-
-
-def derived_subgroup(G):
-    comms = [a * b * a.inverse() * b.inverse()
-             for a in G.generators for b in G.generators]
-    return normal_closure(G, comms)
-
-
-def is_solvable(G):
-    H = G
-    while H.order > 1:
-        D = derived_subgroup(H)
-        if D.order == H.order:
-            return False
-        H = D
-    return True
 
 
 def center(G):
@@ -770,14 +710,16 @@ def _lattice_table(G):
 
 
 def all_subgroups(G):
-    """Every subgroup of G, as groups of G's kind sorted by (order, elements)."""
+    """Every subgroup of G, as groups of G's kind sorted by (order, elements).
+
+    The cyclic extension walk runs first; only when it misses G itself, so
+    that G is not solvable, does the brute walk over all elements run."""
     key = "all_subgroups"
     if key in G._cache:
         return G._cache[key]
     t = _lattice_table(G)
-    if is_solvable(G):
-        found = _subgroup_sets_by_prime_extension(t, G.order)
-    else:
+    found = _subgroup_sets_by_prime_extension(t, G.order)
+    if frozenset(range(G.order)) not in found:  # G is not solvable
         found = _subgroup_sets_brute(t)
     # ascending indices are the sorted element order, so sort index lists
     pick = t.elements.__getitem__
@@ -805,17 +747,20 @@ def _subgroup_sets_brute(t):
 
 
 def _subgroup_sets_by_prime_extension(t, order):
-    """Subgroup index sets of a solvable group (the cyclic extension method).
+    """Subgroup index sets of a group by the cyclic extension method: all of
+    them when the group is solvable, and otherwise exactly its solvable
+    subgroups, without the group itself.
 
-    Every subgroup sits atop a composition series with prime cyclic
-    quotients, so repeatedly adjoining a normalizer element whose p-th
-    power falls back inside reaches all of them. Each subgroup S carries
-    the generators that built it, and g normalizes S when it conjugates
-    those into S, so N(S) is the intersection, over those generators s, of
-    the conjugators of s into S. Its cosets Sg = gS are walked in ascending
-    order. One representative per coset suffices, since the condition and
-    the result only depend on the image in the quotient; once S<g> = T is
-    found, every element of T - S generates T over S, so all of T is done.
+    A subgroup is solvable exactly when it sits atop a series with prime
+    cyclic steps, each normal in the next, so repeatedly adjoining a
+    normalizer element whose p-th power falls back inside reaches exactly
+    the solvable subgroups. Each subgroup S carries the generators that
+    built it, and g normalizes S when it conjugates those into S, so N(S) is
+    the intersection, over those generators s, of the conjugators of s into
+    S. Its cosets Sg = gS are walked in ascending order. One representative
+    per coset suffices, since the condition and the result only depend on
+    the image in the quotient; once S<g> = T is found, every element of
+    T - S generates T over S, so all of T is done.
     """
     n = len(t.elements)
     mul, inv, e = t.mul, t.inv, t.e
@@ -1100,7 +1045,9 @@ def _power_subgroups_generic(F, slots, count, act):
                 found.add(K2)
                 queue.append((K2, gens + (x,)))
         if len(found) > errors.POWER_SUBGROUP_CAP:
-            raise CapacityError("too many invariant subgroups")
+            raise CapacityError(
+                "invariant subgroup count %d exceeds the cap of %d"
+                % (len(found), errors.POWER_SUBGROUP_CAP))
     out = [PowerSubgroup(tuple(
         tuple(Perm._raw(tuple(j - w * n for j in x[w * n:w * n + n]))
               for w in points) for x in sorted(K))) for K in found]

@@ -10,7 +10,8 @@ import random
 import time
 
 import scanning_fibers
-from normal_structure import is_subnormal, structure_subgroups, subnormal_depth
+from normal_structure import (is_subnormal, normal_subgroups,
+                              structure_subgroups, subnormal_depth)
 from random_balls import random_ball_aut
 from treeball.balls import (BallAut, BallGroup, ball_points, full_aut,
                             full_aut_order)
@@ -23,7 +24,7 @@ from treeball.constructions import (build_centered, build_diagonal,
                                     build_full_lift, build_parity_lift,
                                     build_tower, build_wreath_local)
 from treeball.permcore import (Perm, PermGroup, classify_action,
-                               invariant_subgroups_of_power, normal_subgroups)
+                               invariant_subgroups_of_power)
 from treeball.universal import (count_restrictions, is_discrete_universal,
                                 iter_extensions, local_action_group,
                                 seam_groups)

@@ -620,6 +620,15 @@ def test_tower_membership_rejects_non_members(flips6):
     assert not tower_member(below, blocks, pinned, uneven)
     moved = BallAut(swap01, (swap01 * swap23,) * 2 + (swap01,) * 4)
     assert not tower_member(below, blocks, pinned, moved)
+    # a root outside the level below, carried by the pinned block too
+    r = BallAut(Perm((0, 1, 4, 3, 2, 5)))
+    assert r not in below
+    assert not tower_member(below, blocks, pinned, BallAut(r, (r,) * 6))
+    # block-constant partners outside the level below
+    c = BallAut(Perm((4, 1, 2, 3, 0, 5)))
+    assert c not in below
+    outside = BallAut(ident, (ident, ident, c, c, ident, ident))
+    assert not tower_member(below, blocks, pinned, outside)
 
 
 def test_tower_hypothesis_failures(s3, flips6):

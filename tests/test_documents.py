@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 
 import pytest
 from click.testing import CliRunner
@@ -171,6 +172,36 @@ def test_parse_failures(gamma_s3):
     body["elements"] = []
     with pytest.raises(DocumentError, match="empty"):
         parse_document(json.dumps(body))
+
+    for part, message in WRONG_TYPES.items():
+        with pytest.raises(DocumentError, match="^%s$" % re.escape(message)):
+            parse_document(wrong_type(gamma_s3, part))
+
+
+#: each part of a document given a list or object of the wrong kind, and
+#: its refusal
+WRONG_TYPES = {
+    "element 0": "element 0: expected a word-to-word object, got list",
+    "elements": "'elements' must be a list",
+    "metadata": "metadata must be an object",
+}
+
+
+def wrong_type(gamma_s3, part):
+    body = sample_body(gamma_s3)
+    if part == "element 0":
+        body["elements"][0] = []
+    else:
+        body[part] = {} if part == "elements" else []
+    return json.dumps(body)
+
+
+def test_check_c_refuses_a_part_of_the_wrong_type(tmp_path, gamma_s3):
+    path = tmp_path / "wrong-type.json"
+    path.write_text(wrong_type(gamma_s3, "metadata"))
+    res = CliRunner().invoke(cli.main, ["check-c", "--in", str(path)])
+    assert res.exit_code == 2
+    assert res.stderr.splitlines() == ["Error: " + WRONG_TYPES["metadata"]]
 
 
 def test_parse_reports_the_broken_element(gamma_s3):

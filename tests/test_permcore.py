@@ -14,10 +14,10 @@ import brute_conjugacy
 import pairwise_power
 import scanning_lattice
 import treeball
-from normal_structure import (is_subnormal, nilpotent_radical, socle,
-                              solvable_radical, structure_subgroups,
-                              subnormal_depth)
-from treeball import errors
+from normal_structure import (is_solvable, is_subnormal, nilpotent_radical,
+                              normal_subgroups, socle, solvable_radical,
+                              structure_subgroups, subnormal_depth)
+from treeball import errors, permcore
 from treeball.balls import BallAut, BallGroup, full_aut
 from treeball.constructions import build_full_lift
 from treeball.errors import CapacityError, HypothesisError
@@ -28,7 +28,6 @@ from treeball.permcore import (Perm, PermGroup, _lattice_table,
                                all_subgroups, are_conjugate_in, center,
                                classify_action, conjugacy_class_key,
                                conjugacy_classes, invariant_subgroups_of_power,
-                               is_solvable, normal_subgroups,
                                small_generating_set_of)
 
 # Subgroup and class counts below are the standard ones for these groups;
@@ -125,6 +124,51 @@ def test_classify_action_sl23(sl23):
     assert center(sl23).order == 2
 
 
+@pytest.fixture(scope="module")
+def s5():
+    return PermGroup.symmetric(5)
+
+
+def _flags_by_the_normal_lattice(G):
+    """Quasi- and semiprimitivity as defined: every nontrivial normal
+    subgroup is transitive, or transitive or semiregular, semiregularity
+    read off its point stabilizers. Both are False off transitive groups."""
+    if not G.is_transitive():
+        return False, False
+    normals = [N for N in normal_subgroups(G) if N.order > 1]
+    return (all(N.is_transitive() for N in normals),
+            all(N.is_transitive() or _semiregular_by_stabilizers(N)
+                for N in normals))
+
+
+def _semiregular_by_stabilizers(G):
+    return all(G.stabilizer(p).order == 1 for p in range(G.degree))
+
+
+def test_classify_action_matches_the_normal_lattice(sl23, flips6, s5):
+    groups = {"S4 > %d" % i: H
+              for i, H in enumerate(all_subgroups(PermGroup.symmetric(4)))}
+    groups.update(("S5 > %d" % i, H) for i, H in enumerate(all_subgroups(s5)))
+    for n in range(3, 9):
+        groups["D%d" % n] = PermGroup.dihedral(n)
+        groups["C%d" % n] = PermGroup.cyclic(n)
+    groups["V4"] = PermGroup.from_elements([
+        Perm((0, 1, 2, 3)), Perm((1, 0, 3, 2)),
+        Perm((2, 3, 0, 1)), Perm((3, 2, 1, 0))])
+    groups["SL23"], groups["FLIPS6"] = sl23, flips6
+    assert len(groups) == 30 + 156 + 12 + 3
+    seen = set()
+    for name, G in groups.items():
+        rep = classify_action(G)
+        flags = (rep.quasiprimitive, rep.semiprimitive)
+        assert flags == _flags_by_the_normal_lattice(G), name
+        assert rep.semiregular == _semiregular_by_stabilizers(G), name
+        seen.add(flags + (rep.transitive,))
+    # transitive groups of all three kinds, and intransitive ones
+    assert seen == {(True, True, True), (False, True, True),
+                    (False, False, True), (False, False, False)}
+
+
 def test_normal_subgroups_against_definition():
     for name, G in _named().items():
         computed = normal_subgroups(G)
@@ -156,6 +200,28 @@ def test_subgroup_enumeration_routes_agree():
         t = _lattice_table(G)
         assert (_subgroup_sets_by_prime_extension(t, G.order)
                 == _subgroup_sets_brute(t)), name
+
+
+def test_all_subgroups_goes_brute_only_where_the_walk_misses_the_group(
+        monkeypatch, s5):
+    # the walk reaches G exactly when G is solvable; on A5 and S5 it finds
+    # the solvable subgroups, and the brute route finds the rest
+    brute, calls = permcore._subgroup_sets_brute, []
+    monkeypatch.setattr(permcore, "_subgroup_sets_brute",
+                        lambda t: calls.append(t) or brute(t))
+    groups = dict(_named(), S5=s5)
+    for name, G in groups.items():
+        G = G._like(G.elements, G.generators)  # nothing cached
+        calls.clear()
+        subgroups = all_subgroups(G)
+        assert len(calls) == (not is_solvable(G)), name
+        t = _lattice_table(G)
+        index = {g: i for i, g in enumerate(t.elements)}
+        solvable = {frozenset(map(index.__getitem__, H.elements))
+                    for H in subgroups if is_solvable(H)}
+        assert _subgroup_sets_by_prime_extension(t, G.order) == solvable, name
+    assert [name for name, G in groups.items()
+            if not is_solvable(G)] == ["A5", "S5"]
 
 
 @pytest.fixture(scope="module")
@@ -435,7 +501,8 @@ def test_power_subgroups_refuse_past_their_count_cap(monkeypatch):
     c2 = PermGroup.cyclic(2)
     assert len(invariant_subgroups_of_power(trivial, c2, 2)) == 5
     monkeypatch.setattr(errors, "POWER_SUBGROUP_CAP", 4)
-    with pytest.raises(CapacityError, match="^too many invariant subgroups$"):
+    with pytest.raises(CapacityError, match="^invariant subgroup count 5 "
+                       "exceeds the cap of 4$"):
         invariant_subgroups_of_power(trivial, c2, 2)
 
 

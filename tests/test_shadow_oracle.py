@@ -17,9 +17,9 @@ import perm_shadow
 from treeball.balls import BallGroup, full_aut
 from treeball.census import census_compatible_classes, census_discrete_lifts
 from treeball.constructions import build_full_lift
+from normal_structure import derived_subgroup, normal_subgroups
 from treeball.permcore import (all_subgroups, are_conjugate_in, center,
-                               conjugacy_class_key, derived_subgroup,
-                               normal_subgroups)
+                               conjugacy_class_key)
 
 FULL_B32 = full_aut(3, 2)
 

@@ -5,13 +5,13 @@ import sys
 
 import pytest
 
-from normal_structure import is_subnormal, subnormal_depth
+from normal_structure import is_subnormal, normal_subgroups, subnormal_depth
 from random_balls import random_ball_aut
 from treeball.balls import (BallAut, BallGroup, ball_points, full_aut,
                             full_aut_order)
 from treeball.constructions import build_full_lift
 from treeball.errors import CapacityError, HypothesisError
-from treeball.permcore import Perm, PermGroup, normal_subgroups
+from treeball.permcore import Perm, PermGroup
 from treeball.universal import (_restriction_count, count_restrictions,
                                 edge_inversion, extend_to_ball,
                                 is_discrete_universal, iter_extensions,
