@@ -30,7 +30,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from bisect import bisect_left, bisect_right
 from operator import add, itemgetter
 
 from .errors import HypothesisError, check_cells
@@ -274,6 +273,7 @@ class BallAut(Element):
         return BallAut._raw(self.degree, self.radius, images)
 
     @classmethod
+    @functools.lru_cache(maxsize=None)
     def identity(cls, degree, radius):
         n = len(ball_points(degree, radius))
         return cls._raw(degree, radius, _identity_images(n))
@@ -544,10 +544,11 @@ class BallGroup(FiniteGroup):
 
     __slots__ = ("degree", "radius")
 
-    def __init__(self, degree, radius, elements, generators, _sorted=False):
+    def __init__(self, degree, radius, elements, generators, _sorted=False,
+                 _table=None):
         self.degree = degree
         self.radius = radius
-        super().__init__(elements, generators, _sorted)
+        super().__init__(elements, generators, _sorted, _table)
 
     def _shape(self):
         return (self.degree, self.radius)
@@ -605,11 +606,4 @@ class BallGroup(FiniteGroup):
         if self.radius == 1:
             raise ValueError("radius-1 groups have no inner ball")
         inner = len(ball_points(self.degree, self.radius - 1))
-        return self._run(_identity_images(inner))
-
-    def _run(self, prefix):
-        """The elements whose image tuples start with `prefix`: one run of
-        the sorted element list, found by bisection."""
-        elems, head = self.elements, lambda a: a.images[:len(prefix)]
-        lo = bisect_left(elems, prefix, key=head)
-        return elems[lo:bisect_right(elems, prefix, lo, key=head)]
+        return tuple(self._run(_identity_images(inner)))

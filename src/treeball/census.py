@@ -118,7 +118,7 @@ def census_compatible_classes(degree=3, radius=2):
         if not check_compatibility(group):
             continue
         key = conjugacy_class_key(ambient, group)
-        mine = _flat_key(group)
+        mine = group._table
         if key not in classes or mine < classes[key][0]:
             classes[key] = mine, group
 
@@ -126,7 +126,7 @@ def census_compatible_classes(degree=3, radius=2):
     rows = [_make_row(rep, radius, named.get(orbit_key))
             for orbit_key, (_, rep) in classes.items()]
     rows.sort(key=lambda row: (row.order, row.has_cocycle,
-                               _flat_key(row.group)))
+                               row.group._table))
     return rows
 
 
@@ -144,10 +144,6 @@ def _make_row(group, radius, description=None, gamma_image_of=None):
                      compatible=compatible, trivial_seams=bool(trivial),
                      has_cocycle=has_icc, group=group,
                      gamma_image_of=gamma_image_of)
-
-
-def _flat_key(group):
-    return tuple(sorted(a.images for a in group.elements))
 
 
 def _named_constructions(ambient, degree, radius):
@@ -207,7 +203,7 @@ def census_discrete_lifts(base_rows):
                 description = "cocycle-ext(%s, kernel %d)" % (
                     row.description, rep.order // base.order)
             out.append(_make_row(rep, radius + 1, description, flag))
-    out.sort(key=lambda r: (r.order, _flat_key(r.group)))
+    out.sort(key=lambda r: (r.order, r.group._table))
     return out
 
 
@@ -244,7 +240,7 @@ def _merge_into_classes(ambient, candidates):
     """One representative per ambient conjugacy class of distinct groups,
     the least by element list."""
     reps = []
-    for group in sorted(candidates, key=_flat_key):
+    for group in sorted(candidates, key=lambda group: group._table):
         if not any(are_conjugate_in(ambient, group, rep) for rep in reps):
             reps.append(group)
     return reps

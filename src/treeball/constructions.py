@@ -28,6 +28,8 @@ from .balls import (
     BallGroup,
     _glue_fibers,
     _glue_images,
+    _need_key,
+    _offer_key,
     _root_and_chart,
     ball_compatible,
     ball_points,
@@ -39,7 +41,7 @@ from .compat import (
     require_gluing,
 )
 from .errors import CapacityError, HypothesisError, check_cells
-from .permcore import (Perm, PermGroup, _getter, _inverse, center,
+from .permcore import (Perm, PermGroup, _codec, _getter, _inverse, center,
                        classify_action, small_generating_set_of)
 
 
@@ -144,7 +146,7 @@ def build_kernel_extension(F, normal):
     stab = F.stabilizer(0)
     nelems = tuple(normal.elements if isinstance(normal, PermGroup) else normal)
     nset = set(nelems)
-    if not nset <= stab._eset:
+    if not all(map(stab.__contains__, nset)):
         raise HypothesisError("the twist group must fix the base point")
     if any(a * b not in nset for a in nset for b in nset):
         raise HypothesisError("the twist set must be a subgroup")
@@ -628,10 +630,13 @@ def _central_block_preserving(F, zen, blocks, pinned_point, kind):
 
 
 def _first_partner(prev, a, block):
-    fib = joint_compat_set(prev, a, block)
-    if not fib:
-        raise RuntimeError("tower fiber empty; bug")
-    return fib[0]
+    """``joint_compat_set(prev, a, block)[0]``, found with no run keyed."""
+    roots, charts = zip(*[_need_key(a, w) for w in block])
+    if len(set(roots)) == 1:
+        for b in prev._run(roots[0]):
+            if all(_offer_key(b, w)[1] == c for w, c in zip(block, charts)):
+                return b
+    raise RuntimeError("tower fiber empty; bug")
 
 
 def _check_self_gluing(a, block):
@@ -686,7 +691,7 @@ def _tower_step(prev, blocks, pinned, phase="tower step"):
     block_of, id_fibers, sizes = _step_fibers(prev, blocks, pinned)
     expected = prev.order * math.prod(sizes)
     check_cells(phase, expected, len(ball_points(d, radius)))
-    images = []
+    pack, table = _codec(len(ball_points(d, radius)))[0], []
     for a in prev.elements:
         if pinned is not None:
             _check_self_gluing(a, blocks[pinned])
@@ -694,12 +699,11 @@ def _tower_step(prev, blocks, pinned, phase="tower step"):
                    for i, b in enumerate(blocks)]
         if list(map(len, options)) != sizes:
             raise RuntimeError("tower fibers are not uniform; bug")
-        # every other partner glues along its whole block by choice of fiber
-        images.extend(_glue_fibers(a, options, block_of))
-    images.sort()  # linear: roots and fibers already come in image order
+        # partners glue by choice of fiber; packed per root, not per level
+        table.extend(map(pack, _glue_fibers(a, options, block_of)))
+    table.sort()  # linear: roots and fibers already come in image order
     gens = _tower_generators(prev, blocks, pinned, id_fibers, block_of)
-    level = BallGroup(d, radius, [BallAut._raw(d, radius, t) for t in images],
-                      gens, _sorted=True)
+    level = BallGroup(d, radius, None, gens, _table=table)
     if not all(g in level for g in level.generators):
         raise RuntimeError("tower generator outside its level; bug")
     return _check_order(level, expected, phase)

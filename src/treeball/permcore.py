@@ -1,18 +1,18 @@
 """Finite groups of permutations and of ball automorphisms.
 
-Groups are stored as sorted tuples of explicit elements, and each algorithm
-walks those lists: Dimino's coset closure, the lattice by cyclic extension,
-subgroup conjugacy by one conjugation per coset. A closure of unknown order
-stops at `errors.CLOSURE_CAP` elements, and the lattice is refused past
-`errors.SUBGROUP_LATTICE_CAP`, decided from the group's order. Every element
-is one image tuple (`Element`), and closures are held as bare image tuples: a
-product is one C-level gather, and elements are wrapped once the group is
-built. `FiniteGroup` holds what needs only products, inverses and
-image tuples: containers, the subgroup lattice, conjugacy classes and
-subgroup conjugacy; `PermGroup` adds the point actions, and
-`balls.BallGroup` the ball views. The groups involved are tiny (a few
-thousand elements at most), and the answers feed frozen regression values,
-so determinism comes first.
+A group is stored as the sorted table of its elements' image tuples, each
+packed into bytes that sort and compare like the tuple (`_codec`), and each
+algorithm walks sorted lists: Dimino's coset closure, the lattice by cyclic
+extension, subgroup conjugacy by one conjugation per coset. A closure of
+unknown order stops at `errors.CLOSURE_CAP` elements, and the lattice is
+refused past `errors.SUBGROUP_LATTICE_CAP`, decided from the group's order.
+Every element is one image tuple (`Element`), and closures are held as bare
+image tuples: a product is one C-level gather. Element objects are made
+from the table only when a group's `elements` are asked for. `FiniteGroup`
+holds what needs only products, inverses and image tuples: containers, the
+subgroup lattice, conjugacy classes and subgroup conjugacy; `PermGroup`
+adds the point actions, and `balls.BallGroup` the ball views. The answers
+feed frozen regression values, so determinism comes first.
 """
 
 from __future__ import annotations
@@ -20,6 +20,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import struct
+from bisect import bisect_left
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -47,6 +49,17 @@ def _inverse(images):
 @functools.lru_cache(maxsize=None)
 def _identity_images(n):
     return tuple(range(n))
+
+
+@functools.lru_cache(maxsize=None)
+def _codec(n):
+    """Pack and unpack for n-point image tuples: a byte an entry up to 256
+    points, else two big-endian, so packs sort like the tuples; entries
+    unpack to the identity's ints, not to a fresh int each past 256."""
+    if n <= 256:
+        return bytes, tuple
+    fmt, ident = struct.Struct(">%dH" % n), _identity_images(n)
+    return (lambda t: fmt.pack(*t)), (lambda b: _getter(fmt.unpack(b))(ident))
 
 
 class Element:
@@ -127,6 +140,7 @@ class Perm(Element):
         return Perm._raw(images)
 
     @classmethod
+    @functools.lru_cache(maxsize=None)
     def identity(cls, degree):
         return cls._raw(_identity_images(degree))
 
@@ -238,36 +252,62 @@ def _close(gens, identity):
     return [identity._from(t) for t in sorted(members)]
 
 
-def _element_table(elements, presorted=False):
-    """The distinct elements, as a sorted tuple and as a frozenset."""
-    elements = elements if presorted else sorted(elements)
-    eset = frozenset(elements)
-    if len(eset) < len(elements):
-        elements = sorted(eset)
-    return tuple(elements), eset
-
-
 class FiniteGroup:
-    """A finite group stored as its sorted distinct elements plus generators.
-
-    Elements are `Element`s, whose ``images`` tuple orders, hashes and
-    composes them like a permutation's, so permutations and ball
-    automorphisms share everything here: containers, the subgroup lattice,
-    conjugacy classes and subgroup conjugacy.
-    A subclass supplies ``identity()`` and ``_shape()``, the leading
-    arguments of its constructor.
+    """A finite group stored as the sorted table of its elements' packed
+    image tuples (`_codec`), which answers order, membership, equality and
+    hashing, plus generators. The elements are `Element`s, whose ``images``
+    tuple orders, hashes and composes them like a permutation's, so
+    permutations and ball automorphisms share everything here: containers,
+    the subgroup lattice, conjugacy classes and subgroup conjugacy. A group
+    made from element objects keeps them; one made from a `_table` alone
+    makes them when ``elements`` is first read. A subclass supplies
+    ``identity()`` and ``_shape()``, the leading arguments of its constructor.
     """
 
-    __slots__ = ("elements", "generators", "_eset", "_cache")
+    __slots__ = ("_elements", "_table", "_eset", "generators", "_cache")
 
-    def __init__(self, elements, generators, _sorted=False):
-        self.elements, self._eset = _element_table(elements, _sorted)
+    def __init__(self, elements, generators, _sorted=False, _table=None):
+        if _table is None:
+            elements = tuple(elements if _sorted else sorted(elements))
+            pack = _codec(len(elements[0].images))[0]
+            _table = tuple(map(pack, [e.images for e in elements]))
+        self._eset = frozenset(_table)
+        if len(self._eset) < len(_table):  # repeats: keep each once, in order
+            _table, elements = zip(*dict(zip(_table, elements)).items())
+        self._elements, self._table = elements, tuple(_table)
         self.generators = tuple(generators)
         self._cache = {}
 
+    @property
+    def elements(self):
+        """The elements in sorted order, made from the table once."""
+        if self._elements is None:
+            self._elements = tuple(self._unpacked(self._table))
+        return self._elements
+
+    def _unpacked(self, entries):
+        """The elements that packed entries stand for, made one at a time."""
+        ident = self.identity()
+        return map(ident._from, map(_codec(len(ident.images))[1], entries))
+
+    def _run(self, prefix):
+        """An iterator over the elements whose image tuples start with
+        `prefix`: one run of the sorted elements, found by bisecting the
+        table. Until `elements` is read, each is made as it is reached."""
+        table = self._table
+        # as _codec packs: an entry of two bytes a point is over 512 long
+        key = (bytes(prefix) if len(table[0]) <= 256
+               else struct.pack(">%dH" % len(prefix), *prefix))
+        lo = bisect_left(table, key)
+        # longer than every entry, so above all those that start with key
+        hi = bisect_left(table, key + b"\xff" * len(table[0]), lo)
+        if self._elements is None:
+            return self._unpacked(table[lo:hi])
+        return iter(self._elements[lo:hi])
+
     def _like(self, elements, generators=None):
         """A group of this kind and shape on `elements`, which must be a
-        sorted group; the generating-set greedy picks the generators unless
+        group; the generating-set greedy picks the generators unless
         given."""
         if generators is None:
             generators = small_generating_set_of(elements, self.identity())
@@ -278,27 +318,32 @@ class FiniteGroup:
         gens = tuple(gens) or (self.identity(),)
         return self._like(_close(gens, self.identity()), gens)
 
+    def _kin(self, other):  # a table fixes the point count, not the kind
+        return type(other) is type(self) and other._shape() == self._shape()
+
     @property
     def order(self):
-        return len(self.elements)
+        return len(self._table)
 
     def __contains__(self, element):
-        return element in self._eset
+        images, ident = element.images, self.identity()
+        return (type(element) is type(ident) and element.degree == ident.degree
+                and _codec(len(images))[0](images) in self._eset)
 
     def __iter__(self):
         return iter(self.elements)
 
     def __len__(self):
-        return len(self.elements)
+        return len(self._table)
 
     def __eq__(self, other):
-        return type(other) is type(self) and self._eset == other._eset
+        return self._kin(other) and self._eset == other._eset
 
     def __hash__(self):
         return hash(self._eset)
 
     def is_subgroup_of(self, other):
-        return self._eset <= other._eset
+        return self._kin(other) and self._eset <= other._eset
 
     def is_abelian(self):
         gens = self.generators
@@ -328,9 +373,10 @@ class PermGroup(FiniteGroup):
 
     __slots__ = ("degree",)
 
-    def __init__(self, degree, elements, generators, _sorted=False):
+    def __init__(self, degree, elements, generators, _sorted=False,
+                 _table=None):
         self.degree = degree
-        super().__init__(elements, generators, _sorted)
+        super().__init__(elements, generators, _sorted, _table)
 
     def _shape(self):
         return (self.degree,)

@@ -26,9 +26,8 @@ def are_conjugate_in(ambient, H, K):
     element of H into K, once the orders agree."""
     if H.order != K.order:
         return False
-    target = K._eset
     for t in ambient:
         ti = t.inverse()
-        if all(t * h * ti in target for h in H.elements):
+        if all(t * h * ti in K for h in H.elements):
             return True
     return False

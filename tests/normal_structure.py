@@ -56,7 +56,7 @@ def normal_subgroups(G):
     while frontier:
         N = frontier.pop()
         for r in reps:
-            if r in N._eset:
+            if r in N:
                 continue
             M = normal_closure(G, list(N.generators) + [r])
             if M._eset not in found:
@@ -146,12 +146,12 @@ def subnormal_depth(G, H, bound=None):
     K = G
     depth = 0
     while True:
-        if K._eset == H._eset:
+        if K == H:
             return depth
         if bound is not None and depth >= bound:
             return None
         nxt = normal_closure(K, H.generators)
-        if nxt._eset == K._eset:
+        if nxt == K:
             return None
         K = nxt
         depth += 1

@@ -3,12 +3,9 @@
 import copy
 import hashlib
 import json
-import os
 import pathlib
 import random
 import re
-import resource
-import subprocess
 import sys
 import time
 
@@ -19,6 +16,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import treeball
+from child_rss import _run_child
 from random_balls import random_ball_aut
 from recursive_balls import RecursiveBallAut
 from treeball import errors
@@ -394,26 +392,6 @@ def test_tower_says_on_stderr_when_it_stops_short(runner):
     assert short.stderr == (
         "tower stopped at certified level 3 of the 5 asked for\n")
     assert full.stderr == ""
-
-
-def _run_child(*args, address_space=None):
-    """stdout, stderr, exit code and peak RSS (kilobytes) of `treeball
-    args` in a child process, whose peak RSS wait4 reports alone;
-    `address_space` caps the child's virtual memory, in bytes."""
-    src = str(pathlib.Path(treeball.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    limit = None if address_space is None else (
-        lambda: resource.setrlimit(resource.RLIMIT_AS,
-                                   (address_space, address_space)))
-    child = subprocess.Popen(
-        [sys.executable, "-m", "treeball.cli", *args], env=env, text=True,
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, preexec_fn=limit)
-    out, err = child.stdout.read(), child.stderr.read()  # err: a line or two
-    child.stdout.close()
-    child.stderr.close()
-    _, status, usage = os.wait4(child.pid, 0)
-    return out, err, os.waitstatus_to_exitcode(status), usage.ru_maxrss
 
 
 @pytest.mark.slow
