@@ -22,7 +22,10 @@ genuine automorphism when every child glues to the root; the constructor
 enforces that.
 
 The full automorphism group is glued the same way, from every element one
-radius down. Tests draw random automorphisms from tests/random_balls.py.
+radius down. A `BallGroup` is built by the constructors `permcore` writes
+once for every group kind, and adds the ball views: projections, the
+level-1 action and the projection kernel. Tests draw random automorphisms
+from tests/random_balls.py.
 """
 
 from __future__ import annotations
@@ -33,8 +36,8 @@ import math
 from operator import add, itemgetter
 
 from .errors import HypothesisError, check_cells
-from .permcore import (Element, FiniteGroup, Perm, PermGroup, _close,
-                       _getter, _identity_images, small_generating_set_of)
+from .permcore import (Element, FiniteGroup, Perm, PermGroup, _getter,
+                       _identity_images)
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +274,10 @@ class BallAut(Element):
 
     def _from(self, images):
         return BallAut._raw(self.degree, self.radius, images)
+
+    @property
+    def shape(self):
+        return (self.degree, self.radius)
 
     @classmethod
     @functools.lru_cache(maxsize=None)
@@ -543,43 +550,19 @@ class BallGroup(FiniteGroup):
     """A group of automorphisms of one ball, stored as explicit elements."""
 
     __slots__ = ("degree", "radius")
+    _element = BallAut
+    # bench/tracing.py times the constructors it finds in a class's own
+    # __dict__, so the shared ones it reads here are bound here too
+    generated = FiniteGroup.__dict__["generated"]
+    from_elements = FiniteGroup.__dict__["from_elements"]
 
-    def __init__(self, degree, radius, elements, generators, _sorted=False,
-                 _table=None):
+    def __init__(self, degree, radius, elements, generators, _table=None):
         self.degree = degree
         self.radius = radius
-        super().__init__(elements, generators, _sorted, _table)
+        super().__init__(elements, generators, _table)
 
     def _shape(self):
         return (self.degree, self.radius)
-
-    @classmethod
-    def generated(cls, gens):
-        gens = tuple(gens)
-        if not gens:
-            raise ValueError("need at least one generator")
-        degree, radius = gens[0].degree, gens[0].radius
-        for g in gens:
-            if (g.degree, g.radius) != (degree, radius):
-                raise ValueError("mixed ball shapes in generating set")
-        elements = _close(gens, BallAut.identity(degree, radius))
-        return cls(degree, radius, elements, gens, _sorted=True)
-
-    @classmethod
-    def from_elements(cls, elements):
-        """The group of an element list; ValueError if it is not a group."""
-        elements = sorted(elements)  # once: later sorts are then linear
-        if not elements:
-            raise ValueError("a group has at least the identity")
-        degree, radius = elements[0].degree, elements[0].radius
-        if any((a.degree, a.radius) != (degree, radius) for a in elements):
-            raise ValueError("mixed ball shapes in element list")
-        gens = small_generating_set_of(elements,
-                                       BallAut.identity(degree, radius))
-        return cls(degree, radius, elements, gens, _sorted=True)
-
-    def identity(self):
-        return BallAut.identity(self.degree, self.radius)
 
     def __repr__(self):
         return ("BallGroup(degree=%d, radius=%d, order=%d)"
@@ -598,8 +581,7 @@ class BallGroup(FiniteGroup):
 
     def level1(self):
         """The permutation group induced on the center's neighbour labels."""
-        return PermGroup.from_elements({a.level1() for a in self.elements},
-                                       self.degree)
+        return PermGroup.from_elements({a.level1() for a in self.elements})
 
     def projection_kernel(self):
         """Elements restricting to the identity on the next smaller ball."""

@@ -113,7 +113,7 @@ def census_compatible_classes(degree=3, radius=2):
     # member, the lattice's own group
     classes = {}
     for group in all_subgroups(BallGroup.from_elements(ambient)):
-        if not group.is_transitive_on(range(degree)):
+        if not group.is_transitive():
             continue
         if not check_compatibility(group):
             continue

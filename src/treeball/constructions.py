@@ -328,7 +328,7 @@ def build_cocycle_extension(cocycle, kernel):
     cosets = frozenset(cosets)
     gens = lifted_gens + list(kernel_gens)
     if cosets in made:
-        group = BallGroup(d, F.radius + 1, made[cosets], gens, _sorted=True)
+        group = BallGroup(d, F.radius + 1, made[cosets], gens)
     else:
         group = BallGroup.generated(gens)
     made[cosets] = _check_order(group, expected, "cocycle extension").elements

@@ -99,6 +99,21 @@ def _check_degree(degree):
             "digit-string words only cover degrees up to 10, got %d" % degree)
 
 
+def _check_ball_fits(degree, radius, chars):
+    """Refuse a ball with more points than the document has characters,
+    which no table can cover, before its words are listed: the points are
+    counted sphere by sphere, only until they pass `chars`."""
+    points, sphere = 0, degree
+    for _ in range(radius):
+        points += sphere
+        if points > chars:
+            raise DocumentError(
+                "the radius-%d ball of degree %d has at least %d points, more "
+                "than the document's %d characters can cover"
+                % (radius, degree, points, chars))
+        sphere *= degree - 1
+
+
 def serialize_document(doc):
     """json.dumps(..., sort_keys=True, indent=2) of the document, and a
     newline. The tables are spliced into the dump of the rest, in which only
@@ -198,9 +213,10 @@ def _read_element_list(tuples, degree, radius):
 def parse_document(text):
     """The document in `text`. An element list keeps the group it was
     checked through; any defect there, and a generator list, sends each
-    table through _parse_aut, which names the first bad one. The element
-    list is read into index tuples and the parsed body dropped before the
-    closure runs; the per-table reading parses `text` again."""
+    table through _parse_aut, which names the first bad one. A ball too
+    large for any table in `text` is refused before a table is read. The
+    element list is read into index tuples and the parsed body dropped
+    before the closure runs; the per-table reading parses `text` again."""
     try:
         body = json.loads(text)
     except json.JSONDecodeError as err:
@@ -228,6 +244,7 @@ def parse_document(text):
         raise DocumentError("%r must be a list" % key)
     if not raw:
         raise DocumentError("%r is empty: no group to work with" % key)
+    _check_ball_fits(degree, radius, len(text))
     metadata = body.get("metadata", {})
     tuples = has_elements and _element_tuples(raw, degree, radius)
     read = None

@@ -9,10 +9,12 @@ refused past `errors.SUBGROUP_LATTICE_CAP`, decided from the group's order.
 Every element is one image tuple (`Element`), and closures are held as bare
 image tuples: a product is one C-level gather. Element objects are made
 from the table only when a group's `elements` are asked for. `FiniteGroup`
-holds what needs only products, inverses and image tuples: containers, the
-subgroup lattice, conjugacy classes and subgroup conjugacy; `PermGroup`
-adds the point actions, and `balls.BallGroup` the ball views. The answers
-feed frozen regression values, so determinism comes first.
+holds what needs only products, inverses and image tuples: the two
+constructors (`generated` over the one closure, `from_elements` over the
+one generating-set greedy), containers, transitivity by the one orbit
+walk, the subgroup lattice, conjugacy classes and subgroup conjugacy;
+`PermGroup` adds the point actions, and `balls.BallGroup` the ball views.
+The answers feed frozen regression values, so determinism comes first.
 """
 
 from __future__ import annotations
@@ -22,11 +24,14 @@ import itertools
 import math
 import struct
 from bisect import bisect_left
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
 from . import errors
 from .errors import CapacityError, HypothesisError
+
+
+_images = attrgetter("images")
 
 
 def _getter(images):
@@ -67,8 +72,9 @@ class Element:
 
     ``images[i]`` is the image of point i, and (a * b)(x) = a(b(x)). Hashing,
     equality, ordering and every product work on the tuple. A subclass
-    supplies ``degree`` and ``_from(images)``, an element of its own kind and
-    shape, and extends equality if the tuple does not fix that shape.
+    supplies ``degree``, ``shape`` (the arguments of its ``identity``),
+    ``identity`` and ``_from(images)``, an element of its own kind and shape,
+    and extends equality if the tuple does not fix that shape.
     """
 
     __slots__ = ("images", "_hash")
@@ -156,6 +162,10 @@ class Perm(Element):
     @property
     def degree(self):
         return len(self.images)
+
+    @property
+    def shape(self):
+        return (len(self.images),)
 
     def __call__(self, point):
         return self.images[point]
@@ -252,25 +262,42 @@ def _close(gens, identity):
     return [identity._from(t) for t in sorted(members)]
 
 
+def _shape_of(elements, shape):
+    """The one `Element.shape` of `elements`, which a given `shape` must
+    equal; ValueError for mixed shapes, or for no elements and no shape."""
+    shapes = set(map(attrgetter("shape"), elements))
+    if shape:
+        shapes.add(shape)
+    if len(shapes) != 1:
+        raise ValueError("mixed element shapes %s" % sorted(shapes) if shapes
+                         else "no element or shape gives the group's shape")
+    return shapes.pop()
+
+
 class FiniteGroup:
     """A finite group stored as the sorted table of its elements' packed
     image tuples (`_codec`), which answers order, membership, equality and
     hashing, plus generators. The elements are `Element`s, whose ``images``
     tuple orders, hashes and composes them like a permutation's, so
-    permutations and ball automorphisms share everything here: containers,
-    the subgroup lattice, conjugacy classes and subgroup conjugacy. A group
-    made from element objects keeps them; one made from a `_table` alone
-    makes them when ``elements`` is first read. A subclass supplies
-    ``identity()`` and ``_shape()``, the leading arguments of its constructor.
+    permutations and ball automorphisms share everything here: the two
+    constructors, containers, the subgroup lattice, conjugacy classes and
+    subgroup conjugacy. `generated` closes generators and `from_elements`
+    reads an element list; the constructor sorts what it is given by image
+    tuple and keeps each repeat once. A group made from element objects
+    keeps them; one made from a sorted `_table` alone makes them when
+    ``elements`` is first read. A subclass names its element class
+    ``_element`` and supplies ``degree`` and ``_shape()``, the element shape
+    and the leading arguments of its constructor.
     """
 
     __slots__ = ("_elements", "_table", "_eset", "generators", "_cache")
+    _element = Element
 
-    def __init__(self, elements, generators, _sorted=False, _table=None):
+    def __init__(self, elements, generators, _table=None):
         if _table is None:
-            elements = tuple(elements if _sorted else sorted(elements))
+            elements = tuple(sorted(elements, key=_images))
             pack = _codec(len(elements[0].images))[0]
-            _table = tuple(map(pack, [e.images for e in elements]))
+            _table = tuple(map(pack, map(_images, elements)))
         self._eset = frozenset(_table)
         if len(self._eset) < len(_table):  # repeats: keep each once, in order
             _table, elements = zip(*dict(zip(_table, elements)).items())
@@ -278,12 +305,32 @@ class FiniteGroup:
         self.generators = tuple(generators)
         self._cache = {}
 
+    @classmethod
+    def generated(cls, gens, *shape):
+        """The group the elements `gens` generate, which keeps them as its
+        generators. `shape` is needed only for the trivial group of no
+        generators, which keeps the identity as its one generator."""
+        gens = tuple(gens)
+        ident = cls._element.identity(*_shape_of(gens, shape))
+        return cls(*ident.shape, _close(gens, ident), gens or (ident,))
+
+    @classmethod
+    def from_elements(cls, elements):
+        """The group of an element list; ValueError if it is not a group."""
+        elements = sorted(elements, key=_images)  # tuples compare in C
+        ident = cls._element.identity(*_shape_of(elements, ()))
+        return cls(*ident.shape, elements,
+                   small_generating_set_of(elements, ident))
+
     @property
     def elements(self):
         """The elements in sorted order, made from the table once."""
         if self._elements is None:
             self._elements = tuple(self._unpacked(self._table))
         return self._elements
+
+    def identity(self):
+        return self._element.identity(*self._shape())
 
     def _unpacked(self, entries):
         """The elements that packed entries stand for, made one at a time."""
@@ -305,19 +352,6 @@ class FiniteGroup:
             return self._unpacked(table[lo:hi])
         return iter(self._elements[lo:hi])
 
-    def _like(self, elements, generators=None):
-        """A group of this kind and shape on `elements`, which must be a
-        group; the generating-set greedy picks the generators unless
-        given."""
-        if generators is None:
-            generators = small_generating_set_of(elements, self.identity())
-        return type(self)(*self._shape(), elements, generators, _sorted=True)
-
-    def _generated(self, gens):
-        """The subgroup generated by `gens`; the trivial one when empty."""
-        gens = tuple(gens) or (self.identity(),)
-        return self._like(_close(gens, self.identity()), gens)
-
     def _kin(self, other):  # a table fixes the point count, not the kind
         return type(other) is type(self) and other._shape() == self._shape()
 
@@ -326,8 +360,9 @@ class FiniteGroup:
         return len(self._table)
 
     def __contains__(self, element):
-        images, ident = element.images, self.identity()
-        return (type(element) is type(ident) and element.degree == ident.degree
+        images = element.images
+        return (type(element) is self._element
+                and element.degree == self.degree
                 and _codec(len(images))[0](images) in self._eset)
 
     def __iter__(self):
@@ -349,62 +384,29 @@ class FiniteGroup:
         gens = self.generators
         return all(a * b == b * a for a in gens for b in gens)
 
-    def is_transitive_on(self, points):
-        """Transitivity on a set of points that the images index: for ball
-        automorphisms the first `degree` entries are the level-1 action."""
-        points = set(points)
-        if not points:
-            return True
-        start = min(points)
-        reach = {start}
-        queue = [start]
-        while queue:
-            x = queue.pop()
-            for g in self.generators:
-                y = g.images[x]
-                if y in points and y not in reach:
-                    reach.add(y)
-                    queue.append(y)
-        return reach == points
+    def is_transitive(self):
+        """Transitivity on the points 0..degree-1, which the images index
+        first: for ball automorphisms, the level-1 action."""
+        return len(_orbit(self.generators, 0)) == self.degree
 
 
 class PermGroup(FiniteGroup):
     """A concrete permutation group: sorted element tuple plus generators."""
 
     __slots__ = ("degree",)
+    _element = Perm
+    # bench/tracing.py times the constructors it finds in a class's own
+    # __dict__, so the shared one it reads here is bound here too
+    generated = FiniteGroup.__dict__["generated"]
 
-    def __init__(self, degree, elements, generators, _sorted=False,
-                 _table=None):
+    def __init__(self, degree, elements, generators, _table=None):
         self.degree = degree
-        super().__init__(elements, generators, _sorted, _table)
+        super().__init__(elements, generators, _table)
 
     def _shape(self):
         return (self.degree,)
 
     # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def generated(cls, gens, degree=None):
-        gens = tuple(gens)
-        if degree is None:
-            if not gens:
-                raise ValueError("need a degree for the trivial group")
-            degree = gens[0].degree
-        for g in gens:
-            if g.degree != degree:
-                raise ValueError("mixed degrees in generating set")
-        elements = _close(gens, Perm.identity(degree))
-        return cls(degree, elements, gens or (Perm.identity(degree),),
-                   _sorted=True)
-
-    @classmethod
-    def from_elements(cls, elements, degree=None):
-        """The group of an element list; ValueError if it is not a group."""
-        elements = sorted(elements)
-        if degree is None:
-            degree = elements[0].degree
-        gens = small_generating_set_of(elements, Perm.identity(degree))
-        return cls(degree, elements, gens, _sorted=True)
 
     @classmethod
     def symmetric(cls, degree):
@@ -431,9 +433,6 @@ class PermGroup(FiniteGroup):
         ref = Perm._raw(tuple((-i) % degree for i in range(degree)))
         return cls.generated([rot, ref], degree)
 
-    def identity(self):
-        return Perm.identity(self.degree)
-
     def __repr__(self):
         return "PermGroup(degree=%d, order=%d)" % (self.degree, self.order)
 
@@ -443,26 +442,16 @@ class PermGroup(FiniteGroup):
         return _orbit(self.generators, point)
 
     def orbits(self):
-        seen = set()
-        out = []
-        for p in range(self.degree):
-            if p in seen:
-                continue
-            orb = self.orbit(p)
-            seen.update(orb)
-            out.append(orb)
-        return tuple(out)
-
-    def is_transitive(self):
-        return len(self.orbit(0)) == self.degree
+        return _orbits(self.generators, self.degree)
 
     def stabilizer(self, point):
-        return self._like([g for g in self.elements if g(point) == point])
+        return PermGroup.from_elements([g for g in self.elements
+                                        if g(point) == point])
 
     def pointwise_stabilizer(self, points):
         pts = tuple(points)
-        return self._like([g for g in self.elements
-                           if all(g(p) == p for p in pts)])
+        return PermGroup.from_elements([g for g in self.elements
+                                        if all(g(p) == p for p in pts)])
 
     def is_semiregular(self):
         # elements[0] is the identity, the least image tuple
@@ -484,51 +473,61 @@ class PermGroup(FiniteGroup):
 
 
 def _orbit(gens, point):
-    """The sorted orbit of `point` under the group the permutations `gens`
-    generate: a finite group's orbits are those of any generating set."""
+    """The sorted orbit of `point` under the group the elements `gens`
+    generate, through their image tuples: a finite group's orbits are those
+    of any generating set."""
     seen = {point}
     queue = [point]
     while queue:
         x = queue.pop()
         for g in gens:
-            y = g(x)
+            y = g.images[x]
             if y not in seen:
                 seen.add(y)
                 queue.append(y)
     return tuple(sorted(seen))
 
 
+def _orbits(gens, n):
+    """The sorted orbits on 0..n-1 under the elements `gens`, in the order
+    of their least points."""
+    return tuple(sorted({_orbit(gens, p) for p in range(n)}))
+
+
 def _fixes_a_point(g):
     return any(x == i for i, x in enumerate(g.images))
+
+
+def _greedy(candidates, e, target, grow):
+    """The generating-set greedy: each candidate, in order, outside the
+    closure of those kept before it is kept, and `grow` (`_grow` with its
+    product and bounds) grows that closure, from the identity `e`, by it
+    alone, until it holds `target` members. A refused step means a product
+    left the candidates: ValueError("element set is not a group")."""
+    gens, members, seen = [], [e], {e}
+    for x in candidates:
+        if len(seen) == target:
+            break
+        if x not in seen and not grow(members, seen, gens, x):
+            raise ValueError("element set is not a group")
+    return gens
 
 
 def small_generating_set_of(elements, identity):
     """Greedy generating set of an element list, which must be a group.
 
-    Scans the sorted elements and keeps each one not yet in the closure of
-    those kept before it, growing that closure by the new generator alone.
-    The closure doubles as the group check: it raises ValueError("element
-    set is not a group") as soon as a product leaves the list, and it keeps
+    Runs `_greedy` over the sorted image tuples, with products allowed only
+    inside the list: so the closure doubles as the group check, and it keeps
     the list's own tuples, not copies. Like _close, it serves permutations
-    and ball automorphisms alike, on image tuples.
+    and ball automorphisms alike.
     """
-    elems = sorted(e.images for e in elements)
+    elems = sorted(map(_images, elements))  # one linear pass when sorted
     within = {t: t for t in elems}
     if identity.images not in within:
         raise ValueError("element set is not a group")
-    target = len(within)
-    if target == 1:
-        return (identity,)
-    gens = []
-    members, have = [identity.images], {identity.images}
-    for x in elems:
-        if x in have:
-            continue
-        if not _grow(members, have, gens, x, within=within.get):
-            raise ValueError("element set is not a group")
-        if len(have) == target:
-            break
-    return tuple([identity._from(g) for g in gens])
+    gens = _greedy(elems, identity.images, len(within),
+                   functools.partial(_grow, within=within.get))
+    return tuple([identity._from(g) for g in gens]) or (identity,)
 
 
 # ---------------------------------------------------------------------------
@@ -609,23 +608,11 @@ def _refines(fine, coarse):
 
 
 def rank(G):
-    """Number of orbits on ordered pairs of points."""
-    count = 0
-    seen = set()
-    for pair in itertools.product(range(G.degree), repeat=2):
-        if pair in seen:
-            continue
-        count += 1
-        queue = [pair]
-        seen.add(pair)
-        while queue:
-            (x, y) = queue.pop()
-            for g in G.generators:
-                nxt = (g(x), g(y))
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
-    return count
+    """Number of orbits on ordered pairs of points, (x, y) as x * n + y."""
+    n = G.degree
+    return len(_orbits([Perm._raw(tuple(
+        g(x) * n + g(y) for x in range(n) for y in range(n)))
+        for g in G.generators], n * n))
 
 
 def classify_action(G):
@@ -696,8 +683,8 @@ def conjugacy_classes(G):
 
 
 def center(G):
-    return G._like([x for x in G.elements
-                    if all(x * g == g * x for g in G.generators)])
+    return type(G).from_elements([x for x in G.elements if all(
+        x * g == g * x for g in G.generators)])
 
 
 # ---------------------------------------------------------------------------
@@ -708,13 +695,13 @@ class _Table:
     """Cayley table over element indices, for fast subgroup closures.
 
     Products are composed on the image tuples directly, so the table serves
-    any element type: ``mul[a][b]`` is the index of a * b. The identity is
-    index 0: range(n) is the least permutation tuple, and ascending indices
-    are the sorted element order.
+    any element type: ``mul[a][b]`` is the index of a * b. The elements come
+    sorted, so ascending indices are the sorted element order, and the
+    identity, the least image tuple, is index 0.
     """
 
     def __init__(self, elements):
-        self.elements = tuple(sorted(elements))
+        self.elements = tuple(elements)
         images = [e.images for e in self.elements]
         index = {im: i for i, im in enumerate(images)}
         getters = [_getter(b) for b in images]
@@ -734,15 +721,8 @@ class _Table:
         return frozenset(seen)
 
     def generators(self, members):
-        """The greedy of small_generating_set_of on a subgroup's ascending
-        indices: each one outside the closure of those kept before."""
-        gens, grown, seen = [], [self.e], {self.e}
-        for x in members:
-            if x not in seen:
-                self._grow(grown, seen, gens, x)
-                if len(seen) == len(members):
-                    break
-        return gens or [self.e]
+        """The generating-set greedy on a subgroup's ascending indices."""
+        return _greedy(members, self.e, len(members), self._grow) or [self.e]
 
 
 def _lattice_table(G):
@@ -767,9 +747,12 @@ def all_subgroups(G):
     found = _subgroup_sets_by_prime_extension(t, G.order)
     if frozenset(range(G.order)) not in found:  # G is not solvable
         found = _subgroup_sets_brute(t)
-    # ascending indices are the sorted element order, so sort index lists
-    pick = t.elements.__getitem__
-    out = [G._like(list(map(pick, S)), list(map(pick, t.generators(S))))
+    # ascending indices are the sorted element order, so sort index lists;
+    # each subgroup takes its packs from G's table
+    pick, pack = t.elements.__getitem__, G._table.__getitem__
+    out = [type(G)(*G._shape(), tuple(map(pick, S)),
+                   list(map(pick, t.generators(S))),
+                   _table=tuple(map(pack, S)))
            for S in sorted(map(sorted, found), key=lambda S: (len(S), S))]
     G._cache[key] = out
     return out

@@ -187,7 +187,7 @@ def seam_groups(group):
     out = {}
     for w in words_of_length(group.degree, k - 1):
         perms = {g.step_action(w) for g in kernel}
-        out[w] = PermGroup.from_elements(sorted(perms), group.degree)
+        out[w] = PermGroup.from_elements(perms)
     return out
 
 

@@ -20,7 +20,7 @@ def normal_closure(G, seeds):
     """Smallest normal subgroup of G containing the seed elements."""
     gens = [s for s in seeds if not s.is_identity()]
     if not gens:
-        return G._generated(())
+        return type(G).generated((), *G._shape())
     ident = G.identity()
     ginv = [g.inverse() for g in G.generators]
     members, have, grown = [ident.images], {ident.images}, []
@@ -36,7 +36,7 @@ def normal_closure(G, seeds):
                     gens.append(y)
                     _grow(members, have, grown, y.images)
                     changed = True
-    return G._like([ident._from(t) for t in sorted(members)])
+    return type(G).from_elements([ident._from(t) for t in members])
 
 
 def normal_subgroups(G):
@@ -50,7 +50,7 @@ def normal_subgroups(G):
     if key in G._cache:
         return G._cache[key]
     reps = [min(c) for c in conjugacy_classes(G)]
-    triv = G._generated(())
+    triv = type(G).generated((), *G._shape())
     found = {triv._eset: triv}
     frontier = [triv]
     while frontier:
@@ -95,7 +95,7 @@ def socle(G):
     gens = []
     for N in minimal_normal_subgroups(G):
         gens.extend(N.generators)
-    return G._generated(gens)
+    return type(G).generated(gens, *G._shape())
 
 
 def is_nilpotent(G):
@@ -113,7 +113,7 @@ def is_nilpotent(G):
 
 def solvable_radical(G):
     """Largest solvable normal subgroup."""
-    best = G._generated(())
+    best = type(G).generated((), *G._shape())
     for N in normal_subgroups(G):
         if N.order > best.order and is_solvable(N):
             best = N
@@ -130,7 +130,7 @@ def nilpotent_radical(G):
     gens = []
     for N in candidates:
         gens.extend(N.generators)
-    fit = G._generated(gens)
+    fit = type(G).generated(gens, *G._shape())
     if not is_nilpotent(fit):
         raise RuntimeError("product of nilpotent normals not nilpotent; bug")
     return fit

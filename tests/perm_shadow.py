@@ -61,7 +61,7 @@ def census_classes(ambient):
     degree = ambient[0].degree
     classes = {}
     for sub in all_subgroups(perms):
-        if not sub.is_transitive_on(range(degree)):
+        if len(sub.orbit(0)) < degree:  # the level-1 points keep together
             continue
         group = to_balls(sub, back)
         if not check_compatibility(group):

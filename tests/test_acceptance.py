@@ -137,8 +137,7 @@ def test_criterion_5_invariant_power_subgroups():
         for p in (3, 5, 11, 13):
             D = PermGroup.dihedral(p)
             reflection = Perm(tuple((p - i) % p for i in range(p)))
-            H = PermGroup.from_elements([Perm.identity(p), reflection],
-                                        degree=p)
+            H = PermGroup.from_elements([Perm.identity(p), reflection])
             assert len(invariant_subgroups_of_power(D, H, p)) == 4, p
 
 

@@ -8,7 +8,7 @@ import pytest
 
 import brute_extension
 import reclosing
-from treeball import balls, constructions, errors
+from treeball import balls, constructions, errors, permcore
 from treeball.balls import (BallAut, BallGroup, ball_compatible, ball_points,
                             full_aut)
 from treeball.compat import (check_compatibility, check_trivial_seams,
@@ -303,7 +303,8 @@ def test_cocycle_extensions_match_the_element_by_element_reference(
     # the hidden swap against both groups it is tried on, and kernels
     # planted to fail a clause; each once more as a plain list, which keeps
     # nothing, so that every verdict a kernel group keeps is made afresh.
-    # No kernel found so far reaches the inversion clause of (b).
+    # None of these reaches the inversion clause of (b); the degree-5
+    # witness below does.
     pairs = []
     for row in census_rows:
         if row.has_cocycle:
@@ -332,6 +333,34 @@ def test_cocycle_extensions_match_the_element_by_element_reference(
         "kernel views must lie in the base group",
         "element set is not a group",
     }
+
+
+def test_the_inversion_clause_refuses_cocycles_that_move_the_views():
+    # Degree 5, radius 1: F = <(1 2), (3 4)> and the kernel of order 2 that
+    # acts as (1 2) in the chart at neighbour 0 and trivially elsewhere. At
+    # radius 1, (b) asks that the kernel's views in direction w, a normal
+    # subgroup of the stabilizer F_w, be invariant under the involution
+    # z(., w) of F_w. The views at 0 are <(1 2)>, and half of the cocycles
+    # send (1 2) to (3 4) or (1 2)(3 4): every earlier clause passes, and
+    # (b) alone refuses them. For d <= 4, F_w <= S3 has only characteristic
+    # normal subgroups, so no radius-1 witness exists there.
+    G = radius_one(PermGroup.generated([Perm((0, 2, 1, 3, 4)),
+                                        Perm((0, 1, 2, 4, 3))]))
+    swap = Perm((0, 2, 1, 3, 4))
+    kernel = BallGroup.generated([BallAut(G.identity(), [BallAut(swap)] + [
+        BallAut(Perm.identity(5))] * 4)])
+    refused = ("HypothesisError",
+               "no kernel element inverts the choice map in direction 0")
+    verdicts = {}
+    for coc in find_involutive_cocycles(G):
+        got = _extension_outcome(build_cocycle_extension, coc, kernel)
+        assert got == _extension_outcome(
+            brute_extension.build_cocycle_extension, coc, kernel)
+        verdicts.setdefault(coc.z(BallAut(swap), 0).root, []).append(
+            got if got == refused else len(got[0]))
+    assert verdicts == {swap: [8] * 8,
+                        Perm((0, 1, 2, 4, 3)): [refused] * 4,
+                        Perm((0, 2, 1, 4, 3)): [refused] * 4}
 
 
 def test_wreath_extension_shape():
@@ -537,11 +566,11 @@ KNOWN_ORDER_BUILDS = {
                  lambda get: functools.partial(pk_local_action,
                                                get("phi_s3"), 3)),
     "cocycle extension": (
-        "cocycle extension", 48, (3, 3), (balls, "_close"),
+        "cocycle extension", 48, (3, 3), (permcore, "_close"),
         lambda get: functools.partial(
             build_cocycle_extension, find_involutive_cocycles(
                 get("pi_one"))[0], list(_order_two_kernel().elements))),
-    "wreath": ("wreath extension", 32, (4, 2), (balls, "_close"),
+    "wreath": ("wreath extension", 32, (4, 2), (permcore, "_close"),
                lambda get: functools.partial(
                    build_wreath_local, PermGroup.cyclic(2),
                    PermGroup.cyclic(2))),

@@ -1,8 +1,14 @@
 """JSON group documents: serialization, parsing, and failure reporting."""
 
 import json
+import os
+import pathlib
 import random
 import re
+import resource
+import subprocess
+import sys
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -12,7 +18,8 @@ from hypothesis import strategies as st
 from random_balls import random_ball_aut
 from recursive_balls import RecursiveBallAut
 from test_flat_balls import perturb
-from treeball import balls, cli
+import treeball
+from treeball import cli, permcore
 from treeball.balls import BallAut, BallGroup, ball_points
 from treeball.documents import (GroupDocument, _word_str, document_from_group,
                                 group_from_document, load_document,
@@ -176,6 +183,36 @@ def test_parse_failures(gamma_s3):
     for part, message in WRONG_TYPES.items():
         with pytest.raises(DocumentError, match="^%s$" % re.escape(message)):
             parse_document(wrong_type(gamma_s3, part))
+
+
+@pytest.mark.parametrize("key, radius", [
+    ("elements", 30), ("generators", 30), ("elements", 10 ** 9)])
+def test_a_ball_no_table_can_cover_is_refused_before_any_table(
+        key, radius, tmp_path):
+    # 3 * 2^29 words at radius 30: listing them ran out of a 1.5 GB address
+    # space, or for a generator list ran on past 20 s. The points pass the
+    # text's length on the sixth sphere, and the count stops there
+    text = json.dumps({"degree": 3, "radius": radius,
+                       "encoding": "flat-word-map", "metadata": {},
+                       key: [{"0": "0"}]})
+    path = tmp_path / "huge.json"
+    path.write_text(text)
+    src = str(pathlib.Path(treeball.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    cap = 1536 * 2 ** 20
+    start = time.perf_counter()
+    res = subprocess.run(
+        [sys.executable, "-m", "treeball.cli", "check-c", "--in", str(path)],
+        env=env, capture_output=True, text=True, timeout=20,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
+                                              (cap, cap)))
+    took = time.perf_counter() - start
+    assert (res.returncode, res.stdout) == (2, "")
+    assert res.stderr.splitlines() == [
+        "Error: the radius-%d ball of degree 3 has at least 189 points, more "
+        "than the document's %d characters can cover" % (radius, len(text))]
+    assert took < 2
 
 
 #: each part of a document given a list or object of the wrong kind, and
@@ -355,7 +392,7 @@ def test_one_read_closes_once(args, tmp_path, monkeypatch):
                                         "--out", str(path)])
     assert res.exit_code == 0, res.output
     calls, checked = [], []
-    monkeypatch.setattr(balls, "small_generating_set_of",
+    monkeypatch.setattr(permcore, "small_generating_set_of",
                         lambda *a: calls.append(a) or greedy(*a))
     check = BallAut.from_images
     monkeypatch.setattr(BallAut, "from_images", classmethod(

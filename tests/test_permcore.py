@@ -76,6 +76,38 @@ def test_generated_closure_orders():
     assert PermGroup.cyclic(7).order == 7
 
 
+NO_ONE_SHAPE = {
+    "no permutations": (PermGroup, []),
+    "two degrees": (PermGroup, [Perm.identity(2), Perm.identity(3)]),
+    "no automorphisms": (BallGroup, []),
+    "two ball degrees": (BallGroup, [BallAut.identity(3, 1),
+                                     BallAut.identity(4, 1)]),
+    "two radii": (BallGroup, [BallAut.identity(3, 1),
+                              BallAut.identity(3, 2)]),
+}
+
+
+@pytest.mark.parametrize("name", list(NO_ONE_SHAPE))
+def test_element_lists_of_no_one_shape_are_refused(name):
+    # one check serves both constructors of both group kinds: a list with
+    # no shape of its own, or with two, is a ValueError before any closure
+    group, elements = NO_ONE_SHAPE[name]
+    with pytest.raises(ValueError, match="shape"):
+        group.from_elements(elements)
+    with pytest.raises(ValueError, match="shape"):
+        group.generated(elements)
+
+
+def test_a_given_shape_makes_the_trivial_group_and_must_match():
+    for group, shape in ((PermGroup, (3,)), (BallGroup, (3, 2))):
+        trivial = group.generated((), *shape)
+        assert trivial.order == 1
+        assert trivial.generators == (trivial.identity(),)
+        assert trivial.identity().shape == shape
+        with pytest.raises(ValueError, match="mixed element shapes"):
+            group.generated([trivial.identity()], 4, 1)
+
+
 def test_orbit_stabilizer_theorem():
     for G in (PermGroup.dihedral(5), PermGroup.symmetric(4),
               PermGroup.generated([Perm((1, 0, 2, 3, 4, 5)),
@@ -211,7 +243,7 @@ def test_all_subgroups_goes_brute_only_where_the_walk_misses_the_group(
                         lambda t: calls.append(t) or brute(t))
     groups = dict(_named(), S5=s5)
     for name, G in groups.items():
-        G = G._like(G.elements, G.generators)  # nothing cached
+        G = PermGroup(G.degree, G.elements, G.generators)  # nothing cached
         calls.clear()
         subgroups = all_subgroups(G)
         assert len(calls) == (not is_solvable(G)), name
@@ -353,11 +385,11 @@ def test_subnormality_chains():
     assert subnormal_depth(S4, V4) == 1
     assert subnormal_depth(S4, A4) == 1
     C2 = PermGroup.from_elements(
-        [Perm((0, 1, 2, 3)), Perm((1, 0, 3, 2))], degree=4)
+        [Perm((0, 1, 2, 3)), Perm((1, 0, 3, 2))])
     assert is_subnormal(S4, C2)
     assert subnormal_depth(S4, C2) == 2
     point_swap = PermGroup.from_elements(
-        [Perm((0, 1, 2, 3)), Perm((1, 0, 2, 3))], degree=4)
+        [Perm((0, 1, 2, 3)), Perm((1, 0, 2, 3))])
     assert not is_subnormal(S4, point_swap)
 
 
@@ -365,7 +397,7 @@ def test_invariant_power_subgroup_counts_small_primes():
     for p in (3, 5):
         D = PermGroup.dihedral(p)
         H = PermGroup.from_elements(
-            [Perm.identity(p), _reflection_fixing_zero(p)], degree=p)
+            [Perm.identity(p), _reflection_fixing_zero(p)])
         found = invariant_subgroups_of_power(D, H, p)
         assert len(found) == 4, p
 
@@ -374,7 +406,7 @@ def test_invariant_power_subgroup_counts_small_primes():
 def test_invariant_power_subgroup_counts_large_primes(p):
     D = PermGroup.dihedral(p)
     H = PermGroup.from_elements(
-        [Perm.identity(p), _reflection_fixing_zero(p)], degree=p)
+        [Perm.identity(p), _reflection_fixing_zero(p)])
     assert len(invariant_subgroups_of_power(D, H, p)) == 4
 
 
@@ -424,7 +456,7 @@ def test_invariant_power_subgroups_brute_force_cross_check():
     p = 3
     D = PermGroup.dihedral(p)
     H = PermGroup.from_elements(
-        [Perm.identity(p), _reflection_fixing_zero(p)], degree=p)
+        [Perm.identity(p), _reflection_fixing_zero(p)])
     found = invariant_subgroups_of_power(D, H, p)
     trans = D.transversal(0)
     slot_groups = []
@@ -444,7 +476,7 @@ def test_invariant_power_subgroups_brute_force_cross_check():
 def test_trivial_action_power_subgroups_brute_force_cross_check(H, count,
                                                                 total):
     # a trivial F takes every subgroup of H^count, by the generic route
-    trivial = PermGroup.from_elements([Perm.identity(3)], degree=3)
+    trivial = PermGroup.from_elements([Perm.identity(3)])
     found = invariant_subgroups_of_power(trivial, H, count)
     brute = _brute_power_subgroups(trivial, [H.elements] * count)
     assert len(found) == len(brute) == total
@@ -460,7 +492,7 @@ def _power_case(F, H, count):
 
 
 def _trivial_case(H, count):
-    trivial = PermGroup.from_elements([Perm.identity(3)], degree=3)
+    trivial = PermGroup.from_elements([Perm.identity(3)])
     return trivial, [tuple(H.elements)] * count, count, False
 
 
@@ -469,12 +501,12 @@ def _trivial_case(H, count):
     _trivial_case(PermGroup.cyclic(3), 2),
     _trivial_case(PermGroup.cyclic(3), 3),
     _power_case(PermGroup.dihedral(3), PermGroup.from_elements(
-        [Perm.identity(3), _reflection_fixing_zero(3)], degree=3), 3),
+        [Perm.identity(3), _reflection_fixing_zero(3)]), 3),
     pytest.param(_power_case(PermGroup.alternating(4),
                              PermGroup.alternating(4).stabilizer(0), 4),
                  marks=pytest.mark.slow),
     _power_case(PermGroup.dihedral(5), PermGroup.from_elements(
-        [Perm.identity(5), _reflection_fixing_zero(5)], degree=5), 5),
+        [Perm.identity(5), _reflection_fixing_zero(5)]), 5),
 ], ids=["S3-stabilizer-cubed", "C3-squared", "C3-cubed", "D3-reflections",
         "A4-on-C3-to-the-4th", "D5-reflections"])
 def test_power_subgroups_match_the_pairwise_closure(case):
@@ -510,7 +542,7 @@ def test_gf2_power_subgroups_at_seven_match_the_generic_route():
     # the pairwise closure takes about a minute at p = 7, so the GF(2)
     # search is held to the generic route, itself checked against it above
     case = _power_case(PermGroup.dihedral(7), PermGroup.from_elements(
-        [Perm.identity(7), _reflection_fixing_zero(7)], degree=7), 7)
+        [Perm.identity(7), _reflection_fixing_zero(7)]), 7)
     found = _power_subgroups_gf2(*case[:3])
     assert found == _power_subgroups_generic(*case)
     assert [P.order for P in found] == [1, 2, 64, 128]
@@ -519,7 +551,7 @@ def test_gf2_power_subgroups_at_seven_match_the_generic_route():
 def test_invariant_power_subgroups_hypothesis_errors():
     D3 = PermGroup.dihedral(3)
     H = PermGroup.from_elements(
-        [Perm.identity(3), _reflection_fixing_zero(3)], degree=3)
+        [Perm.identity(3), _reflection_fixing_zero(3)])
     with pytest.raises(HypothesisError):
         invariant_subgroups_of_power(D3, H, 4)
     moving = PermGroup.generated([Perm((1, 2, 0))])
@@ -557,24 +589,25 @@ def test_repr_of_a_raw_tuple_that_is_no_permutation_returns():
     assert done.stdout.startswith("Perm")
 
 
-def test_sorted_element_lists_are_sorted_once(monkeypatch):
-    # from_elements sorts its input and the group keeps that order: on a
-    # sorted list that is one pass of len - 1 comparisons, not two
+def test_element_lists_are_sorted_as_image_tuples(monkeypatch):
+    # from_elements sorts its input by image tuple, compared in C, and the
+    # group keeps that order; a closure is sorted as image tuples too. No
+    # element object is compared, on sorted or shuffled input
     elems = list(full_aut(3, 3))
+    shuffled = elems[::-1] + elems[:5]
     compared = []
     less = BallAut.__lt__
     monkeypatch.setattr(BallAut, "__lt__",
                         lambda a, b: compared.append(1) or less(a, b))
     G = BallGroup.from_elements(elems)
-    assert len(compared) == len(elems) - 1
-    # a closure is sorted as image tuples, and not again as elements
-    compared.clear()
+    assert BallGroup.from_elements(shuffled) == G
     assert BallGroup.generated(G.generators) == G
     assert not compared
     monkeypatch.undo()
     assert G.elements == tuple(elems)
-    shuffled = elems[::-1] + elems[:5]
     assert BallGroup.from_elements(shuffled).elements == tuple(elems)
+    assert (BallGroup.from_elements(shuffled).generators == G.generators
+            == small_generating_set_of(elems, G.identity()))
 
 
 def test_groups_passed_through_unsorted_are_still_sorted():

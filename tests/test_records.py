@@ -68,8 +68,7 @@ def test_document_carries_elements_or_generators(parts):
 @pytest.fixture(scope="module")
 def records(census_rows, gamma_s3, flips6):
     d3 = PermGroup.dihedral(3)
-    flip = PermGroup.from_elements([Perm.identity(3), Perm((0, 2, 1))],
-                                   degree=3)
+    flip = PermGroup.from_elements([Perm.identity(3), Perm((0, 2, 1))])
     built = build_tower(flips6, "pinned-orbit", 2)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(errors, "TABLE_CELLS", 1)  # level 2 is only certified
