@@ -29,6 +29,7 @@ import math
 from .balls import (BallAut, BallGroup, _glue_fibers, _glue_images,
                     _need_key, _offer_key, ball_points)
 from .errors import HypothesisError, check_cells
+from .linear import echelon, solve, walk
 from .permcore import _getter, _grow
 
 
@@ -253,11 +254,13 @@ def find_involutive_cocycles(group):
 
     A coherent choice map is a homomorphic section of the lifted group one
     radius up. At degree 3 the sections solve one affine GF(2) system
-    (`_cocycle_system`); an inconsistent one means none. At higher degree
-    the kernel is not abelian, and a search grows one closure of lifts a
-    generator at a time (permcore._grow), dropping a prefix whose closure
-    passes the group order or meets the kernel, since a faithful projection
-    allows neither. A rigid group is the one-solution case of both.
+    (`_cocycle_system`, eliminated by `linear.solve`) and stream in a
+    Gray-code walk over its solutions (`linear.walk`); an inconsistent
+    system means none. At higher degree the kernel is not abelian, and a
+    search grows one closure of lifts a generator at a time
+    (permcore._grow), dropping a prefix whose closure passes the group
+    order or meets the kernel, since a faithful projection allows neither.
+    A rigid group is the one-solution case of both.
 
     Both stream lazily from `_involutive_sections`, which a count or an
     existence check reads with no table; the search refuses a generator's
@@ -334,7 +337,8 @@ def _cocycle_system(group, gens):
     breadth-first Schreier tree writes s(x) = T(x) kappa(x) with T(xg) =
     T(x) t(g) and kappa(xg) = kappa(x)^t(g) + k_g, conjugation permuting the
     bits; every other edge asks kappa(y) + kappa(x)^t(g) + k_g to be the
-    bits of T(y)^-1 T(x) t(g).
+    bits of T(y)^-1 T(x) t(g). The K_F basis is `linear.echelon`'s, and
+    `linear.solve` eliminates those rows.
 
     Returns (dim K_F, rank, particular, null basis, lifts), rank and
     particular None when the system is inconsistent; lifts maps the image
@@ -343,15 +347,10 @@ def _cocycle_system(group, gens):
     d, r = group.degree, group.radius
     ident, up = group.identity(), BallAut.identity(d, r + 1).images
     lo, kids = len(ball_points(d, r - 1)), range(len(ident.images), len(up), 2)
-    basis = []
-    for w in range(d):
-        for b in compat_set(group, ident, w):
-            h = _glue_images(ident, [b if v == w else ident for v in range(d)])
-            v = sum(1 << j for j, c in enumerate(kids) if h[c] != up[c])
-            for e in basis:
-                v = min(v, v ^ e)
-            if v:
-                basis = sorted(basis + [v], reverse=True)
+    glued = (_glue_images(ident, [b if v == w else ident for v in range(d)])
+             for w in range(d) for b in compat_set(group, ident, w))
+    basis = echelon(sum(1 << j for j, c in enumerate(kids) if h[c] != up[c])
+                    for h in glued)
     dim = len(basis)
     steps = []
     for m, g in enumerate(gens):
@@ -374,19 +373,9 @@ def _cocycle_system(group, gens):
             ty0, ky0 = lifts[y]
             for a, b, c in zip(ky0, ky, kids):
                 rows.add((a ^ b) << 1 | (ty[c] != ty0[c]))
-    # the solutions stay particular + span(null); a row cutting the span
-    # spends one null vector, a row the span misses must already hold
-    particular, null = 0, [1 << i for i in range(dim * len(gens))]
-    for row in rows:
-        hit = [v for v in null if (row >> 1 & v).bit_count() & 1]
-        if hit:
-            if ((row >> 1 & particular).bit_count() ^ row) & 1:
-                particular ^= hit[0]
-            null = [v ^ hit[0] if v in hit else v
-                    for v in null if v != hit[0]]
-        elif ((row >> 1 & particular).bit_count() ^ row) & 1:
-            return dim, None, None, [], lifts
-    return dim, dim * len(gens) - len(null), particular, null, lifts
+    particular, null = solve(rows, dim * len(gens)) or (None, [])
+    rank = None if particular is None else dim * len(gens) - len(null)
+    return dim, rank, particular, null, lifts
 
 
 def _solved_sections(group, gens):
@@ -404,8 +393,5 @@ def _solved_sections(group, gens):
                 out[c], out[c + 1] = tx[c + 1], tx[c]
         return BallAut._raw(d, r + 1, tuple(out))
 
-    # a Gray-code walk over particular + span(null), one flip per step
-    u = particular
-    for i in range(1 << len(null)):
-        u ^= null[(i & -i).bit_length() - 1] if i else 0
+    for u in walk(particular, null):
         yield functools.partial(section, u)

@@ -19,6 +19,7 @@ the levels of a partition tower.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from typing import NamedTuple
@@ -646,7 +647,7 @@ def _check_self_gluing(a, block):
             raise ValueError("child at %d does not glue to the root" % w)
 
 
-def _tower_generators(prev, blocks, pinned, id_fibers, block_of):
+def _tower_generators(prev, pinned, id_fibers, block_of, first):
     """Generators of the tower level above `prev`.
 
     The level maps onto `prev` by restriction, with kernel the product of
@@ -658,8 +659,8 @@ def _tower_generators(prev, blocks, pinned, id_fibers, block_of):
     ident = prev.identity()
     gens = []
     for a in prev.generators:
-        picks = [a if i == pinned else _first_partner(prev, a, b)
-                 for i, b in enumerate(blocks)]
+        picks = [a if i == pinned else first(a, i)
+                 for i in range(len(id_fibers))]
         gens.append(_glue_images(a, [picks[i] for i in block_of]))
     for i, fib in enumerate(id_fibers):
         if i == pinned:
@@ -672,12 +673,14 @@ def _tower_generators(prev, blocks, pinned, id_fibers, block_of):
 
 
 def _step_fibers(prev, blocks, pinned):
-    """Each direction's block, and each block's identity fiber (cached in
-    `prev`) and fiber size one radius up, 1 on the `pinned` block."""
+    """Each direction's block; each block's identity fiber (cached in
+    `prev`) and fiber size one radius up, 1 on the `pinned` block; and
+    first(a, i), `a`'s `_first_partner` on block i, scanned once a pair."""
     block_of = [_block_index(blocks, w) for w in range(prev.degree)]
     id_fibers = [joint_compat_set(prev, prev.identity(), b) for b in blocks]
     sizes = [1 if i == pinned else len(f) for i, f in enumerate(id_fibers)]
-    return block_of, id_fibers, sizes
+    first = functools.cache(lambda a, i: _first_partner(prev, a, blocks[i]))
+    return block_of, id_fibers, sizes, first
 
 
 def _tower_step(prev, blocks, pinned, phase="tower step"):
@@ -688,7 +691,7 @@ def _tower_step(prev, blocks, pinned, phase="tower step"):
     Its one `CapacityError` is `check_cells` refusing first, naming
     `phase`."""
     d, radius = prev.degree, prev.radius + 1
-    block_of, id_fibers, sizes = _step_fibers(prev, blocks, pinned)
+    block_of, id_fibers, sizes, first = _step_fibers(prev, blocks, pinned)
     expected = prev.order * math.prod(sizes)
     check_cells(phase, expected, len(ball_points(d, radius)))
     pack, table = _codec(len(ball_points(d, radius)))[0], []
@@ -702,7 +705,7 @@ def _tower_step(prev, blocks, pinned, phase="tower step"):
         # partners glue by choice of fiber; packed per root, not per level
         table.extend(map(pack, _glue_fibers(a, options, block_of)))
     table.sort()  # linear: roots and fibers already come in image order
-    gens = _tower_generators(prev, blocks, pinned, id_fibers, block_of)
+    gens = _tower_generators(prev, pinned, id_fibers, block_of, first)
     level = BallGroup(d, radius, None, gens, _table=table)
     if not all(g in level for g in level.generators):
         raise RuntimeError("tower generator outside its level; bug")
@@ -713,8 +716,8 @@ def _tower_certificate(prev, blocks, pinned, z):
     """The certificate of the level above `prev` that its step refused,
     lifting the central element `z` (None when there is none)."""
     d, radius = prev.degree, prev.radius + 1
-    block_of, id_fibers, sizes = _step_fibers(prev, blocks, pinned)
-    gens = _tower_generators(prev, blocks, pinned, id_fibers, block_of)
+    block_of, id_fibers, sizes, first = _step_fibers(prev, blocks, pinned)
+    gens = _tower_generators(prev, pinned, id_fibers, block_of, first)
 
     witnesses = {}
     for gi, g in enumerate(gens):
@@ -726,8 +729,7 @@ def _tower_certificate(prev, blocks, pinned, z):
             if pinned is not None:
                 _check_self_gluing(partner_root, blocks[pinned])
             picks = [root if j == i else partner_root if j == pinned
-                     else _first_partner(prev, partner_root, c)
-                     for j, c in enumerate(blocks)]
+                     else first(partner_root, j) for j in range(len(blocks))]
             witness = BallAut._raw(d, radius, _glue_images(
                 partner_root, [picks[j] for j in block_of]))
             for w in b:

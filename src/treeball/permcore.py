@@ -29,6 +29,7 @@ from typing import NamedTuple
 
 from . import errors
 from .errors import CapacityError, HypothesisError
+from .linear import echelon, walk
 
 
 _images = attrgetter("images")
@@ -949,83 +950,43 @@ def invariant_subgroups_of_power(F, H, count):
     if not H.is_subgroup_of(F.stabilizer(base)):
         raise HypothesisError("H must lie in the stabilizer of its fixed point")
     trans = F.transversal(base)
-    slots = []
-    for w in range(count):
-        f = trans[w]
-        fi = f.inverse()
-        slots.append(tuple(sorted(f * h * fi for h in H.elements)))
-
-    if H.order == 2:
-        fast = _power_subgroups_gf2(F, slots, count)
-        if fast is not None:
-            return fast
-    return _power_subgroups_generic(F, slots, count, act=True)
+    slots = [tuple(sorted(trans[w] * h * trans[w].inverse()
+                          for h in H.elements)) for w in range(count)]
+    fast = H.order == 2 and _power_subgroups_gf2(F, slots, count)
+    return fast or _power_subgroups_generic(F, slots, count, act=True)
 
 
 def _power_subgroups_gf2(F, slots, count):
-    """GF(2) path: each slot has one involution; tuples become bitmasks."""
-    invol = []
-    for s in slots:
-        nontriv = [p for p in s if not p.is_identity()]
-        if len(nontriv) != 1:
-            return None
-        invol.append(nontriv[0])
-    # The action must send slot involutions to slot involutions for the
-    # bitmask picture to be exact.
-    for a in F.generators:
-        ai = a.inverse()
-        for w in range(count):
-            if a * invol[w] * ai != invol[a(w)]:
-                return None
-
-    def act(a, mask):
-        return sum(1 << a(w) for w in range(count) if mask >> w & 1)
-
-    def span(vectors):
-        # Canonical reduced echelon basis over GF(2), biggest leading bit first.
-        basis = []
-        for v in sorted(vectors, reverse=True):
-            for b in basis:
-                if v ^ b < v:
-                    v ^= b
-            if v:
-                basis.append(v)
-                basis.sort(reverse=True)
-        reduced = []
-        for i, v in enumerate(basis):
-            for b in basis[i + 1:]:
-                if v ^ b < v:
-                    v ^= b
-            reduced.append(v)
-        return tuple(sorted(reduced, reverse=True))
-
-    def expand(basis):
-        vecs = [0]
-        for b in basis:
-            vecs += [v ^ b for v in vecs]
-        return vecs
+    """GF(2) path for slots of order 2, each (identity, involution):
+    tuples become bitmasks, and a subspace is keyed by its `linear.echelon`
+    basis. None unless F sends slot involutions to slot involutions, which
+    the bitmask picture needs to be exact."""
+    invol = [s[1] for s in slots]
+    if any(a * invol[w] * a.inverse() != invol[a(w)]
+           for a in F.generators for w in range(count)):
+        return None
 
     # With span(B) invariant, v and a(v) + b (a in F, b in span(B)) extend
     # B to the same subspace: one orbit and one span serve that whole class.
-    found = {(): None}
-    queue = [()]
+    found, queue = {(): None}, [()]
     while queue:
         basis = queue.pop()
-        members = expand(basis)
+        members = list(walk(0, basis))
         seen = set(members)
         for v in range(1 << count):
             if v in seen:
                 continue
-            orbit = {act(a, v) for a in F.elements}
+            orbit = {sum(1 << a(w) for w in range(count) if v >> w & 1)
+                     for a in F.elements}
             seen.update(x ^ b for x in orbit for b in members)
-            new_basis = span(list(basis) + sorted(orbit))
+            new_basis = echelon(basis + tuple(orbit))
             if new_basis not in found:
                 found[new_basis] = None
                 queue.append(new_basis)
     ident = Perm.identity(F.degree)
     out = [PowerSubgroup(tuple(sorted(
         tuple(invol[w] if mask >> w & 1 else ident for w in range(count))
-        for mask in expand(basis)))) for basis in found]
+        for mask in walk(0, basis)))) for basis in found]
     out.sort(key=lambda P: (P.order, P.elements))
     return out
 

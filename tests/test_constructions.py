@@ -3,6 +3,7 @@
 import functools
 import itertools
 import re
+from types import SimpleNamespace
 
 import pytest
 
@@ -466,6 +467,30 @@ def test_partition_tower_certificate_on_the_matrix_group(sl23):
     for g in cert.generators[:4]:
         assert cert.central * g == g * cert.central
 
+
+
+def test_a_tower_scans_each_first_partner_once_per_step(sl23, monkeypatch):
+    # building SL(2,3)'s partition tower up to its certified level 3 asks
+    # 248 times for 60 (root, block) pairs; memoized within each step and
+    # certificate, it scans each pair once, and certifies the same level
+    scans, scan = [], constructions._first_partner
+
+    def counted(prev, a, block):
+        scans.append((a.images, tuple(block)))
+        return scan(prev, a, block)
+
+    def certificate():
+        scans.clear()
+        tower = build_tower(sl23, "partition", 3, blocks=SL23_BLOCKS)
+        return tower.levels[2].certificate
+
+    monkeypatch.setattr(constructions, "_first_partner", counted)
+    cert = certificate()
+    assert len(scans) == len(set(scans)) == 60
+    monkeypatch.setattr(constructions, "functools",
+                        SimpleNamespace(cache=lambda f: f))
+    assert certificate() == cert
+    assert (len(scans), len(set(scans))) == (248, 60)
 
 def _checked_tower_step(prev, blocks, pinned):
     """A tower level glued through the checking constructor, each partner
