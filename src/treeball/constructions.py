@@ -345,7 +345,7 @@ def _kernel_facts(kernel, kelems, identity):
     facts = getattr(kernel, "_cache", {}).get("extension_kernel")
     if facts is None:
         try:
-            gens = small_generating_set_of(kelems, identity)
+            gens = small_generating_set_of(sorted(kelems), identity)
         except ValueError:
             if not kelems:  # vacuously closed: the greedy's refusal stands
                 raise

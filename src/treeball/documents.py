@@ -3,20 +3,22 @@
 A group document carries either a full element list or a generating set,
 each automorphism written as a flat vertex-image table over digit-string
 words, so of degree at most 10. Serialization sorts every key so equal
-documents produce identical bytes. Parsing reads an element list as index
-tuples, closes it once and checks only the generators that closure picks;
-when anything there fails, and for generator lists, every table is checked
-on its own and the first offending element is reported by index.
+documents produce identical bytes. Parsing reads a text serialization could
+have written through its table template, any other through JSON, alike: an
+element list becomes index tuples, closed once, and only the generators its
+closure picks are checked; else, and for generator lists read through JSON,
+each table is checked on its own and the first bad one reported by index.
 """
 
 import functools
 import json
+import re
 from collections import namedtuple
 from operator import itemgetter
 
 from .balls import BallAut, BallGroup, ball_points
 from .errors import DocumentError
-from .permcore import _getter
+from .permcore import _getter, _inverse
 
 ENCODING = "flat-word-map"
 
@@ -81,15 +83,21 @@ def _word_strs(degree, radius):
 def _table_format(degree, radius):
     """A table as json.dumps(..., sort_keys=True, indent=2) writes it in a
     document's list: a %-format over the words, the gather of the images in
-    its key order, and the words."""
+    its key order, and the words; and for reading, a pattern matching one
+    table and the ",\n" after it, its groups the images in key order, the
+    length of every match and the gather of those images into point order."""
     words = _word_strs(degree, radius)
     order = sorted(range(len(words)), key=words.__getitem__)
     rows = ",\n".join('      "%s": "%%s"' % words[i] for i in order)
-    return "    {\n%s\n    }" % rows, _getter(order), words
+    fmt, keyed = "    {\n%s\n    }" % rows, _getter(order)(words)
+    pattern = re.escape(fmt + ",\n") % tuple(
+        "([0-9]{%d})" % len(w) for w in keyed)
+    return fmt, _getter(order), words, (
+        pattern, len(fmt % keyed) + 2, _getter(_inverse(order)))
 
 
 def _table_json(aut):
-    fmt, order, words = _table_format(aut.degree, aut.radius)
+    fmt, order, words, _ = _table_format(aut.degree, aut.radius)
     return fmt % _getter(order(aut.images))(words)
 
 
@@ -196,31 +204,8 @@ def _element_tuples(raw, degree, radius):
         return None
 
 
-def _read_element_list(tuples, degree, radius):
-    """The tables as automorphisms, and their group; None on any defect.
-    The closure makes every distinct tuple from the generators it picks, so
-    once they pass from_images every table is an automorphism."""
-    auts = tuple([BallAut._raw(degree, radius, t) for t in tuples])
-    try:
-        group = BallGroup.from_elements(auts)
-        for g in group.generators:
-            BallAut.from_images(degree, radius, g.images)
-    except ValueError:
-        return None
-    return auts, group
-
-
-def parse_document(text):
-    """The document in `text`. An element list keeps the group it was
-    checked through; any defect there, and a generator list, sends each
-    table through _parse_aut, which names the first bad one. A ball too
-    large for any table in `text` is refused before a table is read. The
-    element list is read into index tuples and the parsed body dropped
-    before the closure runs; the per-table reading parses `text` again."""
-    try:
-        body = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise DocumentError("not valid JSON: %s" % err) from err
+def _header(body):
+    """A parsed document's degree, radius and payload key, or DocumentError."""
     if not isinstance(body, dict):
         raise DocumentError("top level must be an object")
     for name in ("degree", "radius"):
@@ -233,35 +218,95 @@ def parse_document(text):
     if body.get("encoding") != ENCODING:
         raise DocumentError("encoding must be %r, got %r"
                             % (ENCODING, body.get("encoding")))
-    has_elements = "elements" in body
-    has_generators = "generators" in body
-    if has_elements == has_generators:
+    if ("elements" in body) == ("generators" in body):
         raise DocumentError(
             "a document carries either elements or generators")
-    key = "elements" if has_elements else "generators"
+    return degree, radius, "elements" if "elements" in body else "generators"
+
+
+def _read_canonical(text):
+    """_read_json's reading of a text serialize_document could write, else
+    None: less its tables, the text must be json.dumps(..., sort_keys=True,
+    indent=2) of itself, where '\n  "' starts only top-level keys (JSON
+    strings hold no raw newline), and each table must match its pattern."""
+    found = re.match(r'\{\n(?:  .*\n)*?  "(elements|generators)": \[\n', text)
+    end = found and text.rfind("\n  ]")
+    if not found or end < found.end():
+        return None
+    key, head = found[1], found.end()
+    rest = text[:head - 1] + "]" + text[end + 4:]
+    try:  # the header passes before the pattern, which lists every point
+        body = json.loads(rest)
+        degree, radius, _ = _header(body)
+        _check_ball_fits(degree, radius, len(text))
+    except ValueError:
+        return None
+    if json.dumps(body, sort_keys=True, indent=2) + "\n" != rest:
+        return None
+    pattern, size, point_order = _table_format(degree, radius)[3]
+    rows = re.findall(pattern, text[head:end] + ",\n")
+    # matches of one length that add up to the list's cover all of it
+    if len(rows) * size != end - head + 2:
+        return None
+    words = _word_indices(degree, radius)
+    try:
+        tuples = [point_order(itemgetter(*row)(words)) for row in rows]
+    except KeyError:  # a word outside the ball
+        return None
+    return degree, radius, key, body.get("metadata", {}), tuples, None
+
+
+def _read_json(text):
+    """The degree, radius, payload key, metadata, element tuples and, only
+    if there are none (the closure runs without them), the parsed tables of
+    any text; DocumentError names a defect outside the tables."""
+    try:
+        body = json.loads(text)
+    except json.JSONDecodeError as err:
+        raise DocumentError("not valid JSON: %s" % err) from err
+    degree, radius, key = _header(body)
     raw = body[key]
     if not isinstance(raw, list):
         raise DocumentError("%r must be a list" % key)
     if not raw:
         raise DocumentError("%r is empty: no group to work with" % key)
     _check_ball_fits(degree, radius, len(text))
-    metadata = body.get("metadata", {})
-    tuples = has_elements and _element_tuples(raw, degree, radius)
-    read = None
-    if tuples:
-        del body, raw  # the closure runs without the parsed tables
-        read = _read_element_list(tuples, degree, radius)
-        if read is None:
-            raw = json.loads(text)[key]
-    auts, group = read or (tuple(_parse_aut(obj, degree, radius, i)
-                                 for i, obj in enumerate(raw)), None)
+    tuples = key == "elements" and _element_tuples(raw, degree, radius)
+    return (degree, radius, key, body.get("metadata", {}), tuples,
+            None if tuples else raw)
+
+
+def _read_tables(tuples, degree, radius, key):
+    """The automorphisms, and an element list's group, else None: once the
+    generators its closure picks pass from_images, so does every table."""
+    auts = tuple([BallAut._raw(degree, radius, t) for t in tuples])
+    try:
+        group = BallGroup.from_elements(auts) if key == "elements" else None
+        for g in group.generators if group else auts:
+            BallAut.from_images(degree, radius, g.images)
+    except ValueError:
+        return None
+    return auts, group
+
+
+def parse_document(text):
+    """The document in `text`. A text serialize_document could have written
+    is read through its table template, any other through JSON, to the same
+    document, group and errors. An element list keeps the group it was
+    checked through; any defect in the tables, and a generator list read
+    through JSON, sends each table through _parse_aut, which names the
+    first bad one, parsing `text` again if need be. A ball too large for
+    any table in `text` is refused before a table is read."""
+    degree, radius, key, metadata, tuples, raw = (
+        _read_canonical(text) or _read_json(text))
+    read = tuples and _read_tables(tuples, degree, radius, key)
+    auts, group = read or (tuple(_parse_aut(obj, degree, radius, i) for i, obj
+                                 in enumerate(raw or json.loads(text)[key])),
+                           None)
     if not isinstance(metadata, dict):
         raise DocumentError("metadata must be an object")
-    if has_elements:
-        return GroupDocument(degree, radius, elements=auts,
-                             metadata=metadata, group=group)
-    return GroupDocument(degree, radius, generators=auts,
-                         metadata=metadata)
+    return GroupDocument(degree, radius, metadata=metadata, group=group,
+                         **{key: auts})
 
 
 def load_document(path):

@@ -318,10 +318,11 @@ class FiniteGroup:
     @classmethod
     def from_elements(cls, elements):
         """The group of an element list; ValueError if it is not a group."""
-        elements = sorted(elements, key=_images)  # tuples compare in C
+        elements = tuple(elements)
         ident = cls._element.identity(*_shape_of(elements, ()))
-        return cls(*ident.shape, elements,
-                   small_generating_set_of(elements, ident))
+        group = cls(*ident.shape, elements, ())  # the one sort
+        group.generators = small_generating_set_of(group.elements, ident)
+        return group
 
     @property
     def elements(self):
@@ -517,16 +518,16 @@ def _greedy(candidates, e, target, grow):
 def small_generating_set_of(elements, identity):
     """Greedy generating set of an element list, which must be a group.
 
-    Runs `_greedy` over the sorted image tuples, with products allowed only
-    inside the list: so the closure doubles as the group check, and it keeps
-    the list's own tuples, not copies. Like _close, it serves permutations
-    and ball automorphisms alike.
+    Runs `_greedy` over the image tuples in list order, which a sorted list
+    makes canonical, with products allowed only inside the list: so the
+    closure doubles as the group check, and it keeps the list's own tuples,
+    not copies. Like _close, it serves permutations and ball automorphisms
+    alike.
     """
-    elems = sorted(map(_images, elements))  # one linear pass when sorted
-    within = {t: t for t in elems}
+    within = {t: t for t in map(_images, elements)}
     if identity.images not in within:
         raise ValueError("element set is not a group")
-    gens = _greedy(elems, identity.images, len(within),
+    gens = _greedy(map(_images, elements), identity.images, len(within),
                    functools.partial(_grow, within=within.get))
     return tuple([identity._from(g) for g in gens]) or (identity,)
 
@@ -932,7 +933,7 @@ def invariant_subgroups_of_power(F, H, count):
     F acts on tuples by (a . k)_w = a * k_{a^{-1}(w)} * a^{-1}: coordinates are
     permuted and entries conjugated. With F trivial every subgroup of H^count
     is invariant and all are returned. Otherwise F must be transitive, count
-    must equal its degree and H must fix a point, whose stabilizer contains it.
+    must be its degree, and H must fix a point and be normal in its stabilizer.
     """
     if F.order == 1:
         slots = [tuple(H.elements)] * count
@@ -952,20 +953,19 @@ def invariant_subgroups_of_power(F, H, count):
     trans = F.transversal(base)
     slots = [tuple(sorted(trans[w] * h * trans[w].inverse()
                           for h in H.elements)) for w in range(count)]
-    fast = H.order == 2 and _power_subgroups_gf2(F, slots, count)
-    return fast or _power_subgroups_generic(F, slots, count, act=True)
+    if any(tuple(sorted(a * h * a.inverse() for h in slots[w])) != slots[a(w)]
+           for a in F.generators for w in range(count)):
+        raise HypothesisError("H must be normalized by the stabilizer of its "
+                              "fixed point")
+    return (_power_subgroups_gf2(F, slots, count) if H.order == 2
+            else _power_subgroups_generic(F, slots, count, act=True))
 
 
 def _power_subgroups_gf2(F, slots, count):
-    """GF(2) path for slots of order 2, each (identity, involution):
-    tuples become bitmasks, and a subspace is keyed by its `linear.echelon`
-    basis. None unless F sends slot involutions to slot involutions, which
-    the bitmask picture needs to be exact."""
+    """GF(2) path for slots of order 2, each (identity, involution), which F
+    permutes: tuples become bitmasks, and a subspace is keyed by its
+    `linear.echelon` basis."""
     invol = [s[1] for s in slots]
-    if any(a * invol[w] * a.inverse() != invol[a(w)]
-           for a in F.generators for w in range(count)):
-        return None
-
     # With span(B) invariant, v and a(v) + b (a in F, b in span(B)) extend
     # B to the same subspace: one orbit and one span serve that whole class.
     found, queue = {(): None}, [()]

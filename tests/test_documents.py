@@ -19,7 +19,7 @@ from random_balls import random_ball_aut
 from recursive_balls import RecursiveBallAut
 from test_flat_balls import perturb
 import treeball
-from treeball import cli, permcore
+from treeball import cli, documents, permcore
 from treeball.balls import BallAut, BallGroup, ball_points
 from treeball.documents import (GroupDocument, _word_str, document_from_group,
                                 group_from_document, load_document,
@@ -323,14 +323,21 @@ def reference_read(body):
 
 
 def library_read(body):
-    """The same three outcomes from parse_document and group_from_document."""
-    try:
-        doc = parse_document(json.dumps(body))
-        group = group_from_document(doc)
-    except ValueError as err:
-        return str(err)
-    assert {a.flat() for a in doc.elements} == {a.flat() for a in group}
-    return [a.flat() for a in doc.elements]
+    """The same three outcomes from parse_document and group_from_document,
+    which read the body's compact and canonical dumps alike."""
+    outcomes = []
+    for text in (json.dumps(body),
+                 json.dumps(body, sort_keys=True, indent=2) + "\n"):
+        try:
+            doc = parse_document(text)
+            group = group_from_document(doc)
+        except ValueError as err:
+            outcomes.append(str(err))
+            continue
+        assert {a.flat() for a in doc.elements} == {a.flat() for a in group}
+        outcomes.append([a.flat() for a in doc.elements])
+    assert outcomes[0] == outcomes[1]
+    return outcomes[0]
 
 
 def word_table(aut, rng, defects):
@@ -383,6 +390,95 @@ def test_lists_the_closure_cannot_vouch_for_read_as_before(tables, outcome):
     body = {"degree": 3, "radius": 1, "encoding": "flat-word-map",
             "metadata": {}, "elements": tables}
     assert library_read(body) == reference_read(body) == outcome
+
+
+def _read(text):
+    """parse_document's document, metadata, group and generators for
+    `text`, or its error with the text's length left out."""
+    try:
+        doc = parse_document(text)
+        group = group_from_document(doc)
+    except ValueError as err:
+        return str(err).replace("%d characters" % len(text), "N characters")
+    return doc, doc.metadata, group, group.generators
+
+
+def _refuse(*args):
+    raise AssertionError("read through the JSON tree")
+
+
+def _payload_in_metadata(text, body):
+    """`body` with its payload on one line and, after it, the metadata's own
+    "elements" list where a canonical payload would be."""
+    tables = json.dumps(body["metadata"]["elements"], sort_keys=True,
+                        indent=2).replace("\n", "\n  ")
+    rest = json.dumps(dict(body, metadata=None), sort_keys=True)
+    return ('{\n  %s,\n  "metadata": {\n  "elements": %s}\n}\n'
+            % (rest[1:-1].replace(', "metadata": null', ""), tables))
+
+
+#: texts that look canonical: the body's change, the canonical dump's edit,
+#: whether the table template reads the text, and whether it parses
+LOOKALIKES = {
+    "metadata string": (lambda b: b["metadata"].update(
+        note='\n  "elements": [\n  ]', key='"elements": ['), None, True, True),
+    "metadata elements": (lambda b: b["metadata"].update(
+        elements=[b["elements"][0]]), None, True, True),
+    "metadata elements last": (lambda b: b["metadata"].update(
+        elements=[b["elements"][0]]), _payload_in_metadata, False, True),
+    "CRLF": (None, lambda t, b: t.replace("\n", "\r\n"), False, True),
+    "trailing space": (None, lambda t, b: t.replace("},\n", "}, \n", 1),
+                       False, True),
+    "unknown word": (lambda b: b["elements"][1].update({"01": "00"}), None,
+                     False, False),
+    "both payloads": (lambda b: b.update(generators=b["elements"][:1]), None,
+                      False, False),
+    "radius 30": (lambda b: b.update(radius=30, elements=[{"0": "0"}]), None,
+                  False, False),
+}
+
+
+@pytest.mark.parametrize("case", LOOKALIKES)
+def test_canonical_lookalikes_read_as_their_compact_dumps(case, gamma_s3,
+                                                          monkeypatch):
+    change, edit, templated, parses = LOOKALIKES[case]
+    body = sample_body(gamma_s3)
+    if change:
+        change(body)
+    text = json.dumps(body, sort_keys=True, indent=2) + "\n"
+    if edit:
+        text = edit(text, body)
+    expected = _read(json.dumps(body))
+    assert isinstance(expected, tuple) == parses
+    if templated:
+        monkeypatch.setattr(documents, "_element_tuples", _refuse)
+        monkeypatch.setattr(documents, "_parse_aut", _refuse)
+    elif case == "radius 30":
+        # no table, nor the list of the ball's 3 * 2^29 words, is made
+        monkeypatch.setattr(documents, "_word_strs", _refuse)
+    assert _read(text) == expected
+
+
+@pytest.mark.parametrize("args", CONSTRUCTED, ids=" ".join)
+def test_written_documents_are_read_through_the_table_template(
+        args, tmp_path, monkeypatch):
+    # a reader that always fell back on the JSON tree would pass every
+    # equivalence test above; the documents treeball writes must not
+    path = tmp_path / "doc.json"
+    res = CliRunner().invoke(cli.main, ["construct", *args,
+                                        "--out", str(path)])
+    assert res.exit_code == 0, res.output
+    monkeypatch.setattr(documents, "_element_tuples", _refuse)
+    monkeypatch.setattr(documents, "_parse_aut", _refuse)
+    doc = load_document(path)
+    res = CliRunner().invoke(cli.main, [
+        "pk-local", "--in", str(path), "--target", str(doc.radius),
+        "--format", "json"])
+    assert res.exit_code == 0, res.output
+    gens = parse_document(res.output)
+    assert serialize_document(doc) == path.read_text()
+    assert serialize_document(gens) == res.output
+    assert BallGroup.generated(gens.generators) == doc.group
 
 
 @pytest.mark.parametrize("args", CONSTRUCTED, ids=" ".join)

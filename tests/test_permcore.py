@@ -559,6 +559,21 @@ def test_invariant_power_subgroups_hypothesis_errors():
         invariant_subgroups_of_power(D3, moving, 3)
 
 
+@pytest.mark.parametrize("n", [4, 5])
+def test_power_subgroups_refuse_a_slot_its_stabilizer_moves(n, monkeypatch):
+    # <(1 2)> lies in the stabilizer of 0 in S_n but is not normal there, so
+    # S_n's action leaves the slot product: refused before any search
+    def search(*args, **kw):
+        raise AssertionError("searched the slot product")
+
+    monkeypatch.setattr(permcore, "_power_subgroups_generic", search)
+    monkeypatch.setattr(permcore, "_power_subgroups_gf2", search)
+    H = PermGroup.generated([Perm.from_cycles(n, [(1, 2)])])
+    with pytest.raises(HypothesisError, match="^H must be normalized by the "
+                       "stabilizer of its fixed point$"):
+        invariant_subgroups_of_power(PermGroup.symmetric(n), H, n)
+
+
 def test_small_generating_set_regenerates():
     G = PermGroup.symmetric(4)
     gens = small_generating_set_of(G.elements, G.identity())
