@@ -9,9 +9,12 @@ from the ball's center. The empty word is the center itself.
 An automorphism fixing the center is stored flat: one tuple holding, for
 every other vertex in ``ball_points`` order (by length, then by word), the
 index of its image. Products and inverses are tuple gathers, as for
-permutations. Within one length the points are in word order, so comparing
-index tuples orders automorphisms exactly as comparing their word tables.
-Restriction to a smaller concentric ball is a prefix of the tuple.
+permutations; closures multiply packs by the product `permcore._codec`
+picks, one translate up to 256 points and a tuple gather past that, and
+gluing a level packs each site segment once and concatenates packs. Within
+one length the points are in word order, so comparing index tuples orders
+automorphisms exactly as comparing their word tables. Restriction to a
+smaller concentric ball is a prefix of the tuple.
 
 The recursive view is derived from the tuple on demand, through index
 tables computed once per (degree, radius): ``root`` is the restriction one
@@ -36,8 +39,8 @@ import math
 from operator import add, itemgetter
 
 from .errors import HypothesisError, check_cells
-from .permcore import (Element, FiniteGroup, Perm, PermGroup, _getter,
-                       _identity_images)
+from .permcore import (Element, FiniteGroup, Perm, PermGroup, _codec,
+                       _getter, _identity_images)
 
 
 # ---------------------------------------------------------------------------
@@ -155,25 +158,26 @@ def _assembly_table(degree, radius, k):
     Sites are the words of length at most radius - k, center first. The
     center's chart gives the points up to length k, and each later site v,
     in order, its segment: the points k steps past v (`_site_points`).
-    ``sites`` holds (index, last letter) of each later site, ``tails[x]`` the
-    chart's sphere points not starting with x, and ``reach[i][j]`` the point
-    chart point j reaches out from point i (-1 for none). `_assemble`,
-    `_glue_fibers` and the extension stream all join segments.
+    ``sites`` holds (index, last letter) of each later site, ``tails[x]``
+    gathers a chart's images of its sphere points not starting with x, and
+    ``reach[i][j]`` is the point chart point j reaches out from point i (i
+    itself where it reaches back). `_assemble`, `_glue_fibers` and the
+    extension stream all join segments.
     """
     index = _point_index(degree, radius)
     chart = ball_points(degree, k)
     pts = ball_points(degree, radius - k)
     sites = tuple((index[v], v[-1]) for v in pts)
-    tails = tuple(tuple(j for j, u in enumerate(chart)
-                        if len(u) == k and u[0] != x) for x in range(degree))
-    reach = tuple(tuple(index.get(v + u, -1) for u in chart) for v in pts)
+    tails = tuple(_getter([j for j, u in enumerate(chart)
+                           if len(u) == k and u[0] != x]) for x in range(degree))
+    reach = tuple(tuple(index.get(v + u, i) for u in chart)
+                  for i, v in enumerate(pts))
     return sites, tails, reach
 
 
 def _site_points(reach, tail, at, chart):
     """A chart's images of the `tail` points, moved out from point `at`."""
-    out, cim = reach[at], chart.images
-    return [out[cim[j]] for j in tail]
+    return _getter(tail(chart.images))(reach[at])
 
 
 def _assemble(radius, center, charts):
@@ -191,23 +195,24 @@ def _assemble(radius, center, charts):
 
 
 def _glue_fibers(root, fibers, block_of=None):
-    """Image tuples of every map glued from `root` and a chart per neighbour
-    w out of fibers[block_of[w]] (block_of defaults to the identity), one
-    choice per block, in itertools.product order over the blocks as they
-    first occur. Each (w, chart) segment is gathered once, and the tuples
-    grow as a prefix tree, site by site, by ``prefix + segment``.
+    """Packs (`_codec`) of every map glued from `root` and a chart per
+    neighbour w out of fibers[block_of[w]] (block_of defaults to the
+    identity), one choice per block, in itertools.product order over the
+    blocks as they first occur. Each (w, chart) segment is gathered and
+    packed once; the packs grow as a prefix tree by ``prefix + segment``.
     """
     _, tails, reach = _assembly_table(root.degree, root.radius + 1,
                                       root.radius)
-    level, branched = [root.images], []
+    pack = _codec(len(ball_points(root.degree, root.radius + 1)))[0]
+    level, branched = [pack(root.images)], []
     for w, at in enumerate(root.images[:root.degree]):
         b = w if block_of is None else block_of[w]
-        segs = [tuple(_site_points(reach, tails[w], at, c)) for c in fibers[b]]
+        segs = [pack(_site_points(reach, tails[w], at, c)) for c in fibers[b]]
         if b not in branched:
             level = [p + s for p in level for s in segs]
             branched.append(b)
         else:
-            # the block's choice changes every `stride` tuples of the level
+            # the block's choice changes every `stride` packs of the level
             stride = math.prod(len(fibers[c])
                                for c in branched[branched.index(b) + 1:])
             run = [s for s in segs for _ in range(stride)]
@@ -372,11 +377,11 @@ class BallAut(Element):
         i = _point_index(self.degree, self.radius - 1).get(vertex)
         if i is None:
             raise ValueError("not an inner vertex of the ball: %r" % (vertex,))
-        # the letter back to the parent reaches no point; the vertex's own
+        # the letter back to the parent reaches the vertex itself, whose
         # image ends in where that label goes
         row = _assembly_table(self.degree, self.radius, 1)[2][i]
         pts, im = ball_points(self.degree, self.radius), self.images
-        return Perm._raw(tuple([pts[im[i if j < 0 else j]][-1] for j in row]))
+        return Perm._raw(tuple([pts[im[j]][-1] for j in row]))
 
     def apply(self, word):
         """Image of the vertex addressed by `word`."""
@@ -523,7 +528,7 @@ def full_aut(degree, radius):
     """Every automorphism of the ball, sorted by vertex-image table."""
     expected = full_aut_order(degree, radius)
     check_cells("full ball group", expected, len(ball_points(degree, radius)))
-    if radius == 1:
+    if radius == 1:  # permutations come in sorted order
         out = [BallAut(Perm(images))
                for images in itertools.permutations(range(degree))]
     else:
@@ -533,10 +538,10 @@ def full_aut(degree, radius):
             for w in range(degree):
                 offers[w].setdefault(_offer_key(b, w), []).append(b)
         # in the full group every need is offered
-        out = [BallAut._raw(degree, radius, t) for root in inner
-               for t in _glue_fibers(root, [offers[w][_need_key(root, w)]
-                                            for w in range(degree)])]
-    out.sort()
+        table = sorted(t for root in inner for t in _glue_fibers(
+            root, [offers[w][_need_key(root, w)] for w in range(degree)]))
+        unpack = _codec(len(ball_points(degree, radius)))[1]
+        out = [BallAut._raw(degree, radius, unpack(t)) for t in table]
     if len(out) != expected:
         raise RuntimeError("ball enumeration does not match layer count; bug")
     return tuple(out)

@@ -30,7 +30,7 @@ from .balls import (BallAut, BallGroup, _glue_fibers, _glue_images,
                     _need_key, _offer_key, ball_points)
 from .errors import HypothesisError, check_cells
 from .linear import echelon, solve, walk
-from .permcore import _getter, _grow
+from .permcore import _codec, _getter, _grow
 
 
 def _class_fibers(group, directions, root):
@@ -293,7 +293,8 @@ def _involutive_sections(group):
 def _searched_sections(group, gens):
     d = group.degree
     ident = BallAut.identity(d, group.radius + 1)
-    cells = len(ball_points(d, group.radius + 1))
+    cells = len(ident.images)
+    pack, unpack, by = _codec(cells)
     options = []
     for g in gens:
         g_order = g.order()
@@ -301,30 +302,30 @@ def _searched_sections(group, gens):
         count = math.prod(map(len, fibers))
         check_cells("cocycle search", count, cells, "lifts of a generator")
         lifts = [t for t in _glue_fibers(g, fibers)
-                 if ident._from(t).order() == g_order]
+                 if ident._from(unpack(t)).order() == g_order]
         if not lifts:
             return
         options.append(lifts)
     options.sort(key=len)
 
-    inner = len(ball_points(d, group.radius))
-    kernel_key = ident.images[:inner]
+    kernel_key = pack(ident.images[:len(ball_points(d, group.radius))])
 
     def outside_kernel(h):
-        return None if h[:inner] == kernel_key else h
+        return None if h.startswith(kernel_key) else h
 
     def descend(level, members, seen, chosen):
         if level < len(options):
             for lift in options[level]:
                 grown = (list(members), set(seen), list(chosen))
-                if _grow(*grown, lift, group.order, outside_kernel):
+                if _grow(*grown, lift, group.order, outside_kernel, by):
                     yield from descend(level + 1, *grown)
         elif len(members) == group.order:
             # a closure holds one lift of each generator, so distinct choice
             # paths give distinct sections and nothing needs deduplicating
-            yield {h.root: h for h in map(ident._from, members)}.__getitem__
+            yield {h.root: h for h in map(ident._from,
+                                          map(unpack, members))}.__getitem__
 
-    yield from descend(0, [ident.images], {ident.images}, [])
+    yield from descend(0, [pack(ident.images)], {pack(ident.images)}, [])
 
 
 def _cocycle_system(group, gens):

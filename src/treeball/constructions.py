@@ -42,7 +42,7 @@ from .compat import (
     require_gluing,
 )
 from .errors import CapacityError, HypothesisError, check_cells
-from .permcore import (Perm, PermGroup, _codec, _getter, _inverse, center,
+from .permcore import (Perm, PermGroup, _getter, _inverse, center,
                        classify_action, small_generating_set_of)
 
 
@@ -694,7 +694,7 @@ def _tower_step(prev, blocks, pinned, phase="tower step"):
     block_of, id_fibers, sizes, first = _step_fibers(prev, blocks, pinned)
     expected = prev.order * math.prod(sizes)
     check_cells(phase, expected, len(ball_points(d, radius)))
-    pack, table = _codec(len(ball_points(d, radius)))[0], []
+    table = []
     for a in prev.elements:
         if pinned is not None:
             _check_self_gluing(a, blocks[pinned])
@@ -702,8 +702,7 @@ def _tower_step(prev, blocks, pinned, phase="tower step"):
                    for i, b in enumerate(blocks)]
         if list(map(len, options)) != sizes:
             raise RuntimeError("tower fibers are not uniform; bug")
-        # partners glue by choice of fiber; packed per root, not per level
-        table.extend(map(pack, _glue_fibers(a, options, block_of)))
+        table.extend(_glue_fibers(a, options, block_of))
     table.sort()  # linear: roots and fibers already come in image order
     gens = _tower_generators(prev, pinned, id_fibers, block_of, first)
     level = BallGroup(d, radius, None, gens, _table=table)

@@ -1,7 +1,8 @@
 """Shared exception types and every capacity limit, read at call time."""
 
 #: The most table cells (elements times ball points) that a build of known
-#: order may hold: 2**25 cells are 256 MiB of tuple slots
+#: order may hold: 2**25 cells pack into 32 MiB of table, one byte a cell up
+#: to 256 points and 64 MiB past that, or 256 MiB of slots as element tuples
 TABLE_CELLS = 2 ** 25
 
 #: The most elements that a closure of unknown order may reach

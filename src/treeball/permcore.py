@@ -6,14 +6,17 @@ algorithm walks sorted lists: Dimino's coset closure, the lattice by cyclic
 extension, subgroup conjugacy by one conjugation per coset. A closure of
 unknown order stops at `errors.CLOSURE_CAP` elements, and the lattice is
 refused past `errors.SUBGROUP_LATTICE_CAP`, decided from the group's order.
-Every element is one image tuple (`Element`), and closures are held as bare
-image tuples: a product is one C-level gather. Element objects are made
-from the table only when a group's `elements` are asked for. `FiniteGroup`
-holds what needs only products, inverses and image tuples: the two
-constructors (`generated` over the one closure, `from_elements` over the
-one generating-set greedy), containers, transitivity by the one orbit
-walk, the subgroup lattice, conjugacy classes and subgroup conjugacy;
-`PermGroup` adds the point actions, and `balls.BallGroup` the ball views.
+Every element is one image tuple (`Element`), whose product is one C-level
+gather. Closures and the generating-set greedy run on the packs, and
+`_codec`, the one place with two product forms, picks theirs: one
+translate up to 256 points, a tuple gather past that. Element objects are
+made from the table only when a group's `elements` are asked for.
+`FiniteGroup` holds what needs only products, inverses and image tuples:
+the two constructors (`generated` over the one closure, `from_elements`
+over the one generating-set greedy), containers, transitivity by the one
+orbit walk, the subgroup lattice, conjugacy classes and subgroup
+conjugacy; `PermGroup` adds the point actions, and `balls.BallGroup` the
+ball views.
 The answers feed frozen regression values, so determinism comes first.
 """
 
@@ -59,13 +62,29 @@ def _identity_images(n):
 
 @functools.lru_cache(maxsize=None)
 def _codec(n):
-    """Pack and unpack for n-point image tuples: a byte an entry up to 256
-    points, else two big-endian, so packs sort like the tuples; entries
-    unpack to the identity's ints, not to a fresh int each past 256."""
+    """Pack, unpack and product of n-point image tuples, the one place that
+    picks their form. A pack, of these or of a gluing segment, sorts like
+    its tuple: up to 256 points it is bytes, and ``by(g)`` maps a pack y to
+    the pack of g * y by one translate through g; past that an entry takes
+    two big-endian bytes, a product is a tuple gather between unpack and
+    pack, and entries unpack to the identity's ints, not a fresh int each."""
     if n <= 256:
-        return bytes, tuple
-    fmt, ident = struct.Struct(">%dH" % n), _identity_images(n)
-    return (lambda t: fmt.pack(*t)), (lambda b: _getter(fmt.unpack(b))(ident))
+        def by(g, pad=bytes(range(256))):
+            table = g + pad[len(g):]
+            return lambda y: y.translate(table)
+        return bytes, tuple, by
+    ident = _identity_images(n)
+
+    def pack(t):
+        return struct.pack(">%dH" % len(t), *t)
+
+    def entries(b):
+        return struct.unpack(">%dH" % (len(b) // 2), b)
+
+    def by(g):
+        g = entries(g)
+        return lambda y: pack(_getter(entries(y))(g))
+    return pack, (lambda b: _getter(entries(b))(ident)), by
 
 
 class Element:
@@ -245,14 +264,15 @@ def _grow(members, seen, gens, x, limit=math.inf, within=None, by=None):
 
 
 def _close(gens, identity):
-    """All products of the generators, the given identity included, sorted;
-    the closure runs on image tuples and wraps each element once. Its order
-    is unknown, so it stops at `errors.CLOSURE_CAP` elements, and the error
+    """The sorted table of all products of the generators, the given
+    identity included: the closure runs on packs (`_codec`). Its order is
+    unknown, so it stops at `errors.CLOSURE_CAP` elements, and the error
     names what was being closed."""
-    cap = errors.CLOSURE_CAP
-    members, seen, grown = [identity.images], {identity.images}, []
+    cap, (pack, _, by) = errors.CLOSURE_CAP, _codec(len(identity.images))
+    e = pack(identity.images)
+    members, seen, grown = [e], {e}, []
     for g in gens:
-        if not _grow(members, seen, grown, g.images, cap):
+        if not _grow(members, seen, grown, pack(g.images), cap, by=by):
             what = ("permutations of degree %d" % identity.degree
                     if isinstance(identity, Perm) else
                     "automorphisms of the radius-%d ball of degree %d"
@@ -260,7 +280,7 @@ def _close(gens, identity):
             raise CapacityError("closure exceeded cap of %d after reaching "
                                 "%d elements, closing %d generators, %s"
                                 % (cap, len(members), len(gens), what))
-    return [identity._from(t) for t in sorted(members)]
+    return sorted(members)
 
 
 def _shape_of(elements, shape):
@@ -313,7 +333,8 @@ class FiniteGroup:
         generators, which keeps the identity as its one generator."""
         gens = tuple(gens)
         ident = cls._element.identity(*_shape_of(gens, shape))
-        return cls(*ident.shape, _close(gens, ident), gens or (ident,))
+        return cls(*ident.shape, None, gens or (ident,),
+                   _table=_close(gens, ident))
 
     @classmethod
     def from_elements(cls, elements):
@@ -321,7 +342,7 @@ class FiniteGroup:
         elements = tuple(elements)
         ident = cls._element.identity(*_shape_of(elements, ()))
         group = cls(*ident.shape, elements, ())  # the one sort
-        group.generators = small_generating_set_of(group.elements, ident)
+        group.generators = _table_generators(group._table, ident)
         return group
 
     @property
@@ -344,9 +365,7 @@ class FiniteGroup:
         `prefix`: one run of the sorted elements, found by bisecting the
         table. Until `elements` is read, each is made as it is reached."""
         table = self._table
-        # as _codec packs: an entry of two bytes a point is over 512 long
-        key = (bytes(prefix) if len(table[0]) <= 256
-               else struct.pack(">%dH" % len(prefix), *prefix))
+        key = _codec(len(self.identity().images))[0](prefix)
         lo = bisect_left(table, key)
         # longer than every entry, so above all those that start with key
         hi = bisect_left(table, key + b"\xff" * len(table[0]), lo)
@@ -516,20 +535,25 @@ def _greedy(candidates, e, target, grow):
 
 
 def small_generating_set_of(elements, identity):
-    """Greedy generating set of an element list, which must be a group.
+    """Greedy generating set of an element list, which must be a group:
+    `_table_generators` over their packs, in list order."""
+    pack = _codec(len(identity.images))[0]
+    return _table_generators(list(map(pack, map(_images, elements))),
+                             identity)
 
-    Runs `_greedy` over the image tuples in list order, which a sorted list
-    makes canonical, with products allowed only inside the list: so the
-    closure doubles as the group check, and it keeps the list's own tuples,
-    not copies. Like _close, it serves permutations and ball automorphisms
-    alike.
-    """
-    within = {t: t for t in map(_images, elements)}
-    if identity.images not in within:
+
+def _table_generators(packs, identity):
+    """`_greedy` over a list of packs (`_codec`) in list order, which a
+    sorted list such as a group's table makes canonical, with products only
+    inside the list: so the closure doubles as the group check and keeps
+    the list's own packs. Like _close, it serves both element kinds."""
+    pack, unpack, by = _codec(len(identity.images))
+    within, e = dict(zip(packs, packs)), pack(identity.images)
+    if e not in within:
         raise ValueError("element set is not a group")
-    gens = _greedy(map(_images, elements), identity.images, len(within),
-                   functools.partial(_grow, within=within.get))
-    return tuple([identity._from(g) for g in gens]) or (identity,)
+    gens = _greedy(packs, e, len(within),
+                   functools.partial(_grow, within=within.get, by=by))
+    return tuple([identity._from(unpack(g)) for g in gens]) or (identity,)
 
 
 # ---------------------------------------------------------------------------

@@ -176,7 +176,7 @@ def test_block_lifts_are_one_tower_step(s3, sl23, monkeypatch):
                         blocks=SL23_BLOCKS).level(2).group
     assert lifted.elements == level.elements
     assert lifted.generators == level.generators
-    assert tuple(_close(lifted.generators, lifted.identity())) == lifted.elements
+    assert tuple(_close(lifted.generators, lifted.identity())) == lifted._table
     # 1944 elements of 8 + 8 * 7 points: one cell past the budget refuses
     monkeypatch.setattr(errors, "TABLE_CELLS", 1944 * 64 - 1)
     with pytest.raises(CapacityError, match=r"^tower step: 1944 elements "
@@ -529,7 +529,7 @@ def test_tower_levels_match_the_checking_constructor(kind, flips6, sl23):
         assert set(level.group.elements) == set(checked.elements)
         # the construction's own generators close to exactly the level
         assert tuple(_close(level.group.generators,
-                            level.group.identity())) == level.group.elements
+                            level.group.identity())) == level.group._table
 
 
 @pytest.mark.parametrize("kind", ["pinned-orbit", "pinned-center",

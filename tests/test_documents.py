@@ -25,7 +25,7 @@ from treeball.documents import (GroupDocument, _word_str, document_from_group,
                                 group_from_document, load_document,
                                 parse_document, serialize_document)
 from treeball.errors import DocumentError
-from treeball.permcore import small_generating_set_of as greedy
+from treeball.permcore import _table_generators as table_greedy
 
 #: `construct` arguments of the nine named constructions
 CONSTRUCTED = [
@@ -488,8 +488,9 @@ def test_one_read_closes_once(args, tmp_path, monkeypatch):
                                         "--out", str(path)])
     assert res.exit_code == 0, res.output
     calls, checked = [], []
-    monkeypatch.setattr(permcore, "small_generating_set_of",
-                        lambda *a: calls.append(a) or greedy(*a))
+    # the greedy of element lists and of group tables
+    monkeypatch.setattr(permcore, "_table_generators",
+                        lambda *a: calls.append(a) or table_greedy(*a))
     check = BallAut.from_images
     monkeypatch.setattr(BallAut, "from_images", classmethod(
         lambda cls, *a: checked.append(a) or check(*a)))

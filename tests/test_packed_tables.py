@@ -20,6 +20,7 @@ from test_class_fibers import drawn_group
 from treeball.balls import BallGroup, ball_points
 from treeball.compat import joint_compat_set
 from treeball.constructions import _first_partner, build_full_lift
+from treeball.documents import GroupDocument, serialize_document
 from treeball.permcore import Perm, PermGroup, _codec, _identity_images
 
 CHECKED = settings(derandomize=True, deadline=None, max_examples=30,
@@ -143,3 +144,20 @@ def test_pinned_orbit_level_four_is_held_packed():
                                 "level 3: order 2048\nlevel 4: order 32768\n",
                                 "")
     assert peak < 130 * 1024
+
+
+@pytest.mark.slow
+def test_radius_four_generator_closure_is_held_packed(tmp_path):
+    # three random radius-4 generators close past 491,520 elements of 45
+    # points before the cap stops them: about 75 MB as packs, where the
+    # image tuples took 230 MB
+    rng = random.Random(7)
+    path = tmp_path / "radius-4.json"
+    path.write_text(serialize_document(GroupDocument(3, 4, generators=tuple(
+        random_ball_aut(3, 4, rng) for _ in range(3)))))
+    out, err, code, peak = _run_child("check-c", "--in", str(path))
+    assert (code, out, err) == (
+        2, "", "Error: closure exceeded cap of 500000 after reaching 491520 "
+        "elements, closing 3 generators, automorphisms of the radius-4 ball "
+        "of degree 3\n")
+    assert peak < 100 * 1024

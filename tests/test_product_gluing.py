@@ -1,13 +1,13 @@
 """The prefix-tree gluing kernel against the product loop it replaced.
 
-`balls._glue_fibers` gathers each (neighbour, partner) segment once per root
-and grows the image tuples site by site; the frozen `product_gluing` loops
-glue every combination from scratch. One-step full lifts of the six census
-classes (full-lift(S3) among them, lifted from radius 2 to 3) and of S4,
-the full groups Aut(B(3, r)) for r <= 3 and Aut(B(4, r)) for r <= 2, drawn
-groups and drawn block ties must all give identical lists, order included.
-A full lift keeps the elements it glues, sorted, and the generators its
-step glues, which close to exactly those elements.
+`balls._glue_fibers` gathers and packs each (neighbour, partner) segment
+once per root and grows the packs site by site; the frozen `product_gluing`
+loops glue every combination from scratch. One-step full lifts of the six
+census classes (full-lift(S3) among them, lifted from radius 2 to 3) and of
+S4, the full groups Aut(B(3, r)) for r <= 3 and Aut(B(4, r)) for r <= 2,
+drawn groups and drawn block ties must all give identical lists of image
+tuples, order included. A full lift keeps the elements it glues, sorted,
+and the generators its step glues, which close to exactly its table.
 """
 
 import random
@@ -19,10 +19,11 @@ from hypothesis import strategies as st
 import product_gluing
 from random_balls import random_ball_aut
 from treeball import constructions
-from treeball.balls import BallAut, BallGroup, _glue_fibers, full_aut
+from treeball.balls import (BallAut, BallGroup, _glue_fibers, ball_points,
+                            full_aut)
 from treeball.compat import compat_set
 from treeball.constructions import build_full_lift
-from treeball.permcore import PermGroup, _close
+from treeball.permcore import PermGroup, _close, _codec
 
 CHECKED = settings(derandomize=True, deadline=None, max_examples=25,
                    suppress_health_check=[HealthCheck.too_slow])
@@ -35,15 +36,21 @@ def _s4():
                      [BallAut(p) for p in S4.generators])
 
 
+def unpacked(root, packs):
+    """The image tuples of the packs `_glue_fibers` returns for `root`."""
+    return list(map(_codec(len(ball_points(root.degree, root.radius + 1)))[1],
+                    packs))
+
+
 def _glued_in_build_order(monkeypatch, build):
-    """The image tuples `_glue_fibers` returns while `build()` runs, in the
-    order the lift glues them, and what `build()` returns."""
+    """The image tuples of the packs `_glue_fibers` returns while `build()`
+    runs, in the order the lift glues them, and what `build()` returns."""
     glued = []
     real = constructions._glue_fibers
 
     def keep(root, fibers, block_of=None):
         out = real(root, fibers, block_of)
-        glued.extend(out)
+        glued.extend(unpacked(root, out))
         return out
 
     monkeypatch.setattr(constructions, "_glue_fibers", keep)
@@ -60,7 +67,7 @@ def test_one_step_full_lifts_keep_the_product_order(name, request,
     assert got == want
     assert [a.images for a in lifted.elements] == sorted(want)
     closed = _close(lifted.generators, lifted.identity())
-    assert tuple(closed) == lifted.elements
+    assert tuple(closed) == lifted._table
 
 
 @pytest.mark.parametrize("degree, radius",
@@ -81,7 +88,8 @@ def test_drawn_groups_glue_in_product_order(seed, shape, count):
         [random_ball_aut(*shape, rng) for _ in range(count)])
     for a in group.elements:
         fibers = [compat_set(group, a, w) for w in range(group.degree)]
-        assert _glue_fibers(a, fibers) == product_gluing.glue_fibers(a, fibers)
+        assert (unpacked(a, _glue_fibers(a, fibers))
+                == product_gluing.glue_fibers(a, fibers))
 
 
 @CHECKED
@@ -98,5 +106,5 @@ def test_tied_neighbours_glue_in_product_order_over_blocks(seed, shape):
     options = [[random_ball_aut(*shape, rng)
                 for _ in range(rng.randint(1, 3))] for _ in blocks]
     block_of = {w: i for i, b in enumerate(blocks) for w in b}
-    assert (_glue_fibers(root, options, block_of)
+    assert (unpacked(root, _glue_fibers(root, options, block_of))
             == product_gluing.glue_blocks(root, options, blocks))

@@ -1,0 +1,75 @@
+"""Products and gluing on both sides of the 256-point split.
+
+Up to 256 points a pack is bytes and a product is one translate; from 257
+points an entry takes two bytes and a product is a tuple gather between
+unpack and pack (`permcore._codec`). On either side the packed product must
+be `Element.__mul__`'s, and `balls._glue_fibers` must glue what the frozen
+loops of product_gluing.py glue, each map restricting to its root and
+reading its partners back as its charts (`BallAut.children`, which reads no
+assembly table).
+"""
+
+import itertools
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import product_gluing
+from test_product_gluing import unpacked
+from treeball import permcore
+from treeball.balls import BallAut, _glue_fibers, ball_points
+from treeball.compat import joint_compat_set
+from treeball.constructions import _block_index, build_tower
+from treeball.permcore import Perm, _codec
+
+CHECKED = settings(derandomize=True, deadline=None, max_examples=30,
+                   suppress_health_check=[HealthCheck.too_slow])
+SL23_BLOCKS = ((0, 1), (2, 5), (3, 7), (4, 6))
+
+
+@pytest.mark.parametrize("n", [1, 2, 255, 256, 257])
+@CHECKED
+@given(st.randoms(use_true_random=False))
+def test_packed_products_are_element_products(n, rng):
+    a, b = (Perm(rng.sample(range(n), n)) for _ in range(2))
+    pack, unpack, by = _codec(n)
+    times_a, y = by(pack(a.images)), pack(b.images)
+    gathers = []
+    with pytest.MonkeyPatch.context() as mp:
+        real = permcore._getter
+        mp.setattr(permcore, "_getter",
+                   lambda images: gathers.append(images) or real(images))
+        product = times_a(y)
+    assert unpack(product) == (a * b).images
+    assert len(product) == len(y) == (n if n <= 256 else 2 * n)
+    # only past 256 points is a product a gather of image tuples
+    assert gathers == ([] if n <= 256 else [b.images])
+
+
+@pytest.mark.parametrize("name, kind, blocks, points", [
+    ("flips6", "pinned-orbit", None, 186),
+    ("sl23", "partition", SL23_BLOCKS, 456),
+], ids=["186 points", "456 points"])
+def test_tower_gluing_on_each_side_of_the_split(name, kind, blocks, points,
+                                                request):
+    # level 2 glued one radius up as its step glues it, from at most two
+    # partners a block: degree 6 on 186 points, one byte a point; degree 8
+    # on 456 points, two bytes a point
+    tower = build_tower(request.getfixturevalue(name), kind, 2, blocks=blocks)
+    prev, pinned = tower.level(2).group, tower.pinned_block
+    d, radius = prev.degree, prev.radius + 1
+    assert len(ball_points(d, radius)) == points
+    block_of = [_block_index(tower.blocks, w) for w in range(d)]
+    for a in prev.elements[:3] + prev.elements[-2:]:
+        options = [(a,) if i == pinned else joint_compat_set(prev, a, b)[:2]
+                   for i, b in enumerate(tower.blocks)]
+        packs = _glue_fibers(a, options, block_of)
+        assert {len(p) for p in packs} == {points if points <= 256
+                                           else 2 * points}
+        glued = unpacked(a, packs)
+        assert glued == product_gluing.glue_blocks(a, options, tower.blocks)
+        for images, picks in zip(glued, itertools.product(*options)):
+            aut = BallAut.from_images(d, radius, images)
+            assert aut.root == a
+            assert aut.children == tuple(picks[i] for i in block_of)
