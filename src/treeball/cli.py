@@ -4,13 +4,15 @@ Each subcommand wraps one library operation, reads groups from document
 files, and prints either text or JSON. Everything is deterministic; there
 is no seed anywhere. Exit codes: 0 on success, 1 when --expect is given
 and the computed answer differs, 2 on unusable input. Unusable input is
-reported in one place, the command group, whatever layer detects it.
+reported in one place, `main`, whatever layer detects it, the argument
+parser included.
 """
 
+import argparse
+import functools
 import json
+import os
 import sys
-
-import click
 
 from .census import (_yn, census_compatible_classes, census_discrete_lifts,
                      degree3_table, format_table)
@@ -26,15 +28,76 @@ from .permcore import Perm, PermGroup, classify_action, factorize
 from .universal import (_restriction_count, is_discrete_universal,
                         local_action_group, pk_local_action)
 
-_FMT = click.option("--format", "fmt", type=click.Choice(["text", "json"]),
-                    default="text", show_default=True,
-                    help="Output rendering.")
-_IN = click.option("--in", "path", required=True,
-                   type=click.Path(exists=True, dir_okay=False),
-                   help="Group document to read.")
-_EXPECT = click.option("--expect", type=click.Choice(["yes", "no"]),
-                       default=None,
-                       help="Exit 1 if the answer differs from this.")
+
+def _arg(*flags, **keywords):
+    """One add_argument call, kept until the parser is built."""
+    return flags, keywords
+
+
+_FMT = _arg("--format", dest="fmt", choices=("text", "json"),
+            default="text", help="Output rendering (default: text).")
+_IN = _arg("--in", dest="path", required=True,
+           help="Group document to read.")
+_EXPECT = _arg("--expect", choices=("yes", "no"), default=None,
+               help="Exit 1 if the answer differs from this.")
+
+#: (name, function, arguments) of every subcommand, in definition order
+_COMMANDS = []
+
+
+def _command(name, *arguments):
+    """Registers the decorated function as subcommand `name`; the parsed
+    arguments are passed to it by their dest names."""
+    def register(fn):
+        _COMMANDS.append((name, fn, arguments))
+        return fn
+    return register
+
+
+class _Parser(argparse.ArgumentParser):
+    """Hands every parse error to `main` as a ValueError, where argparse
+    would print a usage block and exit."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
+@functools.cache
+def _parser():
+    """The argument parser, built on the first command line it reads."""
+    top = _Parser(prog="treeball", allow_abbrev=False, description=(
+        "Gluing data for groups acting on balls of a regular tree."))
+    commands = top.add_subparsers(metavar="COMMAND", required=True)
+    for name, fn, arguments in _COMMANDS:
+        sub = commands.add_parser(name, allow_abbrev=False,
+                                  help=fn.__doc__.split("\n")[0],
+                                  description=fn.__doc__)
+        for flags, keywords in arguments:
+            sub.add_argument(*flags, **keywords)
+        sub.set_defaults(run=fn)
+    return top
+
+
+def main(argv=None):
+    """Run the command line `argv` (default: sys.argv[1:])."""
+    try:
+        args = vars(_parser().parse_args(argv))
+        args.pop("run")(**args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left before the output did: stop quietly, exit 1
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    except (CapacityError, ValueError, OSError) as err:
+        # ValueError covers DocumentError, HypothesisError and parse errors,
+        # OSError an unreadable --in or unwritable --out; any other
+        # exception is a bug and stays loud
+        sys.stderr.write("Error: %s\n" % err)
+        sys.exit(2)
+
+
+# bench/harness.py calls click's main.main(args=, prog_name=, standalone_mode=)
+main.main = lambda args=None, **_: main(args)
 
 
 def _named_group(spec):
@@ -54,11 +117,11 @@ def _named_group(spec):
     if len(name) >= 2 and name[0] in "sacd" and name[1:].isdigit():
         n = int(name[1:])
         if n < 2:
-            raise click.UsageError("group %r is too small" % spec)
+            raise ValueError("group %r is too small" % spec)
         maker = {"s": PermGroup.symmetric, "a": PermGroup.alternating,
                  "c": PermGroup.cyclic, "d": PermGroup.dihedral}[name[0]]
         return maker(n)
-    raise click.UsageError(
+    raise ValueError(
         "unknown group %r; use Sn, An, Cn, Dn, V4, SL23 or FLIPS6" % spec)
 
 
@@ -97,34 +160,13 @@ def _exit_on_mismatch(expect, value):
 
 def _finish_bool(label, value, expect, fmt, json_key):
     if fmt == "json":
-        click.echo(json.dumps({json_key: bool(value)}))
+        print(json.dumps({json_key: bool(value)}))
     else:
-        click.echo("%s: %s" % (label, _yn(value)))
+        print("%s: %s" % (label, _yn(value)))
     _exit_on_mismatch(expect, value)
 
 
-class _ErrorBoundary(click.Group):
-    """Reports unusable input as a one-line message with exit code 2.
-
-    Capacity limits and ValueError, which covers DocumentError and
-    HypothesisError, end here; any other exception is a bug and stays loud.
-    """
-
-    def invoke(self, ctx):
-        try:
-            return super().invoke(ctx)
-        except (CapacityError, ValueError) as err:
-            raise click.UsageError(str(err)) from err
-
-
-@click.group(cls=_ErrorBoundary)
-def main():
-    """Gluing data for groups acting on balls of a regular tree."""
-
-
-@main.command("classify")
-@_IN
-@_FMT
+@_command("classify", _IN, _FMT)
 def classify_cmd(path, fmt):
     """Describe the one-step action at the center of the input group."""
     group = group_from_document(load_document(path))
@@ -143,20 +185,17 @@ def classify_cmd(path, fmt):
                            for sys_ in report.minimal_blocks],
     }
     if fmt == "json":
-        click.echo(json.dumps(body, sort_keys=True))
+        print(json.dumps(body, sort_keys=True))
         return
     for key in ("degree", "transitive", "semiregular", "regular",
                 "primitive", "quasiprimitive", "semiprimitive", "rank"):
         value = body[key]
-        click.echo("%s: %s" % (key, _yn(value)
-                               if isinstance(value, bool) else value))
-    click.echo("orbits: %s" % (body["orbits"],))
+        print("%s: %s" % (key, _yn(value)
+                          if isinstance(value, bool) else value))
+    print("orbits: %s" % (body["orbits"],))
 
 
-@main.command("check-c")
-@_IN
-@_FMT
-@_EXPECT
+@_command("check-c", _IN, _FMT, _EXPECT)
 def check_c_cmd(path, fmt, expect):
     """Does every element have a gluing partner in every direction."""
     group = group_from_document(load_document(path))
@@ -164,20 +203,14 @@ def check_c_cmd(path, fmt, expect):
                  expect, fmt, "C")
 
 
-@main.command("check-d")
-@_IN
-@_FMT
-@_EXPECT
+@_command("check-d", _IN, _FMT, _EXPECT)
 def check_d_cmd(path, fmt, expect):
     """Are all seam groups of the input trivial."""
     group = group_from_document(load_document(path))
     _finish_bool("D", check_trivial_seams(group), expect, fmt, "D")
 
 
-@main.command("discrete")
-@_IN
-@_FMT
-@_EXPECT
+@_command("discrete", _IN, _FMT, _EXPECT)
 def discrete_cmd(path, fmt, expect):
     """Does the input prescribe a discrete universal completion."""
     group = group_from_document(load_document(path))
@@ -185,9 +218,7 @@ def discrete_cmd(path, fmt, expect):
                  "discrete")
 
 
-@main.command("ccore")
-@_IN
-@_FMT
+@_command("ccore", _IN, _FMT)
 def ccore_cmd(path, fmt):
     """Largest subgroup of the input whose elements all glue."""
     group = group_from_document(load_document(path))
@@ -195,39 +226,36 @@ def ccore_cmd(path, fmt):
     if fmt == "json":
         doc = document_from_group(
             core, metadata={"construction": "compatibility core"})
-        click.echo(serialize_document(doc), nl=False)
+        print(serialize_document(doc), end="")
         return
-    click.echo("core order: %d (input order %d)" % (core.order, group.order))
+    print("core order: %d (input order %d)" % (core.order, group.order))
 
 
-@main.command("cocycles")
-@_IN
-@_FMT
-@_EXPECT
+@_command("cocycles", _IN, _FMT, _EXPECT)
 def cocycles_cmd(path, fmt, expect):
     """Count the involutive gluing cocycles of the input."""
     group = group_from_document(load_document(path))
     count = sum(1 for _ in _involutive_sections(group))
     if fmt == "json":
-        click.echo(json.dumps({"involutive_cocycles": count}))
+        print(json.dumps({"involutive_cocycles": count}))
     else:
-        click.echo("involutive cocycles: %d" % count)
+        print("involutive cocycles: %d" % count)
     _exit_on_mismatch(expect, count)
 
 
-@main.command("construct")
-@click.argument("kind", type=click.Choice(
-    ["diagonal", "centered", "full-lift", "parity", "wreath"]))
-@click.argument("group_name")
-@click.option("--top", "top_name", default=None,
-              help="Acting group for wreath (required there).")
-@click.option("--spheres", default="1",
-              help="Comma-separated sphere indices for parity.")
-@click.option("--radius", type=int, default=None,
-              help="Target radius for full-lift.")
-@click.option("--out", "out_path", type=click.Path(dir_okay=False),
-              default=None, help="Write the document here instead of stdout.")
-@_FMT
+@_command("construct",
+          _arg("kind", choices=("diagonal", "centered", "full-lift",
+                                "parity", "wreath")),
+          _arg("group_name"),
+          _arg("--top", dest="top_name", default=None,
+               help="Acting group for wreath (required there)."),
+          _arg("--spheres", default="1",
+               help="Comma-separated sphere indices for parity."),
+          _arg("--radius", type=int, default=None,
+               help="Target radius for full-lift."),
+          _arg("--out", dest="out_path", default=None,
+               help="Write the document here instead of stdout."),
+          _FMT)
 def construct_cmd(kind, group_name, top_name, spheres, radius, out_path, fmt):
     """Build one of the named extension constructions."""
     F = _named_group(group_name)
@@ -247,36 +275,36 @@ def construct_cmd(kind, group_name, top_name, spheres, radius, out_path, fmt):
         built = build_parity_lift(F, sign, 2, levels)
     else:
         if top_name is None:
-            raise click.UsageError("wreath needs --top")
+            raise ValueError("wreath needs --top")
         built = build_wreath_local(F, _named_group(top_name)).group
     if not out_path and fmt == "text":
-        click.echo("%s(%s): degree %d radius %d order %s"
-                   % (kind, group_name, built.degree, built.radius,
-                      _fmt_count(built.order)))
+        print("%s(%s): degree %d radius %d order %s"
+              % (kind, group_name, built.degree, built.radius,
+                 _fmt_count(built.order)))
         return
     meta = {"construction": "%s(%s)" % (kind, group_name)}
     doc = document_from_group(built, metadata=meta)
     if not out_path:
-        click.echo(serialize_document(doc), nl=False)
+        print(serialize_document(doc), end="")
         return
     save_document(doc, out_path)
-    click.echo("wrote %s" % out_path)
+    print("wrote %s" % out_path)
 
 
-@main.command("tower")
-@click.argument("kind", type=click.Choice(
-    ["pinned-orbit", "partition", "pinned-center"]))
-@click.option("--steps", type=int, required=True,
-              help="Number of levels to build, the base included.")
-@click.option("--group", "group_name", default=None,
-              help="Base group (default: FLIPS6, or SL23 for partition).")
-@click.option("--blocks", "blocks_spec", default=None,
-              help="Partition blocks, e.g. '0,1;2,5;3,7;4,6'.")
-@_FMT
+@_command("tower",
+          _arg("kind", choices=("pinned-orbit", "partition",
+                                "pinned-center")),
+          _arg("--steps", type=int, required=True,
+               help="Number of levels to build, the base included."),
+          _arg("--group", dest="group_name", default=None,
+               help="Base group (default: FLIPS6, or SL23 for partition)."),
+          _arg("--blocks", dest="blocks_spec", default=None,
+               help="Partition blocks, e.g. '0,1;2,5;3,7;4,6'."),
+          _FMT)
 def tower_cmd(kind, steps, group_name, blocks_spec, fmt):
     """Grow a block-constant self-extension tower and report its orders."""
     if steps < 1:
-        raise click.UsageError("--steps must be at least 1")
+        raise ValueError("--steps must be at least 1")
     if group_name is None:
         group_name = "sl23" if kind == "partition" else "flips6"
     F = _named_group(group_name)
@@ -292,71 +320,67 @@ def tower_cmd(kind, steps, group_name, blocks_spec, fmt):
     elif kind == "partition":
         blocks = _DEFAULT_BLOCKS.get(group_name.strip().lower())
         if blocks is None:
-            raise click.UsageError("partition towers need --blocks")
+            raise ValueError("partition towers need --blocks")
     tower = build_tower(F, kind, steps, blocks=blocks)
     if fmt == "json":
         body = [{"radius": lv.radius, "order": str(lv.order),
                  "materialized": lv.group is not None}
                 for lv in tower.levels]
-        click.echo(json.dumps(body))
+        print(json.dumps(body))
     else:
         for lv in tower.levels:
             tag = "" if lv.group is not None else " (certified only)"
-            click.echo("level %d: order %s%s"
-                       % (lv.radius, _fmt_count(lv.order), tag))
+            print("level %d: order %s%s"
+                  % (lv.radius, _fmt_count(lv.order), tag))
     if len(tower.levels) < steps:
-        click.echo("tower stopped at certified level %d of the %d asked for"
-                   % (tower.levels[-1].radius, steps), err=True)
+        sys.stdout.flush()  # the levels come first where both streams meet
+        print("tower stopped at certified level %d of the %d asked for"
+              % (tower.levels[-1].radius, steps), file=sys.stderr)
 
 
-@main.command("census")
-@click.option("--degree", type=int, required=True)
-@click.option("--radius", type=int, required=True)
-@_FMT
+@_command("census", _arg("--degree", type=int, required=True),
+          _arg("--radius", type=int, required=True), _FMT)
 def census_cmd(degree, radius, fmt):
     """All gluable conjugacy classes of transitive ball groups."""
     rows = census_compatible_classes(degree, radius)
     if fmt == "json":
-        click.echo(json.dumps([r.to_dict() for r in rows]))
+        print(json.dumps([r.to_dict() for r in rows]))
         return
-    click.echo(format_table(rows), nl=False)
+    print(format_table(rows), end="")
 
 
-@main.command("cd-lifts")
-@_FMT
+@_command("cd-lifts", _FMT)
 def cd_lifts_cmd(fmt):
     """Rigid gluable classes one level above the degree-3 census."""
     base = census_compatible_classes(3, 2)
     lifts = census_discrete_lifts(base)
     fresh = [r for r in lifts if r.gamma_image_of is None]
     if fmt == "json":
-        click.echo(json.dumps({
+        print(json.dumps({
             "rows": [r.to_dict() for r in lifts],
             "new_classes": len(fresh)}))
         return
-    click.echo(format_table(fresh), nl=False)
-    click.echo("new classes: %d (plus %d unique-lift images of rigid rows)"
-               % (len(fresh), len(lifts) - len(fresh)))
+    print(format_table(fresh), end="")
+    print("new classes: %d (plus %d unique-lift images of rigid rows)"
+          % (len(fresh), len(lifts) - len(fresh)))
 
 
-@main.command("s3-table")
-@_FMT
+@_command("s3-table", _FMT)
 def s3_table_cmd(fmt):
     """The full degree-3 classification table, both levels."""
     rows = degree3_table()
     if fmt == "json":
-        click.echo(json.dumps([r.to_dict() for r in rows]))
+        print(json.dumps([r.to_dict() for r in rows]))
         return
-    click.echo(format_table(rows), nl=False)
+    print(format_table(rows), end="")
 
 
-@main.command("count-restrictions")
-@_IN
-@click.option("--ball", type=int, required=True,
-              help="Radius of the larger ball to restrict from.")
-@click.option("--stabilizer", is_flag=True,
-              help="Count only maps fixing the center (required).")
-@_FMT
+@_command("count-restrictions", _IN,
+          _arg("--ball", type=int, required=True,
+               help="Radius of the larger ball to restrict from."),
+          _arg("--stabilizer", action="store_true",
+               help="Count only maps fixing the center (required)."),
+          _FMT)
 def count_restrictions_cmd(path, ball, stabilizer, fmt):
     """How many larger-ball maps restrict into the input group.
 
@@ -372,14 +396,13 @@ def count_restrictions_cmd(path, ball, stabilizer, fmt):
     else:
         text = " * ".join(factors)
         body = {"count": None, "factored": text}
-    click.echo(json.dumps(body) if fmt == "json" else "count: " + text)
+    print(json.dumps(body) if fmt == "json" else "count: " + text)
 
 
-@main.command("pk-local")
-@_IN
-@click.option("--target", type=int, required=True,
-              help="Radius of the derived local prescription.")
-@_FMT
+@_command("pk-local", _IN,
+          _arg("--target", type=int, required=True,
+               help="Radius of the derived local prescription."),
+          _FMT)
 def pk_local_cmd(path, target, fmt):
     """Project or lift the input to its action on another ball size."""
     group = group_from_document(load_document(path))
@@ -388,11 +411,11 @@ def pk_local_cmd(path, target, fmt):
         doc = document_from_group(
             derived, generators_only=True,
             metadata={"construction": "local action at radius %d" % target})
-        click.echo(serialize_document(doc), nl=False)
+        print(serialize_document(doc), end="")
         return
-    click.echo("radius %d action: order %s, %d generators"
-               % (target, _fmt_count(derived.order),
-                  len(derived.generators)))
+    print("radius %d action: order %s, %d generators"
+          % (target, _fmt_count(derived.order),
+             len(derived.generators)))
 
 
 if __name__ == "__main__":

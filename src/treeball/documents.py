@@ -209,7 +209,8 @@ def _header(body):
     if not isinstance(body, dict):
         raise DocumentError("top level must be an object")
     for name in ("degree", "radius"):
-        if not isinstance(body.get(name), int) or body[name] < 1:
+        # bool is an int subclass, and JSON's true must not read as 1
+        if type(body.get(name)) is not int or body[name] < 1:
             raise DocumentError("%r must be a positive integer" % name)
     degree, radius = body["degree"], body["radius"]
     if degree < 2:

@@ -14,11 +14,11 @@ import random
 import tempfile
 from unittest import mock
 
-from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import scanning_fibers
+from cli_runner import invoke
 from random_balls import random_ball_aut
 from test_compat import tiny_seam_group
 from treeball import cli, errors
@@ -153,7 +153,7 @@ def test_cores_of_drawn_groups_match_the_frozen_fixpoint(seed, shape):
 
 
 def _check_c(path, args):
-    res = CliRunner().invoke(cli.main, ["check-c", "--in", path] + args)
+    res = invoke(cli.main, ["check-c", "--in", path] + args)
     return res.exit_code, res.output
 
 

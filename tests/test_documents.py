@@ -11,16 +11,17 @@ import sys
 import time
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cli_runner import invoke
 from random_balls import random_ball_aut
 from recursive_balls import RecursiveBallAut
 from test_flat_balls import perturb
 import treeball
 from treeball import cli, documents, permcore
 from treeball.balls import BallAut, BallGroup, ball_points
+from treeball.constructions import radius_one
 from treeball.documents import (GroupDocument, _word_str, document_from_group,
                                 group_from_document, load_document,
                                 parse_document, serialize_document)
@@ -60,8 +61,7 @@ def test_construct_documents_are_what_json_dumps_writes(args, monkeypatch):
     real = cli.serialize_document
     monkeypatch.setattr(cli, "serialize_document",
                         lambda doc: docs.append(doc) or real(doc))
-    res = CliRunner().invoke(cli.main,
-                             ["construct", *args, "--format", "json"])
+    res = invoke(cli.main, ["construct", *args, "--format", "json"])
     assert res.exit_code == 0, res.output
     assert res.output == dumped(docs[0])
 
@@ -185,6 +185,19 @@ def test_parse_failures(gamma_s3):
             parse_document(wrong_type(gamma_s3, part))
 
 
+@pytest.mark.parametrize("name", ["degree", "radius"])
+def test_a_json_boolean_is_not_a_positive_integer(name):
+    # bool is an int subclass: read as 1, "radius": true would pass this
+    # radius-1 document, on the table template's route and on the JSON one
+    text = serialize_document(document_from_group(
+        radius_one(permcore.PermGroup.symmetric(3))))
+    text = re.sub(r'"%s": \d+' % name, '"%s": true' % name, text)
+    for read in (text, json.dumps(json.loads(text))):
+        with pytest.raises(DocumentError,
+                           match="^'%s' must be a positive integer$" % name):
+            parse_document(read)
+
+
 @pytest.mark.parametrize("key, radius", [
     ("elements", 30), ("generators", 30), ("elements", 10 ** 9)])
 def test_a_ball_no_table_can_cover_is_refused_before_any_table(
@@ -236,7 +249,7 @@ def wrong_type(gamma_s3, part):
 def test_check_c_refuses_a_part_of_the_wrong_type(tmp_path, gamma_s3):
     path = tmp_path / "wrong-type.json"
     path.write_text(wrong_type(gamma_s3, "metadata"))
-    res = CliRunner().invoke(cli.main, ["check-c", "--in", str(path)])
+    res = invoke(cli.main, ["check-c", "--in", str(path)])
     assert res.exit_code == 2
     assert res.stderr.splitlines() == ["Error: " + WRONG_TYPES["metadata"]]
 
@@ -465,13 +478,12 @@ def test_written_documents_are_read_through_the_table_template(
     # a reader that always fell back on the JSON tree would pass every
     # equivalence test above; the documents treeball writes must not
     path = tmp_path / "doc.json"
-    res = CliRunner().invoke(cli.main, ["construct", *args,
-                                        "--out", str(path)])
+    res = invoke(cli.main, ["construct", *args, "--out", str(path)])
     assert res.exit_code == 0, res.output
     monkeypatch.setattr(documents, "_element_tuples", _refuse)
     monkeypatch.setattr(documents, "_parse_aut", _refuse)
     doc = load_document(path)
-    res = CliRunner().invoke(cli.main, [
+    res = invoke(cli.main, [
         "pk-local", "--in", str(path), "--target", str(doc.radius),
         "--format", "json"])
     assert res.exit_code == 0, res.output
@@ -484,8 +496,7 @@ def test_written_documents_are_read_through_the_table_template(
 @pytest.mark.parametrize("args", CONSTRUCTED, ids=" ".join)
 def test_one_read_closes_once(args, tmp_path, monkeypatch):
     path = tmp_path / "doc.json"
-    res = CliRunner().invoke(cli.main, ["construct", *args,
-                                        "--out", str(path)])
+    res = invoke(cli.main, ["construct", *args, "--out", str(path)])
     assert res.exit_code == 0, res.output
     calls, checked = [], []
     # the greedy of element lists and of group tables

@@ -24,11 +24,16 @@ def test_import_loads_neither_dataclasses_nor_click():
     src = str(pathlib.Path(treeball.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = ("import sys, treeball; print(treeball.__file__); "
-            "print(sorted({'dataclasses', 'click'} & set(sys.modules)))")
+    # import treeball.cli loads only treeball and standard-library modules
+    code = ("import sys; before = set(sys.modules); import treeball; "
+            "print(treeball.__file__); "
+            "print(sorted({'dataclasses', 'click'} & set(sys.modules))); "
+            "import treeball.cli; "
+            "print(sorted({n.split('.')[0] for n in sys.modules} - before "
+            "- set(sys.stdlib_module_names) - {'treeball'}))")
     out = subprocess.run([sys.executable, "-c", code], env=env, text=True,
                          capture_output=True, check=True).stdout
-    assert out.splitlines() == [treeball.__file__, "[]"]
+    assert out.splitlines() == [treeball.__file__, "[]", "[]"]
 
 
 def test_document_equality_ignores_the_group_and_reads_the_metadata(
