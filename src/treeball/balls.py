@@ -119,24 +119,32 @@ def _parents(degree, radius):
 
 
 @functools.lru_cache(maxsize=None)
-def _image_checks(degree, radius):
-    """What BallAut.from_images checks a table against: the point indices,
-    the parents, and the gather of the parents' images past sphere 1 (a
-    radius-1 table has no points there)."""
+def _automorphism_test(degree, radius):
+    """The test of BallAut.from_images: is an image tuple a bijection that
+    maps the center's neighbours among themselves and every other point's
+    parent to its image's parent? That is exactly an automorphism of the
+    ball fixing the center: lengths are kept by induction, so each sphere
+    maps onto itself and each edge onto an edge."""
     parent = _parents(degree, radius)
-    return frozenset(range(len(parent))), parent, _getter(parent[degree:])
+    points, parents_of_images = (frozenset(range(len(parent))),
+                                 _getter(parent[degree:]))
+    return lambda images: not (
+        degree < 3 or len(images) != len(parent) or points.difference(images)
+        or max(images[:degree]) >= degree
+        or radius > 1 and (itemgetter(*images[degree:])(parent)
+                           != parents_of_images(images)))
 
 
 @functools.lru_cache(maxsize=None)
 def _chart_tables(degree, radius):
     """Index tables between the ball and its charts at the neighbours.
 
-    For each neighbour w: ``gather[w][j]`` is the point that the j-th word of
-    the radius ``r - 1`` ball reaches from w, and ``local[w][i]`` is point i
-    read from w (-1 when out of reach); ``getters[w]`` gathers ``gather[w]``
-    from an image tuple. The local word (w,) leads back to the center; there
-    ``gather`` holds w and ``local[w][w]`` holds w, so the center still lands
-    on the local index of the image neighbour.
+    For each neighbour w: ``local[w][i]`` is point i read from w (-1 when
+    out of reach), and ``getters[w]`` gathers from an image tuple, at each
+    j, the point that the j-th word of the radius ``r - 1`` ball reaches
+    from w. The local word (w,) leads back to the center; there the getter
+    reads w and ``local[w][w]`` holds w, so the center still lands on the
+    local index of the image neighbour.
     """
     pts = ball_points(degree, radius)
     inner = _point_index(degree, radius - 1)
@@ -148,7 +156,7 @@ def _chart_tables(degree, radius):
         loc = [inner.get(word_path((w,), p), -1) for p in pts]
         loc[w] = w
         local.append(tuple(loc))
-    return tuple(gather), tuple(local), tuple(map(_getter, gather))
+    return tuple(local), tuple(map(_getter, gather))
 
 
 @functools.lru_cache(maxsize=None)
@@ -196,26 +204,26 @@ def _assemble(radius, center, charts):
 
 def _glue_fibers(root, fibers, block_of=None):
     """Packs (`_codec`) of every map glued from `root` and a chart per
-    neighbour w out of fibers[block_of[w]] (block_of defaults to the
-    identity), one choice per block, in itertools.product order over the
-    blocks as they first occur. Each (w, chart) segment is gathered and
-    packed once; the packs grow as a prefix tree by ``prefix + segment``.
+    neighbour w out of fibers[w], the directions of one block (block_of[w],
+    by default each its own) taking charts at one index together, in
+    itertools.product order over the blocks as they first occur. Each
+    (w, chart) segment is gathered and packed once; the packs grow as a
+    prefix tree by ``prefix + segment``.
     """
     _, tails, reach = _assembly_table(root.degree, root.radius + 1,
                                       root.radius)
     pack = _codec(len(ball_points(root.degree, root.radius + 1)))[0]
-    level, branched = [pack(root.images)], []
+    # a block's choice changes every stride[block] packs of the level
+    level, stride = [pack(root.images)], {}
     for w, at in enumerate(root.images[:root.degree]):
         b = w if block_of is None else block_of[w]
-        segs = [pack(_site_points(reach, tails[w], at, c)) for c in fibers[b]]
-        if b not in branched:
+        segs = [pack(_site_points(reach, tails[w], at, c)) for c in fibers[w]]
+        if b not in stride:
             level = [p + s for p in level for s in segs]
-            branched.append(b)
+            stride = {c: n * len(segs) for c, n in stride.items()}
+            stride[b] = 1
         else:
-            # the block's choice changes every `stride` packs of the level
-            stride = math.prod(len(fibers[c])
-                               for c in branched[branched.index(b) + 1:])
-            run = [s for s in segs for _ in range(stride)]
+            run = [s for s in segs for _ in range(stride[b])]
             level = list(map(add, level, itertools.cycle(run)))
     return level
 
@@ -292,21 +300,10 @@ class BallAut(Element):
 
     @classmethod
     def from_images(cls, degree, radius, images):
-        """The automorphism with the given ball_points image indices.
-
-        Raises ValueError unless the table is a bijection that maps the
-        center's neighbours among themselves and every other point's parent
-        to its image's parent. That is exactly an automorphism of the ball
-        fixing the center: lengths are kept by induction, so each sphere
-        maps onto itself and each edge onto an edge.
-        """
+        """The automorphism with the given ball_points image indices;
+        ValueError unless it passes `_automorphism_test`."""
         images = tuple(images)
-        points, parent, parents_of_images = _image_checks(degree, radius)
-        if (degree < 3 or len(images) != len(parent)
-                or points.difference(images)
-                or max(images[:degree]) >= degree
-                or radius > 1 and (itemgetter(*images[degree:])(parent)
-                                   != parents_of_images(images))):
+        if not _automorphism_test(degree, radius)(images):
             raise ValueError("table is not a ball automorphism")
         return cls._raw(degree, radius, images)
 
@@ -328,13 +325,11 @@ class BallAut(Element):
                      for w in range(self.degree))
 
     def _chart(self, w, radius):
-        # the automorphism induced around neighbour w, up to `radius`
-        gather, local, _ = _chart_tables(self.degree, self.radius)
-        im = self.images
-        loc = local[im[w]]
+        # the automorphism induced around neighbour w, up to `radius`: a
+        # prefix of the whole chart, as the chart's points are ball_points
         n = len(ball_points(self.degree, radius))
         return BallAut._raw(self.degree, radius,
-                            tuple([loc[im[g]] for g in gather[w][:n]]))
+                            _root_and_chart(self, w)[1][:n])
 
     def level1(self):
         """The induced permutation of the center's neighbour labels."""
@@ -474,7 +469,7 @@ class BallAut(Element):
 
 def _root_and_chart(aut, w):
     # image tuples of aut.root and of aut._chart(w, radius - 1), as gathers
-    _, local, getters = _chart_tables(aut.degree, aut.radius)
+    local, getters = _chart_tables(aut.degree, aut.radius)
     im = aut.images
     chart = getters[w](im)
     return im[:len(chart)], _getter(chart)(local[im[w]])
@@ -509,18 +504,31 @@ def ball_compatible(alpha, beta, direction):
     return _need_key(alpha, direction) == _offer_key(beta, direction)
 
 
-def full_aut_order(degree, radius):
-    """Order of the full automorphism group of the ball, by layer counting."""
+def _require_ball(degree, radius):
     if degree < 3:
         raise HypothesisError("tree degree must be at least 3")
     if radius < 1:
         raise ValueError("ball radius must be at least 1")
-    total = math.factorial(degree)
-    fiber = math.factorial(degree - 1)
-    for _ in range(radius - 1):
-        total *= fiber ** degree
-        fiber = fiber ** (degree - 1)
-    return total
+
+
+def full_aut_order(degree, radius):
+    """Order of the full automorphism group of the ball, by layer counting:
+    d! at the center and (d-1)! at each of the d * ((d-1)^(r-1) - 1) / (d-2)
+    other inner vertices."""
+    _require_ball(degree, radius)
+    return math.factorial(degree) * math.factorial(degree - 1) ** (
+        degree * ((degree - 1) ** (radius - 1) - 1) // (degree - 2))
+
+
+def _full_aut_log10(degree, radius):
+    """log10 of `full_aut_order` by lgamma, inf past the float range."""
+    _require_ball(degree, radius)
+    try:
+        inner = degree * ((degree - 1.0) ** (radius - 1) - 1) / (degree - 2)
+    except OverflowError:
+        return math.inf
+    return ((math.lgamma(degree + 1) + inner * math.lgamma(degree))
+            / math.log(10))
 
 
 @functools.lru_cache(maxsize=None)

@@ -13,10 +13,11 @@ copies, is kept in tests/perm_shadow.py as the oracle for that route.
 from __future__ import annotations
 
 import math
+import sys
 from typing import NamedTuple
 
 from . import errors
-from .balls import BallGroup, full_aut, full_aut_order
+from .balls import BallGroup, _full_aut_log10, full_aut, full_aut_order
 from .compat import (
     _involutive_sections,
     check_compatibility,
@@ -99,13 +100,17 @@ def census_compatible_classes(degree=3, radius=2):
     carry deterministic representatives: the least element list over each
     class orbit.
     """
-    order = full_aut_order(degree, radius)
-    if order > errors.CENSUS_AMBIENT_CAP:
+    # an order past the float range is refused from its log, never made
+    past = sys.float_info.max_10_exp
+    huge = _full_aut_log10(degree, radius) > past
+    order = None if huge else full_aut_order(degree, radius)
+    if huge or order > errors.CENSUS_AMBIENT_CAP:
+        shown = "an order past 10^%d" % past if huge else "order %d" % order
         raise CapacityError(
-            "the full ball group at degree %d radius %d has order %d, beyond "
-            "the exhaustive census cap of %d; use the lift-based route over a "
+            "the full ball group at degree %d radius %d has %s, beyond the "
+            "exhaustive census cap of %d; use the lift-based route over a "
             "smaller radius"
-            % (degree, radius, order, errors.CENSUS_AMBIENT_CAP))
+            % (degree, radius, shown, errors.CENSUS_AMBIENT_CAP))
     ambient = full_aut(degree, radius)
 
     # gluing is not preserved by conjugation, so classes are keyed by their

@@ -12,21 +12,23 @@ generators, so they are also bound by `errors.CLOSURE_CAP`.
 Full lifts and tower levels are one step, glued from matched fibers, and
 keep the generators the step builds (lifts of the level below's generators
 and one-block twists of the identity). A step glues its level or refuses it
-through `check_cells`; only `build_tower` turns a refused level into a
-certificate, which carries the same generators. Block-constant lifts are
-the levels of a partition tower.
+through `check_cells`, or `_codec` past two-byte entries; only
+`build_tower` turns a refused level into a certificate, which carries the
+same generators. Block-constant lifts are the levels of a partition tower.
+The radius-2 groups K x| F are glued the same way, one `_glue_fibers` call
+per element of F, a twist group being one block of directions.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from typing import NamedTuple
 
 from .balls import (
     BallAut,
     BallGroup,
+    _automorphism_test,
     _glue_fibers,
     _glue_images,
     _need_key,
@@ -42,7 +44,8 @@ from .compat import (
     require_gluing,
 )
 from .errors import CapacityError, HypothesisError, check_cells
-from .permcore import (Perm, PermGroup, _getter, _inverse, center,
+from .permcore import (Perm, PermGroup, _getter, _identity_images, _images,
+                       _inverse, _slot_images, _table_generators, center,
                        classify_action, small_generating_set_of)
 
 
@@ -57,6 +60,7 @@ def radius_one(F):
 
 
 def _as_radius2(root_perm, child_perms):
+    # the named generator families of `build_wreath_local`
     return BallAut(_r1(root_perm), tuple(_r1(c) for c in child_perms))
 
 
@@ -67,13 +71,31 @@ def _check_order(group, expected, what):
     return group
 
 
-def _radius2_group(what, F, twists, elements):
-    """The group of the lazy radius-2 `elements`, one per element of F and
-    twist, made once `check_cells` admits their tables; checked to have
-    that order."""
-    order = F.order * twists
-    check_cells(what, order, len(ball_points(F.degree, 2)))
-    return _check_order(BallGroup.from_elements(elements), order, what)
+def _twist_group(what, F, twists, fibers, block_of=None):
+    """The radius-2 group K x| F of order F.order * twists, once
+    `check_cells` admits it, glued as a tower level is: one `_glue_fibers`
+    call per a in F on the charts ``fibers(a)``, permutations, and
+    `block_of` (a twist group is one block). It keeps the greedy generators
+    `from_elements` would pick; they pass `BallAut.from_images`'s test, and
+    their closure within the table reaches every entry."""
+    d, order = F.degree, F.order * twists
+    check_cells(what, order, len(ball_points(d, 2)))
+    table = sorted(t for a in F.elements
+                   for t in _glue_fibers(_r1(a), fibers(a), block_of))
+    gens = _table_generators(table, BallAut.identity(d, 2))
+    if not all(map(_automorphism_test(d, 2), map(_images, gens))):
+        raise RuntimeError("%s glued a map that is no automorphism; bug"
+                           % what)
+    return _check_order(BallGroup(d, 2, None, gens, _table=table), order, what)
+
+
+def _subgroup_generators(elements, identity, message):
+    """The greedy generators of a sorted element list, whose one closure
+    shows it is a group; HypothesisError(message) when it is not."""
+    try:
+        return small_generating_set_of(elements, identity)
+    except ValueError:
+        raise HypothesisError(message) from None
 
 
 # ---------------------------------------------------------------------------
@@ -82,12 +104,11 @@ def _radius2_group(what, F, twists, elements):
 
 def build_diagonal(F):
     """Each permutation extends by acting the same way around every neighbour."""
-    check_cells("diagonal extension", F.order,
-                len(ball_points(F.degree, 2)))
-    elems = [_as_radius2(a, [a] * F.degree) for a in F.elements]
-    gens = [_as_radius2(a, [a] * F.degree) for a in F.generators]
-    return _check_order(
-        BallGroup(F.degree, 2, elems, gens), F.order, "diagonal extension")
+    d = F.degree
+    group = _twist_group("diagonal extension", F, 1, lambda a: [[a]] * d)
+    # the lifts of F's generators, each the one element over its root
+    group.generators = tuple(next(group._run(a.images)) for a in F.generators)
+    return group
 
 
 def build_centered(F, center=None):
@@ -107,30 +128,27 @@ def build_centered(F, center=None):
         check_cells("centered extension", F.order * (F.order // F.degree),
                     len(ball_points(F.degree, 2)))
     stab = F.stabilizer(0)
-    transversal = F.transversal(0)
-    d = F.degree
-
-    if center is not None:
-        cent = list(center.elements if isinstance(center, PermGroup) else center)
+    d, f = F.degree, F.transversal(0)
+    if center is None:
+        twists, left = stab.elements, lambda a, w: f[a(w)]
+    else:
+        cent = list(center.elements if isinstance(center, PermGroup)
+                    else center)
         for c in cent:
             if c not in stab:
                 raise HypothesisError("center elements must fix the base point")
-            if any(c * s != s * c for s in stab.elements):
+            if any(c * s != s * c for s in stab.generators):
                 raise HypothesisError(
                     "center elements must be central in the stabilizer")
-        celems = set(cent)
-        if not celems or any(
-                a * b not in celems for a in celems for b in celems):
-            raise HypothesisError("center must be a subgroup of the stabilizer")
-        return _radius2_group("centered extension", F, len(celems), (
-            _as_radius2(a, [a * transversal[w] * c * transversal[w].inverse()
-                            for w in range(d)])
-            for a in F.elements for c in celems))
-
-    return _radius2_group("centered extension", F, stab.order, (
-        _as_radius2(a, [transversal[a(w)] * c * transversal[w].inverse()
-                        for w in range(d)])
-        for a in F.elements for c in stab.elements))
+        twists, left = sorted(set(cent)), lambda a, w: a * f[w]
+        _subgroup_generators(twists, Perm.identity(d),
+                             "center must be a subgroup of the stabilizer")
+    # the child at w for (a, c) is left(a, w) * c * f[w]^{-1}
+    right = [[c * f[w].inverse() for c in twists] for w in range(d)]
+    return _twist_group(
+        "centered extension", F, len(twists),
+        lambda a: [[left(a, w) * x for x in right[w]] for w in range(d)],
+        [0] * d)
 
 
 def build_kernel_extension(F, normal):
@@ -145,23 +163,21 @@ def build_kernel_extension(F, normal):
     if not F.is_transitive():
         raise HypothesisError("kernel extension requires a transitive group")
     stab = F.stabilizer(0)
-    nelems = tuple(normal.elements if isinstance(normal, PermGroup) else normal)
-    nset = set(nelems)
+    nset = set(normal.elements if isinstance(normal, PermGroup) else normal)
     if not all(map(stab.__contains__, nset)):
         raise HypothesisError("the twist group must fix the base point")
-    if any(a * b not in nset for a in nset for b in nset):
-        raise HypothesisError("the twist set must be a subgroup")
+    d, f, nelems = F.degree, F.transversal(0), sorted(nset)
+    gens = _subgroup_generators(nelems, Perm.identity(d),
+                                "the twist set must be a subgroup")
     for s in stab.generators:
         si = s.inverse()
-        if any(s * n * si not in nset for n in nset):
+        if any(s * n * si not in nset for n in gens):
             raise HypothesisError(
                 "the twist group must be normal in the stabilizer")
-    d = F.degree
-    conj = {w: (f, f.inverse()) for w, f in F.transversal(0).items()}
-    return _radius2_group("kernel extension", F, len(nelems) ** d, (
-        _as_radius2(a, [a * conj[w][0] * tw[w] * conj[w][1]
-                        for w in range(d)])
-        for a in F.elements for tw in itertools.product(nelems, repeat=d)))
+    # one block a direction: the twists at the neighbours are independent
+    moved = [[f[w] * n * f[w].inverse() for n in nelems] for w in range(d)]
+    return _twist_group("kernel extension", F, len(nelems) ** d,
+                        lambda a: [[a * x for x in row] for row in moved])
 
 
 def build_full_lift(F, radius=None):
@@ -234,9 +250,6 @@ def build_split_lift(F, kernel):
     """
     d = F.degree
     tuples = list(kernel.elements if hasattr(kernel, "elements") else kernel)
-    if not tuples:
-        raise HypothesisError("the twist group must contain the identity tuple")
-    tset = set(tuples)
     for tw in tuples:
         if len(tw) != d:
             raise HypothesisError("need one twist per point")
@@ -245,23 +258,25 @@ def build_split_lift(F, kernel):
                 raise HypothesisError("each twist must fix its own point")
             if tw[w] not in F:
                 raise HypothesisError("twists must come from the group")
-    ident = tuple(Perm.identity(F.degree) for _ in range(d))
-    if ident not in tset:
+    # each tuple once, by its image tuple on the d * d slot points
+    twists = {_slot_images(tw): tw for tw in tuples}
+    if _identity_images(d * d) not in twists:
         raise HypothesisError("the twist group must contain the identity tuple")
-    for x in tuples:
-        for y in tuples:
-            if tuple(p * q for p, q in zip(x, y)) not in tset:
-                raise HypothesisError("the twist set must be a subgroup")
+    gens = _subgroup_generators(list(map(Perm._raw, sorted(twists))),
+                                Perm.identity(d * d),
+                                "the twist set must be a subgroup")
     for a in F.generators:
         ai = a.inverse()
-        for tw in tuples:
+        for g in gens:
+            tw = twists[g.images]
             moved = tuple(a * tw[ai(w)] * ai for w in range(d))
-            if moved not in tset:
+            if _slot_images(moved) not in twists:
                 raise HypothesisError(
                     "the twist group must be invariant under the group action")
-    return _radius2_group("split lift", F, len(tuples), (
-        _as_radius2(a, [a * tw[w] for w in range(d)])
-        for a in F.elements for tw in tuples))
+    rows = list(zip(*twists.values()))  # the twists at each neighbour
+    return _twist_group("split lift", F, len(twists),
+                        lambda a: [[a * x for x in row] for row in rows],
+                        [0] * d)
 
 
 # ---------------------------------------------------------------------------
@@ -515,8 +530,9 @@ def build_tower(F, kind, levels, blocks=None, pinned_point=0):
       pointwise stabilizers.
 
     A level whose tables would pass the table-cell budget of
-    `errors.check_cells`, which bounds their memory, is refused by its step
-    and certified here instead, and the tower stops after the first such
+    `errors.check_cells`, which bounds their memory, or whose ball has more
+    points than two-byte entries index, is refused by its step and
+    certified here instead, and the tower stops after the first such
     level, so it can hold fewer levels than asked for; the `tower` command
     then says so on stderr.
     """
@@ -526,7 +542,7 @@ def build_tower(F, kind, levels, blocks=None, pinned_point=0):
     for _ in range(levels - 1):
         try:
             group = _tower_step(group, blocks, pinned)
-        except CapacityError:  # the step's one refusal: its cell budget
+        except CapacityError:  # the step's refusals: cells or point count
             cert = _tower_certificate(group, blocks, pinned,
                                       _central_block_preserving(
                                           F, zen, blocks, pinned_point, kind))
@@ -688,8 +704,8 @@ def _tower_step(prev, blocks, pinned, phase="tower step"):
     element's joint fibers (itself on a `pinned` block), with the generators
     of `_tower_generators`: every full lift and tower level. It checks that
     the order is the fiber product's and every generator lies in the level.
-    Its one `CapacityError` is `check_cells` refusing first, naming
-    `phase`."""
+    Its `CapacityError`s come before the first glue: `check_cells`, naming
+    `phase`, or `_codec` refusing a ball past two-byte entries."""
     d, radius = prev.degree, prev.radius + 1
     block_of, id_fibers, sizes, first = _step_fibers(prev, blocks, pinned)
     expected = prev.order * math.prod(sizes)
@@ -702,7 +718,8 @@ def _tower_step(prev, blocks, pinned, phase="tower step"):
                    for i, b in enumerate(blocks)]
         if list(map(len, options)) != sizes:
             raise RuntimeError("tower fibers are not uniform; bug")
-        table.extend(_glue_fibers(a, options, block_of))
+        table.extend(_glue_fibers(a, [options[i] for i in block_of],
+                                  block_of))
     table.sort()  # linear: roots and fibers already come in image order
     gens = _tower_generators(prev, pinned, id_fibers, block_of, first)
     level = BallGroup(d, radius, None, gens, _table=table)

@@ -68,6 +68,9 @@ def _codec(n):
     the pack of g * y by one translate through g; past that an entry takes
     two big-endian bytes, a product is a tuple gather between unpack and
     pack, and entries unpack to the identity's ints, not a fresh int each."""
+    if n > 1 << 16:
+        raise CapacityError("%d points are past the %d that two-byte image "
+                            "entries index" % (n, 1 << 16))
     if n <= 256:
         def by(g, pad=bytes(range(256))):
             table = g + pad[len(g):]
@@ -1015,11 +1018,17 @@ def _power_subgroups_gf2(F, slots, count):
     return out
 
 
+def _slot_images(k):
+    """A tuple k of permutations as one: (w, i) -> w * n + k[w](i)."""
+    n = k[0].degree
+    return tuple([w * n + i for w, p in enumerate(k) for i in p.images])
+
+
 def _power_subgroups_generic(F, slots, count, act):
     """The subgroups of the slot product, only the F-invariant ones if `act`.
 
-    A slot tuple k is one image tuple, (w, i) -> (w, k_w(i)) on the points
-    w * n + i, and a in F acts by conjugating with (w, i) -> (a(w), a(i)).
+    A slot tuple k is one image tuple (`_slot_images`), and a in F acts by
+    conjugating with (w, i) -> (a(w), a(i)).
     Subgroups are queued with generators; adjoining x closes the F-orbit of
     those and x by `_grow`, an invariant group as F acts by automorphisms.
     """
@@ -1045,8 +1054,7 @@ def _power_subgroups_generic(F, slots, count, act):
             _grow(members, seen, grown, g)
         return frozenset(seen)
 
-    ambient = [tuple(w * n + i for w in points for i in k[w].images)
-               for k in itertools.product(*slots)]
+    ambient = list(map(_slot_images, itertools.product(*slots)))
     found = {frozenset({ident})}
     queue = [(frozenset({ident}), ())]
     while queue:

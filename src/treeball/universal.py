@@ -69,11 +69,13 @@ def _restriction_count(group, radius):
     k = group.radius
     ident = group.identity()
     fiber = [len(compat_set(group, ident, w)) for w in range(group.degree)]
+    # with every fiber 1 no depth adds a factor, and none is looped over;
     # the largest exponent is base^top, of more than `limit` digits once
     # top passes 4 * limit (2^4 > 10), so no huge power is made to see it
     base, top = group.degree - 1, radius - k - 1
+    depths = radius - k if any(f != 1 for f in fiber) else 0
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: none
-    if limit and top > 0 and any(f != 1 for f in fiber) and (
+    if limit and top > 0 and depths and (
             top > 4 * limit or base ** top >= 10 ** limit):
         raise CapacityError(
             "restriction count at radius %d: its factor exponent %d^%d has "
@@ -81,7 +83,7 @@ def _restriction_count(group, radius):
             % (radius, base, top, limit))
     total = group.order
     factors = [str(group.order)]
-    for depth in range(1, radius - k + 1):
+    for depth in range(1, depths + 1):
         per_letter = base ** (depth - 1)
         for w in range(group.degree):
             if fiber[w] != 1:

@@ -420,6 +420,51 @@ def test_census_refusal_names_the_order_and_the_cap(runner):
             in res.stderr)
 
 
+@pytest.mark.parametrize("degree, radius, order", [
+    ("3", "5", "order 211106232532992"),
+    ("3", "100000000", "an order past 10^%d" % sys.float_info.max_10_exp),
+    ("3000000", "1", "an order past 10^%d" % sys.float_info.max_10_exp),
+])
+def test_census_refuses_a_huge_ball_before_making_its_order(runner, degree,
+                                                            radius, order):
+    # an order past the float range is refused from its logarithm: neither
+    # 3 * 2^(10^8) fibers nor 3,000,000! is ever made
+    start = time.perf_counter()
+    res = runner.invoke(main, ["census", "--degree", degree,
+                               "--radius", radius])
+    took = time.perf_counter() - start
+    assert (res.exit_code, res.stdout) == (2, "")
+    assert res.stderr.splitlines() == [
+        "Error: the full ball group at degree %s radius %s has %s, beyond "
+        "the exhaustive census cap of 200; use the lift-based route over a "
+        "smaller radius" % (degree, radius, order)]
+    assert took < 1
+
+
+def test_pk_local_refuses_a_ball_past_two_byte_entries(runner, diagonal_doc):
+    # the radius-15 ball has 98,301 points; two bytes index 65,536
+    args = ["pk-local", "--in", diagonal_doc, "--target"]
+    res = runner.invoke(main, args + ["15"])
+    assert (res.exit_code, res.stdout) == (2, "")
+    assert res.stderr.splitlines() == [
+        "Error: 98301 points are past the 65536 that two-byte image entries "
+        "index"]
+    res = runner.invoke(main, args + ["14"])
+    assert (res.exit_code, res.output) == (
+        0, "radius 14 action: order 6, 2 generators\n")
+
+
+def test_count_restrictions_with_rigid_fibers_loops_over_no_depth(
+        runner, diagonal_doc):
+    # every fiber of the diagonal is 1, so the count is the group's order
+    start = time.perf_counter()
+    res = runner.invoke(main, ["count-restrictions", "--in", diagonal_doc,
+                               "--ball", "100000", "--stabilizer"])
+    took = time.perf_counter() - start
+    assert (res.exit_code, res.output) == (0, "count: 6\n")
+    assert took < 1
+
+
 def test_tower_text_output(runner):
     res = runner.invoke(main, ["tower", "partition", "--steps", "3"])
     assert res.exit_code == 0, res.output

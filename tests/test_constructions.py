@@ -600,21 +600,21 @@ KNOWN_ORDER_BUILDS = {
                    build_wreath_local, PermGroup.cyclic(2),
                    PermGroup.cyclic(2))),
     "diagonal": ("diagonal extension", 6, (3, 2),
-                 (constructions, "_as_radius2"),
+                 (constructions, "_glue_fibers"),
                  lambda get: functools.partial(build_diagonal, get("s3"))),
     "centered": ("centered extension", 12, (3, 2),
-                 (constructions, "_as_radius2"),
+                 (constructions, "_glue_fibers"),
                  lambda get: functools.partial(build_centered, get("s3"))),
     "centered by a center": (
-        "centered extension", 12, (3, 2), (constructions, "_as_radius2"),
+        "centered extension", 12, (3, 2), (constructions, "_glue_fibers"),
         lambda get: functools.partial(build_centered, get("s3"),
                                       center=get("s3").stabilizer(0))),
     "kernel extension": (
-        "kernel extension", 48, (3, 2), (constructions, "_as_radius2"),
+        "kernel extension", 48, (3, 2), (constructions, "_glue_fibers"),
         lambda get: functools.partial(build_kernel_extension, get("s3"),
                                       get("s3").stabilizer(0))),
     "split lift": (
-        "split lift", 12, (3, 2), (constructions, "_as_radius2"),
+        "split lift", 12, (3, 2), (constructions, "_glue_fibers"),
         lambda get: functools.partial(build_split_lift, get("s3"),
                                       [id_tuple(), (FIX[0], FIX[1], FIX[2])])),
 }

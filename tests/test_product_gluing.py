@@ -106,5 +106,6 @@ def test_tied_neighbours_glue_in_product_order_over_blocks(seed, shape):
     options = [[random_ball_aut(*shape, rng)
                 for _ in range(rng.randint(1, 3))] for _ in blocks]
     block_of = {w: i for i, b in enumerate(blocks) for w in b}
-    assert (unpacked(root, _glue_fibers(root, options, block_of))
+    fibers = [options[block_of[w]] for w in range(degree)]
+    assert (unpacked(root, _glue_fibers(root, fibers, block_of))
             == product_gluing.glue_blocks(root, options, blocks))

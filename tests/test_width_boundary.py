@@ -64,7 +64,7 @@ def test_tower_gluing_on_each_side_of_the_split(name, kind, blocks, points,
     for a in prev.elements[:3] + prev.elements[-2:]:
         options = [(a,) if i == pinned else joint_compat_set(prev, a, b)[:2]
                    for i, b in enumerate(tower.blocks)]
-        packs = _glue_fibers(a, options, block_of)
+        packs = _glue_fibers(a, [options[i] for i in block_of], block_of)
         assert {len(p) for p in packs} == {points if points <= 256
                                            else 2 * points}
         glued = unpacked(a, packs)
