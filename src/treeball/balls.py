@@ -379,7 +379,8 @@ class BallAut(Element):
         return Perm._raw(tuple([pts[im[j]][-1] for j in row]))
 
     def apply(self, word):
-        """Image of the vertex addressed by `word`."""
+        """Image of the vertex addressed by `word`: the action on words the
+        paper defines, kept public though src/ reads the image table."""
         word = tuple(word)
         if len(word) > self.radius:
             raise ValueError("word is longer than the radius")
@@ -420,6 +421,9 @@ class BallAut(Element):
     # -- conversions -----------------------------------------------------------
 
     def to_wordmap(self):
+        """The vertex-image table as a word-to-word dict, the inverse of
+        `from_wordmap`: kept public as what the benchmark's oracle checks
+        read, though src/ writes documents from the image table."""
         pts = ball_points(self.degree, self.radius)
         return dict(zip(pts, self.flat()))
 

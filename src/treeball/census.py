@@ -224,8 +224,8 @@ def _lifts_by_cocycle(base, kernel):
                 sigma = build_cocycle_extension(z, sub)
             except HypothesisError:
                 continue
-            if sigma._eset not in seen:
-                seen.add(sigma._eset)
+            if sigma._table not in seen:
+                seen.add(sigma._table)
                 if _is_discrete_lift(sigma, base):
                     candidates.append(sigma)
     return candidates

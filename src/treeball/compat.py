@@ -233,22 +233,6 @@ class CompatCocycle:
             self.group.order, self.group.degree)
 
 
-def canonical_cocycle(group):
-    """The unique choice map of a group with nonempty, rigid fibers.
-
-    When every fiber is nonempty and the identity's fibers are trivial, each
-    fiber is a single element; picking it is forced, and the product rule and
-    involutivity hold automatically. Raises when the hypotheses fail.
-    """
-    if not check_compatibility(group):
-        raise HypothesisError("fibers must be nonempty in every direction")
-    if not check_trivial_seams(group):
-        raise HypothesisError("the identity's fibers must be trivial")
-    return CompatCocycle(group, {(a, w): compat_set(group, a, w)[0]
-                                 for a in group.elements
-                                 for w in range(group.degree)})
-
-
 def find_involutive_cocycles(group):
     """All involutive choice maps on the group, sorted by table.
 

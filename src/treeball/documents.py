@@ -143,11 +143,11 @@ def _parse_word(text, degree, where):
         raise DocumentError("%s: word must be a nonempty digit string,"
                             " got %r" % (where, text))
     out = []
-    for ch in text:
-        if not ch.isdigit() or int(ch) >= degree:
+    for ch in text:  # ASCII digits only: str.isdigit admits others
+        out.append("0123456789"[:degree].find(ch))
+        if out[-1] < 0:
             raise DocumentError("%s: word %r uses a letter outside 0..%d"
                                 % (where, text, degree - 1))
-        out.append(int(ch))
     return tuple(out)
 
 
@@ -240,7 +240,7 @@ def _read_canonical(text):
         body = json.loads(rest)
         degree, radius, _ = _header(body)
         _check_ball_fits(degree, radius, len(text))
-    except ValueError:
+    except (ValueError, RecursionError):  # deep nesting raises the latter
         return None
     if json.dumps(body, sort_keys=True, indent=2) + "\n" != rest:
         return None
@@ -263,7 +263,7 @@ def _read_json(text):
     any text; DocumentError names a defect outside the tables."""
     try:
         body = json.loads(text)
-    except json.JSONDecodeError as err:
+    except (json.JSONDecodeError, RecursionError) as err:
         raise DocumentError("not valid JSON: %s" % err) from err
     degree, radius, key = _header(body)
     raw = body[key]

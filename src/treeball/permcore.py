@@ -9,8 +9,9 @@ refused past `errors.SUBGROUP_LATTICE_CAP`, decided from the group's order.
 Every element is one image tuple (`Element`), whose product is one C-level
 gather. Closures and the generating-set greedy run on the packs, and
 `_codec`, the one place with two product forms, picks theirs: one
-translate up to 256 points, a tuple gather past that. Element objects are
-made from the table only when a group's `elements` are asked for.
+translate up to 256 points, a tuple gather past that. The table alone
+answers membership, by bisection, and equality and hashing, as a tuple;
+element objects are made from it only when a group's `elements` are read.
 `FiniteGroup` holds what needs only products, inverses and image tuples:
 the two constructors (`generated` over the one closure, `from_elements`
 over the one generating-set greedy), containers, transitivity by the one
@@ -27,7 +28,7 @@ import itertools
 import math
 import struct
 from bisect import bisect_left
-from operator import attrgetter, itemgetter
+from operator import attrgetter, eq, itemgetter
 from typing import NamedTuple
 
 from . import errors
@@ -300,32 +301,33 @@ def _shape_of(elements, shape):
 
 class FiniteGroup:
     """A finite group stored as the sorted table of its elements' packed
-    image tuples (`_codec`), which answers order, membership, equality and
-    hashing, plus generators. The elements are `Element`s, whose ``images``
-    tuple orders, hashes and composes them like a permutation's, so
-    permutations and ball automorphisms share everything here: the two
-    constructors, containers, the subgroup lattice, conjugacy classes and
-    subgroup conjugacy. `generated` closes generators and `from_elements`
-    reads an element list; the constructor sorts what it is given by image
-    tuple and keeps each repeat once. A group made from element objects
-    keeps them; one made from a sorted `_table` alone makes them when
-    ``elements`` is first read. A subclass names its element class
-    ``_element`` and supplies ``degree`` and ``_shape()``, the element shape
-    and the leading arguments of its constructor.
+    image tuples (`_codec`), which alone answers order, membership (by
+    bisection), equality and hashing (as a tuple), plus generators. The
+    elements are `Element`s, whose ``images`` tuple orders, hashes and
+    composes them like a permutation's, so permutations and ball
+    automorphisms share everything here: the two constructors, containers,
+    the subgroup lattice, conjugacy classes and subgroup conjugacy.
+    `generated` closes generators and `from_elements` reads an element
+    list; the constructor sorts what it is given by image tuple and keeps
+    each repeat once. A group made from element objects keeps them; one
+    made from a sorted `_table` alone makes them when ``elements`` is first
+    read. A subclass names its element class ``_element`` and supplies
+    ``degree`` and ``_shape()``, the element shape and the leading
+    arguments of its constructor.
     """
 
-    __slots__ = ("_elements", "_table", "_eset", "generators", "_cache")
+    __slots__ = ("_elements", "_table", "generators", "_cache")
     _element = Element
 
     def __init__(self, elements, generators, _table=None):
         if _table is None:
             elements = tuple(sorted(elements, key=_images))
             pack = _codec(len(elements[0].images))[0]
-            _table = tuple(map(pack, map(_images, elements)))
-        self._eset = frozenset(_table)
-        if len(self._eset) < len(_table):  # repeats: keep each once, in order
+            _table = map(pack, map(_images, elements))
+        _table = tuple(_table)
+        if any(map(eq, _table, _table[1:])):  # sorted: repeats are adjacent
             _table, elements = zip(*dict(zip(_table, elements)).items())
-        self._elements, self._table = elements, tuple(_table)
+        self._elements, self._table = elements, _table
         self.generators = tuple(generators)
         self._cache = {}
 
@@ -384,10 +386,12 @@ class FiniteGroup:
         return len(self._table)
 
     def __contains__(self, element):
-        images = element.images
-        return (type(element) is self._element
-                and element.degree == self.degree
-                and _codec(len(images))[0](images) in self._eset)
+        if type(element) is self._element and element.degree == self.degree:
+            table, images = self._table, element.images
+            key = _codec(len(images))[0](images)
+            i = bisect_left(table, key)
+            return i < len(table) and table[i] == key
+        return False
 
     def __iter__(self):
         return iter(self.elements)
@@ -396,13 +400,16 @@ class FiniteGroup:
         return len(self._table)
 
     def __eq__(self, other):
-        return self._kin(other) and self._eset == other._eset
+        return self._kin(other) and self._table == other._table
 
     def __hash__(self):
-        return hash(self._eset)
+        return hash(self._table)
 
     def is_subgroup_of(self, other):
-        return self._kin(other) and self._eset <= other._eset
+        """Both tables are sorted without repeats, so inclusion is one
+        merge: each entry found in what is left of the other's table."""
+        rest = iter(other._table)
+        return self._kin(other) and all(key in rest for key in self._table)
 
     def is_abelian(self):
         gens = self.generators

@@ -51,7 +51,7 @@ def normal_subgroups(G):
         return G._cache[key]
     reps = [min(c) for c in conjugacy_classes(G)]
     triv = type(G).generated((), *G._shape())
-    found = {triv._eset: triv}
+    found = {triv._table: triv}
     frontier = [triv]
     while frontier:
         N = frontier.pop()
@@ -59,8 +59,8 @@ def normal_subgroups(G):
             if r in N:
                 continue
             M = normal_closure(G, list(N.generators) + [r])
-            if M._eset not in found:
-                found[M._eset] = M
+            if M._table not in found:
+                found[M._table] = M
                 frontier.append(M)
     out = sorted(found.values(), key=lambda H: (H.order, H.elements))
     G._cache[key] = out

@@ -5,15 +5,17 @@ grow one closure by one generator at a time. The versions here re-close the
 whole generating set after each step instead, which is slower but leaves no
 room for bookkeeping errors; tests require both to give the same answers.
 `lifted_group` builds a cocycle's lift section by section, as the reference
-for the cocycle extensions.
+for the cocycle extensions, and `canonical_cocycle` reads a rigid group's
+one cocycle off its singleton fibers, as the reference for the search.
 """
 
 import itertools
 
 from treeball.balls import BallAut, BallGroup, ball_points
-from treeball.compat import (CompatCocycle, canonical_cocycle,
+from treeball.compat import (CompatCocycle, check_compatibility,
                              check_trivial_seams, compat_set,
                              first_compat_failure)
+from treeball.errors import HypothesisError
 
 
 def close(gens, identity):
@@ -75,6 +77,22 @@ def closure_abort(gens, identity, limit):
                     nxt.append(y)
         frontier = nxt
     return seen
+
+
+def canonical_cocycle(group):
+    """The unique choice map of a group with nonempty, rigid fibers.
+
+    When every fiber is nonempty and the identity's fibers are trivial, each
+    fiber is a single element; picking it is forced, and the product rule and
+    involutivity hold automatically. Raises when the hypotheses fail.
+    """
+    if not check_compatibility(group):
+        raise HypothesisError("fibers must be nonempty in every direction")
+    if not check_trivial_seams(group):
+        raise HypothesisError("the identity's fibers must be trivial")
+    return CompatCocycle(group, {(a, w): compat_set(group, a, w)[0]
+                                 for a in group.elements
+                                 for w in range(group.degree)})
 
 
 def _table_involutive(table):

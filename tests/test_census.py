@@ -120,7 +120,7 @@ def test_the_rigid_lift_search_does_each_piece_of_work_once(census_rows,
         closed[-1]))
     discrete = census._is_discrete_lift
     monkeypatch.setattr(census, "_is_discrete_lift", lambda group, base: (
-        checked.append(group._eset) or discrete(group, base)))
+        checked.append(group._table) or discrete(group, base)))
     rows = census_discrete_lifts([row])
     # each cocycle lifts each generator once
     cocycles = find_involutive_cocycles(row.group)
@@ -131,7 +131,7 @@ def test_the_rigid_lift_search_does_each_piece_of_work_once(census_rows,
     assert len(greedy) == len(set(greedy)) == 16 + 3
     assert [radius for radius, _ in greedy].count(2) == 3
     # each extension closed once, and checked for (C) and (D) once
-    assert len(closed) == len({g._eset for g in closed}) == len(checked)
+    assert len(closed) == len({g._table for g in closed}) == len(checked)
     assert len(checked) == len(set(checked))
 
     def facts(rows):

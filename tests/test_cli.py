@@ -177,6 +177,25 @@ def test_malformed_documents_exit_two(runner, tmp_path):
                                 str(missing)]).exit_code == 2
 
 
+@pytest.mark.parametrize("where", ["bare", "metadata"])
+def test_deeply_nested_json_exits_two_with_one_line(runner, tmp_path,
+                                                    gamma_s3, where):
+    # past the decoder's recursion limit: a bare nest of lists, and one in
+    # the metadata of a document that reads as canonical up to it
+    if where == "bare":
+        text = "[" * 100000 + "]" * 100000
+    else:
+        text = serialize_document(document_from_group(gamma_s3)).replace(
+            '"metadata": {}',
+            '"metadata": {"nest": %s}' % ("[" * 50000 + "]" * 50000), 1)
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    res = runner.invoke(main, ["check-c", "--in", str(path)])
+    assert res.exit_code == 2 and res.stdout == ""
+    assert len(res.stderr.splitlines()) == 1
+    assert res.stderr.startswith("Error: not valid JSON: ")
+
+
 def test_non_group_element_list_exits_two_with_one_line(runner, tmp_path):
     lone = tmp_path / "transposition.json"
     lone.write_text(json.dumps({

@@ -12,7 +12,7 @@ import reclosing
 import scanning_fibers
 from treeball import compat
 from treeball.balls import BallAut, BallGroup, ball_compatible, full_aut
-from treeball.compat import (CompatCocycle, _cocycle_system, canonical_cocycle,
+from treeball.compat import (CompatCocycle, _cocycle_system,
                              check_compatibility, check_trivial_seams,
                              compat_set, compatibility_core,
                              find_involutive_cocycles, first_compat_failure,
@@ -144,12 +144,23 @@ def test_core_is_the_group_itself_unless_something_is_pruned(census_rows):
 
 
 def test_canonical_cocycle_requires_rigidity(gamma_s3, phi_s3):
-    coc = canonical_cocycle(gamma_s3)
+    coc = reclosing.canonical_cocycle(gamma_s3)
     assert coc.z(gamma_s3.identity(), 0).is_identity()
     with pytest.raises(HypothesisError):
-        canonical_cocycle(phi_s3)
+        reclosing.canonical_cocycle(phi_s3)
     with pytest.raises(HypothesisError):
-        canonical_cocycle(tiny_seam_group())
+        reclosing.canonical_cocycle(tiny_seam_group())
+
+
+def test_a_rigid_census_group_has_its_canonical_cocycle_alone(census_rows,
+                                                              lift_rows):
+    # the search's one answer is the map the singleton fibers force
+    rigid = [row.group for row in census_rows + lift_rows
+             if check_trivial_seams(row.group)]
+    assert rigid
+    for group in rigid:
+        assert (find_involutive_cocycles(group)
+                == [reclosing.canonical_cocycle(group)])
 
 
 def test_cocycle_counts_across_the_degree_three_landscape(
@@ -248,7 +259,7 @@ def test_cocycle_search_ignores_generator_choice(pi_one):
 
 
 def test_section_glues_onto_its_base(gamma_s3):
-    coc = canonical_cocycle(gamma_s3)
+    (coc,) = find_involutive_cocycles(gamma_s3)
     for a in gamma_s3.elements:
         lift = coc.section(a)
         assert lift.project(gamma_s3.radius) == a
@@ -257,7 +268,7 @@ def test_section_glues_onto_its_base(gamma_s3):
 
 
 def test_cocycle_rejects_broken_tables(gamma_s3):
-    coc = canonical_cocycle(gamma_s3)
+    (coc,) = find_involutive_cocycles(gamma_s3)
     table = dict(coc.table)
     ident = gamma_s3.identity()
     other = next(a for a in gamma_s3.elements if not a.is_identity())
@@ -279,7 +290,8 @@ def satisfies_every_product_rule(group, z):
 
 @pytest.fixture(scope="module")
 def valid_cocycles(gamma_s3, delta_s3, pi_one):
-    return ([canonical_cocycle(gamma_s3), canonical_cocycle(delta_s3)]
+    return (find_involutive_cocycles(gamma_s3)
+            + find_involutive_cocycles(delta_s3)
             + find_involutive_cocycles(pi_one))
 
 

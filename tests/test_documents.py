@@ -271,6 +271,20 @@ def test_parse_reports_the_broken_element(gamma_s3):
         parse_document(json.dumps(body))
 
 
+@pytest.mark.parametrize("digit", ["\u0663", "\u00b3"],
+                         ids=["arabic-indic-three", "superscript-three"])
+def test_words_take_ascii_digits_only(digit):
+    # str.isdigit and int() take both for 3; a word letter is 0-9 alone
+    body = json.loads(serialize_document(document_from_group(
+        radius_one(permcore.PermGroup.symmetric(4)))))
+    identity = body["elements"][0]
+    del identity["3"]
+    identity[digit] = digit
+    with pytest.raises(DocumentError, match=re.escape(
+            "element 0: word %r uses a letter outside 0..3" % digit)):
+        parse_document(json.dumps(body))
+
+
 def test_parse_rejects_non_automorphism_tables(gamma_s3):
     body = sample_body(gamma_s3)
     table = body["elements"][3]

@@ -17,11 +17,12 @@ from hypothesis import strategies as st
 from child_rss import _run_child
 from random_balls import random_ball_aut
 from test_class_fibers import drawn_group
-from treeball.balls import BallGroup, ball_points
+from treeball.balls import BallGroup, ball_points, full_aut
 from treeball.compat import joint_compat_set
 from treeball.constructions import _first_partner, build_full_lift
 from treeball.documents import GroupDocument, serialize_document
-from treeball.permcore import Perm, PermGroup, _codec, _identity_images
+from treeball.permcore import (Perm, PermGroup, _codec, _identity_images,
+                                all_subgroups)
 
 CHECKED = settings(derandomize=True, deadline=None, max_examples=30,
                    suppress_health_check=[HealthCheck.too_slow])
@@ -125,6 +126,39 @@ def test_first_partner_is_the_first_of_the_joint_fiber(seed, shape, qseed):
     else:
         with pytest.raises(RuntimeError, match="tower fiber empty"):
             _first_partner(group, alpha, block)
+
+
+def test_the_table_answers_membership_equality_and_inclusion(census_rows,
+                                                            lift_rows):
+    # every subgroup of Aut(B(3,2)), the census classes and the radius-3
+    # full lift of S3, against scans and sets of their element objects
+    ambient = {radius: full_aut(3, radius) for radius in (2, 3)}
+    groups = (all_subgroups(BallGroup.from_elements(ambient[2]))
+              + [row.group for row in census_rows + lift_rows]
+              + [build_full_lift(PermGroup.symmetric(3), 3)])
+    for G in groups:
+        top = G.elements[-1]
+        # a shorter pack that starts entries, and another kind of element
+        strangers = [top.project(G.radius - 1), Perm(top.images)]
+        scan = [y.images for y in G.elements]
+        for x in ambient[G.radius]:
+            assert (x in G) == (x.images in scan)
+        for x in strangers:
+            assert x not in G and x not in G.elements
+    sets = [frozenset(G.elements) for G in groups]
+    images = [frozenset(y.images for y in G.elements) for G in groups]
+    twins = 0
+    for G, S, I in zip(groups, sets, images):
+        for H, T, J in zip(groups, sets, images):
+            assert (G == H) == (S == T)
+            assert G != H or hash(G) == hash(H)
+            twins += G == H and G is not H
+            assert G.is_subgroup_of(H) == (I <= J)
+    assert twins  # census classes are lattice groups, built a second time
+    # repeats, given out of order, are kept once
+    full = groups[-1]
+    again = BallGroup.from_elements(full.elements[::-1] * 2)
+    assert again == full and again.elements == full.elements
 
 
 def test_levels_keep_only_their_table_until_asked():
