@@ -44,9 +44,9 @@ from .compat import (
     require_gluing,
 )
 from .errors import CapacityError, HypothesisError, check_cells
-from .permcore import (Perm, PermGroup, _getter, _identity_images, _images,
-                       _inverse, _slot_images, _table_generators, center,
-                       classify_action, small_generating_set_of)
+from .permcore import (Perm, PermGroup, _codec, _getter, _identity_images,
+                       _images, _inverse, _slot_images, _table_generators,
+                       center, classify_action, small_generating_set_of)
 
 
 def _r1(perm):
@@ -187,8 +187,9 @@ def build_full_lift(F, radius=None):
     none pinned, so the lift keeps the generators its steps glue. A
     BallGroup lifts one radius up, and one failing (C) is refused. A
     `radius` beyond the next iterates the step; one below the base's is
-    refused. Lifts constant on blocks of directions are the levels of
-    `build_tower`.
+    refused, and so, before any step, is one past two-byte entries, its
+    points counted as d((d-1)^r - 1)/(d-2), not listed. Lifts constant on
+    blocks of directions are the levels of `build_tower`.
     """
     if isinstance(F, PermGroup):
         base = radius_one(F)
@@ -200,6 +201,10 @@ def build_full_lift(F, radius=None):
     if radius < base.radius:
         raise HypothesisError("lift radius %d is below the base radius %d"
                               % (radius, base.radius))
+    d, r = base.degree, base.radius
+    while r < radius and d * ((d - 1) ** r - 1) // (d - 2) <= 1 << 16:
+        r += 1
+    _codec(d * ((d - 1) ** r - 1) // (d - 2))
     blocks = [(w,) for w in range(base.degree)]
     group = base
     while group.radius < radius:

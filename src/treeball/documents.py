@@ -3,22 +3,26 @@
 A group document carries either a full element list or a generating set,
 each automorphism written as a flat vertex-image table over digit-string
 words, so of degree at most 10. Serialization sorts every key so equal
-documents produce identical bytes. Parsing reads a text serialization could
-have written through its table template, any other through JSON, alike: an
-element list becomes index tuples, closed once, and only the generators its
-closure picks are checked; else, and for generator lists read through JSON,
-each table is checked on its own and the first bad one reported by index.
+documents produce identical bytes. Up to 256 points one layout writes the
+tables, and reads a text serialization could have written, by translates
+of whole columns of bytes; past that, and for any other text, both go
+through JSON, alike. An element list is closed once and only the
+generators its closure picks are checked; else, and for generator lists
+read through JSON, each table is checked and the first bad one reported.
 """
 
 import functools
 import json
 import re
+import struct
 from collections import namedtuple
-from operator import itemgetter
+from itertools import repeat
+from operator import itemgetter, lt
 
-from .balls import BallAut, BallGroup, ball_points
+from . import permcore
+from .balls import BallAut, BallGroup, _point_index, ball_points
 from .errors import DocumentError
-from .permcore import _getter, _inverse
+from .permcore import _images
 
 ENCODING = "flat-word-map"
 
@@ -52,22 +56,16 @@ class GroupDocument(namedtuple("GroupDocument", "degree radius elements "
 
 
 def document_from_group(group, generators_only=False, metadata=None):
-    meta = dict(metadata) if metadata else {}
-    if generators_only:
-        return GroupDocument(group.degree, group.radius,
-                             generators=tuple(sorted(group.generators)),
-                             metadata=meta)
-    return GroupDocument(group.degree, group.radius,
-                         elements=tuple(sorted(group.elements)),
-                         metadata=meta)
+    key = "generators" if generators_only else "elements"
+    return GroupDocument(group.degree, group.radius, metadata=dict(
+        metadata or {}), **{key: tuple(sorted(getattr(group, key)))})
 
 
 def group_from_document(doc):
     if doc.group is not None:
         return doc.group
-    if doc.elements is not None:
-        return BallGroup.from_elements(doc.elements)
-    return BallGroup.generated(doc.generators)
+    return (BallGroup.from_elements(doc.elements) if doc.elements is not None
+            else BallGroup.generated(doc.generators))
 
 
 def _word_str(word):
@@ -80,25 +78,32 @@ def _word_strs(degree, radius):
 
 
 @functools.lru_cache(maxsize=None)
-def _table_format(degree, radius):
-    """A table as json.dumps(..., sort_keys=True, indent=2) writes it in a
-    document's list: a %-format over the words, the gather of the images in
-    its key order, and the words; and for reading, a pattern matching one
-    table and the ",\n" after it, its groups the images in key order, the
-    length of every match and the gather of those images into point order."""
-    words = _word_strs(degree, radius)
-    order = sorted(range(len(words)), key=words.__getitem__)
-    rows = ",\n".join('      "%s": "%%s"' % words[i] for i in order)
-    fmt, keyed = "    {\n%s\n    }" % rows, _getter(order)(words)
-    pattern = re.escape(fmt + ",\n") % tuple(
-        "([0-9]{%d})" % len(w) for w in keyed)
-    return fmt, _getter(order), words, (
-        pattern, len(fmt % keyed) + 2, _getter(_inverse(order)))
-
-
-def _table_json(aut):
-    fmt, order, words, _ = _table_format(aut.degree, aut.radius)
-    return fmt % _getter(order(aut.images))(words)
+def _layout(degree, radius):
+    """A table in a list as json.dumps(..., sort_keys=True, indent=2) writes
+    it, with its ",\n", for at most 256 points: the skeleton, its image
+    characters zeroed; per t < radius, the offsets of the t-th image
+    characters of the points past sphere t; translates, 255 for none: `digit`
+    to a letter, `steps[t]` from p * degree + letter, p an index in sphere t,
+    to one in sphere t + 1 (a sphere times the degree is it and the next, so
+    under 256), `places[t]` on to ball_points, `chars[t]` to t-th letters."""
+    words, index = _word_strs(degree, radius), _point_index(degree, radius)
+    text = "    {\n%s\n    },\n" % ",\n".join(
+        '      "%s": "%s"' % (w, "\0" * len(w)) for w in sorted(words))
+    at = {w: text.index('"%s": "' % w) + len(w) + 5 for w in words}
+    steps, places, inner = [], [], [()]
+    for t in range(1, radius + 1):
+        outer = [p for p in index if len(p) == t]
+        steps.append(bytes([
+            index[u + (x,)] - index[outer[0]] if u[-1:] != (x,) else 255
+            for u in inner for x in range(degree)]).ljust(256, b"\xff"))
+        places.append(bytes(map(index.get, outer)).ljust(256))
+        inner = outer
+    return (bytes(text, "ascii"),
+            [tuple(at[w] + t for w in words if len(w) > t)
+             for t in range(radius)],
+            (b"\xff" * 48 + bytes(range(degree))).ljust(256, b"\xff"), steps,
+            places, [bytes(ord(w[t]) if t < len(w) else 0 for w in words
+                           ).ljust(256) for t in range(radius)])
 
 
 def _check_degree(degree):
@@ -123,32 +128,42 @@ def _check_ball_fits(degree, radius, chars):
 
 
 def serialize_document(doc):
-    """json.dumps(..., sort_keys=True, indent=2) of the document, and a
-    newline. The tables are spliced into the dump of the rest, in which only
-    the top-level keys start a line two spaces in."""
+    """json.dumps(..., sort_keys=True, indent=2) of the document, its tables
+    as word maps, and a newline. Up to 256 points the tables are `_layout`
+    skeletons, each image character column filled by one translate, put in
+    the dump of the rest, where only top-level keys start a line two in."""
     _check_degree(doc.degree)
     key = "elements" if doc.elements is not None else "generators"
-    text = json.dumps({"degree": doc.degree, "radius": doc.radius,
-                       "encoding": ENCODING, "metadata": doc.metadata,
-                       key: []}, sort_keys=True, indent=2)
-    tables = ",\n".join([_table_json(a) for a in getattr(doc, key)])
-    if tables:
-        text = text.replace('\n  "%s": []' % key,
-                            '\n  "%s": [\n%s\n  ]' % (key, tables), 1)
-    return text + "\n"
+    auts, words = getattr(doc, key), _word_strs(doc.degree, doc.radius)
+    wide, n = len(words) > 256, len(words)
+    text = json.dumps({
+        "degree": doc.degree, "radius": doc.radius, "encoding": ENCODING,
+        "metadata": doc.metadata, key: [dict(zip(words, map(
+            words.__getitem__, a.images))) for a in auts] if wide else []},
+        sort_keys=True, indent=2) + "\n"
+    if wide or not auts:
+        return text
+    skeleton, depths, _, _, _, chars = _layout(doc.degree, doc.radius)
+    images, out = b"".join(map(bytes, map(_images, auts))), bytearray(
+        skeleton) * len(auts)
+    for offsets, char in zip(depths, chars):
+        for at, i in zip(offsets, range(n - len(offsets), n)):
+            out[at::len(skeleton)] = images[i::n].translate(char)
+    head, _, tail = text.partition('\n  "%s": []' % key)
+    out[-2:] = bytes("\n  ]" + tail, "ascii")  # in place: the text is one copy
+    out[:0] = bytes('%s\n  "%s": [\n' % (head, key), "ascii")
+    return str(out, "ascii")
 
 
 def _parse_word(text, degree, where):
     if not isinstance(text, str) or text == "":
         raise DocumentError("%s: word must be a nonempty digit string,"
                             " got %r" % (where, text))
-    out = []
-    for ch in text:  # ASCII digits only: str.isdigit admits others
-        out.append("0123456789"[:degree].find(ch))
-        if out[-1] < 0:
-            raise DocumentError("%s: word %r uses a letter outside 0..%d"
-                                % (where, text, degree - 1))
-    return tuple(out)
+    out = tuple("0123456789"[:degree].find(ch) for ch in text)
+    if -1 in out:  # ASCII digits only: str.isdigit admits others
+        raise DocumentError("%s: word %r uses a letter outside 0..%d"
+                            % (where, text, degree - 1))
+    return out
 
 
 @functools.lru_cache(maxsize=None)
@@ -174,16 +189,11 @@ def _parse_aut(obj, degree, radius, index):
     for key, value in obj.items():
         v = _parse_word(key, degree, where)
         mapping[v] = _parse_word(value, degree, where)
-    expected = set(ball_points(degree, radius))
-    got = set(mapping)
-    if got != expected:
-        missing = sorted(expected - got)
-        extra = sorted(got - expected)
-        detail = []
-        if missing:
-            detail.append("missing %s" % _word_str(missing[0]))
-        if extra:
-            detail.append("stray %s" % _word_str(extra[0]))
+    points = set(ball_points(degree, radius))
+    detail = ["%s %s" % (what, _word_str(min(some))) for what, some in [
+        ("missing", points - set(mapping)), ("stray", set(mapping) - points)]
+        if some]
+    if detail:
         raise DocumentError("%s: vertex table does not cover the ball (%s)"
                             % (where, ", ".join(detail)))
     try:
@@ -229,38 +239,61 @@ def _read_canonical(text):
     """_read_json's reading of a text serialize_document could write, else
     None: less its tables, the text must be json.dumps(..., sort_keys=True,
     indent=2) of itself, where '\n  "' starts only top-level keys (JSON
-    strings hold no raw newline), and each table must match its pattern."""
+    strings hold no raw newline), and its tables, in ASCII and of at most
+    256 points, `_layout` skeletons with words of the ball as images, read
+    a column of t-th image characters at a time by a translate and one
+    multiply-add of columns as integers, which carries no byte."""
     found = re.match(r'\{\n(?:  .*\n)*?  "(elements|generators)": \[\n', text)
     end = found and text.rfind("\n  ]")
     if not found or end < found.end():
         return None
     key, head = found[1], found.end()
     rest = text[:head - 1] + "]" + text[end + 4:]
-    try:  # the header passes before the pattern, which lists every point
+    try:  # the header passes before the layout, which lists every point
         body = json.loads(rest)
         degree, radius, _ = _header(body)
         _check_ball_fits(degree, radius, len(text))
     except (ValueError, RecursionError):  # deep nesting raises the latter
         return None
-    if json.dumps(body, sort_keys=True, indent=2) + "\n" != rest:
+    if (json.dumps(body, sort_keys=True, indent=2) + "\n" != rest
+            or not text.isascii() or len(_word_strs(degree, radius)) > 256):
         return None
-    pattern, size, point_order = _table_format(degree, radius)[3]
-    rows = re.findall(pattern, text[head:end] + ",\n")
-    # matches of one length that add up to the list's cover all of it
-    if len(rows) * size != end - head + 2:
+    skeleton, depths, digit, steps, places, _ = _layout(degree, radius)
+    data, size, n = bytearray(text, "ascii"), len(skeleton), len(depths[0])
+    data[end:] = b",\n"
+    del data[:head]
+    count, extra = divmod(len(data), size)
+    if extra:
         return None
-    words = _word_indices(degree, radius)
-    try:
-        tuples = [point_order(itemgetter(*row)(words)) for row in rows]
-    except KeyError:  # a word outside the ball
+    zeros, columns, inner = bytes(count), [], 0
+    for offsets, step, place, outer in zip(depths, steps, places,
+                                           depths[1:] + [()]):
+        letters = b"".join([data[at::size] for at in offsets]).translate(digit)
+        for at in offsets:
+            data[at::size] = zeros
+        if inner and 255 not in letters:  # codes p * degree + letter
+            letters = (inner * degree + int.from_bytes(
+                letters, "big")).to_bytes(len(letters), "big")
+        index = letters.translate(step)  # a 255 stays: no code reaches it
+        if 255 in index:  # no letter, or a step back along the last edge
+            return None
+        done = (len(offsets) - len(outer)) * count  # words of t + 1 letters
+        columns += [index[k:k + count].translate(place)
+                    for k in range(0, done, count)]
+        inner = int.from_bytes(index[done:], "big")
+    if data != skeleton * count:
         return None
-    return degree, radius, key, body.get("metadata", {}), tuples, None
+    packed = bytearray(n * count)
+    for i, column in enumerate(columns):
+        packed[i::n] = column
+    return degree, radius, key, body.get("metadata", {}), (list(zip(
+        *columns)), struct.unpack(("%ds" % n) * count, packed)), None
 
 
 def _read_json(text):
-    """The degree, radius, payload key, metadata, element tuples and, only
-    if there are none (the closure runs without them), the parsed tables of
-    any text; DocumentError names a defect outside the tables."""
+    """The degree, radius, payload key, metadata, element tuples (and no
+    packs) and, only if there are none (the closure runs without them), the
+    parsed tables of any text; DocumentError names a defect outside them."""
     try:
         body = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as err:
@@ -273,16 +306,23 @@ def _read_json(text):
         raise DocumentError("%r is empty: no group to work with" % key)
     _check_ball_fits(degree, radius, len(text))
     tuples = key == "elements" and _element_tuples(raw, degree, radius)
-    return (degree, radius, key, body.get("metadata", {}), tuples,
-            None if tuples else raw)
+    return (degree, radius, key, body.get("metadata", {}),
+            tuples and (tuples, None), None if tuples else raw)
 
 
-def _read_tables(tuples, degree, radius, key):
-    """The automorphisms, and an element list's group, else None: once the
-    generators its closure picks pass from_images, so does every table."""
-    auts = tuple([BallAut._raw(degree, radius, t) for t in tuples])
+def _read_tables(tuples, packs, degree, radius, key):
+    """The automorphisms, and an element list's group (its packs, if sorted
+    without repeats, as its table), else None: once the generators its
+    closure picks pass from_images, so does every table."""
+    auts = tuple(map(BallAut._raw, repeat(degree), repeat(radius), tuples))
     try:
-        group = BallGroup.from_elements(auts) if key == "elements" else None
+        if key == "elements" and packs and all(map(lt, packs, packs[1:])):
+            group = BallGroup(degree, radius, auts, (), _table=packs)
+            group.generators = permcore._table_generators(
+                packs, BallAut.identity(degree, radius))
+        else:
+            group = (BallGroup.from_elements(auts) if key == "elements"
+                     else None)
         for g in group.generators if group else auts:
             BallAut.from_images(degree, radius, g.images)
     except ValueError:
@@ -292,15 +332,15 @@ def _read_tables(tuples, degree, radius, key):
 
 def parse_document(text):
     """The document in `text`. A text serialize_document could have written
-    is read through its table template, any other through JSON, to the same
+    is read through its `_layout`, any other through JSON, to the same
     document, group and errors. An element list keeps the group it was
     checked through; any defect in the tables, and a generator list read
     through JSON, sends each table through _parse_aut, which names the
     first bad one, parsing `text` again if need be. A ball too large for
     any table in `text` is refused before a table is read."""
-    degree, radius, key, metadata, tuples, raw = (
+    degree, radius, key, metadata, tables, raw = (
         _read_canonical(text) or _read_json(text))
-    read = tuples and _read_tables(tuples, degree, radius, key)
+    read = tables and _read_tables(*tables, degree, radius, key)
     auts, group = read or (tuple(_parse_aut(obj, degree, radius, i) for i, obj
                                  in enumerate(raw or json.loads(text)[key])),
                            None)

@@ -21,7 +21,7 @@ import treeball
 from child_rss import _run_child
 from random_balls import random_ball_aut
 from recursive_balls import RecursiveBallAut
-from treeball import errors
+from treeball import constructions, errors
 from treeball.balls import BallAut, ball_points
 from treeball.cli import _fmt_count, main
 from treeball.constructions import build_full_lift, radius_one
@@ -471,6 +471,26 @@ def test_pk_local_refuses_a_ball_past_two_byte_entries(runner, diagonal_doc):
     res = runner.invoke(main, args + ["14"])
     assert (res.exit_code, res.output) == (
         0, "radius 14 action: order 6, 2 generators\n")
+
+
+@pytest.mark.parametrize("target", ["15", "20", "1000000000"])
+def test_pk_local_refuses_a_ball_past_two_byte_entries_before_any_step(
+        runner, diagonal_doc, monkeypatch, target):
+    # the first radius past 65,536 points, 15, is found by counting points:
+    # no level is glued first, as radii 3-14 were, and a huge target makes
+    # no huge count
+    steps = []
+    real = constructions._tower_step
+    monkeypatch.setattr(constructions, "_tower_step",
+                        lambda *a: steps.append(a) or real(*a))
+    args = ["pk-local", "--in", diagonal_doc, "--target"]
+    res = runner.invoke(main, args + [target])
+    assert (res.exit_code, res.stdout, steps) == (2, "", [])
+    assert res.stderr.splitlines() == [
+        "Error: 98301 points are past the 65536 that two-byte image entries "
+        "index"]
+    res = runner.invoke(main, args + ["4"])
+    assert (res.exit_code, len(steps)) == (0, 2)
 
 
 def test_count_restrictions_with_rigid_fibers_loops_over_no_depth(

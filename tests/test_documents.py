@@ -188,7 +188,7 @@ def test_parse_failures(gamma_s3):
 @pytest.mark.parametrize("name", ["degree", "radius"])
 def test_a_json_boolean_is_not_a_positive_integer(name):
     # bool is an int subclass: read as 1, "radius": true would pass this
-    # radius-1 document, on the table template's route and on the JSON one
+    # radius-1 document, on the layout's route and on the JSON one
     text = serialize_document(document_from_group(
         radius_one(permcore.PermGroup.symmetric(3))))
     text = re.sub(r'"%s": \d+' % name, '"%s": true' % name, text)
@@ -445,7 +445,7 @@ def _payload_in_metadata(text, body):
 
 
 #: texts that look canonical: the body's change, the canonical dump's edit,
-#: whether the table template reads the text, and whether it parses
+#: whether the layout reads the text, and whether it parses
 LOOKALIKES = {
     "metadata string": (lambda b: b["metadata"].update(
         note='\n  "elements": [\n  ]', key='"elements": ['), None, True, True),
@@ -484,6 +484,52 @@ def test_canonical_lookalikes_read_as_their_compact_dumps(case, gamma_s3,
         # no table, nor the list of the ball's 3 * 2^29 words, is made
         monkeypatch.setattr(documents, "_word_strs", _refuse)
     assert _read(text) == expected
+
+
+@pytest.mark.parametrize("payload", ["elements", "generators"])
+@pytest.mark.parametrize("args", CONSTRUCTED, ids=" ".join)
+def test_both_payloads_are_written_as_json_dumps_writes_them(args, payload,
+                                                             tmp_path):
+    path = tmp_path / "doc.json"
+    res = invoke(cli.main, ["construct", *args, "--out", str(path)])
+    assert res.exit_code == 0, res.output
+    doc = load_document(path)
+    doc = document_from_group(group_from_document(doc),
+                              payload == "generators", doc.metadata)
+    assert serialize_document(doc) == dumped(doc)
+
+
+#: what each character of a table list is turned into, one at a time
+MUTATIONS = ["0", "9", '"', " ", "\n", ",", "\u00e9"]
+
+
+@pytest.mark.parametrize("payload", ["elements", "generators"])
+@pytest.mark.parametrize("shape", ["degree 3 radius 2", "degree 4 radius 1"])
+def test_every_changed_character_reads_as_through_json(shape, payload,
+                                                       gamma_s3, monkeypatch):
+    # the oracle reads every text through JSON alone; the layout must read
+    # each text it accepts to the same document, group and generators, and
+    # decline the rest, which JSON then reads or refuses with its message
+    group = gamma_s3 if shape == "degree 3 radius 2" else radius_one(
+        permcore.PermGroup.dihedral(4))
+    text = serialize_document(document_from_group(group,
+                                                  payload == "generators"))
+    head, end = text.index("[\n") + 2, text.rindex("\n  ]")
+    texts = [text[:i] + c + text[i + 1:] for i in range(head, end)
+             for c in MUTATIONS if c != text[i]]
+    body = json.loads(text)
+    tables = body[payload]
+    for changed in (tables[::-1], tables + tables[1:2]):
+        texts.append(json.dumps(dict(body, **{payload: changed}),
+                                sort_keys=True, indent=2) + "\n")
+    with monkeypatch.context() as mp:
+        mp.setattr(documents, "_element_tuples", _refuse)
+        mp.setattr(documents, "_parse_aut", _refuse)
+        read = [_read(t) for t in texts[-2:]]  # through the layout
+    read = [_read(t) for t in texts[:-2]] + read
+    monkeypatch.setattr(documents, "_read_canonical", lambda text: None)
+    assert [_read(t) for t in texts] == read
+    assert sum(isinstance(r, tuple) for r in read) > 2
 
 
 @pytest.mark.parametrize("args", CONSTRUCTED, ids=" ".join)

@@ -1,6 +1,6 @@
-"""Gluing keys and the document serializer, built by tuple gathers, against
-the object route: charts read off the recursive reference in
-recursive_balls.py, and the word table of `BallAut.to_wordmap`."""
+"""Gluing keys, built by tuple gathers, and the document writer's columnar
+layout against the object route: charts read off the recursive reference
+in recursive_balls.py, and the word table of `BallAut.to_wordmap`."""
 
 import json
 import random
@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from random_balls import random_ball_aut
 from recursive_balls import RecursiveBallAut
 from treeball.balls import BallAut, _need_key, _offer_key
-from treeball.documents import _table_json, _word_str
+from treeball.documents import GroupDocument, _word_str, serialize_document
 
 DRAWS = (st.integers(min_value=0, max_value=2 ** 32),
          st.sampled_from([3, 4]), st.integers(min_value=2, max_value=4))
@@ -49,9 +49,12 @@ def test_gluing_keys_match_the_object_route(seed, degree, radius):
 @settings(max_examples=40, deadline=None)
 @given(*DRAWS)
 def test_serializer_matches_the_word_table(seed, degree, radius):
-    # a table is written four spaces in, as a document's list entry
+    # the one table, written four spaces in as a document's list entry
     aut = random_ball_aut(degree, radius, random.Random(seed))
     want = wordmap_json(aut)
-    assert _table_json(aut) == textwrap.indent(
-        json.dumps(want, sort_keys=True, indent=2), "    ")
-    assert json.loads(_table_json(aut)) == want
+    text = serialize_document(GroupDocument(degree, radius, elements=(aut,)))
+    assert text == json.dumps({
+        "degree": degree, "radius": radius, "encoding": "flat-word-map",
+        "metadata": {}, "elements": [want]}, sort_keys=True, indent=2) + "\n"
+    assert textwrap.indent(json.dumps(want, sort_keys=True, indent=2),
+                           "    ") in text

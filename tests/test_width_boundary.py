@@ -1,4 +1,4 @@
-"""Products and gluing on both sides of the 256-point split.
+"""Products, gluing and documents on both sides of the 256-point split.
 
 Up to 256 points a pack is bytes and a product is one translate; from 257
 points an entry takes two bytes and a product is a tuple gather between
@@ -6,7 +6,8 @@ unpack and pack (`permcore._codec`). On either side the packed product must
 be `Element.__mul__`'s, and `balls._glue_fibers` must glue what the frozen
 loops of product_gluing.py glue, each map restricting to its root and
 reading its partners back as its charts (`BallAut.children`, which reads no
-assembly table).
+assembly table). Documents are written and read through their columnar
+layout up to 256 points and through JSON past that, to the same text.
 """
 
 import itertools
@@ -16,11 +17,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import product_gluing
+from test_documents import dumped
 from test_product_gluing import unpacked
-from treeball import permcore
+from treeball import documents, permcore
 from treeball.balls import BallAut, _glue_fibers, ball_points
 from treeball.compat import joint_compat_set
-from treeball.constructions import _block_index, build_tower
+from treeball.constructions import _block_index, build_full_lift, build_tower
+from treeball.documents import (document_from_group, group_from_document,
+                                parse_document, serialize_document)
 from treeball.permcore import Perm, _codec
 
 CHECKED = settings(derandomize=True, deadline=None, max_examples=30,
@@ -73,3 +77,20 @@ def test_tower_gluing_on_each_side_of_the_split(name, kind, blocks, points,
             aut = BallAut.from_images(d, radius, images)
             assert aut.root == a
             assert aut.children == tuple(picks[i] for i in block_of)
+
+
+@pytest.mark.parametrize("payload", ["elements", "generators"])
+@pytest.mark.parametrize("radius, points", [(6, 189), (7, 381)])
+def test_documents_on_each_side_of_the_split(radius, points, payload,
+                                             gamma_s3):
+    # the diagonal lift of S3, of order 6, on one byte a point and on two
+    group = build_full_lift(gamma_s3, radius=radius)
+    assert len(ball_points(3, radius)) == points
+    doc = document_from_group(group, payload == "generators")
+    text = serialize_document(doc)
+    assert text == dumped(doc)
+    # only the one-byte side reads through the layout
+    assert (documents._read_canonical(text) is None) == (points > 256)
+    back = parse_document(text)
+    assert back == doc
+    assert group_from_document(back) == group
