@@ -10,7 +10,8 @@ are trivial extends in at most one way.
 Everything here works on materialised groups and answers every gluing
 question from one fiber index: a partner restricts to the center's chart
 toward it, so a fiber lies in one run of the sorted elements, found by
-bisection; only runs that queries reach are keyed.
+bisection; only runs that queries reach are keyed, and (C) scans a run
+only up to a first partner.
 
 Compatibility cocycles are the homomorphic sections of the lifted group one
 radius up. At degree 3 its kernel over F is elementary abelian, and the
@@ -67,13 +68,20 @@ def joint_compat_set(group, alpha, directions):
     return _class_fibers(group, directions, roots[0]).get(charts, ())
 
 
+def _first_partner(group, alpha, block):
+    """``joint_compat_set(group, alpha, block)[0]`` or None, keying no run."""
+    roots, charts = zip(*[_need_key(alpha, w) for w in block])
+    if len(set(roots)) == 1:
+        for b in group._run(roots[0]):
+            if all(_offer_key(b, w)[1] == c for w, c in zip(block, charts)):
+                return b
+    return None
+
+
 def first_compat_failure(group):
     """A (generator, direction) pair with an empty fiber, or None."""
-    for a in group.generators:
-        for w in range(group.degree):
-            if not compat_set(group, a, w):
-                return (a, w)
-    return None
+    return next(((a, w) for a in group.generators for w in range(group.degree)
+                 if _first_partner(group, a, (w,)) is None), None)
 
 
 def require_gluing(group, consequence):

@@ -31,8 +31,6 @@ from .balls import (
     _automorphism_test,
     _glue_fibers,
     _glue_images,
-    _need_key,
-    _offer_key,
     _root_and_chart,
     ball_compatible,
     ball_points,
@@ -40,6 +38,7 @@ from .balls import (
 )
 from .compat import (
     CompatCocycle,
+    _first_partner,
     joint_compat_set,
     require_gluing,
 )
@@ -651,16 +650,6 @@ def _central_block_preserving(F, zen, blocks, pinned_point, kind):
     return None
 
 
-def _first_partner(prev, a, block):
-    """``joint_compat_set(prev, a, block)[0]``, found with no run keyed."""
-    roots, charts = zip(*[_need_key(a, w) for w in block])
-    if len(set(roots)) == 1:
-        for b in prev._run(roots[0]):
-            if all(_offer_key(b, w)[1] == c for w, c in zip(block, charts)):
-                return b
-    raise RuntimeError("tower fiber empty; bug")
-
-
 def _check_self_gluing(a, block):
     # no fiber vouches for a pinned partner, `a` itself
     for w in block:
@@ -700,7 +689,12 @@ def _step_fibers(prev, blocks, pinned):
     block_of = [_block_index(blocks, w) for w in range(prev.degree)]
     id_fibers = [joint_compat_set(prev, prev.identity(), b) for b in blocks]
     sizes = [1 if i == pinned else len(f) for i, f in enumerate(id_fibers)]
-    first = functools.cache(lambda a, i: _first_partner(prev, a, blocks[i]))
+    @functools.cache
+    def first(a, i):
+        b = _first_partner(prev, a, blocks[i])
+        if b is None:
+            raise RuntimeError("tower fiber empty; bug")
+        return b
     return block_of, id_fibers, sizes, first
 
 

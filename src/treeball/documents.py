@@ -1,14 +1,14 @@
 """JSON interchange for finite ball groups.
 
 A group document carries either a full element list or a generating set,
-each automorphism written as a flat vertex-image table over digit-string
-words, so of degree at most 10. Serialization sorts every key so equal
-documents produce identical bytes. Up to 256 points one layout writes the
-tables, and reads a text serialization could have written, by translates
-of whole columns of bytes; past that, and for any other text, both go
-through JSON, alike. An element list is closed once and only the
-generators its closure picks are checked; else, and for generator lists
-read through JSON, each table is checked and the first bad one reported.
+each automorphism a flat vertex-image table over digit-string words, so of
+degree at most 10. Serialization sorts every key so equal documents produce
+identical bytes. Files are read and written as bytes. Up to 256 points one
+layout writes a group's packed table, and reads a text serialization could
+have written into one, by translates of whole columns; past that, and for
+any other text, both go through JSON, alike. An element list is closed
+once, no element made until read, and only the generators its closure
+picks are checked; if one fails, each table is, the first bad one named.
 """
 
 import functools
@@ -16,49 +16,58 @@ import json
 import re
 import struct
 from collections import namedtuple
-from itertools import repeat
 from operator import itemgetter, lt
 
 from . import permcore
 from .balls import BallAut, BallGroup, _point_index, ball_points
 from .errors import DocumentError
-from .permcore import _images
+from .permcore import _codec, _images
 
 ENCODING = "flat-word-map"
 
 
 class GroupDocument(namedtuple("GroupDocument", "degree radius elements "
                                 "generators metadata group")):
-    """Equality leaves out `group`, and the hash the metadata dict."""
+    """Equality leaves out `group`, and the hash the metadata dict. With a
+    group and no payload, it lists the group's elements, made when read."""
 
     __slots__ = ()
 
     def __new__(cls, degree, radius, elements=None, generators=None,
                 metadata=None, group=None):
-        if (elements is None) == (generators is None):
+        if (elements is None) == (generators is None) and (
+                elements is not None or group is None):
             raise DocumentError(
                 "a document carries either elements or generators")
         return super().__new__(cls, degree, radius, elements, generators,
                                {} if metadata is None else metadata, group)
 
     @property
+    def elements(self):  # with no payload, the group's, made when first read
+        return self.group.elements if self[2] is self[3] is None else self[2]
+
+    @property
     def encoding(self):
         return ENCODING
 
+    def _values(self):
+        return (self.degree, self.radius, self.elements, self.generators,
+                self.metadata)
+
     def __eq__(self, other):
-        return type(other) is type(self) and self[:5] == other[:5]
+        return type(other) is type(self) and self._values() == other._values()
 
     def __ne__(self, other):
         return not self == other
 
     def __hash__(self):
-        return hash(self[:4])
+        return hash(self._values()[:4])
 
 
 def document_from_group(group, generators_only=False, metadata=None):
-    key = "generators" if generators_only else "elements"
-    return GroupDocument(group.degree, group.radius, metadata=dict(
-        metadata or {}), **{key: tuple(sorted(getattr(group, key)))})
+    return GroupDocument(group.degree, group.radius, generators=tuple(sorted(
+        group.generators)) if generators_only else None, metadata=dict(
+            metadata or {}), group=None if generators_only else group)
 
 
 def group_from_document(doc):
@@ -128,31 +137,38 @@ def _check_ball_fits(degree, radius, chars):
 
 
 def serialize_document(doc):
+    return str(_serialized(doc), "ascii")
+
+
+def _serialized(doc):
     """json.dumps(..., sort_keys=True, indent=2) of the document, its tables
-    as word maps, and a newline. Up to 256 points the tables are `_layout`
-    skeletons, each image character column filled by one translate, put in
-    the dump of the rest, where only top-level keys start a line two in."""
+    as word maps, and a newline, in ASCII bytes. Up to 256 points the tables
+    are `_layout` skeletons, each image character column one translate of a
+    column of the packs (a group held alone gives its table), put in the
+    dump of the rest, where only top-level keys start a line two in."""
     _check_degree(doc.degree)
-    key = "elements" if doc.elements is not None else "generators"
-    auts, words = getattr(doc, key), _word_strs(doc.degree, doc.radius)
+    key = "elements" if doc.generators is None else "generators"
+    words = _word_strs(doc.degree, doc.radius)
     wide, n = len(words) > 256, len(words)
     text = json.dumps({
-        "degree": doc.degree, "radius": doc.radius, "encoding": ENCODING,
+        "degree": doc.degree, "radius": doc.radius, "encoding": doc.encoding,
         "metadata": doc.metadata, key: [dict(zip(words, map(
-            words.__getitem__, a.images))) for a in auts] if wide else []},
-        sort_keys=True, indent=2) + "\n"
-    if wide or not auts:
-        return text
+            words.__getitem__, a.images))) for a in getattr(doc, key)]
+        if wide else []}, sort_keys=True, indent=2) + "\n"
+    auts = doc[2] if key == "elements" else doc.generators
+    images = b"" if wide else b"".join(
+        doc.group._table if auts is None else map(bytes, map(_images, auts)))
+    if not images:
+        return bytes(text, "ascii")
     skeleton, depths, _, _, _, chars = _layout(doc.degree, doc.radius)
-    images, out = b"".join(map(bytes, map(_images, auts))), bytearray(
-        skeleton) * len(auts)
+    out = bytearray(skeleton) * (len(images) // n)
     for offsets, char in zip(depths, chars):
         for at, i in zip(offsets, range(n - len(offsets), n)):
             out[at::len(skeleton)] = images[i::n].translate(char)
     head, _, tail = text.partition('\n  "%s": []' % key)
     out[-2:] = bytes("\n  ]" + tail, "ascii")  # in place: the text is one copy
     out[:0] = bytes('%s\n  "%s": [\n' % (head, key), "ascii")
-    return str(out, "ascii")
+    return out
 
 
 def _parse_word(text, degree, where):
@@ -176,15 +192,6 @@ def _parse_aut(obj, degree, radius, index):
     if not isinstance(obj, dict):
         raise DocumentError("%s: expected a word-to-word object, got %s"
                             % (where, type(obj).__name__))
-    # one pass over a table in canonical digit strings
-    words = _word_indices(degree, radius)
-    try:
-        if len(obj) == len(words):
-            return BallAut.from_images(
-                degree, radius, [words[obj[w]] for w in words])
-    except (KeyError, TypeError, ValueError):
-        pass
-    # the word-by-word reading names the first defect
     mapping = {}
     for key, value in obj.items():
         v = _parse_word(key, degree, where)
@@ -235,31 +242,36 @@ def _header(body):
     return degree, radius, "elements" if "elements" in body else "generators"
 
 
-def _read_canonical(text):
-    """_read_json's reading of a text serialize_document could write, else
-    None: less its tables, the text must be json.dumps(..., sort_keys=True,
-    indent=2) of itself, where '\n  "' starts only top-level keys (JSON
-    strings hold no raw newline), and its tables, in ASCII and of at most
-    256 points, `_layout` skeletons with words of the ball as images, read
-    a column of t-th image characters at a time by a translate and one
-    multiply-add of columns as integers, which carries no byte."""
-    found = re.match(r'\{\n(?:  .*\n)*?  "(elements|generators)": \[\n', text)
-    end = found and text.rfind("\n  ]")
+def _read_canonical(data):
+    """_read_json's reading of a text (str or bytes) serialize_document
+    could write, as packs, else None: the text must be ASCII, less its
+    tables json.dumps(..., sort_keys=True, indent=2) of itself, where '\n  "'
+    starts only top-level keys (JSON strings hold no raw newline), and its
+    tables, of at most 256 points, `_layout` skeletons with words of the
+    ball as images, read a column of t-th image characters at a time by a
+    translate and one multiply-add of columns as integers, which carries no
+    byte, in the one copy of the text that is made."""
+    if not data.isascii():
+        return None
+    data = (bytearray(data, "ascii") if isinstance(data, str)
+            else bytearray(data))
+    found = re.match(rb'\{\n(?:  .*\n)*?  "(elements|generators)": \[\n', data)
+    end = found and data.rfind(b"\n  ]")
     if not found or end < found.end():
         return None
-    key, head = found[1], found.end()
-    rest = text[:head - 1] + "]" + text[end + 4:]
+    key, head = str(found[1], "ascii"), found.end()
+    rest = data[:head - 1] + b"]" + data[end + 4:]
     try:  # the header passes before the layout, which lists every point
         body = json.loads(rest)
         degree, radius, _ = _header(body)
-        _check_ball_fits(degree, radius, len(text))
+        _check_ball_fits(degree, radius, len(data))
     except (ValueError, RecursionError):  # deep nesting raises the latter
         return None
-    if (json.dumps(body, sort_keys=True, indent=2) + "\n" != rest
-            or not text.isascii() or len(_word_strs(degree, radius)) > 256):
+    if (bytes(json.dumps(body, sort_keys=True, indent=2) + "\n", "ascii")
+            != rest or len(_word_strs(degree, radius)) > 256):
         return None
     skeleton, depths, digit, steps, places, _ = _layout(degree, radius)
-    data, size, n = bytearray(text, "ascii"), len(skeleton), len(depths[0])
+    size, n = len(skeleton), len(depths[0])
     data[end:] = b",\n"
     del data[:head]
     count, extra = divmod(len(data), size)
@@ -286,14 +298,13 @@ def _read_canonical(text):
     packed = bytearray(n * count)
     for i, column in enumerate(columns):
         packed[i::n] = column
-    return degree, radius, key, body.get("metadata", {}), (list(zip(
-        *columns)), struct.unpack(("%ds" % n) * count, packed)), None
+    return (degree, radius, key, body.get("metadata", {}),
+            struct.unpack(("%ds" % n) * count, packed), None)
 
 
 def _read_json(text):
-    """The degree, radius, payload key, metadata, element tuples (and no
-    packs) and, only if there are none (the closure runs without them), the
-    parsed tables of any text; DocumentError names a defect outside them."""
+    """The degree, radius, payload key, metadata, packs and, if there are
+    none, tables of any text; DocumentError names a defect outside them."""
     try:
         body = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as err:
@@ -305,56 +316,63 @@ def _read_json(text):
     if not raw:
         raise DocumentError("%r is empty: no group to work with" % key)
     _check_ball_fits(degree, radius, len(text))
-    tuples = key == "elements" and _element_tuples(raw, degree, radius)
-    return (degree, radius, key, body.get("metadata", {}),
-            tuples and (tuples, None), None if tuples else raw)
+    tuples = _element_tuples(raw, degree, radius)
+    return (degree, radius, key, body.get("metadata", {}), tuples and list(
+        map(_codec(len(tuples[0]))[0], tuples)), None if tuples else raw)
 
 
-def _read_tables(tuples, packs, degree, radius, key):
-    """The automorphisms, and an element list's group (its packs, if sorted
-    without repeats, as its table), else None: once the generators its
-    closure picks pass from_images, so does every table."""
-    auts = tuple(map(BallAut._raw, repeat(degree), repeat(radius), tuples))
+def _read_tables(packs, degree, radius, key):
+    """The automorphisms (none for a list sorted without repeats) and an
+    element list's group, on the packs sorted without repeats, else None:
+    once the generators its closure picks pass from_images, all tables do."""
+    ident, elements = BallAut.identity(degree, radius), key == "elements"
+    auts = None if elements and all(map(lt, packs, packs[1:])) else tuple(
+        map(ident._from, map(_codec(len(ident.images))[1], packs)))
+    group = BallGroup(degree, radius, None, (), _table=sorted(set(packs))
+                      if auts else packs) if elements else None
     try:
-        if key == "elements" and packs and all(map(lt, packs, packs[1:])):
-            group = BallGroup(degree, radius, auts, (), _table=packs)
-            group.generators = permcore._table_generators(
-                packs, BallAut.identity(degree, radius))
-        else:
-            group = (BallGroup.from_elements(auts) if key == "elements"
-                     else None)
-        for g in group.generators if group else auts:
+        if elements:
+            group.generators = permcore._table_generators(group._table, ident)
+        for g in group.generators if elements else auts:
             BallAut.from_images(degree, radius, g.images)
     except ValueError:
         return None
     return auts, group
 
 
-def parse_document(text):
-    """The document in `text`. A text serialize_document could have written
-    is read through its `_layout`, any other through JSON, to the same
-    document, group and errors. An element list keeps the group it was
-    checked through; any defect in the tables, and a generator list read
-    through JSON, sends each table through _parse_aut, which names the
-    first bad one, parsing `text` again if need be. A ball too large for
-    any table in `text` is refused before a table is read."""
-    degree, radius, key, metadata, tables, raw = (
-        _read_canonical(text) or _read_json(text))
-    read = tables and _read_tables(*tables, degree, radius, key)
-    auts, group = read or (tuple(_parse_aut(obj, degree, radius, i) for i, obj
-                                 in enumerate(raw or json.loads(text)[key])),
-                           None)
+def parse_document(data):
+    """The document in `data`, a str or a file's bytes: `_parsed`'s."""
+    return _parsed(data)
+
+
+def _parsed(data):
+    """A text serialize_document could have written is read through its
+    `_layout`, any other through JSON, to the same document, group and
+    errors. An element list keeps the group it was checked through, alone
+    when sorted without repeats; any defect in the tables sends each table
+    through _parse_aut, which names the first bad one. A ball too large for
+    any table in the text is refused first."""
+    read = _read_canonical(data)
+    if read is None:
+        if not isinstance(data, str):  # as text mode reads a file
+            data = str(data, "utf-8").replace("\r\n", "\n").replace("\r", "\n")
+        read = _read_json(data)
+    degree, radius, key, metadata, packs, raw = read
+    auts, group = packs and _read_tables(packs, degree, radius, key) or (
+        tuple(_parse_aut(obj, degree, radius, i) for i, obj
+              in enumerate(raw or json.loads(data)[key])), None)
     if not isinstance(metadata, dict):
         raise DocumentError("metadata must be an object")
     return GroupDocument(degree, radius, metadata=metadata, group=group,
-                         **{key: auts})
+                         **({} if auts is None else {key: auts}))
 
 
 def load_document(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_document(fh.read())
+    # bench/tracing.py counts what parse_document is given as a str
+    with open(path, "rb") as fh:
+        return _parsed(fh.read())
 
 
 def save_document(doc, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize_document(doc))
+    with open(path, "wb") as fh:
+        fh.write(_serialized(doc))

@@ -2,10 +2,11 @@
 
 `compat._class_fibers` keys only the elements that restrict to the asked
 chart, a run of the sorted element list, and (C) is decided on the
-generators. `scanning_fibers` tests every element instead. Fibers must be
-the same tuples in the same order, cores the same groups (the input itself
-where nothing is pruned), `check-c` the same stdout and exit code, and a
-query must key no more than the runs it reaches.
+generators, each run scanned up to a first partner. `scanning_fibers` tests
+every element instead. Fibers must be the same tuples in the same order,
+cores the same groups (the input itself where nothing is pruned), the first
+failure of (C) the same generator and direction, `check-c` the same stdout
+and exit code, and a query must key no more than the runs it reaches.
 """
 
 import itertools
@@ -25,7 +26,8 @@ from treeball import cli, errors
 from treeball.balls import (BallAut, BallGroup, _need_key, ball_points,
                             full_aut)
 from treeball.compat import (check_compatibility, compat_set,
-                             compatibility_core, joint_compat_set)
+                             compatibility_core, first_compat_failure,
+                             joint_compat_set)
 from treeball.constructions import build_full_lift, build_parity_lift
 from treeball.documents import document_from_group, serialize_document
 from treeball.errors import CapacityError
@@ -179,10 +181,37 @@ def test_queries_key_only_the_runs_they_reach():
     group = build_full_lift(PermGroup.symmetric(3), radius=3)
     assert group.order == 3072
     compat_set(group, group.generators[0], 1)
-    assert len(group._cache["class_fibers"]) == 1
+    [fibers] = group._cache["class_fibers"].values()
+    assert sum(map(len, fibers.values())) <= 64
+    # (C) scans runs up to a first partner and keys none, nor makes the
+    # element tuple
     group._cache.clear()
     assert check_compatibility(group)
-    runs = group._cache["class_fibers"]
-    assert len(runs) <= len(group.generators) * group.degree
-    sizes = [sum(map(len, fibers.values())) for fibers in runs.values()]
-    assert max(sizes) <= 64
+    assert "class_fibers" not in group._cache and group._elements is None
+
+
+def scanned_failure(group):
+    """The first generator and direction, generator by generator, whose
+    scanned fiber is empty; None if there is none."""
+    for a in group.generators:
+        for w in range(group.degree):
+            if not scanning_fibers.fiber(group, a, (w,)):
+                return a, w
+    return None
+
+
+@CHECKED
+@given(*GROUPS)
+def test_first_failure_of_drawn_groups_is_the_scanned_one(seed, shape, kind):
+    group = drawn_group(seed, shape, kind)
+    assert first_compat_failure(group) == scanned_failure(group)
+
+
+def test_first_failure_of_named_groups_is_the_scanned_one(census_rows,
+                                                         lift_rows):
+    groups = [row.group for row in list(census_rows) + list(lift_rows)]
+    groups += [pi_zero(), tiny_seam_group(),
+               build_full_lift(PermGroup.symmetric(3), radius=3)]
+    found = [first_compat_failure(group) for group in groups]
+    assert found == [scanned_failure(group) for group in groups]
+    assert found[-1] is None and {f is None for f in found} == {True, False}

@@ -135,6 +135,58 @@ def test_unusable_paths_exit_two_naming_the_path(runner, tmp_path, args,
     assert line.startswith("Error: ") and repr(path) in line
 
 
+def _cut_comma(text):
+    return text.replace(b'"1": "1",', b'"1": "1"', 1)
+
+
+#: a file's bytes, made from the full-lift(A3) document, and what check-c
+#: prints for them: they are decoded as UTF-8, and every \r\n and lone \r
+#: is a newline before JSON counts lines and characters
+FILE_BYTES = {
+    "not UTF-8": (lambda t: b"\xff\xfe{}", 2, "Error: 'utf-8' codec can't "
+                  "decode byte 0xff in position 0: invalid start byte"),
+    "not UTF-8 inside": (lambda t: t.replace(
+        b'"metadata": {', b'"metadata": {"\xe9": 1, ', 1), 2,
+        "Error: 'utf-8' codec can't decode byte 0xe9 in position 588: "
+        "invalid continuation byte"),
+    "UTF-8 BOM": (lambda t: b"\xef\xbb\xbf" + t, 2, "Error: not valid JSON: "
+                  "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 "
+                  "column 1 (char 0)"),
+    "CRLF": (lambda t: t.replace(b"\n", b"\r\n"), 0, "C: yes"),
+    "lone CR": (lambda t: t.replace(b"\n", b"\r"), 0, "C: yes"),
+    "empty": (lambda t: b"", 2, "Error: not valid JSON: Expecting value: "
+              "line 1 column 1 (char 0)"),
+    "CRLF cut short": (lambda t: t.replace(b"\n", b"\r\n")[:-10], 2,
+                       "Error: not valid JSON: Unterminated string starting "
+                       "at: line 42 column 3 (char 631)"),
+    "CRLF comma missing": (lambda t: _cut_comma(t.replace(b"\n", b"\r\n")), 2,
+                           "Error: not valid JSON: Expecting ',' delimiter: "
+                           "line 9 column 7 (char 112)"),
+    "lone CR comma missing": (lambda t: _cut_comma(t.replace(b"\n", b"\r")),
+                              2, "Error: not valid JSON: Expecting ',' "
+                              "delimiter: line 9 column 7 (char 112)"),
+}
+
+
+@pytest.mark.parametrize("case", FILE_BYTES)
+def test_check_c_reads_a_file_as_text_mode_read_it(runner, tmp_path, case):
+    make, code, line = FILE_BYTES[case]
+    path = tmp_path / "fla3.json"
+    res = runner.invoke(main, ["construct", "full-lift", "A3", "--out",
+                               str(path)])
+    assert res.exit_code == 0, res.output
+    path.write_bytes(make(path.read_bytes()))
+    res = runner.invoke(main, ["check-c", "--in", str(path)])
+    assert (res.exit_code, res.output) == (code, line + "\n")
+
+
+def test_check_c_on_a_directory_names_it(runner, tmp_path):
+    res = runner.invoke(main, ["check-c", "--in", str(tmp_path)])
+    assert (res.exit_code, res.stdout) == (2, "")
+    assert res.stderr == "Error: [Errno 21] Is a directory: %r\n" % str(
+        tmp_path)
+
+
 def test_a_closed_pipe_ends_a_command_quietly_with_exit_one():
     src = str(pathlib.Path(treeball.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

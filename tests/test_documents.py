@@ -421,11 +421,14 @@ def test_lists_the_closure_cannot_vouch_for_read_as_before(tables, outcome):
 
 def _read(text):
     """parse_document's document, metadata, group and generators for
-    `text`, or its error with the text's length left out."""
+    `text`, a str or its UTF-8 bytes, or its error with the text's length
+    left out."""
     try:
         doc = parse_document(text)
         group = group_from_document(doc)
     except ValueError as err:
+        if isinstance(text, bytes):
+            text = str(text, "utf-8")
         return str(err).replace("%d characters" % len(text), "N characters")
     return doc, doc.metadata, group, group.generators
 
@@ -483,7 +486,9 @@ def test_canonical_lookalikes_read_as_their_compact_dumps(case, gamma_s3,
     elif case == "radius 30":
         # no table, nor the list of the ball's 3 * 2^29 words, is made
         monkeypatch.setattr(documents, "_word_strs", _refuse)
-    assert _read(text) == expected
+    # a file's bytes read as the text does; a CRLF file, as text mode read
+    # it, is the canonical dump itself
+    assert _read(text) == _read(bytes(text, "utf-8")) == expected
 
 
 @pytest.mark.parametrize("payload", ["elements", "generators"])
@@ -526,7 +531,9 @@ def test_every_changed_character_reads_as_through_json(shape, payload,
         mp.setattr(documents, "_element_tuples", _refuse)
         mp.setattr(documents, "_parse_aut", _refuse)
         read = [_read(t) for t in texts[-2:]]  # through the layout
+        assert [_read(bytes(t, "utf-8")) for t in texts[-2:]] == read
     read = [_read(t) for t in texts[:-2]] + read
+    assert [_read(bytes(t, "utf-8")) for t in texts] == read
     monkeypatch.setattr(documents, "_read_canonical", lambda text: None)
     assert [_read(t) for t in texts] == read
     assert sum(isinstance(r, tuple) for r in read) > 2
@@ -575,3 +582,61 @@ def test_one_read_closes_once(args, tmp_path, monkeypatch):
     assert group.generators == BallGroup.from_elements(
         doc.elements).generators
     assert serialize_document(doc) == text
+
+
+def assert_readings_agree(made, monkeypatch):
+    """`made`, from document_from_group, its text read through the layout,
+    as a str and as bytes, and through JSON alone, and the document of its
+    element or generator tuple: all equal, hashing alike, with the same
+    tuples and the same text. An element list made or read holds its group
+    and no element tuple, and one read makes no element until asked."""
+    text = serialize_document(made)
+    docs = [made, parse_document(text), parse_document(bytes(text, "ascii"))]
+    with monkeypatch.context() as mp:
+        mp.setattr(documents, "_read_canonical", lambda data: None)
+        docs.append(parse_document(text))
+    if made.generators is None:
+        assert [doc[2] for doc in docs] == [None] * 4
+        assert all(doc.group._elements is None for doc in docs[1:])
+    key = "elements" if made.generators is None else "generators"
+    docs.append(GroupDocument(made.degree, made.radius, metadata=dict(
+        made.metadata), **{key: tuple(getattr(made, key))}))
+    for doc in docs:
+        assert doc == made and not doc != made and hash(doc) == hash(made)
+        assert (doc.elements, doc.generators) == (made.elements,
+                                                  made.generators)
+        assert serialize_document(doc) == text
+
+
+@pytest.mark.parametrize("payload", ["elements", "generators"])
+@pytest.mark.parametrize("args", CONSTRUCTED, ids=" ".join)
+def test_documents_made_and_read_agree(args, payload, tmp_path, monkeypatch):
+    path = tmp_path / "doc.json"
+    res = invoke(cli.main, ["construct", *args, "--out", str(path)])
+    assert res.exit_code == 0, res.output
+    doc = load_document(path)
+    assert_readings_agree(document_from_group(
+        group_from_document(doc), payload == "generators", doc.metadata),
+        monkeypatch)
+
+
+def test_check_c_makes_no_element_for_each_table(tmp_path, monkeypatch):
+    # the radius-3 full lift of S3 has 3,072 tables; check-c makes the
+    # generators its closure picks and the elements its first-partner scans
+    # pass, and no element tuple
+    path = tmp_path / "fls3r3.json"
+    res = invoke(cli.main, ["construct", "full-lift", "S3", "--radius", "3",
+                            "--out", str(path)])
+    assert res.exit_code == 0, res.output
+    made, groups = [], []
+    raw = BallAut._raw.__func__
+    monkeypatch.setattr(BallAut, "_raw", classmethod(
+        lambda cls, *a: made.append(a) or raw(cls, *a)))
+    read = cli.group_from_document
+    monkeypatch.setattr(cli, "group_from_document",
+                        lambda doc: groups.append(read(doc)) or groups[-1])
+    res = invoke(cli.main, ["check-c", "--in", str(path)])
+    assert (res.exit_code, res.output) == (0, "C: yes\n")
+    [group] = groups
+    assert group.order == 3072 and group._elements is None
+    assert len(made) < 3072 // 16

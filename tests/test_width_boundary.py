@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import product_gluing
-from test_documents import dumped
+from test_documents import assert_readings_agree, dumped
 from test_product_gluing import unpacked
 from treeball import documents, permcore
 from treeball.balls import BallAut, _glue_fibers, ball_points
@@ -82,7 +82,7 @@ def test_tower_gluing_on_each_side_of_the_split(name, kind, blocks, points,
 @pytest.mark.parametrize("payload", ["elements", "generators"])
 @pytest.mark.parametrize("radius, points", [(6, 189), (7, 381)])
 def test_documents_on_each_side_of_the_split(radius, points, payload,
-                                             gamma_s3):
+                                             gamma_s3, monkeypatch):
     # the diagonal lift of S3, of order 6, on one byte a point and on two
     group = build_full_lift(gamma_s3, radius=radius)
     assert len(ball_points(3, radius)) == points
@@ -94,3 +94,4 @@ def test_documents_on_each_side_of_the_split(radius, points, payload,
     back = parse_document(text)
     assert back == doc
     assert group_from_document(back) == group
+    assert_readings_agree(doc, monkeypatch)
