@@ -79,9 +79,13 @@ def _first_partner(group, alpha, block):
 
 
 def first_compat_failure(group):
-    """A (generator, direction) pair with an empty fiber, or None."""
-    return next(((a, w) for a in group.generators for w in range(group.degree)
-                 if _first_partner(group, a, (w,)) is None), None)
+    """A (generator, direction) pair with an empty fiber, or None; cached."""
+    found = group._cache.get("compat_failure")
+    if found is None or found[0] is not group.generators:
+        found = group._cache["compat_failure"] = group.generators, next(
+            ((a, w) for a in group.generators for w in range(group.degree)
+             if _first_partner(group, a, (w,)) is None), None)
+    return found[1]
 
 
 def require_gluing(group, consequence):

@@ -12,13 +12,17 @@ completion contains.
 A restriction to radius R is assembled from one radius-k chart per site (a
 word of length at most R - k) by gathers through ``balls._assembly_table``,
 cached per (degree, R, k): the center's chart gives the image tuple up to
-length k, and each later site v the points k steps past v, its chart's
-images moved out from v's image. Gluing a root to its children is R = k + 1.
+length k, and each later site v its segment, the points k steps past v, its
+chart's images moved out from v's image. Streams place and check each
+segment a site's fiber offers once, joined by one lazy product per depth.
+Gluing a root to its children is R = k + 1.
 """
 
 from __future__ import annotations
 
 import sys
+from functools import partial
+from itertools import chain, product
 
 from .balls import (
     BallAut,
@@ -37,7 +41,7 @@ from .compat import (
 )
 from .constructions import build_full_lift, radius_one
 from .errors import CapacityError, HypothesisError
-from .permcore import PermGroup
+from .permcore import PermGroup, _getter
 
 
 def count_restrictions(group, radius):
@@ -102,15 +106,13 @@ def _require_gluing(group, radius, consequence):
 def iter_extensions(group, radius):
     """Yield every ball map of `radius` whose local actions lie in `group`.
 
-    Streams depth first through chart assignments: one group element per
-    vertex down to depth radius-k, each gluing to its parent's chart, with the
-    full map assembled only at the leaves. Order of the stream is the sorted
-    order of the assignment choices, not of the resulting maps.
+    Streams through chart assignments: one group element per vertex down to
+    depth radius-k, each gluing to its parent's chart, one product per depth,
+    with the full map joined only at the leaves. Order of the stream is the
+    sorted order of the assignment choices, not of the resulting maps.
     """
-    if radius == group.radius:
-        yield from group.elements
-        return
-    _require_gluing(group, radius, "extensions may not exist")
+    if radius != group.radius:
+        _require_gluing(group, radius, "extensions may not exist")
     for root in group.elements:
         yield from _extensions_of_seed(group, root, radius)
 
@@ -130,31 +132,40 @@ def extend_to_ball(group, seed, radius):
 
 
 def _extensions_of_seed(group, seed, radius):
-    # sites are the words of length at most radius - k, center first, so a
-    # site's number is its ball_points index plus one; the image list grows
-    # by one site's points on the way down and is cut back on the way up
+    # one frame per depth, whose sites lazy products walk in ball_points
+    # order (the sorted order of the choices). Each chart a site's fiber
+    # offers is placed once as a segment, which must hold distinct children
+    # of the images of its points' parents: past a seed passing from_images,
+    # that is its test, as parents map one to one by induction and differ
+    # under different sites. Site i's parent is its point's, parent[i].
     d, k = group.degree, group.radius
-    if radius == k:
-        yield seed
-        return
+    BallAut.from_images(d, k, seed.images)  # the seed's check
     sites, tails, reach = _assembly_table(d, radius, k)
-    parents = [p + 1 for p in _parents(d, radius - k)]
-    charts = [seed] * (len(sites) + 1)
-    images = list(seed.images)
+    parent, m = _parents(d, radius), (d - 1) ** k  # m: a segment's points
+    charts, leaf = [seed] * (len(sites) + 1), partial(BallAut._raw, d, radius)
 
-    def descend(i):
-        (site, back), cut = sites[i], len(images)
-        for choice in compat_set(group, charts[parents[i]], back):
-            charts[i + 1] = choice
-            images.extend(_site_points(reach, tails[back], images[site],
-                                       choice))
-            if i + 1 == len(sites):
-                yield BallAut.from_images(d, radius, images)
+    def descend(depth, images):
+        lo, hi = len(ball_points(d, depth - 1)), len(ball_points(d, depth))
+        fibers = [compat_set(group, charts[parent[i] + 1], sites[i][1])
+                  for i in range(lo, hi)]
+        segs = [[_site_points(reach, tails[b], images[s], c) for c in f]
+                for (s, b), f in zip(sites[lo:hi], fibers)]
+        for j, placed in zip(range(len(images), len(parent), m), segs):
+            above = _getter(parent[j:j + m])(images)
+            if any(len(set(seg)) < m or _getter(seg)(parent) != above
+                   for seg in placed):
+                raise ValueError("table is not a ball automorphism")
+        *head, last = segs  # each head of choices meets every last one
+        for charts[lo + 1:hi], choice in zip(product(*fibers[:-1]),
+                                             product(*head)):
+            grown = images + tuple(chain.from_iterable(choice))
+            if hi == len(sites):  # leaves are made in C; no chart is kept
+                yield from map(leaf, map(grown.__add__, last))
             else:
-                yield from descend(i + 1)
-            del images[cut:]
+                for charts[hi], seg in zip(fibers[-1], last):
+                    yield from descend(depth + 1, grown + seg)
 
-    yield from descend(0)
+    yield from descend(1, seed.images) if sites else (seed,)
 
 
 def pk_local_action(group, target_radius):

@@ -3,6 +3,7 @@ reference in walk_assembly.py; charts that do not glue; one-step actions
 read off the step table; and equality of the two element kinds."""
 
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -10,10 +11,12 @@ from hypothesis import strategies as st
 
 import walk_assembly
 from random_balls import random_ball_aut
+from treeball import universal
 from treeball.balls import BallAut, BallGroup, ball_compatible, ball_points
-from treeball.compat import check_compatibility
+from treeball.compat import check_compatibility, compat_set
+from treeball.constructions import build_full_lift
 from treeball.errors import HypothesisError
-from treeball.permcore import Perm, PermGroup
+from treeball.permcore import Perm, PermGroup, _codec
 from treeball.universal import (count_restrictions, extend_to_ball,
                                 iter_extensions)
 from walk_assembly import assemble_extension
@@ -64,6 +67,57 @@ def test_random_groups_stream_as_the_reference(seed, shape, ngens):
     if count_restrictions(group, radius) > 1000:
         return
     assert_streams_match(group, radius)
+
+
+def test_streams_reach_past_the_recursion_limit(gamma_s3):
+    # 1,533 sites below radius 2 at radius 11, one frame a depth
+    assert len(ball_points(3, 9)) > sys.getrecursionlimit()
+    stream = list(iter_extensions(gamma_s3, 11))
+    assert len(stream) == 6 and len(stream[0].images) == 6141
+    assert set(stream) == set(build_full_lift(gamma_s3, radius=11).elements)
+    assert all(BallAut.from_images(3, 11, a.images) == a for a in stream)
+    assert [a for seed in gamma_s3.elements
+            for a in extend_to_ball(gamma_s3, seed, 11)] == stream
+
+
+#: the identity's table of full-lift(S3) with (0, 1) and (0, 2) sent to one
+#: point, and with the images of (0, 1) and (2, 0) swapped: neither is an
+#: automorphism, yet each glues to the identity toward 1
+BAD_TABLES = {"repeats": (0, 1, 2, 3, 3, 5, 6, 7, 8),
+              "swaps parents": (0, 1, 2, 7, 4, 5, 6, 3, 8)}
+
+
+@pytest.mark.parametrize("bad", BAD_TABLES.values(), ids=BAD_TABLES.keys())
+def test_a_table_that_is_no_automorphism_is_refused(bad):
+    good = build_full_lift(PermGroup.symmetric(3))
+    pack = _codec(len(bad))[0]
+    tables = sorted({pack(a.images) for a in good.elements} | {pack(bad)})
+    group = BallGroup(3, 2, None, good.generators, _table=tables)
+    bad = BallAut._raw(3, 2, bad)
+    assert bad in group and bad in compat_set(group, group.identity(), 1)
+    refused = pytest.raises(ValueError,
+                            match="^table is not a ball automorphism$")
+    with refused:  # as the seed
+        next(extend_to_ball(group, bad, 3))
+    with refused:  # only as a chart, placed beside a good seed
+        list(extend_to_ball(group, group.identity(), 3))
+    with refused:
+        list(iter_extensions(group, 3))
+
+
+def test_the_first_extension_places_each_site_once(monkeypatch, phi_s3):
+    calls = []
+
+    def counted(group, alpha, direction):
+        calls.append(direction)
+        return compat_set(group, alpha, direction)
+
+    monkeypatch.setattr(universal, "compat_set", counted)
+    seed = phi_s3.elements[17]
+    first = next(extend_to_ball(phi_s3, seed, 7))
+    assert first == walk_assembly.extend_least(phi_s3, seed, 7)
+    # one options list a site: no depth's product is walked to reach it
+    assert len(calls) == len(ball_points(3, 5))
 
 
 def random_chart_sets(rng, count):

@@ -22,12 +22,13 @@ import scanning_fibers
 from cli_runner import invoke
 from random_balls import random_ball_aut
 from test_compat import tiny_seam_group
-from treeball import cli, errors
+from treeball import cli, compat, errors
 from treeball.balls import (BallAut, BallGroup, _need_key, ball_points,
                             full_aut)
 from treeball.compat import (check_compatibility, compat_set,
                              compatibility_core, first_compat_failure,
                              joint_compat_set)
+from treeball.census import census_compatible_classes, census_discrete_lifts
 from treeball.constructions import build_full_lift, build_parity_lift
 from treeball.documents import document_from_group, serialize_document
 from treeball.errors import CapacityError
@@ -215,3 +216,27 @@ def test_first_failure_of_named_groups_is_the_scanned_one(census_rows,
     found = [first_compat_failure(group) for group in groups]
     assert found == [scanned_failure(group) for group in groups]
     assert found[-1] is None and {f is None for f in found} == {True, False}
+
+
+def test_first_failure_is_found_again_for_new_generators():
+    group = pi_zero()
+    before = first_compat_failure(group)
+    group.generators = tuple(reversed(group.elements))
+    after = first_compat_failure(group)
+    assert after == scanned_failure(group) and after != before
+
+
+def test_the_census_checks_c_once_a_group(monkeypatch):
+    # a check starts with the first generator toward 0; the groups are kept,
+    # so no id is reused
+    started, real = [], compat._first_partner
+
+    def counted(group, alpha, block):
+        if block == (0,) and alpha is group.generators[0]:
+            started.append(group)
+        return real(group, alpha, block)
+
+    monkeypatch.setattr(compat, "_first_partner", counted)
+    census_discrete_lifts(census_compatible_classes(3, 2))
+    ids = [id(group) for group in started]
+    assert len(ids) == len(set(ids)) >= 40
