@@ -515,13 +515,17 @@ def _require_ball(degree, radius):
         raise ValueError("ball radius must be at least 1")
 
 
+def _branch(degree, n):
+    """Sites up to n - 1 steps behind a neighbour: ((d-1)^n - 1) / (d-2)."""
+    return ((degree - 1) ** n - 1) // (degree - 2)
+
+
 def full_aut_order(degree, radius):
-    """Order of the full automorphism group of the ball, by layer counting:
-    d! at the center and (d-1)! at each of the d * ((d-1)^(r-1) - 1) / (d-2)
-    other inner vertices."""
+    """Order of the full automorphism group of the ball: d! at the center
+    and (d-1)! at each of the d * _branch(d, r-1) other inner vertices."""
     _require_ball(degree, radius)
     return math.factorial(degree) * math.factorial(degree - 1) ** (
-        degree * ((degree - 1) ** (radius - 1) - 1) // (degree - 2))
+        degree * _branch(degree, radius - 1))
 
 
 def _full_aut_log10(degree, radius):

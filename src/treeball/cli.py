@@ -24,7 +24,8 @@ from .constructions import (build_centered, build_diagonal, build_full_lift,
 from .documents import (document_from_group, group_from_document,
                         load_document, save_document, serialize_document)
 from .errors import CapacityError, HypothesisError
-from .permcore import Perm, PermGroup, classify_action, factorize
+from .permcore import (Perm, PermGroup, classify_action, factorize,
+                       format_factors)
 from .universal import (_restriction_count, is_discrete_universal,
                         local_action_group, pk_local_action)
 
@@ -146,10 +147,7 @@ _DEFAULT_BLOCKS = {
 
 def _fmt_count(n):
     """n itself while it fits in an int64, else its prime factorization."""
-    if n < 2 ** 63:
-        return str(n)
-    return " * ".join("%d^%d" % (prime, exp) if exp > 1 else str(prime)
-                      for prime, exp in factorize(n))
+    return str(n) if n < 2 ** 63 else format_factors(factorize(n))
 
 
 def _exit_on_mismatch(expect, value):
@@ -385,7 +383,7 @@ def count_restrictions_cmd(path, ball, stabilizer, fmt):
     """How many larger-ball maps restrict into the input group.
 
     Only maps fixing the center are counted, so --stabilizer is required;
-    a count past the int64 range is printed as its factors."""
+    a count past the int64 range is printed as prime powers."""
     group = group_from_document(load_document(path))
     if not stabilizer:
         raise HypothesisError(
@@ -394,7 +392,7 @@ def count_restrictions_cmd(path, ball, stabilizer, fmt):
     if total < 2 ** 63:
         text, body = str(total), {"count": total}
     else:
-        text = " * ".join(factors)
+        text = format_factors(factors)
         body = {"count": None, "factored": text}
     print(json.dumps(body) if fmt == "json" else "count: " + text)
 

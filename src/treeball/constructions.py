@@ -29,6 +29,7 @@ from .balls import (
     BallAut,
     BallGroup,
     _automorphism_test,
+    _branch,
     _glue_fibers,
     _glue_images,
     _root_and_chart,
@@ -48,19 +49,15 @@ from .permcore import (Perm, PermGroup, _codec, _getter, _identity_images,
                        center, classify_action, small_generating_set_of)
 
 
-def _r1(perm):
-    return BallAut(perm)
-
-
 def radius_one(F):
     """The permutation group F as a group of radius-1 ball automorphisms."""
-    return BallGroup(F.degree, 1, [_r1(p) for p in F.elements],
-                     [_r1(p) for p in F.generators])
+    return BallGroup(F.degree, 1, list(map(BallAut, F.elements)),
+                     list(map(BallAut, F.generators)))
 
 
 def _as_radius2(root_perm, child_perms):
     # the named generator families of `build_wreath_local`
-    return BallAut(_r1(root_perm), tuple(_r1(c) for c in child_perms))
+    return BallAut(BallAut(root_perm), tuple(map(BallAut, child_perms)))
 
 
 def _check_order(group, expected, what):
@@ -80,7 +77,7 @@ def _twist_group(what, F, twists, fibers, block_of=None):
     d, order = F.degree, F.order * twists
     check_cells(what, order, len(ball_points(d, 2)))
     table = sorted(t for a in F.elements
-                   for t in _glue_fibers(_r1(a), fibers(a), block_of))
+                   for t in _glue_fibers(BallAut(a), fibers(a), block_of))
     gens = _table_generators(table, BallAut.identity(d, 2))
     if not all(map(_automorphism_test(d, 2), map(_images, gens))):
         raise RuntimeError("%s glued a map that is no automorphism; bug"
@@ -201,9 +198,9 @@ def build_full_lift(F, radius=None):
         raise HypothesisError("lift radius %d is below the base radius %d"
                               % (radius, base.radius))
     d, r = base.degree, base.radius
-    while r < radius and d * ((d - 1) ** r - 1) // (d - 2) <= 1 << 16:
+    while r < radius and d * _branch(d, r) <= 1 << 16:
         r += 1
-    _codec(d * ((d - 1) ** r - 1) // (d - 2))
+    _codec(d * _branch(d, r))
     blocks = [(w,) for w in range(base.degree)]
     group = base
     while group.radius < radius:
@@ -765,7 +762,7 @@ def _tower_certificate(prev, blocks, pinned, z):
     central_lift = None
     if z is not None:
         # climb the central element to the previous radius as a full diagonal
-        c = _r1(z)
+        c = BallAut(z)
         while c.radius < prev.radius:
             c = BallAut(c, (c,) * d)
         if c in prev:

@@ -476,8 +476,7 @@ class PermGroup(FiniteGroup):
         return _orbits(self.generators, self.degree)
 
     def stabilizer(self, point):
-        return PermGroup.from_elements([g for g in self.elements
-                                        if g(point) == point])
+        return self.pointwise_stabilizer((point,))
 
     def pointwise_stabilizer(self, points):
         pts = tuple(points)
@@ -897,6 +896,12 @@ def factorize(n):
     if n > 1:
         out.append((n, 1))
     return out
+
+
+def format_factors(pairs):
+    """(prime, exponent) pairs as text, as in ``2^190 * 3``."""
+    return " * ".join("%d^%d" % (prime, exp) if exp > 1 else str(prime)
+                      for prime, exp in pairs)
 
 
 # ---------------------------------------------------------------------------

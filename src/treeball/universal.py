@@ -2,12 +2,12 @@
 
 The group of all tree automorphisms whose local actions of the group's radius
 lie in the group is infinite, so nothing here ever materializes it. What is
-computable: how many distinct restrictions it has to a ball of given radius,
-the restrictions themselves (streamed, assembled chart by chart), the seam
-groups its kernel leaves on the boundary, and whether the completion is
-discrete. The label-respecting isometries of the labelled tree round out the
-geometric side; they are the translations and inversions every such
-completion contains.
+computable: how many distinct restrictions it has to a ball of radius R, the
+closed form |F| * P^S (`count_restrictions`), the restrictions themselves
+(streamed, assembled chart by chart), the seam groups its kernel leaves on
+the boundary, and whether the completion is discrete. The label-respecting
+isometries of the labelled tree round out the geometric side; they are the
+translations and inversions every such completion contains.
 
 A restriction to radius R is assembled from one radius-k chart per site (a
 word of length at most R - k) by gathers through ``balls._assembly_table``,
@@ -21,12 +21,15 @@ Gluing a root to its children is R = k + 1.
 from __future__ import annotations
 
 import sys
+from collections import Counter
 from functools import partial
 from itertools import chain, product
+from math import prod
 
 from .balls import (
     BallAut,
     _assembly_table,
+    _branch,
     _parents,
     _site_points,
     ball_points,
@@ -41,7 +44,7 @@ from .compat import (
 )
 from .constructions import build_full_lift, radius_one
 from .errors import CapacityError, HypothesisError
-from .permcore import PermGroup, _getter
+from .permcore import PermGroup, _getter, factorize, format_factors
 
 
 def count_restrictions(group, radius):
@@ -50,51 +53,42 @@ def count_restrictions(group, radius):
 
     When the group can always be glued to itself (generator fibers nonempty),
     these are exactly the restrictions to the ball of the center-stabilizing
-    part of its universal completion. The count factors over the assignment
-    tree because fibers are cosets of the identity's fiber: the root
-    contributes the group order and every deeper chart contributes the fiber
-    size of its last direction. Counts of 2**63 or more, past the int64
-    range, raise, with the factorization in the message, rather than
-    pretending such a group could be handled further.
+    part of its universal completion. Fibers are cosets of the identity's,
+    so one takes an element of F at the center and one of f_w fiber
+    partners at each of the S = ((d-1)^(R-k) - 1)/(d-2) sites behind
+    neighbour w: |F| * P^S, P the product of the f_w. Counts of 2**63 or
+    more, past the int64 range, raise, with the prime factorization in the
+    message, rather than pretending such a group could be handled further.
     """
     total, factors = _restriction_count(group, radius)
     if total >= 2 ** 63:
         raise CapacityError(
             "restriction count reaches 2^63; factored: %s"
-            % " * ".join(factors))
+            % format_factors(factors))
     return total
 
 
 def _restriction_count(group, radius):
-    """The restriction count, saturated at 2**63 before any larger power is
-    made, and its factors as strings, refused before any is formatted when
-    an exponent has more digits than the interpreter prints."""
+    """|F| * P^S saturated at 2**63, and its (prime, exponent) pairs: |F|'s
+    plus P's times S. No S is made for P == 1, nor once S alone has more
+    digits than the interpreter prints; such an exponent is refused."""
     _require_gluing(group, radius, "restriction counting does not factor")
-    k = group.radius
-    ident = group.identity()
-    fiber = [len(compat_set(group, ident, w)) for w in range(group.degree)]
-    # with every fiber 1 no depth adds a factor, and none is looped over;
-    # the largest exponent is base^top, of more than `limit` digits once
-    # top passes 4 * limit (2^4 > 10), so no huge power is made to see it
-    base, top = group.degree - 1, radius - k - 1
-    depths = radius - k if any(f != 1 for f in fiber) else 0
+    d, n = group.degree, radius - group.radius
+    P = prod(len(compat_set(group, group.identity(), w)) for w in range(d))
+    if P == 1:
+        return group.order, factorize(group.order)
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: none
-    if limit and top > 0 and depths and (
-            top > 4 * limit or base ** top >= 10 ** limit):
-        raise CapacityError(
-            "restriction count at radius %d: its factor exponent %d^%d has "
-            "more than %d digits, the limit for printing an integer"
-            % (radius, base, top, limit))
-    total = group.order
-    factors = [str(group.order)]
-    for depth in range(1, depths + 1):
-        per_letter = base ** (depth - 1)
-        for w in range(group.degree):
-            if fiber[w] != 1:
-                factors.append("%d^%d" % (fiber[w], per_letter))
-                # a fiber of 2 or more to the 63rd passes 2**63 alone
-                total = min(total * fiber[w] ** min(per_letter, 63), 2 ** 63)
-    return total, factors
+    # S >= 2^(n-1) has more than `limit` digits once n - 1 > 4 * limit
+    if not limit or n - 1 <= 4 * limit:
+        S = _branch(d, n)
+        exps = Counter(dict(factorize(group.order))) + Counter(
+            {p: e * S for p, e in factorize(P)})
+        if not limit or max(exps.values()) < 10 ** limit:
+            return (min(group.order * P ** min(S, 63), 2 ** 63),  # P >= 2
+                    sorted(exps.items()))
+    raise CapacityError(
+        "restriction count at radius %d: a prime's exponent has more than "
+        "%d digits, the limit for printing an integer" % (radius, limit))
 
 
 def _require_gluing(group, radius, consequence):

@@ -10,6 +10,7 @@ small interpreter (`_FORK`), which hands back its exit status and peak RSS.
 import os
 import pathlib
 import resource
+import signal
 import subprocess
 import sys
 
@@ -26,10 +27,12 @@ os.write(int(sys.argv[1]), b"%d %d" % (status, usage.ru_maxrss))
 """
 
 
-def _run_child(*args, address_space=None):
+def _run_child(*args, address_space=None, timeout=None):
     """stdout, stderr, exit code and peak RSS (kilobytes) of `treeball
     args` in a child process, whose peak RSS wait4 reports alone;
-    `address_space` caps the child's virtual memory, in bytes."""
+    `address_space` caps the child's virtual memory, in bytes. Past
+    `timeout` seconds the child and its forked command are killed and
+    `subprocess.TimeoutExpired` is raised."""
     src = str(pathlib.Path(treeball.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -40,12 +43,14 @@ def _run_child(*args, address_space=None):
     child = subprocess.Popen(
         [sys.executable, "-c", _FORK, str(write), *args], env=env, text=True,
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, preexec_fn=limit,
-        pass_fds=(write,))
+        pass_fds=(write,), start_new_session=True)
     os.close(write)
-    out, err = child.stdout.read(), child.stderr.read()  # err: a line or two
-    child.stdout.close()
-    child.stderr.close()
-    child.wait()
     with os.fdopen(report) as f:
+        try:
+            out, err = child.communicate(timeout=timeout)
+        except subprocess.TimeoutExpired:
+            os.killpg(child.pid, signal.SIGKILL)  # the command's group
+            child.communicate()
+            raise
         status, peak = map(int, f.read().split())
     return out, err, os.waitstatus_to_exitcode(status), peak

@@ -389,7 +389,7 @@ def test_count_restrictions_exact_and_factored(runner, full_doc):
     assert res.exit_code == 0, res.output
     payload = json.loads(res.output)
     assert payload["count"] is None
-    assert payload["factored"].startswith("48")
+    assert payload["factored"] == "2^190 * 3"
     res = runner.invoke(main, ["count-restrictions", "--in", full_doc,
                                "--ball", "3"])
     assert res.exit_code == 2
@@ -405,8 +405,7 @@ def test_count_restrictions_counts_once(runner, full_doc, monkeypatch):
         return count(group, radius)
 
     monkeypatch.setattr("treeball.cli._restriction_count", counted)
-    factored = " * ".join(["48"] + ["4^%d" % 2 ** i for i in range(5)
-                                    for _ in range(3)])
+    factored = "2^190 * 3"  # 48 = 2^4 * 3, then (4^3)^31 = 2^186
     args = ["count-restrictions", "--in", full_doc, "--ball", "7",
             "--stabilizer"]
     res = runner.invoke(main, args)
@@ -419,10 +418,9 @@ def test_count_restrictions_counts_once(runner, full_doc, monkeypatch):
 
 
 def test_count_restrictions_factors_without_the_huge_product(full_doc):
-    # 4^(2^37) alone has 2^38 bits; the count stops multiplying at 2**63,
-    # so the factors print within a 1 GiB address space
-    factored = " * ".join(["48"] + ["4^%d" % 2 ** i for i in range(38)
-                                    for _ in range(3)])
+    # 2^(3 * 2^39 - 2) alone has 2^40 bits; the count stops multiplying at
+    # 2**63, so its prime powers print within a 1 GiB address space
+    factored = "2^%d * 3" % (3 * 2 ** 39 - 2)
     out, err, code, _ = _run_child(
         "count-restrictions", "--in", full_doc, "--ball", "40",
         "--stabilizer", address_space=2 ** 30)
@@ -432,8 +430,8 @@ def test_count_restrictions_factors_without_the_huge_product(full_doc):
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
                     reason="the interpreter prints integers of any size")
 def test_count_restrictions_refuses_an_unprintable_exponent(full_doc):
-    # the radius-20000 count has the factor exponent 2^19997, of 6,020
-    # digits: one line naming the radius and the limit, decided up front
+    # the radius-20000 count has 2 to the power 3 * 2^19999 - 2, an
+    # exponent of 6,021 digits: one line naming the radius and the limit
     start = time.perf_counter()
     out, err, code, _ = _run_child(
         "count-restrictions", "--in", full_doc, "--ball", "20000",
@@ -444,6 +442,68 @@ def test_count_restrictions_refuses_an_unprintable_exponent(full_doc):
     assert line.startswith("Error: restriction count at radius 20000: ")
     assert "more than %d digits" % sys.get_int_max_str_digits() in line
     assert took < 3
+
+
+def test_count_restrictions_prints_prime_powers_far_out(runner, full_doc):
+    # radius 14000: 2 to the power 3 * 2^13999 - 2, 4,215 digits, then 3
+    res = runner.invoke(main, ["count-restrictions", "--in", full_doc,
+                               "--ball", "14000", "--stabilizer"])
+    assert res.exit_code == 0
+    assert res.output == "count: 2^%d * 3\n" % (3 * 2 ** 13999 - 2)
+    assert len(res.output) < 10_000
+
+
+#: the extreme-input sweep: (command line, exit code, seconds, peak MB);
+#: FULL and DIAGONAL stand for the full-lift(S3) and diagonal(S3) documents
+SWEEP = [
+    *[(("count-restrictions", "--in", "FULL", "--ball", ball,
+        "--stabilizer"), code, 1, 40)
+      for ball, code in [("0", 2), ("-1", 2), ("3", 0), ("20000", 2),
+                         (str(10 ** 30), 2), ("x", 2)]],
+    # a count past int64, printed as prime powers in about 4.2 KB
+    (("count-restrictions", "--in", "FULL", "--ball", "14000",
+      "--stabilizer"), 0, 1, 60),
+    *[(("pk-local", "--in", "DIAGONAL", "--target", target), code, 1, 40)
+      for target, code in [("0", 2), ("2", 0), ("15", 2), (str(10 ** 30), 2),
+                           ("x", 2)]],
+    # radius 14 holds 49,149 points, the last full lift two bytes index
+    (("pk-local", "--in", "DIAGONAL", "--target", "14"), 0, 4, 150),
+    # every fiber is 1: no exponent is made, the count is |F|
+    (("count-restrictions", "--in", "DIAGONAL", "--ball", "100000",
+      "--stabilizer"), 0, 1, 40),
+    (("census", "--degree", "3", "--radius", str(10 ** 30)), 2, 1, 40),
+    (("construct", "centered", "S9"), 2, 4, 150),
+]
+
+
+@pytest.mark.slow
+def test_extreme_inputs_keep_the_exit_code_contract(full_doc, diagonal_doc):
+    # one child at a time under a 1.5 GB address space, killed past its
+    # row's time box; the boxes sum to 22 s, inside the sweep's 30 s budget
+    budget = 30
+    assert sum(row[2] for row in SWEEP) <= budget
+    docs = {"FULL": full_doc, "DIAGONAL": diagonal_doc}
+    start = time.perf_counter()
+    for args, expected, seconds, megabytes in SWEEP:
+        args = [docs.get(a, a) for a in args]
+        began = time.perf_counter()
+        try:
+            out, err, code, peak = _run_child(
+                *args, address_space=3 << 29, timeout=seconds)
+        except subprocess.TimeoutExpired:
+            pytest.fail("%s ran past its %d s box" % (args, seconds))
+        took = time.perf_counter() - began
+        assert code in (0, 1, 2) and code == expected, (args, code, err)
+        assert "Traceback" not in out + err, args
+        assert len(out.encode()) < 1 << 20, args
+        if code == 2:
+            assert out == "" and re.fullmatch(r"Error: [^\n]*\n", err), (
+                args, err)
+        else:
+            assert err == "", (args, err)
+        assert took < seconds and peak < megabytes * 1024, (
+            args, took, peak)
+    assert time.perf_counter() - start < budget
 
 
 def test_count_restrictions_reports_a_bad_document_first(runner, tmp_path):

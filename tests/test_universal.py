@@ -6,12 +6,14 @@ import sys
 import pytest
 
 from normal_structure import is_subnormal, normal_subgroups, subnormal_depth
+from depth_restriction import depth_restriction_count, prime_exponents
 from random_balls import random_ball_aut
 from treeball.balls import (BallAut, BallGroup, ball_points, full_aut,
                             full_aut_order)
+from treeball.compat import check_compatibility
 from treeball.constructions import build_full_lift
 from treeball.errors import CapacityError, HypothesisError
-from treeball.permcore import Perm, PermGroup
+from treeball.permcore import Perm, PermGroup, factorize
 from treeball.universal import (_restriction_count, count_restrictions,
                                 edge_inversion, extend_to_ball,
                                 is_discrete_universal, iter_extensions,
@@ -68,7 +70,7 @@ def test_count_failure_modes(phi_s3, gamma_s3):
 
 def test_count_limit_is_the_int64_range(monkeypatch, phi_s3):
     def count_of(total):
-        return lambda group, radius: (total, [str(total)])
+        return lambda group, radius: (total, factorize(total))
 
     monkeypatch.setattr("treeball.universal._restriction_count",
                         count_of(2 ** 63 - 1))
@@ -82,12 +84,8 @@ def test_count_limit_is_the_int64_range(monkeypatch, phi_s3):
 def test_factored_counts_multiply_out(phi_s3):
     count, factors = _restriction_count(phi_s3, 5)
     total = 1
-    for f in factors:
-        if "^" in f:
-            base, exp = f.split("^")
-            total *= int(base) ** int(exp)
-        else:
-            total *= int(f)
+    for prime, exp in factors:
+        total *= prime ** exp
     direct = 48
     for depth in range(1, 4):
         direct *= (4 ** (2 ** (depth - 1))) ** 3
@@ -240,33 +238,74 @@ def test_full_lift_refuses_a_group_that_fails_c():
 
 
 def test_saturated_count_keeps_every_factor(phi_s3):
-    # past 2**63 the product stops, and the factors still list every site
+    # past 2**63 the product stops, and the exponents are still exact:
+    # 48 = 2^4 * 3 at the center, then 4^3 = 2^6 per site behind each
+    # neighbour, of which there are 2^68 - 1 at radius 70
     count, factors = _restriction_count(phi_s3, 70)
     assert count == 2 ** 63
-    assert factors == ["48"] + ["4^%d" % 2 ** i for i in range(68)
-                                for _ in range(3)]
+    assert factors == [(2, 4 + 6 * (2 ** 68 - 1)), (3, 1)]
 
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
                     reason="the interpreter prints integers of any size")
-def test_count_refuses_an_exponent_the_interpreter_cannot_print(phi_s3,
-                                                                gamma_s3):
-    # at a limit of 640 digits, 2^2126 (640 digits) is the largest exponent
-    # that prints: radius 2129 lists it, and radius 2130 is refused before
-    # any factor is formatted; fibers of size 1 format nothing
+def test_count_refuses_an_exponent_the_interpreter_cannot_print(
+        monkeypatch, phi_s3, gamma_s3):
+    # at a limit of 640 digits, the exponent of 2 at radius R is
+    # 4 + 6 * (2^(R-2) - 1) = 3 * 2^(R-1) - 2: radius 2125 gives it 640
+    # digits and is counted, radius 2126 gives it 641 and is refused.
+    # Past radius 4 * 640 + 3, S >= 2^2561 is refused before it is made,
+    # and a group with every fiber 1 makes no S at all
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(640)
+    refusal = (r"^restriction count at radius %d: a prime's exponent has "
+               r"more than 640 digits, the limit for printing an integer$")
     try:
-        _, factors = _restriction_count(phi_s3, 2129)
-        assert factors[-1] == "4^%d" % 2 ** 2126
-        with pytest.raises(CapacityError, match=(
-                r"^restriction count at radius 2130: its factor exponent "
-                r"2\^2127 has more than 640 digits, the limit for printing "
-                r"an integer$")):
-            _restriction_count(phi_s3, 2130)
-        assert count_restrictions(gamma_s3, 2130) == 6
+        _, factors = _restriction_count(phi_s3, 2125)
+        assert factors == [(2, 3 * 2 ** 2124 - 2), (3, 1)]
+        assert len(str(factors[0][1])) == 640
+        with pytest.raises(CapacityError, match=refusal % 2126):
+            _restriction_count(phi_s3, 2126)
+        monkeypatch.setattr("treeball.universal._branch", None)
+        for radius in (4 * 640 + 4, 10 ** 30):
+            with pytest.raises(CapacityError, match=refusal % radius):
+                _restriction_count(phi_s3, radius)
+        assert count_restrictions(gamma_s3, 10 ** 30) == 6
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+def assert_count_matches_the_depth_loop(group, radius):
+    count, factors = _restriction_count(group, radius)
+    total, strings = depth_restriction_count(group, radius)
+    assert count == total
+    assert dict(factors) == prime_exponents(strings)
+    assert all(exp > 0 for _, exp in factors)
+    assert factors == sorted(factors)
+
+
+def test_closed_form_count_matches_the_depth_loop(census_rows, gamma_s3,
+                                                  delta_s3):
+    groups = [row.group for row in census_rows] + [gamma_s3, delta_s3]
+    assert len(census_rows) == 6
+    for group in groups:
+        k = group.radius
+        for radius in range(k, k + 61):
+            assert_count_matches_the_depth_loop(group, radius)
+
+
+def test_closed_form_count_matches_the_depth_loop_on_drawn_groups():
+    rng = random.Random(40)
+    checked = 0
+    for degree, k, ngens in [(3, 1, 1), (3, 1, 2), (3, 2, 1), (3, 2, 2),
+                             (4, 1, 1), (4, 1, 2), (5, 1, 1)] * 4:
+        group = BallGroup.generated(
+            [random_ball_aut(degree, k, rng) for _ in range(ngens)])
+        if not check_compatibility(group):
+            continue
+        for radius in range(k, k + 13):
+            assert_count_matches_the_depth_loop(group, radius)
+        checked += 1
+    assert checked >= 10
 
 
 def test_pk_local_action_projects_in_one_closure(monkeypatch, phi_s3):
