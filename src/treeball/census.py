@@ -32,8 +32,7 @@ from .constructions import (
     build_parity_lift,
 )
 from .errors import CapacityError, HypothesisError
-from .permcore import (PermGroup, all_subgroups, are_conjugate_in,
-                       conjugacy_class_key)
+from .permcore import PermGroup, all_subgroups, are_conjugate_in
 
 
 class CensusRow(NamedTuple):
@@ -96,9 +95,9 @@ def census_compatible_classes(degree=3, radius=2):
     Enumerates every subgroup of the full ball group (so the ambient order
     must stay small; degree 3 at radius 2 is the supported exhaustive case),
     filters, and groups the survivors under ambient conjugation. Rows are
-    sorted by order, then by having a cocycle, then by canonical form, and
-    carry deterministic representatives: the least element list over each
-    class orbit.
+    sorted by order, then by having a cocycle, then by packed table, and
+    carry deterministic representatives: the least table among each class's
+    survivors.
     """
     # an order past the float range is refused from its log, never made
     past = sys.float_info.max_10_exp
@@ -113,23 +112,17 @@ def census_compatible_classes(degree=3, radius=2):
             % (degree, radius, shown, errors.CENSUS_AMBIENT_CAP))
     ambient = full_aut(degree, radius)
 
-    # gluing is not preserved by conjugation, so classes are keyed by their
-    # whole-orbit canonical form but represented by their least gluable
-    # member, the lattice's own group
-    classes = {}
-    for group in all_subgroups(BallGroup.from_elements(ambient)):
-        if not group.is_transitive():
-            continue
-        if not check_compatibility(group):
-            continue
-        key = conjugacy_class_key(ambient, group)
-        mine = group._table
-        if key not in classes or mine < classes[key][0]:
-            classes[key] = mine, group
-
-    named = _named_constructions(ambient, degree, radius)
-    rows = [_make_row(rep, radius, named.get(orbit_key))
-            for orbit_key, (_, rep) in classes.items()]
+    # gluing is not preserved by conjugation, so each class is represented
+    # by its least gluable member, the lattice's own group
+    survivors = [group for group in
+                 all_subgroups(BallGroup.from_elements(ambient))
+                 if group.is_transitive() and check_compatibility(group)]
+    named = _named_constructions(degree, radius)
+    rows = []
+    for rep in _merge_into_classes(ambient, survivors):
+        name = next((name for name, built in named
+                     if are_conjugate_in(ambient, built, rep)), None)
+        rows.append(_make_row(rep, radius, name))
     rows.sort(key=lambda row: (row.order, row.has_cocycle,
                                row.group._table))
     return rows
@@ -151,13 +144,14 @@ def _make_row(group, radius, description=None, gamma_image_of=None):
                      gamma_image_of=gamma_image_of)
 
 
-def _named_constructions(ambient, degree, radius):
+def _named_constructions(degree, radius):
+    """(name, group) of the constructions that name the census classes."""
     if (degree, radius) != (3, 2):
-        return {}
+        return []
     S3 = PermGroup.symmetric(3)
     A3 = PermGroup.alternating(3)
     sgn = {p: (0 if p.sign() == 1 else 1) for p in S3.elements}
-    builders = [
+    return [
         ("full-lift(A_3)", build_full_lift(A3)),
         ("diagonal(S_3)", build_diagonal(S3)),
         ("centered(S_3)", build_centered(S3, center=S3.stabilizer(0))),
@@ -165,7 +159,6 @@ def _named_constructions(ambient, degree, radius):
         ("parity(S_3,{1})", build_parity_lift(S3, sgn, 2, [1])),
         ("full-lift(S_3)", build_full_lift(S3)),
     ]
-    return {conjugacy_class_key(ambient, g): name for name, g in builders}
 
 
 def census_discrete_lifts(base_rows):
@@ -182,9 +175,9 @@ def census_discrete_lifts(base_rows):
 
     Each cocycle is verified, and its generators lifted, once; each kernel
     subgroup's own facts are found once; and each distinct extension is
-    closed and checked for (C) and (D) once, the first pair that builds it
-    standing for it. The clauses are the ones every pair meets, run on image
-    tuples: a projection is a prefix of each element's tuple.
+    checked for (C) and (D) once, the first pair that builds it standing for
+    it. The clauses are the ones every pair meets, run on image tuples: a
+    projection is a prefix of each element's tuple.
     """
     out = []
     for row in base_rows:
@@ -243,7 +236,7 @@ def _is_discrete_lift(group, base):
 
 def _merge_into_classes(ambient, candidates):
     """One representative per ambient conjugacy class of distinct groups,
-    the least by element list."""
+    the least by table: the census's one class routine."""
     reps = []
     for group in sorted(candidates, key=lambda group: group._table):
         if not any(are_conjugate_in(ambient, group, rep) for rep in reps):

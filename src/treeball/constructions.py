@@ -295,14 +295,12 @@ def build_cocycle_extension(cocycle, kernel):
     clauses are checked on image tuples, in that order, after the kernel's
     shape and that it is a subgroup.
 
-    Each piece of work is done once. A kernel group's cache keeps what the
-    kernel alone decides (whether it is a subgroup, its generators, its
-    views) and the elements of each extension it took part in, keyed by the
-    cosets K * lg of the lifted generators lg, which fix the group they
-    generate with K; the cocycle keeps its lifted generators. Once K is a
-    subgroup, lg normalizes it exactly when lg * k lies in K * lg for each of
-    its generators k, and (b) passes or fails alike wherever a view recurs,
-    so it runs over the distinct views in the order they first occur.
+    A kernel group's cache keeps what the kernel alone decides (whether it
+    is a subgroup, its generators, its views), and the cocycle keeps its
+    lifted generators. Once K is a subgroup, a lifted generator lg
+    normalizes it exactly when lg * k lies in K * lg for each of its
+    generators k, and (b) passes or fails alike wherever a view recurs, so
+    it runs over the distinct views in the order they first occur.
     """
     if not isinstance(cocycle, CompatCocycle):
         raise TypeError("expected a CompatCocycle")
@@ -316,19 +314,17 @@ def build_cocycle_extension(cocycle, kernel):
         if k.images[:len(inner)] != inner:
             raise HypothesisError(
                 "kernel elements must restrict to the identity inside")
-    kset, kernel_gens, views, made = _kernel_facts(
+    kset, kernel_gens, views = _kernel_facts(
         kernel, kelems, BallAut.identity(d, F.radius + 1))
     if kernel_gens is None:
         raise HypothesisError("the kernel must be a subgroup")
     lifted_gens = cocycle._lifted_generators
-    cosets = []
     for lg in lifted_gens:
         coset = set(map(_getter(lg.images), kset))  # K * lg
         if any(_getter(k.images)(lg.images) not in coset
                for k in kernel_gens):
             raise HypothesisError(
                 "the lifted group must normalize the kernel")
-        cosets.append(min(coset))
     z = cocycle._images
     for view, w in views:
         if view not in z:
@@ -341,23 +337,15 @@ def build_cocycle_extension(cocycle, kernel):
     expected = F.order * len(kelems)
     check_cells("cocycle extension", expected,
                 len(ball_points(d, F.radius + 1)))
-    # the group is <lifted generators, kernel>, which the cosets K * lg fix
-    cosets = frozenset(cosets)
-    gens = lifted_gens + list(kernel_gens)
-    if cosets in made:
-        group = BallGroup(d, F.radius + 1, made[cosets], gens)
-    else:
-        group = BallGroup.generated(gens)
-    made[cosets] = _check_order(group, expected, "cocycle extension").elements
-    return group
+    group = BallGroup.generated(lifted_gens + list(kernel_gens))
+    return _check_order(group, expected, "cocycle extension")
 
 
 def _kernel_facts(kernel, kelems, identity):
     """The kernel's image set, its greedy generators (None when it is not a
-    subgroup), its (view, direction) pairs in first-seen order and a dict
-    for the elements of its extensions by their cosets, kept in the cache of
-    a kernel group. A nonempty finite set closed under products is a group,
-    which is what the greedy's closure checks."""
+    subgroup) and its (view, direction) pairs in first-seen order, kept in
+    the cache of a kernel group. A nonempty finite set closed under products
+    is a group, which is what the greedy's closure checks."""
     facts = getattr(kernel, "_cache", {}).get("extension_kernel")
     if facts is None:
         try:
@@ -368,7 +356,7 @@ def _kernel_facts(kernel, kelems, identity):
             gens = None
         views = dict.fromkeys((_root_and_chart(k, w)[1], w) for k in kelems
                               for w in range(identity.degree))
-        facts = ({k.images for k in kelems}, gens, views, {})
+        facts = ({k.images for k in kelems}, gens, views)
         if hasattr(kernel, "_cache"):
             kernel._cache["extension_kernel"] = facts
     return facts

@@ -3,7 +3,7 @@
 A group is stored as the sorted table of its elements' image tuples, each
 packed into bytes that sort and compare like the tuple (`_codec`), and each
 algorithm walks sorted lists: Dimino's coset closure, the lattice by cyclic
-extension, subgroup conjugacy by one conjugation per coset. A closure of
+extension, one conjugacy test, pairwise on generators. A closure of
 unknown order stops at `errors.CLOSURE_CAP` elements, and the lattice is
 refused past `errors.SUBGROUP_LATTICE_CAP`, decided from the group's order.
 Every element is one image tuple (`Element`), whose product is one C-level
@@ -15,8 +15,8 @@ element objects are made from it only when a group's `elements` are read.
 `FiniteGroup` holds what needs only products, inverses and image tuples:
 the two constructors (`generated` over the one closure, `from_elements`
 over the one generating-set greedy), containers, transitivity by the one
-orbit walk, the subgroup lattice, conjugacy classes and subgroup
-conjugacy; `PermGroup` adds the point actions, and `balls.BallGroup` the
+orbit walk, the subgroup lattice, conjugacy classes and one subgroup
+conjugacy test, pairwise on generators; `PermGroup` adds the point actions, and `balls.BallGroup` the
 ball views.
 The answers feed frozen regression values, so determinism comes first.
 """
@@ -136,9 +136,6 @@ class Element:
 
     def __lt__(self, other):
         return self.images < other.images
-
-    def __le__(self, other):
-        return self.images <= other.images
 
     def __hash__(self):
         if self._hash is None:
@@ -306,8 +303,8 @@ class FiniteGroup:
     elements are `Element`s, whose ``images`` tuple orders, hashes and
     composes them like a permutation's, so permutations and ball
     automorphisms share everything here: the two constructors, containers,
-    the subgroup lattice, conjugacy classes and subgroup conjugacy.
-    `generated` closes generators and `from_elements` reads an element
+    the subgroup lattice, conjugacy classes and one subgroup conjugacy
+    test, pairwise on generators. `generated` closes generators and `from_elements` reads an element
     list; the constructor sorts what it is given by image tuple and keeps
     each repeat once. A group made from element objects keeps them; one
     made from a sorted `_table` alone makes them when ``elements`` is first
@@ -908,27 +905,6 @@ def format_factors(pairs):
 # conjugacy of subgroups
 # ---------------------------------------------------------------------------
 
-def conjugacy_class_key(ambient, H):
-    """The least sorted image-tuple list over the conjugates of H.
-
-    `ambient` is the element list of a group containing the subgroup H; two
-    subgroups share the key exactly when they are conjugate in it. Every t
-    in a left coset tH conjugates H alike, so one representative per coset
-    is used: the gathers that make tH give t H t^-1 by one more gather each.
-    """
-    steps = [_getter(h.images) for h in H.elements]
-    covered, best = set(), None
-    for t in ambient:
-        if t.images in covered:
-            continue
-        coset = [step(t.images) for step in steps]
-        covered.update(coset)
-        key = tuple(sorted(map(_getter(t.inverse().images), coset)))
-        if best is None or key < best:
-            best = key
-    return best
-
-
 def are_conjugate_in(ambient, H, K):
     """Whether some element of `ambient`, an element list, conjugates H onto
     K. Testing only H's generators suffices once the orders agree."""
@@ -963,7 +939,7 @@ class PowerSubgroup(NamedTuple):
         return len(self.elements)
 
     def __contains__(self, item):
-        return item in set(self.elements)
+        return item in self.elements
 
 
 def invariant_subgroups_of_power(F, H, count):

@@ -71,19 +71,23 @@ def count_restrictions(group, radius):
 def _restriction_count(group, radius):
     """|F| * P^S saturated at 2**63, and its (prime, exponent) pairs: |F|'s
     plus P's times S. No S is made for P == 1, nor once S alone has more
-    digits than the interpreter prints; such an exponent is refused."""
+    digits than the interpreter prints, by default where its limit is off;
+    such an exponent is refused."""
     _require_gluing(group, radius, "restriction counting does not factor")
     d, n = group.degree, radius - group.radius
     P = prod(len(compat_set(group, group.identity(), w)) for w in range(d))
     if P == 1:
         return group.order, factorize(group.order)
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: none
+    # a limit of 0 is none: the default bounds S then, so that either
+    # setting refuses the same inputs
+    limit = (getattr(sys, "get_int_max_str_digits", lambda: 0)()
+             or getattr(sys.int_info, "default_max_str_digits", 4300))
     # S >= 2^(n-1) has more than `limit` digits once n - 1 > 4 * limit
-    if not limit or n - 1 <= 4 * limit:
+    if n - 1 <= 4 * limit:
         S = _branch(d, n)
         exps = Counter(dict(factorize(group.order))) + Counter(
             {p: e * S for p, e in factorize(P)})
-        if not limit or max(exps.values()) < 10 ** limit:
+        if max(exps.values()) < 10 ** limit:
             return (min(group.order * P ** min(S, 63), 2 ** 63),  # P >= 2
                     sorted(exps.items()))
     raise CapacityError(

@@ -1,11 +1,11 @@
 """Reference subgroup conjugacy that conjugates every element by every element.
 
-`permcore.conjugacy_class_key` conjugates H once per left coset tH, on bare
-image tuples, and `permcore.are_conjugate_in` conjugates H's generators by
-gathers. The versions here conjugate each element of H by each element of
-the ambient group as wrapped products, about |G| * |H| of them per key,
-which is slower but has no cosets to get wrong; tests require both to give
-the same keys and verdicts.
+`permcore.are_conjugate_in`, the library's one subgroup conjugacy test,
+conjugates only H's generators, by gathers on image tuples. The versions
+here conjugate each element of H by each element of the ambient group as
+wrapped products, about |G| * |H| of them per key or verdict, which is
+slower but trusts no generating set; tests require the library's verdicts
+to match, and the census's classes to be the ones these keys tell apart.
 """
 
 

@@ -12,12 +12,15 @@ import pytest
 
 from treeball import census, constructions
 from treeball.balls import BallAut, BallGroup, full_aut
-from treeball.census import (are_conjugate_in, census_compatible_classes,
-                             census_discrete_lifts, degree3_table,
-                             format_table, name_permutation_group)
+from treeball.census import (CensusRow, are_conjugate_in,
+                             census_compatible_classes, census_discrete_lifts,
+                             degree3_table, format_table,
+                             name_permutation_group)
 from treeball.compat import CompatCocycle, find_involutive_cocycles
 from treeball.constructions import (build_centered, build_diagonal,
-                                    build_full_lift, build_parity_lift)
+                                    build_full_lift, build_parity_lift,
+                                    radius_one)
+from treeball.errors import CapacityError
 from treeball.permcore import Perm, PermGroup, classify_action
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "s3_table.txt"
@@ -130,9 +133,9 @@ def test_the_rigid_lift_search_does_each_piece_of_work_once(census_rows,
     # once; the full lift's step takes those of its 3 identity fibers below
     assert len(greedy) == len(set(greedy)) == 16 + 3
     assert [radius for radius, _ in greedy].count(2) == 3
-    # each extension closed once, and checked for (C) and (D) once
-    assert len(closed) == len({g._table for g in closed}) == len(checked)
-    assert len(checked) == len(set(checked))
+    # each distinct extension checked for (C) and (D) once
+    assert len(checked) == len(set(checked)) == len(
+        {g._table for g in closed})
 
     def facts(rows):
         return [(r.to_dict(), r.group.elements, r.group.generators)
@@ -140,6 +143,21 @@ def test_the_rigid_lift_search_does_each_piece_of_work_once(census_rows,
 
     assert facts(rows) == facts(
         [r for r in lift_rows if r.group.project() == row.group])
+
+
+def test_the_lift_search_is_refused_past_its_cap_before_any_group(
+        monkeypatch):
+    # Aut(B(4, 2)) has 24 * 6^4 elements; neither it nor a lift is built
+    def built(*args):
+        raise AssertionError("built a group past the cap")
+
+    monkeypatch.setattr(census, "full_aut", built)
+    monkeypatch.setattr(census, "build_full_lift", built)
+    S4 = radius_one(PermGroup.symmetric(4))
+    row = CensusRow("S_4", 1, "S_4", 24, True, True, True, S4)
+    with pytest.raises(CapacityError, match="^the full group has order "
+                       "31104, beyond the cap of 5000$"):
+        census_discrete_lifts([row])
 
 
 def test_regular_projections_admit_only_the_unique_lift():

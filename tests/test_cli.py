@@ -444,6 +444,25 @@ def test_count_restrictions_refuses_an_unprintable_exponent(full_doc):
     assert took < 3
 
 
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="the interpreter prints integers of any size")
+def test_count_restrictions_is_bounded_with_the_digit_limit_off(
+        monkeypatch, full_doc):
+    # with no limit, S = 2^(10^11) - 1 would be made; the default limit
+    # bounds it instead, and the ball is refused at once
+    monkeypatch.setenv("PYTHONINTMAXSTRDIGITS", "0")
+    try:
+        out, err, code, _ = _run_child(
+            "count-restrictions", "--in", full_doc, "--ball", "100000000000",
+            "--stabilizer", address_space=3 << 29, timeout=2)
+    except subprocess.TimeoutExpired:
+        pytest.fail("ran past its 2 s box")
+    assert (code, out) == (2, "")
+    [line] = err.splitlines()
+    assert line.startswith("Error: restriction count at radius 100000000000")
+    assert "more than %d digits" % sys.int_info.default_max_str_digits in line
+
+
 def test_count_restrictions_prints_prime_powers_far_out(runner, full_doc):
     # radius 14000: 2 to the power 3 * 2^13999 - 2, 4,215 digits, then 3
     res = runner.invoke(main, ["count-restrictions", "--in", full_doc,

@@ -12,6 +12,12 @@ to it outside its own body and outside the package's re-exports in
 ``__init__.py``, when ``__all__`` exports it, or when ``@_command``
 registers it as a CLI subcommand. The few kept for other readers are
 listed in PUBLIC_KEPT, each with its reason.
+
+A name that a module imports at top level must be used in that module:
+an import counts as a use above, so a routine kept alive by an import
+alone would pass the checks before this one. ``__init__.py``, whose
+imports are the package's re-exports, and ``__future__`` imports are left
+out.
 """
 
 import ast
@@ -123,6 +129,27 @@ def unreferenced_public_definitions(root=SRC):
     return out
 
 
+def unused_imports(root=SRC):
+    """`module:line name` of each name bound by a top-level import that no
+    NAME token of its module outside the import statement refers to."""
+    out = []
+    for path in sorted(root.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tokens = _name_tokens(path)
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if (not isinstance(node, (ast.Import, ast.ImportFrom))
+                    or getattr(node, "module", None) == "__future__"):
+                continue
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                if not any(token == name and not (
+                        node.lineno <= line <= node.end_lineno)
+                        for token, line in tokens):
+                    out.append("%s:%d %s" % (path.name, node.lineno, name))
+    return out
+
+
 def test_every_private_definition_is_used_in_the_library():
     assert unreferenced_private_definitions() == []
 
@@ -154,3 +181,19 @@ def test_the_guard_sees_an_unused_public_definition(tmp_path):
         "    def spare(self):\n        return self.area()\n")
     assert unreferenced_public_definitions(tmp_path) == [
         "a.py:5 imported_only", "a.py:18 Shape.spare"]
+
+
+def test_every_top_level_import_is_used():
+    assert unused_imports() == []
+
+
+def test_the_guard_sees_an_unused_import(tmp_path):
+    (tmp_path / "__init__.py").write_text("from .a import VALUE\n")
+    (tmp_path / "a.py").write_text(
+        "from __future__ import annotations\n\n"
+        "import os.path\n"
+        "import sys as system\n"
+        "from b import (used,\n"
+        "               spare)\n\n"
+        "VALUE = used(system.argv)  # spare, os\n")
+    assert unused_imports(tmp_path) == ["a.py:3 os", "a.py:5 spare"]

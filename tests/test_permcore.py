@@ -26,8 +26,8 @@ from treeball.permcore import (Perm, PermGroup, _lattice_table,
                                _subgroup_sets_brute,
                                _subgroup_sets_by_prime_extension,
                                all_subgroups, are_conjugate_in, center,
-                               classify_action, conjugacy_class_key,
-                               conjugacy_classes, invariant_subgroups_of_power,
+                               classify_action, conjugacy_classes,
+                               invariant_subgroups_of_power,
                                small_generating_set_of)
 
 # Subgroup and class counts below are the standard ones for these groups;
@@ -256,6 +256,16 @@ def test_all_subgroups_goes_brute_only_where_the_walk_misses_the_group(
             if not is_solvable(G)] == ["A5", "S5"]
 
 
+def test_the_lattice_is_refused_past_its_cap_before_any_table():
+    # the radius-3 full lift of S3 has 3 * 2 * 2^9 elements; no Cayley table
+    # is built for it
+    G = build_full_lift(PermGroup.symmetric(3), radius=3)
+    with pytest.raises(CapacityError, match="^subgroup lattice capped at "
+                       "order 3000, got 3072$"):
+        all_subgroups(G)
+    assert "table" not in G._cache
+
+
 @pytest.fixture(scope="module")
 def lattice_groups(pi_one):
     # the full lift of parity(S3,{1}) is the largest lattice the census
@@ -279,6 +289,7 @@ def test_prime_extension_matches_the_scanning_reference(lattice_groups):
         assert found == scanning_lattice.subgroup_sets(t, G.order), name
         counts[name] = len(found)
     assert counts["full-lift(parity(S3,{1}))"] == 1120
+    assert len(all_subgroups(lattice_groups["Aut(B(3,2))"])) == 98
 
 
 def test_lattice_members_carry_the_greedy_generators(lattice_groups):
@@ -301,24 +312,15 @@ def test_table_closure_is_the_generated_subgroup():
 
 
 def test_subgroups_up_to_conjugacy_counts():
+    # classes merged pairwise, as the census merges them
     for G, classes in ((PermGroup.symmetric(4), 11),
                        (PermGroup.alternating(4), 5),
                        (PermGroup.alternating(5), 9)):
-        keys = {conjugacy_class_key(G.elements, H) for H in all_subgroups(G)}
-        assert len(keys) == classes
-
-
-@pytest.mark.parametrize("G", [
-    PermGroup.symmetric(4), PermGroup.alternating(5),
-    BallGroup.from_elements(full_aut(3, 2)),
-], ids=["S4", "A5", "Aut-B32"])
-def test_class_keys_match_the_element_by_element_keys(G):
-    subgroups = all_subgroups(G)
-    if isinstance(G, BallGroup):
-        assert len(subgroups) == 98
-    for H in subgroups:
-        assert (conjugacy_class_key(G.elements, H)
-                == brute_conjugacy.conjugacy_class_key(G.elements, H))
+        reps = []
+        for H in all_subgroups(G):
+            if not any(are_conjugate_in(G.elements, H, K) for K in reps):
+                reps.append(H)
+        assert len(reps) == classes
 
 
 def test_conjugacy_verdicts_match_the_element_by_element_test():
@@ -557,6 +559,28 @@ def test_invariant_power_subgroups_hypothesis_errors():
     moving = PermGroup.generated([Perm((1, 2, 0))])
     with pytest.raises(HypothesisError):
         invariant_subgroups_of_power(D3, moving, 3)
+    swap = PermGroup.generated([Perm((1, 0, 2))])
+    with pytest.raises(HypothesisError, match="requires F transitive"):
+        invariant_subgroups_of_power(swap, H, 3)
+    # <(1 2)> fixes 0, but C3's stabilizer of 0 is trivial
+    with pytest.raises(HypothesisError, match="must lie in the stabilizer "
+                       "of its fixed point"):
+        invariant_subgroups_of_power(PermGroup.cyclic(3),
+                                     PermGroup.generated([Perm((0, 2, 1))]), 3)
+
+
+def test_power_subgroup_membership_scans_its_elements():
+    H = PermGroup.from_elements(
+        [Perm.identity(3), _reflection_fixing_zero(3)])
+    found = invariant_subgroups_of_power(PermGroup.dihedral(3), H, 3)
+    assert [P.order for P in found] == [1, 2, 4, 8]
+    diagonal, full = found[1], found[3]
+    member = diagonal.elements[1]
+    assert member in diagonal
+    assert [k in diagonal for k in full.elements].count(True) == 2
+    assert member[:2] not in diagonal  # a tuple of the wrong length
+    # the NamedTuple's own test would find its one field
+    assert diagonal.elements not in diagonal
 
 
 @pytest.mark.parametrize("n", [4, 5])

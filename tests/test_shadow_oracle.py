@@ -18,8 +18,8 @@ from treeball.balls import BallGroup, full_aut
 from treeball.census import census_compatible_classes, census_discrete_lifts
 from treeball.constructions import build_full_lift
 from normal_structure import derived_subgroup, normal_subgroups
-from treeball.permcore import (all_subgroups, are_conjugate_in, center,
-                               conjugacy_class_key)
+from treeball.compat import check_compatibility
+from treeball.permcore import all_subgroups, are_conjugate_in, center
 
 FULL_B32 = full_aut(3, 2)
 
@@ -58,15 +58,21 @@ def test_structure_of_random_radius_two_groups_matches_the_shadow(gens):
 
 @settings(max_examples=30, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(st.lists(st.sampled_from(FULL_B32), min_size=1, max_size=3))
-def test_class_keys_of_random_radius_two_groups_match_the_brute_keys(gens):
-    group = BallGroup.generated(gens)
-    assert (conjugacy_class_key(FULL_B32, group)
-            == brute_conjugacy.conjugacy_class_key(FULL_B32, group))
+@given(st.lists(st.sampled_from(FULL_B32), min_size=1, max_size=3),
+       st.lists(st.sampled_from(FULL_B32), min_size=1, max_size=3),
+       st.sampled_from(FULL_B32))
+def test_conjugacy_of_random_radius_two_groups_matches_the_brute_test(
+        gens, others, t):
+    H, K = BallGroup.generated(gens), BallGroup.generated(others)
+    conjugate = BallGroup.generated([t * g * t.inverse() for g in gens])
+    assert are_conjugate_in(FULL_B32, H, conjugate)
+    for a, b in ((H, K), (K, H), (H, conjugate)):
+        assert (are_conjugate_in(FULL_B32, a, b)
+                == brute_conjugacy.are_conjugate_in(FULL_B32, a, b))
 
 
 def test_census_classes_match_the_shadow(census_rows):
-    classes = {conjugacy_class_key(FULL_B32, row.group):
+    classes = {brute_conjugacy.conjugacy_class_key(FULL_B32, row.group):
                tuple(sorted(a.images for a in row.group.elements))
                for row in census_rows}
     assert len(classes) == 6
@@ -90,3 +96,24 @@ def test_discrete_lifts_match_the_shadow_sweep(radius, census_rows):
         for group in sweep:
             assert sum(are_conjugate_in(ambient, group, rep)
                        for rep in reps) == 1
+
+
+@pytest.mark.parametrize("shape", [(3, 1), (3, 2), (4, 1)],
+                         ids=["3-1", "3-2", "4-1"])
+def test_census_classes_match_the_brute_keys(shape, census_rows):
+    # every transitive lattice subgroup that passes (C) falls in exactly one
+    # row's class, keyed element by element, and each row holds its class's
+    # least table
+    rows = census_rows if shape == (3, 2) else census_compatible_classes(
+        *shape)
+    ambient = full_aut(*shape)
+    keys = [brute_conjugacy.conjugacy_class_key(ambient, row.group)
+            for row in rows]
+    assert len(set(keys)) == len(keys)
+    least = {}
+    for group in all_subgroups(BallGroup.from_elements(ambient)):
+        if group.is_transitive() and check_compatibility(group):
+            key = brute_conjugacy.conjugacy_class_key(ambient, group)
+            assert key in keys
+            least[key] = min(least.get(key, group._table), group._table)
+    assert [row.group._table for row in rows] == [least[k] for k in keys]

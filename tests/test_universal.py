@@ -274,6 +274,33 @@ def test_count_refuses_an_exponent_the_interpreter_cannot_print(
         sys.set_int_max_str_digits(limit)
 
 
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="the interpreter prints integers of any size")
+def test_count_with_the_digit_limit_off_refuses_what_the_default_refuses(
+        monkeypatch, phi_s3):
+    # a limit of 0 is none; the default of 4,300 digits then bounds the
+    # count as it does by default: radius 14283 gives the exponent of 2
+    # 4,300 digits and is counted, 14284 gives it 4,301 and is refused, and
+    # past radius 4 * 4300 + 3 no S is made
+    default = sys.int_info.default_max_str_digits
+    assert default == 4300
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert _restriction_count(phi_s3, 14283)[1] == [
+            (2, 3 * 2 ** 14282 - 2), (3, 1)]
+        with pytest.raises(CapacityError, match="at radius 14284: .* more "
+                           "than 4300 digits"):
+            _restriction_count(phi_s3, 14284)
+        monkeypatch.setattr("treeball.universal._branch", None)
+        for radius in (4 * default + 4, 10 ** 11):
+            with pytest.raises(CapacityError, match="at radius %d: .* more "
+                               "than 4300 digits" % radius):
+                _restriction_count(phi_s3, radius)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def assert_count_matches_the_depth_loop(group, radius):
     count, factors = _restriction_count(group, radius)
     total, strings = depth_restriction_count(group, radius)
