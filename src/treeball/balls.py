@@ -24,11 +24,9 @@ coordinates. The two overlap, so a pair (root, children) only describes a
 genuine automorphism when every child glues to the root; the constructor
 enforces that.
 
-The full automorphism group is glued the same way, from every element one
-radius down. A `BallGroup` is built by the constructors `permcore` writes
-once for every group kind, and adds the ball views: projections, the
-level-1 action and the projection kernel. Tests draw random automorphisms
-from tests/random_balls.py.
+A `BallGroup` is built by the constructors `permcore` writes once for every
+group kind, and adds the ball views: projections, the level-1 action and the
+projection kernel. Tests draw random automorphisms from tests/random_balls.py.
 """
 
 from __future__ import annotations
@@ -38,7 +36,7 @@ import itertools
 import math
 from operator import add, itemgetter
 
-from .errors import HypothesisError, check_cells
+from .errors import HypothesisError
 from .permcore import (Element, FiniteGroup, Perm, PermGroup, _codec,
                        _getter, _identity_images)
 
@@ -537,30 +535,6 @@ def _full_aut_log10(degree, radius):
         return math.inf
     return ((math.lgamma(degree + 1) + inner * math.lgamma(degree))
             / math.log(10))
-
-
-@functools.lru_cache(maxsize=None)
-def full_aut(degree, radius):
-    """Every automorphism of the ball, sorted by vertex-image table."""
-    expected = full_aut_order(degree, radius)
-    check_cells("full ball group", expected, len(ball_points(degree, radius)))
-    if radius == 1:  # permutations come in sorted order
-        out = [BallAut(Perm(images))
-               for images in itertools.permutations(range(degree))]
-    else:
-        inner = full_aut(degree, radius - 1)
-        offers = [{} for _ in range(degree)]
-        for b in inner:
-            for w in range(degree):
-                offers[w].setdefault(_offer_key(b, w), []).append(b)
-        # in the full group every need is offered
-        table = sorted(t for root in inner for t in _glue_fibers(
-            root, [offers[w][_need_key(root, w)] for w in range(degree)]))
-        unpack = _codec(len(ball_points(degree, radius)))[1]
-        out = [BallAut._raw(degree, radius, unpack(t)) for t in table]
-    if len(out) != expected:
-        raise RuntimeError("ball enumeration does not match layer count; bug")
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

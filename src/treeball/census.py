@@ -17,7 +17,7 @@ import sys
 from typing import NamedTuple
 
 from . import errors
-from .balls import BallGroup, _full_aut_log10, full_aut, full_aut_order
+from .balls import BallGroup, _full_aut_log10, full_aut_order
 from .compat import (
     _involutive_sections,
     check_compatibility,
@@ -30,6 +30,7 @@ from .constructions import (
     build_diagonal,
     build_full_lift,
     build_parity_lift,
+    full_aut,
 )
 from .errors import CapacityError, HypothesisError
 from .permcore import PermGroup, all_subgroups, are_conjugate_in
@@ -107,8 +108,7 @@ def census_compatible_classes(degree=3, radius=2):
         shown = "an order past 10^%d" % past if huge else "order %d" % order
         raise CapacityError(
             "the full ball group at degree %d radius %d has %s, beyond the "
-            "exhaustive census cap of %d; use the lift-based route over a "
-            "smaller radius"
+            "exhaustive census cap of %d"
             % (degree, radius, shown, errors.CENSUS_AMBIENT_CAP))
     ambient = full_aut(degree, radius)
 

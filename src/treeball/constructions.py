@@ -14,7 +14,8 @@ keep the generators the step builds (lifts of the level below's generators
 and one-block twists of the identity). A step glues its level or refuses it
 through `check_cells`, or `_codec` past two-byte entries; only
 `build_tower` turns a refused level into a certificate, which carries the
-same generators. Block-constant lifts are the levels of a partition tower.
+same generators. The full ball group Aut(B_{d,k}) is the full lift of Sym(d)
+to radius k. Block-constant lifts are the levels of a partition tower.
 The radius-2 groups K x| F are glued the same way, one `_glue_fibers` call
 per element of F, a twist group being one block of directions.
 """
@@ -35,6 +36,7 @@ from .balls import (
     _root_and_chart,
     ball_compatible,
     ball_points,
+    full_aut_order,
     words_of_length,
 )
 from .compat import (
@@ -206,6 +208,15 @@ def build_full_lift(F, radius=None):
     while group.radius < radius:
         group = _tower_step(group, blocks, None, "full lift")
     return group
+
+
+@functools.lru_cache(maxsize=None)
+def full_aut(degree, radius):
+    """Every automorphism of the ball, sorted by vertex-image table: the
+    full lift of Sym(d), refused by its order before any level is glued."""
+    check_cells("full ball group", full_aut_order(degree, radius),
+                len(ball_points(degree, radius)))
+    return build_full_lift(PermGroup.symmetric(degree), radius).elements
 
 
 def build_parity_lift(F, weight, modulus, spheres, radius=None):

@@ -11,7 +11,8 @@ both to give identical lists, order included.
 
 import itertools
 
-from treeball.balls import _glue_images, _need_key, _offer_key, full_aut
+from treeball import full_aut
+from treeball.balls import _glue_images, _need_key, _offer_key
 from treeball.compat import compat_set
 
 

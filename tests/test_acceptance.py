@@ -13,8 +13,8 @@ import scanning_fibers
 from normal_structure import (is_subnormal, normal_subgroups,
                               structure_subgroups, subnormal_depth)
 from random_balls import random_ball_aut
-from treeball.balls import (BallAut, BallGroup, ball_points, full_aut,
-                            full_aut_order)
+from treeball import full_aut
+from treeball.balls import BallAut, BallGroup, ball_points, full_aut_order
 from treeball.census import (are_conjugate_in, census_compatible_classes,
                              census_discrete_lifts)
 from treeball.compat import (CompatCocycle, check_compatibility,

@@ -14,9 +14,9 @@ from sympy.combinatorics import Permutation, PermutationGroup
 
 import perm_shadow
 from random_balls import random_ball_aut
+from treeball import full_aut
 from treeball.balls import (BallAut, BallGroup, ball_compatible, ball_points,
-                            follow, full_aut, full_aut_order, word_path,
-                            words_of_length)
+                            follow, full_aut_order, word_path, words_of_length)
 from treeball.errors import CapacityError
 from treeball.permcore import Perm, PermGroup, small_generating_set_of
 

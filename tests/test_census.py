@@ -10,8 +10,8 @@ import time
 
 import pytest
 
-from treeball import census, constructions
-from treeball.balls import BallAut, BallGroup, full_aut
+from treeball import census, constructions, full_aut
+from treeball.balls import BallAut, BallGroup
 from treeball.census import (CensusRow, are_conjugate_in,
                              census_compatible_classes, census_discrete_lifts,
                              degree3_table, format_table,
@@ -211,11 +211,11 @@ def test_table_with_images_has_all_lift_rows():
 
 
 def test_full_aut_is_built_once_per_shape():
-    # the table reads Aut(B(3, 2)) and Aut(B(3, 3)), and building them reads
-    # Aut(B(3, 1)): one cache entry for each of the three shapes
+    # the table reads Aut(B(3, 2)) and Aut(B(3, 3)), each glued as the full
+    # lift of Sym(3) without reading the cache: one entry for each shape
     full_aut.cache_clear()
     degree3_table()
-    assert full_aut.cache_info().currsize == 3
+    assert full_aut.cache_info().currsize == 2
 
 
 def test_census_classes_keep_the_lattice_groups(census_rows, monkeypatch):

@@ -22,9 +22,8 @@ import scanning_fibers
 from cli_runner import invoke
 from random_balls import random_ball_aut
 from test_compat import tiny_seam_group
-from treeball import cli, compat, errors
-from treeball.balls import (BallAut, BallGroup, _need_key, ball_points,
-                            full_aut)
+from treeball import cli, compat, errors, full_aut
+from treeball.balls import BallAut, BallGroup, _need_key, ball_points
 from treeball.compat import (check_compatibility, compat_set,
                              compatibility_core, first_compat_failure,
                              joint_compat_set)

@@ -495,22 +495,46 @@ SWEEP = [
 ]
 
 
-@pytest.mark.slow
-def test_extreme_inputs_keep_the_exit_code_contract(full_doc, diagonal_doc):
-    # one child at a time under a 1.5 GB address space, killed past its
-    # row's time box; the boxes sum to 22 s, inside the sweep's 30 s budget
-    budget = 30
-    assert sum(row[2] for row in SWEEP) <= budget
-    docs = {"FULL": full_doc, "DIAGONAL": diagonal_doc}
+#: the integer options swept: full-lift radii, parity spheres, tower steps
+#: and blocks, and census shapes; a tower of 10**30 steps stops at its
+#: first certified level and says so on stderr
+BIG = str(10 ** 30)
+OPTION_SWEEP = [
+    *[(("construct", "full-lift", "S3", "--radius", radius), code, 0.5, 40)
+      for radius, code in [("0", 2), ("-1", 2), ("1", 0), (BIG, 2),
+                           ("x", 2)]],
+    *[(("construct", "parity", "S3", "--spheres", spheres), code, 0.5, 40)
+      for spheres, code in [("0", 0), ("-1", 2), (BIG, 2), ("x", 2),
+                            ("1,,2", 2)]],
+    *[(("tower", "pinned-orbit", "--steps", steps), code, 0.5, 40)
+      for steps, code in [("0", 2), ("-1", 2), ("1", 0), ("x", 2)]],
+    (("tower", "pinned-orbit", "--steps", BIG), 0, 2, 150,
+     "tower stopped at certified level 5 of the %s asked for\n" % BIG),
+    *[(("tower", "partition", "--steps", "2", "--blocks", blocks), 2, 0.5, 40)
+      for blocks in ["0", BIG, "x", ";"]],
+    *[(("census", "--degree", degree, "--radius", "1"), 2, 0.5, 40)
+      for degree in ["0", "-1", "1", BIG, "x"]],
+    *[(("census", "--degree", "3", "--radius", radius), 2, 0.5, 40)
+      for radius in ["0", "-1", "x"]],
+]
+
+
+def _sweep(rows, budget, docs):
+    """Run each (command line, exit code, seconds, peak MB[, stderr]) row
+    in a child, one at a time, under a 1.5 GB address space and killed past
+    its time box, with the names in `docs` standing for their paths: exit 2
+    prints one `Error:` line and no stdout, any other exit the row's stderr
+    (none by default), and no row prints a traceback or 1 MB of output."""
+    assert sum(row[2] for row in rows) <= budget
     start = time.perf_counter()
-    for args, expected, seconds, megabytes in SWEEP:
+    for args, expected, seconds, megabytes, *notice in rows:
         args = [docs.get(a, a) for a in args]
         began = time.perf_counter()
         try:
             out, err, code, peak = _run_child(
                 *args, address_space=3 << 29, timeout=seconds)
         except subprocess.TimeoutExpired:
-            pytest.fail("%s ran past its %d s box" % (args, seconds))
+            pytest.fail("%s ran past its %s s box" % (args, seconds))
         took = time.perf_counter() - began
         assert code in (0, 1, 2) and code == expected, (args, code, err)
         assert "Traceback" not in out + err, args
@@ -519,10 +543,22 @@ def test_extreme_inputs_keep_the_exit_code_contract(full_doc, diagonal_doc):
             assert out == "" and re.fullmatch(r"Error: [^\n]*\n", err), (
                 args, err)
         else:
-            assert err == "", (args, err)
+            assert err == "".join(notice), (args, err)
         assert took < seconds and peak < megabytes * 1024, (
             args, took, peak)
     assert time.perf_counter() - start < budget
+
+
+@pytest.mark.slow
+def test_extreme_inputs_keep_the_exit_code_contract(full_doc, diagonal_doc):
+    # the boxes sum to 22 s, inside the sweep's 30 s budget
+    _sweep(SWEEP, 30, {"FULL": full_doc, "DIAGONAL": diagonal_doc})
+
+
+@pytest.mark.slow
+def test_integer_options_keep_the_exit_code_contract():
+    # 27 command lines; the boxes sum to 15 s, the sweep's whole budget
+    _sweep(OPTION_SWEEP, 15, {})
 
 
 def test_count_restrictions_reports_a_bad_document_first(runner, tmp_path):
@@ -586,8 +622,7 @@ def test_census_refuses_a_huge_ball_before_making_its_order(runner, degree,
     assert (res.exit_code, res.stdout) == (2, "")
     assert res.stderr.splitlines() == [
         "Error: the full ball group at degree %s radius %s has %s, beyond "
-        "the exhaustive census cap of 200; use the lift-based route over a "
-        "smaller radius" % (degree, radius, order)]
+        "the exhaustive census cap of 200" % (degree, radius, order)]
     assert took < 1
 
 

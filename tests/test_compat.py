@@ -10,8 +10,8 @@ import brute_extension
 import perm_shadow
 import reclosing
 import scanning_fibers
-from treeball import compat
-from treeball.balls import BallAut, BallGroup, ball_compatible, full_aut
+from treeball import compat, full_aut
+from treeball.balls import BallAut, BallGroup, ball_compatible
 from treeball.compat import (CompatCocycle, _cocycle_system,
                              check_compatibility, check_trivial_seams,
                              compat_set, compatibility_core,

@@ -9,9 +9,8 @@ import pytest
 
 import brute_extension
 import reclosing
-from treeball import balls, constructions, errors, permcore
-from treeball.balls import (BallAut, BallGroup, ball_compatible, ball_points,
-                            full_aut)
+from treeball import constructions, errors, full_aut, permcore
+from treeball.balls import BallAut, BallGroup, ball_compatible, ball_points
 from treeball.compat import (check_compatibility, check_trivial_seams,
                              compat_set, find_involutive_cocycles)
 from treeball.constructions import (build_centered, build_cocycle_extension,
@@ -573,7 +572,8 @@ SL23_BLOCKS = [(0, 1), (2, 5), (3, 7), (4, 6)]
 #: the name in the module that would make the first element, and its inputs
 #: from the fixtures, bound to the builder
 KNOWN_ORDER_BUILDS = {
-    "full_aut": ("full ball group", 3072, (3, 3), (balls, "_glue_fibers"),
+    "full_aut": ("full ball group", 3072, (3, 3),
+                 (constructions, "_glue_fibers"),
                  lambda get: functools.partial(full_aut.__wrapped__, 3, 3)),
     "full lift": ("full lift", 3072, (3, 3),
                   (constructions, "_glue_fibers"),
@@ -685,21 +685,71 @@ def test_tower_membership_rejects_non_members(flips6):
     assert not tower_member(below, blocks, pinned, outside)
 
 
-def test_tower_hypothesis_failures(s3, flips6):
-    with pytest.raises(HypothesisError):
+def test_tower_hypothesis_failures(s3):
+    with pytest.raises(HypothesisError, match="^need at least three orbits$"):
         build_tower(s3, "pinned-orbit", 2)
-    with pytest.raises(HypothesisError):
-        build_tower(PermGroup.dihedral(4), "partition", 2)
-    with pytest.raises(HypothesisError):
+    with pytest.raises(HypothesisError,
+                       match="^the group must map blocks to blocks$"):
         build_tower(PermGroup.dihedral(4), "partition", 2,
                     blocks=[[0, 1], [2, 3]])
-    centerless = PermGroup.generated(
-        [Perm((1, 0, 2, 3, 4, 5, 6)), Perm((0, 1, 3, 2, 4, 5, 6)),
-         Perm((0, 1, 2, 3, 5, 6, 4)), Perm((0, 1, 2, 3, 4, 6, 5))], 7)
-    with pytest.raises(HypothesisError):
-        build_tower(centerless, "pinned-center", 2, pinned_point=4)
-    with pytest.raises(ValueError):
-        build_tower(flips6, "sideways", 2)
+
+
+def _cycles_group(degree, *gens):
+    # the permutation group generated by lists of cycles
+    return PermGroup.generated(
+        [Perm.from_cycles(degree, cycles) for cycles in gens], degree)
+
+
+#: every other refusal of `_tower_hypotheses`: the kind, the base group
+#: (from the fixtures), its blocks and pinned point, and the exact message
+TOWER_REFUSALS = {
+    "no blocks": (
+        "partition", lambda get: PermGroup.symmetric(4), None, 0,
+        "partition towers need explicit blocks"),
+    "intransitive": (
+        "partition", lambda get: get("flips6"), [[0, 1], [2, 3], [4, 5]], 0,
+        "partition towers need a transitive group"),
+    "regular": (
+        "partition", lambda get: PermGroup.cyclic(4), [[0, 2], [1, 3]], 0,
+        "every block needs a nontrivial pointwise stabilizer"),
+    "no route": (
+        "partition", lambda get: _cycles_group(
+            6, [(0, 1, 2)], [(0, 1)], [(0, 3), (1, 4), (2, 5)]),
+        [[0, 1, 2], [3, 4, 5]], 0,
+        "need either an abelian stabilizer closure or a semiprimitive "
+        "action with nontrivial center"),
+    "unknown kind": (
+        "sideways", lambda get: get("flips6"), None, 0,
+        "unknown tower kind 'sideways'"),
+    "free orbit": (
+        "pinned-orbit", lambda get: _cycles_group(6, [(0, 1), (2, 3), (4, 5)]),
+        None, 0, "every orbit needs a nontrivial pointwise stabilizer"),
+    "fixed pin": (
+        "pinned-orbit",
+        lambda get: _cycles_group(7, [(1, 2)], [(3, 4)], [(5, 6)]), None, 0,
+        "the pinned orbit needs at least two points"),
+    "free other orbit": (
+        "pinned-center",
+        lambda get: _cycles_group(6, [(0, 1), (2, 3), (4, 5)]), None, 0,
+        "every other orbit needs a nontrivial pointwise stabilizer"),
+    "pin outside": (
+        "pinned-orbit", lambda get: get("flips6"), None, 6,
+        "pinned point is outside the blocks"),
+    "centerless": (
+        "pinned-center", lambda get: _cycles_group(
+            7, [(0, 1)], [(2, 3)], [(4, 5, 6)], [(5, 6)]), None, 4,
+        "need a central element moving the pinned point"),
+}
+
+
+@pytest.mark.parametrize("name", list(TOWER_REFUSALS))
+def test_tower_hypotheses_refuse_with_their_message(name, request):
+    kind, group, blocks, pinned_point, message = TOWER_REFUSALS[name]
+    error = ValueError if kind == "sideways" else HypothesisError
+    with pytest.raises(error, match="^%s$" % re.escape(message)) as caught:
+        build_tower(group(request.getfixturevalue), kind, 2, blocks=blocks,
+                    pinned_point=pinned_point)
+    assert type(caught.value) is error
 
 
 @pytest.mark.parametrize("kind, group, blocks, message", [

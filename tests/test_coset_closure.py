@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 
 import element_closure
 from random_balls import random_ball_aut
-from treeball import permcore
-from treeball.balls import BallAut, full_aut
+from treeball import full_aut, permcore
+from treeball.balls import BallAut
 from treeball.permcore import Perm, _Table, small_generating_set_of
 
 STEPS = (permcore._grow, element_closure.grow)

@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 import perm_shadow
 import reclosing
 from random_balls import random_ball_aut
-from treeball import compat, errors, permcore
-from treeball.balls import BallAut, BallGroup, full_aut
+from treeball import compat, errors, full_aut, permcore
+from treeball.balls import BallAut, BallGroup
 from treeball.compat import check_trivial_seams, find_involutive_cocycles
 from treeball.constructions import build_diagonal, radius_one
 from treeball.errors import CapacityError

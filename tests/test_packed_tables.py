@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 from child_rss import _run_child
 from random_balls import random_ball_aut
 from test_class_fibers import drawn_group
-from treeball.balls import BallGroup, ball_points, full_aut
+from treeball import full_aut
+from treeball.balls import BallGroup, ball_points
 from treeball.compat import _first_partner, joint_compat_set
 from treeball.constructions import build_full_lift
 from treeball.documents import GroupDocument, serialize_document

@@ -17,8 +17,8 @@ import treeball
 from normal_structure import (is_solvable, is_subnormal, nilpotent_radical,
                               normal_subgroups, socle, solvable_radical,
                               structure_subgroups, subnormal_depth)
-from treeball import errors, permcore
-from treeball.balls import BallAut, BallGroup, full_aut
+from treeball import errors, full_aut, permcore
+from treeball.balls import BallAut, BallGroup
 from treeball.constructions import build_full_lift
 from treeball.errors import CapacityError, HypothesisError
 from treeball.permcore import (Perm, PermGroup, _lattice_table,

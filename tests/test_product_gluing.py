@@ -18,9 +18,8 @@ from hypothesis import strategies as st
 
 import product_gluing
 from random_balls import random_ball_aut
-from treeball import constructions
-from treeball.balls import (BallAut, BallGroup, _glue_fibers, ball_points,
-                            full_aut)
+from treeball import constructions, full_aut
+from treeball.balls import BallAut, BallGroup, _glue_fibers, ball_points
 from treeball.compat import compat_set
 from treeball.constructions import build_full_lift
 from treeball.permcore import PermGroup, _close, _codec

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 import brute_conjugacy
 import perm_shadow
-from treeball.balls import BallGroup, full_aut
+from treeball import full_aut
+from treeball.balls import BallGroup
 from treeball.census import census_compatible_classes, census_discrete_lifts
 from treeball.constructions import build_full_lift
 from normal_structure import derived_subgroup, normal_subgroups

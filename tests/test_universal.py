@@ -8,8 +8,8 @@ import pytest
 from normal_structure import is_subnormal, normal_subgroups, subnormal_depth
 from depth_restriction import depth_restriction_count, prime_exponents
 from random_balls import random_ball_aut
-from treeball.balls import (BallAut, BallGroup, ball_points, full_aut,
-                            full_aut_order)
+from treeball import full_aut
+from treeball.balls import BallAut, BallGroup, ball_points, full_aut_order
 from treeball.compat import check_compatibility
 from treeball.constructions import build_full_lift
 from treeball.errors import CapacityError, HypothesisError
