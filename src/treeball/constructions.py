@@ -9,21 +9,23 @@ against that order, so a silent modelling mistake cannot slip through as a
 wrong-sized group. Cocycle and wreath extensions are made by closing their
 generators, so they are also bound by `errors.CLOSURE_CAP`.
 
-Full lifts and tower levels are one step, glued from matched fibers, and
-keep the generators the step builds (lifts of the level below's generators
-and one-block twists of the identity). A step glues its level or refuses it
-through `check_cells`, or `_codec` past two-byte entries; only
-`build_tower` turns a refused level into a certificate, which carries the
-same generators. The full ball group Aut(B_{d,k}) is the full lift of Sym(d)
-to radius k. Block-constant lifts are the levels of a partition tower.
-The radius-2 groups K x| F are glued the same way, one `_glue_fibers` call
-per element of F, a twist group being one block of directions.
+Full lifts and tower levels are one step, keeping the generators it builds
+(lifts of the level below's generators and one-block twists of the
+identity): one lift per element below times the kernel glued once, or
+per-element gluing past 256 points, where a product is a gather. A step
+glues its level or refuses it through `check_cells`, or `_codec` past
+two-byte entries; only `build_tower` turns a refused level into a
+certificate, which carries the same generators. The full ball group
+Aut(B_{d,k}) is the full lift of Sym(d) to radius k. Block-constant lifts
+are the levels of a partition tower. The radius-2 groups K x| F are glued
+one `_glue_fibers` call per element of F, a twist group one block.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from itertools import chain, repeat
 from typing import NamedTuple
 
 from .balls import (
@@ -71,8 +73,8 @@ def _check_order(group, expected, what):
 
 def _twist_group(what, F, twists, fibers, block_of=None):
     """The radius-2 group K x| F of order F.order * twists, once
-    `check_cells` admits it, glued as a tower level is: one `_glue_fibers`
-    call per a in F on the charts ``fibers(a)``, permutations, and
+    `check_cells` admits it, glued by one `_glue_fibers` call per a in F
+    on the charts ``fibers(a)``, permutations, and
     `block_of` (a twist group is one block). It keeps the greedy generators
     `from_elements` would pick; they pass `BallAut.from_images`'s test, and
     their closure within the table reaches every entry."""
@@ -182,7 +184,8 @@ def build_full_lift(F, radius=None):
     """The largest extension whose one-step local actions stay in F.
 
     Each step is one `_tower_step` whose blocks are the single directions,
-    none pinned, so the lift keeps the generators its steps glue. A
+    none pinned (one lift per element below times the kernel glued once;
+    per-element gluing past 256 points), keeping the generators it glues. A
     BallGroup lifts one radius up, and one failing (C) is refused. A
     `radius` beyond the next iterates the step; one below the base's is
     refused, and so, before any step, is one past two-byte entries, its
@@ -695,32 +698,65 @@ def _step_fibers(prev, blocks, pinned):
 
 
 def _tower_step(prev, blocks, pinned, phase="tower step"):
-    """The level above `prev`, glued from one partner per block out of each
-    element's joint fibers (itself on a `pinned` block), with the generators
-    of `_tower_generators`: every full lift and tower level. It checks that
-    the order is the fiber product's and every generator lies in the level.
-    Its `CapacityError`s come before the first glue: `check_cells`, naming
+    """The level above `prev`, every full lift and tower level, with the
+    generators of `_tower_generators`, each of which `tower_member` must
+    admit: up to 256 points one lift per element below times the kernel
+    glued once (`_coset_table`); past that, where a product is a gather,
+    each element's joint fibers glued (itself on a `pinned` block). Its
+    `CapacityError`s come before the first glue: `check_cells`, naming
     `phase`, or `_codec` refusing a ball past two-byte entries."""
     d, radius = prev.degree, prev.radius + 1
     block_of, id_fibers, sizes, first = _step_fibers(prev, blocks, pinned)
-    expected = prev.order * math.prod(sizes)
-    check_cells(phase, expected, len(ball_points(d, radius)))
-    table = []
-    for a in prev.elements:
-        if pinned is not None:
+    expected, n = prev.order * math.prod(sizes), len(ball_points(d, radius))
+    check_cells(phase, expected, n)
+    if pinned is not None:
+        for a in prev.elements:
             _check_self_gluing(a, blocks[pinned])
+    gens = _tower_generators(prev, pinned, id_fibers, block_of, first)
+    table = []  # past 256 points the level, up to 256 its kernel
+    for a in prev.elements if n > 256 else [prev.identity()]:
         options = [(a,) if i == pinned else joint_compat_set(prev, a, b)
                    for i, b in enumerate(blocks)]
         if list(map(len, options)) != sizes:
             raise RuntimeError("tower fibers are not uniform; bug")
         table.extend(_glue_fibers(a, [options[i] for i in block_of],
                                   block_of))
-    table.sort()  # linear: roots and fibers already come in image order
-    gens = _tower_generators(prev, pinned, id_fibers, block_of, first)
-    level = BallGroup(d, radius, None, gens, _table=table)
-    if not all(g in level for g in level.generators):
-        raise RuntimeError("tower generator outside its level; bug")
-    return _check_order(level, expected, phase)
+    table = table if n > 256 else _coset_table(prev, gens, table, n)
+    table.sort()
+    if not all(tower_member(prev, blocks, pinned, g) for g in gens):
+        raise RuntimeError("tower generator is not in its level; bug")
+    return _check_order(BallGroup(d, radius, None, gens, _table=table),
+                        expected, phase)
+
+
+def _coset_table(prev, gens, kernel, n):
+    """The byte packs r * k of the level above `prev` on n <= 256 points,
+    k in its kernel (the packs `kernel`, generated by the twists, the
+    `gens` after the lifts) and r a lift of each element below, made in a
+    breadth-first walk over the lifts keyed by root prefix. By Schreier's
+    lemma it is a group: each lift normalizes the kernel, and every other
+    edge of the walk lands back in its coset, over an element below."""
+    pad, kset = bytes(range(n, 256)), set(kernel)
+    lifts = [(bytes(g.images) + pad, bytes(_inverse(g.images)) + pad)
+             for g in gens[:len(prev.generators)]]
+    if any(g[:n].translate(bytes(t.images) + pad).translate(gi) not in kset
+           for g, gi in lifts for t in gens[len(lifts):]):
+        raise RuntimeError("tower lift does not normalize its kernel; bug")
+    e, m = bytes(range(256)), len(prev._table[0])
+    inverse_of = dict.fromkeys(prev._table)  # root prefix -> r^-1, padded
+    inverse_of[e[:m]] = e
+    walk = [(e, e)]
+    for r, ri in walk:  # grows as it goes
+        for g, gi in lifts:
+            y = g.translate(r)  # r * g
+            yi = inverse_of.get(y[:m], b"")  # b"": a root outside `prev`
+            if yi is None:
+                inverse_of[y[:m]] = yi = ri.translate(gi)
+                walk.append((y, yi))
+            elif not yi or y[:n].translate(yi) not in kset:
+                raise RuntimeError("tower walk does not close; bug")
+    return list(chain.from_iterable(map(bytes.translate, kernel, repeat(r))
+                                    for r, _ in walk))
 
 
 def _tower_certificate(prev, blocks, pinned, z):
@@ -787,16 +823,8 @@ def tower_member(level_below, blocks, pinned, candidate):
     its root in every direction already, so gluing is not tested again.
     """
     root, children = candidate.root, candidate.children
-    if root not in level_below:
-        return False
-    for i, b in enumerate(blocks):
-        c = children[b[0]]
-        if any(children[w] != c for w in b[1:]):
-            return False
-        if pinned is not None and i == pinned:
-            if c != root:
-                return False
-            continue
-        if c not in level_below:
-            return False
-    return True
+    return root in level_below and all(
+        all(children[w] == children[b[0]] for w in b[1:])
+        and (children[b[0]] == root if i == pinned
+             else children[b[0]] in level_below)
+        for i, b in enumerate(blocks))

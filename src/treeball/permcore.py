@@ -476,9 +476,16 @@ class PermGroup(FiniteGroup):
         return self.pointwise_stabilizer((point,))
 
     def pointwise_stabilizer(self, points):
-        pts = tuple(points)
-        return PermGroup.from_elements([g for g in self.elements
-                                        if all(g(p) == p for p in pts)])
+        """The subgroup fixing each of `points`: the table's packs whose
+        entries there are the identity's, and the greedy's generators."""
+        e = _codec(self.degree)[0](_identity_images(self.degree))
+        w = len(e) // self.degree
+        at = itemgetter(*[i for p in points for i in range(w * p, w * p + w)],
+                        slice(0))
+        fixed = at(e)  # slice(0) reads b"", so no points keep every pack
+        table = [t for t in self._table if at(t) == fixed]
+        return PermGroup(self.degree, None, _table_generators(
+            table, self.identity()), _table=table)
 
     def is_semiregular(self):
         # elements[0] is the identity, the least image tuple

@@ -561,6 +561,54 @@ def test_tower_step_refuses_a_pinned_partner_that_does_not_glue():
         constructions._tower_step(full, [(0,), (1,), (2,)], 2)
 
 
+def _planted(monkeypatch, defect):
+    # `_tower_generators` as it is, then `defect` applied to its list
+    real = constructions._tower_generators
+    monkeypatch.setattr(constructions, "_tower_generators",
+                        lambda *args: defect(real(*args)))
+
+
+def _flips6_twist(*children):
+    # the radius-2 map of flips6's ball with identity root and these
+    # children; (2 3) fixes the pinned orbit {0, 1} pointwise
+    ident = BallAut(Perm.identity(6))
+    return BallAut(ident, [BallAut(Perm((0, 1, 3, 2, 4, 5))) if c else ident
+                           for c in children])
+
+
+def test_tower_step_refuses_a_generator_outside_its_level(monkeypatch):
+    # full-lift(A3) has a trivial kernel; conjugating its lift by a map
+    # with identity root and an odd child at 0 keeps a group that closes
+    # over A3, but that lift's child at 0 is odd, outside A3
+    i3 = BallAut(IDENT)
+    y = BallAut(i3, [BallAut(FIX[0]), i3, i3])
+    _planted(monkeypatch, lambda gens: [y.inverse() * g * y for g in gens])
+    with pytest.raises(RuntimeError,
+                       match=r"^tower generator is not in its level; bug$"):
+        build_full_lift(PermGroup.alternating(3))
+
+
+def test_tower_step_refuses_a_twist_its_lifts_do_not_normalize(flips6,
+                                                               monkeypatch):
+    # a twist on the pinned orbit: the lifts conjugate it off the kernel
+    _planted(monkeypatch, lambda gens: gens + [_flips6_twist(1, 1, 0, 0, 0,
+                                                             0)])
+    with pytest.raises(RuntimeError, match=r"^tower lift does not normalize "
+                       r"its kernel; bug$"):
+        build_tower(flips6, "pinned-orbit", 2)
+
+
+def test_tower_step_refuses_a_lift_whose_walk_does_not_close(flips6,
+                                                             monkeypatch):
+    # the lift of (0 1) twisted at direction 0 alone still normalizes the
+    # kernel, but its square is twisted on the whole pinned orbit
+    _planted(monkeypatch, lambda gens: [gens[0] * _flips6_twist(
+        1, 0, 0, 0, 0, 0)] + gens[1:])
+    with pytest.raises(RuntimeError,
+                       match=r"^tower walk does not close; bug$"):
+        build_tower(flips6, "pinned-orbit", 2)
+
+
 def _sign(F):
     return {p: 0 if p.sign() == 1 else 1 for p in F.elements}
 

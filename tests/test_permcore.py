@@ -19,6 +19,7 @@ from normal_structure import (is_solvable, is_subnormal, nilpotent_radical,
                               structure_subgroups, subnormal_depth)
 from treeball import errors, full_aut, permcore
 from treeball.balls import BallAut, BallGroup
+from treeball.cli import _named_group
 from treeball.constructions import build_full_lift
 from treeball.errors import CapacityError, HypothesisError
 from treeball.permcore import (Perm, PermGroup, _lattice_table,
@@ -115,6 +116,24 @@ def test_orbit_stabilizer_theorem():
         for p in range(G.degree):
             orbit = next(o for o in G.orbits() if p in o)
             assert len(orbit) * G.stabilizer(p).order == G.order
+
+
+@pytest.mark.parametrize("name", ["S3", "S4", "S5", "S6", "A4", "D4", "SL23",
+                                  "FLIPS6", "C300"])
+def test_pointwise_stabilizers_filter_the_packed_table(name):
+    # the element filter the table filter replaced, its table and greedy
+    # generators; C300's entries take two bytes, and its pairs are those of
+    # points on each side of the byte boundaries, not all 90,000
+    G = _named_group(name)
+    fixed = {g: {p for p in range(G.degree) if g(p) == p} for g in G}
+    ends = ([0, 1, 127, 128, 255, 256, 257, 299] if G.degree > 256
+            else range(G.degree))
+    for pts in itertools.chain([()], ((p,) for p in range(G.degree)),
+                               itertools.product(ends, repeat=2)):
+        want = PermGroup.from_elements([g for g in G if fixed[g] >= {*pts}])
+        got = G.pointwise_stabilizer(pts)
+        assert (got._table, got.generators) == (want._table,
+                                                want.generators), pts
 
 
 def test_transversal_hits_every_orbit_point():

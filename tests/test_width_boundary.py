@@ -6,7 +6,9 @@ unpack and pack (`permcore._codec`). On either side the packed product must
 be `Element.__mul__`'s, and `balls._glue_fibers` must glue what the frozen
 loops of product_gluing.py glue, each map restricting to its root and
 reading its partners back as its charts (`BallAut.children`, which reads no
-assembly table). Documents are written and read through their columnar
+assembly table). A whole step is made of cosets of its kernel at 189
+points and glued element by element at 381, the product loop's level
+both times. Documents are written and read through their columnar
 layout up to 256 points and through JSON past that, to the same text.
 """
 
@@ -18,8 +20,8 @@ from hypothesis import strategies as st
 
 import product_gluing
 from test_documents import assert_readings_agree, dumped
-from test_product_gluing import unpacked
-from treeball import documents, permcore
+from test_product_gluing import assert_step_is_the_oracle, unpacked
+from treeball import constructions, documents, permcore
 from treeball.balls import BallAut, _glue_fibers, ball_points
 from treeball.compat import joint_compat_set
 from treeball.constructions import _block_index, build_full_lift, build_tower
@@ -77,6 +79,24 @@ def test_tower_gluing_on_each_side_of_the_split(name, kind, blocks, points,
             aut = BallAut.from_images(d, radius, images)
             assert aut.root == a
             assert aut.children == tuple(picks[i] for i in block_of)
+
+
+@pytest.mark.parametrize("radius, points", [(6, 189), (7, 381)])
+def test_one_whole_step_on_each_side_of_the_split(radius, points, gamma_s3,
+                                                  monkeypatch):
+    # the diagonal lift of S3 one radius up: one byte a point, a lift per
+    # element below times the kernel; two bytes, each element glued
+    below = build_full_lift(gamma_s3, radius=radius - 1)
+    cosets = []
+    real = constructions._coset_table
+    monkeypatch.setattr(constructions, "_coset_table",
+                        lambda *args: cosets.append(args[-1]) or real(*args))
+    level = build_full_lift(below)
+    assert len(ball_points(3, radius)) == points
+    assert cosets == ([points] if points <= 256 else [])
+    assert {len(t) for t in level._table} == {points if points <= 256
+                                              else 2 * points}
+    assert_step_is_the_oracle(below, level, [(0,), (1,), (2,)])
 
 
 @pytest.mark.parametrize("payload", ["elements", "generators"])
