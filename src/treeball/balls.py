@@ -142,7 +142,8 @@ def _chart_tables(degree, radius):
     j, the point that the j-th word of the radius ``r - 1`` ball reaches
     from w. The local word (w,) leads back to the center; there the getter
     reads w and ``local[w][w]`` holds w, so the center still lands on the
-    local index of the image neighbour.
+    local index of the image neighbour. Up to 256 points ``local[w]`` is
+    bytes, a translate table (-1 as 255, read by no chart) for packs.
     """
     pts = ball_points(degree, radius)
     inner = _point_index(degree, radius - 1)
@@ -153,7 +154,8 @@ def _chart_tables(degree, radius):
                             for u in ball_points(degree, radius - 1)))
         loc = [inner.get(word_path((w,), p), -1) for p in pts]
         loc[w] = w
-        local.append(tuple(loc))
+        local.append(tuple(loc) if len(pts) > 256
+                     else bytes(i % 256 for i in loc).ljust(256))
     return tuple(local), tuple(map(_getter, gather))
 
 

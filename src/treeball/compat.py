@@ -27,8 +27,8 @@ from __future__ import annotations
 import functools
 import math
 
-from .balls import (BallAut, BallGroup, _glue_fibers, _glue_images,
-                    _need_key, _offer_key, ball_points)
+from .balls import (BallAut, BallGroup, _chart_tables, _glue_fibers,
+                    _glue_images, _need_key, _offer_key, ball_points)
 from .errors import HypothesisError, check_cells
 from .linear import echelon, solve, walk
 from .permcore import _codec, _getter, _grow
@@ -71,10 +71,16 @@ def joint_compat_set(group, alpha, directions):
 def _first_partner(group, alpha, block):
     """``joint_compat_set(group, alpha, block)[0]`` or None, keying no run."""
     roots, charts = zip(*[_need_key(alpha, w) for w in block])
-    if len(set(roots)) == 1:
-        for b in group._run(roots[0]):
-            if all(_offer_key(b, w)[1] == c for w, c in zip(block, charts)):
-                return b
+    if len(set(roots)) > 1:
+        return None
+    if alpha.radius == 1 or len(alpha.images) > 256:
+        return next((b for b in group._run(roots[0]) if all(
+            _offer_key(b, w)[1] == c for w, c in zip(block, charts))), None)
+    local, getters = _chart_tables(alpha.degree, alpha.radius)
+    run, charts = group._bounds(roots[0]), list(charts)
+    for i, y in enumerate(group._table[run], run.start):  # packs charted
+        if [getters[w](y.translate(local[y[w]])) for w in block] == charts:
+            return next(group._run(slice(i, i + 1)))  # the one element made
     return None
 
 

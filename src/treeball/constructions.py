@@ -649,11 +649,15 @@ def _central_block_preserving(F, zen, blocks, pinned_point, kind):
     return None
 
 
-def _check_self_gluing(a, block):
-    # no fiber vouches for a pinned partner, `a` itself
-    for w in block:
-        if not ball_compatible(a, a, w):
-            raise ValueError("child at %d does not glue to the root" % w)
+def _check_self_gluing(gens, block):
+    """Do `gens`, which must keep `block`, glue to themselves across it? So
+    do their products then: fiber(ab, w) holds fiber(a, b(w)) fiber(b, w)."""
+    for a in gens:
+        if not set(block).issuperset(a.images[w] for w in block):
+            raise RuntimeError("generator moves the pinned block; bug")
+        for w in block:
+            if not ball_compatible(a, a, w):
+                raise ValueError("child at %d does not glue to the root" % w)
 
 
 def _tower_generators(prev, pinned, id_fibers, block_of, first):
@@ -685,6 +689,8 @@ def _step_fibers(prev, blocks, pinned):
     """Each direction's block; each block's identity fiber (cached in
     `prev`) and fiber size one radius up, 1 on the `pinned` block; and
     first(a, i), `a`'s `_first_partner` on block i, scanned once a pair."""
+    if pinned is not None:
+        _check_self_gluing(prev.generators, blocks[pinned])
     block_of = [_block_index(blocks, w) for w in range(prev.degree)]
     id_fibers = [joint_compat_set(prev, prev.identity(), b) for b in blocks]
     sizes = [1 if i == pinned else len(f) for i, f in enumerate(id_fibers)]
@@ -702,16 +708,14 @@ def _tower_step(prev, blocks, pinned, phase="tower step"):
     generators of `_tower_generators`, each of which `tower_member` must
     admit: up to 256 points one lift per element below times the kernel
     glued once (`_coset_table`); past that, where a product is a gather,
-    each element's joint fibers glued (itself on a `pinned` block). Its
+    each element's joint fibers glued (itself on a `pinned` block, across
+    which `_step_fibers` checks the generators below glue to themselves). Its
     `CapacityError`s come before the first glue: `check_cells`, naming
     `phase`, or `_codec` refusing a ball past two-byte entries."""
     d, radius = prev.degree, prev.radius + 1
     block_of, id_fibers, sizes, first = _step_fibers(prev, blocks, pinned)
     expected, n = prev.order * math.prod(sizes), len(ball_points(d, radius))
     check_cells(phase, expected, n)
-    if pinned is not None:
-        for a in prev.elements:
-            _check_self_gluing(a, blocks[pinned])
     gens = _tower_generators(prev, pinned, id_fibers, block_of, first)
     table = []  # past 256 points the level, up to 256 its kernel
     for a in prev.elements if n > 256 else [prev.identity()]:
@@ -761,24 +765,25 @@ def _coset_table(prev, gens, kernel, n):
 
 def _tower_certificate(prev, blocks, pinned, z):
     """The certificate of the level above `prev` that its step refused,
-    lifting the central element `z` (None when there is none)."""
+    lifting the central element `z` (None when there is none), each
+    distinct witness glued once."""
     d, radius = prev.degree, prev.radius + 1
     block_of, id_fibers, sizes, first = _step_fibers(prev, blocks, pinned)
     gens = _tower_generators(prev, pinned, id_fibers, block_of, first)
 
-    witnesses = {}
+    witnesses, glued = {}, {}
     for gi, g in enumerate(gens):
         root, children = g.root, g.children
         for i, b in enumerate(blocks):
-            # g's partner on block b carries g's root on b, its own first
-            # partners on the other unpinned blocks and itself on the pinned
-            partner_root = children[b[0]]
-            if pinned is not None:
-                _check_self_gluing(partner_root, blocks[pinned])
-            picks = [root if j == i else partner_root if j == pinned
-                     else first(partner_root, j) for j in range(len(blocks))]
-            witness = BallAut._raw(d, radius, _glue_images(
-                partner_root, [picks[j] for j in block_of]))
+            # g's partner on block b, over p, carries g's root on b, p's
+            # first partners on the other unpinned blocks and p on the pinned
+            p = children[b[0]]
+            if (p, root, i) not in glued:
+                picks = [root if j == i else p if j == pinned else first(p, j)
+                         for j in range(len(blocks))]
+                glued[p, root, i] = BallAut._raw(d, radius, _glue_images(
+                    p, [picks[j] for j in block_of]))
+            witness = glued[p, root, i]
             for w in b:
                 if not ball_compatible(g, witness, w):
                     raise RuntimeError(

@@ -362,18 +362,20 @@ class FiniteGroup:
         ident = self.identity()
         return map(ident._from, map(_codec(len(ident.images))[1], entries))
 
-    def _run(self, prefix):
-        """An iterator over the elements whose image tuples start with
-        `prefix`: one run of the sorted elements, found by bisecting the
-        table. Until `elements` is read, each is made as it is reached."""
+    def _bounds(self, prefix):
+        """The slice of the table that is the run starting with `prefix`."""
         table = self._table
         key = _codec(len(self.identity().images))[0](prefix)
         lo = bisect_left(table, key)
         # longer than every entry, so above all those that start with key
-        hi = bisect_left(table, key + b"\xff" * len(table[0]), lo)
-        if self._elements is None:
-            return self._unpacked(table[lo:hi])
-        return iter(self._elements[lo:hi])
+        return slice(lo, bisect_left(table, key + b"\xff" * len(table[0])))
+
+    def _run(self, prefix):
+        """The elements whose image tuples start with `prefix` (or in the
+        table slice `prefix`), made as reached until `elements` is read."""
+        run = prefix if isinstance(prefix, slice) else self._bounds(prefix)
+        return (self._unpacked(self._table[run]) if self._elements is None
+                else iter(self._elements[run]))
 
     def _kin(self, other):  # a table fixes the point count, not the kind
         return type(other) is type(self) and other._shape() == self._shape()
@@ -524,8 +526,13 @@ def _orbit(gens, point):
 
 def _orbits(gens, n):
     """The sorted orbits on 0..n-1 under the elements `gens`, in the order
-    of their least points."""
-    return tuple(sorted({_orbit(gens, p) for p in range(n)}))
+    of their least points: one search from each point no orbit yet holds."""
+    orbits, seen = [], set()
+    for p in range(n):
+        if p not in seen:
+            orbits.append(_orbit(gens, p))
+            seen.update(orbits[-1])
+    return tuple(orbits)
 
 
 def _fixes_a_point(g):

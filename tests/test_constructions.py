@@ -2,13 +2,17 @@
 
 import functools
 import itertools
+import random
 import re
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import brute_extension
 import reclosing
+from test_class_fibers import drawn_group
 from treeball import constructions, errors, full_aut, permcore
 from treeball.balls import BallAut, BallGroup, ball_compatible, ball_points
 from treeball.compat import (check_compatibility, check_trivial_seams,
@@ -470,8 +474,9 @@ def test_partition_tower_certificate_on_the_matrix_group(sl23):
 
 def test_a_tower_scans_each_first_partner_once_per_step(sl23, monkeypatch):
     # building SL(2,3)'s partition tower up to its certified level 3 asks
-    # 248 times for 60 (root, block) pairs; memoized within each step and
-    # certificate, it scans each pair once, and certifies the same level
+    # 152 times for 60 (root, block) pairs, each distinct witness glued
+    # once; memoized within each step and certificate, it scans each pair
+    # once, and certifies the same level
     scans, scan = [], constructions._first_partner
 
     def counted(prev, a, block):
@@ -489,7 +494,7 @@ def test_a_tower_scans_each_first_partner_once_per_step(sl23, monkeypatch):
     monkeypatch.setattr(constructions, "functools",
                         SimpleNamespace(cache=lambda f: f))
     assert certificate() == cert
-    assert (len(scans), len(set(scans))) == (248, 60)
+    assert (len(scans), len(set(scans))) == (152, 60)
 
 def _checked_tower_step(prev, blocks, pinned):
     """A tower level glued through the checking constructor, each partner
@@ -559,6 +564,65 @@ def test_tower_step_refuses_a_pinned_partner_that_does_not_glue():
     assert not ball_compatible(a, a, 2)
     with pytest.raises(ValueError, match="child at 2 does not glue"):
         constructions._tower_step(full, [(0,), (1,), (2,)], 2)
+
+
+@pytest.mark.parametrize("build", ["step", "certificate"])
+def test_tower_step_refuses_a_generator_that_moves_its_pinned_block(build):
+    # both generators glue to themselves along direction 0, but the second
+    # moves the block {0}, and 6 of the 12 elements they generate do not
+    # glue there: generators decide the self-gluing only of a kept block
+    G = BallGroup.generated([BallAut.from_images(3, 2, t) for t in (
+        (0, 2, 1, 4, 3, 7, 8, 5, 6), (2, 0, 1, 7, 8, 4, 3, 5, 6))])
+    assert len(G.generators) == 2
+    assert all(ball_compatible(g, g, 0) for g in G.generators)
+    assert sum(not ball_compatible(a, a, 0) for a in G.elements) == 6
+    step = {"step": constructions._tower_step,
+            "certificate": lambda *args: constructions._tower_certificate(
+                *args, None)}[build]
+    with pytest.raises(RuntimeError,
+                       match=r"^generator moves the pinned block; bug$"):
+        step(G, [(0,), (1,), (2,)], 0)
+
+
+def _glues_to_itself(elements, block):
+    """The verdict of `_check_self_gluing` on `elements`."""
+    try:
+        constructions._check_self_gluing(elements, block)
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("kind", ["pinned-orbit", "pinned-center"])
+def test_generators_decide_a_towers_pinned_self_gluing(kind, flips6):
+    tower = build_tower(flips6, kind, 3)
+    block = tower.blocks[tower.pinned_block]
+    assert [lv.radius for lv in tower.levels] == [1, 2, 3]
+    for level in tower.levels:
+        group = level.group
+        assert _glues_to_itself(group.generators, block)
+        assert _glues_to_itself(group.elements, block)
+
+
+@settings(derandomize=True, deadline=None, max_examples=30,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(min_value=0, max_value=2 ** 32),
+       st.sampled_from([(3, 2), (3, 3), (4, 2)]),
+       st.sampled_from(["full", "random", "twisted"]),
+       st.integers(min_value=0, max_value=2 ** 32))
+def test_generators_decide_self_gluing_on_a_block_they_keep(seed, shape, kind,
+                                                            qseed):
+    # the block is the orbit of a neighbour, which the generators keep; half
+    # the time the group is cut down to one generated by two of its elements
+    # that glue to themselves across it
+    group = drawn_group(seed, shape, kind)
+    rng = random.Random(qseed)
+    block = permcore._orbit(group.generators, rng.randrange(shape[0]))
+    if rng.random() < 0.5:
+        gluing = [a for a in group.elements if _glues_to_itself([a], block)]
+        group = BallGroup.generated(rng.sample(gluing, min(2, len(gluing))))
+    assert (_glues_to_itself(group.generators, block)
+            == _glues_to_itself(group.elements, block))
 
 
 def _planted(monkeypatch, defect):

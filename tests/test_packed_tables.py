@@ -8,18 +8,20 @@ equal and hash equal, whether built from element objects or from a table.
 The element objects of a table-built group are made only when asked for.
 """
 
+import itertools
 import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import scanning_fibers
 from child_rss import _run_child
 from random_balls import random_ball_aut
 from test_class_fibers import drawn_group
-from treeball import full_aut
+from treeball import compat, full_aut
 from treeball.balls import BallGroup, ball_points
-from treeball.compat import _first_partner, joint_compat_set
+from treeball.compat import _first_partner
 from treeball.constructions import build_full_lift
 from treeball.documents import GroupDocument, serialize_document
 from treeball.permcore import (Perm, PermGroup, _codec, _identity_images,
@@ -111,9 +113,23 @@ def test_permutation_tables_at_both_widths(degree):
     assert cyclic == PermGroup.generated(cyclic.generators[::-1] * 2, degree)
 
 
+def assert_first_partners(group, alphas, blocks):
+    """`_first_partner` is the scanned fiber's first element: the stored
+    one once `elements` is read, and on a group rebuilt from its table,
+    one made without making the others."""
+    packed = from_table(group)
+    for alpha, block in itertools.product(alphas, blocks):
+        fiber = scanning_fibers.fiber(group, alpha, block)
+        first = _first_partner(group, alpha, block)
+        assert first == _first_partner(packed, alpha, block) == (
+            fiber[0] if fiber else None)
+        assert first is None or any(first is a for a in group.elements)
+    assert packed._elements is None
+
+
 @CHECKED
 @given(st.integers(min_value=0, max_value=2 ** 32),
-       st.sampled_from([(3, 2), (3, 3), (4, 2)]),
+       st.sampled_from([(3, 1), (3, 2), (3, 3), (4, 2)]),
        st.integers(min_value=0, max_value=2 ** 32))
 def test_first_partner_is_the_first_of_the_joint_fiber(seed, shape, qseed):
     group = drawn_group(seed, shape, ("full", "random")[seed % 2])
@@ -121,9 +137,24 @@ def test_first_partner_is_the_first_of_the_joint_fiber(seed, shape, qseed):
     alpha = rng.choice([group.identity(), rng.choice(group.elements),
                         random_ball_aut(*shape, rng)])
     block = rng.sample(range(shape[0]), rng.randint(1, shape[0]))
-    fiber = joint_compat_set(group, alpha, block)
-    assert _first_partner(group, alpha, block) == (fiber[0] if fiber
-                                                   else None)
+    assert_first_partners(group, [alpha], [block])
+
+
+@pytest.mark.parametrize("radius, points", [(6, 189), (7, 381)])
+def test_first_partner_on_each_side_of_the_split(radius, points, gamma_s3,
+                                                 monkeypatch):
+    # the diagonal lift of S3: its packs are charted on one byte a point,
+    # and its elements keyed one by one on two
+    group = build_full_lift(gamma_s3, radius=radius)
+    assert len(ball_points(3, radius)) == points
+    keyed, real = [], compat._offer_key
+    monkeypatch.setattr(compat, "_offer_key",
+                        lambda b, w: keyed.append(w) or real(b, w))
+    rng = random.Random(radius)
+    alphas = group.elements + tuple(random_ball_aut(3, radius, rng)
+                                    for _ in range(4))
+    assert_first_partners(group, alphas, [(0,), (1, 2), (0, 1, 2)])
+    assert bool(keyed) == (points > 256)
 
 
 def test_the_table_answers_membership_equality_and_inclusion(census_rows,

@@ -9,6 +9,7 @@ import sys
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.combinatorics import Permutation, PermutationGroup
 
 import brute_conjugacy
 import pairwise_power
@@ -28,7 +29,7 @@ from treeball.permcore import (Perm, PermGroup, _lattice_table,
                                _subgroup_sets_by_prime_extension,
                                all_subgroups, are_conjugate_in, center,
                                classify_action, conjugacy_classes,
-                               invariant_subgroups_of_power,
+                               invariant_subgroups_of_power, rank,
                                small_generating_set_of)
 
 # Subgroup and class counts below are the standard ones for these groups;
@@ -116,6 +117,25 @@ def test_orbit_stabilizer_theorem():
         for p in range(G.degree):
             orbit = next(o for o in G.orbits() if p in o)
             assert len(orbit) * G.stabilizer(p).order == G.order
+
+
+@pytest.mark.parametrize("name", ["S3", "S4", "S5", "S6", "A4", "D4", "SL23",
+                                  "FLIPS6"])
+def test_orbits_and_rank_against_sympy_and_a_pair_count(name):
+    # each group and its stabilizer of point 0, which fixes points; a
+    # pair orbit is counted once, at its first pair, as every element's
+    # image of that pair is crossed off
+    for G in (_named_group(name), _named_group(name).stabilizer(0)):
+        sym = PermutationGroup([Permutation(list(g.images))
+                                for g in G.generators])
+        assert list(G.orbits()) == sorted(tuple(sorted(o))
+                                          for o in sym.orbits())
+        seen, count = set(), 0
+        for x, y in itertools.product(range(G.degree), repeat=2):
+            if (x, y) not in seen:
+                count += 1
+                seen.update((g(x), g(y)) for g in G)
+        assert rank(G) == count
 
 
 @pytest.mark.parametrize("name", ["S3", "S4", "S5", "S6", "A4", "D4", "SL23",
