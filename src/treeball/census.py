@@ -208,7 +208,7 @@ def census_discrete_lifts(base_rows):
 def _lifts_by_cocycle(base, kernel):
     """The discrete extensions of the base's cocycles by kernel subgroups,
     each element set once and represented by the first pair that built it:
-    (C), (D) and the projection depend on the element set alone."""
+    (C) and (D) depend on the element set alone."""
     kernel_group = BallGroup.from_elements(kernel)
     candidates, seen = [], set()
     for z in find_involutive_cocycles(base):
@@ -219,18 +219,13 @@ def _lifts_by_cocycle(base, kernel):
                 continue
             if sigma._table not in seen:
                 seen.add(sigma._table)
-                if _is_discrete_lift(sigma, base):
+                if _is_discrete_lift(sigma):
                     candidates.append(sigma)
     return candidates
 
 
-def _is_discrete_lift(group, base):
-    inner = len(base.identity().images)
-    # projection is a homomorphism: a lift's order is a multiple of the base's
-    if (group.order % base.order
-            or {a.images[:inner] for a in group.elements}
-            != {b.images for b in base.elements}):
-        return False
+def _is_discrete_lift(group):
+    # (C) and (D): `build_cocycle_extension` fixed the order and projection
     return check_compatibility(group) and check_trivial_seams(group)
 
 

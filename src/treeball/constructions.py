@@ -660,72 +660,78 @@ def _check_self_gluing(gens, block):
                 raise ValueError("child at %d does not glue to the root" % w)
 
 
-def _tower_generators(prev, pinned, id_fibers, block_of, first):
+def _tower_generators(prev, id_fibers, place):
     """Generators of the tower level above `prev`.
 
     The level maps onto `prev` by restriction, with kernel the product of
-    the unpinned blocks' identity fibers, so it is generated by one lift of
-    each generator of `prev` (its first joint partner on every unpinned
-    block, itself on the pinned one) and, per unpinned block, a twist of the
-    identity on that block alone by each greedy generator of its fiber.
+    the identity's block fibers, so it is generated by one lift `place(a)`
+    of each generator a of `prev` and, per block i, a twist `place(e, i, x)`
+    of the identity e on that block alone by each greedy generator x of its
+    fiber; the pinned fiber (e,) gives none.
     """
     ident = prev.identity()
-    gens = []
-    for a in prev.generators:
-        picks = [a if i == pinned else first(a, i)
-                 for i in range(len(id_fibers))]
-        gens.append(_glue_images(a, [picks[i] for i in block_of]))
-    for i, fib in enumerate(id_fibers):
-        if i == pinned:
-            continue
-        for x in small_generating_set_of(fib, ident):
-            if not x.is_identity():
-                gens.append(_glue_images(
-                    ident, [x if j == i else ident for j in block_of]))
-    return [BallAut._raw(prev.degree, prev.radius + 1, t) for t in gens]
+    return [place(a) for a in prev.generators] + [
+        place(ident, i, x) for i, fib in enumerate(id_fibers)
+        for x in small_generating_set_of(fib, ident) if not x.is_identity()]
 
 
 def _step_fibers(prev, blocks, pinned):
-    """Each direction's block; each block's identity fiber (cached in
-    `prev`) and fiber size one radius up, 1 on the `pinned` block; and
-    first(a, i), `a`'s `_first_partner` on block i, scanned once a pair."""
+    """The plan of one step above `prev`, each fact decided once: each
+    direction's block; fiber(a, i), a's joint partners on block i, or a
+    alone on the `pinned` block, across which the generators below must
+    glue to themselves; the identity's fibers (cached in `prev`); and
+    place(a, i, x), a glued to x on block i (on none when i is None) and to
+    its first partner (`_first_partner`, scanned once a pair) on every
+    other block, each distinct placement glued once."""
     if pinned is not None:
         _check_self_gluing(prev.generators, blocks[pinned])
     block_of = [_block_index(blocks, w) for w in range(prev.degree)]
-    id_fibers = [joint_compat_set(prev, prev.identity(), b) for b in blocks]
-    sizes = [1 if i == pinned else len(f) for i, f in enumerate(id_fibers)]
+
+    def fiber(a, i):
+        return (a,) if i == pinned else joint_compat_set(prev, a, blocks[i])
+
     @functools.cache
     def first(a, i):
-        b = _first_partner(prev, a, blocks[i])
+        b = a if i == pinned else _first_partner(prev, a, blocks[i])
         if b is None:
             raise RuntimeError("tower fiber empty; bug")
         return b
-    return block_of, id_fibers, sizes, first
+
+    @functools.cache
+    def place(a, i=None, x=None):
+        picks = [x if j == i else first(a, j) for j in range(len(blocks))]
+        return BallAut._raw(prev.degree, prev.radius + 1, _glue_images(
+            a, [picks[j] for j in block_of]))
+
+    id_fibers = [fiber(prev.identity(), i) for i in range(len(blocks))]
+    return block_of, fiber, id_fibers, place
 
 
 def _tower_step(prev, blocks, pinned, phase="tower step"):
     """The level above `prev`, every full lift and tower level, with the
     generators of `_tower_generators`, each of which `tower_member` must
-    admit: up to 256 points one lift per element below times the kernel
-    glued once (`_coset_table`); past that, where a product is a gather,
-    each element's joint fibers glued (itself on a `pinned` block, across
-    which `_step_fibers` checks the generators below glue to themselves). Its
-    `CapacityError`s come before the first glue: `check_cells`, naming
-    `phase`, or `_codec` refusing a ball past two-byte entries."""
+    admit: up to 256 points one lift per element below times the kernel,
+    the identity's fibers glued once (`_coset_table`); past that, where a
+    product is a gather, each element's fibers glued. Its `CapacityError`s
+    come before the first glue: `check_cells`, naming `phase`, or `_codec`
+    refusing a ball past two-byte entries."""
     d, radius = prev.degree, prev.radius + 1
-    block_of, id_fibers, sizes, first = _step_fibers(prev, blocks, pinned)
+    block_of, fiber, id_fibers, place = _step_fibers(prev, blocks, pinned)
+    sizes = list(map(len, id_fibers))
     expected, n = prev.order * math.prod(sizes), len(ball_points(d, radius))
     check_cells(phase, expected, n)
-    gens = _tower_generators(prev, pinned, id_fibers, block_of, first)
-    table = []  # past 256 points the level, up to 256 its kernel
-    for a in prev.elements if n > 256 else [prev.identity()]:
-        options = [(a,) if i == pinned else joint_compat_set(prev, a, b)
-                   for i, b in enumerate(blocks)]
-        if list(map(len, options)) != sizes:
-            raise RuntimeError("tower fibers are not uniform; bug")
-        table.extend(_glue_fibers(a, [options[i] for i in block_of],
-                                  block_of))
-    table = table if n > 256 else _coset_table(prev, gens, table, n)
+    gens = _tower_generators(prev, id_fibers, place)
+    if n <= 256:
+        table = _coset_table(prev, gens, _glue_fibers(
+            prev.identity(), [id_fibers[i] for i in block_of], block_of), n)
+    else:
+        table = []
+        for a in prev.elements:
+            options = [fiber(a, i) for i in range(len(blocks))]
+            if list(map(len, options)) != sizes:
+                raise RuntimeError("tower fibers are not uniform; bug")
+            table.extend(_glue_fibers(a, [options[i] for i in block_of],
+                                      block_of))
     table.sort()
     if not all(tower_member(prev, blocks, pinned, g) for g in gens):
         raise RuntimeError("tower generator is not in its level; bug")
@@ -765,25 +771,19 @@ def _coset_table(prev, gens, kernel, n):
 
 def _tower_certificate(prev, blocks, pinned, z):
     """The certificate of the level above `prev` that its step refused,
-    lifting the central element `z` (None when there is none), each
-    distinct witness glued once."""
-    d, radius = prev.degree, prev.radius + 1
-    block_of, id_fibers, sizes, first = _step_fibers(prev, blocks, pinned)
-    gens = _tower_generators(prev, pinned, id_fibers, block_of, first)
+    lifting the central element `z` (None when there is none). Its
+    generators are the step's; g's witness on block i is
+    `place(p, i, g.root)`, over g's child p there, and the seam is the
+    first twist of the identity by a non-identity partner, each distinct
+    placement glued once."""
+    _, _, id_fibers, place = _step_fibers(prev, blocks, pinned)
+    gens = _tower_generators(prev, id_fibers, place)
 
-    witnesses, glued = {}, {}
+    witnesses = {}
     for gi, g in enumerate(gens):
         root, children = g.root, g.children
         for i, b in enumerate(blocks):
-            # g's partner on block b, over p, carries g's root on b, p's
-            # first partners on the other unpinned blocks and p on the pinned
-            p = children[b[0]]
-            if (p, root, i) not in glued:
-                picks = [root if j == i else p if j == pinned else first(p, j)
-                         for j in range(len(blocks))]
-                glued[p, root, i] = BallAut._raw(d, radius, _glue_images(
-                    p, [picks[j] for j in block_of]))
-            witness = glued[p, root, i]
+            witness = place(children[b[0]], i, root)
             for w in b:
                 if not ball_compatible(g, witness, w):
                     raise RuntimeError(
@@ -791,29 +791,24 @@ def _tower_certificate(prev, blocks, pinned, z):
                 witnesses[(gi, w)] = witness
 
     ident = prev.identity()
-    seam = None
-    for i, fib in enumerate(id_fibers):
-        x = next((x for x in fib if not x.is_identity()), None)
-        if i != pinned and x is not None:
-            seam = BallAut._raw(d, radius, _glue_images(
-                ident, [x if j == i else ident for j in block_of]))
-            break
+    seam = next((place(ident, i, x) for i, fib in enumerate(id_fibers)
+                 for x in fib if not x.is_identity()), None)
 
     central_lift = None
     if z is not None:
         # climb the central element to the previous radius as a full diagonal
         c = BallAut(z)
         while c.radius < prev.radius:
-            c = BallAut(c, (c,) * d)
+            c = BallAut(c, (c,) * prev.degree)
         if c in prev:
-            central_lift = BallAut(c, (c,) * d)
+            central_lift = BallAut(c, (c,) * prev.degree)
             for g in gens:
                 if central_lift * g != g * central_lift:
                     raise RuntimeError("diagonal central element does not "
                                        "commute; bug")
 
-    return TowerCertificate(radius=radius,
-                            order=prev.order * math.prod(sizes),
+    return TowerCertificate(radius=prev.radius + 1,
+                            order=prev.order * math.prod(map(len, id_fibers)),
                             generators=tuple(gens),
                             compat_witnesses=witnesses,
                             seam=seam, central=central_lift)

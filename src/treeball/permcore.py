@@ -772,13 +772,10 @@ class _Table:
 
 
 def _lattice_table(G):
-    if "table" not in G._cache:
-        if G.order > errors.SUBGROUP_LATTICE_CAP:
-            raise CapacityError(
-                "subgroup lattice capped at order %d, got %d"
-                % (errors.SUBGROUP_LATTICE_CAP, G.order))
-        G._cache["table"] = _Table(G.elements)
-    return G._cache["table"]
+    if G.order > errors.SUBGROUP_LATTICE_CAP:
+        raise CapacityError("subgroup lattice capped at order %d, got %d"
+                            % (errors.SUBGROUP_LATTICE_CAP, G.order))
+    return _Table(G.elements)
 
 
 def all_subgroups(G):

@@ -122,8 +122,8 @@ def test_the_rigid_lift_search_does_each_piece_of_work_once(census_rows,
         lambda cls, *a, **k: closed.append(generated(cls, *a, **k)) or
         closed[-1]))
     discrete = census._is_discrete_lift
-    monkeypatch.setattr(census, "_is_discrete_lift", lambda group, base: (
-        checked.append(group._table) or discrete(group, base)))
+    monkeypatch.setattr(census, "_is_discrete_lift", lambda group: (
+        checked.append(group._table) or discrete(group)))
     rows = census_discrete_lifts([row])
     # each cocycle lifts each generator once
     cocycles = find_involutive_cocycles(row.group)
@@ -143,6 +143,21 @@ def test_the_rigid_lift_search_does_each_piece_of_work_once(census_rows,
 
     assert facts(rows) == facts(
         [r for r in lift_rows if r.group.project() == row.group])
+
+
+def test_every_cocycle_extension_has_its_order_and_projects_onto_its_base(
+        census_rows, monkeypatch):
+    # the lift search checks only (C) and (D): each extension it builds
+    # over the degree-3 census has order |F| |K| and restricts onto its
+    # base, as `build_cocycle_extension` makes it
+    built, build = [], census.build_cocycle_extension
+    monkeypatch.setattr(census, "build_cocycle_extension", lambda z, sub: (
+        built.append((z.group, sub, build(z, sub))) or built[-1][2]))
+    census_discrete_lifts(census_rows)
+    assert len(built) == 35
+    for base, sub, sigma in built:
+        assert sigma.order == base.order * sub.order
+        assert sigma.project() == base
 
 
 def test_the_lift_search_is_refused_past_its_cap_before_any_group(

@@ -16,13 +16,14 @@ from test_class_fibers import drawn_group
 from treeball import constructions, errors, full_aut, permcore
 from treeball.balls import BallAut, BallGroup, ball_compatible, ball_points
 from treeball.compat import (check_compatibility, check_trivial_seams,
-                             compat_set, find_involutive_cocycles)
-from treeball.constructions import (build_centered, build_cocycle_extension,
-                                    build_diagonal, build_full_lift,
-                                    build_kernel_extension, build_parity_lift,
-                                    build_split_lift, build_tower,
-                                    build_wreath_local, radius_one,
-                                    tower_member)
+                             compat_set, find_involutive_cocycles,
+                             joint_compat_set)
+from treeball.constructions import (TowerCertificate, build_centered,
+                                    build_cocycle_extension, build_diagonal,
+                                    build_full_lift, build_kernel_extension,
+                                    build_parity_lift, build_split_lift,
+                                    build_tower, build_wreath_local,
+                                    radius_one, tower_member)
 from treeball.errors import CapacityError, HypothesisError
 from treeball.permcore import (Perm, PermGroup, _close, all_subgroups,
                                small_generating_set_of)
@@ -474,9 +475,11 @@ def test_partition_tower_certificate_on_the_matrix_group(sl23):
 
 def test_a_tower_scans_each_first_partner_once_per_step(sl23, monkeypatch):
     # building SL(2,3)'s partition tower up to its certified level 3 asks
-    # 152 times for 60 (root, block) pairs, each distinct witness glued
-    # once; memoized within each step and certificate, it scans each pair
-    # once, and certifies the same level
+    # for 64 (root, block) pairs, the identity's first partner on each of
+    # the 4 blocks among them; memoized within each step and certificate,
+    # it scans each pair once. Without the memo no placement is shared
+    # either, each of the certificate's 72 witnesses glued anew, and it
+    # asks 299 times; it certifies the same level
     scans, scan = [], constructions._first_partner
 
     def counted(prev, a, block):
@@ -490,11 +493,74 @@ def test_a_tower_scans_each_first_partner_once_per_step(sl23, monkeypatch):
 
     monkeypatch.setattr(constructions, "_first_partner", counted)
     cert = certificate()
-    assert len(scans) == len(set(scans)) == 60
+    assert len(scans) == len(set(scans)) == 64
     monkeypatch.setattr(constructions, "functools",
                         SimpleNamespace(cache=lambda f: f))
     assert certificate() == cert
-    assert (len(scans), len(set(scans))) == (152, 60)
+    assert (len(scans), len(set(scans))) == (299, 64)
+
+
+def _placed(prev, blocks, pinned, a, i=None, x=None):
+    """`a` glued through the checking constructor to x on block i, to a
+    itself on the pinned block and to its first joint partner on each
+    other block: a placement, from its definition."""
+    child = {w: x if j == i else a if j == pinned
+             else joint_compat_set(prev, a, b)[0]
+             for j, b in enumerate(blocks) for w in b}
+    return BallAut(a, [child[w] for w in range(prev.degree)])
+
+
+def test_a_certificate_glues_one_map_per_distinct_placement(sl23,
+                                                            monkeypatch):
+    # SL(2,3)'s level-3 certificate places 6 lifts and 12 twists, a witness
+    # for each of its 18 generators on each of the 4 blocks (40 distinct
+    # placements, every twist among them) and the seam, a twist too: 46
+    # distinct placements, each glued once, each the map its definition
+    # glues
+    prev = build_tower(sl23, "partition", 2,
+                       blocks=SL23_BLOCKS).level(2).group
+    glued, glue = [], constructions._glue_images
+    monkeypatch.setattr(constructions, "_glue_images", lambda root, kids: (
+        glued.append(root) or glue(root, kids)))
+    cert = constructions._tower_certificate(prev, SL23_BLOCKS, None, None)
+    assert len(glued) == 46
+    monkeypatch.undo()
+
+    def place(*key):
+        return _placed(prev, SL23_BLOCKS, None, *key)
+
+    e = prev.identity()
+    twists = [(e, i, x) for i, b in enumerate(SL23_BLOCKS)
+              for x in small_generating_set_of(
+                  joint_compat_set(prev, e, b), e) if not x.is_identity()]
+    gens = [place(a) for a in prev.generators] + [place(*t) for t in twists]
+    witnesses = {(gi, w): (g.children[b[0]], i, g.root)
+                 for gi, g in enumerate(gens)
+                 for i, b in enumerate(SL23_BLOCKS) for w in b}
+    seam = next((e, i, x) for i, b in enumerate(SL23_BLOCKS)
+                for x in joint_compat_set(prev, e, b) if not x.is_identity())
+    keys = set(witnesses.values())
+    assert (len(gens), len(twists), len(keys)) == (18, 12, 40)
+    assert keys.issuperset(twists + [seam])
+    assert cert == TowerCertificate(
+        radius=3, order=1944 * 3 ** 12, generators=tuple(gens),
+        compat_witnesses={k: place(*v) for k, v in witnesses.items()},
+        seam=place(*seam), central=None)
+    built = build_tower(sl23, "partition", 3, blocks=SL23_BLOCKS)
+    assert built.levels[2].certificate._replace(central=None) == cert
+
+
+def test_a_pinned_step_keys_the_identity_only_off_its_pinned_block(
+        flips6, monkeypatch):
+    # flips6's orbits are its blocks, {0, 1} pinned; up to 256 points the
+    # step to level 2 asks for the identity's fibers on the other two
+    # blocks and for nothing else
+    asked, real = [], constructions.joint_compat_set
+    monkeypatch.setattr(constructions, "joint_compat_set", lambda g, a, b: (
+        asked.append((a.is_identity(), tuple(b))) or real(g, a, b)))
+    tower = build_tower(flips6, "pinned-orbit", 2)
+    assert tower.blocks[tower.pinned_block] == (0, 1)
+    assert asked == [(True, (2, 3)), (True, (4, 5))]
 
 def _checked_tower_step(prev, blocks, pinned):
     """A tower level glued through the checking constructor, each partner

@@ -10,8 +10,10 @@ helpers belong in tests/. References are NAME tokens, so attribute uses
 A public module-level function or method counts as used when src/ refers
 to it outside its own body and outside the package's re-exports in
 ``__init__.py``, when ``__all__`` exports it, or when ``@_command``
-registers it as a CLI subcommand. The few kept for other readers are
-listed in PUBLIC_KEPT, each with its reason.
+registers it as a CLI subcommand. A method's reference must be an
+attribute (``.name``), so a local variable of the same spelling keeps no
+method alive. The few kept for other readers are listed in PUBLIC_KEPT,
+each with its reason.
 
 A name that a module imports at top level must be used in that module:
 an import counts as a use above, so a routine kept alive by an import
@@ -43,6 +45,12 @@ PUBLIC_KEPT = {
     "WreathLocal.decode",
     # argparse calls it: the override sends parse errors to cli.main
     "_Parser.error",
+    # public API that only the tests read: a cocycle's value at (element,
+    # direction), a tower's level by radius, and a point's orbit, which the
+    # permutation-copy census oracle reads
+    "CompatCocycle.z",
+    "Tower.level",
+    "PermGroup.orbit",
 }
 
 
@@ -84,11 +92,16 @@ def _exported(root):
 
 
 def _name_tokens(path):
-    """(name, line) of every NAME token in a source file."""
+    """(name, line, attribute) of every NAME token in a source file, the
+    last true when the token follows a ``.``."""
+    out, dot = [], False
     with tokenize.open(path) as fh:
-        return [(tok.string, tok.start[0])
-                for tok in tokenize.generate_tokens(fh.readline)
-                if tok.type == tokenize.NAME]
+        for tok in tokenize.generate_tokens(fh.readline):
+            if tok.type == tokenize.NAME:
+                out.append((tok.string, tok.start[0], dot))
+            if tok.type not in (tokenize.NL, tokenize.COMMENT):
+                dot = tok.string == "."
+    return out
 
 
 def _referenced(node, path, tokens):
@@ -96,7 +109,7 @@ def _referenced(node, path, tokens):
     first = min([node.lineno] + [d.lineno for d in node.decorator_list])
     return any(name == node.name and not (
         other == path and first <= line <= node.end_lineno)
-        for other, toks in tokens.items() for name, line in toks)
+        for other, toks in tokens.items() for name, line, _ in toks)
 
 
 def unreferenced_private_definitions(root=SRC):
@@ -118,13 +131,16 @@ def unreferenced_public_definitions(root=SRC):
     # the re-exports of __init__.py are no use; __all__ stands for them
     tokens = {path: _name_tokens(path) for path in files
               if path.name != "__init__.py"}
+    attributes = {path: [t for t in toks if t[2]]
+                  for path, toks in tokens.items()}
     exported = _exported(root)
     out = []
     for path in files:
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for name, node in _public_definitions(tree.body):
             if not (name in exported or _registered(node)
-                    or _referenced(node, path, tokens)):
+                    or _referenced(node, path, attributes if "." in name
+                                   else tokens)):
                 out.append("%s:%d %s" % (path.name, node.lineno, name))
     return out
 
@@ -145,7 +161,7 @@ def unused_imports(root=SRC):
                 name = (alias.asname or alias.name).split(".")[0]
                 if not any(token == name and not (
                         node.lineno <= line <= node.end_lineno)
-                        for token, line in tokens):
+                        for token, line, _ in tokens):
                     out.append("%s:%d %s" % (path.name, node.lineno, name))
     return out
 
@@ -178,9 +194,13 @@ def test_the_guard_sees_an_unused_public_definition(tmp_path):
         "def imported_only():\n    return 1\n\n\n"
         "@_command(\"run\")\ndef run_cmd():\n    return 2\n\n\n"
         "class Shape:\n    def area(self):\n        return 0\n\n"
-        "    def spare(self):\n        return self.area()\n")
+        "    def spare(self):\n        return self.area()\n\n"
+        "    def side(self):\n        return 1\n\n\n"
+        "def perimeter(shape):\n    side = 4\n"
+        "    return side * shape.area()\n\n\n"
+        "SIZE = perimeter(Shape())\n")
     assert unreferenced_public_definitions(tmp_path) == [
-        "a.py:5 imported_only", "a.py:18 Shape.spare"]
+        "a.py:5 imported_only", "a.py:18 Shape.spare", "a.py:21 Shape.side"]
 
 
 def test_every_top_level_import_is_used():
