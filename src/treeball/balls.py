@@ -544,7 +544,7 @@ def _full_aut_log10(degree, radius):
 # ---------------------------------------------------------------------------
 
 class BallGroup(FiniteGroup):
-    """A group of automorphisms of one ball, stored as explicit elements."""
+    """A group of automorphisms of one ball, stored as its packed table."""
 
     __slots__ = ("degree", "radius")
     _element = BallAut
@@ -566,19 +566,29 @@ class BallGroup(FiniteGroup):
                 % (self.degree, self.radius, self.order))
 
     def project(self, radius=None):
-        """Image under restriction to a smaller concentric ball."""
+        """The image under restriction to a smaller ball, cut (`_prefixes`)."""
         if radius is None:
             radius = self.radius - 1
         if radius == self.radius:
             return self
         if radius == 0:
             raise ValueError("projection radius must be at least 1")
-        elems = {a.project(radius) for a in self.elements}
-        return BallGroup.from_elements(elems)
+        return self._prefixes(BallGroup, self.identity().project(radius))
 
     def level1(self):
-        """The permutation group induced on the center's neighbour labels."""
-        return PermGroup.from_elements({a.level1() for a in self.elements})
+        """The group induced on the center's neighbours, cut like `project`."""
+        return self._prefixes(PermGroup, self.identity().level1())
+
+    def _prefixes(self, cls, ident):
+        """The group of `cls` on the distinct prefixes of the table's packs,
+        as long as `ident`'s: sorted packs have sorted prefixes. An entry is
+        two bytes past 256 points (`_codec`), and its low byte alone below."""
+        n = len(ident.images)
+        wide = len(self._table[0]) // len(self.identity().images)
+        narrow = len(_codec(n)[0](ident.images)) // n
+        cut = slice(wide - narrow, wide * n, wide // narrow)
+        return cls._of_table(ident.shape, list(dict.fromkeys(
+            t[cut] for t in self._table)))
 
     def projection_kernel(self):
         """Elements restricting to the identity on the next smaller ball."""

@@ -190,7 +190,9 @@ def census_discrete_lifts(base_rows):
             raise CapacityError("the full group has order %d, beyond the cap "
                                 "of %d" % (order, errors.LIFT_AMBIENT_CAP))
         ambient = full_aut(degree, radius + 1)
-        kernel = build_full_lift(base).projection_kernel()
+        lift = build_full_lift(base)
+        kernel = lift._of_table(lift._shape(), lift._table[lift._bounds(
+            base.identity().images)])
         classes = _merge_into_classes(ambient, _lifts_by_cocycle(base, kernel))
 
         gamma_name = row.description if row.trivial_seams else None
@@ -206,13 +208,12 @@ def census_discrete_lifts(base_rows):
 
 
 def _lifts_by_cocycle(base, kernel):
-    """The discrete extensions of the base's cocycles by kernel subgroups,
-    each element set once and represented by the first pair that built it:
-    (C) and (D) depend on the element set alone."""
-    kernel_group = BallGroup.from_elements(kernel)
+    """The discrete extensions of the base's cocycles by subgroups of the
+    group `kernel`, each element set once and represented by the first pair
+    that built it: (C) and (D) depend on the element set alone."""
     candidates, seen = [], set()
     for z in find_involutive_cocycles(base):
-        for sub in all_subgroups(kernel_group):
+        for sub in all_subgroups(kernel):
             try:
                 sigma = build_cocycle_extension(z, sub)
             except HypothesisError:

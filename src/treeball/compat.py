@@ -27,7 +27,7 @@ from __future__ import annotations
 import functools
 import math
 
-from .balls import (BallAut, BallGroup, _chart_tables, _glue_fibers,
+from .balls import (BallAut, _chart_tables, _glue_fibers,
                     _glue_images, _need_key, _offer_key, ball_points)
 from .errors import HypothesisError, check_cells
 from .linear import echelon, solve, walk
@@ -150,7 +150,8 @@ def compatibility_core(group):
             break
         live = keep
     try:
-        return BallGroup.from_elements(sorted(live))
+        return group._of_table(group._shape(), [
+            t for t, a in zip(group._table, group.elements) if a in live])
     except ValueError as exc:
         raise RuntimeError("pruning fixpoint is not a subgroup; bug") from exc
 

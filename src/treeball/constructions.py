@@ -49,14 +49,15 @@ from .compat import (
 )
 from .errors import CapacityError, HypothesisError, check_cells
 from .permcore import (Perm, PermGroup, _codec, _getter, _identity_images,
-                       _images, _inverse, _slot_images, _table_generators,
-                       center, classify_action, small_generating_set_of)
+                       _images, _inverse, _slot_images, center,
+                       classify_action, small_generating_set_of)
 
 
 def radius_one(F):
-    """The permutation group F as a group of radius-1 ball automorphisms."""
+    """The permutation group F as a group of radius-1 ball automorphisms,
+    on F's own table: a radius-1 map's images are its level-1 action's."""
     return BallGroup(F.degree, 1, list(map(BallAut, F.elements)),
-                     list(map(BallAut, F.generators)))
+                     list(map(BallAut, F.generators)), _table=F._table)
 
 
 def _as_radius2(root_perm, child_perms):
@@ -75,18 +76,18 @@ def _twist_group(what, F, twists, fibers, block_of=None):
     """The radius-2 group K x| F of order F.order * twists, once
     `check_cells` admits it, glued by one `_glue_fibers` call per a in F
     on the charts ``fibers(a)``, permutations, and
-    `block_of` (a twist group is one block). It keeps the greedy generators
-    `from_elements` would pick; they pass `BallAut.from_images`'s test, and
+    `block_of` (a twist group is one block). It keeps the greedy's
+    generators (`_of_table`); they pass `BallAut.from_images`'s test, and
     their closure within the table reaches every entry."""
     d, order = F.degree, F.order * twists
     check_cells(what, order, len(ball_points(d, 2)))
-    table = sorted(t for a in F.elements
-                   for t in _glue_fibers(BallAut(a), fibers(a), block_of))
-    gens = _table_generators(table, BallAut.identity(d, 2))
-    if not all(map(_automorphism_test(d, 2), map(_images, gens))):
+    group = BallGroup._of_table((d, 2), sorted(
+        t for a in F.elements
+        for t in _glue_fibers(BallAut(a), fibers(a), block_of)))
+    if not all(map(_automorphism_test(d, 2), map(_images, group.generators))):
         raise RuntimeError("%s glued a map that is no automorphism; bug"
                            % what)
-    return _check_order(BallGroup(d, 2, None, gens, _table=table), order, what)
+    return _check_order(group, order, what)
 
 
 def _subgroup_generators(elements, identity, message):
@@ -244,15 +245,10 @@ def build_parity_lift(F, weight, modulus, spheres, radius=None):
             if (weight[a * b] - weight[a] - weight[b]) % modulus:
                 raise HypothesisError("weight must be a homomorphism")
     ambient = build_full_lift(F, radius=radius)
-    elems = []
-    for alpha in ambient.elements:
-        total = 0
-        for r in spheres:
-            for v in words_of_length(F.degree, r):
-                total += weight[alpha.step_action(v)]
-        if total % modulus == 0:
-            elems.append(alpha)
-    return BallGroup.from_elements(elems)
+    vertices = [v for r in spheres for v in words_of_length(F.degree, r)]
+    return ambient._of_table(ambient._shape(), [
+        t for t, alpha in zip(ambient._table, ambient.elements)
+        if sum(weight[alpha.step_action(v)] for v in vertices) % modulus == 0])
 
 
 def build_split_lift(F, kernel):
@@ -420,47 +416,22 @@ def build_wreath_local(F, P):
     expected = F.order ** (2 * m if m > 1 else 1) * P.order
     check_cells("wreath extension", expected, len(ball_points(D, 2)))
 
-    def iota(a, lam):
-        images = list(range(D))
-        for w in range(n):
-            images[w + n * lam] = a(w) + n * lam
-        return Perm(images)
-
-    def slotperm(rho):
-        images = list(range(D))
-        for lam in range(m):
-            for w in range(n):
-                images[w + n * lam] = w + n * rho(lam)
-        return Perm(images)
-
-    inner = {}
-    outer = {}
-    for lam in range(m):
-        inner[lam] = {}
-        outer[lam] = {}
+    ident, slots = Perm.identity(D), [x // n for x in range(D)]
+    inner, outer, top = {}, {}, {}
+    for lam in range(m):  # a on the points of slot lam, the others fixed
+        inner[lam], outer[lam] = {}, {}
         for a in F.elements:
-            ia = iota(a, lam)
-            ident = Perm.identity(D)
-            children_in = []
-            children_out = []
-            for x in range(D):
-                slot = x // n
-                children_in.append(ia if slot == lam else ident)
-                children_out.append(ident if slot == lam else ia)
-            inner[lam][a] = _as_radius2(ia, children_in)
-            outer[lam][a] = _as_radius2(ident, children_out)
-    top = {}
-    for rho in P.elements:
-        sp = slotperm(rho)
+            ia = Perm([a(x % n) + n * lam if s == lam else x
+                       for x, s in enumerate(slots)])
+            inner[lam][a] = _as_radius2(ia, [ia if s == lam else ident
+                                             for s in slots])
+            outer[lam][a] = _as_radius2(ident, [ident if s == lam else ia
+                                                for s in slots])
+    for rho in P.elements:  # the points of slot lam to slot rho(lam)
+        sp = Perm([x % n + n * rho(s) for x, s in enumerate(slots)])
         top[rho] = _as_radius2(sp, [sp] * D)
-
-    gens = []
-    for lam in range(m):
-        for a in F.generators:
-            gens.append(inner[lam][a])
-            gens.append(outer[lam][a])
-    for rho in P.generators:
-        gens.append(top[rho])
+    gens = [g[lam][a] for lam in range(m) for a in F.generators
+            for g in (inner, outer)] + [top[rho] for rho in P.generators]
     group = BallGroup.generated(gens)
     _check_order(group, expected, "wreath extension")
     return WreathLocal(group=group, inner=inner, outer=outer, top=top,
@@ -682,7 +653,7 @@ def _step_fibers(prev, blocks, pinned):
     glue to themselves; the identity's fibers (cached in `prev`); and
     place(a, i, x), a glued to x on block i (on none when i is None) and to
     its first partner (`_first_partner`, scanned once a pair) on every
-    other block, each distinct placement glued once."""
+    other block, each distinct map glued once: x may be that partner."""
     if pinned is not None:
         _check_self_gluing(prev.generators, blocks[pinned])
     block_of = [_block_index(blocks, w) for w in range(prev.degree)]
@@ -698,10 +669,13 @@ def _step_fibers(prev, blocks, pinned):
         return b
 
     @functools.cache
-    def place(a, i=None, x=None):
-        picks = [x if j == i else first(a, j) for j in range(len(blocks))]
+    def glued(a, picks):  # a placement's map, so each is glued once
         return BallAut._raw(prev.degree, prev.radius + 1, _glue_images(
             a, [picks[j] for j in block_of]))
+
+    def place(a, i=None, x=None):
+        return glued(a, tuple([x if j == i else first(a, j)
+                               for j in range(len(blocks))]))
 
     id_fibers = [fiber(prev.identity(), i) for i in range(len(blocks))]
     return block_of, fiber, id_fibers, place
@@ -775,7 +749,7 @@ def _tower_certificate(prev, blocks, pinned, z):
     generators are the step's; g's witness on block i is
     `place(p, i, g.root)`, over g's child p there, and the seam is the
     first twist of the identity by a non-identity partner, each distinct
-    placement glued once."""
+    map glued once."""
     _, _, id_fibers, place = _step_fibers(prev, blocks, pinned)
     gens = _tower_generators(prev, id_fibers, place)
 

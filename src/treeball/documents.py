@@ -18,7 +18,6 @@ import struct
 from collections import namedtuple
 from operator import itemgetter, lt
 
-from . import permcore
 from .balls import BallAut, BallGroup, _point_index, ball_points
 from .errors import DocumentError
 from .permcore import _codec, _images
@@ -328,11 +327,9 @@ def _read_tables(packs, degree, radius, key):
     ident, elements = BallAut.identity(degree, radius), key == "elements"
     auts = None if elements and all(map(lt, packs, packs[1:])) else tuple(
         map(ident._from, map(_codec(len(ident.images))[1], packs)))
-    group = BallGroup(degree, radius, None, (), _table=sorted(set(packs))
-                      if auts else packs) if elements else None
     try:
-        if elements:
-            group.generators = permcore._table_generators(group._table, ident)
+        group = BallGroup._of_table((degree, radius), sorted(set(packs))
+                                    if auts else packs) if elements else None
         for g in group.generators if elements else auts:
             BallAut.from_images(degree, radius, g.images)
     except ValueError:

@@ -13,11 +13,11 @@ translate up to 256 points, a tuple gather past that. The table alone
 answers membership, by bisection, and equality and hashing, as a tuple;
 element objects are made from it only when a group's `elements` are read.
 `FiniteGroup` holds what needs only products, inverses and image tuples:
-the two constructors (`generated` over the one closure, `from_elements`
-over the one generating-set greedy), containers, transitivity by the one
-orbit walk, the subgroup lattice, conjugacy classes and one subgroup
-conjugacy test, pairwise on generators; `PermGroup` adds the point actions, and `balls.BallGroup` the
-ball views.
+three ways to build a group (`generated` over the one closure, and
+`from_elements` and a table's subgroup or image, `_of_table`, over the one
+greedy), containers, transitivity by one orbit walk, the subgroup lattice,
+conjugacy classes and one subgroup conjugacy test, pairwise on generators;
+`PermGroup` adds the point actions, and `balls.BallGroup` the ball views.
 The answers feed frozen regression values, so determinism comes first.
 """
 
@@ -28,7 +28,7 @@ import itertools
 import math
 import struct
 from bisect import bisect_left
-from operator import attrgetter, eq, itemgetter
+from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
 from . import errors
@@ -302,29 +302,26 @@ class FiniteGroup:
     bisection), equality and hashing (as a tuple), plus generators. The
     elements are `Element`s, whose ``images`` tuple orders, hashes and
     composes them like a permutation's, so permutations and ball
-    automorphisms share everything here: the two constructors, containers,
-    the subgroup lattice, conjugacy classes and one subgroup conjugacy
-    test, pairwise on generators. `generated` closes generators and `from_elements` reads an element
-    list; the constructor sorts what it is given by image tuple and keeps
-    each repeat once. A group made from element objects keeps them; one
-    made from a sorted `_table` alone makes them when ``elements`` is first
-    read. A subclass names its element class ``_element`` and supplies
-    ``degree`` and ``_shape()``, the element shape and the leading
-    arguments of its constructor.
+    automorphisms share everything here: the three ways to build a group,
+    containers, the lattice, conjugacy classes and one subgroup conjugacy
+    test, pairwise on generators. `generated` closes generators, and the
+    greedy picks those of `from_elements`, which sorts and packs an element
+    list, and of `_of_table`, a subgroup or image cut from a table; each
+    makes elements once ``elements`` is read. The constructor keeps element
+    objects it is given, sorted, each once. A subclass names its element
+    class ``_element`` and supplies ``degree`` and ``_shape()``, the element
+    shape and the leading arguments of its constructor.
     """
 
     __slots__ = ("_elements", "_table", "generators", "_cache")
     _element = Element
 
     def __init__(self, elements, generators, _table=None):
-        if _table is None:
-            elements = tuple(sorted(elements, key=_images))
-            pack = _codec(len(elements[0].images))[0]
-            _table = map(pack, map(_images, elements))
-        _table = tuple(_table)
-        if any(map(eq, _table, _table[1:])):  # sorted: repeats are adjacent
-            _table, elements = zip(*dict(zip(_table, elements)).items())
-        self._elements, self._table = elements, _table
+        if _table is None:  # the one sort: by image tuple, each repeat once
+            _table, elements = zip(*sorted(
+                {x.images: x for x in elements}.items()))
+            _table = map(_codec(len(_table[0]))[0], _table)
+        self._elements, self._table = elements, tuple(_table)
         self.generators = tuple(generators)
         self._cache = {}
 
@@ -342,10 +339,15 @@ class FiniteGroup:
     def from_elements(cls, elements):
         """The group of an element list; ValueError if it is not a group."""
         elements = tuple(elements)
-        ident = cls._element.identity(*_shape_of(elements, ()))
-        group = cls(*ident.shape, elements, ())  # the one sort
-        group.generators = _table_generators(group._table, ident)
-        return group
+        shape = _shape_of(elements, ())
+        return cls._of_table(shape, cls(*shape, elements, ())._table)
+
+    @classmethod
+    def _of_table(cls, shape, table):
+        """The group of `shape` on `table`, packs sorted without repeats,
+        with the greedy's generators; ValueError if it is not a group."""
+        return cls(*shape, None, _table_generators(
+            table, cls._element.identity(*shape)), _table=table)
 
     @property
     def elements(self):
@@ -485,9 +487,8 @@ class PermGroup(FiniteGroup):
         at = itemgetter(*[i for p in points for i in range(w * p, w * p + w)],
                         slice(0))
         fixed = at(e)  # slice(0) reads b"", so no points keep every pack
-        table = [t for t in self._table if at(t) == fixed]
-        return PermGroup(self.degree, None, _table_generators(
-            table, self.identity()), _table=table)
+        return self._of_table(self._shape(),
+                              [t for t in self._table if at(t) == fixed])
 
     def is_semiregular(self):
         # elements[0] is the identity, the least image tuple
@@ -729,8 +730,9 @@ def conjugacy_classes(G):
 
 
 def center(G):
-    return type(G).from_elements([x for x in G.elements if all(
-        x * g == g * x for g in G.generators)])
+    return G._of_table(G._shape(), [t for t, x in zip(G._table, G.elements)
+                                    if all(x * g == g * x
+                                           for g in G.generators)])
 
 
 # ---------------------------------------------------------------------------

@@ -515,15 +515,16 @@ def test_a_certificate_glues_one_map_per_distinct_placement(sl23,
     # SL(2,3)'s level-3 certificate places 6 lifts and 12 twists, a witness
     # for each of its 18 generators on each of the 4 blocks (40 distinct
     # placements, every twist among them) and the seam, a twist too: 46
-    # distinct placements, each glued once, each the map its definition
-    # glues
+    # distinct placements. One (a, i, x) whose x is a's first partner on
+    # block i glues a's lift, so they are 27 maps, each glued once, each the
+    # map its definition glues
     prev = build_tower(sl23, "partition", 2,
                        blocks=SL23_BLOCKS).level(2).group
     glued, glue = [], constructions._glue_images
     monkeypatch.setattr(constructions, "_glue_images", lambda root, kids: (
         glued.append(root) or glue(root, kids)))
     cert = constructions._tower_certificate(prev, SL23_BLOCKS, None, None)
-    assert len(glued) == 46
+    assert len(glued) == 27
     monkeypatch.undo()
 
     def place(*key):
@@ -541,6 +542,7 @@ def test_a_certificate_glues_one_map_per_distinct_placement(sl23,
                 for x in joint_compat_set(prev, e, b) if not x.is_identity())
     keys = set(witnesses.values())
     assert (len(gens), len(twists), len(keys)) == (18, 12, 40)
+    assert len(set(gens).union(place(*k) for k in keys)) == 27
     assert keys.issuperset(twists + [seam])
     assert cert == TowerCertificate(
         radius=3, order=1944 * 3 ** 12, generators=tuple(gens),

@@ -20,6 +20,11 @@ an import counts as a use above, so a routine kept alive by an import
 alone would pass the checks before this one. ``__init__.py``, whose
 imports are the package's re-exports, and ``__future__`` imports are left
 out.
+
+A group derived from one the library holds (a subgroup, an image or a
+kernel) is cut from the parent's packed table, making no element object,
+so src/ calls ``from_elements`` only in the functions FROM_ELEMENTS_CALLERS
+lists, each with its reason.
 """
 
 import ast
@@ -51,6 +56,19 @@ PUBLIC_KEPT = {
     "CompatCocycle.z",
     "Tower.level",
     "PermGroup.orbit",
+}
+
+#: the functions of src/ that may call ``from_elements``, and why each may
+FROM_ELEMENTS_CALLERS = {
+    # an element list that comes from outside the library
+    "documents.group_from_document",
+    # V4, named by its four elements
+    "cli._named_group",
+    # the one-step actions of the kernel's elements: no table holds them
+    "universal.seam_groups",
+    # a group around the element tuple that `full_aut` returns, its public
+    # value
+    "census.census_compatible_classes",
 }
 
 
@@ -166,6 +184,38 @@ def unused_imports(root=SRC):
     return out
 
 
+class _Callers(ast.NodeVisitor):
+    """The qualified name of the function around each call of `name`, as
+    an attribute or a bare name."""
+
+    def __init__(self, module, name):
+        self.scope, self.name, self.found = [module], name, []
+
+    def _enter(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_FunctionDef = visit_AsyncFunctionDef = visit_ClassDef = _enter
+
+    def visit_Call(self, node):
+        func = node.func
+        if getattr(func, "attr", getattr(func, "id", None)) == self.name:
+            self.found.append(".".join(self.scope))
+        self.generic_visit(node)
+
+
+def from_elements_callers(root=SRC):
+    """`module.Qualified.name` of the function around each call of
+    ``from_elements`` under `root`, one entry a call."""
+    out = []
+    for path in sorted(root.glob("*.py")):
+        callers = _Callers(path.stem, "from_elements")
+        callers.visit(ast.parse(path.read_text(encoding="utf-8")))
+        out.extend(callers.found)
+    return out
+
+
 def test_every_private_definition_is_used_in_the_library():
     assert unreferenced_private_definitions() == []
 
@@ -217,3 +267,16 @@ def test_the_guard_sees_an_unused_import(tmp_path):
         "               spare)\n\n"
         "VALUE = used(system.argv)  # spare, os\n")
     assert unused_imports(tmp_path) == ["a.py:3 os", "a.py:5 spare"]
+
+
+def test_only_the_listed_functions_build_groups_from_element_objects():
+    assert set(from_elements_callers()) == FROM_ELEMENTS_CALLERS
+
+
+def test_the_guard_sees_a_call_of_from_elements(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "class G:\n    def cut(self):\n"
+        "        return G.from_elements([])\n\n\n"
+        "def named():\n    return {\"v\": lambda: from_elements(())}\n\n\n"
+        "from_elements = G.from_elements\n")
+    assert from_elements_callers(tmp_path) == ["a.G.cut", "a.named"]

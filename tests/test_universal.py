@@ -8,7 +8,7 @@ import pytest
 from normal_structure import is_subnormal, normal_subgroups, subnormal_depth
 from depth_restriction import depth_restriction_count, prime_exponents
 from random_balls import random_ball_aut
-from treeball import full_aut
+from treeball import full_aut, permcore
 from treeball.balls import BallAut, BallGroup, ball_points, full_aut_order
 from treeball.compat import check_compatibility
 from treeball.constructions import build_full_lift
@@ -341,13 +341,13 @@ def test_pk_local_action_projects_in_one_closure(monkeypatch, phi_s3):
     lifted = pk_local_action(phi_s3, 3)
     stepwise = lifted.project().project()
     closures = []
-    from_elements = BallGroup.from_elements
+    greedy = permcore._table_generators
 
-    def counted(elements):
+    def counted(packs, identity):
         closures.append(1)
-        return from_elements(elements)
+        return greedy(packs, identity)
 
-    monkeypatch.setattr(BallGroup, "from_elements", counted)
+    monkeypatch.setattr(permcore, "_table_generators", counted)
     down = pk_local_action(lifted, 1)
     assert len(closures) == 1
     assert down.elements == stepwise.elements
