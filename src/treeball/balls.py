@@ -591,8 +591,9 @@ class BallGroup(FiniteGroup):
             t[cut] for t in self._table)))
 
     def projection_kernel(self):
-        """Elements restricting to the identity on the next smaller ball."""
+        """The subgroup restricting to the identity on the next smaller
+        ball: the run of the table's packs that start with its identity's."""
         if self.radius == 1:
             raise ValueError("radius-1 groups have no inner ball")
-        inner = len(ball_points(self.degree, self.radius - 1))
-        return tuple(self._run(_identity_images(inner)))
+        return self._of_table(self._shape(), self._table[self._bounds(
+            self.identity().project(self.radius - 1).images)])

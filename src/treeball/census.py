@@ -114,8 +114,7 @@ def census_compatible_classes(degree=3, radius=2):
 
     # gluing is not preserved by conjugation, so each class is represented
     # by its least gluable member, the lattice's own group
-    survivors = [group for group in
-                 all_subgroups(BallGroup.from_elements(ambient))
+    survivors = [group for group in all_subgroups(ambient)
                  if group.is_transitive() and check_compatibility(group)]
     named = _named_constructions(degree, radius)
     rows = []
@@ -190,10 +189,8 @@ def census_discrete_lifts(base_rows):
             raise CapacityError("the full group has order %d, beyond the cap "
                                 "of %d" % (order, errors.LIFT_AMBIENT_CAP))
         ambient = full_aut(degree, radius + 1)
-        lift = build_full_lift(base)
-        kernel = lift._of_table(lift._shape(), lift._table[lift._bounds(
-            base.identity().images)])
-        classes = _merge_into_classes(ambient, _lifts_by_cocycle(base, kernel))
+        classes = _merge_into_classes(ambient, _lifts_by_cocycle(
+            base, build_full_lift(base).projection_kernel()))
 
         gamma_name = row.description if row.trivial_seams else None
         for rep in classes:

@@ -216,11 +216,11 @@ def build_full_lift(F, radius=None):
 
 @functools.lru_cache(maxsize=None)
 def full_aut(degree, radius):
-    """Every automorphism of the ball, sorted by vertex-image table: the
-    full lift of Sym(d), refused by its order before any level is glued."""
+    """The group of every automorphism of the ball: the full lift of Sym(d),
+    refused by its order before any level is glued, kept as its table."""
     check_cells("full ball group", full_aut_order(degree, radius),
                 len(ball_points(degree, radius)))
-    return build_full_lift(PermGroup.symmetric(degree), radius).elements
+    return build_full_lift(PermGroup.symmetric(degree), radius)
 
 
 def build_parity_lift(F, weight, modulus, spheres, radius=None):

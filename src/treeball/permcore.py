@@ -919,15 +919,18 @@ def format_factors(pairs):
 # ---------------------------------------------------------------------------
 
 def are_conjugate_in(ambient, H, K):
-    """Whether some element of `ambient`, an element list, conjugates H onto
-    K. Testing only H's generators suffices once the orders agree."""
+    """Whether some element of the group `ambient` conjugates H onto K.
+    Testing only H's generators suffices once the orders agree. The walk
+    unpacks each of the ambient's packs as it is reached and looks each
+    conjugate's pack up in K's table, so neither makes an element object."""
     if H.order != K.order:
         return False
-    target = {k.images for k in K.elements}
+    pack, unpack, _ = _codec(len(ambient.identity().images))
+    target = frozenset(K._table)
     steps = [_getter(g.images) for g in H.generators]
-    for t in ambient:
-        back = _getter(t.inverse().images)
-        if all(back(step(t.images)) in target for step in steps):
+    for t in map(unpack, ambient._table):
+        back = _getter(_inverse(t))
+        if all(pack(back(step(t))) in target for step in steps):
             return True
     return False
 

@@ -190,16 +190,16 @@ def seam_groups(group):
     formed there by the kernel of restriction-to-the-inner-ball. Each seam
     group sits subnormally, with depth at most k-1, inside the stabilizer of
     the word's last letter in the one-step local group (`local_action_group`).
+    Every kernel element fixes w, so the step action at w is a homomorphism
+    on the kernel, and the images of its generators generate its image.
     """
     k = group.radius
     if k < 2:
         raise HypothesisError("seams only exist past radius one")
-    kernel = group.projection_kernel()
-    out = {}
-    for w in words_of_length(group.degree, k - 1):
-        perms = {g.step_action(w) for g in kernel}
-        out[w] = PermGroup.from_elements(perms)
-    return out
+    gens = group.projection_kernel().generators
+    return {w: PermGroup.generated(sorted({g.step_action(w) for g in gens}),
+                                   group.degree)
+            for w in words_of_length(group.degree, k - 1)}
 
 
 def local_action_group(group):

@@ -197,7 +197,7 @@ def test_from_images_rejects_what_the_comprehension_rejects():
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.sampled_from(full_aut(3, 3)),
+@given(st.sampled_from(full_aut(3, 3).elements),
        st.lists(st.tuples(st.integers(0, 20), st.integers(0, 20)),
                 max_size=3),
        st.booleans())
@@ -238,7 +238,7 @@ def test_apply_is_an_action_on_words():
        st.integers(min_value=0, max_value=47),
        st.integers(min_value=0, max_value=47))
 def test_group_axioms_on_full_ball_group(i, j, k):
-    elems = full_aut(3, 2)
+    elems = full_aut(3, 2).elements
     a, b, c = elems[i], elems[j], elems[k]
     assert (a * b) * c == a * (b * c)
     assert a * a.inverse() == BallAut.identity(3, 2)

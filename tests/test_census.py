@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from treeball import census, constructions, full_aut
+from treeball import census, constructions, full_aut, permcore
 from treeball.balls import BallAut, BallGroup
 from treeball.census import (CensusRow, are_conjugate_in,
                              census_compatible_classes, census_discrete_lifts,
@@ -231,6 +231,27 @@ def test_full_aut_is_built_once_per_shape():
     full_aut.cache_clear()
     degree3_table()
     assert full_aut.cache_info().currsize == 2
+
+
+def test_the_census_shares_its_lattice_across_calls(monkeypatch):
+    # full_aut caches the group, and the group its lattice: a second census
+    # in the process reuses the subgroups, and with them their verdicts
+    full_aut.cache_clear()
+    orders, real = [], permcore._subgroup_sets_by_prime_extension
+    monkeypatch.setattr(permcore, "_subgroup_sets_by_prime_extension",
+                        lambda t, order: orders.append(order) or real(t, order))
+    first = census_compatible_classes(3, 2)
+    second = census_compatible_classes(3, 2)
+    assert first == second and orders == [48]
+    assert all(a.group is b.group for a, b in zip(first, second))
+
+
+def test_the_census_makes_no_element_of_the_lift_ambient():
+    # the rigid lifts test conjugacy on the packed table of Aut(B(3, 3))
+    full_aut.cache_clear()
+    census_discrete_lifts(census_compatible_classes(3, 2))
+    assert type(full_aut(3, 3)) is BallGroup
+    assert full_aut(3, 3)._elements is None
 
 
 def test_census_classes_keep_the_lattice_groups(census_rows, monkeypatch):

@@ -22,9 +22,10 @@ imports are the package's re-exports, and ``__future__`` imports are left
 out.
 
 A group derived from one the library holds (a subgroup, an image or a
-kernel) is cut from the parent's packed table, making no element object,
-so src/ calls ``from_elements`` only in the functions FROM_ELEMENTS_CALLERS
-lists, each with its reason.
+kernel) is cut from the parent's packed table, and the full ball group and
+the seam groups are closed from generators, making no element list, so
+src/ calls ``from_elements`` only where FROM_ELEMENTS_CALLERS says: on an
+element list read from outside the library.
 """
 
 import ast
@@ -62,13 +63,6 @@ PUBLIC_KEPT = {
 FROM_ELEMENTS_CALLERS = {
     # an element list that comes from outside the library
     "documents.group_from_document",
-    # V4, named by its four elements
-    "cli._named_group",
-    # the one-step actions of the kernel's elements: no table holds them
-    "universal.seam_groups",
-    # a group around the element tuple that `full_aut` returns, its public
-    # value
-    "census.census_compatible_classes",
 }
 
 

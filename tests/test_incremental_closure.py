@@ -24,7 +24,7 @@ from treeball.errors import CapacityError
 from treeball.permcore import (Perm, PermGroup, _close, _grow,
                                small_generating_set_of)
 
-FULL_B32 = full_aut(3, 2)
+FULL_B32 = full_aut(3, 2).elements
 
 
 def _keys(cocycles):

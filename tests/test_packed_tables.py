@@ -195,7 +195,8 @@ def test_levels_keep_only_their_table_until_asked():
     assert lift._elements is None and lift.order == 31104
     kernel = lift.projection_kernel()
     assert lift._elements is None and len(kernel) == 1296
-    assert lift.elements[:len(kernel)] == kernel
+    assert kernel._elements is None
+    assert lift.elements[:len(kernel)] == kernel.elements
 
 
 @pytest.mark.slow

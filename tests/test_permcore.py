@@ -357,7 +357,7 @@ def test_subgroups_up_to_conjugacy_counts():
                        (PermGroup.alternating(5), 9)):
         reps = []
         for H in all_subgroups(G):
-            if not any(are_conjugate_in(G.elements, H, K) for K in reps):
+            if not any(are_conjugate_in(G, H, K) for K in reps):
                 reps.append(H)
         assert len(reps) == classes
 
@@ -365,7 +365,7 @@ def test_subgroups_up_to_conjugacy_counts():
 def test_conjugacy_verdicts_match_the_element_by_element_test():
     S4 = PermGroup.symmetric(4)
     subgroups = all_subgroups(S4)
-    verdicts = [are_conjugate_in(S4.elements, H, K)
+    verdicts = [are_conjugate_in(S4, H, K)
                 for H in subgroups for K in subgroups]
     assert verdicts == [brute_conjugacy.are_conjugate_in(S4.elements, H, K)
                         for H in subgroups for K in subgroups]
@@ -649,8 +649,8 @@ def test_are_conjugate_subgroups():
     a = PermGroup.generated([Perm((1, 0, 2, 3))])
     b = PermGroup.generated([Perm((0, 1, 3, 2))])
     c = PermGroup.generated([Perm((1, 0, 3, 2))])
-    assert are_conjugate_in(S4.elements, a, b)
-    assert not are_conjugate_in(S4.elements, a, c)
+    assert are_conjugate_in(S4, a, b)
+    assert not are_conjugate_in(S4, a, c)
 
 
 def test_repr_of_a_raw_tuple_that_is_no_permutation_returns():

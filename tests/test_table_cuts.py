@@ -1,12 +1,13 @@
 """Derived groups are cut from their parent's packed table.
 
 Projections, the level-1 action, pointwise stabilizers, centers,
-compatibility cores, parity lifts and the census lift kernels each keep
-packs of a table the library already holds and pick the greedy's
-generators over them (`FiniteGroup._of_table`). The reference is the
-object route each once took: `from_elements` over the parent's element
-objects, filtered or mapped, which must give the same table and the same
-generators.
+compatibility cores, parity lifts and projection kernels each keep packs
+of a table the library already holds and pick the greedy's generators over
+them (`FiniteGroup._of_table`). The reference is the object route each once
+took: `from_elements` over the parent's element objects, filtered or
+mapped, which must give the same table and the same generators. Seam
+groups and V4 are closed from generators instead, and must give the table
+that the element route gives.
 """
 
 import itertools
@@ -15,11 +16,13 @@ import pytest
 
 import scanning_fibers
 from test_compat import tiny_seam_group
-from treeball import census
+from treeball import census, cli
 from treeball.balls import BallGroup, ball_points, words_of_length
 from treeball.compat import check_compatibility, compatibility_core
-from treeball.constructions import build_full_lift, build_parity_lift
-from treeball.permcore import PermGroup, center
+from treeball.constructions import (build_full_lift, build_parity_lift,
+                                    build_tower)
+from treeball.permcore import Perm, PermGroup, center
+from treeball.universal import seam_groups
 
 
 def assert_same(cut, reference):
@@ -117,4 +120,41 @@ def test_the_census_lift_kernels_are_cut(census_rows, monkeypatch):
     for base, kernel, unmade in kernels:
         assert unmade  # no element object until the lattice reads them
         assert_same(kernel, BallGroup.from_elements(
-            build_full_lift(base).projection_kernel()))
+            scanning_fibers.projection_kernel(build_full_lift(base))))
+
+
+@pytest.fixture(scope="module")
+def kernel_groups(census_rows, lift_rows):
+    """The census and rigid-lift classes, full-lift(S4), the radius-3
+    full lift of S3, and level 5 of D4's partition tower (484 points, two
+    bytes an entry)."""
+    tower = build_tower(PermGroup.dihedral(4), "partition", 5,
+                        blocks=[[0, 2], [1, 3]])
+    return ([row.group for row in census_rows + lift_rows]
+            + [build_full_lift(PermGroup.symmetric(4)),
+               build_full_lift(PermGroup.symmetric(3), 3),
+               tower.level(5).group])
+
+
+def test_projection_kernels_are_cut(kernel_groups):
+    top = kernel_groups[-1]
+    assert len(ball_points(4, top.radius)) == 484
+    assert top.projection_kernel().order == 4
+    for group in kernel_groups:
+        assert_same(group.projection_kernel(), BallGroup.from_elements(
+            scanning_fibers.projection_kernel(group)))
+
+
+def test_seam_groups_are_the_step_actions_of_every_kernel_element(
+        kernel_groups):
+    for group in kernel_groups:
+        kernel = scanning_fibers.projection_kernel(group)
+        assert seam_groups(group) == {
+            w: PermGroup.from_elements({g.step_action(w) for g in kernel})
+            for w in words_of_length(group.degree, group.radius - 1)}
+
+
+def test_v4_is_generated_by_the_greedy_picks():
+    assert_same(cli._named_group("V4"), PermGroup.from_elements([
+        Perm((0, 1, 2, 3)), Perm((1, 0, 3, 2)),
+        Perm((2, 3, 0, 1)), Perm((3, 2, 1, 0))]))
