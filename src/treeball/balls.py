@@ -479,16 +479,27 @@ def _root_and_chart(aut, w):
     return im[:len(chart)], _getter(chart)(local[im[w]])
 
 
-def _offer_key(beta, direction):
-    """How `beta` looks to a center from the neighbour `direction`: its root
-    (() at radius 1) and what it shows back along the edge."""
-    if beta.radius == 1:
-        return (), beta.images[direction]
-    return _root_and_chart(beta, direction)
+def _pack_charts(degree, radius, root, packs, w):
+    """Lazily, each of `packs` (`_codec`), all in the run starting with the
+    image tuple `root`, as `_root_and_chart` charts it toward w (at radius
+    1, its image of w). The run shares the image of w, so a pack costs one
+    translate through ``local[root[w]]`` and one gather, or past 256 points
+    an unpack and two gathers."""
+    local, getters = _chart_tables(degree, radius)
+    wide = type(local[0]) is tuple
+    if wide:
+        packs = map(_codec(len(local[0]))[1], packs)
+    if radius == 1:
+        return map(itemgetter(w), packs)
+    table, gather = local[root[w]], getters[w]
+    if wide:
+        return (gather(_getter(t)(table)) for t in packs)
+    return map(gather, map(bytes.translate, packs, itertools.repeat(table)))
 
 
 def _need_key(alpha, direction):
-    """What `alpha` demands of a partner at the neighbour `direction`."""
+    """The run of a partner of `alpha` at the neighbour `direction` and its
+    chart there: alpha's chart and root, or () and alpha's image at radius 1."""
     if alpha.radius == 1:
         return (), alpha.images[direction]
     root, chart = _root_and_chart(alpha, direction)
@@ -505,7 +516,9 @@ def ball_compatible(alpha, beta, direction):
     """
     if (alpha.degree, alpha.radius) != (beta.degree, beta.radius):
         raise ValueError("mismatched ball shapes")
-    return _need_key(alpha, direction) == _offer_key(beta, direction)
+    if alpha.radius == 1:
+        return alpha.images[direction] == beta.images[direction]
+    return _need_key(alpha, direction) == _root_and_chart(beta, direction)
 
 
 def _require_ball(degree, radius):

@@ -18,20 +18,11 @@ from typing import NamedTuple
 
 from . import errors
 from .balls import BallGroup, _full_aut_log10, full_aut_order
-from .compat import (
-    _involutive_sections,
-    check_compatibility,
-    check_trivial_seams,
-    find_involutive_cocycles,
-)
-from .constructions import (
-    build_centered,
-    build_cocycle_extension,
-    build_diagonal,
-    build_full_lift,
-    build_parity_lift,
-    full_aut,
-)
+from .compat import (_involutive_sections, check_compatibility,
+                     check_trivial_seams, find_involutive_cocycles)
+from .constructions import (build_centered, build_cocycle_extension,
+                            build_diagonal, build_full_lift,
+                            build_parity_lift, full_aut)
 from .errors import CapacityError, HypothesisError
 from .permcore import PermGroup, all_subgroups, are_conjugate_in
 
@@ -252,12 +243,9 @@ def degree3_table():
 def format_table(rows):
     """Fixed-width text rendering with the reference column set."""
     header = ["Description of F", "k", "πF", "|F|", "(C)", "(D)", "i.c.c."]
-    body = []
-    for r in rows:
-        body.append([
-            r.description, str(r.radius), r.projection, str(r.order),
-            _yn(r.compatible), _yn(r.trivial_seams), _yn(r.has_cocycle),
-        ])
+    body = [[r.description, str(r.radius), r.projection, str(r.order),
+             _yn(r.compatible), _yn(r.trivial_seams), _yn(r.has_cocycle)]
+            for r in rows]
     widths = [max(len(row[i]) for row in [header] + body)
               for i in range(len(header))]
     lines = []

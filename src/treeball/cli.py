@@ -167,26 +167,14 @@ def _finish_bool(label, value, expect, fmt, json_key):
 def classify_cmd(path, fmt):
     """Describe the one-step action at the center of the input group."""
     group = group_from_document(load_document(path))
-    report = classify_action(local_action_group(group))
-    body = {
-        "degree": report.degree,
-        "transitive": report.transitive,
-        "semiregular": report.semiregular,
-        "regular": report.regular,
-        "primitive": report.primitive,
-        "quasiprimitive": report.quasiprimitive,
-        "semiprimitive": report.semiprimitive,
-        "rank": report.rank,
-        "orbits": [list(o) for o in report.orbits],
-        "minimal_blocks": [[list(b) for b in sys_]
-                           for sys_ in report.minimal_blocks],
-    }
+    body = classify_action(local_action_group(group))._asdict()
+    body["orbits"] = [list(o) for o in body["orbits"]]
+    body["minimal_blocks"] = [[list(b) for b in sys_]
+                              for sys_ in body["minimal_blocks"]]
     if fmt == "json":
         print(json.dumps(body, sort_keys=True))
         return
-    for key in ("degree", "transitive", "semiregular", "regular",
-                "primitive", "quasiprimitive", "semiprimitive", "rank"):
-        value = body[key]
+    for key, value in list(body.items())[:8]:  # the fields before the orbits
         print("%s: %s" % (key, _yn(value)
                           if isinstance(value, bool) else value))
     print("orbits: %s" % (body["orbits"],))

@@ -7,11 +7,12 @@ whether local data extends outward: a group where every fiber is nonempty
 extends one step in every direction, and a group where the identity's fibers
 are trivial extends in at most one way.
 
-Everything here works on materialised groups and answers every gluing
-question from one fiber index: a partner restricts to the center's chart
-toward it, so a fiber lies in one run of the sorted elements, found by
-bisection; only runs that queries reach are keyed, and (C) scans a run
-only up to a first partner.
+Every gluing question is read off the group's packed table: a partner
+restricts to the center's chart toward it, so a fiber lies in one run of
+the table, found by bisection, and one routine (`balls._pack_charts`)
+charts a run's packs with one translate table; element objects are made
+only for the fibers returned. (C) scans a run only up to a first partner,
+and the compatibility core prunes the table direction by direction.
 
 Compatibility cocycles are the homomorphic sections of the lifted group one
 radius up. At degree 3 its kernel over F is elementary abelian, and the
@@ -25,35 +26,41 @@ a generator's lifts, as every build of known size does.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 
-from .balls import (BallAut, _chart_tables, _glue_fibers,
-                    _glue_images, _need_key, _offer_key, ball_points)
+from .balls import (BallAut, _glue_fibers, _glue_images, _need_key,
+                    _pack_charts, ball_points)
 from .errors import HypothesisError, check_cells
 from .linear import echelon, solve, walk
 from .permcore import _codec, _getter, _grow
 
 
-def _class_fibers(group, directions, root):
-    """The fibers in `directions` of the run of elements restricting to
-    `root`, in element order, keyed by their charts there; cached."""
+def _class_fibers(group, directions, root, charts):
+    """The fiber, in element order, of the packs of the run starting with
+    `root` whose charts in `directions` are `charts`. The run is keyed once
+    into table indices, cached, and a fiber made into elements when asked."""
     cache = group._cache.setdefault("class_fibers", {})
     fibers = cache.get((directions, root))
     if fibers is None:
-        fibers = {}
-        for b in group._run(root):
-            key = tuple([_offer_key(b, w)[1] for w in directions])
-            fibers.setdefault(key, []).append(b)
-        fibers = {k: tuple(v) for k, v in fibers.items()}
-        cache[directions, root] = fibers
-    return fibers
+        fibers = cache[directions, root] = {}
+        run = group._bounds(root)
+        packs = group._table[run]
+        keyed = zip(*[_pack_charts(group.degree, group.radius, root, packs, w)
+                      for w in directions])
+        for i, key in enumerate(keyed, run.start):
+            fibers.setdefault(key, []).append(i)
+    fiber = fibers.get(charts, ())
+    if type(fiber) is list:
+        fiber = fibers[charts] = tuple(group._run(fiber))
+    return fiber
 
 
 def compat_set(group, alpha, direction):
     """All elements of the group that glue to `alpha` in the given direction,
     in element order: one lookup in the run restricting to alpha's chart."""
     root, chart = _need_key(alpha, direction)
-    return _class_fibers(group, (direction,), root).get((chart,), ())
+    return _class_fibers(group, (direction,), root, (chart,))
 
 
 def joint_compat_set(group, alpha, directions):
@@ -65,22 +72,22 @@ def joint_compat_set(group, alpha, directions):
     # a partner has one root, so alpha's charts toward the block must agree
     if len(set(roots)) > 1:
         return ()
-    return _class_fibers(group, directions, roots[0]).get(charts, ())
+    return _class_fibers(group, directions, roots[0], charts)
 
 
 def _first_partner(group, alpha, block):
-    """``joint_compat_set(group, alpha, block)[0]`` or None, keying no run."""
+    """``joint_compat_set(group, alpha, block)[0]`` or None, keying no run:
+    the run's packs are charted up to the first that matches."""
     roots, charts = zip(*[_need_key(alpha, w) for w in block])
     if len(set(roots)) > 1:
         return None
-    if alpha.radius == 1 or len(alpha.images) > 256:
-        return next((b for b in group._run(roots[0]) if all(
-            _offer_key(b, w)[1] == c for w, c in zip(block, charts))), None)
-    local, getters = _chart_tables(alpha.degree, alpha.radius)
-    run, charts = group._bounds(roots[0]), list(charts)
-    for i, y in enumerate(group._table[run], run.start):  # packs charted
-        if [getters[w](y.translate(local[y[w]])) for w in block] == charts:
-            return next(group._run(slice(i, i + 1)))  # the one element made
+    run = group._bounds(roots[0])
+    packs = group._table[run]
+    keyed = zip(*[_pack_charts(group.degree, group.radius, roots[0], packs, w)
+                  for w in block])
+    for i, key in enumerate(keyed, run.start):
+        if key == charts:
+            return next(group._run([i]))  # the one element made
     return None
 
 
@@ -116,11 +123,9 @@ def check_compatibility(group):
 def seam_witness(group):
     """A nontrivial element gluing to the identity, or None."""
     ident = group.identity()
-    for w in range(group.degree):
-        for b in compat_set(group, ident, w):
-            if not b.is_identity():
-                return (b, w)
-    return None
+    return next(((b, w) for w in range(group.degree)
+                 for b in compat_set(group, ident, w) if not b.is_identity()),
+                None)
 
 
 def check_trivial_seams(group):
@@ -131,27 +136,37 @@ def check_trivial_seams(group):
 def compatibility_core(group):
     """The largest subgroup in which every fiber stays nonempty.
 
-    Repeatedly discard elements whose fiber in some direction misses the
-    surviving set; the greatest fixpoint of this pruning is closed under
-    products and inverses (partners of a product can be assembled from
-    partners of the factors), so the result really is a subgroup. That
-    closure is re-verified here and a failure raises, since it would mean a
-    bug rather than bad input. When nothing is pruned, as the generators
+    One direction at a time, discard the table's packs whose fiber there
+    misses the survivors, until every direction in turn discards nothing.
+    That greatest fixpoint does not depend on the order of the discards,
+    and it is closed under products and inverses (partners of a product can
+    be assembled from partners of the factors), so it is a subgroup;
+    `_of_table` re-verifies that, and a failure raises, since it would mean
+    a bug rather than bad input. A pass charts the survivors run by run and
+    makes no element object. When nothing is pruned, as the generators
     show, the result is `group`.
     """
     if check_compatibility(group):
         return group
-    live = set(group.elements)
-    while True:
-        keep = {a for a in live
-                if all(not live.isdisjoint(compat_set(group, a, w))
-                       for w in range(group.degree))}
-        if keep == live:
-            break
-        live = keep
+    # at radius 1 each element is its own partner, so here radius > 1, and
+    # a partner offers (root, chart) where the need it meets is (chart, root)
+    d, r, ident = group.degree, group.radius, group.identity()
+    pack, unpack, _ = _codec(len(ident.images))
+    cut = len(pack(ident.images[:len(ball_points(d, r - 1))]))
+    live, w, calm = list(group._table), 0, 0
+    while calm < d:
+        keyed = []
+        for prefix, run in itertools.groupby(live, lambda y: y[:cut]):
+            run, root = list(run), unpack(prefix)
+            keyed += zip(run, itertools.repeat(root),
+                         _pack_charts(d, r, root, run, w))
+        offered = {(root, chart) for _, root, chart in keyed}
+        keep = [y for y, root, chart in keyed if (chart, root) in offered]
+        # a pass keeps the partners of what it keeps: calm once it is done
+        calm = calm + 1 if len(keep) == len(live) else 1
+        live, w = keep, (w + 1) % d
     try:
-        return group._of_table(group._shape(), [
-            t for t, a in zip(group._table, group.elements) if a in live])
+        return group._of_table(group._shape(), live)
     except ValueError as exc:
         raise RuntimeError("pruning fixpoint is not a subgroup; bug") from exc
 

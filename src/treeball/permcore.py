@@ -284,6 +284,12 @@ def _close(gens, identity):
     return sorted(members)
 
 
+@functools.lru_cache(maxsize=None)
+def _kind_of(element, shape):  # a group shape's identity and `_codec`, once
+    identity = element.identity(*shape)
+    return identity, _codec(len(identity.images))
+
+
 def _shape_of(elements, shape):
     """The one `Element.shape` of `elements`, which a given `shape` must
     equal; ValueError for mixed shapes, or for no elements and no shape."""
@@ -313,7 +319,7 @@ class FiniteGroup:
     shape and the leading arguments of its constructor.
     """
 
-    __slots__ = ("_elements", "_table", "generators", "_cache")
+    __slots__ = ("_elements", "_table", "generators", "_cache", "_kind")
     _element = Element
 
     def __init__(self, elements, generators, _table=None):
@@ -323,7 +329,7 @@ class FiniteGroup:
             _table = map(_codec(len(_table[0]))[0], _table)
         self._elements, self._table = elements, tuple(_table)
         self.generators = tuple(generators)
-        self._cache = {}
+        self._cache, self._kind = {}, _kind_of(self._element, self._shape())
 
     @classmethod
     def generated(cls, gens, *shape):
@@ -357,27 +363,30 @@ class FiniteGroup:
         return self._elements
 
     def identity(self):
-        return self._element.identity(*self._shape())
+        return self._kind[0]
 
     def _unpacked(self, entries):
         """The elements that packed entries stand for, made one at a time."""
-        ident = self.identity()
-        return map(ident._from, map(_codec(len(ident.images))[1], entries))
+        ident, (_, unpack, _) = self._kind
+        return map(ident._from, map(unpack, entries))
 
     def _bounds(self, prefix):
         """The slice of the table that is the run starting with `prefix`."""
         table = self._table
-        key = _codec(len(self.identity().images))[0](prefix)
+        key = self._kind[1][0](prefix)
         lo = bisect_left(table, key)
         # longer than every entry, so above all those that start with key
-        return slice(lo, bisect_left(table, key + b"\xff" * len(table[0])))
+        return slice(lo, bisect_left(table, key + b"\xff" * len(table[0]), lo))
 
-    def _run(self, prefix):
-        """The elements whose image tuples start with `prefix` (or in the
-        table slice `prefix`), made as reached until `elements` is read."""
-        run = prefix if isinstance(prefix, slice) else self._bounds(prefix)
-        return (self._unpacked(self._table[run]) if self._elements is None
-                else iter(self._elements[run]))
+    def _run(self, at):
+        """The elements whose image tuples start with the tuple `at`, or at
+        the table indices `at`, made as reached until `elements` is read."""
+        if type(at) is tuple:
+            run = self._bounds(at)
+            at = range(run.start, run.stop)
+        if self._elements is None:
+            return self._unpacked(map(self._table.__getitem__, at))
+        return map(self._elements.__getitem__, at)
 
     def _kin(self, other):  # a table fixes the point count, not the kind
         return type(other) is type(self) and other._shape() == self._shape()
@@ -689,18 +698,8 @@ def classify_action(G):
                 quasi = False
                 if _fixes_a_point(next(iter(cls))):
                     semi = False
-    return ActionReport(
-        degree=G.degree,
-        transitive=transitive,
-        semiregular=semiregular,
-        regular=regular,
-        primitive=primitive,
-        quasiprimitive=quasi,
-        semiprimitive=semi,
-        rank=rank(G),
-        orbits=G.orbits(),
-        minimal_blocks=minimal,
-    )
+    return ActionReport(G.degree, transitive, semiregular, regular, primitive,
+                        quasi, semi, rank(G), G.orbits(), minimal)
 
 
 # ---------------------------------------------------------------------------

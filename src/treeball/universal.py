@@ -26,16 +26,8 @@ from functools import partial
 from itertools import chain, product
 from math import prod
 
-from .balls import (
-    BallAut,
-    _assembly_table,
-    _branch,
-    _parents,
-    _site_points,
-    ball_points,
-    follow,
-    words_of_length,
-)
+from .balls import (BallAut, _assembly_table, _branch, _parents,
+                    _site_points, ball_points, follow, words_of_length)
 from .compat import (
     check_trivial_seams,
     compat_set,

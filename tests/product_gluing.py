@@ -16,8 +16,9 @@ treeball keeps one.
 
 import itertools
 
+from scanning_fibers import offer_key
 from treeball import full_aut
-from treeball.balls import _glue_images, _need_key, _offer_key
+from treeball.balls import _glue_images, _need_key
 from treeball.compat import compat_set, joint_compat_set
 from treeball.permcore import small_generating_set_of
 
@@ -84,7 +85,7 @@ def full_aut_images(degree, radius):
     offers = [{} for _ in range(degree)]
     for b in inner:
         for w in range(degree):
-            offers[w].setdefault(_offer_key(b, w), []).append(b)
+            offers[w].setdefault(offer_key(b, w), []).append(b)
     out = []
     for root in inner:
         out.extend(glue_fibers(root, [offers[w].get(_need_key(root, w), ())

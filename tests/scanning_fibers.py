@@ -1,16 +1,26 @@
 """Reference gluing fibers, (C) check and compatibility core by scanning.
 
-treeball looks a fiber up in the one run of the sorted element list whose
-members restrict to the asked chart, keys only that run, decides (C) on the
-generators, and prunes the compatibility core by asking those fibers to
-meet the surviving set. The versions here test every element of the group
-against `ball_compatible`, check (C) on every element, and prune with hash
-buckets of offered keys rebuilt over the surviving set each round. Slower,
-but with nothing to get wrong; tests require the same tuples, in the same
-order, and the same cores.
+treeball looks a fiber up in the one run of the packed table whose packs
+restrict to the asked chart, charts only that run off the packs, decides
+(C) on the generators, and prunes the compatibility core on the packs one
+direction at a time. The versions here test every element object of the
+group against `ball_compatible`, check (C) on every element, and prune all
+directions at once with hash buckets of offered keys rebuilt over the
+surviving set each round. Slower, but with nothing to get wrong; tests
+require the same tuples, in the same order, and the same cores.
 """
 
-from treeball.balls import BallGroup, _need_key, _offer_key, ball_compatible
+from treeball.balls import (BallGroup, _need_key, _root_and_chart,
+                            ball_compatible)
+
+
+def offer_key(beta, w):
+    """What `beta` shows a center at the neighbour w, to meet that center's
+    `_need_key`: its root and its chart there, or at radius 1 () and its
+    image of w."""
+    if beta.radius == 1:
+        return (), beta.images[w]
+    return _root_and_chart(beta, w)
 
 
 def fiber(group, alpha, directions):
@@ -24,7 +34,7 @@ def check_c(group):
     """Does every element have a partner in every direction? Every element
     is checked, against the keys every element offers."""
     for w in range(group.degree):
-        offers = {_offer_key(b, w) for b in group.elements}
+        offers = {offer_key(b, w) for b in group.elements}
         if any(_need_key(a, w) not in offers for a in group.elements):
             return False
     return True
@@ -45,7 +55,7 @@ def compatibility_core(group):
         for w in range(d):
             bw = {}
             for b in live:
-                bw.setdefault(_offer_key(b, w), []).append(b)
+                bw.setdefault(offer_key(b, w), []).append(b)
             buckets.append(bw)
         keep = {a for a in live
                 if all(_need_key(a, w) in buckets[w] for w in range(d))}

@@ -1,12 +1,15 @@
-"""Gluing fibers from one run of the sorted element list, against scanning.
+"""Gluing fibers from one run of the packed table, against scanning.
 
-`compat._class_fibers` keys only the elements that restrict to the asked
-chart, a run of the sorted element list, and (C) is decided on the
-generators, each run scanned up to a first partner. `scanning_fibers` tests
-every element instead. Fibers must be the same tuples in the same order,
-cores the same groups (the input itself where nothing is pruned), the first
-failure of (C) the same generator and direction, `check-c` the same stdout
-and exit code, and a query must key no more than the runs it reaches.
+`compat._class_fibers` keys only the packs that restrict to the asked
+chart, a run of the sorted table, and (C) is decided on the generators,
+each run charted up to a first partner; the compatibility core prunes the
+table one direction at a time. `scanning_fibers` tests every element
+instead. Fibers must be the same tuples in the same order, on one-byte
+and two-byte packs and at radius 1, cores the same tables and generators
+(the input itself where nothing is pruned), the first failure of (C) the
+same generator and direction, `check-c` the same stdout and exit code, a
+query must key no more than the runs it reaches, and the core of a group
+read from generators must make no element objects.
 """
 
 import itertools
@@ -15,6 +18,7 @@ import random
 import tempfile
 from unittest import mock
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -28,8 +32,11 @@ from treeball.compat import (check_compatibility, compat_set,
                              compatibility_core, first_compat_failure,
                              joint_compat_set)
 from treeball.census import census_compatible_classes, census_discrete_lifts
-from treeball.constructions import build_full_lift, build_parity_lift
-from treeball.documents import document_from_group, serialize_document
+from treeball.constructions import (build_diagonal, build_full_lift,
+                                    build_parity_lift, radius_one)
+from treeball.documents import (document_from_group, group_from_document,
+                                load_document, save_document,
+                                serialize_document)
 from treeball.errors import CapacityError
 from treeball.permcore import PermGroup
 
@@ -129,7 +136,7 @@ def _same_core(group):
     if want is group:
         assert core is group
     else:
-        assert core.elements == want.elements
+        assert core._table == want._table
         assert core.generators == want.generators
     return core is group
 
@@ -149,9 +156,65 @@ def test_cores_match_the_frozen_fixpoint(census_rows):
 
 @CHECKED
 @given(st.integers(min_value=0, max_value=2 ** 32),
-       st.sampled_from([(3, 2), (3, 3), (4, 2)]))
+       st.sampled_from([(3, 1), (3, 2), (3, 3), (4, 2), (3, 7)]))
 def test_cores_of_drawn_groups_match_the_frozen_fixpoint(seed, shape):
+    # B(3, 7) has 381 points, so its packs take two bytes a point
     _same_core(drawn_group(seed, shape, "twisted"))
+
+
+@pytest.mark.parametrize("radius", [3, 4])
+def test_cores_that_collapse_match_the_frozen_fixpoint(radius):
+    # the benchmark's random sets: one random automorphism and one
+    # last-level twist at degree 3, whose core is a hundredth of the group
+    # or less
+    collapsed = 0
+    for seed in range(40):
+        group = drawn_group(seed, (3, radius), "twisted")
+        if group.order >= 100 * scanning_fibers.compatibility_core(
+                group).order:
+            collapsed += 1
+            assert not _same_core(group)
+    assert collapsed >= 3
+
+
+def wide_groups():
+    """Groups past 256 points, packed two bytes a point: the diagonal lift
+    of S3 to B(3, 7), which glues, that lift with one last-level twist, and
+    the dihedral group of 300 points as radius-1 maps."""
+    lift = build_full_lift(build_diagonal(PermGroup.symmetric(3)), radius=7)
+    twisted = BallGroup.generated(
+        lift.generators + (twist(3, 7, random.Random(0)),))
+    return [lift, twisted, radius_one(PermGroup.dihedral(300))]
+
+
+def test_fibers_and_cores_past_256_points_are_the_scanned_ones():
+    rng = random.Random(1)
+    groups = wide_groups()
+    for group in groups:
+        assert len(group._table[0]) == 2 * len(group.identity().images)
+        alphas = [group.identity(), rng.choice(group.elements),
+                  group.generators[-1]]
+        for alpha in alphas:
+            for w in rng.sample(range(group.degree), 3):
+                want = scanning_fibers.fiber(group, alpha, (w,))
+                assert compat_set(group, alpha, w) == want
+            block = rng.sample(range(group.degree), 2)
+            want = scanning_fibers.fiber(group, alpha, block)
+            assert joint_compat_set(group, alpha, block) == want
+        assert any(compat_set(group, a, 0) for a in alphas)
+    # the lift and the radius-1 group keep their all; the twist is pruned
+    assert [_same_core(group) for group in groups] == [True, False, True]
+
+
+def test_the_core_of_a_read_group_makes_no_element_objects(tmp_path):
+    # a generator document whose group fails (C): the core is cut from
+    # the packed table, and neither it nor (C) unpacks the group
+    path = str(tmp_path / "generators.json")
+    save_document(document_from_group(drawn_group(3, (3, 3), "twisted"),
+                                      generators_only=True), path)
+    group = group_from_document(load_document(path))
+    core = compatibility_core(group)
+    assert group.order >= 100 * core.order and group._elements is None
 
 
 def _check_c(path, args):

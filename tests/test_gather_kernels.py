@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from random_balls import random_ball_aut
 from recursive_balls import RecursiveBallAut
-from treeball.balls import BallAut, _need_key, _offer_key
+from treeball.balls import BallAut, _need_key, _root_and_chart
 from treeball.documents import GroupDocument, _word_str, serialize_document
 
 DRAWS = (st.integers(min_value=0, max_value=2 ** 32),
@@ -41,7 +41,7 @@ def test_gluing_keys_match_the_object_route(seed, degree, radius):
     aut = random_ball_aut(degree, radius, random.Random(seed))
     for w in range(degree):
         offer, need = object_keys(aut, w)
-        assert _offer_key(aut, w) == offer
+        assert _root_and_chart(aut, w) == offer
         assert _need_key(aut, w) == need
         assert aut.children[w].images == offer[1]
 

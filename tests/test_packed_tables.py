@@ -19,7 +19,7 @@ import scanning_fibers
 from child_rss import _run_child
 from random_balls import random_ball_aut
 from test_class_fibers import drawn_group
-from treeball import compat, full_aut
+from treeball import balls, full_aut
 from treeball.balls import BallGroup, ball_points
 from treeball.compat import _first_partner
 from treeball.constructions import build_full_lift
@@ -143,18 +143,20 @@ def test_first_partner_is_the_first_of_the_joint_fiber(seed, shape, qseed):
 @pytest.mark.parametrize("radius, points", [(6, 189), (7, 381)])
 def test_first_partner_on_each_side_of_the_split(radius, points, gamma_s3,
                                                  monkeypatch):
-    # the diagonal lift of S3: its packs are charted on one byte a point,
-    # and its elements keyed one by one on two
+    # the diagonal lift of S3: its packs hold one byte a point, then two,
+    # and on both sides they are charted off the table; only the queried
+    # elements are keyed as element objects
     group = build_full_lift(gamma_s3, radius=radius)
     assert len(ball_points(3, radius)) == points
-    keyed, real = [], compat._offer_key
-    monkeypatch.setattr(compat, "_offer_key",
-                        lambda b, w: keyed.append(w) or real(b, w))
+    assert len(group._table[0]) == points * (1 if points <= 256 else 2)
     rng = random.Random(radius)
     alphas = group.elements + tuple(random_ball_aut(3, radius, rng)
                                     for _ in range(4))
+    keyed, real = [], balls._root_and_chart
+    monkeypatch.setattr(balls, "_root_and_chart",
+                        lambda a, w: keyed.append(a) or real(a, w))
     assert_first_partners(group, alphas, [(0,), (1, 2), (0, 1, 2)])
-    assert bool(keyed) == (points > 256)
+    assert keyed and all(any(a is b for b in alphas) for a in keyed)
 
 
 def test_the_table_answers_membership_equality_and_inclusion(census_rows,
