@@ -1,7 +1,8 @@
 """Standard ways to manufacture groups of ball automorphisms.
 
-Each builder takes finite permutation data, checks the hypotheses it actually
-needs (raising HypothesisError with the failing clause in the message), and
+Each builder takes groups, its twist groups and kernels too, checks the
+hypotheses it needs on their tables and generators (HypothesisError naming
+the failing clause, TypeError for an argument that is no group), and
 returns an explicit BallGroup. Orders are computed from the defining
 parameters first, so every builder asks `errors.check_cells` for its tables
 once before it makes an element, and the materialized group is checked
@@ -48,9 +49,9 @@ from .compat import (
     require_gluing,
 )
 from .errors import CapacityError, HypothesisError, check_cells
-from .permcore import (Perm, PermGroup, _codec, _getter, _identity_images,
-                       _images, _inverse, _slot_images, center,
-                       classify_action, small_generating_set_of)
+from .permcore import (Perm, PermGroup, _codec, _getter, _images, _inverse,
+                       _slot_images, _slot_twists, center, classify_action,
+                       small_generating_set_of)
 
 
 def radius_one(F):
@@ -90,15 +91,6 @@ def _twist_group(what, F, twists, fibers, block_of=None):
     return _check_order(group, order, what)
 
 
-def _subgroup_generators(elements, identity, message):
-    """The greedy generators of a sorted element list, whose one closure
-    shows it is a group; HypothesisError(message) when it is not."""
-    try:
-        return small_generating_set_of(elements, identity)
-    except ValueError:
-        raise HypothesisError(message) from None
-
-
 # ---------------------------------------------------------------------------
 # radius-2 builders over a permutation group
 # ---------------------------------------------------------------------------
@@ -116,8 +108,8 @@ def build_centered(F, center=None):
     """Extensions twisting the diagonal by a stabilizer element of point 0.
 
     Twists are moved to each neighbour w through f[w], F's transversal of 0.
-    With `center` given (a subset of the center of the stabilizer of 0), the
-    element for (a, c) acts around the neighbour w as a followed by the
+    With `center` given (a subgroup of the center of the stabilizer of 0),
+    the element for (a, c) acts around the neighbour w as a followed by the
     conjugate of c moved to w; the result is a group isomorphic to F x center
     and does not depend on the transversal. With `center` omitted, the whole
     stabilizer is used with the alternative twist f[a(w)] c f[w]^{-1}, which
@@ -133,17 +125,15 @@ def build_centered(F, center=None):
     if center is None:
         twists, left = stab.elements, lambda a, w: f[a(w)]
     else:
-        cent = list(center.elements if isinstance(center, PermGroup)
-                    else center)
-        for c in cent:
-            if c not in stab:
-                raise HypothesisError("center elements must fix the base point")
-            if any(c * s != s * c for s in stab.generators):
-                raise HypothesisError(
-                    "center elements must be central in the stabilizer")
-        twists, left = sorted(set(cent)), lambda a, w: a * f[w]
-        _subgroup_generators(twists, Perm.identity(d),
-                             "center must be a subgroup of the stabilizer")
+        if not isinstance(center, PermGroup):
+            raise TypeError("expected a PermGroup")
+        if not center.is_subgroup_of(stab):
+            raise HypothesisError("center elements must fix the base point")
+        if any(c * s != s * c for c in center.generators
+               for s in stab.generators):
+            raise HypothesisError(
+                "center elements must be central in the stabilizer")
+        twists, left = center.elements, lambda a, w: a * f[w]
     # the child at w for (a, c) is left(a, w) * c * f[w]^{-1}
     right = [[c * f[w].inverse() for c in twists] for w in range(d)]
     return _twist_group(
@@ -163,18 +153,16 @@ def build_kernel_extension(F, normal):
     """
     if not F.is_transitive():
         raise HypothesisError("kernel extension requires a transitive group")
+    if not isinstance(normal, PermGroup):
+        raise TypeError("expected a PermGroup")
     stab = F.stabilizer(0)
-    nset = set(normal.elements if isinstance(normal, PermGroup) else normal)
-    if not all(map(stab.__contains__, nset)):
+    if not normal.is_subgroup_of(stab):
         raise HypothesisError("the twist group must fix the base point")
-    d, f, nelems = F.degree, F.transversal(0), sorted(nset)
-    gens = _subgroup_generators(nelems, Perm.identity(d),
-                                "the twist set must be a subgroup")
-    for s in stab.generators:
-        si = s.inverse()
-        if any(s * n * si not in nset for n in gens):
-            raise HypothesisError(
-                "the twist group must be normal in the stabilizer")
+    if any(s * n * s.inverse() not in normal for s in stab.generators
+           for n in normal.generators):
+        raise HypothesisError(
+            "the twist group must be normal in the stabilizer")
+    d, f, nelems = F.degree, F.transversal(0), normal.elements
     # one block a direction: the twists at the neighbours are independent
     moved = [[f[w] * n * f[w].inverse() for n in nelems] for w in range(d)]
     return _twist_group("kernel extension", F, len(nelems) ** d,
@@ -254,38 +242,36 @@ def build_parity_lift(F, weight, modulus, spheres, radius=None):
 def build_split_lift(F, kernel):
     """Extensions splitting as F against a chosen group of neighbour twists.
 
-    `kernel` is a subgroup of the product of point stabilizers, one twist per
-    point, each fixing its own point; it must be invariant under permuting
-    coordinates and conjugating by group elements. The element for (a, k)
-    acts around w as a followed by the twist at w.
+    `kernel` is a group of twist tuples on the d * d slot points
+    (`permcore._slot_images`), one twist per point, each fixing its own
+    point; it must be invariant under permuting coordinates and conjugating
+    by group elements. The element for (a, k) acts around w as a followed
+    by the twist at w.
     """
     d = F.degree
-    tuples = list(kernel.elements if hasattr(kernel, "elements") else kernel)
-    for tw in tuples:
-        if len(tw) != d:
-            raise HypothesisError("need one twist per point")
+    if not isinstance(kernel, PermGroup):
+        raise TypeError("expected a PermGroup")
+    if kernel.degree != d * d:
+        raise HypothesisError("need one twist per point")
+    gens = [_slot_twists(g.images, d) for g in kernel.generators]
+    if None in gens:
+        raise HypothesisError("each twist must keep its own slot")
+    for tw in gens:
         for w in range(d):
             if tw[w](w) != w:
                 raise HypothesisError("each twist must fix its own point")
             if tw[w] not in F:
                 raise HypothesisError("twists must come from the group")
-    # each tuple once, by its image tuple on the d * d slot points
-    twists = {_slot_images(tw): tw for tw in tuples}
-    if _identity_images(d * d) not in twists:
-        raise HypothesisError("the twist group must contain the identity tuple")
-    gens = _subgroup_generators(list(map(Perm._raw, sorted(twists))),
-                                Perm.identity(d * d),
-                                "the twist set must be a subgroup")
     for a in F.generators:
         ai = a.inverse()
-        for g in gens:
-            tw = twists[g.images]
+        for tw in gens:
             moved = tuple(a * tw[ai(w)] * ai for w in range(d))
-            if _slot_images(moved) not in twists:
+            if Perm._raw(_slot_images(moved)) not in kernel:
                 raise HypothesisError(
                     "the twist group must be invariant under the group action")
-    rows = list(zip(*twists.values()))  # the twists at each neighbour
-    return _twist_group("split lift", F, len(twists),
+    # the twists at each neighbour
+    rows = list(zip(*(_slot_twists(k.images, d) for k in kernel.elements)))
+    return _twist_group("split lift", F, kernel.order,
                         lambda a: [[a * x for x in row] for row in rows],
                         [0] * d)
 
@@ -295,44 +281,39 @@ def build_split_lift(F, kernel):
 # ---------------------------------------------------------------------------
 
 def build_cocycle_extension(cocycle, kernel):
-    """The group generated by a cocycle's lift together with kernel elements.
+    """The group a cocycle's lifted generators generate with the kernel's.
 
-    `kernel` is a group of automorphisms one radius above the cocycle's group
-    that restrict to the identity on the inner ball. Admissibility demands
-    (a) the lifted group normalizes the kernel and (b) for every kernel
-    element and direction, some kernel element's view in that direction is
-    the inverse of the cocycle's choice at the original element's view. Both
-    clauses are checked on image tuples, in that order, after the kernel's
-    shape and that it is a subgroup.
+    `kernel` is a BallGroup one radius above the cocycle's group whose
+    elements restrict to the identity on the inner ball, read off its shape
+    and its projection. Admissibility demands (a) the lifted group normalizes
+    the kernel and (b) for every kernel element and direction, some kernel
+    element's view in that direction is the inverse of the cocycle's choice
+    at the original element's view. Both clauses are checked on image
+    tuples, in that order.
 
-    A kernel group's cache keeps what the kernel alone decides (whether it
-    is a subgroup, its generators, its views), and the cocycle keeps its
-    lifted generators. Once K is a subgroup, a lifted generator lg
-    normalizes it exactly when lg * k lies in K * lg for each of its
-    generators k, and (b) passes or fails alike wherever a view recurs, so
-    it runs over the distinct views in the order they first occur.
+    A kernel group's cache keeps its image set and views, and the cocycle
+    keeps its lifted generators. A lifted generator lg normalizes K exactly
+    when lg * k lies in K * lg for each generator k of K, and (b) passes or
+    fails alike wherever a view recurs, so it runs over the distinct views
+    in the order they first occur.
     """
     if not isinstance(cocycle, CompatCocycle):
         raise TypeError("expected a CompatCocycle")
+    if not isinstance(kernel, BallGroup):
+        raise TypeError("expected a BallGroup")
     F = cocycle.group
     d = F.degree
-    kelems = list(kernel.elements if hasattr(kernel, "elements") else kernel)
-    inner = BallAut.identity(d, F.radius).images
-    for k in kelems:
-        if (k.degree, k.radius) != (F.degree, F.radius + 1):
-            raise HypothesisError("kernel elements must live one radius up")
-        if k.images[:len(inner)] != inner:
-            raise HypothesisError(
-                "kernel elements must restrict to the identity inside")
-    kset, kernel_gens, views = _kernel_facts(
-        kernel, kelems, BallAut.identity(d, F.radius + 1))
-    if kernel_gens is None:
-        raise HypothesisError("the kernel must be a subgroup")
+    if kernel._shape() != (d, F.radius + 1):
+        raise HypothesisError("kernel elements must live one radius up")
+    if kernel.project(F.radius).order > 1:
+        raise HypothesisError(
+            "kernel elements must restrict to the identity inside")
+    kset, views = _kernel_facts(kernel)
     lifted_gens = cocycle._lifted_generators
     for lg in lifted_gens:
         coset = set(map(_getter(lg.images), kset))  # K * lg
         if any(_getter(k.images)(lg.images) not in coset
-               for k in kernel_gens):
+               for k in kernel.generators):
             raise HypothesisError(
                 "the lifted group must normalize the kernel")
     z = cocycle._images
@@ -344,31 +325,22 @@ def build_cocycle_extension(cocycle, kernel):
             raise HypothesisError(
                 "no kernel element inverts the choice map in direction %d"
                 % w)
-    expected = F.order * len(kelems)
+    expected = F.order * kernel.order
     check_cells("cocycle extension", expected,
                 len(ball_points(d, F.radius + 1)))
-    group = BallGroup.generated(lifted_gens + list(kernel_gens))
+    group = BallGroup.generated(lifted_gens + list(kernel.generators))
     return _check_order(group, expected, "cocycle extension")
 
 
-def _kernel_facts(kernel, kelems, identity):
-    """The kernel's image set, its greedy generators (None when it is not a
-    subgroup) and its (view, direction) pairs in first-seen order, kept in
-    the cache of a kernel group. A nonempty finite set closed under products
-    is a group, which is what the greedy's closure checks."""
-    facts = getattr(kernel, "_cache", {}).get("extension_kernel")
+def _kernel_facts(kernel):
+    """The kernel group's image set and its (view, direction) pairs in
+    first-seen order, kept in its cache."""
+    facts = kernel._cache.get("extension_kernel")
     if facts is None:
-        try:
-            gens = small_generating_set_of(sorted(kelems), identity)
-        except ValueError:
-            if not kelems:  # vacuously closed: the greedy's refusal stands
-                raise
-            gens = None
-        views = dict.fromkeys((_root_and_chart(k, w)[1], w) for k in kelems
-                              for w in range(identity.degree))
-        facts = ({k.images for k in kelems}, gens, views)
-        if hasattr(kernel, "_cache"):
-            kernel._cache["extension_kernel"] = facts
+        views = dict.fromkeys((_root_and_chart(k, w)[1], w)
+                              for k in kernel for w in range(kernel.degree))
+        facts = kernel._cache["extension_kernel"] = (
+            set(map(_images, kernel)), views)
     return facts
 
 

@@ -14,8 +14,8 @@ SUBGROUP_LATTICE_CAP = 3000
 CENSUS_AMBIENT_CAP = 200
 LIFT_AMBIENT_CAP = 5000
 
-#: The largest slot product whose subgroups are enumerated without a
-#: faster route, and the most subgroups that enumeration may find
+#: The largest slot product whose invariant subgroups are enumerated, by
+#: either route, and the most subgroups the generic route may find
 SLOT_PRODUCT_CAP = 200_000
 POWER_SUBGROUP_CAP = 10_000
 

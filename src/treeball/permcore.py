@@ -938,25 +938,6 @@ def are_conjugate_in(ambient, H, K):
 # invariant subgroups of a power
 # ---------------------------------------------------------------------------
 
-class PowerSubgroup(NamedTuple):
-    """A subgroup of a product of point-stabilizer slots, stored literally.
-
-    Each element is a tuple whose w-th entry is a permutation living in the
-    w-th slot group. Slots are the conjugates f_w H f_w^{-1} of the base slot
-    H under the canonical transversal, or plain copies of H when the acting
-    group is trivial.
-    """
-
-    elements: tuple
-
-    @property
-    def order(self):
-        return len(self.elements)
-
-    def __contains__(self, item):
-        return item in self.elements
-
-
 def invariant_subgroups_of_power(F, H, count):
     """Subgroups of the slot product invariant under permute-and-conjugate.
 
@@ -964,38 +945,54 @@ def invariant_subgroups_of_power(F, H, count):
     permuted and entries conjugated. With F trivial every subgroup of H^count
     is invariant and all are returned. Otherwise F must be transitive, count
     must be its degree, and H must fix a point and be normal in its stabilizer.
+    Each is a PermGroup on the slot points (`_slot_images`), sorted by
+    (order, table); |H|^count past `errors.SLOT_PRODUCT_CAP` is refused first.
     """
+    if count < 1:
+        raise HypothesisError("count must be at least 1")
     if F.order == 1:
         slots = [tuple(H.elements)] * count
-        return _power_subgroups_generic(F, slots, count, act=False)
-
-    if not F.is_transitive():
-        raise HypothesisError("invariant_subgroups_of_power requires F transitive "
-                              "(or trivial)")
-    if count != F.degree:
-        raise HypothesisError("count must equal the degree of F")
-    fixed = [p for p in range(F.degree) if all(h(p) == p for h in H.elements)]
-    if not fixed:
-        raise HypothesisError("H must fix a point")
-    base = fixed[0]
-    if not H.is_subgroup_of(F.stabilizer(base)):
-        raise HypothesisError("H must lie in the stabilizer of its fixed point")
-    trans = F.transversal(base)
-    slots = [tuple(sorted(trans[w] * h * trans[w].inverse()
-                          for h in H.elements)) for w in range(count)]
-    if any(tuple(sorted(a * h * a.inverse() for h in slots[w])) != slots[a(w)]
-           for a in F.generators for w in range(count)):
-        raise HypothesisError("H must be normalized by the stabilizer of its "
-                              "fixed point")
-    return (_power_subgroups_gf2(F, slots, count) if H.order == 2
-            else _power_subgroups_generic(F, slots, count, act=True))
+    else:
+        if not F.is_transitive():
+            raise HypothesisError("invariant_subgroups_of_power requires F "
+                                  "transitive (or trivial)")
+        if count != F.degree:
+            raise HypothesisError("count must equal the degree of F")
+        fixed = [p for p in range(F.degree)
+                 if all(h(p) == p for h in H.elements)]
+        if not fixed:
+            raise HypothesisError("H must fix a point")
+        base = fixed[0]
+        if not H.is_subgroup_of(F.stabilizer(base)):
+            raise HypothesisError("H must lie in the stabilizer of its fixed "
+                                  "point")
+        trans = F.transversal(base)
+        slots = [tuple(sorted(trans[w] * h * trans[w].inverse()
+                              for h in H.elements)) for w in range(count)]
+        if any(tuple(sorted(a * h * a.inverse() for h in slots[w]))
+               != slots[a(w)] for a in F.generators for w in range(count)):
+            raise HypothesisError("H must be normalized by the stabilizer of "
+                                  "its fixed point")
+    total = 1
+    for _ in range(count):  # |H| once a slot, so no huge power is formed
+        total *= H.order
+        if total > errors.SLOT_PRODUCT_CAP:
+            raise CapacityError("slot product order %d exceeds the cap of "
+                                "%d" % (total, errors.SLOT_PRODUCT_CAP))
+    if F.order > 1 and H.order == 2:
+        found = _power_subgroups_gf2(F, slots, count)
+    else:
+        found = _power_subgroups_generic(F, slots, count, act=F.order > 1)
+    shape = (count * H.degree,)
+    return sorted((PermGroup._of_table(shape, T) for T in found),
+                  key=lambda P: (P.order, P._table))
 
 
 def _power_subgroups_gf2(F, slots, count):
     """GF(2) path for slots of order 2, each (identity, involution), which F
     permutes: tuples become bitmasks, and a subspace is keyed by its
-    `linear.echelon` basis."""
-    invol = [s[1] for s in slots]
+    `linear.echelon` basis. Each subspace comes as its table, the closure
+    of its basis as slot tuples (`_slot_images`)."""
     # With span(B) invariant, v and a(v) + b (a in F, b in span(B)) extend
     # B to the same subspace: one orbit and one span serve that whole class.
     found, queue = {(): None}, [()]
@@ -1013,12 +1010,10 @@ def _power_subgroups_gf2(F, slots, count):
             if new_basis not in found:
                 found[new_basis] = None
                 queue.append(new_basis)
-    ident = Perm.identity(F.degree)
-    out = [PowerSubgroup(tuple(sorted(
-        tuple(invol[w] if mask >> w & 1 else ident for w in range(count))
-        for mask in walk(0, basis)))) for basis in found]
-    out.sort(key=lambda P: (P.order, P.elements))
-    return out
+    e = Perm.identity(count * F.degree)
+    return [_close([Perm._raw(_slot_images([s[b >> w & 1] for w, s in
+                                            enumerate(slots)]))
+                    for b in basis], e) for basis in found]
 
 
 def _slot_images(k):
@@ -1027,20 +1022,24 @@ def _slot_images(k):
     return tuple([w * n + i for w, p in enumerate(k) for i in p.images])
 
 
-def _power_subgroups_generic(F, slots, count, act):
-    """The subgroups of the slot product, only the F-invariant ones if `act`.
+def _slot_twists(images, n):
+    """The tuple of n-point permutations that `_slot_images` codes as
+    `images`, or None when a point leaves its slot."""
+    if any(i // n != j // n for i, j in enumerate(images)):
+        return None
+    return tuple(Perm._raw(tuple([j - w for j in images[w:w + n]]))
+                 for w in range(0, len(images), n))
 
-    A slot tuple k is one image tuple (`_slot_images`), and a in F acts by
-    conjugating with (w, i) -> (a(w), a(i)).
+
+def _power_subgroups_generic(F, slots, count, act):
+    """The subgroups of the slot product, only the F-invariant ones if `act`,
+    each as its table of packed slot tuples (`_slot_images`).
+
+    A slot tuple k is one image tuple, and a in F acts by conjugating with
+    (w, i) -> (a(w), a(i)).
     Subgroups are queued with generators; adjoining x closes the F-orbit of
     those and x by `_grow`, an invariant group as F acts by automorphisms.
     """
-    total = 1
-    for s in slots:
-        total *= len(s)
-        if total > errors.SLOT_PRODUCT_CAP:
-            raise CapacityError("slot product order %d exceeds the cap of "
-                                "%d" % (total, errors.SLOT_PRODUCT_CAP))
     n, points = slots[0][0].degree, range(count)
     ident = _identity_images(count * n)
 
@@ -1073,8 +1072,5 @@ def _power_subgroups_generic(F, slots, count, act):
             raise CapacityError(
                 "invariant subgroup count %d exceeds the cap of %d"
                 % (len(found), errors.POWER_SUBGROUP_CAP))
-    out = [PowerSubgroup(tuple(
-        tuple(Perm._raw(tuple(j - w * n for j in x[w * n:w * n + n]))
-              for w in points) for x in sorted(K))) for K in found]
-    out.sort(key=lambda P: (P.order, P.elements))
-    return out
+    pack = _codec(count * n)[0]
+    return [sorted(map(pack, K)) for K in found]

@@ -1,17 +1,18 @@
 """Reference cocycle checks and extensions, element by element.
 
 `CompatCocycle.verify` and `build_cocycle_extension` run their clauses on
-image tuples, check normality on generators, look each kernel view up once
-and reuse what a kernel or a cocycle already decided. The versions here
-test every element and every pair of elements as wrapped automorphisms,
-with the same clauses in the same order and the same messages; tests
-require both to give the same verdicts and the same groups.
+image tuples, check normality on generators, read a kernel's shape and
+inner ball off the group, look each kernel view up once and reuse what a
+kernel or a cocycle already decided. The versions here take the same
+kernel group but test every element and every pair of elements as wrapped
+automorphisms, with the same clauses in the same order and the same
+messages; tests require both to give the same verdicts and the same
+groups.
 """
 
-from treeball.balls import BallAut, BallGroup, ball_compatible
+from treeball.balls import BallGroup, ball_compatible
 from treeball.compat import CompatCocycle
 from treeball.errors import CLOSURE_CAP, CapacityError, HypothesisError
-from treeball.permcore import small_generating_set_of
 
 
 def verify(group, table):
@@ -45,9 +46,11 @@ def build_cocycle_extension(cocycle, kernel, cap=CLOSURE_CAP):
     element, every pair of them, and every element's views in turn."""
     if not isinstance(cocycle, CompatCocycle):
         raise TypeError("expected a CompatCocycle")
+    if not isinstance(kernel, BallGroup):
+        raise TypeError("expected a BallGroup")
     F = cocycle.group
     d = F.degree
-    kelems = list(kernel.elements if hasattr(kernel, "elements") else kernel)
+    kelems = list(kernel.elements)
     kset = set(kelems)
     for k in kelems:
         if (k.degree, k.radius) != (F.degree, F.radius + 1):
@@ -55,10 +58,6 @@ def build_cocycle_extension(cocycle, kernel, cap=CLOSURE_CAP):
         if not k.root.is_identity():
             raise HypothesisError(
                 "kernel elements must restrict to the identity inside")
-    for x in kelems:
-        for y in kelems:
-            if x * y not in kset:
-                raise HypothesisError("the kernel must be a subgroup")
     lifted_gens = [cocycle.section(g) for g in F.generators]
     for lg in lifted_gens:
         lgi = lg.inverse()
@@ -81,9 +80,7 @@ def build_cocycle_extension(cocycle, kernel, cap=CLOSURE_CAP):
     if expected > cap:
         raise CapacityError("extension would have order %d, beyond cap %d"
                             % (expected, cap))
-    kernel_gens = small_generating_set_of(
-        kelems, BallAut.identity(d, F.radius + 1))
-    group = BallGroup.generated(lifted_gens + list(kernel_gens))
+    group = BallGroup.generated(lifted_gens + list(kernel.generators))
     if group.order != expected:
         raise RuntimeError("cocycle extension has order %d, expected %d; bug"
                            % (group.order, expected))

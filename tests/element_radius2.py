@@ -3,13 +3,14 @@
 treeball glues the diagonal, centered, kernel-extension and split-lift
 groups as tower levels are glued: one `balls._glue_fibers` call per element
 of F, the packs sorted into the table, generators from the greedy that
-`from_elements` runs, and each twist group checked by one closure and its
+`from_elements` runs, and each twist group checked on its table and
 generators. The versions here are the builders that came before: each
 element is a validated `BallAut(root, children)`, the group is read back
-through `BallGroup.from_elements`, and a twist set is a subgroup when every
-pairwise product stays in it. They are slower but share no code with the
+through `BallGroup.from_elements`, and every element of a twist group is
+checked. They take the same group arguments, a split lift's twist tuples
+coded on the d * d slot points (`twist_group`), but share no code with the
 gluing path; tests require both to give the same elements and generators
-and to refuse a bad twist set with the same message.
+and to refuse a bad twist group with the same message.
 """
 
 import itertools
@@ -17,6 +18,20 @@ import itertools
 from treeball.balls import BallAut, BallGroup
 from treeball.errors import HypothesisError
 from treeball.permcore import Perm, PermGroup
+
+
+def twist_group(tuples):
+    """The group of slot permutations that the twist tuples generate, the
+    point (w, i) of the d * d slot points being w * d + i."""
+    d = len(tuples[0])
+    return PermGroup.generated([Perm([w * d + t(i) for w, t in enumerate(tw)
+                                      for i in range(d)]) for tw in tuples],
+                               d * d)
+
+
+def _expect(kind, group):
+    if not isinstance(group, kind):
+        raise TypeError("expected a %s" % kind.__name__)
 
 
 def _as_radius2(root_perm, child_perms):
@@ -42,18 +57,14 @@ def centered(F, center=None):
     transversal = F.transversal(0)
     d = F.degree
     if center is not None:
-        cent = list(center.elements if isinstance(center, PermGroup)
-                    else center)
-        for c in cent:
+        _expect(PermGroup, center)
+        for c in center.elements:
             if c not in stab:
                 raise HypothesisError("center elements must fix the base point")
             if any(c * s != s * c for s in stab.elements):
                 raise HypothesisError(
                     "center elements must be central in the stabilizer")
-        celems = set(cent)
-        if not celems or any(
-                a * b not in celems for a in celems for b in celems):
-            raise HypothesisError("center must be a subgroup of the stabilizer")
+        celems = center.elements
         return _group(F, len(celems), [
             _as_radius2(a, [a * transversal[w] * c * transversal[w].inverse()
                             for w in range(d)])
@@ -67,14 +78,12 @@ def centered(F, center=None):
 def kernel_extension(F, normal):
     if not F.is_transitive():
         raise HypothesisError("kernel extension requires a transitive group")
+    _expect(PermGroup, normal)
     stab = F.stabilizer(0)
-    nelems = tuple(normal.elements if isinstance(normal, PermGroup)
-                   else normal)
+    nelems = normal.elements
     nset = set(nelems)
     if not all(map(stab.__contains__, nset)):
         raise HypothesisError("the twist group must fix the base point")
-    if any(a * b not in nset for a in nset for b in nset):
-        raise HypothesisError("the twist set must be a subgroup")
     for s in stab.generators:
         si = s.inverse()
         if any(s * n * si not in nset for n in nset):
@@ -90,24 +99,22 @@ def kernel_extension(F, normal):
 
 def split_lift(F, kernel):
     d = F.degree
-    tuples = list(kernel.elements if hasattr(kernel, "elements") else kernel)
-    if not tuples:
-        raise HypothesisError("the twist group must contain the identity tuple")
+    _expect(PermGroup, kernel)
+    if kernel.degree != d * d:
+        raise HypothesisError("need one twist per point")
+    tuples = []
+    for k in kernel.elements:
+        if any(k(x) // d != x // d for x in range(d * d)):
+            raise HypothesisError("each twist must keep its own slot")
+        tuples.append(tuple(Perm([k(w * d + i) - w * d for i in range(d)])
+                            for w in range(d)))
     tset = set(tuples)
     for tw in tuples:
-        if len(tw) != d:
-            raise HypothesisError("need one twist per point")
         for w in range(d):
             if tw[w](w) != w:
                 raise HypothesisError("each twist must fix its own point")
             if tw[w] not in F:
                 raise HypothesisError("twists must come from the group")
-    if tuple(Perm.identity(d) for _ in range(d)) not in tset:
-        raise HypothesisError("the twist group must contain the identity tuple")
-    for x in tuples:
-        for y in tuples:
-            if tuple(p * q for p, q in zip(x, y)) not in tset:
-                raise HypothesisError("the twist set must be a subgroup")
     for a in F.generators:
         ai = a.inverse()
         for tw in tuples:

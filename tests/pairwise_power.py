@@ -5,19 +5,21 @@ queue and closes only the F-orbit of those generators and one new tuple. The
 version here re-closes the whole subgroup plus the new tuple, multiplying
 each new element by every element seen so far and adding inverses and F's
 images, which is quadratic in the subgroup order but has no generators to
-get wrong; tests require both to give the same subgroups in the same order.
+get wrong; tests require both to give the same subgroups, each compared
+as its set of slot image tuples, (w, i) -> w * n + k[w](i) for a tuple k
+of n-point permutations.
 """
 
 import itertools
 
 from treeball.errors import CapacityError
-from treeball.permcore import Perm, PowerSubgroup
+from treeball.permcore import Perm
 
 
 def power_subgroups(F, slots, count, act, cap=200_000):
     """The subgroups of the product of the `slots` (sorted element lists)
     that are invariant under F's permute-and-conjugate action when `act`,
-    or all of them, sorted by (order, elements)."""
+    or all of them, each as the set of its members' slot image tuples."""
     total = 1
     for s in slots:
         total *= len(s)
@@ -61,6 +63,6 @@ def power_subgroups(F, slots, count, act, cap=200_000):
                 queue.append(K2)
         if len(found) > 10_000:
             raise CapacityError("too many invariant subgroups")
-    out = [PowerSubgroup(tuple(sorted(K))) for K in found]
-    out.sort(key=lambda P: (P.order, P.elements))
-    return out
+    n = slots[0][0].degree
+    return {frozenset(tuple(w * n + x for w, p in enumerate(k)
+                            for x in p.images) for k in K) for K in found}

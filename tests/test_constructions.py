@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import brute_extension
 import reclosing
+from element_radius2 import twist_group
 from test_class_fibers import drawn_group
 from treeball import constructions, errors, full_aut, permcore
 from treeball.balls import BallAut, BallGroup, ball_compatible, ball_points
@@ -128,17 +129,14 @@ def test_parity_lift_rejects_non_homomorphic_weights(s3):
 
 def test_split_lifts_recover_the_known_groups(s3, gamma_s3, pi_both, phi_s3):
     diag_twist = (FIX[0], FIX[1], FIX[2])
-    even = [id_tuple(),
-            (FIX[0], FIX[1], IDENT),
-            (FIX[0], IDENT, FIX[2]),
-            (IDENT, FIX[1], FIX[2])]
+    even = [(FIX[0], FIX[1], IDENT), (FIX[0], IDENT, FIX[2])]
     full = [tuple(FIX[w] if b & (1 << w) else IDENT for w in range(3))
-            for b in range(8)]
+            for b in (1, 2, 4)]
     lifts = {
-        1: build_split_lift(s3, [id_tuple()]),
-        2: build_split_lift(s3, [id_tuple(), diag_twist]),
-        4: build_split_lift(s3, even),
-        8: build_split_lift(s3, full),
+        1: build_split_lift(s3, twist_group([id_tuple()])),
+        2: build_split_lift(s3, twist_group([diag_twist])),
+        4: build_split_lift(s3, twist_group(even)),
+        8: build_split_lift(s3, twist_group(full)),
     }
     assert [lifts[k].order for k in (1, 2, 4, 8)] == [6, 12, 24, 48]
     assert set(lifts[1].elements) == set(gamma_s3.elements)
@@ -150,11 +148,11 @@ def test_split_lifts_recover_the_known_groups(s3, gamma_s3, pi_both, phi_s3):
 
 def test_split_lift_hypothesis_failures(s3):
     with pytest.raises(HypothesisError):
-        build_split_lift(s3, [id_tuple(), (FIX[1], FIX[0], IDENT)])
+        build_split_lift(s3, twist_group([(FIX[1], FIX[0], IDENT)]))
     with pytest.raises(HypothesisError):
-        build_split_lift(s3, [id_tuple(), (FIX[0], IDENT, IDENT)])
-    with pytest.raises(HypothesisError):
-        build_split_lift(s3, [(FIX[0], FIX[1], FIX[2])])
+        build_split_lift(s3, twist_group([(FIX[0], IDENT, IDENT)]))
+    with pytest.raises(TypeError, match="^expected a PermGroup$"):
+        build_split_lift(s3, [id_tuple(), (FIX[0], FIX[1], FIX[2])])
 
 
 def _block_lift(F, blocks):
@@ -281,24 +279,20 @@ def _extension_outcome(build, cocycle, kernel):
     """The error a build raises, by type and text, or its group."""
     try:
         group = build(cocycle, kernel)
-    except (HypothesisError, ValueError) as err:
+    except (HypothesisError, TypeError) as err:
         return type(err).__name__, str(err)
     return ([a.images for a in group.elements],
             [g.images for g in group.generators])
 
 
 def _odd_kernels(pi_one):
-    """Kernels that each fail one clause before the views are read."""
-    ident = BallAut.identity(3, 3)
+    """Kernels that each fail one clause before the views are read, and an
+    element list, which is no group."""
     lifted = find_involutive_cocycles(pi_one)[0].section(pi_one.elements[1])
-    hidden = _order_two_kernel().elements[1]
-    other = next(k for k in build_full_lift(pi_one).projection_kernel()
-                 if k not in (ident, hidden))
     return {
-        "wrong radius": [BallAut.identity(3, 2)],
-        "not inner": [ident, lifted],
-        "not a subgroup": [ident, hidden, other],
-        "empty": [],
+        "wrong radius": BallGroup.generated([], 3, 2),
+        "not inner": BallGroup.generated([lifted]),
+        "no group": list(_order_two_kernel().elements),
     }
 
 
@@ -306,10 +300,10 @@ def test_cocycle_extensions_match_the_element_by_element_reference(
         census_rows, gamma_s3, pi_one):
     # every (cocycle, kernel subgroup) pair the rigid-lift search meets,
     # the hidden swap against both groups it is tried on, and kernels
-    # planted to fail a clause; each once more as a plain list, which keeps
-    # nothing, so that every verdict a kernel group keeps is made afresh.
-    # None of these reaches the inversion clause of (b); the degree-5
-    # witness below does.
+    # planted to fail a clause; each once more as a copy of the group with
+    # its cache empty, so that every verdict a kernel group keeps is made
+    # afresh. None of these reaches the inversion clause of (b); the
+    # degree-5 witness below does.
     pairs = []
     for row in census_rows:
         if row.has_cocycle:
@@ -321,8 +315,9 @@ def test_cocycle_extensions_match_the_element_by_element_reference(
     for coc in find_involutive_cocycles(pi_one) + find_involutive_cocycles(
             gamma_s3):
         pairs.extend((coc, k) for k in odd)
-    pairs += [(coc, list(k.elements) if hasattr(k, "elements") else k)
-              for coc, k in pairs]
+    pairs += [(coc, BallGroup(*k._shape(), None, k.generators,
+                              _table=k._table)) for coc, k in pairs
+              if isinstance(k, BallGroup)]
     texts = set()
     for coc, kernel in pairs:
         got = _extension_outcome(build_cocycle_extension, coc, kernel)
@@ -333,10 +328,9 @@ def test_cocycle_extensions_match_the_element_by_element_reference(
         "built",
         "kernel elements must live one radius up",
         "kernel elements must restrict to the identity inside",
-        "the kernel must be a subgroup",
         "the lifted group must normalize the kernel",
         "kernel views must lie in the base group",
-        "element set is not a group",
+        "expected a BallGroup",
     }
 
 
@@ -774,7 +768,7 @@ KNOWN_ORDER_BUILDS = {
         "cocycle extension", 48, (3, 3), (permcore, "_close"),
         lambda get: functools.partial(
             build_cocycle_extension, find_involutive_cocycles(
-                get("pi_one"))[0], list(_order_two_kernel().elements))),
+                get("pi_one"))[0], _order_two_kernel())),
     "wreath": ("wreath extension", 32, (4, 2), (permcore, "_close"),
                lambda get: functools.partial(
                    build_wreath_local, PermGroup.cyclic(2),
@@ -795,8 +789,8 @@ KNOWN_ORDER_BUILDS = {
                                       get("s3").stabilizer(0))),
     "split lift": (
         "split lift", 12, (3, 2), (constructions, "_glue_fibers"),
-        lambda get: functools.partial(build_split_lift, get("s3"),
-                                      [id_tuple(), (FIX[0], FIX[1], FIX[2])])),
+        lambda get: functools.partial(build_split_lift, get("s3"), twist_group(
+            [(FIX[0], FIX[1], FIX[2])]))),
 }
 
 

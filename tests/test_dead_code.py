@@ -26,6 +26,11 @@ kernel) is cut from the parent's packed table, and the full ball group and
 the seam groups are closed from generators, making no element list, so
 src/ calls ``from_elements`` only where FROM_ELEMENTS_CALLERS says: on an
 element list read from outside the library.
+
+Every argument that stands for a group is a group, so no function of src/
+takes a group or an element list alike: no ``hasattr(x, "elements")`` test
+and no ``x.elements if isinstance(x, ...) else x`` choice, which would open
+a second way in for element lists.
 """
 
 import ast
@@ -210,6 +215,29 @@ def from_elements_callers(root=SRC):
     return out
 
 
+def element_list_coercions(root=SRC):
+    """`module:line` of each group-or-list coercion under `root`: a
+    ``hasattr(x, "elements")`` call, or a conditional expression that
+    reads ``.elements`` when an ``isinstance`` test holds."""
+    out = []
+    for path in sorted(root.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                found = (getattr(node.func, "id", None) == "hasattr"
+                         and len(node.args) == 2
+                         and getattr(node.args[1], "value", None)
+                         == "elements")
+            else:
+                found = (isinstance(node, ast.IfExp)
+                         and getattr(node.body, "attr", None) == "elements"
+                         and isinstance(node.test, ast.Call)
+                         and getattr(node.test.func, "id", None)
+                         == "isinstance")
+            if found:
+                out.append((path.name, node.lineno))
+    return ["%s:%d" % at for at in sorted(out)]
+
+
 def test_every_private_definition_is_used_in_the_library():
     assert unreferenced_private_definitions() == []
 
@@ -274,3 +302,20 @@ def test_the_guard_sees_a_call_of_from_elements(tmp_path):
         "def named():\n    return {\"v\": lambda: from_elements(())}\n\n\n"
         "from_elements = G.from_elements\n")
     assert from_elements_callers(tmp_path) == ["a.G.cut", "a.named"]
+
+
+def test_no_argument_is_a_group_or_an_element_list():
+    assert element_list_coercions() == []
+
+
+def test_the_guard_sees_a_group_or_list_coercion(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def one(kernel):\n"
+        "    return list(kernel.elements if hasattr(kernel, \"elements\")\n"
+        "                else kernel)\n\n\n"
+        "def two(center, Group):\n"
+        "    return set(center.elements if isinstance(center, Group)\n"
+        "               else center)\n\n\n"
+        "def fine(group):\n"
+        "    return hasattr(group, \"order\") and group.elements\n")
+    assert element_list_coercions(tmp_path) == ["a.py:2", "a.py:7"]

@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +26,7 @@ from treeball.constructions import build_full_lift
 from treeball.errors import CapacityError, HypothesisError
 from treeball.permcore import (Perm, PermGroup, _lattice_table,
                                _power_subgroups_generic, _power_subgroups_gf2,
+                               _slot_images, _slot_twists,
                                _subgroup_sets_brute,
                                _subgroup_sets_by_prime_extension,
                                all_subgroups, are_conjugate_in, center,
@@ -455,6 +457,13 @@ def _reflection_fixing_zero(p):
     return Perm(tuple((p - i) % p for i in range(p)))
 
 
+def _image_sets(subgroups):
+    """Power subgroups, as groups or as a route's tables of byte packs,
+    each as the set of its members' slot image tuples."""
+    return {frozenset(k.images for k in P.elements) if isinstance(P, PermGroup)
+            else frozenset(map(tuple, P)) for P in subgroups}
+
+
 def _brute_power_subgroups(F, slot_groups):
     """Every subset of the slot product closed under products and under F's
     permute-and-conjugate action, by filtering all subsets."""
@@ -507,7 +516,8 @@ def test_invariant_power_subgroups_brute_force_cross_check():
         slot_groups.append([f * h * fi for h in H.elements])
     brute = _brute_power_subgroups(D, slot_groups)
     assert len(brute) == len(found)
-    assert {frozenset(k.elements) for k in found} == set(brute)
+    assert _image_sets(found) == {frozenset(map(_slot_images, K))
+                                  for K in brute}
 
 
 @pytest.mark.parametrize("H, count, total", [
@@ -521,7 +531,8 @@ def test_trivial_action_power_subgroups_brute_force_cross_check(H, count,
     found = invariant_subgroups_of_power(trivial, H, count)
     brute = _brute_power_subgroups(trivial, [H.elements] * count)
     assert len(found) == len(brute) == total
-    assert {frozenset(k.elements) for k in found} == set(brute)
+    assert _image_sets(found) == {frozenset(map(_slot_images, K))
+                                  for K in brute}
 
 
 def _power_case(F, H, count):
@@ -554,18 +565,55 @@ def test_power_subgroups_match_the_pairwise_closure(case):
     # the generic route, and the GF(2) one where invariant_subgroups_of_power
     # would take it, against re-closing every subgroup element by element
     found = _power_subgroups_generic(*case)
-    assert found == pairwise_power.power_subgroups(*case)
-    assert found[0].order == 1 and len(found) > 1
+    assert _image_sets(found) == pairwise_power.power_subgroups(*case)
+    assert min(map(len, found)) == 1 and len(found) > 1
     if case[3] and all(len(s) == 2 for s in case[1]):
-        assert _power_subgroups_gf2(*case[:3]) == found
+        assert _image_sets(_power_subgroups_gf2(*case[:3])) == _image_sets(
+            found)
 
 
-def test_power_subgroups_refuse_a_slot_product_past_its_cap():
-    # the product of the slot sizes is known before any tuple is made
-    slots = [[Perm.identity(3)] * 100] * 3
-    with pytest.raises(CapacityError, match=r"^slot product order 1000000 "
+def _no_search(monkeypatch):
+    # fail any call of either route
+    def search(*args, **kw):
+        raise AssertionError("searched the slot product")
+
+    monkeypatch.setattr(permcore, "_power_subgroups_generic", search)
+    monkeypatch.setattr(permcore, "_power_subgroups_gf2", search)
+
+
+def test_power_subgroups_refuse_a_slot_product_past_its_cap(monkeypatch):
+    # |H|^count is decided before either route runs, |H| a slot at a time
+    _no_search(monkeypatch)
+    trivial = PermGroup.generated((), 5)
+    with pytest.raises(CapacityError, match=r"^slot product order 1728000 "
                        r"exceeds the cap of 200000$"):
-        _power_subgroups_generic(PermGroup.symmetric(3), slots, 3, act=True)
+        invariant_subgroups_of_power(trivial, PermGroup.symmetric(5), 3)
+
+
+@pytest.mark.parametrize("p, admitted", [(17, True), (18, False), (19, False)])
+def test_the_gf2_route_shares_the_slot_product_cap(p, admitted, monkeypatch):
+    # D_p on its reflections takes the GF(2) route, which scans all 2^p
+    # masks: 2^17 = 131,072 is admitted and 2^18 = 262,144 is not, refused
+    # at once, with the generic route's message
+    _no_search(monkeypatch)
+    D = PermGroup.dihedral(p)
+    H = PermGroup.generated([_reflection_fixing_zero(p)])
+    start = time.perf_counter()
+    if admitted:
+        with pytest.raises(AssertionError, match="searched the slot product"):
+            invariant_subgroups_of_power(D, H, p)
+    else:
+        with pytest.raises(CapacityError, match=r"^slot product order 262144 "
+                           r"exceeds the cap of 200000$"):
+            invariant_subgroups_of_power(D, H, p)
+    assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize("count", [0, -1])
+def test_power_subgroups_refuse_a_count_below_one(count):
+    trivial = PermGroup.generated((), 3)
+    with pytest.raises(HypothesisError, match="^count must be at least 1$"):
+        invariant_subgroups_of_power(trivial, PermGroup.cyclic(3), count)
 
 
 def test_power_subgroups_refuse_past_their_count_cap(monkeypatch):
@@ -585,8 +633,8 @@ def test_gf2_power_subgroups_at_seven_match_the_generic_route():
     case = _power_case(PermGroup.dihedral(7), PermGroup.from_elements(
         [Perm.identity(7), _reflection_fixing_zero(7)]), 7)
     found = _power_subgroups_gf2(*case[:3])
-    assert found == _power_subgroups_generic(*case)
-    assert [P.order for P in found] == [1, 2, 64, 128]
+    assert _image_sets(found) == _image_sets(_power_subgroups_generic(*case))
+    assert sorted(map(len, found)) == [1, 2, 64, 128]
 
 
 def test_invariant_power_subgroups_hypothesis_errors():
@@ -608,29 +656,29 @@ def test_invariant_power_subgroups_hypothesis_errors():
                                      PermGroup.generated([Perm((0, 2, 1))]), 3)
 
 
-def test_power_subgroup_membership_scans_its_elements():
+def test_power_subgroup_membership_reads_its_table():
+    # power subgroups are groups on the slot points, in (order, table)
+    # order, their members found by bisection
     H = PermGroup.from_elements(
         [Perm.identity(3), _reflection_fixing_zero(3)])
     found = invariant_subgroups_of_power(PermGroup.dihedral(3), H, 3)
     assert [P.order for P in found] == [1, 2, 4, 8]
+    assert all(P.is_subgroup_of(found[-1]) for P in found)
     diagonal, full = found[1], found[3]
     member = diagonal.elements[1]
-    assert member in diagonal
+    assert member in diagonal and member.degree == 9
+    # the diagonal's twist at each point is the reflection fixing it
+    assert [t(w) == w and not t.is_identity() for w, t in enumerate(
+        _slot_twists(member.images, 3))] == [True] * 3
     assert [k in diagonal for k in full.elements].count(True) == 2
-    assert member[:2] not in diagonal  # a tuple of the wrong length
-    # the NamedTuple's own test would find its one field
-    assert diagonal.elements not in diagonal
+    assert Perm(member.images[:3]) not in diagonal  # one slot's degree
 
 
 @pytest.mark.parametrize("n", [4, 5])
 def test_power_subgroups_refuse_a_slot_its_stabilizer_moves(n, monkeypatch):
     # <(1 2)> lies in the stabilizer of 0 in S_n but is not normal there, so
     # S_n's action leaves the slot product: refused before any search
-    def search(*args, **kw):
-        raise AssertionError("searched the slot product")
-
-    monkeypatch.setattr(permcore, "_power_subgroups_generic", search)
-    monkeypatch.setattr(permcore, "_power_subgroups_gf2", search)
+    _no_search(monkeypatch)
     H = PermGroup.generated([Perm.from_cycles(n, [(1, 2)])])
     with pytest.raises(HypothesisError, match="^H must be normalized by the "
                        "stabilizer of its fixed point$"):

@@ -16,8 +16,7 @@ from treeball.constructions import (Tower, TowerCertificate, TowerLevel,
                                     build_wreath_local)
 from treeball.documents import GroupDocument, document_from_group
 from treeball.errors import DocumentError
-from treeball.permcore import (ActionReport, Perm, PermGroup, PowerSubgroup,
-                               classify_action, invariant_subgroups_of_power)
+from treeball.permcore import ActionReport, Perm, PermGroup, classify_action
 
 
 def test_import_loads_neither_dataclasses_nor_click():
@@ -73,14 +72,12 @@ def test_document_carries_elements_or_generators(parts):
 @pytest.fixture(scope="module")
 def records(census_rows, gamma_s3, flips6):
     d3 = PermGroup.dihedral(3)
-    flip = PermGroup.from_elements([Perm.identity(3), Perm((0, 2, 1))])
     built = build_tower(flips6, "pinned-orbit", 2)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(errors, "TABLE_CELLS", 1)  # level 2 is only certified
         certified = build_tower(flips6, "pinned-orbit", 2)
     return {
         ActionReport: classify_action(d3),
-        PowerSubgroup: invariant_subgroups_of_power(d3, flip, 3)[-1],
         WreathLocal: build_wreath_local(PermGroup.cyclic(2),
                                         PermGroup.cyclic(2)),
         TowerCertificate: certified.levels[-1].certificate,
@@ -91,7 +88,7 @@ def records(census_rows, gamma_s3, flips6):
     }
 
 
-@pytest.mark.parametrize("kind", [ActionReport, PowerSubgroup, WreathLocal,
+@pytest.mark.parametrize("kind", [ActionReport, WreathLocal,
                                   TowerCertificate, TowerLevel, Tower,
                                   CensusRow, GroupDocument])
 def test_every_record_is_immutable(records, kind):
