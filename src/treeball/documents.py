@@ -5,8 +5,9 @@ each automorphism a flat vertex-image table over digit-string words, so of
 degree at most 10. Serialization sorts every key so equal documents produce
 identical bytes. Files are read and written as bytes. Up to 256 points one
 layout writes a group's packed table, and reads a text serialization could
-have written into one, by translates of whole columns; past that, and for
-any other text, both go through JSON, alike. An element list is closed
+have written into one, in place, by translates of whole columns; a text is
+canonical when rendering what was read gives it back. Past 256 points, and
+for any other text, both go through JSON, alike. An element list is closed
 once, no element made until read, and only the generators its closure
 picks are checked; if one fails, each table is, the first bad one named.
 """
@@ -142,9 +143,8 @@ def serialize_document(doc):
 def _serialized(doc):
     """json.dumps(..., sort_keys=True, indent=2) of the document, its tables
     as word maps, and a newline, in ASCII bytes. Up to 256 points the tables
-    are `_layout` skeletons, each image character column one translate of a
-    column of the packs (a group held alone gives its table), put in the
-    dump of the rest, where only top-level keys start a line two in."""
+    are `_rendered` from the packs (a group held alone gives its table), put
+    in the dump of the rest, where only top-level keys start a line two in."""
     _check_degree(doc.degree)
     key = "elements" if doc.generators is None else "generators"
     words = _word_strs(doc.degree, doc.radius)
@@ -155,18 +155,26 @@ def _serialized(doc):
             words.__getitem__, a.images))) for a in getattr(doc, key)]
         if wide else []}, sort_keys=True, indent=2) + "\n"
     auts = doc[2] if key == "elements" else doc.generators
-    images = b"" if wide else b"".join(
+    images = b"" if wide else bytearray().join(
         doc.group._table if auts is None else map(bytes, map(_images, auts)))
     if not images:
         return bytes(text, "ascii")
-    skeleton, depths, _, _, _, chars = _layout(doc.degree, doc.radius)
-    out = bytearray(skeleton) * (len(images) // n)
-    for offsets, char in zip(depths, chars):
-        for at, i in zip(offsets, range(n - len(offsets), n)):
-            out[at::len(skeleton)] = images[i::n].translate(char)
+    out = _rendered([images[i::n] for i in range(n)], doc.degree, doc.radius)
     head, _, tail = text.partition('\n  "%s": []' % key)
     out[-2:] = bytes("\n  ]" + tail, "ascii")  # in place: the text is one copy
     out[:0] = bytes('%s\n  "%s": [\n' % (head, key), "ascii")
+    return out
+
+
+def _rendered(columns, degree, radius):
+    """The text of tables whose images of point i are `columns[i]`: a
+    `_layout` skeleton each, each image character column one translate
+    (of a bytearray column, which a strided store takes uncopied)."""
+    skeleton, depths, _, _, _, chars = _layout(degree, radius)
+    out, size = bytearray(skeleton) * len(columns[0]), len(skeleton)
+    for offsets, char in zip(depths, chars):
+        for at, column in zip(offsets, columns[-len(offsets):]):
+            out[at::size] = column.translate(char)
     return out
 
 
@@ -243,62 +251,54 @@ def _header(body):
 
 def _read_canonical(data):
     """_read_json's reading of a text (str or bytes) serialize_document
-    could write, as packs, else None: the text must be ASCII, less its
-    tables json.dumps(..., sort_keys=True, indent=2) of itself, where '\n  "'
-    starts only top-level keys (JSON strings hold no raw newline), and its
-    tables, of at most 256 points, `_layout` skeletons with words of the
-    ball as images, read a column of t-th image characters at a time by a
-    translate and one multiply-add of columns as integers, which carries no
-    byte, in the one copy of the text that is made."""
-    if not data.isascii():
-        return None
-    data = (bytearray(data, "ascii") if isinstance(data, str)
-            else bytearray(data))
+    could write, as packs, else None: less its tables, json.dumps(...,
+    sort_keys=True, indent=2) of itself ('\n  "' starts only top-level keys:
+    JSON strings hold no raw newline); tables of at most 256 points, read in
+    place by strided slices, a translate and a multiply-add of columns as
+    integers (no byte carries). The text is canonical when `_rendered` gives
+    it back from what was read: no non-ASCII byte passes that or a decode."""
+    if isinstance(data, str):  # a non-ASCII str is no canonical text
+        data = bytes(data, "ascii") if data.isascii() else b""
     found = re.match(rb'\{\n(?:  .*\n)*?  "(elements|generators)": \[\n', data)
     end = found and data.rfind(b"\n  ]")
     if not found or end < found.end():
         return None
     key, head = str(found[1], "ascii"), found.end()
-    rest = data[:head - 1] + b"]" + data[end + 4:]
     try:  # the header passes before the layout, which lists every point
+        rest = str(data[:head - 1] + b"]" + data[end + 4:], "ascii")
         body = json.loads(rest)
         degree, radius, _ = _header(body)
         _check_ball_fits(degree, radius, len(data))
     except (ValueError, RecursionError):  # deep nesting raises the latter
         return None
-    if (bytes(json.dumps(body, sort_keys=True, indent=2) + "\n", "ascii")
-            != rest or len(_word_strs(degree, radius)) > 256):
-        return None
+    if (json.dumps(body, sort_keys=True, indent=2) + "\n" != rest
+            or len(_word_strs(degree, radius)) > 256
+            or (end + 2 - head) % len(_layout(degree, radius)[0])):
+        return None  # the tables, and a last ",\n", are whole skeletons
     skeleton, depths, digit, steps, places, _ = _layout(degree, radius)
     size, n = len(skeleton), len(depths[0])
-    data[end:] = b",\n"
-    del data[:head]
-    count, extra = divmod(len(data), size)
-    if extra:
-        return None
-    zeros, columns, inner = bytes(count), [], 0
+    count, columns, inner = (end + 2 - head) // size, [], 0
     for offsets, step, place, outer in zip(depths, steps, places,
                                            depths[1:] + [()]):
-        letters = b"".join([data[at::size] for at in offsets]).translate(digit)
-        for at in offsets:
-            data[at::size] = zeros
+        letters = b"".join([data[head + at:end:size] for at in offsets]
+                           ).translate(digit)
         if inner and 255 not in letters:  # codes p * degree + letter
             letters = (inner * degree + int.from_bytes(
                 letters, "big")).to_bytes(len(letters), "big")
-        index = letters.translate(step)  # a 255 stays: no code reaches it
-        if 255 in index:  # no letter, or a step back along the last edge
+        index = bytearray(letters.translate(step))  # no letter stays 255
+        if 255 in index:  # as does a step back along the last edge
             return None
         done = (len(offsets) - len(outer)) * count  # words of t + 1 letters
         columns += [index[k:k + count].translate(place)
                     for k in range(0, done, count)]
         inner = int.from_bytes(index[done:], "big")
-    if data != skeleton * count:
-        return None
-    packed = bytearray(n * count)
-    for i, column in enumerate(columns):
-        packed[i::n] = column
-    return (degree, radius, key, body.get("metadata", {}),
-            struct.unpack(("%ds" % n) * count, packed), None)
+    if data.startswith(memoryview(_rendered(columns, degree, radius))[:-2],
+                       head):  # the text is compared in place, not copied
+        packed = bytearray(n * count)
+        for i, column in enumerate(columns):
+            packed[i::n] = column
+        return (degree, radius, key, body.get("metadata", {}),
+                struct.unpack(("%ds" % n) * count, packed), None)
 
 
 def _read_json(text):

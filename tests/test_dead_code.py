@@ -31,6 +31,11 @@ Every argument that stands for a group is a group, so no function of src/
 takes a group or an element list alike: no ``hasattr(x, "elements")`` test
 and no ``x.elements if isinstance(x, ...) else x`` choice, which would open
 a second way in for element lists.
+
+documents.py renders tables as text in one routine, which the writer and
+the canonical reader share: only it stores a ``.translate(...)`` of a
+column into a strided slice (``out[at::size] = column.translate(char)``),
+so a reader cannot check a text by a rendering of its own.
 """
 
 import ast
@@ -238,6 +243,31 @@ def element_list_coercions(root=SRC):
     return ["%s:%d" % at for at in sorted(out)]
 
 
+class _ColumnFills(_Callers):
+    """The qualified name of the function around each store of a
+    ``.translate(...)`` into a strided slice; no call is counted."""
+
+    def visit_Call(self, node):
+        self.generic_visit(node)
+
+    def visit_Assign(self, node):
+        if (isinstance(node.value, ast.Call)
+                and getattr(node.value.func, "attr", None) == "translate"
+                and any(isinstance(t, ast.Subscript)
+                        and isinstance(t.slice, ast.Slice)
+                        and t.slice.step is not None for t in node.targets)):
+            self.found.append(".".join(self.scope))
+        self.generic_visit(node)
+
+
+def column_fills(path):
+    """`module.Qualified.name` of the function around each layout column
+    fill in the source file `path`, one entry a fill."""
+    fills = _ColumnFills(path.stem, None)
+    fills.visit(ast.parse(path.read_text(encoding="utf-8")))
+    return fills.found
+
+
 def test_every_private_definition_is_used_in_the_library():
     assert unreferenced_private_definitions() == []
 
@@ -319,3 +349,26 @@ def test_the_guard_sees_a_group_or_list_coercion(tmp_path):
         "def fine(group):\n"
         "    return hasattr(group, \"order\") and group.elements\n")
     assert element_list_coercions(tmp_path) == ["a.py:2", "a.py:7"]
+
+
+def test_one_routine_renders_the_tables_for_the_writer_and_the_reader():
+    path = SRC / "documents.py"
+    assert column_fills(path) == ["documents._rendered"]
+    callers = _Callers("documents", "_rendered")
+    callers.visit(ast.parse(path.read_text(encoding="utf-8")))
+    assert sorted(callers.found) == ["documents._read_canonical",
+                                     "documents._serialized"]
+
+
+def test_the_guard_sees_a_second_column_fill(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def write(out, images, size, n, chars):\n"
+        "    for at in range(n):\n"
+        "        out[at::size] = images[at::n].translate(chars)\n\n\n"
+        "def read(data, size, n, chars):\n"
+        "    packed, out = bytearray(n), bytearray(data)\n"
+        "    packed[0::n] = data[0::size]\n"
+        "    out[0:size] = data[0:size].translate(chars)\n"
+        "    out[1::size] = data[1::size].translate(chars)\n"
+        "    return packed, out\n")
+    assert column_fills(tmp_path / "a.py") == ["a.write", "a.read"]

@@ -9,6 +9,7 @@ import resource
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +22,7 @@ from test_flat_balls import perturb
 import treeball
 from treeball import cli, documents, permcore
 from treeball.balls import BallAut, BallGroup, ball_points
-from treeball.constructions import radius_one
+from treeball.constructions import build_full_lift, radius_one
 from treeball.documents import (GroupDocument, _word_str, document_from_group,
                                 group_from_document, load_document,
                                 parse_document, serialize_document)
@@ -530,12 +531,70 @@ def test_every_changed_character_reads_as_through_json(shape, payload,
     with monkeypatch.context() as mp:
         mp.setattr(documents, "_element_tuples", _refuse)
         mp.setattr(documents, "_parse_aut", _refuse)
-        read = [_read(t) for t in texts[-2:]]  # through the layout
-        assert [_read(bytes(t, "utf-8")) for t in texts[-2:]] == read
-    read = [_read(t) for t in texts[:-2]] + read
+        layout = [_read(t) for t in texts[-2:]]  # through the layout
+        assert [_read(bytes(t, "utf-8")) for t in texts[-2:]] == layout
+    read = assert_read_as_through_json(texts, monkeypatch)
+    assert read[-2:] == layout
+    assert sum(isinstance(r, tuple) for r in read) > 2
+
+
+def assert_read_as_through_json(texts, monkeypatch):
+    """The readings of `texts`, each read alike as a str, as its UTF-8
+    bytes, and through JSON alone: the oracle."""
+    read = [_read(t) for t in texts]
     assert [_read(bytes(t, "utf-8")) for t in texts] == read
-    monkeypatch.setattr(documents, "_read_canonical", lambda text: None)
-    assert [_read(t) for t in texts] == read
+    with monkeypatch.context() as mp:
+        mp.setattr(documents, "_read_canonical", lambda text: None)
+        assert [_read(t) for t in texts] == read
+    return read
+
+
+def _edited(text, places, inserts):
+    """`text` with the character at each of `places` deleted, and with each
+    of `inserts` put in before it and in its place."""
+    out = []
+    for i in places:
+        out.append(text[:i] + text[i + 1:])
+        out += [text[:i] + c + text[i + cut:] for c in inserts
+                for cut in (0, 1) if not cut or c != text[i]]
+    return out
+
+
+#: what is put in before or for a character by the edits below
+INSERTS = ["1", "\n", ","]
+
+
+@pytest.mark.parametrize("shape, payload", [
+    ("degree 3 radius 2", "elements"), ("degree 3 radius 2", "generators"),
+    ("degree 4 radius 1", "elements"), ("degree 4 radius 1", "generators"),
+    ("degree 3 radius 3", "generators")])
+def test_every_edit_of_the_tables_reads_as_through_json(shape, payload, s3,
+                                                        gamma_s3,
+                                                        monkeypatch):
+    # the table count comes from the length of the untouched text, so a
+    # deleted or inserted character anywhere in the tables, the last one
+    # or the closing "\n  ]" must be declined or read as JSON reads it;
+    # radius 3 takes the multiply-add of columns across three spheres
+    group = {"degree 3 radius 2": gamma_s3,
+             "degree 4 radius 1": radius_one(permcore.PermGroup.dihedral(4)),
+             "degree 3 radius 3": build_full_lift(s3, 3)}[shape]
+    text = serialize_document(document_from_group(group,
+                                                  payload == "generators"))
+    head, end = text.index("[\n") + 2, text.rindex("\n  ]")
+    places = range(head, end + 4)
+    if len(text) > 4000:  # a sample, and the last table's end and the
+        places = sorted(set(random.Random(0).sample(places, 150))  # "\n  ]"
+                        | set(range(end - 24, end + 4)))
+    texts = _edited(text, places, INSERTS)
+    # the metadata with a raw non-ASCII character: JSON reads it, and the
+    # layout declines it as a str and as bytes, ahead of the tables
+    raw = text.replace('"metadata": {}', '"metadata": {"note": "\u00e9"}')
+    assert documents._read_canonical(raw) is None
+    assert documents._read_canonical(bytes(raw, "utf-8")) is None
+    assert documents._read_canonical(text) is not None
+    read = assert_read_as_through_json(texts + [text, raw], monkeypatch)
+    assert read[-1][1] == {"note": "\u00e9"}
+    assert read[-1][2:] == read[-2][2:]  # the original's group
     assert sum(isinstance(r, tuple) for r in read) > 2
 
 
@@ -640,3 +699,21 @@ def test_check_c_makes_no_element_for_each_table(tmp_path, monkeypatch):
     [group] = groups
     assert group.order == 3072 and group._elements is None
     assert len(made) < 3072 // 16
+
+
+def test_a_canonical_read_makes_no_copy_of_its_text(s3):
+    # the radius-3 full lift of S3, 3,072 tables in 1.25 MB: the layout
+    # reads the bytes in place, and its one rendering to compare them with
+    # is the only buffer as long as the text
+    data = bytes(serialize_document(document_from_group(
+        build_full_lift(s3, 3))), "ascii")
+    parse_document(data)  # the layout and the word tables are cached
+    tracemalloc.start()
+    try:
+        doc = parse_document(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = len(data)
+    assert doc.group.order == 3072
+    assert peak / size <= 1.5
