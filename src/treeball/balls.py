@@ -183,6 +183,15 @@ def _assembly_table(degree, radius, k):
     return sites, tails, reach
 
 
+@functools.lru_cache(maxsize=None)
+def _step_rows(degree, radius):
+    """Each inner vertex's neighbours by word, points 0..d-1 at the center
+    and its radius-1 `_assembly_table` row elsewhere: a step action sends
+    each label to the last letter of that neighbour's image."""
+    return dict(zip(((),) + ball_points(degree, radius - 1), (
+        range(degree),) + _assembly_table(degree, radius, 1)[2]))
+
+
 def _site_points(reach, tail, at, chart):
     """A chart's images of the `tail` points, moved out from point `at`."""
     return _getter(tail(chart.images))(reach[at])
@@ -364,17 +373,12 @@ class BallAut(Element):
         return a.project(radius)
 
     def step_action(self, vertex):
-        """``local_action(vertex, 1).root`` for an inner vertex, read off the
-        assembly table: the last letters of the images of its neighbours."""
+        """``local_action(vertex, 1).root`` for an inner vertex: the last
+        letters of the images of its neighbours (`_step_rows`)."""
         vertex = tuple(vertex)
-        if not vertex:
-            return self.level1()
-        i = _point_index(self.degree, self.radius - 1).get(vertex)
-        if i is None:
+        row = _step_rows(self.degree, self.radius).get(vertex)
+        if row is None:
             raise ValueError("not an inner vertex of the ball: %r" % (vertex,))
-        # the letter back to the parent reaches the vertex itself, whose
-        # image ends in where that label goes
-        row = _assembly_table(self.degree, self.radius, 1)[2][i]
         pts, im = ball_points(self.degree, self.radius), self.images
         return Perm._raw(tuple([pts[im[j]][-1] for j in row]))
 

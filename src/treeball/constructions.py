@@ -37,10 +37,10 @@ from .balls import (
     _glue_fibers,
     _glue_images,
     _root_and_chart,
+    _step_rows,
     ball_compatible,
     ball_points,
     full_aut_order,
-    words_of_length,
 )
 from .compat import (
     CompatCocycle,
@@ -215,9 +215,9 @@ def build_parity_lift(F, weight, modulus, spheres, radius=None):
     """Full lift filtered by a weight balance over chosen spheres.
 
     `weight` maps every element of F to an integer, additively modulo
-    `modulus`, and must be a homomorphism. An extension belongs to the result
-    when the weights of its one-step local actions at all vertices on the
-    chosen spheres sum to zero. Sphere 0 is the center.
+    `modulus` >= 1, and must be a homomorphism. An extension belongs to the
+    result when the weights of its one-step local actions at all vertices
+    on the chosen spheres sum to zero. Sphere 0 is the center.
     """
     spheres = sorted(set(spheres))
     if not spheres or spheres[0] < 0:
@@ -226,17 +226,21 @@ def build_parity_lift(F, weight, modulus, spheres, radius=None):
         radius = spheres[-1] + 1
     if radius < spheres[-1] + 1:
         raise HypothesisError("radius must see one step past every sphere")
-    for a in F.elements:
-        if a not in weight:
-            raise HypothesisError("weight must be defined on all of F")
-        for b in F.elements:
-            if (weight[a * b] - weight[a] - weight[b]) % modulus:
-                raise HypothesisError("weight must be a homomorphism")
-    ambient = build_full_lift(F, radius=radius)
-    vertices = [v for r in spheres for v in words_of_length(F.degree, r)]
-    return ambient._of_table(ambient._shape(), [
-        t for t, alpha in zip(ambient._table, ambient.elements)
-        if sum(weight[alpha.step_action(v)] for v in vertices) % modulus == 0])
+    if modulus < 1:
+        raise HypothesisError("modulus must be at least 1")
+    if not all(a in weight for a in F.elements):
+        raise HypothesisError("weight must be defined on all of F")
+    if any((weight[a * g] - weight[a] - weight[g]) % modulus
+           for a in F.elements for g in F.generators):
+        raise HypothesisError("weight must be a homomorphism")
+    ambient, d = build_full_lift(F, radius=radius), F.degree
+    near = _getter([j for v, row in _step_rows(d, radius).items()
+                    if len(v) in spheres for j in row])
+    letter = [v[-1] for v in ball_points(d, radius)].__getitem__
+    step = {a.images: weight[a] for a in F.elements}.__getitem__
+    return ambient._of_table(ambient._shape(), [  # d letters a step action
+        t for t in ambient._table if not sum(map(step, zip(*[map(
+            letter, near(ambient._kind[1][1](t)))] * d))) % modulus])
 
 
 def build_split_lift(F, kernel):

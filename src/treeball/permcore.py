@@ -14,10 +14,11 @@ answers membership, by bisection, and equality and hashing, as a tuple;
 element objects are made from it only when a group's `elements` are read.
 `FiniteGroup` holds what needs only products, inverses and image tuples:
 three ways to build a group (`generated` over the one closure, and
-`from_elements` and a table's subgroup or image, `_of_table`, over the one
-greedy), containers, transitivity by one orbit walk, the subgroup lattice,
-conjugacy classes and one subgroup conjugacy test, pairwise on generators;
-`PermGroup` adds the point actions, and `balls.BallGroup` the ball views.
+`from_elements` and `_of_table`, a cut of a table's packs such as a center
+or a lattice member, over the one greedy), containers, transitivity by one
+orbit walk, the subgroup lattice, conjugacy classes and one subgroup
+conjugacy test, pairwise on generators; `PermGroup` adds the point
+actions, and `balls.BallGroup` the ball views.
 The answers feed frozen regression values, so determinism comes first.
 """
 
@@ -312,11 +313,12 @@ class FiniteGroup:
     containers, the lattice, conjugacy classes and one subgroup conjugacy
     test, pairwise on generators. `generated` closes generators, and the
     greedy picks those of `from_elements`, which sorts and packs an element
-    list, and of `_of_table`, a subgroup or image cut from a table; each
-    makes elements once ``elements`` is read. The constructor keeps element
-    objects it is given, sorted, each once. A subclass names its element
-    class ``_element`` and supplies ``degree`` and ``_shape()``, the element
-    shape and the leading arguments of its constructor.
+    list, and of `_of_table`, a subgroup or image cut from a table's packs,
+    as lattice members, centers and parity lifts are; each makes elements
+    once ``elements`` is read. The constructor keeps element objects it is
+    given, sorted, each once. A subclass names its element class
+    ``_element`` and supplies ``degree`` and ``_shape()``, the element shape
+    and the leading arguments of its constructor.
     """
 
     __slots__ = ("_elements", "_table", "generators", "_cache", "_kind")
@@ -549,21 +551,6 @@ def _fixes_a_point(g):
     return any(x == i for i, x in enumerate(g.images))
 
 
-def _greedy(candidates, e, target, grow):
-    """The generating-set greedy: each candidate, in order, outside the
-    closure of those kept before it is kept, and `grow` (`_grow` with its
-    product and bounds) grows that closure, from the identity `e`, by it
-    alone, until it holds `target` members. A refused step means a product
-    left the candidates: ValueError("element set is not a group")."""
-    gens, members, seen = [], [e], {e}
-    for x in candidates:
-        if len(seen) == target:
-            break
-        if x not in seen and not grow(members, seen, gens, x):
-            raise ValueError("element set is not a group")
-    return gens
-
-
 def small_generating_set_of(elements, identity):
     """Greedy generating set of an element list, which must be a group:
     `_table_generators` over their packs, in list order."""
@@ -573,16 +560,22 @@ def small_generating_set_of(elements, identity):
 
 
 def _table_generators(packs, identity):
-    """`_greedy` over a list of packs (`_codec`) in list order, which a
-    sorted list such as a group's table makes canonical, with products only
-    inside the list: so the closure doubles as the group check and keeps
-    the list's own packs. Like _close, it serves both element kinds."""
+    """The one generating-set greedy, over a list of packs (`_codec`) in
+    list order, which a sorted list such as a group's table makes canonical:
+    each pack outside the closure of those kept before it is kept, and
+    `_grow` grows that closure by it alone, with products only inside the
+    list. So the closure doubles as the group check (ValueError when a
+    product leaves the list) and keeps the list's own packs."""
     pack, unpack, by = _codec(len(identity.images))
     within, e = dict(zip(packs, packs)), pack(identity.images)
     if e not in within:
         raise ValueError("element set is not a group")
-    gens = _greedy(packs, e, len(within),
-                   functools.partial(_grow, within=within.get, by=by))
+    gens, members, seen = [], [e], {e}
+    for x in packs:
+        if len(seen) == len(within):
+            break
+        if not _grow(members, seen, gens, x, within=within.get, by=by):
+            raise ValueError("element set is not a group")
     return tuple([identity._from(unpack(g)) for g in gens]) or (identity,)
 
 
@@ -729,9 +722,11 @@ def conjugacy_classes(G):
 
 
 def center(G):
-    return G._of_table(G._shape(), [t for t, x in zip(G._table, G.elements)
-                                    if all(x * g == g * x
-                                           for g in G.generators)])
+    """The packs x with x * g = g * x, each side one `_codec` product."""
+    pack, _, by = G._kind[1]
+    gens = [(g, by(g)) for g in (pack(g.images) for g in G.generators)]
+    return G._of_table(G._shape(), [x for x in G._table if all(
+        by(x)(g) == left(x) for g, left in gens)])
 
 
 # ---------------------------------------------------------------------------
@@ -757,19 +752,12 @@ class _Table:
         self.e = 0
         self._rows = [row.__getitem__ for row in self.mul]
 
-    def _grow(self, members, seen, gens, x):
-        # Dimino's step on indices and left cosets: row g is y -> g * y
-        return _grow(members, seen, gens, x, by=self._rows.__getitem__)
-
     def close(self, seed):
+        # Dimino's step on indices and left cosets: row g is y -> g * y
         members, seen, gens = [self.e], {self.e}, []
         for x in seed:
-            self._grow(members, seen, gens, x)
+            _grow(members, seen, gens, x, by=self._rows.__getitem__)
         return frozenset(seen)
-
-    def generators(self, members):
-        """The generating-set greedy on a subgroup's ascending indices."""
-        return _greedy(members, self.e, len(members), self._grow) or [self.e]
 
 
 def _lattice_table(G):
@@ -791,12 +779,9 @@ def all_subgroups(G):
     found = _subgroup_sets_by_prime_extension(t, G.order)
     if frozenset(range(G.order)) not in found:  # G is not solvable
         found = _subgroup_sets_brute(t)
-    # ascending indices are the sorted element order, so sort index lists;
-    # each subgroup takes its packs from G's table
-    pick, pack = t.elements.__getitem__, G._table.__getitem__
-    out = [type(G)(*G._shape(), tuple(map(pick, S)),
-                   list(map(pick, t.generators(S))),
-                   _table=tuple(map(pack, S)))
+    # ascending indices are the sorted pack order, so each subgroup is cut
+    # from the packs of its sorted index list
+    out = [G._of_table(G._shape(), list(map(G._table.__getitem__, S)))
            for S in sorted(map(sorted, found), key=lambda S: (len(S), S))]
     G._cache[key] = out
     return out

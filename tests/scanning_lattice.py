@@ -5,9 +5,12 @@ from the generators that built it and skips whole extensions once found.
 The version here tests every element of the group for normality against
 every element of the subgroup, and tries one element per coset of the
 normalizer, which is slower but has no bookkeeping to get wrong; tests
-require both to give the same index sets.
+require both to give the same index sets. Its generating-set greedy on
+table indices is the route lattice members once took their generators by;
+tests require the packs' greedy to pick the same ones.
 """
 
+from treeball import permcore
 from treeball.permcore import factorize
 
 
@@ -57,3 +60,17 @@ def subgroup_sets(t, order):
                     frontier.append(T)
                 break
     return found
+
+
+def generators(t, members):
+    """The generating-set greedy on a subgroup's ascending indices in the
+    Cayley table `t`: each index outside the closure of those kept before
+    it is kept, the closure grown by Dimino's step on the table's rows
+    (`permcore._grow`, looked up when called). The trivial group keeps its
+    identity index."""
+    gens, closed, seen = [], [t.e], {t.e}
+    for x in members:
+        if len(seen) == len(members):
+            break
+        permcore._grow(closed, seen, gens, x, by=t._rows.__getitem__)
+    return gens or [t.e]

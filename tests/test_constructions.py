@@ -127,6 +127,26 @@ def test_parity_lift_rejects_non_homomorphic_weights(s3):
         build_parity_lift(s3, sgn, 2, [2], radius=2)
 
 
+def test_parity_lift_refuses_partial_weights_and_moduli_below_one(s3):
+    sgn = {p: 0 if p.sign() == 1 else 1 for p in s3.elements}
+    # the identity, and the 3-cycle (0 1 2), which a product reaches
+    for missing in (Perm.identity(3), Perm((1, 2, 0))):
+        partial = {p: w for p, w in sgn.items() if p != missing}
+        with pytest.raises(HypothesisError, match="^weight must be defined "
+                           "on all of F$"):
+            build_parity_lift(s3, partial, 2, [1])
+    # partial and not additive: refused for being partial
+    bogus = {p: 1 for p in s3.elements if not p.is_identity()}
+    with pytest.raises(HypothesisError, match="defined on all of F"):
+        build_parity_lift(s3, bogus, 2, [1])
+    for modulus in (0, -2):
+        with pytest.raises(HypothesisError, match="^modulus must be at "
+                           "least 1$"):
+            build_parity_lift(s3, sgn, modulus, [1])
+    # modulo 1 every weight balances: the full lift
+    assert build_parity_lift(s3, sgn, 1, [1]) == build_full_lift(s3)
+
+
 def test_split_lifts_recover_the_known_groups(s3, gamma_s3, pi_both, phi_s3):
     diag_twist = (FIX[0], FIX[1], FIX[2])
     even = [(FIX[0], FIX[1], IDENT), (FIX[0], IDENT, FIX[2])]

@@ -5,8 +5,9 @@
 permutations, degree-3 ball automorphisms and Cayley-table rows the two must
 reach the same closures, give the same verdicts just below, at and above the
 group order and when only the members of a subgroup, or only the
-elements outside it, are allowed, and let the generating-set greedy
-keep the same generators.
+elements outside it, are allowed, and let the generating-set greedy, on
+packs or on table indices (`scanning_lattice.generators`), keep the same
+generators.
 """
 
 import random
@@ -16,6 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import element_closure
+import scanning_lattice
 from random_balls import random_ball_aut
 from treeball import full_aut, permcore
 from treeball.balls import BallAut
@@ -100,5 +102,5 @@ def test_coset_step_matches_on_ball_automorphisms(seed, radius, count):
        st.randoms(use_true_random=False))
 def test_coset_step_matches_on_table_rows(gens, rng):
     closed = _same_closures(gens, TABLE.e, rng, by=TABLE._rows.__getitem__)
-    new, old = _greedy(lambda: TABLE.generators(closed))
+    new, old = _greedy(lambda: scanning_lattice.generators(TABLE, closed))
     assert new == old

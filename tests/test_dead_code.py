@@ -32,6 +32,13 @@ takes a group or an element list alike: no ``hasattr(x, "elements")`` test
 and no ``x.elements if isinstance(x, ...) else x`` choice, which would open
 a second way in for element lists.
 
+A cut of a group's table reads the packs, not the elements: no
+``X._of_table(...)`` call reads ``X.elements`` in its arguments. And one
+greedy picks every generating set: the functions of src/ that run a
+closure step in a loop (a call of a name ending in ``grow``, so
+``_grow``, a method that wraps it or a step passed in) are those
+GROW_LOOPS lists, and the one greedy among them is `_table_generators`.
+
 documents.py renders tables as text in one routine, which the writer and
 the canonical reader share: only it stores a ``.translate(...)`` of a
 column into a strided slice (``out[at::size] = column.translate(char)``),
@@ -43,6 +50,7 @@ import pathlib
 import tokenize
 
 import treeball
+from treeball import permcore
 
 SRC = pathlib.Path(treeball.__file__).parent
 
@@ -67,6 +75,23 @@ PUBLIC_KEPT = {
     "CompatCocycle.z",
     "Tower.level",
     "PermGroup.orbit",
+}
+
+#: the functions of src/ that run a closure step in a loop, and what each
+#: closes
+GROW_LOOPS = {
+    # the closure of generators, of unknown order
+    "permcore._close",
+    # the one generating-set greedy: each pack outside the closure of those
+    # kept before it is kept
+    "permcore._table_generators",
+    # a seed's closure on Cayley-table rows, for the lattice's brute walk
+    "permcore._Table.close",
+    # the closure of the F-orbit of a power subgroup's generators
+    "permcore._power_subgroups_generic.invariant_closure",
+    # the cocycle search: one closure of lifts, a generator a level, and
+    # backtracking where it passes the group order or meets the kernel
+    "compat._searched_sections.descend",
 }
 
 #: the functions of src/ that may call ``from_elements``, and why each may
@@ -243,6 +268,51 @@ def element_list_coercions(root=SRC):
     return ["%s:%d" % at for at in sorted(out)]
 
 
+def cut_element_reads(root=SRC):
+    """`module:line` of each ``X._of_table(...)`` call under `root` whose
+    arguments read ``X.elements``, X the same name or attribute chain."""
+    out = []
+    for path in sorted(root.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (isinstance(node, ast.Call)
+                    and getattr(node.func, "attr", None) == "_of_table"):
+                continue
+            parent = ast.dump(node.func.value)
+            if any(isinstance(sub, ast.Attribute) and sub.attr == "elements"
+                   and ast.dump(sub.value) == parent
+                   for arg in node.args + node.keywords
+                   for sub in ast.walk(arg)):
+                out.append((path.name, node.lineno))
+    return ["%s:%d" % at for at in sorted(out)]
+
+
+class _GrowLoops(_Callers):
+    """The qualified name of the function around each ``for`` loop whose
+    body calls a name ending in `name`, as an attribute or a bare name."""
+
+    def visit_Call(self, node):
+        self.generic_visit(node)
+
+    def visit_For(self, node):
+        if any(isinstance(sub, ast.Call) and str(getattr(
+                sub.func, "attr", getattr(sub.func, "id", None))).endswith(
+                    self.name)
+               for stmt in node.body for sub in ast.walk(stmt)):
+            self.found.append(".".join(self.scope))
+        self.generic_visit(node)
+
+
+def grow_loops(root=SRC):
+    """`module.Qualified.name` of the function around each loop of closure
+    steps under `root`, once a function."""
+    out = []
+    for path in sorted(root.glob("*.py")):
+        loops = _GrowLoops(path.stem, "grow")
+        loops.visit(ast.parse(path.read_text(encoding="utf-8")))
+        out.extend(dict.fromkeys(loops.found))
+    return out
+
+
 class _ColumnFills(_Callers):
     """The qualified name of the function around each store of a
     ``.translate(...)`` into a strided slice; no call is counted."""
@@ -349,6 +419,54 @@ def test_the_guard_sees_a_group_or_list_coercion(tmp_path):
         "def fine(group):\n"
         "    return hasattr(group, \"order\") and group.elements\n")
     assert element_list_coercions(tmp_path) == ["a.py:2", "a.py:7"]
+
+
+def test_no_cut_reads_its_parents_elements():
+    assert cut_element_reads() == []
+
+
+def test_the_guard_sees_a_cut_that_reads_elements(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def center(G):\n"
+        "    return G._of_table(G._shape(), [t for t, x in zip(\n"
+        "        G._table, G.elements) if x])\n\n\n"
+        "def lift(self, F):\n"
+        "    kept = self.ambient._of_table(\n"
+        "        (3, 2), [t for t in self.ambient.elements])\n"
+        "    glued = Group._of_table((3, 2), sorted(F.elements))\n"
+        "    return kept, glued, self._of_table((3, 2), self._table)\n")
+    assert cut_element_reads(tmp_path) == ["a.py:2", "a.py:7"]
+
+
+def test_one_greedy_picks_every_generating_set():
+    assert set(grow_loops()) == GROW_LOOPS
+    assert not hasattr(permcore, "_greedy")
+    assert not hasattr(permcore._Table, "generators")
+
+
+def test_the_guard_sees_a_second_greedy(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def close(gens):\n"
+        "    for g in gens:\n"
+        "        _grow([], set(), [], g)\n\n\n"
+        "class Table:\n"
+        "    def generators(self, members):\n"
+        "        gens = []\n"
+        "        for x in members:\n"
+        "            if len(gens) < 3:\n"
+        "                self._grow([], set(), gens, x)\n"
+        "        for x in members:\n"
+        "            _grow([], set(), gens, x)\n"
+        "        return gens\n\n\n"
+        "def once(x):\n"
+        "    return _grow([], set(), [], x)\n\n\n"
+        "def _greedy(candidates, grow):\n"
+        "    kept = []\n"
+        "    for x in candidates:\n"
+        "        grow(kept, x)\n"
+        "    return [x for x in kept if x.grown]\n")
+    assert grow_loops(tmp_path) == ["a.close", "a.Table.generators",
+                                    "a._greedy"]
 
 
 def test_one_routine_renders_the_tables_for_the_writer_and_the_reader():

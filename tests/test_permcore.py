@@ -348,8 +348,36 @@ def test_table_closure_is_the_generated_subgroup():
         seed = [index[g] for g in H.generators]
         assert t.close(seed) == frozenset(index[h] for h in H.elements)
         members = sorted(index[h] for h in H.elements)
-        assert [t.elements[i] for i in t.generators(members)] == list(
-            H.generators)
+        assert [t.elements[i] for i in scanning_lattice.generators(
+            t, members)] == list(H.generators)
+
+
+def _index_row_lattice(G):
+    """G's lattice as members were once built: each index set the walk
+    finds, sorted by (order, indices), as its packs of G's table and the
+    index-row greedy's generators."""
+    t = _lattice_table(G)
+    found = _subgroup_sets_by_prime_extension(t, G.order)
+    if frozenset(range(G.order)) not in found:
+        found = _subgroup_sets_brute(t)
+    return [(tuple(G._table[i] for i in S),
+             tuple(t.elements[i] for i in scanning_lattice.generators(t, S)))
+            for S in sorted(map(sorted, found), key=lambda S: (len(S), S))]
+
+
+def test_lattice_members_are_cut_as_the_index_rows_gave_them(lattice_groups):
+    # each member is cut from its parent's packs, and the packs' greedy
+    # picks what the index-row greedy picked, in the same order; no member
+    # makes an element object before its elements are read
+    groups, counts = dict(lattice_groups, S5=PermGroup.symmetric(5)), {}
+    for name, G in groups.items():
+        G = type(G)(*G._shape(), None, G.generators, _table=G._table)
+        members = all_subgroups(G)
+        assert all(H._elements is None for H in members), name
+        assert [(H._table, H.generators) for H in members] == \
+            _index_row_lattice(G), name
+        counts[name] = len(members)
+    assert counts["Aut(B(3,2))"] == 98 and counts["S5"] == 156
 
 
 def test_subgroups_up_to_conjugacy_counts():

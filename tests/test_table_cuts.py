@@ -5,7 +5,8 @@ compatibility cores, parity lifts and projection kernels each keep packs
 of a table the library already holds and pick the greedy's generators over
 them (`FiniteGroup._of_table`). The reference is the object route each once
 took: `from_elements` over the parent's element objects, filtered or
-mapped, which must give the same table and the same generators. Seam
+mapped (`element_filters` for parity lifts and centers), which must give
+the same table and the same generators. Seam
 groups and V4 are closed from generators instead, and must give the table
 that the element route gives.
 """
@@ -14,10 +15,11 @@ import itertools
 
 import pytest
 
+import element_filters
 import scanning_fibers
 from test_compat import tiny_seam_group
-from treeball import census, cli
-from treeball.balls import BallGroup, ball_points, words_of_length
+from treeball import census, cli, full_aut
+from treeball.balls import BallAut, BallGroup, ball_points, words_of_length
 from treeball.compat import check_compatibility, compatibility_core
 from treeball.constructions import (build_full_lift, build_parity_lift,
                                     build_tower)
@@ -76,13 +78,59 @@ def test_stabilizers_and_centers_are_cut(name, request):
     for points in sets + list(G.orbits()):
         assert_same(G.pointwise_stabilizer(points), PermGroup.from_elements(
             [g for g in G.elements if all(g(p) == p for p in points)]))
-    assert_same(center(G), PermGroup.from_elements(
-        [x for x in G.elements
-         if all(x * g == g * x for g in G.generators)]))
+    assert_same(center(G), element_filters.center(G))
+
+
+NAMED = ("S3", "S4", "S5", "A4", "A5", "C5", "D4", "D5", "D6", "V4", "SL23",
+         "FLIPS6")
+
+
+def test_centers_match_the_element_filter(census_rows):
+    groups = [cli._named_group(name) for name in NAMED] + [
+        full_aut(3, 2)] + [row.group for row in census_rows]
+    for G in groups:
+        assert_same(center(G), element_filters.center(G))
+    orders = [center(G).order for G in groups[:len(NAMED)]]
+    assert orders == [1, 1, 1, 1, 1, 5, 2, 1, 2, 4, 2, 8]
 
 
 def _sign(F):
     return {p: 0 if p.sign() == 1 else 1 for p in F.elements}
+
+
+def _quotient_weight(F, c, kernel):
+    """x -> k for x in c^k * kernel: a homomorphism onto Z/m, m = |F| /
+    |kernel|, when the kernel is normal with a cyclic quotient that c's
+    coset generates."""
+    m = F.order // kernel.order
+    weight = {c ** k * n: k for k in range(m) for n in kernel.elements}
+    assert len(weight) == F.order
+    return weight, m
+
+
+def _weighted(name):
+    """A named group with a weight onto Z/m, and m: the sign for S3, S4
+    and D4; A3 onto itself; A4 onto A4 / V4."""
+    F = cli._named_group(name)
+    if name in ("A3", "A4"):
+        kernel = (cli._named_group("V4") if name == "A4"
+                  else PermGroup.generated((), 3))
+        return (F,) + _quotient_weight(F, Perm.from_cycles(
+            F.degree, [(0, 1, 2)]), kernel)
+    return F, _sign(F), 2
+
+
+SPHERE_SETS = [list(c) for k in (1, 2, 3)
+               for c in itertools.combinations(range(3), k)]
+# The element route on D4 past radius 2 makes 524,288 ball automorphisms
+# and asks each for up to 17 local actions, tens of seconds, so those four
+# sets stay out; S4 and A4 are refused past radius 2 by `check_cells`.
+PARITY_CASES = [(name, spheres) for name in ("S3", "A3", "S4", "A4", "D4")
+                for spheres in SPHERE_SETS
+                if spheres[-1] < 2 or name in ("S3", "A3")]
+# A3 on two-byte packs, 381 and 765 points: one set weighs 1 at every
+# lift of the 3-cycle, one 0
+WIDE_CASES = [("A3", [0, 6], 7), ("A3", [1, 7], 8)]
 
 
 def test_compatibility_cores_are_cut():
@@ -101,13 +149,40 @@ def test_compatibility_cores_are_cut():
 def test_parity_lifts_are_cut(degree, spheres, radius):
     F = PermGroup.symmetric(degree)
     weight = _sign(F)
-    ambient = build_full_lift(F, radius=radius or spheres[-1] + 1)
-    vertices = [v for r in spheres for v in words_of_length(degree, r)]
     assert_same(build_parity_lift(F, weight, 2, spheres, radius),
-                BallGroup.from_elements(
-                    [a for a in ambient.elements
-                     if sum(weight[a.step_action(v)] for v in vertices) % 2
-                     == 0]))
+                element_filters.parity_lift(F, weight, 2, spheres, radius))
+
+
+@pytest.mark.parametrize("name, spheres", PARITY_CASES, ids=[
+    "%s-%s" % (name, "".join(map(str, spheres)))
+    for name, spheres in PARITY_CASES])
+def test_parity_lifts_match_the_element_filter(name, spheres):
+    F, weight, modulus = _weighted(name)
+    assert_same(build_parity_lift(F, weight, modulus, spheres),
+                element_filters.parity_lift(F, weight, modulus, spheres))
+
+
+@pytest.mark.parametrize("name, spheres, radius", WIDE_CASES)
+def test_parity_lifts_read_two_byte_packs(name, spheres, radius):
+    F, weight, modulus = _weighted(name)
+    lift = build_parity_lift(F, weight, modulus, spheres, radius)
+    assert {len(t) for t in lift._table} == {2 * len(ball_points(3, radius))}
+    assert lift.order == (1 if spheres[0] == 0 else 3)
+    assert_same(lift, element_filters.parity_lift(F, weight, modulus,
+                                                  spheres, radius))
+
+
+def test_parity_lifts_are_built_without_a_step_action(monkeypatch):
+    def refuse(self, vertex):
+        raise AssertionError("step_action called")
+
+    monkeypatch.setattr(BallAut, "step_action", refuse)
+    lifts = [build_parity_lift(*_weighted(name), spheres)
+             for name, spheres in PARITY_CASES]
+    lifts += [build_parity_lift(*_weighted(name), spheres, radius)
+              for name, spheres, radius in WIDE_CASES]
+    assert all(lift._elements is None for lift in lifts)
+    assert len(lifts) == 25
 
 
 def test_the_census_lift_kernels_are_cut(census_rows, monkeypatch):
