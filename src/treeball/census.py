@@ -5,9 +5,10 @@ group, keeps the ones whose level-1 action is transitive and whose members
 always admit gluing partners, and sorts them into conjugacy classes. Each
 class is identified with the construction that rebuilds it. One radius up,
 the rigid classes (trivial seams) over each censused base are the
-extensions of its involutive cocycles by admissible kernels. A brute-force
-sweep over every subgroup of each base's full lift, run on permutation
-copies, is kept in tests/perm_shadow.py as the oracle for that route.
+extensions of its cocycles' sections by the kernel subgroups they
+normalize, each closed once. A brute-force sweep over every subgroup of
+each base's full lift, run on permutation copies, is kept in
+tests/perm_shadow.py as the oracle for that route.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .constructions import (build_centered, build_cocycle_extension,
                             build_diagonal, build_full_lift,
                             build_parity_lift, full_aut)
 from .errors import CapacityError, HypothesisError
-from .permcore import PermGroup, all_subgroups, are_conjugate_in
+from .permcore import PermGroup, _inverse, all_subgroups, are_conjugate_in
 
 
 class CensusRow(NamedTuple):
@@ -156,18 +157,13 @@ def census_discrete_lifts(base_rows):
 
     Over every base row that admits a cocycle, finds all conjugacy classes
     of subgroups of the next full ball group that glue, have trivial seams,
-    and project exactly onto the base representative. They are the
-    extensions of each involutive cocycle by the admissible subgroups of the
-    full lift's projection kernel. `perm_shadow.lifts_by_subgroups` in the
-    tests sweeps every subgroup of the full lift instead and must find the
-    same classes. Rows that are just the unique-lift image of an
-    already-rigid base are flagged via `gamma_image_of`.
-
-    Each cocycle is verified, and its generators lifted, once; each kernel
-    subgroup's own facts are found once; and each distinct extension is
-    checked for (C) and (D) once, the first pair that builds it standing for
-    it. The clauses are the ones every pair meets, run on image tuples: a
-    projection is a prefix of each element's tuple.
+    and project exactly onto the base representative: the extensions of
+    each cocycle's section by the subgroups of the full lift's projection
+    kernel it normalizes, each built and checked once (`_lifts_by_cocycle`).
+    `perm_shadow.lifts_by_subgroups` in the tests sweeps every subgroup of
+    the full lift instead and must find the same classes. Rows that are
+    just the unique-lift image of an already-rigid base are flagged via
+    `gamma_image_of`.
     """
     out = []
     for row in base_rows:
@@ -196,20 +192,32 @@ def census_discrete_lifts(base_rows):
 
 
 def _lifts_by_cocycle(base, kernel):
-    """The discrete extensions of the base's cocycles by subgroups of the
-    group `kernel`, each element set once and represented by the first pair
-    that built it: (C) and (D) depend on the element set alone."""
-    candidates, seen = [], set()
+    """The discrete extensions <s(F), S> of the base's cocycle sections s by
+    the subgroups S of `kernel` that s(F) normalizes: those its conjugation
+    of the kernel's packs keeps, listed once per action. Then <s(F), S> =
+    s(F) S, keyed by S and the least pack of each coset s(g) S, and the
+    first pair built with a key stands for the group the key fixes."""
+    table, (pack, _, by) = kernel._table, kernel._kind[1]
+    invariant, built, candidates = {}, set(), []
     for z in find_involutive_cocycles(base):
-        for sub in all_subgroups(kernel):
+        lifted = [(by(pack(g.images)), pack(_inverse(g.images)))
+                  for g in z._lifted_generators]
+        action = tuple(tuple(by(g(k))(inv) for k in table) for g, inv in lifted)
+        if action not in invariant:
+            maps = [dict(zip(table, row)).__getitem__ for row in action]
+            invariant[action] = [S for S in all_subgroups(kernel) if all(
+                tuple(sorted(map(m, S._table))) == S._table for m in maps)]
+        for S in invariant[action]:
+            key = (S._table, *[min(map(g, S._table)) for g, _ in lifted])
+            if key in built:
+                continue
             try:
-                sigma = build_cocycle_extension(z, sub)
+                sigma = build_cocycle_extension(z, S)
             except HypothesisError:
                 continue
-            if sigma._table not in seen:
-                seen.add(sigma._table)
-                if _is_discrete_lift(sigma):
-                    candidates.append(sigma)
+            built.add(key)
+            if _is_discrete_lift(sigma):
+                candidates.append(sigma)
     return candidates
 
 

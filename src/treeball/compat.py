@@ -30,7 +30,7 @@ import itertools
 import math
 
 from .balls import (BallAut, _glue_fibers, _glue_images, _need_key,
-                    _pack_charts, ball_points)
+                    _pack_charts, _root_and_chart, ball_points)
 from .errors import HypothesisError, check_cells
 from .linear import echelon, solve, walk
 from .permcore import _codec, _getter, _grow
@@ -182,49 +182,54 @@ class CompatCocycle:
     satisfy z(a*b, w) = z(a, b(w)) * z(b, w), and be involutive in the sense
     that choosing a partner for the partner returns the original element.
     Such a map is exactly what is needed to extend every element of the group
-    one ball radius outward in a group-compatible way.
+    one ball radius outward in a group-compatible way. It keeps rows, each
+    element's image tuple to its choices', and makes `table` when read.
     """
 
-    def __init__(self, group, table):
+    def __init__(self, group, table, _rows=None):
         self.group = group
-        self.table = dict(table)
+        self._images = _rows or {a.images: [
+            getattr(table.get((a, w)), "images", None)
+            for w in range(a.degree)] for a in group.elements}
         self.verify()
 
+    @functools.cached_property
+    def table(self):
+        make = self.group.identity()._from
+        return {(make(a), w): make(b) for a, row in self._images.items()
+                for w, b in enumerate(row)}
+
     def z(self, alpha, direction):
-        return self.table[(alpha, direction)]
+        return alpha._from(self._images[alpha.images][direction])
 
     def verify(self):
         """Check fibers, involutivity and the product rule.
 
-        The checks run in this order, each with its own message, on image
-        tuples: every (a, w) has a choice, in the group, in a's fiber (read
-        from the fiber index, which decides ball_compatible for members of
-        the group, once per group), whose own choice is a; and z(a * b, w) =
-        z(a, b(w)) * z(b, w), each product one gather. They read one map from
-        each element's tuple to its row of choices, which the cocycle keeps
-        for its extensions. The product rule is checked for b among the
-        generators only: if it holds for b1 and b2 against every a, it holds
-        for b1 * b2, so by induction on word length it holds for every b.
+        The checks run in this order, each with its own message, on the rows
+        of choices the cocycle keeps, one image tuple for each element and
+        direction: every (a, w) has a choice, in the group, a partner of a
+        (`_need_key` on each side, listed once per group and flipped
+        past radius 1 as `ball_compatible` reads it), whose own choice is a;
+        and z(a * b, w) = z(a, b(w)) * z(b, w), each product one gather. The
+        product rule is checked for b among the generators only: if it holds
+        for b1 and b2 against every a, it holds for b1 * b2, so by induction
+        on word length it holds for every b.
         """
-        group = self.group
-        d = group.degree
-        fibers = group._cache.get("fiber_images")
-        if fibers is None:
-            fibers = group._cache["fiber_images"] = {
-                a.images: [{b.images for b in compat_set(group, a, w)}
-                           for w in range(d)] for a in group.elements}
-        z = {}
+        group, z, d = self.group, self._images, self.group.degree
+        keys = group._cache.get("partner_keys")
+        if keys is None:
+            keys = group._cache["partner_keys"] = {
+                a.images: [_need_key(a, w) for w in range(d)]
+                for a in group.elements}
+        flip = slice(None, None, -1 if group.radius > 1 else 1)
         for a in group.elements:
-            row = z[a.images] = []
-            for w, partners in enumerate(fibers[a.images]):
-                b = self.table.get((a, w))
+            for w, b in enumerate(z[a.images]):
                 if b is None:
                     raise ValueError("choice map misses (%r, %d)" % (a, w))
-                if b not in group:
+                if b not in keys:
                     raise ValueError("choice at (%r, %d) leaves the group" % (a, w))
-                if b.images not in partners:
+                if keys[b][w][flip] != keys[a.images][w]:
                     raise ValueError("choice at (%r, %d) is not a partner" % (a, w))
-                row.append(b.images)
         if any(z[b][w] != a for a, row in z.items() for w, b in enumerate(row)):
             raise ValueError("choice map is not involutive")
         for b in group.generators:
@@ -233,7 +238,6 @@ class CompatCocycle:
             if any(z[step(a)] != [f(row[x]) for f, x in right]
                    for a, row in z.items()):
                 raise ValueError("choice map breaks the product rule")
-        self._images = z
 
     @functools.cached_property
     def _lifted_generators(self):
@@ -245,14 +249,13 @@ class CompatCocycle:
     def section(self, alpha):
         """The one-step-larger automorphism this choice map assigns to alpha:
         its partners passed `verify`, so they glue without a second check."""
-        children = [self.table[(alpha, w)] for w in range(alpha.degree)]
+        children = map(alpha._from, self._images[alpha.images])
         return BallAut._raw(alpha.degree, alpha.radius + 1,
                             _glue_images(alpha, children))
 
     def table_key(self):
-        items = sorted((a.images, w, b.images)
-                       for (a, w), b in self.table.items())
-        return tuple(items)
+        return tuple(sorted((a, w, b) for a, row in self._images.items()
+                            for w, b in enumerate(row)))
 
     def __eq__(self, other):
         return (isinstance(other, CompatCocycle)
@@ -282,13 +285,13 @@ def find_involutive_cocycles(group):
 
     Both stream lazily from `_involutive_sections`, which a count or an
     existence check reads with no table; the search refuses a generator's
-    lifts past the table-cell budget before listing them.
+    lifts past the table-cell budget before listing them. A cocycle's rows
+    are its section's charts, image tuples verified as they are.
     """
-    out = [CompatCocycle(group, {(a, w): b for a in group.elements
-                                 for w, b in enumerate(lift(a).children)})
-           for lift in _involutive_sections(group)]
-    out.sort(key=lambda c: c.table_key())
-    return out
+    return sorted((CompatCocycle(group, None, {a.images: [
+        _root_and_chart(s, w)[1] for w in range(group.degree)]
+        for a, s in zip(group.elements, map(lift, group.elements))})
+        for lift in _involutive_sections(group)), key=CompatCocycle.table_key)
 
 
 def _involutive_sections(group):

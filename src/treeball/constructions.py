@@ -55,10 +55,10 @@ from .permcore import (Perm, PermGroup, _codec, _getter, _images, _inverse,
 
 
 def radius_one(F):
-    """The permutation group F as a group of radius-1 ball automorphisms,
-    on F's own table: a radius-1 map's images are its level-1 action's."""
-    return BallGroup(F.degree, 1, list(map(BallAut, F.elements)),
-                     list(map(BallAut, F.generators)), _table=F._table)
+    """F as a group of radius-1 ball automorphisms on F's own table, as such
+    a map's images are its level-1 action's: only generators are wrapped."""
+    return BallGroup(F.degree, 1, None, map(BallAut, F.generators),
+                     _table=F._table)
 
 
 def _as_radius2(root_perm, child_perms):

@@ -736,19 +736,18 @@ def center(G):
 class _Table:
     """Cayley table over element indices, for fast subgroup closures.
 
-    Products are composed on the image tuples directly, so the table serves
-    any element type: ``mul[a][b]`` is the index of a * b. The elements come
+    Products are composed on the image tuples, so the table serves any
+    element type: ``mul[a][b]`` is the index of a * b. The image tuples come
     sorted, so ascending indices are the sorted element order, and the
     identity, the least image tuple, is index 0.
     """
 
-    def __init__(self, elements):
-        self.elements = tuple(elements)
-        images = [e.images for e in self.elements]
+    def __init__(self, images):
+        self.images = images = tuple(images)
         index = {im: i for i, im in enumerate(images)}
         getters = [_getter(b) for b in images]
         self.mul = [[index[get(a)] for get in getters] for a in images]
-        self.inv = [index[e.inverse().images] for e in self.elements]
+        self.inv = [index[_inverse(a)] for a in images]
         self.e = 0
         self._rows = [row.__getitem__ for row in self.mul]
 
@@ -764,7 +763,7 @@ def _lattice_table(G):
     if G.order > errors.SUBGROUP_LATTICE_CAP:
         raise CapacityError("subgroup lattice capped at order %d, got %d"
                             % (errors.SUBGROUP_LATTICE_CAP, G.order))
-    return _Table(G.elements)
+    return _Table(map(G._kind[1][1], G._table))  # no element object
 
 
 def all_subgroups(G):
@@ -788,7 +787,7 @@ def all_subgroups(G):
 
 
 def _subgroup_sets_brute(t):
-    n = len(t.elements)
+    n = len(t.images)
     triv = frozenset({t.e})
     found = {triv}
     frontier = [triv]
@@ -820,7 +819,7 @@ def _subgroup_sets_by_prime_extension(t, order):
     the image in the quotient; once S<g> = T is found, every element of
     T - S generates T over S, so all of T is done.
     """
-    n = len(t.elements)
+    n = len(t.images)
     mul, inv, e = t.mul, t.inv, t.e
     primes = [p for p, _ in factorize(order)]
     power = {}

@@ -18,7 +18,7 @@ def subgroup_sets(t, order):
     """Subgroup index sets reached by adjoining, to each subgroup S found,
     an element g normalizing S with g^p in S for a prime p dividing
     `order`. `t` is the group's Cayley table (permcore._Table)."""
-    n = len(t.elements)
+    n = len(t.images)
     mul, inv, e = t.mul, t.inv, t.e
     primes = [p for p, _ in factorize(order)]
     power = {}

@@ -10,8 +10,9 @@ import time
 
 import pytest
 
-from treeball import census, constructions, full_aut, permcore
-from treeball.balls import BallAut, BallGroup
+import pairwise_lifts
+from treeball import census, constructions, errors, full_aut, permcore
+from treeball.balls import BallAut, BallGroup, full_aut_order
 from treeball.census import (CensusRow, are_conjugate_in,
                              census_compatible_classes, census_discrete_lifts,
                              degree3_table, format_table,
@@ -20,7 +21,7 @@ from treeball.compat import CompatCocycle, find_involutive_cocycles
 from treeball.constructions import (build_centered, build_diagonal,
                                     build_full_lift, build_parity_lift,
                                     radius_one)
-from treeball.errors import CapacityError
+from treeball.errors import CapacityError, HypothesisError
 from treeball.permcore import Perm, PermGroup, classify_action
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "s3_table.txt"
@@ -150,15 +151,66 @@ def test_every_cocycle_extension_has_its_order_and_projects_onto_its_base(
         census_rows, monkeypatch):
     # the lift search checks only (C) and (D): each extension it builds
     # over the degree-3 census has order |F| |K| and restricts onto its
-    # base, as `build_cocycle_extension` makes it
-    built, build = [], census.build_cocycle_extension
-    monkeypatch.setattr(census, "build_cocycle_extension", lambda z, sub: (
-        built.append((z.group, sub, build(z, sub))) or built[-1][2]))
+    # base, and none is refused: a pair reaches it only when s(F)
+    # normalizes its kernel subgroup and no earlier pair built its group
+    built, refused, build = [], [], census.build_cocycle_extension
+
+    def spy(z, sub):
+        try:
+            built.append((z.group, sub, build(z, sub)))
+        except HypothesisError as exc:
+            refused.append(exc)
+            raise
+        return built[-1][2]
+
+    monkeypatch.setattr(census, "build_cocycle_extension", spy)
     census_discrete_lifts(census_rows)
-    assert len(built) == 35
+    assert len(built) == 22 and not refused
     for base, sub, sigma in built:
         assert sigma.order == base.order * sub.order
         assert sigma.project() == base
+
+
+def _lift_candidates(monkeypatch, rows):
+    """(base, kernel, candidates) of each `_lifts_by_cocycle` call that
+    `census_discrete_lifts` makes on the rows."""
+    calls, real = [], census._lifts_by_cocycle
+    monkeypatch.setattr(census, "_lifts_by_cocycle", lambda base, kernel: (
+        calls.append((base, kernel, real(base, kernel))) or calls[-1][2]))
+    census_discrete_lifts(rows)
+    return calls
+
+
+def _facts(groups):
+    return [(g._table, g.generators) for g in groups]
+
+
+def test_the_lift_route_matches_the_pairwise_reference(census_rows,
+                                                       monkeypatch):
+    calls = _lift_candidates(monkeypatch, census_rows)
+    assert len(calls) == 4
+    for base, kernel, candidates in calls:
+        assert _facts(candidates) == _facts(
+            pairwise_lifts.lifts_by_pairs(base, kernel))
+
+
+@pytest.mark.parametrize("P, count", [
+    (PermGroup.cyclic(4), 1),
+    (PermGroup.generated([Perm((1, 0, 3, 2)), Perm((2, 3, 0, 1))], 4), 1),
+    (PermGroup.dihedral(4), 12),
+    (PermGroup.alternating(4), 55),
+], ids=["C4", "V4", "D4", "A4"])
+def test_the_lift_route_matches_the_pairwise_reference_at_degree_four(
+        monkeypatch, P, count):
+    # Aut(B(4, 2)) is past the lift cap; the kernels of D4 and A4 have 67
+    # and 212 subgroups, and A4 has 28 cocycles
+    monkeypatch.setattr(errors, "LIFT_AMBIENT_CAP", full_aut_order(4, 2))
+    base = radius_one(P)
+    row = CensusRow("F", 1, "F", P.order, True, True, True, base)
+    ((_, kernel, candidates),) = _lift_candidates(monkeypatch, [row])
+    assert len(candidates) == count
+    assert _facts(candidates) == _facts(
+        pairwise_lifts.lifts_by_pairs(base, kernel))
 
 
 def test_the_lift_search_is_refused_past_its_cap_before_any_group(

@@ -1,5 +1,6 @@
 """Gluing fibers, the pruning core, and involutive choice maps."""
 
+import collections
 import itertools
 
 import pytest
@@ -239,15 +240,37 @@ def test_cocycles_of_one_group_share_their_fiber_lookups(monkeypatch):
     sign = {p: int(p.sign() == -1) for p in s3.elements}
     group = build_parity_lift(s3, sign, 2, [1])
     maps = find_involutive_cocycles(group)
-    calls = []
-    monkeypatch.setattr(compat, "compat_set",
-                        lambda *args: calls.append(args) or compat_set(*args))
+    calls, need = [], compat._need_key
+    monkeypatch.setattr(compat, "compat_set", None)
+    monkeypatch.setattr(compat, "_need_key",
+                        lambda *args: calls.append(args) or need(*args))
     group._cache.clear()
     for coc in maps:
         coc.verify()
-    # one lookup per (a, w) for the group, not one per cocycle
+    # verify lists no fiber: each choice is tested against the partner keys
+    # of its element, and those are made once per (a, w) for the group,
+    # not once per cocycle
     assert len(maps) == 8
     assert len(calls) == len(set(calls)) == group.order * group.degree
+
+
+def test_cocycles_are_listed_without_an_automorphism_per_choice(
+        monkeypatch):
+    # each choice is a chart's image tuple read off its element's lift: the
+    # listing makes the section stream's automorphisms and nothing more
+    s3 = PermGroup.symmetric(3)
+    sign = {p: int(p.sign() == -1) for p in s3.elements}
+    group = build_parity_lift(s3, sign, 2, [1])
+    find_involutive_cocycles(group)  # makes the elements, warms the caches
+    made, raw = collections.Counter(), BallAut._raw.__func__
+    monkeypatch.setattr(BallAut, "_raw", classmethod(lambda cls, *a: (
+        made.update([a[1]]) or raw(cls, *a))))
+    assert sum(1 for _ in compat._involutive_sections(group)) == 8
+    streamed = dict(made)
+    made.clear()
+    lifts = len(find_involutive_cocycles(group)) * group.order
+    assert made == {2: streamed[2], 3: streamed[3] + lifts}
+    assert streamed[2] < lifts * group.degree  # fewer than one a choice
 
 
 def test_cocycle_search_ignores_generator_choice(pi_one):

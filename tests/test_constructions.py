@@ -245,6 +245,20 @@ def test_full_lifts_are_glued_by_the_tower_step_alone(s3, phi_s3, flips6,
     assert steps[2:] == [(2, 3, "full lift"), (1, 3, "tower step")]
 
 
+def test_radius_one_wraps_only_the_generators():
+    # a permutation group held as its table keeps it through radius_one and
+    # the full lift: the radius-1 group shares the table, and its elements
+    # are made when read
+    for P in (PermGroup.symmetric(3), PermGroup.dihedral(4),
+              PermGroup.alternating(4)):
+        F = PermGroup(P.degree, None, P.generators, _table=P._table)
+        base = radius_one(F)
+        lift = build_full_lift(F)
+        assert F._elements is None
+        assert base.elements == tuple(map(BallAut, P.elements))
+        assert lift == build_full_lift(P)
+
+
 def test_full_lift_refuses_a_radius_below_its_base(s3, gamma_s3):
     assert build_full_lift(s3, radius=1).elements == radius_one(s3).elements
     assert build_full_lift(gamma_s3, radius=2) is gamma_s3

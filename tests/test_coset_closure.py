@@ -24,7 +24,7 @@ from treeball.balls import BallAut
 from treeball.permcore import Perm, _Table, small_generating_set_of
 
 STEPS = (permcore._grow, element_closure.grow)
-TABLE = _Table(full_aut(3, 2))
+TABLE = _Table(a.images for a in full_aut(3, 2))
 CHECKED = settings(derandomize=True, deadline=None, max_examples=40,
                    suppress_health_check=[HealthCheck.too_slow])
 
@@ -97,7 +97,7 @@ def test_coset_step_matches_on_ball_automorphisms(seed, radius, count):
 
 
 @CHECKED
-@given(st.lists(st.integers(min_value=0, max_value=len(TABLE.elements) - 1),
+@given(st.lists(st.integers(min_value=0, max_value=len(TABLE.images) - 1),
                 min_size=1, max_size=3),
        st.randoms(use_true_random=False))
 def test_coset_step_matches_on_table_rows(gens, rng):

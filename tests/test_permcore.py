@@ -289,7 +289,7 @@ def test_all_subgroups_goes_brute_only_where_the_walk_misses_the_group(
         subgroups = all_subgroups(G)
         assert len(calls) == (not is_solvable(G)), name
         t = _lattice_table(G)
-        index = {g: i for i, g in enumerate(t.elements)}
+        index = {g: i for i, g in enumerate(G.elements)}
         solvable = {frozenset(map(index.__getitem__, H.elements))
                     for H in subgroups if is_solvable(H)}
         assert _subgroup_sets_by_prime_extension(t, G.order) == solvable, name
@@ -343,12 +343,12 @@ def test_lattice_members_carry_the_greedy_generators(lattice_groups):
 def test_table_closure_is_the_generated_subgroup():
     G = PermGroup.symmetric(4)
     t = _lattice_table(G)
-    index = {g: i for i, g in enumerate(t.elements)}
+    index = {g: i for i, g in enumerate(G.elements)}
     for H in all_subgroups(G):
         seed = [index[g] for g in H.generators]
         assert t.close(seed) == frozenset(index[h] for h in H.elements)
         members = sorted(index[h] for h in H.elements)
-        assert [t.elements[i] for i in scanning_lattice.generators(
+        assert [G.elements[i] for i in scanning_lattice.generators(
             t, members)] == list(H.generators)
 
 
@@ -361,7 +361,7 @@ def _index_row_lattice(G):
     if frozenset(range(G.order)) not in found:
         found = _subgroup_sets_brute(t)
     return [(tuple(G._table[i] for i in S),
-             tuple(t.elements[i] for i in scanning_lattice.generators(t, S)))
+             tuple(G.elements[i] for i in scanning_lattice.generators(t, S)))
             for S in sorted(map(sorted, found), key=lambda S: (len(S), S))]
 
 
@@ -378,6 +378,20 @@ def test_lattice_members_are_cut_as_the_index_rows_gave_them(lattice_groups):
             _index_row_lattice(G), name
         counts[name] = len(members)
     assert counts["Aut(B(3,2))"] == 98 and counts["S5"] == 156
+
+
+def test_the_lattice_table_is_read_off_the_packs(lattice_groups):
+    # the Cayley table is made from G's unpacked table, so the lattice makes
+    # no element object of G, and it is the table of G's element products
+    for name, G in lattice_groups.items():
+        held = type(G)(*G._shape(), None, G.generators, _table=G._table)
+        members = all_subgroups(held)
+        assert held._elements is None, name
+        assert [(H._table, H.generators) for H in members] == [
+            (H._table, H.generators) for H in all_subgroups(G)], name
+        t, index = _lattice_table(held), {g: i for i, g in enumerate(G)}
+        assert t.mul == [[index[a * b] for b in G] for a in G], name
+        assert t.inv == [index[a.inverse()] for a in G], name
 
 
 def test_subgroups_up_to_conjugacy_counts():
